@@ -12,7 +12,7 @@
 
 use std::rc::Rc;
 
-use ignite_cluster::{ClusterConfig, ClusterSim, MemoCache};
+use ignite_cluster::{ClusterConfig, ClusterSim};
 use ignite_engine::config::FrontEndConfig;
 use ignite_engine::machine::PreparedFunction;
 use ignite_engine::protocol::{run_function, RunOptions};
@@ -74,7 +74,6 @@ pub fn e2e_benches(mode: Mode) -> Vec<Bench> {
         .chain(std::iter::once(cluster_bench(mode)))
         .chain(std::iter::once(cluster_obs_bench(mode)))
         .chain(std::iter::once(cluster_traffic_bench(mode)))
-        .chain(std::iter::once(cluster_memo_bench(mode)))
         .chain(std::iter::once(cluster_control_bench(mode)))
         .collect()
 }
@@ -160,47 +159,6 @@ fn cluster_traffic_bench(mode: Mode) -> Bench {
     }
 }
 
-/// Memoized streaming bench: exactly the `e2e/cluster-traffic` MMPP
-/// burst workload, run through a shared [`MemoCache`]. The warmup run
-/// populates the cache, so every measured rep replays entirely from
-/// hits — its `mips` (millions of invocations per wall-second, same
-/// units as `e2e/cluster-traffic`) over the traffic bench's is the
-/// steady-state memoization speedup on a recurrence-heavy burst.
-fn cluster_memo_bench(mode: Mode) -> Bench {
-    let cfg = cluster_config(mode);
-    let spec = ignite_traffic::TrafficSpec::parse("mmpp:mults=1/6,dwells=300000/60000")
-        .expect("pinned mmpp spec parses");
-    let suite = Suite::paper_suite_scaled(cfg.scale);
-    let cache = Rc::new(MemoCache::default());
-    let first = {
-        let mut source = spec.build(&cfg.arrival, &suite).expect("pinned mmpp spec builds");
-        ClusterSim::new(cfg.clone()).run_source_memo_obs(
-            &mut *source,
-            &mut ignite_obs::NullSink,
-            &cache,
-        )
-    };
-    let cycles_per_invocation =
-        first.total_result().cycles as f64 / first.workload.arrivals.max(1) as f64;
-    Bench {
-        name: "e2e/cluster-memo".to_string(),
-        kind: Kind::EndToEnd,
-        config: Some("cluster".to_string()),
-        cpi: Some(cycles_per_invocation),
-        run: Box::new(move || {
-            let mut source = spec.build(&cfg.arrival, &suite).expect("pinned mmpp spec builds");
-            let out = ClusterSim::new(cfg.clone()).run_source_memo_obs(
-                &mut *source,
-                &mut ignite_obs::NullSink,
-                &cache,
-            );
-            let stats = out.memo.expect("memoized run carries counters");
-            assert_eq!(stats.misses, 0, "warmed reps must replay entirely from hits");
-            (out.workload.arrivals, out.total_result().cycles)
-        }),
-    }
-}
-
 /// Controlled streaming bench: the `e2e/cluster-traffic` MMPP burst
 /// workload with the default online policy controller in the loop
 /// (fresh per rep — its decision state is part of the measured work).
@@ -249,14 +207,13 @@ mod tests {
         let benches = e2e_benches(Mode::Quick);
         assert_eq!(
             benches.len(),
-            configs().len() + 5,
+            configs().len() + 4,
             "per-config benches plus e2e/cluster, e2e/cluster-obs, e2e/cluster-traffic, \
-             e2e/cluster-memo, and e2e/cluster-control"
+             and e2e/cluster-control"
         );
         assert!(benches.iter().any(|b| b.name == "e2e/cluster"));
         assert!(benches.iter().any(|b| b.name == "e2e/cluster-obs"));
         assert!(benches.iter().any(|b| b.name == "e2e/cluster-traffic"));
-        assert!(benches.iter().any(|b| b.name == "e2e/cluster-memo"));
         assert!(benches.iter().any(|b| b.name == "e2e/cluster-control"));
         for b in &benches {
             assert!(b.cpi.unwrap() > 0.0, "{}: degenerate CPI", b.name);

@@ -51,7 +51,6 @@
 pub mod fanout;
 pub mod json;
 pub mod keepalive;
-pub mod memo;
 pub mod policy;
 pub mod prom;
 pub mod report;
@@ -61,7 +60,6 @@ pub mod tracecheck;
 
 pub use fanout::{run_indexed, PanicFailure};
 pub use keepalive::{KeepAliveKind, KeepAliveRt};
-pub use memo::{MemoCache, MemoKey, MemoKeyError, MemoStats};
 pub use policy::{
     ClusterGauges, ControllerStats, Decision, PolicyHook, PolicySample, StaticPolicy,
 };
@@ -69,7 +67,7 @@ pub use prom::{metrics_for, record_metrics, record_trace_health};
 pub use report::{ClusterReport, ObsSummary, CLUSTER_SCHEMA, CLUSTER_SCHEMA_V2};
 pub use sched::{NodeLoad, Scheduler, SchedulerKind};
 pub use sim::{
-    sweep_capacities, sweep_capacities_memo, ClusterConfig, ClusterOutcome, ClusterSim,
-    ConfigError, CoreUsage, FunctionSummary, NodeUsage, Topology, LATENCY_BUCKETS,
+    sweep_capacities, ClusterConfig, ClusterOutcome, ClusterSim, ConfigError, CoreUsage,
+    FunctionSummary, NodeUsage, Topology, LATENCY_BUCKETS,
 };
 pub use tracecheck::{validate_trace, TraceSummary};

@@ -296,32 +296,6 @@ pub fn record_metrics(
         }
     }
 
-    // Memo counters only exist for memoized runs, so plain expositions
-    // stay byte-identical to pre-memo output.
-    if let Some(m) = &out.memo {
-        for (name, help, v) in [
-            ("ignite_memo_lookups_total", "Invocation memo cache probes", m.lookups),
-            ("ignite_memo_hits_total", "Memo probes that replayed a cached result", m.hits),
-            ("ignite_memo_misses_total", "Memo probes that ran the engine", m.misses),
-            ("ignite_memo_inserts_total", "Invocation results cached", m.inserts),
-            ("ignite_memo_evictions_total", "Memo entries evicted by the capacity bound", {
-                m.evictions
-            }),
-            (
-                "ignite_memo_stale_reruns_total",
-                "Speculative passes abandoned on a stale-core miss",
-                m.stale_reruns,
-            ),
-            (
-                "ignite_memo_cycles_saved_total",
-                "Engine cycles replayed from cache instead of re-simulated",
-                m.cycles_saved,
-            ),
-        ] {
-            reg.inc_counter(name, help, &base, v);
-        }
-    }
-
     // Controller counters only exist for controller-on runs, so every
     // static-policy exposition stays byte-identical to pre-controller
     // output. All seven per-rule counters are always emitted (zeros
@@ -450,27 +424,6 @@ mod tests {
             "ignite_chaos_degraded_by_reason_total",
             "reason=\"corrupt\"",
             "ignite_chaos_retry_cycles_total",
-        ] {
-            assert!(text.contains(needle), "missing {needle}");
-        }
-    }
-
-    #[test]
-    fn memo_families_appear_only_under_memoization() {
-        let (cfg, out) = run();
-        let plain = metrics_for(&cfg, &out).expose();
-        assert!(!plain.contains("ignite_memo_"), "plain exposition must have no memo family");
-        let cache = crate::memo::MemoCache::default();
-        let mout = ClusterSim::new(cfg.clone()).run_memo(&cache);
-        let text = metrics_for(&cfg, &mout).expose();
-        for needle in [
-            "ignite_memo_lookups_total",
-            "ignite_memo_hits_total",
-            "ignite_memo_misses_total",
-            "ignite_memo_inserts_total",
-            "ignite_memo_evictions_total",
-            "ignite_memo_stale_reruns_total",
-            "ignite_memo_cycles_saved_total",
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }

@@ -307,19 +307,6 @@ impl ClusterReport {
             let _ = writeln!(s, "    \"trace_dropped\": {}", obs.trace_dropped);
             s.push_str("  },\n");
         }
-        // The memo section exists only for memoized runs, so every
-        // non-memoized report stays byte-identical to its golden.
-        if let Some(m) = &out_.memo {
-            s.push_str("  \"memo\": {\n");
-            let _ = writeln!(s, "    \"lookups\": {},", m.lookups);
-            let _ = writeln!(s, "    \"hits\": {},", m.hits);
-            let _ = writeln!(s, "    \"misses\": {},", m.misses);
-            let _ = writeln!(s, "    \"inserts\": {},", m.inserts);
-            let _ = writeln!(s, "    \"evictions\": {},", m.evictions);
-            let _ = writeln!(s, "    \"stale_reruns\": {},", m.stale_reruns);
-            let _ = writeln!(s, "    \"cycles_saved\": {}", m.cycles_saved);
-            s.push_str("  },\n");
-        }
         // The controller section — the decision audit trail — exists
         // only for controller-on runs, so every controller-off report
         // stays byte-identical to its golden.
@@ -569,34 +556,6 @@ impl ClusterReport {
         if let Some(obs) = json::get(obj, "obs") {
             let oo = obs.as_object().ok_or("'obs' is not an object")?;
             require(oo, "obs", &["trace_events", "trace_dropped"])?;
-        }
-        // The memo section is optional (memoized runs only), but when
-        // present must be complete and internally consistent
-        // (`lookups == hits + misses`).
-        if let Some(memo) = json::get(obj, "memo") {
-            let mo = memo.as_object().ok_or("'memo' is not an object")?;
-            require(
-                mo,
-                "memo",
-                &[
-                    "lookups",
-                    "hits",
-                    "misses",
-                    "inserts",
-                    "evictions",
-                    "stale_reruns",
-                    "cycles_saved",
-                ],
-            )?;
-            let count = |k: &str| json::get(mo, k).and_then(Value::as_f64).unwrap_or(0.0);
-            if count("lookups") != count("hits") + count("misses") {
-                return Err(format!(
-                    "memo: lookups {} != hits {} + misses {}",
-                    count("lookups"),
-                    count("hits"),
-                    count("misses")
-                ));
-            }
         }
         // Controller pairing: a config `controller` spec and a
         // top-level `controller` section appear together or not at all,
@@ -874,32 +833,6 @@ mod tests {
     fn validate_rejects_missing_section() {
         let text = report().to_json().replace("\"p95_latency_cycles\"", "\"q95\"");
         assert!(ClusterReport::validate(&text).is_err());
-    }
-
-    #[test]
-    fn memo_section_appears_only_for_memoized_runs_and_validates() {
-        let plain = report().to_json();
-        assert!(!plain.contains("\"memo\""), "plain reports must carry no memo section");
-
-        let cfg = ClusterConfig {
-            arrival: ArrivalConfig { horizon_cycles: 800_000, ..ArrivalConfig::default() },
-            ..ClusterConfig::default()
-        };
-        let cache = crate::memo::MemoCache::default();
-        let outcome = ClusterSim::new(cfg.clone()).run_memo(&cache);
-        assert!(outcome.memo.is_some(), "memoized runs must carry counters");
-        let text = ClusterReport::new(cfg, outcome).to_json();
-        assert!(text.contains("\"memo\": {"));
-        ClusterReport::validate(&text).expect("memoized report must validate");
-
-        // Tampering with the hit/miss ledger must be caught.
-        let bad = text.replacen("\"hits\": 0,", "\"hits\": 3,", 1);
-        assert!(
-            ClusterReport::validate(&bad).is_err(),
-            "lookups != hits + misses must be rejected"
-        );
-        let bad = text.replacen("    \"cycles_saved\"", "    \"cycles_zaved\"", 1);
-        assert!(ClusterReport::validate(&bad).is_err(), "missing memo field must be caught");
     }
 
     #[test]

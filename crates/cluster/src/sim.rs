@@ -15,6 +15,7 @@
 //! distance sets [`InvocationCtx::data_cold_fraction`].
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
 
 use ignite_chaos::{ChaosPlan, ChaosState, ChaosStats, CircuitBreaker, RetryPolicy};
 use ignite_core::codec::Metadata;
@@ -23,10 +24,7 @@ use ignite_engine::config::FrontEndConfig;
 use ignite_engine::machine::{Machine, PreparedFunction};
 use ignite_engine::metrics::InvocationResult;
 use ignite_engine::sim::{run_invocation_obs, InvocationCtx};
-use ignite_obs::{
-    BufferingSink, CaptureSink, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink,
-    Track,
-};
+use ignite_obs::{DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Track};
 use ignite_traffic::{FingerprintAccum, WorkloadFingerprint};
 use ignite_uarch::UarchConfig;
 use ignite_workloads::arrival::{Arrival, ArrivalConfig, ArrivalSource, Trace, TraceSource};
@@ -34,7 +32,6 @@ use ignite_workloads::suite::Suite;
 
 use crate::fanout::{self, PanicFailure};
 use crate::keepalive::{KeepAliveKind, KeepAliveRt};
-use crate::memo::{self, MemoCache, MemoEntry, MemoRun, MemoStats, RecordingSource};
 use crate::policy::{ClusterGauges, ControllerStats, PolicyHook, PolicySample, StaticPolicy};
 use crate::sched::{NodeLoad, Scheduler, SchedulerKind};
 
@@ -465,11 +462,6 @@ pub struct ClusterOutcome {
     /// Always computed (it is O(1) per arrival); serialized into the
     /// report only when [`ClusterConfig::traffic`] is set.
     pub workload: WorkloadFingerprint,
-    /// Memoization counters (`Some` iff the run went through
-    /// [`ClusterSim::run_source_memo_obs`]). Absent for plain runs, so
-    /// every non-memoized report stays byte-identical to the committed
-    /// goldens.
-    pub memo: Option<MemoStats>,
     /// Controller decision audit trail (`Some` iff the run went through
     /// [`ClusterSim::run_source_policy_obs`] with an enabled policy).
     /// Absent for static-policy runs, so every controller-off report
@@ -514,15 +506,6 @@ struct Core {
     last_seq: BTreeMap<usize, u64>,
     busy_cycles: u64,
     invocations: u64,
-    /// Incremental digest of every machine mutation since the machine
-    /// was fresh (see [`memo::dispatch_digest`]); reseeded on crash.
-    /// Only advanced under memoization.
-    history: u64,
-    /// Whether a memo hit skipped the engine on this machine, leaving
-    /// its concrete state behind its digest. A subsequent cache miss
-    /// here cannot run the engine — it aborts the speculative pass.
-    /// Cleared by a crash (the fresh machine matches a fresh digest).
-    stale: bool,
 }
 
 struct FunctionState {
@@ -761,7 +744,7 @@ impl ClusterSim {
         source: &mut A,
         sink: &mut S,
     ) -> ClusterOutcome {
-        self.run_source_impl(source, sink, &mut StaticPolicy, None)
+        self.run_source_policy_obs(source, sink, &mut StaticPolicy)
     }
 
     /// [`ClusterSim::run_source_obs`] with an active policy: the
@@ -769,11 +752,10 @@ impl ClusterSim {
     /// writeback admission, schedulable-core mask, keep-alive window)
     /// consult `policy`, the policy observes every completed
     /// invocation's attribution sample, and epoch decisions land on the
-    /// `Track::Controller` trace track. With [`StaticPolicy`] (or any
-    /// policy whose [`PolicyHook::enabled`] is `false`) this is
-    /// bit-identical to [`ClusterSim::run_source_obs`] — every
-    /// actuation site is guarded, the same zero-cost contract the event
-    /// sinks keep.
+    /// `Track::Controller` trace track. With [`StaticPolicy`] (what
+    /// [`ClusterSim::run_source_obs`] passes) or any policy whose
+    /// [`PolicyHook::enabled`] is `false`, every actuation site is
+    /// skipped — the same zero-cost contract the event sinks keep.
     ///
     /// # Panics
     ///
@@ -783,91 +765,6 @@ impl ClusterSim {
         source: &mut A,
         sink: &mut S,
         policy: &mut P,
-    ) -> ClusterOutcome {
-        self.run_source_impl(source, sink, policy, None)
-    }
-
-    /// [`ClusterSim::run`] with invocation-result memoization against
-    /// `cache`. See [`ClusterSim::run_source_memo_obs`].
-    pub fn run_memo(&self, cache: &MemoCache) -> ClusterOutcome {
-        self.run_memo_obs(&mut NullSink, cache)
-    }
-
-    /// [`ClusterSim::run_obs`] with invocation-result memoization.
-    pub fn run_memo_obs<S: EventSink>(&self, sink: &mut S, cache: &MemoCache) -> ClusterOutcome {
-        let mut arrival = self.cfg.arrival;
-        arrival.functions = self.functions.len();
-        let trace = arrival.generate();
-        self.run_source_memo_obs(&mut TraceSource::new(&trace), sink, cache)
-    }
-
-    /// [`ClusterSim::run_source_obs`] with invocation-result memoization:
-    /// engine invocations whose exact inputs were already simulated (in
-    /// this run or any earlier run sharing `cache`) replay their cached
-    /// [`InvocationResult`] instead of re-running the cycle-accurate
-    /// model. The outcome is **bit-identical** to the non-memoized run —
-    /// the memo key pins every engine input (see [`crate::memo`]) — with
-    /// [`ClusterOutcome::memo`] set to the run's counters.
-    ///
-    /// If a warmed cache replays part of a schedule and then diverges (a
-    /// miss on a core whose machine was skipped over), the speculative
-    /// pass aborts and the run repeats plainly with lookups disabled;
-    /// arrivals are recorded/replayed and events buffered so the abort
-    /// is invisible to `source` and `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source declares more functions than the suite has.
-    pub fn run_source_memo_obs<A: ArrivalSource + ?Sized, S: EventSink>(
-        &self,
-        source: &mut A,
-        sink: &mut S,
-        cache: &MemoCache,
-    ) -> ClusterOutcome {
-        let config_fp = memo::config_fingerprint(
-            &self.uarch,
-            &self.cfg.fe,
-            self.cfg.scale,
-            self.cfg.distance_saturation,
-        );
-        let mut recording = RecordingSource::new(source);
-        let mut run = MemoRun {
-            cache,
-            stats: MemoStats::default(),
-            lookups: true,
-            aborted: false,
-            config_fp,
-        };
-        let mut buffered = BufferingSink::new(sink);
-        let mut out =
-            self.run_source_impl(&mut recording, &mut buffered, &mut StaticPolicy, Some(&mut run));
-        if !run.aborted {
-            buffered.commit();
-            out.memo = Some(run.stats);
-            return out;
-        }
-        buffered.abort();
-        // Stale-machine divergence: replay the identical arrival stream
-        // with lookups off (stores still warm the cache for next time).
-        let mut replay = recording.into_replay();
-        let mut rerun = MemoRun {
-            cache,
-            stats: MemoStats { stale_reruns: 1, ..MemoStats::default() },
-            lookups: false,
-            aborted: false,
-            config_fp,
-        };
-        let mut out = self.run_source_impl(&mut replay, sink, &mut StaticPolicy, Some(&mut rerun));
-        out.memo = Some(rerun.stats);
-        out
-    }
-
-    fn run_source_impl<A: ArrivalSource + ?Sized, S: EventSink, P: PolicyHook>(
-        &self,
-        source: &mut A,
-        sink: &mut S,
-        policy: &mut P,
-        mut memo: Option<&mut MemoRun<'_>>,
     ) -> ClusterOutcome {
         assert!(
             source.functions() <= self.functions.len(),
@@ -899,8 +796,6 @@ impl ClusterSim {
                 last_seq: BTreeMap::new(),
                 busy_cycles: 0,
                 invocations: 0,
-                history: memo::HISTORY_SEED,
-                stale: false,
             })
             .collect();
         let mut fns: Vec<FunctionState> = self
@@ -951,7 +846,7 @@ impl ClusterSim {
         let mut all_latencies: Vec<u64> = Vec::new();
         let mut latency_sum = 0u64;
 
-        'run: loop {
+        loop {
             // Epoch evaluation: when the clock has crossed the policy's
             // next epoch boundary, snapshot the cluster gauges, let the
             // policy actuate, and mirror each decision onto the
@@ -1042,14 +937,8 @@ impl ClusterSim {
                         &mut chaos,
                         &mut keepalive,
                         &mut *policy,
-                        memo.as_deref_mut(),
                         sink,
                     );
-                    // A memo miss on a stale core: the speculative pass
-                    // is unsalvageable; unwind to the plain re-run.
-                    if memo.as_deref().is_some_and(|m| m.aborted) {
-                        break 'run;
-                    }
                     match served {
                         Served::Done { completion } => {
                             makespan = makespan.max(completion);
@@ -1235,14 +1124,13 @@ impl ClusterSim {
             let i = LATENCY_BUCKETS.iter().position(|&b| l <= b).unwrap_or(LATENCY_BUCKETS.len());
             latency_histogram[i] += 1;
         }
-        let aborted = memo.as_deref().is_some_and(|m| m.aborted);
         let chaos = chaos.map(|mut rt| {
             for b in &rt.breakers {
                 rt.stats.breaker_opens += b.opens();
                 rt.stats.breaker_closes += b.closes();
             }
             debug_assert!(
-                aborted || rt.stats.conserved(),
+                rt.stats.conserved(),
                 "conservation violated: submitted {} != completed {} + dropped {}",
                 rt.stats.submitted,
                 rt.stats.completed,
@@ -1303,7 +1191,6 @@ impl ClusterSim {
             latency_sum,
             chaos,
             workload: fingerprint.finish(),
-            memo: None,
             controller,
         }
     }
@@ -1328,7 +1215,6 @@ impl ClusterSim {
         chaos: &mut Option<ChaosRt>,
         keepalive: &mut KeepAliveRt,
         policy: &mut P,
-        mut memo: Option<&mut MemoRun<'_>>,
         sink: &mut S,
     ) -> Served {
         let a = &job.arrival;
@@ -1378,10 +1264,6 @@ impl ClusterSim {
         // With a disabled policy this is constant-false and the fetch
         // gate below is the pre-seam `if ignite_on` exactly.
         let policy_bypass = policy.enabled() && ignite_on && !policy.replay_admitted(a.function);
-        // The region to stage into the replay engine, decided by the
-        // fetch/chaos gates below but installed only after the memo
-        // probe (which needs to digest it without consuming it).
-        let mut to_install: Option<Metadata> = None;
         if ignite_on && !policy_bypass {
             if let Some(rt) = chaos.as_mut() {
                 if !rt.breakers[a.function as usize].replay_allowed(now) {
@@ -1441,7 +1323,11 @@ impl ClusterSim {
                         };
                         match installed {
                             Some(md) => {
-                                to_install = Some(md);
+                                core.machine
+                                    .ignite
+                                    .as_mut()
+                                    .expect("ignite selected")
+                                    .install_metadata(f.container, md);
                                 if let Some(rt) = chaos.as_mut() {
                                     let b = &mut rt.breakers[a.function as usize];
                                     let closes = b.closes();
@@ -1495,151 +1381,20 @@ impl ClusterSim {
             }
         }
 
-        // Memoization probe: advance the core's history digest across
-        // this dispatch and look for a cached engine result. With memo
-        // off (`None`) this block is skipped and the dispatch below is
-        // the pre-memo path, operation for operation.
-        let mut hit: Option<MemoEntry> = None;
-        let mut memo_key: Option<memo::MemoKey> = None;
-        if let Some(m) = memo.as_deref_mut() {
-            let digest = memo::dispatch_digest(
-                core.history,
-                a.function,
-                fstate.count,
-                bypass || policy_bypass,
-                to_install.as_ref(),
-            );
-            core.history = digest;
-            let key =
-                memo::MemoKey::new(a.function, cold, bypass || policy_bypass, m.config_fp, digest)
-                    .expect("interleaving cold fraction is never NaN");
-            if m.lookups {
-                m.stats.lookups += 1;
-                hit = m.cache.lookup(&key);
-                if hit.is_some() {
-                    m.stats.hits += 1;
-                } else {
-                    m.stats.misses += 1;
-                    if core.stale {
-                        // The schedule diverged from the cached run on a
-                        // core whose machine was skipped over; the
-                        // engine cannot run here. Unwind the pass.
-                        m.aborted = true;
-                        return Served::Done { completion: now };
-                    }
-                }
-            }
-            memo_key = Some(key);
+        core.machine.context_switch();
+        if sink.enabled() {
+            sink.record(Event { ts: now, dur: 0, track, kind: EventKind::ContextSwitch });
         }
-
-        // The engine portion of the dispatch starts after the metadata
-        // fetch transfer on the cluster clock.
-        let engine_base = now + md_cycles;
-        let res: InvocationResult;
-        // The (merged) region the engine hands back for writeback.
-        let taken: Option<Metadata>;
-        match hit {
-            Some(entry) => {
-                // Cache hit: skip install, context switch, the engine
-                // run, and take-back — replay the cached result and
-                // event stream instead. The machine is now behind its
-                // digest; mark it stale. Everything cluster-side
-                // (store, chaos, accounting) still executes below.
-                if sink.enabled() {
-                    sink.record(Event { ts: now, dur: 0, track, kind: EventKind::ContextSwitch });
-                    for e in &entry.events {
-                        sink.record(Event {
-                            ts: engine_base + e.ts,
-                            dur: e.dur,
-                            track,
-                            kind: e.kind,
-                        });
-                    }
-                }
-                fstate.count += 1;
-                core.stale = true;
-                if let Some(m) = memo.as_deref_mut() {
-                    m.stats.cycles_saved += entry.res.cycles;
-                }
-                taken = entry.taken;
-                res = entry.res;
-            }
-            None => {
-                if let Some(md) = to_install {
-                    core.machine
-                        .ignite
-                        .as_mut()
-                        .expect("ignite selected")
-                        .install_metadata(f.container, md);
-                }
-                core.machine.context_switch();
-                if sink.enabled() {
-                    sink.record(Event { ts: now, dur: 0, track, kind: EventKind::ContextSwitch });
-                }
-                let ctx = InvocationCtx {
-                    data_cold_fraction: cold,
-                    bypass_ignite: bypass || policy_bypass,
-                };
-                // Map machine-local cycles onto the cluster clock: the
-                // machine clock (busy cycles only) never exceeds
-                // cluster time.
-                debug_assert!(core.machine.now <= now, "machine clock ahead of cluster clock");
-                let ts_offset = engine_base.saturating_sub(core.machine.now);
-                let captured: Option<Vec<Event>> = if memo.is_some() {
-                    let mut capture = CaptureSink::new(&mut *sink);
-                    res = run_invocation_obs(
-                        &mut core.machine,
-                        f,
-                        fstate.count,
-                        ctx,
-                        &mut capture,
-                        track,
-                        ts_offset,
-                    );
-                    Some(capture.events)
-                } else {
-                    res = run_invocation_obs(
-                        &mut core.machine,
-                        f,
-                        fstate.count,
-                        ctx,
-                        sink,
-                        track,
-                        ts_offset,
-                    );
-                    None
-                };
-                fstate.count += 1;
-                taken = if ignite_on {
-                    core.machine
-                        .ignite
-                        .as_mut()
-                        .expect("ignite selected")
-                        .take_metadata(f.container)
-                } else {
-                    None
-                };
-                if let Some(m) = memo {
-                    // Store the engine events with timestamps relative
-                    // to the invocation's engine start, so a hit in a
-                    // run with a different clock or core rebases them.
-                    let events = captured
-                        .expect("captured under memoization")
-                        .into_iter()
-                        .map(|e| Event {
-                            ts: e.ts.saturating_sub(engine_base),
-                            dur: e.dur,
-                            track: e.track,
-                            kind: e.kind,
-                        })
-                        .collect();
-                    let entry = MemoEntry { res: res.clone(), taken: taken.clone(), events };
-                    m.stats.inserts += 1;
-                    m.stats.evictions +=
-                        m.cache.insert(memo_key.expect("key built under memoization"), entry);
-                }
-            }
-        }
+        let ctx =
+            InvocationCtx { data_cold_fraction: cold, bypass_ignite: bypass || policy_bypass };
+        // Map machine-local cycles onto the cluster clock: the engine
+        // portion starts after the metadata fetch transfer, and the
+        // machine clock (busy cycles only) never exceeds cluster time.
+        debug_assert!(core.machine.now <= now, "machine clock ahead of cluster clock");
+        let ts_offset = (now + md_cycles).saturating_sub(core.machine.now);
+        let res =
+            run_invocation_obs(&mut core.machine, f, fstate.count, ctx, sink, track, ts_offset);
+        fstate.count += 1;
 
         // Straggler windows stretch the attempt's compute cycles; the
         // extra cycles are charged to the execution component so the
@@ -1661,7 +1416,9 @@ impl ClusterSim {
         let mut wb_cycles = 0u64;
         let mut wb_skipped = false;
         if ignite_on {
-            if let Some(md) = taken {
+            if let Some(md) =
+                core.machine.ignite.as_mut().expect("ignite selected").take_metadata(f.container)
+            {
                 let wb_at = now + md_cycles + exec_cycles;
                 if policy.enabled() && !policy.store_admitted(a.function, md.byte_len() as u64) {
                     // Policy tightened store admission: the recording is
@@ -1717,10 +1474,6 @@ impl ClusterSim {
                 }
                 core.machine = Machine::new(&self.uarch, &self.cfg.fe);
                 core.last_seq.clear();
-                // A fresh machine matches a fresh digest, so a crash
-                // also heals any memo staleness.
-                core.history = memo::HISTORY_SEED;
-                core.stale = false;
                 core.busy = true;
                 core.busy_until = restart;
                 // The core worked (was busy) until the crash; the repair
@@ -1916,40 +1669,50 @@ fn percentile(sorted: &[u64], p: u32) -> u64 {
 
 /// Runs the same cluster at several store capacities, sharded across
 /// `threads` worker threads with per-point panic isolation (one diverging
-/// point reports an error; the rest of the sweep completes).
+/// point reports an error; the rest of the sweep completes). Results come
+/// back in `capacities` order, and a [`PanicFailure::index`] names the
+/// sweep point.
+///
+/// Points run in descending capacity. The first outcome whose stores
+/// neither evicted nor rejected is the unbounded-store outcome; a later
+/// point whose capacity is at least every node's peak footprint in it
+/// reuses that outcome instead of simulating. The reuse is exact: the
+/// store reads its capacity only to reject a region larger than itself
+/// and to evict until an insert fits, a point at or above every peak
+/// does neither, and a static-policy run reads the capacity nowhere
+/// else.
 pub fn sweep_capacities(
     cfg: &ClusterConfig,
     capacities: &[usize],
     threads: usize,
 ) -> Vec<Result<ClusterOutcome, PanicFailure>> {
-    fanout::run_indexed(capacities.len(), threads, |i| {
+    let mut order: Vec<usize> = (0..capacities.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(capacities[i]));
+    let unbounded: OnceLock<ClusterOutcome> = OnceLock::new();
+    let ran = fanout::run_indexed(order.len(), threads, |k| {
+        let capacity = capacities[order[k]];
+        if let Some(out) = unbounded.get() {
+            if out.nodes.iter().all(|n| capacity >= n.peak_footprint_bytes) {
+                return out.clone();
+            }
+        }
         let mut point = cfg.clone();
-        point.store.capacity_bytes = capacities[i];
-        ClusterSim::new(point).run()
-    })
-}
-
-/// [`sweep_capacities`] with one shared, thread-safe memo cache across
-/// every point: sweep points differ only in store capacity, so their
-/// schedules share long common prefixes and later points replay what
-/// earlier points simulated. Outcomes are bit-identical to the plain
-/// sweep; the per-point memo counters are stripped (`memo: None`)
-/// because hit patterns depend on which worker warmed the cache first —
-/// schedule-dependent where the outcomes themselves are not.
-pub fn sweep_capacities_memo(
-    cfg: &ClusterConfig,
-    capacities: &[usize],
-    threads: usize,
-    cache: &MemoCache,
-) -> Vec<Result<ClusterOutcome, PanicFailure>> {
-    fanout::run_indexed(capacities.len(), threads, |i| {
-        let mut point = cfg.clone();
-        point.store.capacity_bytes = capacities[i];
-        let sim = ClusterSim::new(point);
-        let mut out = sim.run_memo(cache);
-        out.memo = None;
+        point.store.capacity_bytes = capacity;
+        let out = ClusterSim::new(point).run();
+        if out.store.evictions == 0 && out.store.rejected == 0 {
+            // Every non-evicting outcome is the same outcome, so a lost
+            // race to set the cell loses nothing.
+            let _ = unbounded.set(out.clone());
+        }
         out
-    })
+    });
+    let mut indexed: Vec<_> = order
+        .into_iter()
+        .zip(ran)
+        .map(|(i, r)| (i, r.map_err(|f| PanicFailure { index: i, ..f })))
+        .collect();
+    indexed.sort_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -1982,76 +1745,6 @@ mod tests {
     fn deterministic_across_runs() {
         let sim = ClusterSim::new(quick_cfg());
         assert_eq!(sim.run(), sim.run());
-    }
-
-    /// Strips the memo counters so a memoized outcome can be compared
-    /// against a plain one (the counters are the only allowed delta).
-    fn sans_memo(mut out: ClusterOutcome) -> ClusterOutcome {
-        out.memo = None;
-        out
-    }
-
-    #[test]
-    fn memoized_run_matches_plain_run_bit_for_bit() {
-        let sim = ClusterSim::new(quick_cfg());
-        let plain = sim.run();
-        let cache = MemoCache::default();
-        let memoized = sim.run_memo(&cache);
-        let stats = memoized.memo.expect("memoized run carries counters");
-        assert_eq!(stats.hits, 0, "a fresh cache cannot hit within one run");
-        assert_eq!(stats.lookups, stats.misses);
-        assert_eq!(stats.inserts, stats.misses);
-        assert!(stats.misses > 0);
-        assert_eq!(sans_memo(memoized), plain, "memoization must not move the outcome");
-    }
-
-    #[test]
-    fn warmed_cache_replays_the_whole_run_from_hits() {
-        let sim = ClusterSim::new(quick_cfg());
-        let cache = MemoCache::default();
-        let first = sim.run_memo(&cache);
-        let second = sim.run_memo(&cache);
-        let stats = second.memo.expect("memoized run carries counters");
-        assert_eq!(stats.misses, 0, "an identical re-run must hit on every dispatch");
-        assert_eq!(stats.hits, first.memo.expect("counters").misses);
-        assert!(stats.cycles_saved > 0, "hits must account their saved engine cycles");
-        assert_eq!(sans_memo(second), sans_memo(first), "replayed run must be identical");
-    }
-
-    #[test]
-    fn shared_cache_sweep_matches_plain_sweep() {
-        let mut cfg = quick_cfg();
-        cfg.arrival.horizon_cycles = 600_000;
-        let capacities = [2 * 1024, 8 * 1024, 256 * 1024];
-        let plain: Vec<ClusterOutcome> = sweep_capacities(&cfg, &capacities, 3)
-            .into_iter()
-            .map(|r| r.expect("sweep point must not panic"))
-            .collect();
-        let cache = MemoCache::default();
-        let memoized: Vec<ClusterOutcome> = sweep_capacities_memo(&cfg, &capacities, 3, &cache)
-            .into_iter()
-            .map(|r| r.expect("sweep point must not panic"))
-            .collect();
-        assert_eq!(memoized, plain, "sharing a cache across sweep points must not move output");
-        assert!(!cache.is_empty(), "the sweep must have populated the shared cache");
-    }
-
-    #[test]
-    fn divergent_config_with_warmed_cache_still_matches_plain_run() {
-        // Warm the cache with one store capacity, then run a different
-        // capacity: schedules share a prefix, then diverge — exercising
-        // the stale-abort-and-rerun path (or an early clean miss). The
-        // outcome must still be bit-identical to the plain run.
-        let mut warm = quick_cfg();
-        warm.arrival.horizon_cycles = 600_000;
-        warm.store.capacity_bytes = 2 * 1024;
-        let cache = MemoCache::default();
-        ClusterSim::new(warm.clone()).run_memo(&cache);
-        let mut probe = warm;
-        probe.store.capacity_bytes = 64 * 1024;
-        let plain = ClusterSim::new(probe.clone()).run();
-        let memoized = ClusterSim::new(probe).run_memo(&cache);
-        assert_eq!(sans_memo(memoized), plain);
     }
 
     #[test]
@@ -2116,6 +1809,17 @@ mod tests {
             outs[0].store.hit_rate() < outs[2].store.hit_rate(),
             "a 2 KiB store must hit less than a 256 KiB one"
         );
+    }
+
+    #[test]
+    fn sweep_failures_name_the_sweep_point() {
+        // Points run in descending capacity; a failure must still carry
+        // its position in the caller's list.
+        let cfg = ClusterConfig { cores: 0, ..quick_cfg() };
+        let caps = [2 * 1024, 256 * 1024, 8 * 1024];
+        for (i, r) in sweep_capacities(&cfg, &caps, 2).into_iter().enumerate() {
+            assert_eq!(r.expect_err("a zero-core point must panic").index, i);
+        }
     }
 
     #[test]

@@ -272,13 +272,6 @@ impl Metadata {
         CodecConfig { src_delta_bits: self.cfg_src_bits, tgt_delta_bits: self.cfg_tgt_bits }
     }
 
-    /// The checksum claimed for the payload (see the field docs). Exposed so
-    /// higher layers can fingerprint installed metadata without re-walking
-    /// the payload.
-    pub fn checksum(&self) -> u32 {
-        self.checksum
-    }
-
     /// Serializes to the in-memory region image the OS stores: a fixed
     /// header (magic, version, delta widths, entry count, checksum, payload
     /// length) followed by the bit-packed payload.

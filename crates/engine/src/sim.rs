@@ -121,22 +121,6 @@ pub fn run_invocation_ctx(
 /// inlined constant `false` and compiles out — [`run_invocation_ctx`] is
 /// exactly this function monomorphized that way, so results are
 /// bit-identical whether or not observability is wired up.
-///
-/// # Memoizability contract
-///
-/// This function is a pure function of `(machine state, f, invocation,
-/// ctx)`: it reads no clocks, RNGs, or globals, and the events it emits
-/// are a deterministic transcript of the same computation, stamped
-/// machine-locally (plus the constant `ts_offset`). The cluster layer's
-/// invocation memoization (`ignite-cluster`'s `memo` module) relies on
-/// exactly this: two calls with identical machine history, function,
-/// per-function invocation count, and context produce an identical
-/// `InvocationResult`, identical machine mutations, and an identical
-/// event sequence, so a cached result plus replayed events can stand in
-/// for the call. Any future nondeterminism added here (wall-clock,
-/// unseeded randomness, ambient config reads) must be folded into
-/// `ignite_cluster::memo::dispatch_digest` or it will silently break
-/// that substitution.
 pub fn run_invocation_obs<S: EventSink>(
     m: &mut Machine,
     f: &PreparedFunction,

@@ -25,18 +25,13 @@
 //!   --horizon CYCLES   arrival horizon (default 4000000)
 //!   --capacity BYTES   metadata store capacity (default 262144)
 //!   --policy P         eviction: lru, size-aware, pin-hot (default lru)
-//!   --memo             memoize invocation results across the run (and
-//!                      across sweep points): a bounded, sharded cache
-//!                      keyed by (function, quantized context, config
-//!                      fingerprint, machine-state digest). Output is
-//!                      byte-identical to a non-memoized run; the report
-//!                      gains a 'memo' counter section and the summary a
-//!                      memoization_cycles_saved figure
 //!   --jobs N           sweep worker threads (default 1; the sweep
 //!                      output is byte-identical at any job count)
 //!   --threads N        alias for --jobs
-//!   --sweep B1,B2,...  run a store-capacity sweep, print a table
-//!   --trace FILE       replay an ignite-trace-v1 file
+//!   --sweep B1,B2,...  run a store-capacity sweep, print a table (points
+//!                      at or above the unbounded run's peak footprint
+//!                      reuse its outcome instead of simulating)
+//!   --trace FILE       replay an ignite-trace-v1 file (not with --sweep)
 //!   --traffic SPEC     drive the run from a shaped workload instead of
 //!                      the stationary Poisson process:
 //!                        azure:PATH[,cpm=N]  Azure-style CSV import
@@ -76,8 +71,7 @@
 //!                        Every decision lands in the report's
 //!                        'controller' section, the ignite_ctrl_*
 //!                        metric family and (with --trace-out) its own
-//!                        trace track. Conflicts with --memo and
-//!                        --sweep.
+//!                        trace track. Conflicts with --sweep.
 //!   --chaos SPEC         enable failure injection; SPEC is 'default',
 //!                        'none', or comma-separated k=v pairs:
 //!                        crash-mtbf, crash-repair, straggle-mtbf,
@@ -96,9 +90,9 @@ use std::process::ExitCode;
 
 use ignite_chaos::{parse_chaos_spec, parse_retry_spec, ChaosPlan};
 use ignite_cluster::{
-    metrics_for, record_metrics, record_trace_health, sweep_capacities, sweep_capacities_memo,
-    validate_trace, ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind,
-    MemoCache, ObsSummary, SchedulerKind,
+    metrics_for, record_metrics, record_trace_health, sweep_capacities, validate_trace,
+    ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, ObsSummary,
+    SchedulerKind,
 };
 use ignite_control::{Controller, ControllerSpec};
 use ignite_core::EvictionPolicy;
@@ -120,7 +114,6 @@ const TRACE_BUFFER_EVENTS: usize = 1 << 18;
 
 struct Args {
     cfg: ClusterConfig,
-    memo: bool,
     threads: usize,
     sweep: Option<Vec<usize>>,
     trace: Option<String>,
@@ -143,7 +136,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cluster [--cores N] [--nodes N] [--scheduler P] [--keepalive P] \
          [--fe NAME] [--scale F] [--seed S] [--rate R] \
-         [--zipf S] [--horizon CYCLES] [--capacity BYTES] [--policy P] [--memo] \
+         [--zipf S] [--horizon CYCLES] [--capacity BYTES] [--policy P] \
          [--jobs N] [--threads N] \
          [--sweep B1,B2,...] [--trace FILE] [--traffic SPEC] [--stats] \
          [--emit-trace FILE] [--out FILE] \
@@ -219,7 +212,6 @@ fn front_end(name: &str) -> Option<FrontEndConfig> {
 fn parse_args() -> Args {
     let mut args = Args {
         cfg: ClusterConfig::default(),
-        memo: false,
         // Single-threaded by default: the sweep output is byte-identical
         // at any job count, so parallelism is strictly opt-in speed.
         threads: 1,
@@ -290,7 +282,6 @@ fn parse_args() -> Args {
                     usage();
                 });
             }
-            "--memo" => args.memo = true,
             "--jobs" => args.threads = parse(&value(&mut it, "--jobs"), "--jobs"),
             "--threads" => args.threads = parse(&value(&mut it, "--threads"), "--threads"),
             "--sweep" => {
@@ -448,21 +439,19 @@ fn main() -> ExitCode {
             }
         }
     };
+    // The sweep regenerates the built-in arrival process at every point,
+    // so a replayed trace file would be silently ignored.
+    if args.trace.is_some() && args.sweep.is_some() {
+        eprintln!("cluster: --trace is not supported with --sweep");
+        return ExitCode::FAILURE;
+    }
     // The controller mutates scheduling state (replay gates, admission,
     // active cores, keep-alive windows) as the run unfolds, so it is
-    // incompatible with the memo cache (whose entries assume a static
-    // policy across reruns) and with the sweep (which compares static
-    // configurations by design).
+    // incompatible with the sweep (which compares static configurations
+    // by design).
     let mut controller = match &args.controller {
         None => None,
         Some(raw) => {
-            if args.memo {
-                eprintln!(
-                    "cluster: --controller adapts policy online; the memo cache assumes a \
-                     static policy across reruns. Pick one."
-                );
-                return ExitCode::FAILURE;
-            }
             if args.sweep.is_some() {
                 eprintln!("cluster: --controller is not supported with --sweep");
                 return ExitCode::FAILURE;
@@ -563,14 +552,7 @@ fn main() -> ExitCode {
         }
         // Independent sweep points shard across threads; a panicking point
         // reports its failure without tearing down the rest.
-        let results = if args.memo {
-            // Sweep points share one cache: points differ only in store
-            // capacity, so their dispatch schedules share long prefixes.
-            let cache = MemoCache::default();
-            sweep_capacities_memo(&cfg, capacities, args.threads, &cache)
-        } else {
-            sweep_capacities(&cfg, capacities, args.threads)
-        };
+        let results = sweep_capacities(&cfg, capacities, args.threads);
         let mut metrics = args.metrics_out.as_ref().map(|_| MetricsRegistry::new());
         println!(
             "{:>12} {:>9} {:>10} {:>14} {:>14} {:>12}",
@@ -644,26 +626,21 @@ fn main() -> ExitCode {
         sim: &ClusterSim,
         source: &mut dyn ArrivalSource,
         sink: &mut S,
-        memo: Option<&MemoCache>,
         policy: Option<&mut Controller>,
     ) -> ClusterOutcome {
-        match (memo, policy) {
-            (Some(cache), None) => sim.run_source_memo_obs(source, sink, cache),
-            (None, Some(ctrl)) => sim.run_source_policy_obs(source, sink, ctrl),
-            (None, None) => sim.run_source_obs(source, sink),
-            (Some(_), Some(_)) => unreachable!("--controller with --memo is rejected above"),
+        match policy {
+            Some(ctrl) => sim.run_source_policy_obs(source, sink, ctrl),
+            None => sim.run_source_obs(source, sink),
         }
     }
-    let memo_cache = args.memo.then(MemoCache::default);
     let mut run_source =
         |sim: &ClusterSim, source: &mut dyn ArrivalSource, sinks: &mut Sinks| -> ClusterOutcome {
-            let memo = memo_cache.as_ref();
             let policy = controller.as_mut();
             match sinks {
-                Sinks::Plain(s) => run_one(sim, source, s, memo, policy),
-                Sinks::Trace(s) => run_one(sim, source, s, memo, policy),
-                Sinks::Scope(s) => run_one(sim, source, s.as_mut(), memo, policy),
-                Sinks::Both(s) => run_one(sim, source, s.as_mut(), memo, policy),
+                Sinks::Plain(s) => run_one(sim, source, s, policy),
+                Sinks::Trace(s) => run_one(sim, source, s, policy),
+                Sinks::Scope(s) => run_one(sim, source, s.as_mut(), policy),
+                Sinks::Both(s) => run_one(sim, source, s.as_mut(), policy),
             }
         };
     let mut source = match build_source(&traffic_spec, &replay_trace, &cfg) {
@@ -777,13 +754,6 @@ fn main() -> ExitCode {
                 nd.wasted_keepalive_cycles
             );
         }
-    }
-    if let Some(m) = &report.outcome.memo {
-        eprintln!(
-            "memo: {} lookups = {} hits + {} misses | {} inserts | {} evictions | \
-             {} stale reruns | memoization_cycles_saved={}",
-            m.lookups, m.hits, m.misses, m.inserts, m.evictions, m.stale_reruns, m.cycles_saved
-        );
     }
     if let Some(ctrl) = &report.outcome.controller {
         eprintln!(

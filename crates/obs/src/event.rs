@@ -416,83 +416,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
 }
 
-/// A tee that always collects: `enabled()` is `true` so instrumented
-/// code emits every event, each one is kept in [`CaptureSink::events`],
-/// and events are forwarded to the wrapped sink only when *it* is
-/// enabled. Because instrumented results are bit-identical whether or
-/// not a sink is enabled (the zero-cost contract works both ways —
-/// emission is observation, never behavior), wrapping a disabled sink in
-/// a capture changes what is recorded, not what is computed. The memo
-/// layer uses this to capture an invocation's event stream on a cache
-/// miss without disturbing the caller's sink.
-#[derive(Debug)]
-pub struct CaptureSink<'a, S: EventSink> {
-    inner: &'a mut S,
-    /// Everything recorded since construction, in emission order.
-    pub events: Vec<Event>,
-}
-
-impl<'a, S: EventSink> CaptureSink<'a, S> {
-    /// Wraps `inner`, starting with an empty capture buffer.
-    pub fn new(inner: &'a mut S) -> Self {
-        CaptureSink { inner, events: Vec::new() }
-    }
-}
-
-impl<S: EventSink> EventSink for CaptureSink<'_, S> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: Event) {
-        self.events.push(event);
-        if self.inner.enabled() {
-            self.inner.record(event);
-        }
-    }
-}
-
-/// A transactional sink: buffers every event and delivers the batch to
-/// the wrapped sink only on [`BufferingSink::commit`]. Dropping the
-/// buffer without committing discards the events — the memo layer uses
-/// this so an aborted speculative run leaves no trace in the caller's
-/// sink. `enabled()` mirrors the inner sink, so wrapping a [`NullSink`]
-/// stays zero-cost (nothing is buffered that would never be seen).
-#[derive(Debug)]
-pub struct BufferingSink<'a, S: EventSink> {
-    inner: &'a mut S,
-    buffered: Vec<Event>,
-}
-
-impl<'a, S: EventSink> BufferingSink<'a, S> {
-    /// Wraps `inner` with an empty buffer.
-    pub fn new(inner: &'a mut S) -> Self {
-        BufferingSink { inner, buffered: Vec::new() }
-    }
-
-    /// Delivers every buffered event to the inner sink, in order.
-    pub fn commit(self) {
-        for e in self.buffered {
-            self.inner.record(e);
-        }
-    }
-
-    /// Discards the buffer without delivering anything.
-    pub fn abort(self) {}
-}
-
-impl<S: EventSink> EventSink for BufferingSink<'_, S> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn record(&mut self, event: Event) {
-        self.buffered.push(event);
-    }
-}
-
 /// Bounded ring-buffer event sink: keeps the most recent `capacity`
 /// events, dropping the oldest under pressure and counting the drops so
 /// exports can say the timeline is truncated.
@@ -574,55 +497,6 @@ mod tests {
     fn null_sink_is_disabled() {
         let sink = NullSink;
         assert!(!sink.enabled());
-    }
-
-    #[test]
-    fn capture_collects_always_and_tees_only_when_inner_enabled() {
-        let mut null = NullSink;
-        let mut cap = CaptureSink::new(&mut null);
-        assert!(cap.enabled(), "capture must force emission on");
-        cap.record(ev(1));
-        assert_eq!(cap.events.len(), 1, "captured even over a disabled inner sink");
-
-        let mut buf = TraceBuffer::new(4);
-        let mut cap = CaptureSink::new(&mut buf);
-        cap.record(ev(2));
-        assert_eq!(cap.events.len(), 1);
-        assert_eq!(buf.len(), 1, "enabled inner sink sees the event too");
-    }
-
-    #[test]
-    fn buffering_sink_delivers_on_commit_and_discards_on_abort() {
-        let mut buf = TraceBuffer::new(8);
-        {
-            let mut tx = BufferingSink::new(&mut buf);
-            assert!(tx.enabled());
-            tx.record(ev(1));
-            tx.record(ev(2));
-            // Dropped without commit.
-        }
-        assert_eq!(buf.len(), 0, "nothing delivered without a commit");
-        {
-            let mut tx = BufferingSink::new(&mut buf);
-            tx.record(ev(3));
-            tx.record(ev(4));
-            tx.commit();
-        }
-        let ts: Vec<u64> = buf.iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![3, 4], "commit delivers in order");
-        {
-            let mut tx = BufferingSink::new(&mut buf);
-            tx.record(ev(5));
-            tx.abort();
-        }
-        assert_eq!(buf.len(), 2, "abort discards the batch");
-    }
-
-    #[test]
-    fn buffering_over_null_sink_stays_disabled() {
-        let mut null = NullSink;
-        let tx = BufferingSink::new(&mut null);
-        assert!(!tx.enabled(), "buffering must mirror the inner sink's enabled flag");
     }
 
     #[test]

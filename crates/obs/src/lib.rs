@@ -36,8 +36,8 @@ pub mod sketch;
 
 pub use chrome::{to_chrome_json, ChromeOptions, CHROME_SCHEMA};
 pub use event::{
-    BufferingSink, CaptureSink, CtrlRule, DegradeReason, DropReason, Event, EventKind, EventSink,
-    NullSink, Phase, TraceBuffer, Track,
+    CtrlRule, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Phase, TraceBuffer,
+    Track,
 };
 pub use metrics::MetricsRegistry;
 pub use sketch::QuantileSketch;

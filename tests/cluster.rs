@@ -1,6 +1,6 @@
 //! Cluster-layer integration gates: golden report fingerprint, cross-
-//! process determinism, capacity-sweep monotonicity, and trace replay
-//! equivalence.
+//! process determinism, capacity-sweep monotonicity and exactness, the
+//! `cluster` binary's sweep output, and trace replay equivalence.
 //!
 //! The golden snapshot is the full `ignite-cluster-v1` JSON report of a
 //! fixed small configuration, byte-compared against
@@ -13,7 +13,11 @@
 
 use std::path::PathBuf;
 
-use ignite_cluster::{sweep_capacities, ClusterConfig, ClusterReport, ClusterSim};
+use ignite_chaos::ChaosPlan;
+use ignite_cluster::{
+    sweep_capacities, ClusterConfig, ClusterReport, ClusterSim, KeepAliveKind, SchedulerKind,
+    Topology,
+};
 
 /// The pinned golden configuration: 4 cores, the full 20-function suite,
 /// Zipf(1.0) Poisson arrivals, a bounded LRU store. Small enough for CI,
@@ -149,6 +153,126 @@ fn capacity_sweep_degrades_gracefully() {
         tight.mean_latency,
         roomy.mean_latency
     );
+}
+
+/// `cfg` with its store capacity set to `capacity`.
+fn at_capacity(cfg: &ClusterConfig, capacity: usize) -> ClusterConfig {
+    let mut point = cfg.clone();
+    point.store.capacity_bytes = capacity;
+    point
+}
+
+/// The sweep's unbounded-store short-circuit is exact: every point equals
+/// a direct run at its capacity, at any thread count, whether the sweep
+/// simulated it or reused the unbounded outcome. Direct runs never take
+/// the short-circuit, so they are an oracle independent of it. The
+/// unsorted capacity list repeats one value and straddles the boundary:
+/// the unbounded peak `P` itself (reused) and `P - 1` (simulated, and it
+/// must evict).
+#[test]
+fn sweep_matches_direct_runs_at_every_capacity() {
+    let mut plain = ClusterConfig::default();
+    plain.arrival.horizon_cycles = 600_000;
+    let chaos =
+        ClusterConfig { chaos: Some(ChaosPlan::default_preset().seeded(7)), ..plain.clone() };
+    let multinode = ClusterConfig {
+        cores: 2,
+        topology: Topology {
+            nodes: 3,
+            scheduler: SchedulerKind::Affinity,
+            keepalive: KeepAliveKind::Hybrid { default_window_cycles: 50_000 },
+        },
+        ..plain.clone()
+    };
+    for (name, cfg) in [("plain", plain), ("chaos", chaos), ("multinode", multinode)] {
+        let unbounded = ClusterSim::new(at_capacity(&cfg, 1 << 20)).run();
+        assert_eq!(
+            unbounded.store.evictions + unbounded.store.rejected,
+            0,
+            "{name}: not unbounded"
+        );
+        let peak = unbounded.nodes.iter().map(|n| n.peak_footprint_bytes).max().expect("a node");
+        let capacities = [peak - 1, 1 << 20, 2048, peak, 1 << 18, peak - 1];
+        let direct: Vec<_> =
+            capacities.iter().map(|&c| ClusterSim::new(at_capacity(&cfg, c)).run()).collect();
+        assert_eq!(direct[3], unbounded, "{name}: the peak itself must not evict");
+        assert!(direct[0].store.evictions > 0, "{name}: one byte under the peak must evict");
+        for threads in [1, 2] {
+            let swept: Vec<_> = sweep_capacities(&cfg, &capacities, threads)
+                .into_iter()
+                .map(|r| r.expect("sweep point must not panic"))
+                .collect();
+            assert!(swept == direct, "{name}: --jobs {threads} sweep diverged from direct runs");
+        }
+    }
+}
+
+/// Spawns the cluster binary with `args`.
+fn cluster_binary(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
+        .args(args)
+        .output()
+        .expect("spawn cluster binary")
+}
+
+/// Spawns the cluster binary on a capacity sweep and returns stdout.
+fn sweep_stdout(capacities: &str, jobs: &str) -> String {
+    let out = cluster_binary(&["--horizon", "600000", "--sweep", capacities, "--jobs", jobs]);
+    assert!(
+        out.status.success(),
+        "cluster --jobs {jobs} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 sweep output")
+}
+
+/// Cross-process `--jobs` pinning: the panic-isolated fanout must merge
+/// sweep points in index order, so a 4-worker sweep prints the same
+/// bytes as a serial one.
+#[test]
+fn sweep_output_is_byte_identical_across_job_counts() {
+    assert_eq!(
+        sweep_stdout("2048,8192,65536", "1"),
+        sweep_stdout("2048,8192,65536", "4"),
+        "--jobs 4 sweep output diverged from --jobs 1"
+    );
+}
+
+/// The binary's sweep table reproduces `tests/golden/sweep.txt`, which was
+/// generated before sweeps reused the unbounded outcome: an unsorted list
+/// with a repeated point, straddling the unbounded peak of 13011 bytes.
+#[test]
+fn sweep_output_matches_the_committed_golden() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/sweep.txt");
+    let committed = std::fs::read_to_string(&path).expect("read tests/golden/sweep.txt");
+    for jobs in ["1", "2"] {
+        assert_eq!(
+            sweep_stdout("262144,2048,13011,16384,13010,2048", jobs),
+            committed,
+            "--jobs {jobs} sweep table diverged from the committed golden"
+        );
+    }
+}
+
+/// A sweep regenerates the built-in arrival process at every point, so
+/// the binary must refuse a replayed trace instead of silently ignoring
+/// it.
+#[test]
+fn cluster_binary_rejects_trace_with_sweep() {
+    let trace = ignite_workloads::arrival::ArrivalConfig {
+        horizon_cycles: 200_000,
+        functions: 20,
+        ..Default::default()
+    }
+    .generate();
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace_with_sweep.trace");
+    std::fs::write(&path, trace.to_text()).expect("write trace file");
+    let path = path.to_str().expect("utf-8 temp path");
+    let out = cluster_binary(&["--trace", path, "--horizon", "600000", "--sweep", "2048,8192"]);
+    assert_eq!(out.status.code(), Some(1), "--trace with --sweep must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--trace"), "the refusal must name --trace: {stderr}");
+    assert!(out.stdout.is_empty(), "no sweep table may be printed");
 }
 
 /// The trace text format is a faithful transport: emitting the generated

@@ -28,7 +28,7 @@ use ignite_traffic::TrafficSpec;
 use ignite_workloads::arrival::ArrivalSource;
 use ignite_workloads::Suite;
 
-/// The MMPP spec shared with the traffic and memo goldens.
+/// The MMPP spec shared with the traffic golden.
 const MMPP_SPEC: &str = "mmpp:mults=1/6,dwells=300000/60000";
 
 /// The control golden's spec: short epochs against a 600k-cycle SLO so
@@ -293,15 +293,12 @@ fn cluster_binary_reproduces_the_control_golden() {
 
 /// The CLI must refuse combinations the controller cannot honor.
 #[test]
-fn cluster_binary_rejects_controller_with_memo_and_sweep() {
-    for extra in [&["--memo"][..], &["--sweep", "2048,8192"][..]] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
-            .args(["--controller", "default"])
-            .args(extra)
-            .output()
-            .expect("spawn cluster binary");
-        assert!(!out.status.success(), "--controller with {extra:?} must be rejected");
-    }
+fn cluster_binary_rejects_controller_with_sweep() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
+        .args(["--controller", "default", "--sweep", "2048,8192"])
+        .output()
+        .expect("spawn cluster binary");
+    assert!(!out.status.success(), "--controller with --sweep must be rejected");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
         .args(["--controller", "epoch=0"])
         .output()
