@@ -1,9 +1,30 @@
 //! Observability integration gates: DES-transition trace coverage,
-//! cross-process metrics byte-determinism, and the zero-perturbation
-//! guarantee (an enabled sink must not change simulation results).
+//! cross-process metrics byte-determinism, the zero-perturbation
+//! guarantee (an enabled sink must not change simulation results), and
+//! the pinned event stream of every committed golden configuration.
+//!
+//! The report goldens do not fix event order, so
+//! `tests/golden/event_digests.txt` pins it: one `name events fnv64`
+//! line per golden configuration, the digest being FNV-1a over
+//! `format!("{event:?}\n")` of every event in emission order. To update
+//! after an intentional change:
+//!
+//! ```text
+//! IGNITE_BLESS=1 cargo test -p ignite-harness --test obs
+//! ```
 
-use ignite_cluster::{metrics_for, validate_trace, ClusterConfig, ClusterReport, ClusterSim};
+use std::path::PathBuf;
+
+use ignite_chaos::ChaosPlan;
+use ignite_cluster::{
+    metrics_for, validate_trace, ClusterConfig, ClusterReport, ClusterSim, KeepAliveKind,
+    PolicyHook, SchedulerKind, StaticPolicy, Topology,
+};
+use ignite_control::{Controller, ControllerSpec};
 use ignite_obs::{to_chrome_json, ChromeOptions, TraceBuffer};
+use ignite_traffic::TrafficSpec;
+use ignite_workloads::arrival::ArrivalSource;
+use ignite_workloads::Suite;
 
 /// Same pinned configuration as the cluster golden tests: long enough
 /// that the store sees hits, misses and evictions, small enough for CI.
@@ -130,4 +151,98 @@ fn trace_export_is_deterministic() {
     let (_, _, buf_b) = traced_run();
     let opts = ChromeOptions { process_name: "ignite-cluster", function_names: &[] };
     assert_eq!(to_chrome_json(&buf_a, &opts), to_chrome_json(&buf_b, &opts));
+}
+
+/// The MMPP spec of the traffic and control goldens.
+const MMPP_SPEC: &str = "mmpp:mults=1/6,dwells=300000/60000";
+
+/// The control golden's controller spec.
+const CONTROL_SPEC: &str = "epoch=50000,slo=600000,min-samples=4,probe=4,min-cores=1";
+
+/// Runs `cfg` over `source` under `policy` into a buffer that holds the
+/// whole run and returns its `name events fnv64` digest line.
+fn digest_line<P: PolicyHook>(
+    name: &str,
+    cfg: &ClusterConfig,
+    source: &mut dyn ArrivalSource,
+    policy: &mut P,
+) -> String {
+    let mut buf = TraceBuffer::new(1 << 22);
+    ClusterSim::new(cfg.clone()).run_source_policy_obs(source, &mut buf, policy);
+    assert_eq!(buf.dropped(), 0, "{name}: buffer must hold the whole run");
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for e in buf.iter() {
+        for b in format!("{e:?}\n").bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{name} {} {hash:016x}\n", buf.len())
+}
+
+fn mmpp_source(cfg: &ClusterConfig) -> Box<dyn ArrivalSource> {
+    TrafficSpec::parse(MMPP_SPEC)
+        .expect("golden spec must parse")
+        .build(&cfg.arrival, &Suite::paper_suite_scaled(cfg.scale))
+        .expect("golden spec must build")
+}
+
+/// The full event stream of every committed golden configuration —
+/// cluster, chaos, multinode, control (with its controller) and
+/// traffic_mmpp — is pinned: same events, same order, same payloads.
+#[test]
+fn golden_event_streams_match() {
+    let cluster = obs_cfg();
+    let chaos = ClusterConfig { chaos: Some(ChaosPlan::default_preset().seeded(7)), ..obs_cfg() };
+    let multinode = ClusterConfig {
+        cores: 2,
+        topology: Topology {
+            nodes: 3,
+            scheduler: SchedulerKind::Affinity,
+            keepalive: KeepAliveKind::Hybrid { default_window_cycles: 50_000 },
+        },
+        ..obs_cfg()
+    };
+    let mut control = ClusterConfig {
+        cores: 2,
+        topology: Topology {
+            nodes: 2,
+            scheduler: SchedulerKind::Fifo,
+            keepalive: KeepAliveKind::Hybrid { default_window_cycles: 50_000 },
+        },
+        traffic: Some(MMPP_SPEC.to_string()),
+        controller: Some(CONTROL_SPEC.to_string()),
+        ..ClusterConfig::default()
+    };
+    control.arrival.horizon_cycles = 1_500_000;
+    control.store.capacity_bytes = 4 * 1024;
+    let mmpp = ClusterConfig { traffic: Some(MMPP_SPEC.to_string()), ..obs_cfg() };
+
+    let mut current = String::new();
+    for (name, cfg) in [("cluster", &cluster), ("chaos", &chaos), ("multinode", &multinode)] {
+        current += &digest_line(name, cfg, &mut cfg.arrival.source(), &mut StaticPolicy);
+    }
+    let mut controller =
+        Controller::new(ControllerSpec::parse(CONTROL_SPEC).expect("golden spec must parse"));
+    current += &digest_line("control", &control, &mut *mmpp_source(&control), &mut controller);
+    current += &digest_line("traffic_mmpp", &mmpp, &mut *mmpp_source(&mmpp), &mut StaticPolicy);
+
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/event_digests.txt");
+    if std::env::var_os("IGNITE_BLESS").is_some_and(|v| v == "1") {
+        std::fs::write(&path, &current).expect("write event digests");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); generate it with \
+             IGNITE_BLESS=1 cargo test -p ignite-harness --test obs",
+            path.display()
+        )
+    });
+    assert_eq!(
+        committed, current,
+        "event stream changed; if intentional, re-bless with \
+         IGNITE_BLESS=1 cargo test -p ignite-harness --test obs"
+    );
 }
