@@ -50,8 +50,8 @@ pub enum KeepAliveKind {
     /// window (p99 of observed gaps); the default window covers the
     /// cold-start period before a function has enough history.
     Hybrid {
-        /// Window used until a function has [`HYBRID_MIN_OBSERVATIONS`]
-        /// gaps on record (`hybrid:CYCLES`; bare `hybrid` = 50000).
+        /// Window used until a function has four idle gaps on record
+        /// (`hybrid:CYCLES`; bare `hybrid` = 50000).
         default_window_cycles: u64,
     },
 }

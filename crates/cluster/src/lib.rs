@@ -31,7 +31,7 @@
 //!   latency, core utilization, metadata hit rate and footprint, emitted
 //!   as a versioned JSON report (schema [`report::CLUSTER_SCHEMA`]);
 //! * observability: every DES transition reported to an
-//!   [`ignite_obs::EventSink`] ([`sim::ClusterSim::run_trace_obs`]),
+//!   [`ignite_obs::EventSink`] ([`sim::ClusterSim::run_source_policy_obs`]),
 //!   exportable as a validated Chrome trace ([`tracecheck`]) and as
 //!   deterministic Prometheus-style metrics ([`prom`]);
 //! * failure injection and recovery ([`ignite_chaos`]): seeded core

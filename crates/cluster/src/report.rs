@@ -1020,7 +1020,11 @@ mod tests {
         let mut arrival = cfg.arrival;
         arrival.functions = suite.functions().len();
         let mut source = spec.build(&arrival, &suite).unwrap();
-        let outcome = sim.run_source(&mut *source);
+        let outcome = sim.run_source_policy_obs(
+            &mut *source,
+            &mut ignite_obs::NullSink,
+            &mut crate::policy::StaticPolicy,
+        );
         ClusterReport::new(cfg, outcome)
     }
 

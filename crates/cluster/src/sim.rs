@@ -13,6 +13,12 @@
 //! state as the interleaving allowed to survive. Only the abstract
 //! back-end data model needs help — the per-(core, function) interleaving
 //! distance sets [`InvocationCtx::data_cold_fraction`].
+//!
+//! [`ClusterSim::run_source_policy_obs`] is the one way to run a cluster,
+//! and [`ClusterSim::run`] is its shorthand for the configured arrival
+//! process. Inside, a private `Run` takes each loop iteration through
+//! explicit stages: epoch, dispatch (admit, then serve: stage → execute →
+//! take_writeback → crash → commit), then next event → release → route.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
@@ -27,7 +33,7 @@ use ignite_engine::sim::{run_invocation_obs, InvocationCtx};
 use ignite_obs::{DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Track};
 use ignite_traffic::{FingerprintAccum, WorkloadFingerprint};
 use ignite_uarch::UarchConfig;
-use ignite_workloads::arrival::{Arrival, ArrivalConfig, ArrivalSource, Trace, TraceSource};
+use ignite_workloads::arrival::{Arrival, ArrivalConfig, ArrivalSource};
 use ignite_workloads::suite::Suite;
 
 use crate::fanout::{self, PanicFailure};
@@ -246,8 +252,8 @@ impl ClusterConfig {
     /// Rejects configurations the simulator cannot run meaningfully,
     /// with a typed [`ConfigError`] naming the offending field. The CLI
     /// calls this before constructing a simulator and exits nonzero on
-    /// `Err`; library callers that build configs programmatically get
-    /// the same typed check instead of a mid-run panic or a silent
+    /// `Err`; [`ClusterSim::new`] panics with the same error, so a
+    /// library caller that skips the check never gets a silent
     /// nonsense run.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.topology.nodes == 0 {
@@ -319,7 +325,7 @@ pub struct CoreUsage {
 }
 
 /// Aggregated measurements for one suite function.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FunctionSummary {
     /// Table-1 abbreviation.
     pub abbr: String,
@@ -498,35 +504,47 @@ impl ClusterOutcome {
 
 struct Core {
     machine: Machine,
-    busy_until: u64,
-    busy: bool,
+    /// The cycle this core frees at; `None` while idle.
+    busy_until: Option<u64>,
     /// Dispatches on this core so far (the per-core sequence number).
     seq: u64,
     /// Function index → `seq` at its last dispatch here.
     last_seq: BTreeMap<usize, u64>,
-    busy_cycles: u64,
-    invocations: u64,
+    /// Invocations served and busy cycles; utilization is filled in at
+    /// the end of the run.
+    usage: CoreUsage,
 }
 
+/// One node's metadata store, dispatch queue and usage counters (the
+/// busy, utilization, store and keep-alive fields are filled in at the
+/// end of the run).
+struct NodeState {
+    store: MetadataStore,
+    queue: VecDeque<Job>,
+    usage: NodeUsage,
+}
+
+impl NodeState {
+    /// Appends `job` to the dispatch queue, tracking its peak depth.
+    fn enqueue(&mut self, job: Job) {
+        self.queue.push_back(job);
+        self.usage.queue_peak = self.usage.queue_peak.max(self.queue.len() as u64);
+    }
+}
+
+/// One function's accumulators: counters land in `summary` directly,
+/// and the sums below become its means and percentiles at the end of
+/// the run.
+#[derive(Default)]
 struct FunctionState {
-    abbr: String,
+    summary: FunctionSummary,
     latencies: Vec<u64>,
     service_cycles: u64,
     queue_cycles: u64,
     cold_sum: f64,
-    hits: u64,
-    misses: u64,
-    retries: u64,
-    degraded: u64,
-    dropped: u64,
-    cold_starts: u64,
-    lukewarm_starts: u64,
-    warm_starts: u64,
-    min_service: u64,
     /// Global invocation counter (seeds the trace walker, so control flow
     /// drifts across invocations like the per-function protocol's does).
     count: u64,
-    result: InvocationResult,
 }
 
 /// One invocation's scheduler state, carried across attempts. Without
@@ -566,88 +584,47 @@ struct ChaosRt {
     stats: ChaosStats,
 }
 
-impl ChaosRt {
-    /// Routes a failed attempt: bounded retry with deterministic
-    /// backoff, or a reasoned drop (retries exhausted, or the backoff
-    /// would land past the deadline). `elapsed` is how long the failed
-    /// attempt held resources (0 for a dispatch drop).
-    fn fail_attempt<S: EventSink>(
-        &mut self,
-        mut job: Job,
-        fail_at: u64,
-        elapsed: u64,
-        fstate: &mut FunctionState,
-        node_dropped: &mut [u64],
-        sink: &mut S,
-    ) {
-        self.stats.attempts_failed += 1;
-        if job.attempt >= self.retry.max_attempts {
-            self.drop_job(&job, fail_at, DropReason::RetriesExhausted, fstate, node_dropped, sink);
-            return;
-        }
-        let seed = self.state.plan().seed;
-        let backoff = self.retry.backoff_for(seed, job.id, job.attempt);
-        let ready = fail_at.saturating_add(backoff);
-        let deadline = self.retry.deadline_cycles;
-        if deadline > 0 && ready.saturating_sub(job.arrival.cycle) > deadline {
-            self.drop_job(&job, fail_at, DropReason::Deadline, fstate, node_dropped, sink);
-            return;
-        }
-        self.stats.backoff_cycles += backoff;
-        fstate.retries += 1;
-        if sink.enabled() {
-            sink.record(Event {
-                ts: fail_at,
-                dur: 0,
-                track: Track::Chaos,
-                kind: EventKind::ChaosRetry {
-                    function: job.arrival.function,
-                    attempt: job.attempt,
-                    backoff_cycles: backoff,
-                },
-            });
-        }
-        job.lost_cycles += elapsed + backoff;
-        job.attempt += 1;
-        job.enqueued_at = ready;
-        self.ready.insert((ready, job.id), job);
-    }
-
-    /// Terminal failure exit: the job leaves the system with a reason
-    /// (the only alternative to completion under the conservation law).
-    fn drop_job<S: EventSink>(
-        &mut self,
-        job: &Job,
-        at: u64,
-        reason: DropReason,
-        fstate: &mut FunctionState,
-        node_dropped: &mut [u64],
-        sink: &mut S,
-    ) {
-        match reason {
-            DropReason::Deadline => self.stats.dropped_deadline += 1,
-            DropReason::RetriesExhausted => self.stats.dropped_retries_exhausted += 1,
-        }
-        fstate.dropped += 1;
-        node_dropped[job.node] += 1;
-        if sink.enabled() {
-            sink.record(Event {
-                ts: at,
-                dur: 0,
-                track: Track::Chaos,
-                kind: EventKind::ChaosDrop { function: job.arrival.function, reason },
-            });
-        }
-    }
+/// What becomes of the region an attempt recorded.
+enum Writeback {
+    /// Nothing to write: Ignite off, nothing recorded, or the policy
+    /// denied store admission.
+    None,
+    /// The store was unreachable at writeback time; the region is lost.
+    Lost,
+    /// The region goes back to the node store when the attempt commits.
+    Commit(Metadata),
 }
 
-/// What became of one dispatch attempt.
-enum Served {
-    /// Ran to completion at the given cycle.
-    Done { completion: u64 },
-    /// A core crash killed the attempt at the given cycle; the core is
-    /// occupied until its restart.
-    Killed { at: u64 },
+/// One dispatch attempt, carried through the serve stages.
+struct Attempt {
+    job: Job,
+    /// Global index of the serving core.
+    core: usize,
+    /// Data-cold fraction from the interleaving distance.
+    cold: f64,
+    /// Metadata fetch transfer cycles.
+    fetch_cycles: u64,
+    store_hit: bool,
+    /// Why chaos degraded the attempt to a cold run, if it did.
+    degrade: Option<DegradeReason>,
+    /// The policy denied replay admission.
+    policy_bypass: bool,
+    /// Engine measurements.
+    res: InvocationResult,
+    /// Engine cycles, stretched by any straggle window.
+    exec_cycles: u64,
+    straggled: bool,
+    writeback: Writeback,
+    /// Fetch, engine and writeback: how long the attempt holds its core.
+    service: u64,
+}
+
+/// Records an instant event when the sink is enabled.
+#[inline(always)]
+fn emit<S: EventSink>(sink: &mut S, ts: u64, track: Track, kind: EventKind) {
+    if sink.enabled() {
+        sink.record(Event { ts, dur: 0, track, kind });
+    }
 }
 
 /// The simulator: a prepared fleet ready to serve traces.
@@ -663,9 +640,12 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if the config has zero cores or a non-positive scale.
+    /// Panics with the [`ConfigError`] if [`ClusterConfig::validate`]
+    /// rejects the config.
     pub fn new(cfg: ClusterConfig) -> Self {
-        assert!(cfg.cores > 0, "need at least one core");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid cluster config: {e}");
+        }
         let suite = Suite::paper_suite_scaled(cfg.scale);
         let functions: Vec<PreparedFunction> = suite
             .functions()
@@ -682,80 +662,32 @@ impl ClusterSim {
         &self.cfg
     }
 
-    /// Generates the configured arrival process and serves it.
+    /// Serves the configured arrival process, streamed from
+    /// [`ArrivalConfig::source`], unobserved and under the static policy.
     pub fn run(&self) -> ClusterOutcome {
-        self.run_obs(&mut NullSink)
-    }
-
-    /// [`ClusterSim::run`] with event observation.
-    pub fn run_obs<S: EventSink>(&self, sink: &mut S) -> ClusterOutcome {
         let mut arrival = self.cfg.arrival;
         arrival.functions = self.functions.len();
-        self.run_trace_obs(&arrival.generate(), sink)
+        self.run_source_policy_obs(&mut arrival.source(), &mut NullSink, &mut StaticPolicy)
     }
 
-    /// Serves an explicit (possibly replayed) trace.
+    /// Serves a streaming [`ArrivalSource`] (the built-in process, a
+    /// replayed trace through [`ignite_workloads::arrival::TraceSource`],
+    /// or a shaped workload), reporting to `sink` and consulting `policy`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the trace references more functions than the suite has.
-    pub fn run_trace(&self, trace: &Trace) -> ClusterOutcome {
-        self.run_trace_obs(trace, &mut NullSink)
-    }
-
-    /// [`ClusterSim::run_trace`] with event observation: every DES
-    /// transition (arrival, dispatch, context switch, invocation span,
-    /// completion), every store access outcome and every record/replay
-    /// episode is reported to `sink`. With a sink whose
-    /// [`EventSink::enabled`] is `false` (the [`NullSink`]) this is
-    /// bit-identical to [`ClusterSim::run_trace`] — every emission site
-    /// is guarded, so the disabled path adds no work and no state.
-    pub fn run_trace_obs<S: EventSink>(&self, trace: &Trace, sink: &mut S) -> ClusterOutcome {
-        assert!(
-            trace.functions <= self.functions.len(),
-            "trace declares {} functions, suite has {}",
-            trace.functions,
-            self.functions.len()
-        );
-        self.run_source_obs(&mut TraceSource::new(trace), sink)
-    }
-
-    /// Serves a streaming [`ArrivalSource`] — the lazy counterpart of
-    /// [`ClusterSim::run_trace`]: arrivals are pulled one at a time (one
-    /// look-ahead arrival is held for event scheduling), so a
-    /// million-invocation workload runs in O(1) arrival state instead of
-    /// materializing the whole [`Trace`]. Replaying a materialized copy
-    /// of the same stream produces the identical outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source declares more functions than the suite has.
-    pub fn run_source<A: ArrivalSource + ?Sized>(&self, source: &mut A) -> ClusterOutcome {
-        self.run_source_obs(source, &mut NullSink)
-    }
-
-    /// [`ClusterSim::run_source`] with event observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source declares more functions than the suite has.
-    pub fn run_source_obs<A: ArrivalSource + ?Sized, S: EventSink>(
-        &self,
-        source: &mut A,
-        sink: &mut S,
-    ) -> ClusterOutcome {
-        self.run_source_policy_obs(source, sink, &mut StaticPolicy)
-    }
-
-    /// [`ClusterSim::run_source_obs`] with an active policy: the
-    /// simulator's four actuation points (replay admission, store
-    /// writeback admission, schedulable-core mask, keep-alive window)
-    /// consult `policy`, the policy observes every completed
-    /// invocation's attribution sample, and epoch decisions land on the
-    /// `Track::Controller` trace track. With [`StaticPolicy`] (what
-    /// [`ClusterSim::run_source_obs`] passes) or any policy whose
-    /// [`PolicyHook::enabled`] is `false`, every actuation site is
-    /// skipped — the same zero-cost contract the event sinks keep.
+    /// Arrivals are pulled one at a time (one look-ahead arrival is held
+    /// for event scheduling), so a million-invocation workload runs in
+    /// O(1) arrival state, and replaying a materialized copy of the same
+    /// stream produces the identical outcome. Every DES transition
+    /// (arrival, dispatch, context switch, invocation span, completion),
+    /// every store access outcome and every record/replay episode is
+    /// reported to `sink`. The policy is consulted at the four actuation
+    /// points (replay admission, store writeback admission,
+    /// schedulable-core mask, keep-alive window), observes every
+    /// completed invocation's attribution sample, and its epoch
+    /// decisions land on the `Track::Controller` trace track. A sink or
+    /// policy whose `enabled()` is `false` ([`NullSink`],
+    /// [`StaticPolicy`]) skips every guarded site, so observation and
+    /// the policy seam add no work and never perturb the outcome.
     ///
     /// # Panics
     ///
@@ -772,359 +704,808 @@ impl ClusterSim {
             source.functions(),
             self.functions.len()
         );
-        let ignite_on = self.cfg.fe.select.ignite.is_some();
-        let nnodes = self.cfg.topology.nodes;
-        let cores_per_node = self.cfg.cores;
-        // Each node owns a store and a dispatch queue; cores live in one
-        // flat vector in global order (node-major), so completion and
-        // freeing sweeps keep the exact single-node iteration order.
-        let mut stores: Vec<MetadataStore> =
-            (0..nnodes).map(|_| MetadataStore::new(self.cfg.store)).collect();
-        let mut queues: Vec<VecDeque<Job>> = (0..nnodes).map(|_| VecDeque::new()).collect();
-        let mut node_submitted = vec![0u64; nnodes];
-        let mut node_completed = vec![0u64; nnodes];
-        let mut node_dropped = vec![0u64; nnodes];
-        let mut node_queue_peak = vec![0u64; nnodes];
-        let mut sched = Scheduler::new(self.cfg.topology.scheduler, self.cfg.arrival.seed);
-        let mut keepalive = KeepAliveRt::new(self.cfg.topology.keepalive, nnodes, self.abbrs.len());
-        let mut cores: Vec<Core> = (0..nnodes * cores_per_node)
-            .map(|_| Core {
-                machine: Machine::new(&self.uarch, &self.cfg.fe),
-                busy_until: 0,
-                busy: false,
-                seq: 0,
-                last_seq: BTreeMap::new(),
-                busy_cycles: 0,
-                invocations: 0,
-            })
-            .collect();
-        let mut fns: Vec<FunctionState> = self
-            .abbrs
-            .iter()
-            .map(|abbr| FunctionState {
-                abbr: abbr.clone(),
-                latencies: Vec::new(),
-                service_cycles: 0,
-                queue_cycles: 0,
-                cold_sum: 0.0,
-                hits: 0,
-                misses: 0,
-                retries: 0,
-                degraded: 0,
-                dropped: 0,
-                cold_starts: 0,
-                lukewarm_starts: 0,
-                warm_starts: 0,
-                min_service: u64::MAX,
-                count: 0,
-                result: InvocationResult::default(),
-            })
-            .collect();
-        let mut chaos: Option<ChaosRt> = self.cfg.chaos.map(|plan| ChaosRt {
-            state: ChaosState::for_cluster(plan, nnodes, cores_per_node),
-            retry: self.cfg.retry,
-            breakers: (0..self.abbrs.len())
-                .map(|_| {
-                    CircuitBreaker::new(
-                        self.cfg.retry.breaker_threshold,
-                        self.cfg.retry.breaker_cooldown_cycles,
-                    )
+        let mut run = Run::new(self, source, sink, policy);
+        loop {
+            run.epoch();
+            run.dispatch_queued();
+            let Some(now) = run.next_event() else { break };
+            run.now = now;
+            run.release();
+            run.route(source);
+        }
+        run.finish()
+    }
+
+    /// Cycles to move `bytes` of metadata at the configured bandwidth.
+    fn transfer_cycles(&self, bytes: usize) -> u64 {
+        (bytes as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64
+    }
+}
+
+/// One run's state. [`ClusterSim::run_source_policy_obs`] calls its
+/// stages in order until no event remains, then [`Run::finish`] folds it
+/// into the outcome.
+struct Run<'a, S, P> {
+    sim: &'a ClusterSim,
+    sink: &'a mut S,
+    policy: &'a mut P,
+    ignite_on: bool,
+    nodes: Vec<NodeState>,
+    /// Every node's cores in one node-major vector, so completion and
+    /// freeing sweeps keep the single-node iteration order.
+    cores: Vec<Core>,
+    fns: Vec<FunctionState>,
+    chaos: Option<ChaosRt>,
+    keepalive: KeepAliveRt,
+    sched: Scheduler,
+    /// One-arrival look-ahead: the head of the stream, needed to pick
+    /// the next event time and refilled on consumption — the only
+    /// arrival state held, whatever the stream length.
+    pending: Option<Arrival>,
+    fingerprint: FingerprintAccum,
+    submitted: u64,
+    now: u64,
+    makespan: u64,
+    latencies: Vec<u64>,
+    latency_sum: u64,
+}
+
+impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
+    fn new<A: ArrivalSource + ?Sized>(
+        sim: &'a ClusterSim,
+        source: &mut A,
+        sink: &'a mut S,
+        policy: &'a mut P,
+    ) -> Self {
+        let cfg = &sim.cfg;
+        let nodes = cfg.topology.nodes;
+        let functions = sim.abbrs.len();
+        Run {
+            sim,
+            sink,
+            policy,
+            ignite_on: cfg.fe.select.ignite.is_some(),
+            nodes: (0..nodes)
+                .map(|_| NodeState {
+                    store: MetadataStore::new(cfg.store),
+                    queue: VecDeque::new(),
+                    usage: NodeUsage::default(),
                 })
                 .collect(),
-            ready: BTreeMap::new(),
-            stats: ChaosStats::default(),
-        });
-
-        // One-arrival look-ahead: the head of the stream, needed to pick
-        // the next event time. Refilled from the source on consumption —
-        // the only arrival state held, whatever the stream length.
-        let mut pending: Option<Arrival> = source.next_arrival();
-        let mut fingerprint = FingerprintAccum::new(source.functions());
-        let mut submitted = 0u64;
-        let mut now = 0u64;
-        let mut makespan = 0u64;
-        let mut all_latencies: Vec<u64> = Vec::new();
-        let mut latency_sum = 0u64;
-
-        loop {
-            // Epoch evaluation: when the clock has crossed the policy's
-            // next epoch boundary, snapshot the cluster gauges, let the
-            // policy actuate, and mirror each decision onto the
-            // controller trace track. Gated twice (enabled, then
-            // epoch_due) so the static path never assembles gauges.
-            if policy.enabled() && policy.epoch_due(now) {
-                let gauges = ClusterGauges {
-                    busy_cores: cores.iter().filter(|c| c.busy).count(),
-                    total_cores: cores.len(),
-                    cores_per_node,
-                    queued: queues.iter().map(|q| q.len()).sum(),
-                    footprint_bytes: stores.iter().map(|s| s.footprint_bytes() as u64).sum(),
-                    capacity_bytes: self.cfg.store.capacity_bytes as u64 * nnodes as u64,
-                    insertions: stores.iter().map(|s| s.stats().insertions).sum(),
-                    evictions: stores.iter().map(|s| s.stats().evictions).sum(),
-                    keepalive_enabled: keepalive.enabled(),
-                };
-                for d in policy.on_epoch(now, &gauges) {
-                    if sink.enabled() {
-                        sink.record(Event {
-                            ts: d.at,
-                            dur: 0,
-                            track: Track::Controller,
-                            kind: EventKind::Decision {
-                                rule: d.rule,
-                                epoch: d.epoch,
-                                function: d.function,
-                                value: d.value,
-                                observed: d.observed,
-                                threshold: d.threshold,
-                            },
-                        });
-                    }
-                }
-            }
-            // Dispatch each node's FIFO queue onto its free cores, nodes
-            // in index order, lowest core index first (under chaos, a
-            // core inside a crash window cannot accept work even when
-            // idle). With one node this is the single-queue loop
-            // verbatim. An enabled policy may cap the schedulable cores
-            // per node; high-index cores past the cap finish in-flight
-            // work but accept no new dispatches.
-            for ni in 0..nnodes {
-                let base = ni * cores_per_node;
-                let active = if policy.enabled() {
-                    policy.active_cores(cores_per_node).clamp(1, cores_per_node)
-                } else {
-                    cores_per_node
-                };
-                while !queues[ni].is_empty() {
-                    let free = (0..active).map(|i| base + i).find(|&g| {
-                        !cores[g].busy
-                            && chaos.as_mut().is_none_or(|rt| !rt.state.core_down(g, now))
-                    });
-                    let Some(gci) = free else { break };
-                    let mut job = queues[ni].pop_front().expect("non-empty queue");
-                    job.queue_accum += now - job.enqueued_at;
-                    let fi = job.arrival.function as usize;
-                    if let Some(rt) = chaos.as_mut() {
-                        let deadline = rt.retry.deadline_cycles;
-                        if deadline > 0 && now.saturating_sub(job.arrival.cycle) > deadline {
-                            rt.drop_job(
-                                &job,
-                                now,
-                                DropReason::Deadline,
-                                &mut fns[fi],
-                                &mut node_dropped,
-                                sink,
-                            );
-                            continue;
-                        }
-                        if rt.state.dispatch_dropped(job.id, job.attempt) {
-                            rt.stats.dispatch_drops += 1;
-                            rt.fail_attempt(job, now, 0, &mut fns[fi], &mut node_dropped, sink);
-                            continue;
-                        }
-                    }
-                    let served = self.dispatch(
-                        &job,
-                        now,
-                        &mut cores[gci],
-                        gci,
-                        ni,
-                        nnodes,
-                        &mut fns[fi],
-                        &mut stores[ni],
-                        ignite_on,
-                        &mut chaos,
-                        &mut keepalive,
-                        &mut *policy,
-                        sink,
-                    );
-                    match served {
-                        Served::Done { completion } => {
-                            makespan = makespan.max(completion);
-                            let latency = completion - job.arrival.cycle;
-                            all_latencies.push(latency);
-                            latency_sum += latency;
-                            fns[fi].latencies.push(latency);
-                            node_completed[ni] += 1;
-                            if let Some(rt) = chaos.as_mut() {
-                                rt.stats.completed += 1;
-                                if job.attempt > 1 {
-                                    rt.stats.retried_to_success += 1;
-                                }
-                            }
-                        }
-                        Served::Killed { at } => {
-                            let rt = chaos.as_mut().expect("attempts are only killed under chaos");
-                            rt.stats.crash_kills += 1;
-                            let elapsed = at - now;
-                            rt.fail_attempt(
-                                job,
-                                at,
-                                elapsed,
-                                &mut fns[fi],
-                                &mut node_dropped,
-                                sink,
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Next event: the earliest completion (or crashed-core
-            // restart), backoff expiry, arrival — or, when a node has
-            // queued work waiting only on repairs, the earliest restart
-            // among that node's cores.
-            let next_completion = cores.iter().filter(|c| c.busy).map(|c| c.busy_until).min();
-            let next_retry = chaos.as_ref().and_then(|rt| rt.ready.keys().next().map(|&(t, _)| t));
-            let next_arrival_cycle = pending.map(|a| a.cycle);
-            let next_restart = chaos.as_mut().and_then(|rt| {
-                (0..nnodes)
-                    .filter(|&ni| !queues[ni].is_empty())
-                    .filter_map(|ni| {
-                        let span = ni * cores_per_node..(ni + 1) * cores_per_node;
-                        rt.state.earliest_restart_among(span, now)
+            cores: (0..nodes * cfg.cores)
+                .map(|_| Core {
+                    machine: Machine::new(&sim.uarch, &cfg.fe),
+                    busy_until: None,
+                    seq: 0,
+                    last_seq: BTreeMap::new(),
+                    usage: CoreUsage::default(),
+                })
+                .collect(),
+            fns: sim
+                .abbrs
+                .iter()
+                .map(|abbr| FunctionState {
+                    summary: FunctionSummary { abbr: abbr.clone(), ..FunctionSummary::default() },
+                    ..FunctionState::default()
+                })
+                .collect(),
+            chaos: cfg.chaos.map(|plan| ChaosRt {
+                state: ChaosState::for_cluster(plan, nodes, cfg.cores),
+                retry: cfg.retry,
+                breakers: (0..functions)
+                    .map(|_| {
+                        CircuitBreaker::new(
+                            cfg.retry.breaker_threshold,
+                            cfg.retry.breaker_cooldown_cycles,
+                        )
                     })
-                    .min()
-            });
-            now = match [next_completion, next_retry, next_arrival_cycle, next_restart]
-                .into_iter()
-                .flatten()
-                .min()
-            {
-                None => break,
-                Some(t) => t,
+                    .collect(),
+                ready: BTreeMap::new(),
+                stats: ChaosStats::default(),
+            }),
+            keepalive: KeepAliveRt::new(cfg.topology.keepalive, nodes, functions),
+            sched: Scheduler::new(cfg.topology.scheduler, cfg.arrival.seed),
+            pending: source.next_arrival(),
+            fingerprint: FingerprintAccum::new(source.functions()),
+            submitted: 0,
+            now: 0,
+            makespan: 0,
+            latencies: Vec::new(),
+            latency_sum: 0,
+        }
+    }
+
+    /// Store events land on the shared store track for single-node runs
+    /// and on a per-node track otherwise.
+    fn store_track(&self, node: usize) -> Track {
+        if self.nodes.len() > 1 {
+            Track::NodeStore(node as u32)
+        } else {
+            Track::Store
+        }
+    }
+
+    /// Epoch stage: once the clock crosses the policy's next epoch
+    /// boundary, snapshot the cluster gauges, let the policy actuate,
+    /// and mirror each decision onto the controller trace track. Gated
+    /// twice (enabled, then epoch_due) so the static path never
+    /// assembles gauges.
+    fn epoch(&mut self) {
+        if !self.policy.enabled() || !self.policy.epoch_due(self.now) {
+            return;
+        }
+        let stores = || self.nodes.iter().map(|n| &n.store);
+        let gauges = ClusterGauges {
+            busy_cores: self.cores.iter().filter(|c| c.busy_until.is_some()).count(),
+            total_cores: self.cores.len(),
+            cores_per_node: self.sim.cfg.cores,
+            queued: self.nodes.iter().map(|n| n.queue.len()).sum(),
+            footprint_bytes: stores().map(|s| s.footprint_bytes() as u64).sum(),
+            capacity_bytes: self.sim.cfg.store.capacity_bytes as u64 * self.nodes.len() as u64,
+            insertions: stores().map(|s| s.stats().insertions).sum(),
+            evictions: stores().map(|s| s.stats().evictions).sum(),
+            keepalive_enabled: self.keepalive.enabled(),
+        };
+        for d in self.policy.on_epoch(self.now, &gauges) {
+            let kind = EventKind::Decision {
+                rule: d.rule,
+                epoch: d.epoch,
+                function: d.function,
+                value: d.value,
+                observed: d.observed,
+                threshold: d.threshold,
             };
-            // Completions first (a core freed at `now` can serve an arrival
-            // at `now`), in global core order.
-            for c in &mut cores {
-                if c.busy && c.busy_until <= now {
-                    c.busy = false;
-                }
-            }
-            // Then retries whose backoff expired, in (ready, id) order —
-            // ahead of arrivals at the same cycle, since they have been
-            // waiting longer end-to-end. A retry re-enters the queue of
-            // the node that first accepted it.
-            if let Some(rt) = chaos.as_mut() {
-                while rt.ready.first_key_value().is_some_and(|(&(t, _), _)| t <= now) {
-                    let (_, job) = rt.ready.pop_first().expect("non-empty retry queue");
-                    let ni = job.node;
-                    queues[ni].push_back(job);
-                    node_queue_peak[ni] = node_queue_peak[ni].max(queues[ni].len() as u64);
-                }
-            }
-            // Then arrivals at `now`, in stream order, each routed by the
-            // scheduler (a 1-node cluster routes to node 0 untouched).
-            while pending.is_some_and(|a| a.cycle <= now) {
-                let a = pending.expect("checked above");
-                pending = source.next_arrival();
-                fingerprint.observe(a);
-                if sink.enabled() {
-                    sink.record(Event {
-                        ts: a.cycle,
-                        dur: 0,
-                        track: Track::Cluster,
-                        kind: EventKind::Arrival { function: a.function },
-                    });
-                }
-                if let Some(rt) = chaos.as_mut() {
-                    rt.stats.submitted += 1;
-                }
-                let ni = if nnodes == 1 {
-                    0
-                } else {
-                    let container = self.functions[a.function as usize].container;
-                    let loads: Vec<NodeLoad> = (0..nnodes)
-                        .map(|n| {
-                            let span = &cores[n * cores_per_node..(n + 1) * cores_per_node];
-                            let busy = span.iter().filter(|c| c.busy).count();
-                            NodeLoad {
-                                busy_cores: busy,
-                                queued: queues[n].len(),
-                                free_cores: cores_per_node - busy,
-                                holds_metadata: ignite_on && stores[n].contains(container),
-                            }
-                        })
-                        .collect();
-                    let picked = sched.pick(&loads);
-                    if sink.enabled() {
-                        sink.record(Event {
-                            ts: a.cycle,
-                            dur: 0,
-                            track: Track::Cluster,
-                            kind: EventKind::Routed { function: a.function, node: picked as u32 },
-                        });
-                    }
-                    picked
-                };
-                node_submitted[ni] += 1;
-                queues[ni].push_back(Job {
-                    arrival: a,
-                    node: ni,
-                    id: submitted,
-                    attempt: 1,
-                    enqueued_at: a.cycle,
-                    queue_accum: 0,
-                    lost_cycles: 0,
+            emit(self.sink, d.at, Track::Controller, kind);
+        }
+    }
+
+    /// Dispatch stage: each node's FIFO queue drains onto its free
+    /// cores, nodes in index order, lowest core index first. Under
+    /// chaos a core inside a crash window accepts no work even when
+    /// idle. An enabled policy may cap the schedulable cores per node;
+    /// cores past the cap finish in-flight work but accept no new
+    /// dispatches.
+    fn dispatch_queued(&mut self) {
+        let per_node = self.sim.cfg.cores;
+        for ni in 0..self.nodes.len() {
+            let active = if self.policy.enabled() {
+                self.policy.active_cores(per_node).clamp(1, per_node)
+            } else {
+                per_node
+            };
+            let now = self.now;
+            while !self.nodes[ni].queue.is_empty() {
+                let (cores, chaos) = (&self.cores, &mut self.chaos);
+                let free = (ni * per_node..ni * per_node + active).find(|&g| {
+                    cores[g].busy_until.is_none()
+                        && chaos.as_mut().is_none_or(|rt| !rt.state.core_down(g, now))
                 });
-                node_queue_peak[ni] = node_queue_peak[ni].max(queues[ni].len() as u64);
-                submitted += 1;
+                let Some(ci) = free else { break };
+                let mut job = self.nodes[ni].queue.pop_front().expect("non-empty queue");
+                job.queue_accum += now - job.enqueued_at;
+                if let Some(job) = self.admit(job) {
+                    self.serve(job, ci);
+                }
             }
         }
-        keepalive.finish(makespan);
-        let controller = if policy.enabled() { policy.finish(makespan) } else { None };
+    }
 
-        // Summaries.
-        all_latencies.sort_unstable();
-        let functions = fns
+    /// Admission stage (chaos only): a job past its deadline drops, and
+    /// a dispatch-drop draw fails the attempt into retry.
+    fn admit(&mut self, job: Job) -> Option<Job> {
+        let now = self.now;
+        let Some(rt) = self.chaos.as_mut() else { return Some(job) };
+        let deadline = rt.retry.deadline_cycles;
+        if deadline > 0 && now.saturating_sub(job.arrival.cycle) > deadline {
+            self.drop_job(&job, now, DropReason::Deadline);
+            return None;
+        }
+        if rt.state.dispatch_dropped(job.id, job.attempt) {
+            rt.stats.dispatch_drops += 1;
+            self.fail(job, now, 0);
+            return None;
+        }
+        Some(job)
+    }
+
+    /// Serve stage: one attempt of `job` on core `ci`. Without chaos
+    /// every attempt commits; with it, a crash fails the attempt into
+    /// retry instead.
+    fn serve(&mut self, job: Job, ci: usize) {
+        let mut at = self.stage(job, ci);
+        self.execute(&mut at);
+        self.take_writeback(&mut at);
+        match self.crash(&at) {
+            Some(crash_t) => self.fail(at.job, crash_t, crash_t - self.now),
+            None => self.commit(at),
+        }
+    }
+
+    /// Staging: the interleaving distance sets the data-cold fraction,
+    /// then the function's metadata region moves from the node store
+    /// into the core's replay engine, charging the transfer. A policy
+    /// denial skips the fetch entirely (no miss counted, nothing to
+    /// re-record). Under chaos, an open circuit breaker (full
+    /// record/replay bypass), a store outage (no fetch at all), or a
+    /// corrupt/lost region found after the fetch (region evicted,
+    /// breaker fed) degrades the attempt to a cold run.
+    fn stage(&mut self, job: Job, ci: usize) -> Attempt {
+        let (sim, now) = (self.sim, self.now);
+        let a = job.arrival;
+        let fi = a.function as usize;
+        let container = sim.functions[fi].container;
+        let node = job.node;
+        // Interleaving distance → data coldness. Distance d counts the
+        // invocations of *other* functions on this core since this
+        // function last ran here; d = 0 (back-to-back) is fully warm, and
+        // coldness saturates at `distance_saturation`.
+        let core = &mut self.cores[ci];
+        let cold = match core.last_seq.get(&fi) {
+            None => 1.0,
+            Some(&s) => ((core.seq - s - 1) as f64 / sim.cfg.distance_saturation).min(1.0),
+        };
+        core.last_seq.insert(fi, core.seq);
+        core.seq += 1;
+        // Queue time accumulated across attempts; without chaos this is
+        // exactly `now - a.cycle`.
+        let kind = EventKind::Dispatch { function: a.function, queue_cycles: job.queue_accum };
+        emit(self.sink, now, Track::Core(ci as u32), kind);
+
+        let mut at = Attempt {
+            job,
+            core: ci,
+            cold,
+            fetch_cycles: 0,
+            store_hit: false,
+            degrade: None,
+            policy_bypass: false,
+            res: InvocationResult::default(),
+            exec_cycles: 0,
+            straggled: false,
+            writeback: Writeback::None,
+            service: 0,
+        };
+        if !self.ignite_on {
+            return at;
+        }
+        at.policy_bypass = self.policy.enabled() && !self.policy.replay_admitted(a.function);
+        if at.policy_bypass {
+            return at;
+        }
+        if let Some(rt) = self.chaos.as_mut() {
+            if !rt.breakers[fi].replay_allowed(now) {
+                at.degrade = Some(DegradeReason::BreakerOpen);
+                return at;
+            }
+            if rt.state.store_unavailable_on(node, now) {
+                at.degrade = Some(DegradeReason::StoreUnavailable);
+                return at;
+            }
+        }
+        self.keepalive.on_fetch(node, container, now);
+        let store_track = self.store_track(node);
+        let Some(md) = self.nodes[node].store.fetch(container).cloned() else {
+            self.fns[fi].summary.metadata_misses += 1;
+            emit(self.sink, now, store_track, EventKind::StoreMiss { container });
+            return at;
+        };
+        at.store_hit = true;
+        self.fns[fi].summary.metadata_hits += 1;
+        at.fetch_cycles = sim.transfer_cycles(md.byte_len());
+        let bytes = md.byte_len() as u64;
+        emit(self.sink, now, store_track, EventKind::StoreHit { container, bytes });
+        // Chaos corruption draws on the fetched copy (seeded per
+        // (container, invocation), like the codec fault model it
+        // reuses). Stale-but-valid regions still install — replay
+        // handles them; only undecodable or lost regions degrade.
+        let installed = match self.chaos.as_mut() {
+            Some(rt) if rt.state.plan().store_fault.is_active() => {
+                match rt.state.plan().store_fault.apply(&md, container, self.fns[fi].count) {
+                    Ok(Some(faulted)) if faulted.validate().is_ok() => Ok(faulted),
+                    Ok(Some(_)) | Err(_) => Err(DegradeReason::Corrupt),
+                    Ok(None) => Err(DegradeReason::Loss),
+                }
+            }
+            _ => Ok(md),
+        };
+        match installed {
+            Ok(md) => {
+                let ignite = self.cores[ci].machine.ignite.as_mut().expect("ignite selected");
+                ignite.install_metadata(container, md);
+                if let Some(rt) = self.chaos.as_mut() {
+                    let b = &mut rt.breakers[fi];
+                    let closes = b.closes();
+                    b.record_success();
+                    if b.closes() > closes {
+                        let kind = EventKind::BreakerClose { function: a.function };
+                        emit(self.sink, now, Track::Chaos, kind);
+                    }
+                }
+            }
+            Err(reason) => {
+                at.degrade = Some(reason);
+                let rt = self.chaos.as_mut().expect("faults only fire under chaos");
+                // A region known bad must never be served again.
+                if self.nodes[node].store.remove(container).is_some() {
+                    rt.stats.store_regions_dropped += 1;
+                }
+                let b = &mut rt.breakers[fi];
+                let opens = b.opens();
+                b.record_fault(now);
+                if b.opens() > opens {
+                    let faults = rt.retry.breaker_threshold;
+                    let kind = EventKind::BreakerOpen { function: a.function, faults };
+                    emit(self.sink, now, Track::Chaos, kind);
+                }
+            }
+        }
+        at
+    }
+
+    /// Execution: the context switch, the engine run on the core's
+    /// persistent machine, and any straggle window stretching the
+    /// compute cycles (the extra cycles are charged to execution, so
+    /// the attribution tiling stays exact).
+    fn execute(&mut self, at: &mut Attempt) {
+        let (sim, now) = (self.sim, self.now);
+        let fi = at.job.arrival.function as usize;
+        let track = Track::Core(at.core as u32);
+        let core = &mut self.cores[at.core];
+        core.machine.context_switch();
+        emit(self.sink, now, track, EventKind::ContextSwitch);
+        let bypass_ignite = at.policy_bypass || at.degrade == Some(DegradeReason::BreakerOpen);
+        let ctx = InvocationCtx { data_cold_fraction: at.cold, bypass_ignite };
+        // Map machine-local cycles onto the cluster clock: the engine
+        // portion starts after the metadata fetch transfer, and the
+        // machine clock (busy cycles only) never exceeds cluster time.
+        debug_assert!(core.machine.now <= now, "machine clock ahead of cluster clock");
+        let ts_offset = (now + at.fetch_cycles).saturating_sub(core.machine.now);
+        let f = &mut self.fns[fi];
+        at.res = run_invocation_obs(
+            &mut core.machine,
+            &sim.functions[fi],
+            f.count,
+            ctx,
+            self.sink,
+            track,
+            ts_offset,
+        );
+        f.count += 1;
+        at.exec_cycles = at.res.cycles;
+        if let Some(rt) = self.chaos.as_mut() {
+            let factor = rt.state.straggle_factor_milli(at.core, now);
+            if factor > 1000 {
+                at.straggled = true;
+                at.exec_cycles = ((u128::from(at.res.cycles) * u128::from(factor)) / 1000) as u64;
+            }
+        }
+    }
+
+    /// Writeback: takes the (merged) region destined for the node store
+    /// and sizes its transfer, but does not commit it — a crash that
+    /// kills the attempt must also kill its writeback. A policy that
+    /// tightened store admission discards the recording (saving
+    /// footprint and bandwidth); under chaos an unreachable store loses
+    /// it. Either way the next fetch misses and re-records.
+    fn take_writeback(&mut self, at: &mut Attempt) {
+        let sim = self.sim;
+        let function = at.job.arrival.function;
+        let container = sim.functions[function as usize].container;
+        let ignite = self.cores[at.core].machine.ignite.as_mut();
+        let taken = ignite.and_then(|ignite| ignite.take_metadata(container));
+        let wb_at = self.now + at.fetch_cycles + at.exec_cycles;
+        at.writeback = match taken {
+            None => Writeback::None,
+            Some(md)
+                if self.policy.enabled()
+                    && !self.policy.store_admitted(function, md.byte_len() as u64) =>
+            {
+                Writeback::None
+            }
+            Some(_)
+                if self
+                    .chaos
+                    .as_mut()
+                    .is_some_and(|rt| rt.state.store_unavailable_on(at.job.node, wb_at)) =>
+            {
+                Writeback::Lost
+            }
+            Some(md) => Writeback::Commit(md),
+        };
+        let wb_cycles = match &at.writeback {
+            Writeback::Commit(md) => sim.transfer_cycles(md.byte_len()),
+            _ => 0,
+        };
+        at.service = at.fetch_cycles + at.exec_cycles + wb_cycles;
+    }
+
+    /// Crash check (chaos only): a crash window opening while the
+    /// attempt holds its core kills it — no completion, no writeback, a
+    /// fresh (fully cold) machine, and the core held busy until repair.
+    /// Returns the crash cycle.
+    fn crash(&mut self, at: &Attempt) -> Option<u64> {
+        let now = self.now;
+        let completion = now + at.service;
+        let rt = self.chaos.as_mut()?;
+        if completion <= now + 1 {
+            return None;
+        }
+        let crash_t = rt.state.crash_in(at.core, now + 1, completion - 1)?;
+        let restart = rt
+            .state
+            .core_restart_after(at.core, crash_t)
+            .expect("crash window contains its own start");
+        rt.stats.crash_kills += 1;
+        let core_id = at.core as u32;
+        emit(self.sink, crash_t, Track::Chaos, EventKind::CoreCrash { core: core_id });
+        let kind = EventKind::CoreRestore { core: core_id, down_cycles: restart - crash_t };
+        emit(self.sink, restart, Track::Chaos, kind);
+        let core = &mut self.cores[at.core];
+        core.machine = Machine::new(&self.sim.uarch, &self.sim.cfg.fe);
+        core.last_seq.clear();
+        core.busy_until = Some(restart);
+        // The core worked (was busy) until the crash; the repair window
+        // is downtime, not utilization.
+        core.usage.busy_cycles += crash_t - now;
+        Some(crash_t)
+    }
+
+    /// Commit: the attempt survived. Settle the chaos ledger, commit the
+    /// writeback (pinning the region under keep-alive), emit the span
+    /// and its causal attribution, feed the policy, and account the
+    /// completion.
+    fn commit(&mut self, at: Attempt) {
+        let now = self.now;
+        let Attempt { job, core: ci, .. } = at;
+        let a = job.arrival;
+        let fi = a.function as usize;
+        let container = self.sim.functions[fi].container;
+        let completion = now + at.service;
+        let latency = completion - a.cycle;
+        let track = Track::Core(ci as u32);
+
+        if let Some(rt) = self.chaos.as_mut() {
+            rt.stats.completed += 1;
+            rt.stats.retried_to_success += u64::from(job.attempt > 1);
+            rt.stats.retry_cycles += job.lost_cycles;
+            rt.stats.straggled += u64::from(at.straggled);
+            rt.stats.writeback_skipped += u64::from(matches!(at.writeback, Writeback::Lost));
+            if let Some(reason) = at.degrade {
+                self.fns[fi].summary.degraded += 1;
+                match reason {
+                    DegradeReason::StoreUnavailable => rt.stats.degraded_unavailable += 1,
+                    DegradeReason::Corrupt => rt.stats.degraded_corrupt += 1,
+                    DegradeReason::Loss => rt.stats.degraded_loss += 1,
+                    DegradeReason::BreakerOpen => rt.stats.degraded_breaker += 1,
+                }
+                let kind = EventKind::Degraded { function: a.function, reason };
+                emit(self.sink, now, Track::Chaos, kind);
+            }
+        }
+
+        if let Writeback::Commit(md) = at.writeback {
+            let node = job.node;
+            let bytes = md.byte_len() as u64;
+            // Keep-alive protected regions are evicted only as a last
+            // resort; with keep-alive off the closure is never true and
+            // the insert is the plain insert, branch for branch.
+            let keepalive = &self.keepalive;
+            let outcome = self.nodes[node]
+                .store
+                .insert_protected(container, md, &|c| keepalive.is_protected(node, c, completion));
+            if self.keepalive.enabled() && !outcome.rejected {
+                let window = if self.policy.enabled() {
+                    self.policy.keepalive_window(a.function)
+                } else {
+                    None
+                };
+                self.keepalive.on_complete_with(node, fi, container, completion, window);
+            }
+            // The writeback (and any evictions it forced) lands at
+            // completion time.
+            let store_track = self.store_track(node);
+            for (victim, victim_bytes) in outcome.evicted {
+                let kind = EventKind::StoreEvict { container: victim, bytes: victim_bytes as u64 };
+                emit(self.sink, completion, store_track, kind);
+            }
+            if outcome.rejected {
+                let kind = EventKind::StoreReject { container, bytes };
+                emit(self.sink, completion, store_track, kind);
+            }
+        }
+
+        if self.sink.enabled() || self.policy.enabled() {
+            // Causal latency attribution. Latency decomposes exactly:
+            // `latency = queue + retry + dram + exec_cycles`, and the
+            // engine's integer stall counters tile the compute cycles
+            // into front-end penalty vs steady-state execution (straggle
+            // inflation is charged to execution). Front-end stalls paid
+            // after a store miss are the re-record cost Ignite could not
+            // avoid; after a hit (with Ignite off, or with replay
+            // suppressed by policy) they are the residual
+            // cold-front-end penalty; when chaos degraded replay away
+            // they are the price of availability. The policy folds the
+            // same components it would see on the trace, so the
+            // controller can run over a [`NullSink`].
+            let dram_cycles = at.service - at.exec_cycles;
+            let frontend = at.res.front_end_stall_cycles();
+            let execution = at.exec_cycles - frontend;
+            let (cold_frontend, store_miss, degraded_cycles) = if at.degrade.is_some() {
+                (0, 0, frontend)
+            } else if self.ignite_on && !at.store_hit && !at.policy_bypass {
+                (0, frontend, 0)
+            } else {
+                (frontend, 0, 0)
+            };
+            if self.sink.enabled() {
+                // The span covers fetch + engine + writeback.
+                let invocation = self.fns[fi].count - 1;
+                self.sink.record(Event {
+                    ts: now,
+                    dur: at.service,
+                    track,
+                    kind: EventKind::Invocation { function: a.function, invocation },
+                });
+            }
+            let kind = EventKind::Complete { function: a.function, service_cycles: at.service };
+            emit(self.sink, completion, track, kind);
+            let kind = EventKind::Attribution {
+                function: a.function,
+                queue_cycles: job.queue_accum,
+                retry_cycles: job.lost_cycles,
+                dram_cycles,
+                cold_frontend_cycles: cold_frontend,
+                store_miss_cycles: store_miss,
+                degraded_cycles,
+                execution_cycles: execution,
+                latency_cycles: latency,
+            };
+            emit(self.sink, completion, track, kind);
+            if self.policy.enabled() {
+                self.policy.observe(&PolicySample {
+                    function: a.function,
+                    completion,
+                    latency_cycles: latency,
+                    queue_cycles: job.queue_accum,
+                    retry_cycles: job.lost_cycles,
+                    dram_cycles,
+                    cold_frontend_cycles: cold_frontend,
+                    store_miss_cycles: store_miss,
+                    degraded_cycles,
+                    execution_cycles: execution,
+                    store_hit: at.store_hit,
+                    replay_suppressed: at.policy_bypass,
+                });
+            }
+        }
+
+        let core = &mut self.cores[ci];
+        core.busy_until = Some(completion);
+        core.usage.busy_cycles += at.service;
+        core.usage.invocations += 1;
+        let f = &mut self.fns[fi];
+        f.latencies.push(latency);
+        f.service_cycles += at.service;
+        f.queue_cycles += job.queue_accum;
+        f.cold_sum += at.cold;
+        let s = &mut f.summary;
+        s.invocations += 1;
+        // Temperature of this start, dslab-faas style: no usable replay
+        // state at all is cold; replayed with zero interleaving distance
+        // is warm; replayed but partially displaced is lukewarm.
+        if at.degrade.is_some() || !at.store_hit {
+            s.cold_starts += 1;
+        } else if at.cold == 0.0 {
+            s.warm_starts += 1;
+        } else {
+            s.lukewarm_starts += 1;
+        }
+        s.min_service = if s.invocations == 1 { at.service } else { s.min_service.min(at.service) };
+        s.result.merge(&at.res);
+        self.nodes[job.node].usage.completed += 1;
+        self.makespan = self.makespan.max(completion);
+        self.latencies.push(latency);
+        self.latency_sum += latency;
+    }
+
+    /// Routes a failed attempt: bounded retry with deterministic
+    /// backoff, or a reasoned drop (retries exhausted, or the backoff
+    /// would land past the deadline). `elapsed` is how long the failed
+    /// attempt held resources (0 for a dispatch drop).
+    fn fail(&mut self, mut job: Job, at: u64, elapsed: u64) {
+        let rt = self.chaos.as_mut().expect("attempts only fail under chaos");
+        rt.stats.attempts_failed += 1;
+        if job.attempt >= rt.retry.max_attempts {
+            return self.drop_job(&job, at, DropReason::RetriesExhausted);
+        }
+        let backoff = rt.retry.backoff_for(rt.state.plan().seed, job.id, job.attempt);
+        let ready = at.saturating_add(backoff);
+        let deadline = rt.retry.deadline_cycles;
+        if deadline > 0 && ready.saturating_sub(job.arrival.cycle) > deadline {
+            return self.drop_job(&job, at, DropReason::Deadline);
+        }
+        rt.stats.backoff_cycles += backoff;
+        let function = job.arrival.function;
+        self.fns[function as usize].summary.retries += 1;
+        let kind =
+            EventKind::ChaosRetry { function, attempt: job.attempt, backoff_cycles: backoff };
+        emit(self.sink, at, Track::Chaos, kind);
+        job.lost_cycles += elapsed + backoff;
+        job.attempt += 1;
+        job.enqueued_at = ready;
+        rt.ready.insert((ready, job.id), job);
+    }
+
+    /// Terminal failure exit: the job leaves the system with a reason
+    /// (the only alternative to completion under the conservation law).
+    fn drop_job(&mut self, job: &Job, at: u64, reason: DropReason) {
+        let rt = self.chaos.as_mut().expect("jobs only drop under chaos");
+        match reason {
+            DropReason::Deadline => rt.stats.dropped_deadline += 1,
+            DropReason::RetriesExhausted => rt.stats.dropped_retries_exhausted += 1,
+        }
+        let function = job.arrival.function;
+        self.fns[function as usize].summary.dropped += 1;
+        self.nodes[job.node].usage.dropped += 1;
+        emit(self.sink, at, Track::Chaos, EventKind::ChaosDrop { function, reason });
+    }
+
+    /// The next event time: the earliest completion (or crashed-core
+    /// restart), backoff expiry or arrival — or, when a node has queued
+    /// work waiting only on repairs, the earliest restart among that
+    /// node's cores. `None` ends the run.
+    fn next_event(&mut self) -> Option<u64> {
+        let completion = self.cores.iter().filter_map(|c| c.busy_until).min();
+        let retry = self.chaos.as_ref().and_then(|rt| rt.ready.keys().next().map(|&(t, _)| t));
+        let arrival = self.pending.map(|a| a.cycle);
+        let (now, per_node, nodes) = (self.now, self.sim.cfg.cores, &self.nodes);
+        let restart = self.chaos.as_mut().and_then(|rt| {
+            (0..nodes.len())
+                .filter(|&ni| !nodes[ni].queue.is_empty())
+                .filter_map(|ni| {
+                    rt.state.earliest_restart_among(ni * per_node..(ni + 1) * per_node, now)
+                })
+                .min()
+        });
+        [completion, retry, arrival, restart].into_iter().flatten().min()
+    }
+
+    /// Release: completions at or before `now` free their cores in
+    /// global core order (a core freed at `now` can serve an arrival at
+    /// `now`), then retries whose backoff expired re-enter their node's
+    /// queue in (ready, id) order — ahead of same-cycle arrivals, since
+    /// they have waited longer end to end.
+    fn release(&mut self) {
+        let now = self.now;
+        for c in &mut self.cores {
+            if c.busy_until.is_some_and(|t| t <= now) {
+                c.busy_until = None;
+            }
+        }
+        let Some(rt) = self.chaos.as_mut() else { return };
+        while rt.ready.first_key_value().is_some_and(|(&(t, _), _)| t <= now) {
+            let (_, job) = rt.ready.pop_first().expect("non-empty retry queue");
+            self.nodes[job.node].enqueue(job);
+        }
+    }
+
+    /// Routing: arrivals at `now`, in stream order, each placed on a node
+    /// by the scheduler (a 1-node cluster routes to node 0 untouched).
+    fn route<A: ArrivalSource + ?Sized>(&mut self, source: &mut A) {
+        while let Some(a) = self.pending.filter(|a| a.cycle <= self.now) {
+            self.pending = source.next_arrival();
+            self.fingerprint.observe(a);
+            emit(self.sink, a.cycle, Track::Cluster, EventKind::Arrival { function: a.function });
+            if let Some(rt) = self.chaos.as_mut() {
+                rt.stats.submitted += 1;
+            }
+            let node = if self.nodes.len() == 1 { 0 } else { self.pick_node(a) };
+            self.nodes[node].usage.submitted += 1;
+            self.nodes[node].enqueue(Job {
+                arrival: a,
+                node,
+                id: self.submitted,
+                attempt: 1,
+                enqueued_at: a.cycle,
+                queue_accum: 0,
+                lost_cycles: 0,
+            });
+            self.submitted += 1;
+        }
+    }
+
+    /// Asks the scheduler for a node for `a`, given every node's load.
+    fn pick_node(&mut self, a: Arrival) -> usize {
+        let per_node = self.sim.cfg.cores;
+        let container = self.sim.functions[a.function as usize].container;
+        let loads: Vec<NodeLoad> = (0..self.nodes.len())
+            .map(|n| {
+                let span = &self.cores[n * per_node..(n + 1) * per_node];
+                let busy = span.iter().filter(|c| c.busy_until.is_some()).count();
+                NodeLoad {
+                    busy_cores: busy,
+                    queued: self.nodes[n].queue.len(),
+                    free_cores: per_node - busy,
+                    holds_metadata: self.ignite_on && self.nodes[n].store.contains(container),
+                }
+            })
+            .collect();
+        let node = self.sched.pick(&loads);
+        let kind = EventKind::Routed { function: a.function, node: node as u32 };
+        emit(self.sink, a.cycle, Track::Cluster, kind);
+        node
+    }
+
+    /// Folds the run into its outcome: closes keep-alive episodes at the
+    /// makespan, drains the policy, and turns the accumulators into
+    /// percentiles, means and utilizations.
+    fn finish(mut self) -> ClusterOutcome {
+        let makespan = self.makespan;
+        let per_node = self.sim.cfg.cores;
+        self.keepalive.finish(makespan);
+        let controller = if self.policy.enabled() { self.policy.finish(makespan) } else { None };
+        let utilization = |busy: u64, cores: usize| {
+            if makespan == 0 {
+                0.0
+            } else {
+                busy as f64 / (makespan as f64 * cores as f64)
+            }
+        };
+        let keepalive = &self.keepalive;
+        let functions = self
+            .fns
             .into_iter()
             .enumerate()
             .map(|(fi, mut f)| {
                 f.latencies.sort_unstable();
                 let n = f.latencies.len() as f64;
+                let mean = |sum: f64| if n == 0.0 { 0.0 } else { sum / n };
                 FunctionSummary {
-                    abbr: f.abbr,
-                    invocations: f.latencies.len() as u64,
                     p50_latency: percentile(&f.latencies, 50),
                     p95_latency: percentile(&f.latencies, 95),
                     p99_latency: percentile(&f.latencies, 99),
-                    mean_service: if n == 0.0 { 0.0 } else { f.service_cycles as f64 / n },
-                    mean_queue: if n == 0.0 { 0.0 } else { f.queue_cycles as f64 / n },
-                    mean_cold_fraction: if n == 0.0 { 0.0 } else { f.cold_sum / n },
-                    metadata_hits: f.hits,
-                    metadata_misses: f.misses,
-                    retries: f.retries,
-                    degraded: f.degraded,
-                    dropped: f.dropped,
-                    cold_starts: f.cold_starts,
-                    lukewarm_starts: f.lukewarm_starts,
-                    warm_starts: f.warm_starts,
-                    min_service: if f.min_service == u64::MAX { 0 } else { f.min_service },
+                    mean_service: mean(f.service_cycles as f64),
+                    mean_queue: mean(f.queue_cycles as f64),
+                    mean_cold_fraction: mean(f.cold_sum),
                     wasted_keepalive_cycles: keepalive.wasted_for_function(fi),
-                    result: f.result,
+                    ..f.summary
                 }
             })
             .collect();
-        let cores: Vec<CoreUsage> = cores
-            .into_iter()
-            .map(|c| CoreUsage {
-                invocations: c.invocations,
-                busy_cycles: c.busy_cycles,
-                utilization: if makespan == 0 {
-                    0.0
-                } else {
-                    c.busy_cycles as f64 / makespan as f64
-                },
+        let cores: Vec<CoreUsage> = self
+            .cores
+            .iter()
+            .map(|c| CoreUsage { utilization: utilization(c.usage.busy_cycles, 1), ..c.usage })
+            .collect();
+        let mut store = StoreStats::default();
+        let nodes: Vec<NodeUsage> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(ni, n)| {
+                let st = n.store.stats();
+                store.hits += st.hits;
+                store.misses += st.misses;
+                store.insertions += st.insertions;
+                store.evictions += st.evictions;
+                store.rejected += st.rejected;
+                store.bytes_read += st.bytes_read;
+                store.bytes_written += st.bytes_written;
+                store.bytes_evicted += st.bytes_evicted;
+                let busy =
+                    cores[ni * per_node..(ni + 1) * per_node].iter().map(|c| c.busy_cycles).sum();
+                NodeUsage {
+                    busy_cycles: busy,
+                    utilization: utilization(busy, per_node),
+                    store: *st,
+                    footprint_bytes: n.store.footprint_bytes(),
+                    peak_footprint_bytes: n.store.peak_footprint_bytes(),
+                    wasted_keepalive_cycles: keepalive.wasted_on_node(ni),
+                    ..n.usage
+                }
             })
             .collect();
-        let n = all_latencies.len();
-        let mut latency_histogram = vec![0u64; LATENCY_BUCKETS.len() + 1];
-        for &l in &all_latencies {
-            let i = LATENCY_BUCKETS.iter().position(|&b| l <= b).unwrap_or(LATENCY_BUCKETS.len());
-            latency_histogram[i] += 1;
-        }
-        let chaos = chaos.map(|mut rt| {
+        let chaos = self.chaos.map(|mut rt| {
             for b in &rt.breakers {
                 rt.stats.breaker_opens += b.opens();
                 rt.stats.breaker_closes += b.closes();
@@ -1138,520 +1519,33 @@ impl ClusterSim {
             );
             rt.stats
         });
-        // Per-node usage (cores are node-major, so each node's span is
-        // contiguous) and the cluster-wide store aggregate.
-        let nodes: Vec<NodeUsage> = (0..nnodes)
-            .map(|ni| {
-                let span = &cores[ni * cores_per_node..(ni + 1) * cores_per_node];
-                let busy: u64 = span.iter().map(|c| c.busy_cycles).sum();
-                NodeUsage {
-                    submitted: node_submitted[ni],
-                    completed: node_completed[ni],
-                    dropped: node_dropped[ni],
-                    queue_peak: node_queue_peak[ni],
-                    busy_cycles: busy,
-                    utilization: if makespan == 0 {
-                        0.0
-                    } else {
-                        busy as f64 / (makespan as f64 * cores_per_node as f64)
-                    },
-                    store: *stores[ni].stats(),
-                    footprint_bytes: stores[ni].footprint_bytes(),
-                    peak_footprint_bytes: stores[ni].peak_footprint_bytes(),
-                    wasted_keepalive_cycles: keepalive.wasted_on_node(ni),
-                }
-            })
-            .collect();
-        let mut store_total = StoreStats::default();
-        for s in &stores {
-            let st = s.stats();
-            store_total.hits += st.hits;
-            store_total.misses += st.misses;
-            store_total.insertions += st.insertions;
-            store_total.evictions += st.evictions;
-            store_total.rejected += st.rejected;
-            store_total.bytes_read += st.bytes_read;
-            store_total.bytes_written += st.bytes_written;
-            store_total.bytes_evicted += st.bytes_evicted;
+        let mut latencies = self.latencies;
+        latencies.sort_unstable();
+        let n = latencies.len();
+        let mut latency_histogram = vec![0u64; LATENCY_BUCKETS.len() + 1];
+        for &l in &latencies {
+            let i = LATENCY_BUCKETS.iter().position(|&b| l <= b).unwrap_or(LATENCY_BUCKETS.len());
+            latency_histogram[i] += 1;
         }
         ClusterOutcome {
             invocations: n as u64,
             makespan,
             cores,
+            footprint_bytes: nodes.iter().map(|n| n.footprint_bytes).sum(),
+            peak_footprint_bytes: nodes.iter().map(|n| n.peak_footprint_bytes).sum(),
             nodes,
             functions,
-            store: store_total,
-            footprint_bytes: stores.iter().map(|s| s.footprint_bytes()).sum(),
-            peak_footprint_bytes: stores.iter().map(|s| s.peak_footprint_bytes()).sum(),
-            p50_latency: percentile(&all_latencies, 50),
-            p95_latency: percentile(&all_latencies, 95),
-            p99_latency: percentile(&all_latencies, 99),
-            mean_latency: if n == 0 { 0.0 } else { latency_sum as f64 / n as f64 },
+            store,
+            p50_latency: percentile(&latencies, 50),
+            p95_latency: percentile(&latencies, 95),
+            p99_latency: percentile(&latencies, 99),
+            mean_latency: if n == 0 { 0.0 } else { self.latency_sum as f64 / n as f64 },
             latency_histogram,
-            latency_sum,
+            latency_sum: self.latency_sum,
             chaos,
-            workload: fingerprint.finish(),
+            workload: self.fingerprint.finish(),
             controller,
         }
-    }
-
-    /// Runs one dispatch attempt on a core; returns how it ended.
-    ///
-    /// Without chaos this is the pre-chaos dispatch verbatim: every
-    /// chaos branch is behind `if let Some`, the job accumulators equal
-    /// the original expressions, and the attempt always completes.
-    #[allow(clippy::too_many_arguments)] // internal hot path; a context struct would be rebuilt per call
-    fn dispatch<S: EventSink, P: PolicyHook>(
-        &self,
-        job: &Job,
-        now: u64,
-        core: &mut Core,
-        ci: usize,
-        node: usize,
-        nnodes: usize,
-        fstate: &mut FunctionState,
-        store: &mut MetadataStore,
-        ignite_on: bool,
-        chaos: &mut Option<ChaosRt>,
-        keepalive: &mut KeepAliveRt,
-        policy: &mut P,
-        sink: &mut S,
-    ) -> Served {
-        let a = &job.arrival;
-        let f = &self.functions[a.function as usize];
-        // Store events land on the shared store track for single-node
-        // runs (byte-identical traces) and on a per-node track otherwise.
-        let store_track = if nnodes > 1 { Track::NodeStore(node as u32) } else { Track::Store };
-        // Interleaving distance → data coldness. Distance d counts the
-        // invocations of *other* functions on this core since this function
-        // last ran here; d = 0 (back-to-back) is fully warm, and coldness
-        // saturates at `distance_saturation`.
-        let cold = match core.last_seq.get(&(a.function as usize)) {
-            None => 1.0,
-            Some(&s) => {
-                let d = (core.seq - s - 1) as f64;
-                (d / self.cfg.distance_saturation.max(1.0)).min(1.0)
-            }
-        };
-        core.last_seq.insert(a.function as usize, core.seq);
-        core.seq += 1;
-
-        let track = Track::Core(ci as u32);
-        if sink.enabled() {
-            sink.record(Event {
-                ts: now,
-                dur: 0,
-                track,
-                // Queue time accumulated across attempts; without chaos
-                // this is exactly `now - a.cycle`.
-                kind: EventKind::Dispatch { function: a.function, queue_cycles: job.queue_accum },
-            });
-        }
-
-        // Stage the function's metadata region from the node store into
-        // the core's replay engine, charging the transfer. Under chaos,
-        // three gates can degrade this attempt to a cold run: an open
-        // circuit breaker (full record/replay bypass), a store
-        // unavailability window (no fetch at all), or a corrupt/lost
-        // region detected after the fetch (region evicted, breaker fed).
-        let mut md_cycles = 0u64;
-        let mut store_hit = false;
-        let mut degrade: Option<DegradeReason> = None;
-        let mut bypass = false;
-        // Policy replay admission: a denied function skips the store
-        // fetch entirely (no miss counted, nothing to re-record) and
-        // runs cold; its front-end stalls attribute to `cold_frontend`.
-        // With a disabled policy this is constant-false and the fetch
-        // gate below is the pre-seam `if ignite_on` exactly.
-        let policy_bypass = policy.enabled() && ignite_on && !policy.replay_admitted(a.function);
-        if ignite_on && !policy_bypass {
-            if let Some(rt) = chaos.as_mut() {
-                if !rt.breakers[a.function as usize].replay_allowed(now) {
-                    degrade = Some(DegradeReason::BreakerOpen);
-                    bypass = true;
-                } else if rt.state.store_unavailable_on(node, now) {
-                    degrade = Some(DegradeReason::StoreUnavailable);
-                }
-            }
-            if degrade.is_none() {
-                if keepalive.enabled() {
-                    keepalive.on_fetch(node, f.container, now);
-                }
-                let fetched = store.fetch(f.container).cloned();
-                match fetched {
-                    Some(md) => {
-                        store_hit = true;
-                        fstate.hits += 1;
-                        md_cycles += self.transfer_cycles(md.byte_len());
-                        if sink.enabled() {
-                            sink.record(Event {
-                                ts: now,
-                                dur: 0,
-                                track: store_track,
-                                kind: EventKind::StoreHit {
-                                    container: f.container,
-                                    bytes: md.byte_len() as u64,
-                                },
-                            });
-                        }
-                        // Chaos corruption draws on the fetched copy
-                        // (seeded per (container, invocation), like the
-                        // PR 1 codec fault model it reuses). Stale-but-
-                        // valid regions still install — replay handles
-                        // them; only undecodable or lost regions degrade.
-                        let installed: Option<Metadata> = match chaos.as_mut() {
-                            Some(rt) if rt.state.plan().store_fault.is_active() => {
-                                match rt.state.plan().store_fault.apply(
-                                    &md,
-                                    f.container,
-                                    fstate.count,
-                                ) {
-                                    Ok(Some(faulted)) if faulted.validate().is_ok() => {
-                                        Some(faulted)
-                                    }
-                                    Ok(Some(_)) | Err(_) => {
-                                        degrade = Some(DegradeReason::Corrupt);
-                                        None
-                                    }
-                                    Ok(None) => {
-                                        degrade = Some(DegradeReason::Loss);
-                                        None
-                                    }
-                                }
-                            }
-                            _ => Some(md),
-                        };
-                        match installed {
-                            Some(md) => {
-                                core.machine
-                                    .ignite
-                                    .as_mut()
-                                    .expect("ignite selected")
-                                    .install_metadata(f.container, md);
-                                if let Some(rt) = chaos.as_mut() {
-                                    let b = &mut rt.breakers[a.function as usize];
-                                    let closes = b.closes();
-                                    b.record_success();
-                                    if sink.enabled() && b.closes() > closes {
-                                        sink.record(Event {
-                                            ts: now,
-                                            dur: 0,
-                                            track: Track::Chaos,
-                                            kind: EventKind::BreakerClose { function: a.function },
-                                        });
-                                    }
-                                }
-                            }
-                            None => {
-                                let rt = chaos.as_mut().expect("faults only fire under chaos");
-                                // A region known bad must never be served
-                                // again.
-                                if store.remove(f.container).is_some() {
-                                    rt.stats.store_regions_dropped += 1;
-                                }
-                                let b = &mut rt.breakers[a.function as usize];
-                                let opens = b.opens();
-                                b.record_fault(now);
-                                if sink.enabled() && b.opens() > opens {
-                                    sink.record(Event {
-                                        ts: now,
-                                        dur: 0,
-                                        track: Track::Chaos,
-                                        kind: EventKind::BreakerOpen {
-                                            function: a.function,
-                                            faults: rt.retry.breaker_threshold,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        fstate.misses += 1;
-                        if sink.enabled() {
-                            sink.record(Event {
-                                ts: now,
-                                dur: 0,
-                                track: store_track,
-                                kind: EventKind::StoreMiss { container: f.container },
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        core.machine.context_switch();
-        if sink.enabled() {
-            sink.record(Event { ts: now, dur: 0, track, kind: EventKind::ContextSwitch });
-        }
-        let ctx =
-            InvocationCtx { data_cold_fraction: cold, bypass_ignite: bypass || policy_bypass };
-        // Map machine-local cycles onto the cluster clock: the engine
-        // portion starts after the metadata fetch transfer, and the
-        // machine clock (busy cycles only) never exceeds cluster time.
-        debug_assert!(core.machine.now <= now, "machine clock ahead of cluster clock");
-        let ts_offset = (now + md_cycles).saturating_sub(core.machine.now);
-        let res =
-            run_invocation_obs(&mut core.machine, f, fstate.count, ctx, sink, track, ts_offset);
-        fstate.count += 1;
-
-        // Straggler windows stretch the attempt's compute cycles; the
-        // extra cycles are charged to the execution component so the
-        // attribution tiling stays exact.
-        let mut exec_cycles = res.cycles;
-        let mut straggled = false;
-        if let Some(rt) = chaos.as_mut() {
-            let factor = rt.state.straggle_factor_milli(ci, now);
-            if factor > 1000 {
-                straggled = true;
-                exec_cycles = ((u128::from(res.cycles) * u128::from(factor)) / 1000) as u64;
-            }
-        }
-
-        // Take the (merged) region destined for the node store, sizing
-        // the writeback — but do not commit it yet: a crash that kills
-        // this attempt must also kill its writeback.
-        let mut wb: Option<Metadata> = None;
-        let mut wb_cycles = 0u64;
-        let mut wb_skipped = false;
-        if ignite_on {
-            if let Some(md) =
-                core.machine.ignite.as_mut().expect("ignite selected").take_metadata(f.container)
-            {
-                let wb_at = now + md_cycles + exec_cycles;
-                if policy.enabled() && !policy.store_admitted(a.function, md.byte_len() as u64) {
-                    // Policy tightened store admission: the recording is
-                    // discarded, saving footprint and writeback
-                    // bandwidth (the next fetch misses and re-records).
-                } else if chaos
-                    .as_mut()
-                    .is_some_and(|rt| rt.state.store_unavailable_on(node, wb_at))
-                {
-                    // Unreachable store: the region is simply lost (the
-                    // next fetch misses and re-records).
-                    wb_skipped = true;
-                } else {
-                    wb_cycles = self.transfer_cycles(md.byte_len());
-                    wb = Some(md);
-                }
-            }
-        }
-
-        let service = exec_cycles + md_cycles + wb_cycles;
-        let completion = now + service;
-
-        // Crash check: a crash window opening while this attempt holds
-        // the core kills it — no completion, no writeback, a fresh
-        // (fully cold) machine, and the core held busy until repair.
-        if let Some(rt) = chaos.as_mut() {
-            let crash_t = if completion > now + 1 {
-                rt.state.crash_in(ci, now + 1, completion - 1)
-            } else {
-                None
-            };
-            if let Some(crash_t) = crash_t {
-                let restart = rt
-                    .state
-                    .core_restart_after(ci, crash_t)
-                    .expect("crash window contains its own start");
-                if sink.enabled() {
-                    sink.record(Event {
-                        ts: crash_t,
-                        dur: 0,
-                        track: Track::Chaos,
-                        kind: EventKind::CoreCrash { core: ci as u32 },
-                    });
-                    sink.record(Event {
-                        ts: restart,
-                        dur: 0,
-                        track: Track::Chaos,
-                        kind: EventKind::CoreRestore {
-                            core: ci as u32,
-                            down_cycles: restart - crash_t,
-                        },
-                    });
-                }
-                core.machine = Machine::new(&self.uarch, &self.cfg.fe);
-                core.last_seq.clear();
-                core.busy = true;
-                core.busy_until = restart;
-                // The core worked (was busy) until the crash; the repair
-                // window is downtime, not utilization.
-                core.busy_cycles += crash_t - now;
-                return Served::Killed { at: crash_t };
-            }
-        }
-
-        // The attempt survived: commit the writeback.
-        let mut store_events: Vec<EventKind> = Vec::new();
-        if wb_skipped {
-            if let Some(rt) = chaos.as_mut() {
-                rt.stats.writeback_skipped += 1;
-            }
-        }
-        if let Some(md) = wb {
-            let bytes = md.byte_len() as u64;
-            md_cycles += wb_cycles;
-            // Keep-alive protected regions are evicted only as a last
-            // resort; with keep-alive off the closure is never true and
-            // the insert is the plain insert, branch for branch.
-            let outcome = store.insert_protected(f.container, md, &|c| {
-                keepalive.is_protected(node, c, completion)
-            });
-            if keepalive.enabled() && !outcome.rejected {
-                let window =
-                    if policy.enabled() { policy.keepalive_window(a.function) } else { None };
-                keepalive.on_complete_with(
-                    node,
-                    a.function as usize,
-                    f.container,
-                    completion,
-                    window,
-                );
-            }
-            if sink.enabled() {
-                for (victim, victim_bytes) in outcome.evicted {
-                    store_events.push(EventKind::StoreEvict {
-                        container: victim,
-                        bytes: victim_bytes as u64,
-                    });
-                }
-                if outcome.rejected {
-                    store_events.push(EventKind::StoreReject { container: f.container, bytes });
-                }
-            }
-        }
-
-        if let Some(rt) = chaos.as_mut() {
-            if straggled {
-                rt.stats.straggled += 1;
-            }
-            if let Some(reason) = degrade {
-                fstate.degraded += 1;
-                match reason {
-                    DegradeReason::StoreUnavailable => rt.stats.degraded_unavailable += 1,
-                    DegradeReason::Corrupt => rt.stats.degraded_corrupt += 1,
-                    DegradeReason::Loss => rt.stats.degraded_loss += 1,
-                    DegradeReason::BreakerOpen => rt.stats.degraded_breaker += 1,
-                }
-                if sink.enabled() {
-                    sink.record(Event {
-                        ts: now,
-                        dur: 0,
-                        track: Track::Chaos,
-                        kind: EventKind::Degraded { function: a.function, reason },
-                    });
-                }
-            }
-        }
-
-        if sink.enabled() || policy.enabled() {
-            // Causal latency attribution. Latency decomposes exactly:
-            // `latency = queue + retry + md_cycles + exec_cycles`, and
-            // the engine's integer stall counters tile the compute
-            // cycles into front-end penalty vs steady-state execution
-            // (straggle inflation is charged to execution). Front-end
-            // stalls paid after a store miss are the re-record cost
-            // Ignite could not avoid; after a hit (with Ignite off, or
-            // with replay suppressed by policy) they are the residual
-            // cold-front-end penalty; when chaos degraded replay away
-            // they are the price of availability. The policy folds the
-            // same components it would see on the trace, so the
-            // controller can run over a [`NullSink`].
-            let frontend = res.front_end_stall_cycles();
-            let execution = exec_cycles - frontend;
-            let (cold_frontend, store_miss, degraded_cycles) = if degrade.is_some() {
-                (0, 0, frontend)
-            } else if ignite_on && !store_hit && !policy_bypass {
-                (0, frontend, 0)
-            } else {
-                (frontend, 0, 0)
-            };
-            if sink.enabled() {
-                // The writeback (and any evictions it forced) lands at
-                // completion time; the span covers fetch + engine +
-                // writeback.
-                for kind in store_events {
-                    sink.record(Event { ts: completion, dur: 0, track: store_track, kind });
-                }
-                sink.record(Event {
-                    ts: now,
-                    dur: service,
-                    track,
-                    kind: EventKind::Invocation {
-                        function: a.function,
-                        invocation: fstate.count - 1,
-                    },
-                });
-                sink.record(Event {
-                    ts: completion,
-                    dur: 0,
-                    track,
-                    kind: EventKind::Complete { function: a.function, service_cycles: service },
-                });
-                sink.record(Event {
-                    ts: completion,
-                    dur: 0,
-                    track,
-                    kind: EventKind::Attribution {
-                        function: a.function,
-                        queue_cycles: job.queue_accum,
-                        retry_cycles: job.lost_cycles,
-                        dram_cycles: md_cycles,
-                        cold_frontend_cycles: cold_frontend,
-                        store_miss_cycles: store_miss,
-                        degraded_cycles,
-                        execution_cycles: execution,
-                        latency_cycles: completion - a.cycle,
-                    },
-                });
-            }
-            if policy.enabled() {
-                policy.observe(&PolicySample {
-                    function: a.function,
-                    completion,
-                    latency_cycles: completion - a.cycle,
-                    queue_cycles: job.queue_accum,
-                    retry_cycles: job.lost_cycles,
-                    dram_cycles: md_cycles,
-                    cold_frontend_cycles: cold_frontend,
-                    store_miss_cycles: store_miss,
-                    degraded_cycles,
-                    execution_cycles: execution,
-                    store_hit,
-                    replay_suppressed: policy_bypass,
-                });
-            }
-        }
-        if let Some(rt) = chaos.as_mut() {
-            rt.stats.retry_cycles += job.lost_cycles;
-        }
-        core.busy = true;
-        core.busy_until = completion;
-        core.busy_cycles += service;
-        core.invocations += 1;
-        fstate.service_cycles += service;
-        fstate.queue_cycles += job.queue_accum;
-        fstate.cold_sum += cold;
-        // Temperature of this start, dslab-faas style: no usable replay
-        // state at all is cold; replayed with zero interleaving distance
-        // is warm; replayed but partially displaced is lukewarm.
-        if !ignite_on || degrade.is_some() || !store_hit {
-            fstate.cold_starts += 1;
-        } else if cold == 0.0 {
-            fstate.warm_starts += 1;
-        } else {
-            fstate.lukewarm_starts += 1;
-        }
-        fstate.min_service = fstate.min_service.min(service);
-        fstate.result.merge(&res);
-        Served::Done { completion }
-    }
-
-    /// Cycles to move `bytes` of metadata at the configured bandwidth.
-    fn transfer_cycles(&self, bytes: usize) -> u64 {
-        (bytes as f64 / self.cfg.dram_bytes_per_cycle.max(1.0)).ceil() as u64
     }
 }
 
@@ -1726,6 +1620,12 @@ mod tests {
         }
     }
 
+    /// Serves the configured arrival process into `sink`.
+    fn observed_run<S: EventSink>(sim: &ClusterSim, sink: &mut S) -> ClusterOutcome {
+        let mut source = sim.config().arrival.source();
+        sim.run_source_policy_obs(&mut source, sink, &mut StaticPolicy)
+    }
+
     #[test]
     fn serves_every_arrival() {
         let sim = ClusterSim::new(quick_cfg());
@@ -1734,7 +1634,8 @@ mod tests {
             a.functions = 20;
             a.generate()
         };
-        let out = sim.run_trace(&trace);
+        let mut source = ignite_workloads::arrival::TraceSource::new(&trace);
+        let out = sim.run_source_policy_obs(&mut source, &mut NullSink, &mut StaticPolicy);
         assert_eq!(out.invocations as usize, trace.arrivals.len());
         assert!(out.makespan > 0);
         let per_core: u64 = out.cores.iter().map(|c| c.invocations).sum();
@@ -1905,7 +1806,7 @@ mod tests {
         let sim = ClusterSim::new(quick_cfg());
         let plain = sim.run();
         let mut buf = ignite_obs::TraceBuffer::new(1 << 20);
-        let observed = sim.run_obs(&mut buf);
+        let observed = observed_run(&sim, &mut buf);
         assert_eq!(plain, observed, "observation must not perturb the simulation");
         assert_eq!(buf.dropped(), 0, "buffer sized for the whole run");
         let names: std::collections::BTreeSet<&str> = buf.iter().map(|e| e.kind.name()).collect();
@@ -1944,6 +1845,23 @@ mod tests {
         let mut bad = chaos_cfg(7);
         bad.chaos.as_mut().unwrap().straggle_factor_milli = 500;
         assert!(msg(&bad).contains("straggle_factor_milli"));
+    }
+
+    #[test]
+    fn sub_unit_dram_bandwidth_is_simulated_as_configured() {
+        // Regression: transfers divided by `max(1.0)` of the bandwidth,
+        // so a validated 0.5 B/cycle silently ran as 1.0 B/cycle.
+        let latency_sum = |dram_bytes_per_cycle: f64| {
+            let cfg = ClusterConfig { dram_bytes_per_cycle, ..quick_cfg() };
+            ClusterSim::new(cfg).run().latency_sum
+        };
+        assert!(latency_sum(0.5) > latency_sum(1.0), "halving bandwidth must cost latency");
+    }
+
+    #[test]
+    #[should_panic(expected = "dram_bytes_per_cycle")]
+    fn new_panics_with_the_config_error() {
+        ClusterSim::new(ClusterConfig { dram_bytes_per_cycle: 0.0, ..quick_cfg() });
     }
 
     #[test]
@@ -2047,7 +1965,7 @@ mod tests {
         // the 7-component attribution invariant for every completion.
         let sim = ClusterSim::new(chaos_cfg(7));
         let mut buf = ignite_obs::TraceBuffer::new(1 << 21);
-        let out = sim.run_obs(&mut buf);
+        let out = observed_run(&sim, &mut buf);
         let mut attributed = 0u64;
         let mut latency_sum = 0u64;
         for e in buf.iter() {

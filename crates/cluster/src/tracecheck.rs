@@ -112,6 +112,7 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::StaticPolicy;
     use crate::sim::{ClusterConfig, ClusterSim};
     use ignite_obs::{to_chrome_json, ChromeOptions, TraceBuffer};
     use ignite_workloads::arrival::ArrivalConfig;
@@ -121,9 +122,9 @@ mod tests {
             arrival: ArrivalConfig { horizon_cycles: 600_000, ..ArrivalConfig::default() },
             ..ClusterConfig::default()
         };
-        let sim = ClusterSim::new(cfg);
+        let mut source = cfg.arrival.source();
         let mut buf = TraceBuffer::new(1 << 20);
-        sim.run_obs(&mut buf);
+        ClusterSim::new(cfg).run_source_policy_obs(&mut source, &mut buf, &mut StaticPolicy);
         to_chrome_json(&buf, &ChromeOptions { process_name: "ignite-cluster", function_names: &[] })
     }
 
@@ -148,9 +149,9 @@ mod tests {
             chaos: Some(ignite_chaos::ChaosPlan::default_preset().seeded(7)),
             ..ClusterConfig::default()
         };
-        let sim = ClusterSim::new(cfg);
+        let mut source = cfg.arrival.source();
         let mut buf = TraceBuffer::new(1 << 20);
-        sim.run_obs(&mut buf);
+        ClusterSim::new(cfg).run_source_policy_obs(&mut source, &mut buf, &mut StaticPolicy);
         let text = to_chrome_json(
             &buf,
             &ChromeOptions { process_name: "ignite-cluster", function_names: &[] },

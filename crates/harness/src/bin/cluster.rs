@@ -92,7 +92,7 @@ use ignite_chaos::{parse_chaos_spec, parse_retry_spec, ChaosPlan};
 use ignite_cluster::{
     metrics_for, record_metrics, record_trace_health, sweep_capacities, validate_trace,
     ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, ObsSummary,
-    SchedulerKind,
+    SchedulerKind, StaticPolicy,
 };
 use ignite_control::{Controller, ControllerSpec};
 use ignite_core::EvictionPolicy;
@@ -630,7 +630,7 @@ fn main() -> ExitCode {
     ) -> ClusterOutcome {
         match policy {
             Some(ctrl) => sim.run_source_policy_obs(source, sink, ctrl),
-            None => sim.run_source_obs(source, sink),
+            None => sim.run_source_policy_obs(source, sink, &mut StaticPolicy),
         }
     }
     let mut run_source =

@@ -16,7 +16,7 @@
 //!   supplied) keeps multi-window burn rates over the attribution
 //!   stream in pure integer arithmetic and emits `AlertFire` /
 //!   `AlertResolve` events onto their own trace track.
-//! - [`diff`] compares two runs — cluster reports, scope reports, or
+//! - [`diff()`] compares two runs — cluster reports, scope reports, or
 //!   bench reports — and flags significant regressions/improvements,
 //!   replacing ad-hoc percentage gates in CI.
 //!

@@ -123,11 +123,11 @@ pub fn pick_function(cumulative: &[f64], v: f64) -> u32 {
 /// A lazily evaluated stream of arrivals in non-decreasing cycle order.
 ///
 /// The cluster simulator pulls arrivals from a source one at a time
-/// (`ClusterSim::run_source`), so a million-invocation run holds O(1)
-/// arrival state instead of materializing the whole [`Trace`]. Sources
-/// must be deterministic: the same constructed source yields the same
-/// stream, and `None` is terminal (once exhausted, a source keeps
-/// returning `None`).
+/// (`ClusterSim::run_source_policy_obs`), so a million-invocation run
+/// holds O(1) arrival state instead of materializing the whole
+/// [`Trace`]. Sources must be deterministic: the same constructed
+/// source yields the same stream, and `None` is terminal (once
+/// exhausted, a source keeps returning `None`).
 pub trait ArrivalSource {
     /// Number of distinct function indices arrivals may carry.
     fn functions(&self) -> usize;

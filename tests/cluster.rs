@@ -16,8 +16,10 @@ use std::path::PathBuf;
 use ignite_chaos::ChaosPlan;
 use ignite_cluster::{
     sweep_capacities, ClusterConfig, ClusterReport, ClusterSim, KeepAliveKind, SchedulerKind,
-    Topology,
+    StaticPolicy, Topology,
 };
+use ignite_obs::NullSink;
+use ignite_workloads::arrival::{Trace, TraceSource};
 
 /// The pinned golden configuration: 4 cores, the full 20-function suite,
 /// Zipf(1.0) Poisson arrivals, a bounded LRU store. Small enough for CI,
@@ -287,8 +289,9 @@ fn replayed_trace_reproduces_direct_run() {
     arrival.functions = direct.functions.len();
     let trace = arrival.generate();
     let text = trace.to_text();
-    let parsed = ignite_workloads::arrival::Trace::parse(&text).expect("round-trip parse");
-    let replayed = ClusterSim::new(cfg.clone()).run_trace(&parsed);
+    let parsed = Trace::parse(&text).expect("round-trip parse");
+    let replayed =
+        sim.run_source_policy_obs(&mut TraceSource::new(&parsed), &mut NullSink, &mut StaticPolicy);
     let a = ClusterReport::new(cfg.clone(), direct).to_json();
     let b = ClusterReport::new(cfg, replayed).to_json();
     assert_eq!(a, b, "trace replay must reproduce the direct run");

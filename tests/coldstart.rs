@@ -4,13 +4,22 @@
 //! service time, and wasted keep-alive core-cycles with exact expected
 //! values derived by hand from the schedule.
 
-use ignite_cluster::{ClusterConfig, ClusterSim, KeepAliveKind, SchedulerKind, Topology};
-use ignite_workloads::arrival::{Arrival, Trace};
+use ignite_cluster::{
+    ClusterConfig, ClusterOutcome, ClusterSim, KeepAliveKind, SchedulerKind, StaticPolicy, Topology,
+};
+use ignite_obs::NullSink;
+use ignite_workloads::arrival::{Arrival, Trace, TraceSource};
 
 const WINDOW: u64 = 30_000;
 
 fn at(cycle: u64, function: u32) -> Arrival {
     Arrival { cycle, function }
+}
+
+/// Replays `trace` on a fresh cluster built from `cfg`.
+fn run_trace(cfg: ClusterConfig, trace: &Trace) -> ClusterOutcome {
+    let mut source = TraceSource::new(trace);
+    ClusterSim::new(cfg).run_source_policy_obs(&mut source, &mut NullSink, &mut StaticPolicy)
 }
 
 /// Two nodes, one core each, affinity routing, fixed keep-alive.
@@ -43,7 +52,7 @@ fn two_node_trace() -> Trace {
 
 #[test]
 fn micro_trace_counts_cold_and_warm_starts_exactly() {
-    let out = ClusterSim::new(two_node_cfg()).run_trace(&two_node_trace());
+    let out = run_trace(two_node_cfg(), &two_node_trace());
     assert!(out.makespan < 500_000, "services must fit the 200k gaps: {}", out.makespan);
     let f0 = &out.functions[0];
     let f1 = &out.functions[1];
@@ -67,7 +76,7 @@ fn micro_trace_counts_cold_and_warm_starts_exactly() {
 
 #[test]
 fn micro_trace_routes_and_conserves_per_node() {
-    let out = ClusterSim::new(two_node_cfg()).run_trace(&two_node_trace());
+    let out = run_trace(two_node_cfg(), &two_node_trace());
     assert_eq!(out.nodes.len(), 2);
     assert_eq!(out.nodes[0].submitted, 3, "f0's three arrivals stay on node 0");
     assert_eq!(out.nodes[1].submitted, 2, "f1's two arrivals stay on node 1");
@@ -94,7 +103,7 @@ fn micro_trace_routes_and_conserves_per_node() {
 /// function, 120k total.
 #[test]
 fn micro_trace_charges_wasted_keepalive_exactly() {
-    let out = ClusterSim::new(two_node_cfg()).run_trace(&two_node_trace());
+    let out = run_trace(two_node_cfg(), &two_node_trace());
     assert_eq!(out.functions[0].wasted_keepalive_cycles, 2 * WINDOW, "f0 wasted");
     assert_eq!(out.functions[1].wasted_keepalive_cycles, 2 * WINDOW, "f1 wasted");
     assert_eq!(out.nodes[0].wasted_keepalive_cycles, 2 * WINDOW, "node 0 wasted");
@@ -107,7 +116,7 @@ fn micro_trace_charges_wasted_keepalive_exactly() {
 /// minimum and the reported slowdown is at least 1.
 #[test]
 fn micro_trace_reports_slowdown_against_always_warm() {
-    let out = ClusterSim::new(two_node_cfg()).run_trace(&two_node_trace());
+    let out = run_trace(two_node_cfg(), &two_node_trace());
     for f in out.functions.iter().take(2) {
         assert!(f.min_service > 0, "{}: min service recorded", f.abbr);
         assert!(
@@ -142,7 +151,7 @@ fn interleaving_turns_warm_starts_lukewarm() {
         ..ClusterConfig::default()
     };
     let trace = Trace { functions: 2, arrivals: vec![at(0, 0), at(100_000, 1), at(200_000, 0)] };
-    let out = ClusterSim::new(cfg).run_trace(&trace);
+    let out = run_trace(cfg, &trace);
     let f0 = &out.functions[0];
     let f1 = &out.functions[1];
     assert_eq!(

@@ -1,8 +1,9 @@
-//! Control-plane integration gates: a `StaticPolicy` run must be
-//! byte-identical to the plain entry points on every committed golden
-//! configuration (the zero-cost-when-off contract), the controller-on
-//! report of the bursty MMPP configuration is pinned as its own golden
-//! snapshot, the decision audit trail must stay internally consistent
+//! Control-plane integration gates: an enabled policy that keeps every
+//! static default must reproduce the committed cluster, chaos and
+//! multinode goldens byte for byte (the zero-cost-when-off contract,
+//! checked from the enabled side), the controller-on report of the
+//! bursty MMPP configuration is pinned as its own golden snapshot, the
+//! decision audit trail must stay internally consistent
 //! (per-rule fire counters == decision-log counts), and the `cluster`
 //! binary must reproduce the golden byte-for-byte cross-process.
 //!
@@ -19,8 +20,8 @@ use std::path::PathBuf;
 
 use ignite_chaos::ChaosPlan;
 use ignite_cluster::{
-    ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, SchedulerKind,
-    StaticPolicy, Topology,
+    ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, PolicyHook,
+    SchedulerKind, Topology,
 };
 use ignite_control::{Controller, ControllerSpec};
 use ignite_obs::{CtrlRule, EventKind, NullSink, TraceBuffer};
@@ -111,25 +112,36 @@ fn control_outcome(cfg: &ClusterConfig) -> ClusterOutcome {
     sim.run_source_policy_obs(&mut *source, &mut NullSink, &mut controller)
 }
 
-/// The zero-cost-when-off contract: threading an explicit
-/// `StaticPolicy` through the policy entry point must reproduce the
-/// plain entry point exactly on every committed golden configuration.
+/// A policy that is switched on but keeps every hook's static default:
+/// every `enabled()`-guarded site in the simulator runs, and none of
+/// them may change a thing.
+struct EnabledDefaults;
+
+impl PolicyHook for EnabledDefaults {
+    fn enabled(&self) -> bool {
+        true
+    }
+}
+
+/// The zero-cost-when-off contract, checked from the enabled side: an
+/// enabled policy that keeps every static default must reproduce the
+/// committed golden reports byte for byte.
 #[test]
 fn static_policy_is_transparent_on_the_goldens() {
     for (name, cfg) in
         [("cluster", cluster_cfg()), ("chaos", chaos_cfg()), ("multinode", multinode_cfg())]
     {
-        let sim = ClusterSim::new(cfg.clone());
-        let plain = {
-            let mut source = cfg.arrival.source();
-            sim.run_source_obs(&mut source, &mut NullSink)
-        };
-        let policied = {
-            let mut source = cfg.arrival.source();
-            sim.run_source_policy_obs(&mut source, &mut NullSink, &mut StaticPolicy)
-        };
-        assert_eq!(policied, plain, "{name}: StaticPolicy run diverged from the plain run");
-        assert!(policied.controller.is_none(), "{name}: StaticPolicy must not attach stats");
+        let mut source = cfg.arrival.source();
+        let outcome = ClusterSim::new(cfg.clone()).run_source_policy_obs(
+            &mut source,
+            &mut NullSink,
+            &mut EnabledDefaults,
+        );
+        assert!(outcome.controller.is_none(), "{name}: a policy without stats attached some");
+        let report = ClusterReport::new(cfg, outcome).to_json();
+        let golden = std::fs::read_to_string(repo_path(&format!("tests/golden/{name}.json")))
+            .expect("read committed golden");
+        assert!(report == golden, "{name}: an enabled default policy diverged from the golden");
     }
 }
 

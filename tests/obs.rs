@@ -39,7 +39,7 @@ fn traced_run() -> (ClusterConfig, ignite_cluster::ClusterOutcome, TraceBuffer) 
     let cfg = obs_cfg();
     let sim = ClusterSim::new(cfg.clone());
     let mut buf = TraceBuffer::new(1 << 20);
-    let outcome = sim.run_obs(&mut buf);
+    let outcome = sim.run_source_policy_obs(&mut cfg.arrival.source(), &mut buf, &mut StaticPolicy);
     (cfg, outcome, buf)
 }
 
@@ -233,13 +233,7 @@ fn golden_event_streams_match() {
         eprintln!("blessed {}", path.display());
         return;
     }
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {} ({e}); generate it with \
-             IGNITE_BLESS=1 cargo test -p ignite-harness --test obs",
-            path.display()
-        )
-    });
+    let committed = std::fs::read_to_string(&path).expect("read the committed event digests");
     assert_eq!(
         committed, current,
         "event stream changed; if intentional, re-bless with \

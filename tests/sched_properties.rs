@@ -16,7 +16,8 @@
 
 use ignite_chaos::ChaosPlan;
 use ignite_cluster::{
-    ClusterConfig, ClusterSim, KeepAliveKind, NodeLoad, Scheduler, SchedulerKind, Topology,
+    ClusterConfig, ClusterSim, KeepAliveKind, NodeLoad, Scheduler, SchedulerKind, StaticPolicy,
+    Topology,
 };
 use ignite_obs::{EventKind, TraceBuffer, Track};
 use proptest::prelude::*;
@@ -68,7 +69,8 @@ fn least_loaded_is_work_conserving() {
     let cores_per_node = cfg.cores;
     let total_cores = cores_per_node * cfg.topology.nodes;
     let mut buf = TraceBuffer::new(1 << 20);
-    ClusterSim::new(cfg).run_obs(&mut buf);
+    let mut source = cfg.arrival.source();
+    ClusterSim::new(cfg).run_source_policy_obs(&mut source, &mut buf, &mut StaticPolicy);
     assert_eq!(buf.dropped(), 0, "trace buffer must hold the whole run");
     let busy = busy_intervals(&buf, total_cores);
     let mut queued_dispatches = 0u64;

@@ -6,10 +6,10 @@
 //! surfaced in report and metrics).
 
 use ignite_cluster::{
-    metrics_for, record_trace_health, validate_trace, ClusterConfig, ClusterReport, ClusterSim,
-    ObsSummary,
+    metrics_for, record_trace_health, validate_trace, ClusterConfig, ClusterOutcome, ClusterReport,
+    ClusterSim, ObsSummary, StaticPolicy,
 };
-use ignite_obs::{EventKind, NullSink, TraceBuffer, Track};
+use ignite_obs::{EventKind, EventSink, NullSink, TraceBuffer, Track};
 use ignite_scope::{diff, load_samples, ScopeAnalyzer, ScopeReport, SloConfig};
 
 /// Same pinned configuration as the cluster golden test: long enough
@@ -21,7 +21,13 @@ fn golden_cfg() -> ClusterConfig {
     cfg
 }
 
-fn abbrs(outcome: &ignite_cluster::ClusterOutcome) -> Vec<String> {
+/// Runs `cfg`'s arrival process into `sink` under the static policy.
+fn run_observed<S: EventSink>(cfg: &ClusterConfig, sink: &mut S) -> ClusterOutcome {
+    let mut source = cfg.arrival.source();
+    ClusterSim::new(cfg.clone()).run_source_policy_obs(&mut source, sink, &mut StaticPolicy)
+}
+
+fn abbrs(outcome: &ClusterOutcome) -> Vec<String> {
     outcome.functions.iter().map(|f| f.abbr.clone()).collect()
 }
 
@@ -33,7 +39,7 @@ fn abbrs(outcome: &ignite_cluster::ClusterOutcome) -> Vec<String> {
 fn attribution_components_tile_every_latency() {
     let cfg = golden_cfg();
     let mut analyzer = ScopeAnalyzer::new(NullSink);
-    let observed = ClusterSim::new(cfg.clone()).run_obs(&mut analyzer);
+    let observed = run_observed(&cfg, &mut analyzer);
     let plain = ClusterSim::new(cfg).run();
     assert_eq!(plain, observed, "attribution must not change the simulation");
 
@@ -73,7 +79,7 @@ fn scope_report_validates_and_is_deterministic() {
     let build = || {
         let cfg = golden_cfg();
         let mut analyzer = ScopeAnalyzer::new(NullSink).with_slo(SloConfig::default());
-        let outcome = ClusterSim::new(cfg).run_obs(&mut analyzer);
+        let outcome = run_observed(&cfg, &mut analyzer);
         ScopeReport::from_analyzer(&analyzer, &abbrs(&outcome)).to_json()
     };
     let a = build();
@@ -89,7 +95,7 @@ fn alerts_fire_into_their_own_track_and_chrome_export() {
     let cfg = golden_cfg();
     let slo = SloConfig { threshold_cycles: 1, min_count: 1, ..SloConfig::default() };
     let mut analyzer = ScopeAnalyzer::new(TraceBuffer::new(1 << 16)).with_slo(slo);
-    let outcome = ClusterSim::new(cfg).run_obs(&mut analyzer);
+    let outcome = run_observed(&cfg, &mut analyzer);
     let report = ScopeReport::from_analyzer(&analyzer, &abbrs(&outcome));
     assert!(report.totals.violations > 0, "every invocation violates a 1-cycle threshold");
     assert!(report.totals.alert_fires > 0, "sustained violations must fire");
@@ -116,7 +122,7 @@ fn alerts_fire_into_their_own_track_and_chrome_export() {
 fn self_diffs_report_zero_regressions() {
     let cfg = golden_cfg();
     let mut analyzer = ScopeAnalyzer::new(NullSink);
-    let outcome = ClusterSim::new(cfg.clone()).run_obs(&mut analyzer);
+    let outcome = run_observed(&cfg, &mut analyzer);
     let scope_json = ScopeReport::from_analyzer(&analyzer, &abbrs(&outcome)).to_json();
     let cluster_json = ClusterReport::new(cfg, outcome).to_json();
     let bench_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -166,7 +172,7 @@ fn scope_child_emits_sketch() {
     }
     let cfg = golden_cfg();
     let mut analyzer = ScopeAnalyzer::new(NullSink).with_slo(SloConfig::default());
-    let outcome = ClusterSim::new(cfg).run_obs(&mut analyzer);
+    let outcome = run_observed(&cfg, &mut analyzer);
     let hex: String = analyzer.overall().to_bytes().iter().map(|b| format!("{b:02x}")).collect();
     println!("IGNITE_SCOPE sketch {hex}");
     for line in ScopeReport::from_analyzer(&analyzer, &abbrs(&outcome)).to_json().lines() {
@@ -222,7 +228,7 @@ fn latency_overflow_reaches_inf_bucket() {
 fn trace_drops_are_surfaced() {
     let cfg = golden_cfg();
     let mut buf = TraceBuffer::new(64);
-    let outcome = ClusterSim::new(cfg.clone()).run_obs(&mut buf);
+    let outcome = run_observed(&cfg, &mut buf);
     assert!(buf.dropped() > 0, "a 64-event ring must overflow on this run");
 
     let obs = ObsSummary { trace_events: buf.len() as u64, trace_dropped: buf.dropped() };

@@ -17,11 +17,12 @@
 
 use std::path::PathBuf;
 
-use ignite_cluster::{ClusterConfig, ClusterReport, ClusterSim};
+use ignite_cluster::{ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, StaticPolicy};
+use ignite_obs::NullSink;
 use ignite_traffic::{
     materialize, AzureSource, AzureTrace, DiurnalWave, MmppChain, ModulatedSource, TrafficSpec,
 };
-use ignite_workloads::arrival::{ArrivalSource, Trace};
+use ignite_workloads::arrival::{ArrivalSource, Trace, TraceSource};
 use ignite_workloads::Suite;
 use proptest::prelude::*;
 
@@ -69,10 +70,14 @@ fn golden_source(cfg: &ClusterConfig, spec: &str) -> Box<dyn ArrivalSource> {
     }
 }
 
+/// Serves `source` on a fresh cluster built from `cfg`.
+fn run(cfg: &ClusterConfig, source: &mut dyn ArrivalSource) -> ClusterOutcome {
+    ClusterSim::new(cfg.clone()).run_source_policy_obs(source, &mut NullSink, &mut StaticPolicy)
+}
+
 fn golden_report(spec: &str) -> String {
     let cfg = golden_cfg(spec);
-    let mut source = golden_source(&cfg, spec);
-    let outcome = ClusterSim::new(cfg.clone()).run_source(&mut *source);
+    let outcome = run(&cfg, &mut *golden_source(&cfg, spec));
     ClusterReport::new(cfg, outcome).to_json()
 }
 
@@ -169,12 +174,9 @@ fn traffic_child_emits_reports() {
 fn streaming_matches_materialized_replay() {
     for spec in [AZURE_SPEC, MMPP_SPEC] {
         let cfg = golden_cfg(spec);
-        let streamed = {
-            let mut source = golden_source(&cfg, spec);
-            ClusterSim::new(cfg.clone()).run_source(&mut *source)
-        };
+        let streamed = run(&cfg, &mut *golden_source(&cfg, spec));
         let trace = materialize(&mut *golden_source(&cfg, spec));
-        let replayed = ClusterSim::new(cfg.clone()).run_trace(&trace);
+        let replayed = run(&cfg, &mut TraceSource::new(&trace));
         let a = ClusterReport::new(cfg.clone(), streamed).to_json();
         let b = ClusterReport::new(cfg, replayed).to_json();
         assert_eq!(a, b, "streaming vs materialized diverged for {spec}");
@@ -310,8 +312,7 @@ fn million_invocation_mmpp_run_streams() {
     // rate of 60/Mcycle => ~110 invocations per Mcycle, so 10G cycles
     // comfortably clears a million arrivals.
     cfg.arrival.horizon_cycles = 10_000_000_000;
-    let mut source = golden_source(&cfg, MMPP_SPEC);
-    let outcome = ClusterSim::new(cfg.clone()).run_source(&mut *source);
+    let outcome = run(&cfg, &mut *golden_source(&cfg, MMPP_SPEC));
     assert!(
         outcome.workload.arrivals >= 1_000_000,
         "expected a million arrivals, got {}",
