@@ -7,15 +7,20 @@
 //! key order, integers for cycle counts, shortest round-trip formatting
 //! for floats — so two same-seed runs, in different processes, produce
 //! identical bytes (the golden tests rely on this).
+//!
+//! [`ClusterReport::to_json`] is the only definition of the schema:
+//! [`ClusterReport::validate`] checks a document against what `to_json`
+//! writes for the same optional sections and row counts.
 
-use std::fmt::Write as _;
-
+use ignite_chaos::{ChaosPlan, ChaosStats};
 use ignite_core::ReplayStats;
+use ignite_obs::CtrlRule;
 
 use crate::json::{self, Value};
 use crate::keepalive::KeepAliveKind;
+use crate::policy::{ControllerStats, Decision};
 use crate::sched::SchedulerKind;
-use crate::sim::{ClusterConfig, ClusterOutcome};
+use crate::sim::{ClusterConfig, ClusterOutcome, CoreUsage, FunctionSummary, NodeUsage, Topology};
 
 /// Schema tag written into (and required of) every chaos-free report.
 pub const CLUSTER_SCHEMA: &str = "ignite-cluster-v1";
@@ -54,30 +59,20 @@ pub struct ClusterReport {
     pub obs: Option<ObsSummary>,
 }
 
-/// Renders a float for the report. Non-finite values serialize as `0`
-/// rather than `json::number`'s `null`: every numeric field in the schema
-/// is required to be a scalar, and a `null` (or a bare `NaN`) would make
-/// the emitted report fail its own validator.
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        json::number(x)
-    } else {
-        "0".to_string()
-    }
-}
-
-fn push_replay(out: &mut String, indent: &str, replay: &ReplayStats, unfinished: u64) {
-    let _ = writeln!(out, "{indent}\"entries_restored\": {},", replay.entries_restored);
-    let _ = writeln!(out, "{indent}\"bim_initialized\": {},", replay.bim_initialized);
-    let _ = writeln!(out, "{indent}\"l2_prefetches\": {},", replay.l2_prefetches);
-    let _ = writeln!(out, "{indent}\"itlb_warmed\": {},", replay.itlb_warmed);
-    let _ = writeln!(out, "{indent}\"metadata_bytes\": {},", replay.metadata_bytes);
-    let _ = writeln!(out, "{indent}\"throttled_steps\": {},", replay.throttled_steps);
-    let _ = writeln!(out, "{indent}\"decode_errors\": {},", replay.decode_errors);
-    let _ = writeln!(out, "{indent}\"entries_dropped\": {},", replay.entries_dropped);
-    let _ = writeln!(out, "{indent}\"stale_restored\": {},", replay.stale_restored);
-    let _ = writeln!(out, "{indent}\"watchdog_abandons\": {},", replay.watchdog_abandons);
-    let _ = writeln!(out, "{indent}\"replay_unfinished\": {unfinished}");
+fn write_replay(w: &mut json::Writer, replay: &ReplayStats, unfinished: u64) {
+    w.object("replay");
+    w.field("entries_restored", replay.entries_restored);
+    w.field("bim_initialized", replay.bim_initialized);
+    w.field("l2_prefetches", replay.l2_prefetches);
+    w.field("itlb_warmed", replay.itlb_warmed);
+    w.field("metadata_bytes", replay.metadata_bytes);
+    w.field("throttled_steps", replay.throttled_steps);
+    w.field("decode_errors", replay.decode_errors);
+    w.field("entries_dropped", replay.entries_dropped);
+    w.field("stale_restored", replay.stale_restored);
+    w.field("watchdog_abandons", replay.watchdog_abandons);
+    w.field("replay_unfinished", unfinished);
+    w.close();
 }
 
 impl ClusterReport {
@@ -113,683 +108,405 @@ impl ClusterReport {
     /// reports byte-identical to pre-multinode output.
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
-        let out_ = &self.outcome;
-        let total = out_.total_result();
+        let out = &self.outcome;
+        let total = out.total_result();
         let multi = !cfg.topology.is_default();
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{}\",", self.schema());
-        s.push_str("  \"config\": {\n");
-        let _ = writeln!(s, "    \"cores\": {},", cfg.cores);
+        let mut w = json::Writer::default();
+        w.field("schema", json::escape(self.schema()));
+        w.object("config");
+        w.field("cores", cfg.cores);
         if multi {
-            let _ = writeln!(s, "    \"nodes\": {},", cfg.topology.nodes);
-            let _ =
-                writeln!(s, "    \"scheduler\": {},", json::escape(&cfg.topology.scheduler.spec()));
-            let _ =
-                writeln!(s, "    \"keepalive\": {},", json::escape(&cfg.topology.keepalive.spec()));
+            w.field("nodes", cfg.topology.nodes);
+            w.field("scheduler", json::escape(&cfg.topology.scheduler.spec()));
+            w.field("keepalive", json::escape(&cfg.topology.keepalive.spec()));
         }
-        let _ = writeln!(s, "    \"fe\": {},", json::escape(&cfg.fe.name));
-        let _ = writeln!(s, "    \"scale\": {},", num(cfg.scale));
-        let _ = writeln!(s, "    \"seed\": {},", cfg.arrival.seed);
-        let _ = writeln!(s, "    \"functions\": {},", cfg.arrival.functions);
-        let _ = writeln!(s, "    \"rate_per_mcycle\": {},", num(cfg.arrival.rate_per_mcycle));
-        let _ = writeln!(s, "    \"zipf_s\": {},", num(cfg.arrival.zipf_s));
-        let _ = writeln!(s, "    \"horizon_cycles\": {},", cfg.arrival.horizon_cycles);
+        w.field("fe", json::escape(&cfg.fe.name));
+        w.float("scale", cfg.scale);
+        w.field("seed", cfg.arrival.seed);
+        w.field("functions", cfg.arrival.functions);
+        w.float("rate_per_mcycle", cfg.arrival.rate_per_mcycle);
+        w.float("zipf_s", cfg.arrival.zipf_s);
+        w.field("horizon_cycles", cfg.arrival.horizon_cycles);
         if let Some(spec) = &cfg.traffic {
-            let _ = writeln!(s, "    \"traffic\": {},", json::escape(spec));
+            w.field("traffic", json::escape(spec));
         }
         if let Some(spec) = &cfg.controller {
-            let _ = writeln!(s, "    \"controller\": {},", json::escape(spec));
+            w.field("controller", json::escape(spec));
         }
-        let _ = writeln!(s, "    \"store_capacity_bytes\": {},", cfg.store.capacity_bytes);
-        let _ = writeln!(s, "    \"store_policy\": {},", json::escape(cfg.store.policy.name()));
-        let _ = writeln!(s, "    \"store_pinned_hot\": {},", cfg.store.pinned_hot);
-        let _ = writeln!(s, "    \"distance_saturation\": {},", num(cfg.distance_saturation));
-        let _ = writeln!(s, "    \"dram_bytes_per_cycle\": {}", num(cfg.dram_bytes_per_cycle));
-        s.push_str("  },\n");
-        s.push_str("  \"totals\": {\n");
-        let _ = writeln!(s, "    \"invocations\": {},", out_.invocations);
-        let _ = writeln!(s, "    \"makespan_cycles\": {},", out_.makespan);
-        let _ = writeln!(s, "    \"instructions\": {},", total.instructions);
-        let _ = writeln!(s, "    \"cycles\": {},", total.cycles);
-        let _ = writeln!(s, "    \"mean_latency_cycles\": {},", num(out_.mean_latency));
-        let _ = writeln!(s, "    \"p50_latency_cycles\": {},", out_.p50_latency);
-        let _ = writeln!(s, "    \"p95_latency_cycles\": {},", out_.p95_latency);
-        let _ = writeln!(s, "    \"p99_latency_cycles\": {},", out_.p99_latency);
+        w.field("store_capacity_bytes", cfg.store.capacity_bytes);
+        w.field("store_policy", json::escape(cfg.store.policy.name()));
+        w.field("store_pinned_hot", cfg.store.pinned_hot);
+        w.float("distance_saturation", cfg.distance_saturation);
+        w.float("dram_bytes_per_cycle", cfg.dram_bytes_per_cycle);
+        w.close();
+        w.object("totals");
+        w.field("invocations", out.invocations);
+        w.field("makespan_cycles", out.makespan);
+        w.field("instructions", total.instructions);
+        w.field("cycles", total.cycles);
+        w.float("mean_latency_cycles", out.mean_latency);
+        w.field("p50_latency_cycles", out.p50_latency);
+        w.field("p95_latency_cycles", out.p95_latency);
+        w.field("p99_latency_cycles", out.p99_latency);
+        w.float("mean_utilization", out.mean_utilization());
         if multi {
-            let _ = writeln!(s, "    \"mean_utilization\": {},", num(out_.mean_utilization()));
-            let _ =
-                writeln!(s, "    \"wasted_keepalive_cycles\": {}", out_.wasted_keepalive_cycles());
-        } else {
-            let _ = writeln!(s, "    \"mean_utilization\": {}", num(out_.mean_utilization()));
+            w.field("wasted_keepalive_cycles", out.wasted_keepalive_cycles());
         }
-        s.push_str("  },\n");
-        s.push_str("  \"cores\": [\n");
-        for (i, c) in out_.cores.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"core\": {i}, \"invocations\": {}, \"busy_cycles\": {}, \
-                 \"utilization\": {}}}{}",
-                c.invocations,
-                c.busy_cycles,
-                num(c.utilization),
-                if i + 1 == out_.cores.len() { "" } else { "," }
-            );
+        w.close();
+        w.array("cores");
+        for (i, c) in out.cores.iter().enumerate() {
+            w.inline_row();
+            w.field("core", i);
+            w.field("invocations", c.invocations);
+            w.field("busy_cycles", c.busy_cycles);
+            w.float("utilization", c.utilization);
+            w.close();
         }
-        s.push_str("  ],\n");
+        w.close();
         if multi {
-            s.push_str("  \"nodes\": [\n");
-            for (i, nd) in out_.nodes.iter().enumerate() {
-                s.push_str("    {\n");
-                let _ = writeln!(s, "      \"node\": {i},");
-                let _ = writeln!(s, "      \"submitted\": {},", nd.submitted);
-                let _ = writeln!(s, "      \"completed\": {},", nd.completed);
-                let _ = writeln!(s, "      \"dropped\": {},", nd.dropped);
-                let _ = writeln!(s, "      \"queue_peak\": {},", nd.queue_peak);
-                let _ = writeln!(s, "      \"busy_cycles\": {},", nd.busy_cycles);
-                let _ = writeln!(s, "      \"utilization\": {},", num(nd.utilization));
-                let _ = writeln!(
-                    s,
-                    "      \"wasted_keepalive_cycles\": {},",
-                    nd.wasted_keepalive_cycles
-                );
-                s.push_str("      \"store\": {\n");
-                let _ = writeln!(s, "        \"hits\": {},", nd.store.hits);
-                let _ = writeln!(s, "        \"misses\": {},", nd.store.misses);
-                let _ = writeln!(s, "        \"hit_rate\": {},", num(nd.store.hit_rate()));
-                let _ = writeln!(s, "        \"footprint_bytes\": {},", nd.footprint_bytes);
-                let _ =
-                    writeln!(s, "        \"peak_footprint_bytes\": {}", nd.peak_footprint_bytes);
-                s.push_str("      }\n");
-                s.push_str(if i + 1 == out_.nodes.len() { "    }\n" } else { "    },\n" });
+            w.array("nodes");
+            for (i, nd) in out.nodes.iter().enumerate() {
+                w.row();
+                w.field("node", i);
+                w.field("submitted", nd.submitted);
+                w.field("completed", nd.completed);
+                w.field("dropped", nd.dropped);
+                w.field("queue_peak", nd.queue_peak);
+                w.field("busy_cycles", nd.busy_cycles);
+                w.float("utilization", nd.utilization);
+                w.field("wasted_keepalive_cycles", nd.wasted_keepalive_cycles);
+                w.object("store");
+                w.field("hits", nd.store.hits);
+                w.field("misses", nd.store.misses);
+                w.float("hit_rate", nd.store.hit_rate());
+                w.field("footprint_bytes", nd.footprint_bytes);
+                w.field("peak_footprint_bytes", nd.peak_footprint_bytes);
+                w.close();
+                w.close();
             }
-            s.push_str("  ],\n");
+            w.close();
         }
-        s.push_str("  \"store\": {\n");
-        let st = &out_.store;
-        let _ = writeln!(s, "    \"hits\": {},", st.hits);
-        let _ = writeln!(s, "    \"misses\": {},", st.misses);
-        let _ = writeln!(s, "    \"hit_rate\": {},", num(st.hit_rate()));
-        let _ = writeln!(s, "    \"insertions\": {},", st.insertions);
-        let _ = writeln!(s, "    \"evictions\": {},", st.evictions);
-        let _ = writeln!(s, "    \"rejected\": {},", st.rejected);
-        let _ = writeln!(s, "    \"bytes_read\": {},", st.bytes_read);
-        let _ = writeln!(s, "    \"bytes_written\": {},", st.bytes_written);
-        let _ = writeln!(s, "    \"bytes_evicted\": {},", st.bytes_evicted);
-        let _ = writeln!(s, "    \"footprint_bytes\": {},", out_.footprint_bytes);
-        let _ = writeln!(s, "    \"peak_footprint_bytes\": {}", out_.peak_footprint_bytes);
-        s.push_str("  },\n");
-        s.push_str("  \"replay\": {\n");
-        push_replay(&mut s, "    ", &total.replay, total.replay_unfinished);
-        s.push_str("  },\n");
+        let st = &out.store;
+        w.object("store");
+        w.field("hits", st.hits);
+        w.field("misses", st.misses);
+        w.float("hit_rate", st.hit_rate());
+        w.field("insertions", st.insertions);
+        w.field("evictions", st.evictions);
+        w.field("rejected", st.rejected);
+        w.field("bytes_read", st.bytes_read);
+        w.field("bytes_written", st.bytes_written);
+        w.field("bytes_evicted", st.bytes_evicted);
+        w.field("footprint_bytes", out.footprint_bytes);
+        w.field("peak_footprint_bytes", out.peak_footprint_bytes);
+        w.close();
+        write_replay(&mut w, &total.replay, total.replay_unfinished);
         // Workload fingerprint: present exactly when a `--traffic` spec
         // drove the run. Default Poisson/Zipf runs emit nothing here, so
         // pre-traffic reports stay byte-identical.
         if cfg.traffic.is_some() {
-            let wl = &out_.workload;
-            s.push_str("  \"workload\": {\n");
-            let _ = writeln!(s, "    \"schema\": \"{}\",", ignite_traffic::WORKLOAD_SCHEMA);
-            let _ = writeln!(s, "    \"arrivals\": {},", wl.arrivals);
-            let _ = writeln!(s, "    \"functions\": {},", wl.functions);
-            let _ = writeln!(s, "    \"horizon_cycles\": {},", wl.horizon_cycles);
-            let _ = writeln!(s, "    \"rate_per_mcycle\": {},", num(wl.rate_per_mcycle));
-            let _ = writeln!(s, "    \"interarrival_cv2\": {},", num(wl.interarrival_cv2));
-            let _ = writeln!(s, "    \"zipf_s_hat\": {},", num(wl.zipf_s_hat));
-            let _ = writeln!(s, "    \"top1_share\": {},", num(wl.top1_share));
-            let _ = writeln!(s, "    \"top5_share\": {}", num(wl.top5_share));
-            s.push_str("  },\n");
+            let wl = &out.workload;
+            w.object("workload");
+            w.field("schema", json::escape(ignite_traffic::WORKLOAD_SCHEMA));
+            w.field("arrivals", wl.arrivals);
+            w.field("functions", wl.functions);
+            w.field("horizon_cycles", wl.horizon_cycles);
+            w.float("rate_per_mcycle", wl.rate_per_mcycle);
+            w.float("interarrival_cv2", wl.interarrival_cv2);
+            w.float("zipf_s_hat", wl.zipf_s_hat);
+            w.float("top1_share", wl.top1_share);
+            w.float("top5_share", wl.top5_share);
+            w.close();
         }
-        if let Some(ch) = &out_.chaos {
+        if let Some(ch) = &out.chaos {
             let plan = cfg.chaos.as_ref().expect("chaos stats imply a chaos plan");
             let rp = &cfg.retry;
-            s.push_str("  \"chaos\": {\n");
-            s.push_str("    \"plan\": {\n");
-            let _ = writeln!(s, "      \"seed\": {},", plan.seed);
-            let _ = writeln!(s, "      \"crash_mtbf_cycles\": {},", plan.crash_mtbf_cycles);
-            let _ = writeln!(s, "      \"crash_repair_cycles\": {},", plan.crash_repair_cycles);
-            let _ = writeln!(s, "      \"straggle_mtbf_cycles\": {},", plan.straggle_mtbf_cycles);
-            let _ = writeln!(
-                s,
-                "      \"straggle_duration_cycles\": {},",
-                plan.straggle_duration_cycles
-            );
-            let _ = writeln!(s, "      \"straggle_factor_milli\": {},", plan.straggle_factor_milli);
-            let _ = writeln!(
-                s,
-                "      \"store_unavail_mtbf_cycles\": {},",
-                plan.store_unavail_mtbf_cycles
-            );
-            let _ = writeln!(
-                s,
-                "      \"store_unavail_duration_cycles\": {},",
-                plan.store_unavail_duration_cycles
-            );
-            let _ = writeln!(s, "      \"corrupt_ppm\": {},", plan.store_fault.bit_flip_ppm);
-            let _ = writeln!(s, "      \"loss_ppm\": {},", plan.store_fault.loss_ppm);
-            let _ = writeln!(s, "      \"dispatch_drop_ppm\": {}", plan.dispatch_drop_ppm);
-            s.push_str("    },\n");
-            s.push_str("    \"retry\": {\n");
-            let _ = writeln!(s, "      \"max_attempts\": {},", rp.max_attempts);
-            let _ = writeln!(s, "      \"backoff_base_cycles\": {},", rp.backoff_base_cycles);
-            let _ = writeln!(s, "      \"backoff_mult_milli\": {},", rp.backoff_mult_milli);
-            let _ = writeln!(s, "      \"backoff_max_cycles\": {},", rp.backoff_max_cycles);
-            let _ = writeln!(s, "      \"jitter_ppm\": {},", rp.jitter_ppm);
-            let _ = writeln!(s, "      \"deadline_cycles\": {},", rp.deadline_cycles);
-            let _ = writeln!(s, "      \"breaker_threshold\": {},", rp.breaker_threshold);
-            let _ =
-                writeln!(s, "      \"breaker_cooldown_cycles\": {}", rp.breaker_cooldown_cycles);
-            s.push_str("    },\n");
-            let _ = writeln!(s, "    \"submitted\": {},", ch.submitted);
-            let _ = writeln!(s, "    \"completed\": {},", ch.completed);
-            let _ = writeln!(s, "    \"retried_to_success\": {},", ch.retried_to_success);
-            let _ = writeln!(s, "    \"attempts_failed\": {},", ch.attempts_failed);
-            let _ = writeln!(s, "    \"crash_kills\": {},", ch.crash_kills);
-            let _ = writeln!(s, "    \"dispatch_drops\": {},", ch.dispatch_drops);
-            let _ = writeln!(s, "    \"dropped_deadline\": {},", ch.dropped_deadline);
-            let _ =
-                writeln!(s, "    \"dropped_retries_exhausted\": {},", ch.dropped_retries_exhausted);
-            let _ = writeln!(s, "    \"degraded_unavailable\": {},", ch.degraded_unavailable);
-            let _ = writeln!(s, "    \"degraded_corrupt\": {},", ch.degraded_corrupt);
-            let _ = writeln!(s, "    \"degraded_loss\": {},", ch.degraded_loss);
-            let _ = writeln!(s, "    \"degraded_breaker\": {},", ch.degraded_breaker);
-            let _ = writeln!(s, "    \"straggled\": {},", ch.straggled);
-            let _ = writeln!(s, "    \"writeback_skipped\": {},", ch.writeback_skipped);
-            let _ = writeln!(s, "    \"store_regions_dropped\": {},", ch.store_regions_dropped);
-            let _ = writeln!(s, "    \"breaker_opens\": {},", ch.breaker_opens);
-            let _ = writeln!(s, "    \"breaker_closes\": {},", ch.breaker_closes);
-            let _ = writeln!(s, "    \"retry_cycles\": {},", ch.retry_cycles);
-            let _ = writeln!(s, "    \"backoff_cycles\": {}", ch.backoff_cycles);
-            s.push_str("  },\n");
+            w.object("chaos");
+            w.object("plan");
+            w.field("seed", plan.seed);
+            w.field("crash_mtbf_cycles", plan.crash_mtbf_cycles);
+            w.field("crash_repair_cycles", plan.crash_repair_cycles);
+            w.field("straggle_mtbf_cycles", plan.straggle_mtbf_cycles);
+            w.field("straggle_duration_cycles", plan.straggle_duration_cycles);
+            w.field("straggle_factor_milli", plan.straggle_factor_milli);
+            w.field("store_unavail_mtbf_cycles", plan.store_unavail_mtbf_cycles);
+            w.field("store_unavail_duration_cycles", plan.store_unavail_duration_cycles);
+            w.field("corrupt_ppm", plan.store_fault.bit_flip_ppm);
+            w.field("loss_ppm", plan.store_fault.loss_ppm);
+            w.field("dispatch_drop_ppm", plan.dispatch_drop_ppm);
+            w.close();
+            w.object("retry");
+            w.field("max_attempts", rp.max_attempts);
+            w.field("backoff_base_cycles", rp.backoff_base_cycles);
+            w.field("backoff_mult_milli", rp.backoff_mult_milli);
+            w.field("backoff_max_cycles", rp.backoff_max_cycles);
+            w.field("jitter_ppm", rp.jitter_ppm);
+            w.field("deadline_cycles", rp.deadline_cycles);
+            w.field("breaker_threshold", rp.breaker_threshold);
+            w.field("breaker_cooldown_cycles", rp.breaker_cooldown_cycles);
+            w.close();
+            w.field("submitted", ch.submitted);
+            w.field("completed", ch.completed);
+            w.field("retried_to_success", ch.retried_to_success);
+            w.field("attempts_failed", ch.attempts_failed);
+            w.field("crash_kills", ch.crash_kills);
+            w.field("dispatch_drops", ch.dispatch_drops);
+            w.field("dropped_deadline", ch.dropped_deadline);
+            w.field("dropped_retries_exhausted", ch.dropped_retries_exhausted);
+            w.field("degraded_unavailable", ch.degraded_unavailable);
+            w.field("degraded_corrupt", ch.degraded_corrupt);
+            w.field("degraded_loss", ch.degraded_loss);
+            w.field("degraded_breaker", ch.degraded_breaker);
+            w.field("straggled", ch.straggled);
+            w.field("writeback_skipped", ch.writeback_skipped);
+            w.field("store_regions_dropped", ch.store_regions_dropped);
+            w.field("breaker_opens", ch.breaker_opens);
+            w.field("breaker_closes", ch.breaker_closes);
+            w.field("retry_cycles", ch.retry_cycles);
+            w.field("backoff_cycles", ch.backoff_cycles);
+            w.close();
         }
         if let Some(obs) = &self.obs {
-            s.push_str("  \"obs\": {\n");
-            let _ = writeln!(s, "    \"trace_events\": {},", obs.trace_events);
-            let _ = writeln!(s, "    \"trace_dropped\": {}", obs.trace_dropped);
-            s.push_str("  },\n");
+            w.object("obs");
+            w.field("trace_events", obs.trace_events);
+            w.field("trace_dropped", obs.trace_dropped);
+            w.close();
         }
         // The controller section — the decision audit trail — exists
         // only for controller-on runs, so every controller-off report
         // stays byte-identical to its golden.
-        if let Some(ctrl) = &out_.controller {
-            s.push_str("  \"controller\": {\n");
-            let _ = writeln!(s, "    \"epochs\": {},", ctrl.epochs);
-            let _ = writeln!(s, "    \"samples\": {},", ctrl.samples);
-            let _ = writeln!(s, "    \"replay_denied\": {},", ctrl.replay_denied);
-            let _ = writeln!(s, "    \"store_denied\": {},", ctrl.store_denied);
-            let _ = writeln!(s, "    \"final_active_cores\": {},", ctrl.final_active_cores);
-            s.push_str("    \"fires\": {\n");
-            for (i, &rule) in ignite_obs::CtrlRule::ALL.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "      \"{}\": {}{}",
-                    rule.key(),
-                    ctrl.fires(rule),
-                    if i + 1 == ignite_obs::CtrlRule::ALL.len() { "" } else { "," }
-                );
+        if let Some(ctrl) = &out.controller {
+            w.object("controller");
+            w.field("epochs", ctrl.epochs);
+            w.field("samples", ctrl.samples);
+            w.field("replay_denied", ctrl.replay_denied);
+            w.field("store_denied", ctrl.store_denied);
+            w.field("final_active_cores", ctrl.final_active_cores);
+            w.object("fires");
+            for rule in CtrlRule::ALL {
+                w.field(rule.key(), ctrl.fires(rule));
             }
-            s.push_str("    },\n");
-            s.push_str("    \"decisions\": [\n");
-            for (i, d) in ctrl.decisions.iter().enumerate() {
-                // Cluster-wide decisions (no single target function)
-                // serialize `function` as -1.
-                let function = if d.function == u32::MAX { -1 } else { d.function as i64 };
-                let _ = writeln!(
-                    s,
-                    "      {{\"at\": {}, \"epoch\": {}, \"rule\": {}, \"function\": {}, \
-                     \"value\": {}, \"observed\": {}, \"threshold\": {}}}{}",
-                    d.at,
-                    d.epoch,
-                    json::escape(d.rule.key()),
-                    function,
-                    d.value,
-                    d.observed,
-                    d.threshold,
-                    if i + 1 == ctrl.decisions.len() { "" } else { "," }
-                );
+            w.close();
+            w.array("decisions");
+            for d in &ctrl.decisions {
+                w.inline_row();
+                w.field("at", d.at);
+                w.field("epoch", d.epoch);
+                w.field("rule", json::escape(d.rule.key()));
+                // A cluster-wide decision has no target function: -1.
+                let function = if d.function == u32::MAX { -1 } else { i64::from(d.function) };
+                w.field("function", function);
+                w.field("value", d.value);
+                w.field("observed", d.observed);
+                w.field("threshold", d.threshold);
+                w.close();
             }
-            s.push_str("    ]\n");
-            s.push_str("  },\n");
+            w.close();
+            w.close();
         }
-        s.push_str("  \"functions\": [\n");
-        for (i, f) in out_.functions.iter().enumerate() {
-            s.push_str("    {\n");
-            let _ = writeln!(s, "      \"function\": {},", json::escape(&f.abbr));
-            let _ = writeln!(s, "      \"invocations\": {},", f.invocations);
-            let _ = writeln!(s, "      \"p50_latency_cycles\": {},", f.p50_latency);
-            let _ = writeln!(s, "      \"p95_latency_cycles\": {},", f.p95_latency);
-            let _ = writeln!(s, "      \"p99_latency_cycles\": {},", f.p99_latency);
-            let _ = writeln!(s, "      \"mean_service_cycles\": {},", num(f.mean_service));
-            let _ = writeln!(s, "      \"mean_queue_cycles\": {},", num(f.mean_queue));
-            let _ = writeln!(s, "      \"mean_cold_fraction\": {},", num(f.mean_cold_fraction));
-            let _ = writeln!(s, "      \"metadata_hits\": {},", f.metadata_hits);
-            let _ = writeln!(s, "      \"metadata_misses\": {},", f.metadata_misses);
-            let _ = writeln!(s, "      \"metadata_hit_rate\": {},", num(f.metadata_hit_rate()));
+        w.array("functions");
+        for f in &out.functions {
+            w.row();
+            w.field("function", json::escape(&f.abbr));
+            w.field("invocations", f.invocations);
+            w.field("p50_latency_cycles", f.p50_latency);
+            w.field("p95_latency_cycles", f.p95_latency);
+            w.field("p99_latency_cycles", f.p99_latency);
+            w.float("mean_service_cycles", f.mean_service);
+            w.float("mean_queue_cycles", f.mean_queue);
+            w.float("mean_cold_fraction", f.mean_cold_fraction);
+            w.field("metadata_hits", f.metadata_hits);
+            w.field("metadata_misses", f.metadata_misses);
+            w.float("metadata_hit_rate", f.metadata_hit_rate());
             if multi {
-                let _ = writeln!(s, "      \"cold_starts\": {},", f.cold_starts);
-                let _ = writeln!(s, "      \"lukewarm_starts\": {},", f.lukewarm_starts);
-                let _ = writeln!(s, "      \"warm_starts\": {},", f.warm_starts);
-                let _ = writeln!(s, "      \"min_service_cycles\": {},", f.min_service);
-                let _ = writeln!(s, "      \"slowdown\": {},", num(f.slowdown()));
-                let _ = writeln!(
-                    s,
-                    "      \"wasted_keepalive_cycles\": {},",
-                    f.wasted_keepalive_cycles
-                );
+                w.field("cold_starts", f.cold_starts);
+                w.field("lukewarm_starts", f.lukewarm_starts);
+                w.field("warm_starts", f.warm_starts);
+                w.field("min_service_cycles", f.min_service);
+                w.float("slowdown", f.slowdown());
+                w.field("wasted_keepalive_cycles", f.wasted_keepalive_cycles);
             }
-            if out_.chaos.is_some() {
-                let _ = writeln!(s, "      \"retries\": {},", f.retries);
-                let _ = writeln!(s, "      \"degraded\": {},", f.degraded);
-                let _ = writeln!(s, "      \"dropped\": {},", f.dropped);
+            if out.chaos.is_some() {
+                w.field("retries", f.retries);
+                w.field("degraded", f.degraded);
+                w.field("dropped", f.dropped);
             }
-            let _ = writeln!(s, "      \"cpi\": {},", num(f.result.cpi()));
-            let _ = writeln!(s, "      \"l1i_mpki\": {},", num(f.result.l1i_mpki()));
-            let _ = writeln!(s, "      \"btb_mpki\": {},", num(f.result.btb_mpki()));
-            s.push_str("      \"replay\": {\n");
-            push_replay(&mut s, "        ", &f.result.replay, f.result.replay_unfinished);
-            s.push_str("      }\n");
-            s.push_str(if i + 1 == out_.functions.len() { "    }\n" } else { "    },\n" });
+            w.float("cpi", f.result.cpi());
+            w.float("l1i_mpki", f.result.l1i_mpki());
+            w.float("btb_mpki", f.result.btb_mpki());
+            write_replay(&mut w, &f.result.replay, f.result.replay_unfinished);
+            w.close();
         }
-        s.push_str("  ]\n}\n");
-        s
+        w.close();
+        w.finish()
     }
 
-    /// Validates that `text` is a well-formed `ignite-cluster-v1` or
-    /// `ignite-cluster-v2` report: parseable JSON, a known schema tag,
-    /// and every required section and field present with the right
-    /// shape. v2 additionally requires the `chaos` section and enforces
-    /// the invocation conservation law (`submitted == completed +
-    /// dropped_deadline + dropped_retries_exhausted`); a `chaos` section
-    /// under the v1 tag is rejected. A config `traffic` spec and a
-    /// `workload` fingerprint section must likewise appear together or
-    /// not at all, with the fingerprint's own schema tag and sane
-    /// statistics (shares in `[0, 1]`, `top1 <= top5`, CV² >= 0). A
-    /// config `controller` spec and a `controller` section pair the
-    /// same way, and the decision audit log must agree with the
-    /// per-rule fire counters entry for entry.
+    /// Validates that `text` is an `ignite-cluster-v1` or `-v2` report: it
+    /// has the shape [`ClusterReport::to_json`] writes for the same optional
+    /// sections and row counts ([`json::same_shape`]), with the v2 tag
+    /// going with a `chaos` section and a config `nodes`, `traffic` or
+    /// `controller` key with its own section. Past the shape: the node
+    /// count matches the `nodes` array, the scheduler and keep-alive specs
+    /// parse, `cores` and `functions` are non-empty, nodes are labeled by
+    /// position, invocations are conserved on every node and in the chaos
+    /// ledger, the fingerprint has its schema tag and sane statistics
+    /// (shares in `[0, 1]`, `top1 <= top5`, CV² >= 0), and the fire
+    /// counters agree with the decision log.
     pub fn validate(text: &str) -> Result<(), String> {
         let doc = json::parse(text)?;
         let obj = doc.as_object().ok_or("report is not an object")?;
         let schema = json::get(obj, "schema").and_then(Value::as_str);
-        let v2 = match schema {
-            Some(CLUSTER_SCHEMA) => false,
-            Some(CLUSTER_SCHEMA_V2) => true,
-            other => {
+        let v2 = schema == Some(CLUSTER_SCHEMA_V2);
+        if !v2 && schema != Some(CLUSTER_SCHEMA) {
+            let want = [CLUSTER_SCHEMA, CLUSTER_SCHEMA_V2];
+            return Err(format!("schema {schema:?}, want one of {want:?}"));
+        }
+        let config = json::get_object(obj, "config");
+        let paired = |key: &str, section: &str| match (
+            json::get(config, key).is_some(),
+            json::get(obj, section).is_some(),
+        ) {
+            (true, false) => Err(format!("config '{key}' requires a '{section}' section")),
+            (false, true) => Err(format!("'{section}' section requires a config '{key}' key")),
+            (both, _) => Ok(both),
+        };
+        let multi = paired("nodes", "nodes")?;
+        let traffic = paired("traffic", "workload")?;
+        let controlled = paired("controller", "controller")?;
+        // The skeleton is sized from the document's arrays, never from a
+        // number in it: the node count must match the array first.
+        let nodes = json::get_array(obj, "nodes");
+        let topology = if multi {
+            let n = json::get(config, "nodes").and_then(Value::as_f64);
+            let n = n.ok_or("report.config.nodes: expected a number")?;
+            if n != nodes.len() as f64 {
+                return Err(format!("'nodes' array has {} entries, config says {n}", nodes.len()));
+            }
+            let spec = |key| json::get(config, key).and_then(Value::as_str).unwrap_or_default();
+            let bad = |e| format!("config: {e}");
+            Topology {
+                nodes: nodes.len(),
+                scheduler: SchedulerKind::parse(spec("scheduler")).map_err(bad)?,
+                keepalive: KeepAliveKind::parse(spec("keepalive")).map_err(bad)?,
+            }
+        } else {
+            Topology::default()
+        };
+        // The decision log's rules, for the fire counters to agree with.
+        let controller = json::get_object(obj, "controller");
+        let mut log = Vec::new();
+        for (i, d) in json::get_array(controller, "decisions").iter().enumerate() {
+            let key = d.as_object().and_then(|o| json::get(o, "rule")).and_then(Value::as_str);
+            let key = key.unwrap_or_default();
+            let rule = CtrlRule::ALL.into_iter().find(|r| r.key() == key);
+            let rule =
+                rule.ok_or_else(|| format!("controller.decisions[{i}]: unknown rule {key:?}"))?;
+            log.push(Decision {
+                at: 0,
+                epoch: 0,
+                rule,
+                function: 0,
+                value: 0,
+                observed: 0,
+                threshold: 0,
+            });
+        }
+        let rows = |key: &str| json::get_array(obj, key).len();
+        let skeleton = ClusterReport {
+            config: ClusterConfig {
+                topology,
+                chaos: v2.then(ChaosPlan::default),
+                traffic: traffic.then(String::new),
+                controller: controlled.then(String::new),
+                ..ClusterConfig::default()
+            },
+            outcome: ClusterOutcome {
+                cores: vec![CoreUsage::default(); rows("cores")],
+                nodes: vec![NodeUsage::default(); nodes.len()],
+                functions: vec![FunctionSummary::default(); rows("functions")],
+                chaos: v2.then(ChaosStats::default),
+                controller: controlled
+                    .then(|| ControllerStats { decisions: log, ..Default::default() }),
+                ..ClusterOutcome::default()
+            },
+            obs: json::get(obj, "obs").map(|_| ObsSummary::default()),
+        };
+        json::same_shape(&doc, &json::parse(&skeleton.to_json())?, "report")?;
+
+        for key in ["cores", "functions"] {
+            if rows(key) == 0 {
+                return Err(format!("empty '{key}' array"));
+            }
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            let ctx = format!("nodes[{i}]");
+            let n = |key| json::get_count(node.as_object().unwrap_or_default(), &ctx, key);
+            if n("node")? != i as u64 {
+                return Err(format!("{ctx} is labeled node {}", n("node")?));
+            }
+            let usage = NodeUsage {
+                submitted: n("submitted")?,
+                completed: n("completed")?,
+                dropped: n("dropped")?,
+                ..NodeUsage::default()
+            };
+            if !usage.conserved() {
                 return Err(format!(
-                    "schema {other:?}, want {CLUSTER_SCHEMA:?} or {CLUSTER_SCHEMA_V2:?}"
-                ))
-            }
-        };
-        let section = |key: &str| {
-            json::get(obj, key)
-                .and_then(Value::as_object)
-                .ok_or_else(|| format!("missing object '{key}'"))
-        };
-        let require = |o: &[(String, Value)], ctx: &str, keys: &[&str]| {
-            for k in keys {
-                let v = json::get(o, k).ok_or_else(|| format!("{ctx}: missing '{k}'"))?;
-                if v.as_f64().is_none() && v.as_str().is_none() {
-                    return Err(format!("{ctx}: '{k}' is not a scalar"));
-                }
-            }
-            Ok(())
-        };
-        require(
-            section("config")?,
-            "config",
-            &[
-                "cores",
-                "fe",
-                "scale",
-                "seed",
-                "rate_per_mcycle",
-                "zipf_s",
-                "horizon_cycles",
-                "store_capacity_bytes",
-                "store_policy",
-            ],
-        )?;
-        require(
-            section("totals")?,
-            "totals",
-            &[
-                "invocations",
-                "makespan_cycles",
-                "mean_latency_cycles",
-                "p50_latency_cycles",
-                "p95_latency_cycles",
-                "p99_latency_cycles",
-                "mean_utilization",
-            ],
-        )?;
-        // Multi-node pairing: a config `nodes` count and a top-level
-        // `nodes` array must appear together or not at all, the specs
-        // must parse, the array length must match the count, and each
-        // node must satisfy its own conservation law.
-        let nodes_cfg = json::get(section("config")?, "nodes").and_then(Value::as_f64);
-        let nodes_arr = json::get(obj, "nodes").and_then(Value::as_array);
-        let multi = match (nodes_cfg, nodes_arr) {
-            (Some(_), None) => {
-                return Err("config names a node count but the report has no 'nodes' array".into())
-            }
-            (None, Some(_)) => {
-                return Err("'nodes' array requires a config 'nodes' key".into());
-            }
-            (None, None) => false,
-            (Some(count), Some(arr)) => {
-                let config = section("config")?;
-                let sched = json::get(config, "scheduler")
-                    .and_then(Value::as_str)
-                    .ok_or("config: multi-node report is missing 'scheduler'")?;
-                SchedulerKind::parse(sched).map_err(|e| format!("config: {e}"))?;
-                let ka = json::get(config, "keepalive")
-                    .and_then(Value::as_str)
-                    .ok_or("config: multi-node report is missing 'keepalive'")?;
-                KeepAliveKind::parse(ka).map_err(|e| format!("config: {e}"))?;
-                if arr.len() as f64 != count {
-                    return Err(format!(
-                        "'nodes' array has {} entries, config says {count}",
-                        arr.len()
-                    ));
-                }
-                require(section("totals")?, "totals", &["wasted_keepalive_cycles"])?;
-                for (i, nd) in arr.iter().enumerate() {
-                    let no =
-                        nd.as_object().ok_or_else(|| format!("nodes[{i}] is not an object"))?;
-                    require(
-                        no,
-                        &format!("nodes[{i}]"),
-                        &[
-                            "node",
-                            "submitted",
-                            "completed",
-                            "dropped",
-                            "queue_peak",
-                            "busy_cycles",
-                            "utilization",
-                            "wasted_keepalive_cycles",
-                        ],
-                    )?;
-                    let so = json::get(no, "store")
-                        .and_then(Value::as_object)
-                        .ok_or_else(|| format!("nodes[{i}]: missing object 'store'"))?;
-                    require(
-                        so,
-                        &format!("nodes[{i}].store"),
-                        &["hits", "misses", "hit_rate", "footprint_bytes", "peak_footprint_bytes"],
-                    )?;
-                    let n = |k: &str| json::get(no, k).and_then(Value::as_f64).unwrap_or(f64::NAN);
-                    if n("node") != i as f64 {
-                        return Err(format!("nodes[{i}] is labeled node {}", n("node")));
-                    }
-                    if n("submitted") != n("completed") + n("dropped") {
-                        return Err(format!(
-                            "nodes[{i}]: conservation violated: submitted {} != \
-                             completed {} + dropped {}",
-                            n("submitted"),
-                            n("completed"),
-                            n("dropped")
-                        ));
-                    }
-                }
-                true
-            }
-        };
-        require(
-            section("store")?,
-            "store",
-            &["hits", "misses", "hit_rate", "footprint_bytes", "peak_footprint_bytes"],
-        )?;
-        require(
-            section("replay")?,
-            "replay",
-            &[
-                "entries_restored",
-                "decode_errors",
-                "entries_dropped",
-                "stale_restored",
-                "watchdog_abandons",
-                "replay_unfinished",
-            ],
-        )?;
-        // The obs section is optional (traced runs only), but when
-        // present it must be well-formed.
-        if let Some(obs) = json::get(obj, "obs") {
-            let oo = obs.as_object().ok_or("'obs' is not an object")?;
-            require(oo, "obs", &["trace_events", "trace_dropped"])?;
-        }
-        // Controller pairing: a config `controller` spec and a
-        // top-level `controller` section appear together or not at all,
-        // the section is complete, and the decision log is consistent
-        // with the per-rule fire counters (every decision counted
-        // exactly once, every counter backed by decisions).
-        let controller_cfg = json::get(section("config")?, "controller").and_then(Value::as_str);
-        match (controller_cfg, json::get(obj, "controller")) {
-            (Some(_), None) => {
-                return Err(
-                    "config names a controller spec but the report has no 'controller' section"
-                        .into(),
-                )
-            }
-            (None, Some(_)) => {
-                return Err("'controller' section requires a config 'controller' key".into())
-            }
-            (None, None) => {}
-            (Some(_), Some(ctrl)) => {
-                let co = ctrl.as_object().ok_or("'controller' is not an object")?;
-                require(
-                    co,
-                    "controller",
-                    &["epochs", "samples", "replay_denied", "store_denied", "final_active_cores"],
-                )?;
-                let fires = json::get(co, "fires")
-                    .and_then(Value::as_object)
-                    .ok_or("controller: missing object 'fires'")?;
-                let decisions = json::get(co, "decisions")
-                    .and_then(Value::as_array)
-                    .ok_or("controller: missing array 'decisions'")?;
-                for (i, d) in decisions.iter().enumerate() {
-                    let dobj = d
-                        .as_object()
-                        .ok_or_else(|| format!("controller.decisions[{i}] is not an object"))?;
-                    require(
-                        dobj,
-                        &format!("controller.decisions[{i}]"),
-                        &["at", "epoch", "rule", "function", "value", "observed", "threshold"],
-                    )?;
-                }
-                let mut counted = 0.0;
-                for rule in ignite_obs::CtrlRule::ALL {
-                    let n = json::get(fires, rule.key())
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("controller.fires: missing '{}'", rule.key()))?;
-                    let logged = decisions
-                        .iter()
-                        .filter(|d| {
-                            d.as_object().and_then(|o| json::get(o, "rule")).and_then(Value::as_str)
-                                == Some(rule.key())
-                        })
-                        .count() as f64;
-                    if n != logged {
-                        return Err(format!(
-                            "controller: fires['{}'] is {n} but the decision log has {logged}",
-                            rule.key()
-                        ));
-                    }
-                    counted += n;
-                }
-                if counted != decisions.len() as f64 {
-                    return Err(format!(
-                        "controller: decision log has {} entries, fires total {counted} \
-                         (unknown rule in log)",
-                        decisions.len()
-                    ));
-                }
-            }
-        }
-        // Workload-fingerprint pairing: a config `traffic` spec and a
-        // top-level `workload` section appear together or not at all,
-        // the fingerprint carries its own schema tag, and its statistics
-        // must be internally sane.
-        let traffic_cfg = json::get(section("config")?, "traffic").and_then(Value::as_str);
-        match (traffic_cfg, json::get(obj, "workload")) {
-            (Some(_), None) => {
-                return Err(
-                    "config names a traffic spec but the report has no 'workload' section".into()
-                )
-            }
-            (None, Some(_)) => {
-                return Err("'workload' section requires a config 'traffic' key".into())
-            }
-            (None, None) => {}
-            (Some(_), Some(wl)) => {
-                let wo = wl.as_object().ok_or("'workload' is not an object")?;
-                let ws = json::get(wo, "schema").and_then(Value::as_str);
-                if ws != Some(ignite_traffic::WORKLOAD_SCHEMA) {
-                    return Err(format!(
-                        "workload: schema {ws:?}, want {:?}",
-                        ignite_traffic::WORKLOAD_SCHEMA
-                    ));
-                }
-                require(
-                    wo,
-                    "workload",
-                    &[
-                        "arrivals",
-                        "functions",
-                        "horizon_cycles",
-                        "rate_per_mcycle",
-                        "interarrival_cv2",
-                        "zipf_s_hat",
-                        "top1_share",
-                        "top5_share",
-                    ],
-                )?;
-                let n = |k: &str| json::get(wo, k).and_then(Value::as_f64).unwrap_or(f64::NAN);
-                for k in ["top1_share", "top5_share"] {
-                    let v = n(k);
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(format!("workload: '{k}' {v} outside [0, 1]"));
-                    }
-                }
-                if n("top1_share") > n("top5_share") {
-                    return Err(format!(
-                        "workload: top1_share {} exceeds top5_share {}",
-                        n("top1_share"),
-                        n("top5_share")
-                    ));
-                }
-                let cv2 = n("interarrival_cv2");
-                if cv2.is_nan() || cv2 < 0.0 {
-                    return Err(format!("workload: negative interarrival_cv2 {cv2}"));
-                }
-            }
-        }
-        match (v2, json::get(obj, "chaos")) {
-            (false, Some(_)) => {
-                return Err(format!("'chaos' section requires the {CLUSTER_SCHEMA_V2:?} tag"))
-            }
-            (true, None) => {
-                return Err(format!("{CLUSTER_SCHEMA_V2:?} report is missing its 'chaos' section"))
-            }
-            (false, None) => {}
-            (true, Some(ch)) => {
-                let co = ch.as_object().ok_or("'chaos' is not an object")?;
-                json::get(co, "plan")
-                    .and_then(Value::as_object)
-                    .ok_or("chaos: missing object 'plan'")?;
-                json::get(co, "retry")
-                    .and_then(Value::as_object)
-                    .ok_or("chaos: missing object 'retry'")?;
-                require(
-                    co,
-                    "chaos",
-                    &[
-                        "submitted",
-                        "completed",
-                        "retried_to_success",
-                        "attempts_failed",
-                        "crash_kills",
-                        "dispatch_drops",
-                        "dropped_deadline",
-                        "dropped_retries_exhausted",
-                        "degraded_unavailable",
-                        "degraded_corrupt",
-                        "degraded_loss",
-                        "degraded_breaker",
-                        "straggled",
-                        "writeback_skipped",
-                        "store_regions_dropped",
-                        "breaker_opens",
-                        "breaker_closes",
-                        "retry_cycles",
-                        "backoff_cycles",
-                    ],
-                )?;
-                let n = |k: &str| json::get(co, k).and_then(Value::as_f64).unwrap_or(f64::NAN);
-                // Conservation law: every submitted invocation is
-                // accounted for, either completed or dropped with a
-                // reason. Integer counts round-trip f64 exactly below
-                // 2^53, so equality is exact.
-                let submitted = n("submitted");
-                let accounted =
-                    n("completed") + n("dropped_deadline") + n("dropped_retries_exhausted");
-                if submitted != accounted {
-                    return Err(format!(
-                        "chaos: conservation violated: submitted {submitted} != \
-                         completed+dropped {accounted}"
-                    ));
-                }
-            }
-        }
-        let cores =
-            json::get(obj, "cores").and_then(Value::as_array).ok_or("missing array 'cores'")?;
-        if cores.is_empty() {
-            return Err("empty 'cores' array".to_string());
-        }
-        let functions = json::get(obj, "functions")
-            .and_then(Value::as_array)
-            .ok_or("missing array 'functions'")?;
-        if functions.is_empty() {
-            return Err("empty 'functions' array".to_string());
-        }
-        for (i, f) in functions.iter().enumerate() {
-            let fo = f.as_object().ok_or_else(|| format!("functions[{i}] is not an object"))?;
-            require(
-                fo,
-                &format!("functions[{i}]"),
-                &[
-                    "function",
-                    "invocations",
-                    "p50_latency_cycles",
-                    "p95_latency_cycles",
-                    "p99_latency_cycles",
-                    "metadata_hit_rate",
-                ],
-            )?;
-            if v2 {
-                require(fo, &format!("functions[{i}]"), &["retries", "degraded", "dropped"])?;
-            }
-            if multi {
-                require(
-                    fo,
-                    &format!("functions[{i}]"),
-                    &[
-                        "cold_starts",
-                        "lukewarm_starts",
-                        "warm_starts",
-                        "min_service_cycles",
-                        "slowdown",
-                        "wasted_keepalive_cycles",
-                    ],
-                )?;
-            } else if json::get(fo, "cold_starts").is_some() {
-                return Err(format!(
-                    "functions[{i}]: cold-start accounting requires a multi-node config"
+                    "{ctx}: conservation violated: submitted {} != completed {} + dropped {}",
+                    usage.submitted, usage.completed, usage.dropped
                 ));
             }
-            json::get(fo, "replay")
-                .and_then(Value::as_object)
-                .ok_or_else(|| format!("functions[{i}]: missing replay block"))?;
+        }
+        if traffic {
+            let wl = json::get_object(obj, "workload");
+            let tag = json::get(wl, "schema").and_then(Value::as_str);
+            if tag != Some(ignite_traffic::WORKLOAD_SCHEMA) {
+                let want = ignite_traffic::WORKLOAD_SCHEMA;
+                return Err(format!("workload: schema {tag:?}, want {want:?}"));
+            }
+            let n = |k: &str| json::get(wl, k).and_then(Value::as_f64).unwrap_or(f64::NAN);
+            let (top1, top5, cv2) = (n("top1_share"), n("top5_share"), n("interarrival_cv2"));
+            for (k, v) in [("top1_share", top1), ("top5_share", top5)] {
+                if !(0.0..=1.0).contains(&v) {
+                    return Err(format!("workload: '{k}' {v} outside [0, 1]"));
+                }
+            }
+            if top1 > top5 {
+                return Err(format!("workload: top1_share {top1} exceeds top5_share {top5}"));
+            }
+            if cv2.is_nan() || cv2 < 0.0 {
+                return Err(format!("workload: negative interarrival_cv2 {cv2}"));
+            }
+        }
+        if v2 {
+            let n = |key| json::get_count(json::get_object(obj, "chaos"), "chaos", key);
+            let stats = ChaosStats {
+                submitted: n("submitted")?,
+                completed: n("completed")?,
+                dropped_deadline: n("dropped_deadline")?,
+                dropped_retries_exhausted: n("dropped_retries_exhausted")?,
+                ..ChaosStats::default()
+            };
+            if !stats.conserved() {
+                return Err(format!(
+                    "chaos: conservation violated: submitted {} != completed+dropped {}",
+                    stats.submitted,
+                    stats.completed + stats.dropped_total()
+                ));
+            }
+        }
+        if let Some(log) = &skeleton.outcome.controller {
+            let fires = json::get_object(controller, "fires");
+            for rule in CtrlRule::ALL {
+                let n = json::get_count(fires, "controller.fires", rule.key())?;
+                if n != log.fires(rule) {
+                    return Err(format!(
+                        "controller: fires['{}'] is {n} but the decision log has {}",
+                        rule.key(),
+                        log.fires(rule)
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -921,6 +638,72 @@ mod tests {
         let text = ClusterReport::new(cfg, outcome).to_json();
         assert!(!text.contains("null"));
         ClusterReport::validate(&text).expect("starved functions must still validate");
+    }
+
+    /// Drops every line of `text` that contains any of `needles`.
+    fn without_lines(text: &str, needles: &[&str]) -> String {
+        let kept = text.lines().filter(|l| !needles.iter().any(|n| l.contains(n)));
+        kept.map(|l| format!("{l}\n")).collect()
+    }
+
+    /// Four malformed reports that a hand-kept list of required keys let
+    /// through: a string where a number belongs, a missing replay
+    /// counter, a missing config key with every `cpi` gone, and an
+    /// unknown config key.
+    #[test]
+    fn validate_rejects_reports_missing_or_mistyping_any_key() {
+        let good = report().to_json();
+        let cases = [
+            (
+                good.replacen("\"cores\": 4,", "\"cores\": \"four\",", 1),
+                "report.config.cores: expected a number, found a string",
+            ),
+            (
+                without_lines(&good, &["bim_initialized"]),
+                "report.replay: missing 'bim_initialized'",
+            ),
+            (
+                without_lines(&good, &["store_pinned_hot", "\"cpi\""]),
+                "report.config: missing 'store_pinned_hot'",
+            ),
+            (
+                good.replacen("\"config\": {", "\"config\": {\n    \"bogus\": 1,", 1),
+                "report.config: unexpected key 'bogus'",
+            ),
+        ];
+        for (text, want) in cases {
+            assert_eq!(ClusterReport::validate(&text), Err(want.to_string()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_unknown_keys_anywhere() {
+        let good = report().to_json();
+        let top = good.replacen("{\n", "{\n  \"bogus\": 1,\n", 1);
+        assert_eq!(ClusterReport::validate(&top), Err("report: unexpected key 'bogus'".into()));
+        let row = good.replacen("\"cpi\":", "\"bogus\": 1,\n      \"cpi\":", 1);
+        let err = ClusterReport::validate(&row).unwrap_err();
+        assert_eq!(err, "report.functions[0]: unexpected key 'bogus'");
+    }
+
+    /// The skeleton is sized from the document's arrays: a node count
+    /// that disagrees with the array, however large, is an error before
+    /// anything is built from it.
+    #[test]
+    fn node_counts_past_the_array_are_rejected_before_sizing() {
+        let good = multinode_report().to_json();
+        for count in ["1e300", "4", "18446744073709551616"] {
+            let bad = good.replacen("\"nodes\": 3", &format!("\"nodes\": {count}"), 1);
+            let err = ClusterReport::validate(&bad).unwrap_err();
+            assert!(err.starts_with("'nodes' array has 3 entries, config says"), "{err}");
+        }
+    }
+
+    #[test]
+    fn empty_reports_are_rejected() {
+        // A zero-valued report has the emitter's shape but no rows.
+        let empty = ClusterReport::new(ClusterConfig::default(), ClusterOutcome::default());
+        assert_eq!(ClusterReport::validate(&empty.to_json()), Err("empty 'cores' array".into()));
     }
 
     #[test]

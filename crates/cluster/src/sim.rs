@@ -425,8 +425,15 @@ pub struct NodeUsage {
     pub wasted_keepalive_cycles: u64,
 }
 
+impl NodeUsage {
+    /// The per-node conservation law: `submitted == completed + dropped`.
+    pub fn conserved(&self) -> bool {
+        self.submitted == self.completed + self.dropped
+    }
+}
+
 /// The outcome of one cluster run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterOutcome {
     /// Invocations completed (equals the trace length).
     pub invocations: u64,
@@ -1505,6 +1512,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
                 }
             })
             .collect();
+        debug_assert!(nodes.iter().all(NodeUsage::conserved), "node conservation violated");
         let chaos = self.chaos.map(|mut rt| {
             for b in &rt.breakers {
                 rt.stats.breaker_opens += b.opens();

@@ -5,8 +5,8 @@
 //! into 64 sub-buckets, so the reported quantile never overstates the
 //! true nearest-rank percentile by more than `value / 64` (~1.6%
 //! relative error). Buckets live in a `BTreeMap`, so iteration — and
-//! therefore every quantile query and the byte serialization — is fully
-//! deterministic across runs and processes.
+//! therefore every quantile query — is fully deterministic across runs
+//! and processes.
 //!
 //! Sketches are mergeable ([`QuantileSketch::merge`]): merging the
 //! per-function sketches of a cluster run yields exactly the sketch the
@@ -19,8 +19,6 @@ use std::collections::BTreeMap;
 const SUB_BITS: u32 = 6;
 /// Values below this are their own (exact) bucket.
 const LINEAR_LIMIT: u64 = 1 << (SUB_BITS + 1);
-/// Serialization magic ("igsk" + format version 1).
-const MAGIC: [u8; 5] = [b'i', b'g', b's', b'k', 1];
 
 /// Bucket index for a value (exact below [`LINEAR_LIMIT`], logarithmic
 /// with 64 sub-buckets per octave above it).
@@ -50,7 +48,7 @@ fn bucket_upper(idx: u32) -> u64 {
     upper.min(u128::from(u64::MAX)) as u64
 }
 
-/// A mergeable, byte-stable streaming quantile sketch over `u64` values.
+/// A mergeable, deterministic streaming quantile sketch over `u64` values.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuantileSketch {
     counts: BTreeMap<u32, u64>,
@@ -151,65 +149,6 @@ impl QuantileSketch {
         }
         self.max
     }
-
-    /// Serializes the sketch to a deterministic byte string: identical
-    /// sketches — built in any process, in any observation order —
-    /// produce identical bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + 4 * 8 + 4 + self.counts.len() * 12);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.total.to_le_bytes());
-        out.extend_from_slice(&self.sum.to_le_bytes());
-        out.extend_from_slice(&self.min().to_le_bytes());
-        out.extend_from_slice(&self.max().to_le_bytes());
-        out.extend_from_slice(&(self.counts.len() as u32).to_le_bytes());
-        for (&idx, &c) in &self.counts {
-            out.extend_from_slice(&idx.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out
-    }
-
-    /// Reconstructs a sketch from [`QuantileSketch::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            let end = pos.checked_add(n).filter(|&e| e <= bytes.len());
-            let end = end.ok_or_else(|| format!("sketch truncated at byte {pos}"))?;
-            let s = &bytes[*pos..end];
-            *pos = end;
-            Ok(s)
-        };
-        let mut pos = 0usize;
-        if take(&mut pos, 5)? != MAGIC {
-            return Err("bad sketch magic/version".to_string());
-        }
-        let u64_at = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8 bytes"));
-        let total = u64_at(take(&mut pos, 8)?);
-        let sum = u64_at(take(&mut pos, 8)?);
-        let min = u64_at(take(&mut pos, 8)?);
-        let max = u64_at(take(&mut pos, 8)?);
-        let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-        let mut counts = BTreeMap::new();
-        let mut counted = 0u64;
-        let mut last: Option<u32> = None;
-        for _ in 0..n {
-            let idx = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-            let c = u64_at(take(&mut pos, 8)?);
-            if last.is_some_and(|l| idx <= l) || c == 0 {
-                return Err("sketch buckets not strictly increasing / empty".to_string());
-            }
-            last = Some(idx);
-            counted += c;
-            counts.insert(idx, c);
-        }
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        if counted != total {
-            return Err(format!("bucket counts sum to {counted}, header says {total}"));
-        }
-        Ok(QuantileSketch { counts, total, sum, min, max })
-    }
 }
 
 #[cfg(test)]
@@ -276,21 +215,6 @@ mod tests {
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged, bulk);
-        assert_eq!(merged.to_bytes(), bulk.to_bytes());
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        let mut s = QuantileSketch::new();
-        for v in [3u64, 70_000, 70_001, 1 << 40, u64::MAX] {
-            s.observe(v);
-        }
-        let bytes = s.to_bytes();
-        let back = QuantileSketch::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back, s);
-        assert_eq!(back.to_bytes(), bytes);
-        assert!(QuantileSketch::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(QuantileSketch::from_bytes(b"nope").is_err());
     }
 
     proptest::proptest! {
@@ -345,7 +269,7 @@ mod tests {
             for &v in data.iter().rev() {
                 rev.observe(v);
             }
-            proptest::prop_assert_eq!(fwd.to_bytes(), rev.to_bytes());
+            proptest::prop_assert_eq!(fwd, rev);
         }
     }
 }

@@ -1,24 +1,34 @@
 //! The `ignite-scope-v1` report: serialization, validation, and
 //! Prometheus exposition of an analyzer's aggregates.
-
-use std::fmt::Write as _;
+//!
+//! [`ScopeReport::to_json`] is the only definition of the schema:
+//! [`ScopeReport::validate`] checks a document against what `to_json`
+//! writes for the same SLO section and row count.
 
 use ignite_cluster::json::{self, Value};
-use ignite_obs::{EventSink, MetricsRegistry, QuantileSketch};
+use ignite_obs::{EventSink, MetricsRegistry};
 
-use crate::attribution::ScopeAnalyzer;
+use crate::attribution::{InvocationAttribution, ScopeAnalyzer};
 use crate::slo::SloConfig;
 
 /// Schema tag written into (and required of) every scope report.
 pub const SCOPE_SCHEMA: &str = "ignite-scope-v1";
 
 /// Per-function rows of the report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FunctionScope {
     /// Function index in suite order.
     pub function: u32,
     /// Table-1 abbreviation (or `fn-<i>` when unknown).
     pub abbr: String,
+    /// The function's attributed sums and sketch quantiles.
+    pub totals: ScopeTotals,
+}
+
+/// Attributed sums and sketch quantiles over a set of invocations: the
+/// whole run, or one function's.
+#[derive(Debug, Clone, Default)]
+pub struct ScopeTotals {
     /// Invocations attributed.
     pub invocations: u64,
     /// Summed queueing cycles.
@@ -51,63 +61,24 @@ pub struct FunctionScope {
     pub alert_resolves: u64,
 }
 
-impl FunctionScope {
-    /// This row's numeric fields as a [`ScopeTotals`] (the two carry
-    /// the same measurements; only abbr/index are extra).
-    fn totals(&self) -> ScopeTotals {
-        ScopeTotals {
-            invocations: self.invocations,
-            queue_cycles: self.queue_cycles,
-            retry_cycles: self.retry_cycles,
-            dram_cycles: self.dram_cycles,
-            cold_frontend_cycles: self.cold_frontend_cycles,
-            store_miss_cycles: self.store_miss_cycles,
-            degraded_cycles: self.degraded_cycles,
-            execution_cycles: self.execution_cycles,
-            latency_cycles: self.latency_cycles,
-            p50_latency: self.p50_latency,
-            p95_latency: self.p95_latency,
-            p99_latency: self.p99_latency,
-            violations: self.violations,
-            alert_fires: self.alert_fires,
-            alert_resolves: self.alert_resolves,
-        }
+impl ScopeTotals {
+    fn write(&self, w: &mut json::Writer) {
+        w.field("invocations", self.invocations);
+        w.field("queue_cycles", self.queue_cycles);
+        w.field("retry_cycles", self.retry_cycles);
+        w.field("dram_cycles", self.dram_cycles);
+        w.field("cold_frontend_cycles", self.cold_frontend_cycles);
+        w.field("store_miss_cycles", self.store_miss_cycles);
+        w.field("degraded_cycles", self.degraded_cycles);
+        w.field("execution_cycles", self.execution_cycles);
+        w.field("latency_cycles", self.latency_cycles);
+        w.field("p50_latency_cycles", self.p50_latency);
+        w.field("p95_latency_cycles", self.p95_latency);
+        w.field("p99_latency_cycles", self.p99_latency);
+        w.field("slo_violations", self.violations);
+        w.field("alert_fires", self.alert_fires);
+        w.field("alert_resolves", self.alert_resolves);
     }
-}
-
-/// Cluster-wide totals.
-#[derive(Debug, Clone, Default)]
-pub struct ScopeTotals {
-    /// Invocations attributed.
-    pub invocations: u64,
-    /// Summed queueing cycles.
-    pub queue_cycles: u64,
-    /// Summed retry/backoff cycles (chaos runs only; 0 otherwise).
-    pub retry_cycles: u64,
-    /// Summed metadata DRAM cycles.
-    pub dram_cycles: u64,
-    /// Summed cold front-end cycles.
-    pub cold_frontend_cycles: u64,
-    /// Summed store-miss re-record cycles.
-    pub store_miss_cycles: u64,
-    /// Summed degraded-mode front-end cycles (chaos runs only).
-    pub degraded_cycles: u64,
-    /// Summed execution cycles.
-    pub execution_cycles: u64,
-    /// Summed end-to-end latency.
-    pub latency_cycles: u64,
-    /// Sketch quantiles over all invocations.
-    pub p50_latency: u64,
-    /// 95th percentile.
-    pub p95_latency: u64,
-    /// 99th percentile.
-    pub p99_latency: u64,
-    /// SLO violations across all functions.
-    pub violations: u64,
-    /// Alert fire transitions across all functions.
-    pub alert_fires: u64,
-    /// Alert resolve transitions across all functions.
-    pub alert_resolves: u64,
 }
 
 /// The full report, ready to serialize.
@@ -121,21 +92,37 @@ pub struct ScopeReport {
     pub functions: Vec<FunctionScope>,
 }
 
+/// Reads every row written before the failure model, which lacks the
+/// chaos components, as one whose chaos components are 0.
+fn read_legacy_rows(v: &mut Value) {
+    match v {
+        Value::Object(pairs) => {
+            for (key, after) in
+                [("retry_cycles", "queue_cycles"), ("degraded_cycles", "store_miss_cycles")]
+            {
+                let at = pairs.iter().position(|(k, _)| k == after);
+                if let (None, Some(i)) = (json::get(pairs, key), at) {
+                    pairs.insert(i + 1, (key.to_string(), Value::Number(0.0)));
+                }
+            }
+            pairs.iter_mut().for_each(|(_, v)| read_legacy_rows(v));
+        }
+        Value::Array(items) => items.iter_mut().for_each(read_legacy_rows),
+        _ => {}
+    }
+}
+
 impl ScopeReport {
     /// Builds the report from a finished analyzer. `abbrs` maps
     /// function index to its abbreviation (suite order, as in
     /// `ClusterOutcome::functions`); indices past the end get `fn-<i>`.
     pub fn from_analyzer<S: EventSink>(analyzer: &ScopeAnalyzer<S>, abbrs: &[String]) -> Self {
-        let q = |s: &QuantileSketch| (s.quantile(50), s.quantile(95), s.quantile(99));
         let mut totals = ScopeTotals::default();
         let mut functions = Vec::new();
         for (&function, f) in analyzer.per_function() {
-            let (p50, p95, p99) = q(&f.latency);
             let abbr =
                 abbrs.get(function as usize).cloned().unwrap_or_else(|| format!("fn-{function}"));
-            functions.push(FunctionScope {
-                function,
-                abbr,
+            let row = ScopeTotals {
                 invocations: f.invocations,
                 queue_cycles: f.queue_cycles,
                 retry_cycles: f.retry_cycles,
@@ -145,13 +132,14 @@ impl ScopeReport {
                 degraded_cycles: f.degraded_cycles,
                 execution_cycles: f.execution_cycles,
                 latency_cycles: f.latency_cycles,
-                p50_latency: p50,
-                p95_latency: p95,
-                p99_latency: p99,
+                p50_latency: f.latency.quantile(50),
+                p95_latency: f.latency.quantile(95),
+                p99_latency: f.latency.quantile(99),
                 violations: f.violations,
                 alert_fires: f.alert_fires,
                 alert_resolves: f.alert_resolves,
-            });
+            };
+            functions.push(FunctionScope { function, abbr, totals: row });
             totals.queue_cycles += f.queue_cycles;
             totals.retry_cycles += f.retry_cycles;
             totals.dram_cycles += f.dram_cycles;
@@ -165,146 +153,100 @@ impl ScopeReport {
             totals.alert_resolves += f.alert_resolves;
         }
         totals.invocations = analyzer.total_invocations();
-        let (p50, p95, p99) = q(analyzer.overall());
-        totals.p50_latency = p50;
-        totals.p95_latency = p95;
-        totals.p99_latency = p99;
+        totals.p50_latency = analyzer.overall().quantile(50);
+        totals.p95_latency = analyzer.overall().quantile(95);
+        totals.p99_latency = analyzer.overall().quantile(99);
         ScopeReport { slo: analyzer.slo().copied(), totals, functions }
     }
 
     /// Serializes to deterministic, pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        fn push_components(s: &mut String, indent: &str, c: &ScopeTotals) {
-            let _ = writeln!(s, "{indent}\"invocations\": {},", c.invocations);
-            let _ = writeln!(s, "{indent}\"queue_cycles\": {},", c.queue_cycles);
-            let _ = writeln!(s, "{indent}\"retry_cycles\": {},", c.retry_cycles);
-            let _ = writeln!(s, "{indent}\"dram_cycles\": {},", c.dram_cycles);
-            let _ = writeln!(s, "{indent}\"cold_frontend_cycles\": {},", c.cold_frontend_cycles);
-            let _ = writeln!(s, "{indent}\"store_miss_cycles\": {},", c.store_miss_cycles);
-            let _ = writeln!(s, "{indent}\"degraded_cycles\": {},", c.degraded_cycles);
-            let _ = writeln!(s, "{indent}\"execution_cycles\": {},", c.execution_cycles);
-            let _ = writeln!(s, "{indent}\"latency_cycles\": {},", c.latency_cycles);
-            let _ = writeln!(s, "{indent}\"p50_latency_cycles\": {},", c.p50_latency);
-            let _ = writeln!(s, "{indent}\"p95_latency_cycles\": {},", c.p95_latency);
-            let _ = writeln!(s, "{indent}\"p99_latency_cycles\": {},", c.p99_latency);
-            let _ = writeln!(s, "{indent}\"slo_violations\": {},", c.violations);
-            let _ = writeln!(s, "{indent}\"alert_fires\": {},", c.alert_fires);
-            let _ = writeln!(s, "{indent}\"alert_resolves\": {}", c.alert_resolves);
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCOPE_SCHEMA}\",");
+        let mut w = json::Writer::default();
+        w.field("schema", json::escape(SCOPE_SCHEMA));
         match &self.slo {
-            None => s.push_str("  \"slo\": null,\n"),
+            None => w.field("slo", "null"),
             Some(slo) => {
-                s.push_str("  \"slo\": {\n");
-                let _ = writeln!(s, "    \"threshold_cycles\": {},", slo.threshold_cycles);
-                let _ = writeln!(s, "    \"objective_milli\": {},", slo.objective_milli);
-                let _ = writeln!(s, "    \"fast_window_cycles\": {},", slo.fast_window_cycles);
-                let _ = writeln!(s, "    \"slow_window_cycles\": {},", slo.slow_window_cycles);
-                let _ = writeln!(s, "    \"burn_milli\": {},", slo.burn_milli);
-                let _ = writeln!(s, "    \"min_count\": {}", slo.min_count);
-                s.push_str("  },\n");
+                w.object("slo");
+                w.field("threshold_cycles", slo.threshold_cycles);
+                w.field("objective_milli", slo.objective_milli);
+                w.field("fast_window_cycles", slo.fast_window_cycles);
+                w.field("slow_window_cycles", slo.slow_window_cycles);
+                w.field("burn_milli", slo.burn_milli);
+                w.field("min_count", slo.min_count);
+                w.close();
             }
         }
-        s.push_str("  \"totals\": {\n");
-        push_components(&mut s, "    ", &self.totals);
-        s.push_str("  },\n");
-        s.push_str("  \"functions\": [\n");
-        for (i, f) in self.functions.iter().enumerate() {
-            s.push_str("    {\n");
-            let _ = writeln!(s, "      \"function\": {},", json::escape(&f.abbr));
-            let _ = writeln!(s, "      \"index\": {},", f.function);
-            push_components(&mut s, "      ", &f.totals());
-            s.push_str(if i + 1 == self.functions.len() { "    }\n" } else { "    },\n" });
+        w.object("totals");
+        self.totals.write(&mut w);
+        w.close();
+        w.array("functions");
+        for f in &self.functions {
+            w.row();
+            w.field("function", json::escape(&f.abbr));
+            w.field("index", f.function);
+            f.totals.write(&mut w);
+            w.close();
         }
-        s.push_str("  ]\n}\n");
-        s
+        w.close();
+        w.finish()
     }
 
-    /// Validates serialized report text: parseable JSON, the right
-    /// schema tag, every required key, and the attribution invariant —
-    /// the seven components sum exactly to the latency, in the totals
-    /// and in every function row — plus quantile ordering. The chaos
-    /// components (`retry_cycles`, `degraded_cycles`) are read as 0
-    /// when absent, so reports written before the failure model
-    /// existed still validate.
+    /// Validates serialized report text: the schema tag, the shape
+    /// [`ScopeReport::to_json`] writes for the same SLO section and row
+    /// count ([`json::same_shape`]), and the attribution invariant — the
+    /// seven components sum exactly to the latency, in the totals and in
+    /// every row — plus ordered quantiles and row invocations summing to
+    /// the total. A row without `retry_cycles` or `degraded_cycles`, as
+    /// written before the failure model existed, reads them as 0.
     pub fn validate(text: &str) -> Result<(), String> {
-        let doc = json::parse(text)?;
+        let mut doc = json::parse(text)?;
         let obj = doc.as_object().ok_or("report is not an object")?;
         let schema = json::get(obj, "schema").and_then(Value::as_str);
         if schema != Some(SCOPE_SCHEMA) {
             return Err(format!("schema {schema:?}, want {SCOPE_SCHEMA:?}"));
         }
-        match json::get(obj, "slo") {
-            None => return Err("missing 'slo'".to_string()),
-            Some(Value::Null) => {}
-            Some(v) => {
-                let so = v.as_object().ok_or("'slo' is not an object or null")?;
-                for k in [
-                    "threshold_cycles",
-                    "objective_milli",
-                    "fast_window_cycles",
-                    "slow_window_cycles",
-                    "burn_milli",
-                    "min_count",
-                ] {
-                    json::get(so, k)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("slo: missing number '{k}'"))?;
-                }
-            }
-        }
-        let check_section = |o: &[(String, Value)], ctx: &str| -> Result<(), String> {
-            let get = |k: &str| {
-                json::get(o, k)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{ctx}: missing number '{k}'"))
+        read_legacy_rows(&mut doc);
+        let obj = doc.as_object().unwrap_or_default();
+        let skeleton = ScopeReport {
+            slo: json::get(obj, "slo").and_then(Value::as_object).map(|_| SloConfig::default()),
+            totals: ScopeTotals::default(),
+            functions: vec![FunctionScope::default(); json::get_array(obj, "functions").len()],
+        };
+        json::same_shape(&doc, &json::parse(&skeleton.to_json())?, "report")?;
+
+        let check = |row: &[(String, Value)], ctx: &str| -> Result<u64, String> {
+            let n = |key: &str| json::get_count(row, ctx, key);
+            let a = InvocationAttribution {
+                function: 0,
+                ts: 0,
+                queue_cycles: n("queue_cycles")?,
+                retry_cycles: n("retry_cycles")?,
+                dram_cycles: n("dram_cycles")?,
+                cold_frontend_cycles: n("cold_frontend_cycles")?,
+                store_miss_cycles: n("store_miss_cycles")?,
+                degraded_cycles: n("degraded_cycles")?,
+                execution_cycles: n("execution_cycles")?,
+                latency_cycles: n("latency_cycles")?,
             };
-            let opt = |k: &str| json::get(o, k).and_then(Value::as_f64).unwrap_or(0.0);
-            let queue = get("queue_cycles")?;
-            let retry = opt("retry_cycles");
-            let dram = get("dram_cycles")?;
-            let cold = get("cold_frontend_cycles")?;
-            let miss = get("store_miss_cycles")?;
-            let degraded = opt("degraded_cycles");
-            let exec = get("execution_cycles")?;
-            let lat = get("latency_cycles")?;
-            // Integer cycle counts survive the f64 round trip exactly
-            // below 2^53, so equality here is exact.
-            let sum = queue + retry + dram + cold + miss + degraded + exec;
-            if sum != lat {
-                return Err(format!("{ctx}: components sum to {sum}, latency is {lat}"));
+            let (sum, latency) = (a.component_sum(), a.latency_cycles);
+            if sum != latency {
+                return Err(format!("{ctx}: components sum to {sum}, latency is {latency}"));
             }
-            let p50 = get("p50_latency_cycles")?;
-            let p95 = get("p95_latency_cycles")?;
-            let p99 = get("p99_latency_cycles")?;
+            let (p50, p95, p99) =
+                (n("p50_latency_cycles")?, n("p95_latency_cycles")?, n("p99_latency_cycles")?);
             if !(p50 <= p95 && p95 <= p99) {
                 return Err(format!("{ctx}: quantiles not ordered: {p50} {p95} {p99}"));
             }
-            for k in ["invocations", "slo_violations", "alert_fires", "alert_resolves"] {
-                get(k)?;
-            }
-            Ok(())
+            n("invocations")
         };
-        let totals =
-            json::get(obj, "totals").and_then(Value::as_object).ok_or("missing object 'totals'")?;
-        check_section(totals, "totals")?;
-        let functions = json::get(obj, "functions")
-            .and_then(Value::as_array)
-            .ok_or("missing array 'functions'")?;
-        let mut inv_sum = 0.0;
-        for (i, f) in functions.iter().enumerate() {
-            let fo = f.as_object().ok_or_else(|| format!("functions[{i}] is not an object"))?;
-            json::get(fo, "function")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("functions[{i}]: missing string 'function'"))?;
-            check_section(fo, &format!("functions[{i}]"))?;
-            inv_sum += json::get(fo, "invocations").and_then(Value::as_f64).unwrap_or(0.0);
+        let total = check(json::get_object(obj, "totals"), "totals")?;
+        let mut sum = 0u64;
+        for (i, row) in json::get_array(obj, "functions").iter().enumerate() {
+            let row = row.as_object().unwrap_or_default();
+            sum = sum.saturating_add(check(row, &format!("functions[{i}]"))?);
         }
-        let total_inv = json::get(totals, "invocations").and_then(Value::as_f64).unwrap_or(-1.0);
-        if inv_sum != total_inv {
-            return Err(format!("function invocations sum to {inv_sum}, totals say {total_inv}"));
+        if sum != total {
+            return Err(format!("function invocations sum to {sum}, totals say {total}"));
         }
         Ok(())
     }
@@ -316,18 +258,18 @@ impl ScopeReport {
 /// quantile gauges.
 pub fn record_scope_metrics(reg: &mut MetricsRegistry, report: &ScopeReport) {
     for f in &report.functions {
-        let fl = [("function", f.abbr.as_str())];
+        let t = &f.totals;
         // The chaos components only appear in the exposition when they
         // are nonzero, keeping chaos-free expositions byte-identical to
         // what they were before the failure model existed.
         for (component, cycles, always) in [
-            ("queue", f.queue_cycles, true),
-            ("retry", f.retry_cycles, false),
-            ("dram", f.dram_cycles, true),
-            ("cold_frontend", f.cold_frontend_cycles, true),
-            ("store_miss", f.store_miss_cycles, true),
-            ("degraded", f.degraded_cycles, false),
-            ("execution", f.execution_cycles, true),
+            ("queue", t.queue_cycles, true),
+            ("retry", t.retry_cycles, false),
+            ("dram", t.dram_cycles, true),
+            ("cold_frontend", t.cold_frontend_cycles, true),
+            ("store_miss", t.store_miss_cycles, true),
+            ("degraded", t.degraded_cycles, false),
+            ("execution", t.execution_cycles, true),
         ] {
             if !always && cycles == 0 {
                 continue;
@@ -339,37 +281,27 @@ pub fn record_scope_metrics(reg: &mut MetricsRegistry, report: &ScopeReport) {
                 cycles,
             );
         }
-        reg.inc_counter(
-            "ignite_scope_invocations_total",
-            "Invocations attributed by scope",
-            &fl,
-            f.invocations,
-        );
-        reg.inc_counter(
-            "ignite_scope_slo_violations_total",
-            "Invocations over the SLO latency threshold",
-            &fl,
-            f.violations,
-        );
-        reg.inc_counter(
-            "ignite_scope_alert_fires_total",
-            "Burn-rate alert fire transitions",
-            &fl,
-            f.alert_fires,
-        );
+        for (name, help, value) in [
+            ("ignite_scope_invocations_total", "Invocations attributed by scope", t.invocations),
+            (
+                "ignite_scope_slo_violations_total",
+                "Invocations over the SLO latency threshold",
+                t.violations,
+            ),
+            ("ignite_scope_alert_fires_total", "Burn-rate alert fire transitions", t.alert_fires),
+        ] {
+            reg.inc_counter(name, help, &[("function", f.abbr.as_str())], value);
+        }
+    }
+    let rows = report.functions.iter().map(|f| (f.abbr.as_str(), &f.totals));
+    for (function, t) in rows.chain([("all", &report.totals)]) {
         reg.set_gauge(
             "ignite_scope_p99_latency_cycles",
             "Sketch 99th-percentile latency",
-            &fl,
-            f.p99_latency as f64,
+            &[("function", function)],
+            t.p99_latency as f64,
         );
     }
-    reg.set_gauge(
-        "ignite_scope_p99_latency_cycles",
-        "Sketch 99th-percentile latency",
-        &[("function", "all")],
-        report.totals.p99_latency as f64,
-    );
 }
 
 /// Records the SLO alerting surface into the registry as `ignite_slo_*`

@@ -15,7 +15,7 @@ use ignite_workloads::Arrival;
 pub const WORKLOAD_SCHEMA: &str = "ignite-workload-v1";
 
 /// Summary statistics of one consumed arrival stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadFingerprint {
     /// Total arrivals consumed.
     pub arrivals: u64,
