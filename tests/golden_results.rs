@@ -46,6 +46,12 @@ fn configs() -> Vec<FrontEndConfig> {
         FrontEndConfig::ignite(),
         FrontEndConfig::ignite_tage(),
         FrontEndConfig::ideal(),
+        // Confluence is the only paced mechanism whose work starts after
+        // a delay (its metadata lookup latency), so these rows pin when
+        // the engine steps the paced mechanisms, not just whether.
+        FrontEndConfig::confluence(),
+        FrontEndConfig::confluence_ignite(),
+        FrontEndConfig::ignite_boomerang(),
     ]
 }
 
