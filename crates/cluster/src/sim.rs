@@ -81,6 +81,11 @@ impl Topology {
     }
 }
 
+/// The highest arrival rate a run accepts, in arrivals per million
+/// cycles: one arrival per cycle. Far above it the mean inter-arrival gap
+/// underflows and the arrival clock never reaches the horizon.
+pub const MAX_RATE_PER_MCYCLE: f64 = 1e6;
+
 /// A configuration the simulator refuses to run, with enough structure
 /// for callers to match on. [`std::fmt::Display`] names the offending
 /// field; the CLI prints it and exits nonzero instead of panicking.
@@ -96,6 +101,20 @@ pub enum ConfigError {
         field: &'static str,
         /// The rejected value.
         value: f64,
+    },
+    /// `scale` above 1.0, the paper's full suite.
+    ScaleAboveFull {
+        /// The rejected value.
+        value: f64,
+    },
+    /// A peak arrival rate above [`MAX_RATE_PER_MCYCLE`]: the base
+    /// `rate_per_mcycle` times the traffic shape's largest multiplier
+    /// (see [`ClusterConfig::check_peak_rate`]).
+    RateAboveOnePerCycle {
+        /// What sets the peak: `rate_per_mcycle` or the traffic spec.
+        field: &'static str,
+        /// The rejected peak rate, in arrivals per million cycles.
+        peak: f64,
     },
     /// `arrival.zipf_s` was negative or non-finite.
     BadZipf {
@@ -142,6 +161,16 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroCores => write!(f, "cores must be at least 1"),
             ConfigError::NonPositive { field, value } => {
                 write!(f, "{field} must be finite and positive, got {value}")
+            }
+            ConfigError::ScaleAboveFull { value } => {
+                write!(f, "scale must be at most 1 (the paper's full suite), got {value}")
+            }
+            ConfigError::RateAboveOnePerCycle { field, peak } => {
+                write!(
+                    f,
+                    "{field}: peak arrival rate {peak:e} per Mcycle exceeds one arrival per \
+                     cycle ({MAX_RATE_PER_MCYCLE:e})"
+                )
             }
             ConfigError::BadZipf { value } => {
                 write!(f, "zipf_s must be finite and non-negative, got {value}")
@@ -282,6 +311,10 @@ impl ClusterConfig {
                 return Err(ConfigError::NonPositive { field, value });
             }
         }
+        if self.scale > 1.0 {
+            return Err(ConfigError::ScaleAboveFull { value: self.scale });
+        }
+        self.check_peak_rate("rate_per_mcycle", 1.0)?;
         if !self.arrival.zipf_s.is_finite() || self.arrival.zipf_s < 0.0 {
             return Err(ConfigError::BadZipf { value: self.arrival.zipf_s });
         }
@@ -308,6 +341,20 @@ impl ClusterConfig {
                     return Err(ConfigError::ZeroChaosDuration { stream });
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Rejects a peak arrival rate above [`MAX_RATE_PER_MCYCLE`]: the
+    /// base `rate_per_mcycle` times `multiplier`, the largest rate
+    /// multiplier of the traffic shape `field` names.
+    /// [`ClusterConfig::validate`] checks the built-in process
+    /// (multiplier 1); a caller driving the run from a shaped source
+    /// checks that source's envelope.
+    pub fn check_peak_rate(&self, field: &'static str, multiplier: f64) -> Result<(), ConfigError> {
+        let peak = self.arrival.rate_per_mcycle * multiplier;
+        if peak > MAX_RATE_PER_MCYCLE {
+            return Err(ConfigError::RateAboveOnePerCycle { field, peak });
         }
         Ok(())
     }
@@ -1853,6 +1900,27 @@ mod tests {
         let mut bad = chaos_cfg(7);
         bad.chaos.as_mut().unwrap().straggle_factor_milli = 500;
         assert!(msg(&bad).contains("straggle_factor_milli"));
+    }
+
+    #[test]
+    fn scale_and_peak_rate_have_ceilings() {
+        let at = |scale, rate_per_mcycle| {
+            let mut cfg = ClusterConfig { scale, ..ClusterConfig::default() };
+            cfg.arrival.rate_per_mcycle = rate_per_mcycle;
+            cfg
+        };
+        assert!(at(1.0, MAX_RATE_PER_MCYCLE).validate().is_ok());
+        assert_eq!(at(1.5, 60.0).validate(), Err(ConfigError::ScaleAboveFull { value: 1.5 }));
+        assert_eq!(
+            at(0.02, 2e6).validate(),
+            Err(ConfigError::RateAboveOnePerCycle { field: "rate_per_mcycle", peak: 2e6 })
+        );
+        // A shaped source's envelope multiplies the base rate.
+        assert!(at(0.02, 1e5).check_peak_rate("traffic", 10.0).is_ok());
+        assert_eq!(
+            at(0.02, 1e5).check_peak_rate("traffic", 11.0),
+            Err(ConfigError::RateAboveOnePerCycle { field: "traffic", peak: 1.1e6 })
+        );
     }
 
     #[test]

@@ -131,9 +131,9 @@ pub fn run_invocation_obs<S: EventSink>(
     ts_offset: u64,
 ) -> InvocationResult {
     // Circuit-breaker quarantine: detach Ignite for the whole invocation
-    // (before the `has_mechanisms` probe below) and re-attach it on every
-    // return path. Its internal state is untouched — the invocation simply
-    // never happened from Ignite's point of view.
+    // and re-attach it on every return path. Its internal state is
+    // untouched — the invocation simply never happened from Ignite's
+    // point of view.
     let stashed_ignite = if ctx.bypass_ignite { m.ignite.take() } else { None };
     let mut res = InvocationResult::default();
     let start_cycle = m.now;
@@ -193,8 +193,8 @@ pub fn run_invocation_obs<S: EventSink>(
     let mut bpu_budget: f64 = 2.0;
     // Fractional-cycle accumulator: `m.now` is integral.
     let mut cycle_carry: f64 = 0.0;
+    // Cycles below this one have been offered to the paced mechanisms.
     let mut mech_clock = m.now;
-    let has_mechanisms = m.jukebox.is_some() || m.ignite.is_some() || m.confluence.is_some();
     // Cold-data pool for the back-end stall model.
     let mut data_pool: f64 = f.data_ws_lines as f64 * ctx.data_cold_fraction.clamp(0.0, 1.0);
 
@@ -210,29 +210,30 @@ pub fn run_invocation_obs<S: EventSink>(
         let _ = front;
 
         // Paced mechanisms (Ignite replay, Jukebox replay, Confluence
-        // streams) catch up to the global clock.
-        if has_mechanisms {
-            while mech_clock <= m.now {
-                step_mechanisms(m, f, mech_clock, &mut res);
-                if replay_live {
-                    if let Some(ig) = &m.ignite {
-                        if !ig.replay_pending() {
-                            replay_live = false;
-                            sink.record(Event {
-                                ts: ts_offset + mech_clock,
-                                dur: 0,
-                                track,
-                                kind: EventKind::ReplayEnd {
-                                    container: f.container,
-                                    restored: ig.replay_restored(),
-                                },
-                            });
-                        }
+        // streams) catch up to the global clock, stepping only the cycles
+        // on which one of them has work: on every other cycle each `step`
+        // is a no-op.
+        while let Some(cycle) = next_mechanism_cycle(m, mech_clock).filter(|&c| c <= m.now) {
+            step_mechanisms(m, f, cycle, &mut res);
+            if replay_live {
+                if let Some(ig) = &m.ignite {
+                    if !ig.replay_pending() {
+                        replay_live = false;
+                        sink.record(Event {
+                            ts: ts_offset + cycle,
+                            dur: 0,
+                            track,
+                            kind: EventKind::ReplayEnd {
+                                container: f.container,
+                                restored: ig.replay_restored(),
+                            },
+                        });
                     }
                 }
-                mech_clock += 1;
             }
+            mech_clock = cycle + 1;
         }
+        mech_clock = m.now + 1;
 
         // Demand-time evaluation when the FTQ holds only this block (right
         // after a resteer or at invocation start).
@@ -502,6 +503,20 @@ pub fn run_invocation_obs<S: EventSink>(
         m.ignite = Some(ig);
     }
     res
+}
+
+/// The first cycle at or after `from` on which a paced mechanism's `step`
+/// can do work, or `None` while all of them are idle: Ignite and Jukebox
+/// replay drained and no Confluence stream armed. Only the engine's own
+/// hooks (`begin_invocation`, Confluence's `on_miss`) hand an idle
+/// mechanism new work, and never for a cycle already offered.
+fn next_mechanism_cycle(m: &Machine, from: Cycle) -> Option<Cycle> {
+    let replaying = m.jukebox.as_ref().is_some_and(|jb| jb.replay_pending())
+        || m.ignite.as_ref().is_some_and(|ig| ig.replay_pending());
+    if replaying {
+        return Some(from);
+    }
+    m.confluence.as_ref().and_then(|c| c.stream_start()).map(|at| at.max(from))
 }
 
 /// Steps the paced background mechanisms for one cycle.

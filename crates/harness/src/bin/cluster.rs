@@ -18,9 +18,10 @@
 //!   --fe NAME          front-end config: nl, boomerang, jukebox,
 //!                      boomerang-jukebox, confluence, ignite,
 //!                      ignite-tage, ideal (default ignite)
-//!   --scale F          suite scale, 1.0 = paper (default 0.02)
+//!   --scale F          suite scale, at most 1.0 = paper (default 0.02)
 //!   --seed S           arrival seed (default 42)
-//!   --rate R           arrivals per million cycles (default 60)
+//!   --rate R           arrivals per million cycles, at most 1e6 (one per
+//!                      cycle) (default 60)
 //!   --zipf S           Zipf popularity exponent (default 1.0)
 //!   --horizon CYCLES   arrival horizon (default 4000000)
 //!   --capacity BYTES   metadata store capacity (default 262144)
@@ -40,8 +41,9 @@
 //!                        burst[:every=E,width=W,mult=M]  burst trains
 //!                      Synthetic kinds stream lazily (O(1) arrival
 //!                      state) and use --rate/--zipf/--seed/--horizon as
-//!                      the base process. The report gains a validated
-//!                      'workload' fingerprint section.
+//!                      the base process; --rate times the largest
+//!                      multiplier must stay at most 1e6. The report
+//!                      gains a validated 'workload' fingerprint section.
 //!   --stats            print workload statistics (invocation count,
 //!                      per-function shares, inter-arrival CV², horizon)
 //!                      for the configured workload and exit without
@@ -427,16 +429,21 @@ fn main() -> ExitCode {
                 eprintln!("cluster: --traffic is not supported with --sweep");
                 return ExitCode::FAILURE;
             }
-            match TrafficSpec::parse(raw) {
-                Ok(spec) => {
-                    cfg.traffic = Some(raw.clone());
-                    Some(spec)
-                }
+            let spec = match TrafficSpec::parse(raw) {
+                Ok(spec) => spec,
                 Err(e) => {
                     eprintln!("cluster: --traffic: {e}");
                     return ExitCode::FAILURE;
                 }
+            };
+            if let Some(multiplier) = spec.peak_multiplier() {
+                if let Err(e) = cfg.check_peak_rate("traffic", multiplier) {
+                    eprintln!("cluster: invalid configuration: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
+            cfg.traffic = Some(raw.clone());
+            Some(spec)
         }
     };
     // The sweep regenerates the built-in arrival process at every point,

@@ -16,7 +16,7 @@
 //! report's config section, so goldens pin specs byte-for-byte.
 
 use crate::azure::{AzureParseError, AzureSource, AzureTrace};
-use crate::synth::{BurstWave, DiurnalWave, MmppChain, ModulatedSource};
+use crate::synth::{BurstWave, DiurnalWave, MmppChain, ModulatedSource, RateModulator};
 use ignite_workloads::suite::Suite;
 use ignite_workloads::{ArrivalConfig, ArrivalSource, Trace};
 
@@ -167,6 +167,24 @@ impl TrafficSpec {
             TrafficSpec::Mmpp { .. } => "mmpp",
             TrafficSpec::Diurnal { .. } => "diurnal",
             TrafficSpec::Burst { .. } => "burst",
+        }
+    }
+
+    /// The largest factor a synthetic kind multiplies the base arrival
+    /// rate by, its thinning envelope; `None` for `azure`, whose rate
+    /// comes from the trace.
+    pub fn peak_multiplier(&self) -> Option<f64> {
+        match self {
+            TrafficSpec::Azure { .. } => None,
+            TrafficSpec::Mmpp { mults, dwells } => {
+                Some(MmppChain::new(mults.clone(), dwells.clone(), 0).max_multiplier())
+            }
+            TrafficSpec::Diurnal { period, amp } => {
+                Some(DiurnalWave::new(*period, *amp).max_multiplier())
+            }
+            TrafficSpec::Burst { every, width, mult } => {
+                Some(BurstWave::new(*every, *width, *mult).max_multiplier())
+            }
         }
     }
 
@@ -358,6 +376,15 @@ mod tests {
             TrafficSpec::parse("burst:every=500000,width=50000,mult=8").unwrap(),
             TrafficSpec::Burst { every: 500_000.0, width: 50_000.0, mult: 8.0 }
         );
+    }
+
+    #[test]
+    fn peak_multiplier_is_the_thinning_envelope() {
+        let peak = |spec: &str| TrafficSpec::parse(spec).unwrap().peak_multiplier();
+        assert_eq!(peak("mmpp:mults=1/9/0,dwells=100/200/300"), Some(9.0));
+        assert_eq!(peak("diurnal:period=2000000,amp=0.8"), Some(1.8));
+        assert_eq!(peak("burst:every=500000,width=50000,mult=8"), Some(8.0));
+        assert_eq!(peak("azure:trace.csv"), None);
     }
 
     #[test]

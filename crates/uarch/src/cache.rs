@@ -145,6 +145,9 @@ pub struct SetAssocCache {
     lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
+    /// Valid lines that are `restored` and not `touched`, kept current at
+    /// every fill, hit, eviction and flush so reading it scans nothing.
+    unused_restored: u64,
 }
 
 impl SetAssocCache {
@@ -162,6 +165,7 @@ impl SetAssocCache {
             lines: vec![Line::default(); sets * geometry.ways],
             clock: 0,
             stats: CacheStats::default(),
+            unused_restored: 0,
         }
     }
 
@@ -233,6 +237,9 @@ impl SetAssocCache {
                     self.stats.prefetch_hits += 1;
                     line.prefetched = false;
                 }
+                if line.restored && !line.touched {
+                    self.unused_restored -= 1;
+                }
                 line.touched = true;
                 self.stats.demand.record(true);
                 Some(HitInfo { was_prefetched })
@@ -264,6 +271,9 @@ impl SetAssocCache {
             let line = &mut self.lines[i];
             line.lru_stamp = self.clock;
             if kind == FillKind::Demand {
+                if line.restored && !line.touched {
+                    self.unused_restored -= 1;
+                }
                 line.prefetched = false;
                 line.touched = true;
             }
@@ -294,6 +304,7 @@ impl SetAssocCache {
                 self.stats.unused_prefetch_evictions += 1;
                 if old.restored {
                     self.stats.unused_restore_evictions += 1;
+                    self.unused_restored -= 1;
                 }
             }
             Some(Evicted {
@@ -312,6 +323,9 @@ impl SetAssocCache {
             restored: kind == FillKind::Restore,
             touched: kind == FillKind::Demand,
         };
+        if kind == FillKind::Restore {
+            self.unused_restored += 1;
+        }
         evicted
     }
 
@@ -330,6 +344,8 @@ impl SetAssocCache {
             }
             *line = Line::default();
         }
+        debug_assert_eq!(report.unused_restored, self.unused_restored);
+        self.unused_restored = 0;
         report
     }
 
@@ -341,7 +357,7 @@ impl SetAssocCache {
     /// Resident lines installed by Ignite's replay and never demanded yet
     /// (end-of-invocation overprediction accounting).
     pub fn unused_restored_resident(&self) -> u64 {
-        self.lines.iter().filter(|l| l.valid && l.restored && !l.touched).count() as u64
+        self.unused_restored
     }
 }
 

@@ -8,10 +8,9 @@
 //! and attributes mispredictions induced by Ignite's weakly-taken BIM
 //! initialization (Fig. 9c "overpredicted").
 
-use std::collections::HashSet;
-
 use crate::addr::Addr;
 use crate::bimodal::{Bimodal, BimodalConfig, Counter};
+use crate::fxmap::FxHashSet;
 use crate::loop_pred::{LoopPredictor, LoopPredictorConfig};
 use crate::tage::{Tage, TageConfig, TagePrediction};
 
@@ -84,8 +83,8 @@ pub struct Cbp {
     bim: Bimodal,
     tage: Tage,
     loop_pred: Option<LoopPredictor>,
-    seen: HashSet<u64>,
-    ignite_initialized: HashSet<u64>,
+    seen: FxHashSet<u64>,
+    ignite_initialized: FxHashSet<u64>,
     stats: CbpStats,
 }
 
@@ -96,8 +95,8 @@ impl Cbp {
             bim: Bimodal::new(&cfg.bimodal),
             tage: Tage::new(&cfg.tage),
             loop_pred: cfg.loop_predictor.as_ref().map(LoopPredictor::new),
-            seen: HashSet::new(),
-            ignite_initialized: HashSet::new(),
+            seen: FxHashSet::default(),
+            ignite_initialized: FxHashSet::default(),
             stats: CbpStats::default(),
         }
     }

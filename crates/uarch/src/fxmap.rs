@@ -10,7 +10,7 @@
 //! This is *not* a DoS-resistant hasher; keys here are simulated line
 //! numbers and PCs, never attacker-controlled input.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fixed-seed multiply-xor hasher (FxHash).
@@ -64,6 +64,9 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` with the deterministic [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` with the deterministic [`FxHasher`].
+pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

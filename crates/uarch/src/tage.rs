@@ -58,24 +58,29 @@ struct TageEntry {
     valid: bool,
 }
 
-/// Cyclically folded history register (Seznec's CSR construction).
+/// Cyclically folded history register (Seznec's CSR construction): bit
+/// `i` of the last `orig_len` history bits (0 = newest) lands at position
+/// `i % comp_len`, XOR-folded into `comp_len` bits.
 #[derive(Debug, Clone, Copy)]
 struct Folded {
     comp: u64,
     comp_len: u32,
-    orig_len: u32,
+    /// `orig_len % comp_len`, where the bit leaving the window sits once
+    /// the register has shifted; fixed here so an update divides nothing.
+    out_shift: u32,
 }
 
 impl Folded {
     fn new(orig_len: u32, comp_len: u32) -> Self {
-        Folded { comp: 0, comp_len: comp_len.max(1), orig_len }
+        let comp_len = comp_len.max(1);
+        Folded { comp: 0, comp_len, out_shift: orig_len % comp_len }
     }
 
     /// Shifts in `new_bit` and removes `old_bit` (the bit leaving the
     /// `orig_len`-bit window).
     fn update(&mut self, new_bit: u64, old_bit: u64) {
         self.comp = (self.comp << 1) | new_bit;
-        self.comp ^= old_bit << (self.orig_len % self.comp_len);
+        self.comp ^= old_bit << self.out_shift;
         self.comp ^= self.comp >> self.comp_len;
         self.comp &= (1u64 << self.comp_len) - 1;
     }
@@ -85,7 +90,8 @@ impl Folded {
     }
 }
 
-/// Taken-only global history ring buffer.
+/// Taken-only global history ring buffer. Its capacity is `len` rounded
+/// up to a power of two, so positions wrap with a mask, not a division.
 #[derive(Debug, Clone)]
 struct History {
     bits: Vec<u8>,
@@ -93,19 +99,23 @@ struct History {
 }
 
 impl History {
-    fn new(capacity: usize) -> Self {
-        History { bits: vec![0; capacity.max(1)], pos: 0 }
+    fn new(len: usize) -> Self {
+        History { bits: vec![0; len.max(1).next_power_of_two()], pos: 0 }
     }
 
-    /// The i-th most recent bit (0 = newest).
+    fn mask(&self) -> usize {
+        self.bits.len() - 1
+    }
+
+    /// The i-th most recent bit (0 = newest); `i` must be below the
+    /// `len` the ring was built for.
     fn bit(&self, i: usize) -> u64 {
-        let n = self.bits.len();
-        self.bits[(self.pos + n - 1 - (i % n)) % n] as u64
+        self.bits[self.pos.wrapping_sub(i + 1) & self.mask()] as u64
     }
 
     fn push(&mut self, bit: u64) {
         self.bits[self.pos] = bit as u8;
-        self.pos = (self.pos + 1) % self.bits.len();
+        self.pos = (self.pos + 1) & self.mask();
     }
 
     fn clear(&mut self) {
@@ -173,6 +183,9 @@ pub struct Tage {
     cfg: TageConfig,
     tables: Vec<Vec<TageEntry>>,
     history: History,
+    /// Per table, the history index (its length minus one) of the bit
+    /// that leaves its window on the next push.
+    fold_points: Vec<usize>,
     folded_index: Vec<Folded>,
     folded_tag: [Vec<Folded>; 2],
     update_count: u64,
@@ -197,7 +210,10 @@ impl Tage {
         assert!(cfg.tables > 0 && cfg.tables <= Self::MAX_TABLES, "1..=16 tables supported");
         assert!(cfg.entries_per_table.is_power_of_two(), "table size must be a power of two");
         assert!(cfg.min_history <= cfg.max_history, "min history exceeds max");
+        assert!(cfg.min_history > 0, "history lengths must be at least 1");
         let index_bits = cfg.entries_per_table.trailing_zeros();
+        let fold_points: Vec<usize> =
+            (0..cfg.tables).map(|i| cfg.history_length(i) as usize - 1).collect();
         let folded_index =
             (0..cfg.tables).map(|i| Folded::new(cfg.history_length(i), index_bits)).collect();
         let folded_tag = [
@@ -209,7 +225,8 @@ impl Tage {
         Tage {
             cfg: *cfg,
             tables: vec![vec![TageEntry::default(); cfg.entries_per_table]; cfg.tables],
-            history: History::new(cfg.max_history as usize),
+            history: History::new(fold_points.iter().max().map_or(1, |&p| p + 1)),
+            fold_points,
             folded_index,
             folded_tag,
             update_count: 0,
@@ -371,12 +388,10 @@ impl Tage {
     /// leave the history untouched.
     pub fn push_history(&mut self, pc: Addr, target: Addr) {
         let bit = (pc.as_u64() >> 2 ^ target.as_u64() >> 3) & 1;
-        // The bit falling out of each folded window is the one at index
-        // orig_len - 1 *before* the push. Each folded register carries its
-        // window length, so the geometric series needs no recomputation.
+        // The bit falling out of each folded window is the one at its
+        // fold point *before* the push.
         for t in 0..self.cfg.tables {
-            let olen = self.folded_index[t].orig_len as usize;
-            let old = self.history.bit(olen - 1);
+            let old = self.history.bit(self.fold_points[t]);
             self.folded_index[t].update(bit, old);
             self.folded_tag[0][t].update(bit, old);
             self.folded_tag[1][t].update(bit, old);
@@ -567,5 +582,45 @@ mod tests {
         }
         let after = t.index(t.cfg.tables - 1, pc);
         assert_ne!(before, after, "long-history index must depend on history");
+    }
+
+    /// Oracle for the incremental folding: after every push, each folded
+    /// register equals `XOR_{i<L} h_i << (i mod C)` recomputed from the
+    /// last `L` pushed bits (`h_0` newest), for its window length `L` and
+    /// width `C`. A `max_history` of 100 makes the ring longer than the
+    /// longest window, where its rounding up to a power of two could skew.
+    #[test]
+    fn folded_registers_match_a_from_scratch_fold() {
+        let default = crate::config::UarchConfig::ice_lake_like().cbp.tage;
+        for cfg in [default, TageConfig { max_history: 100, ..default }] {
+            let mut t = Tage::new(&cfg);
+            let mut rng = SplitMix64::new(u64::from(cfg.max_history));
+            // Pushed bits, oldest first.
+            let mut pushed: Vec<u64> = Vec::new();
+            let index_bits = cfg.entries_per_table.trailing_zeros();
+            let widths = [index_bits, cfg.tag_bits, cfg.tag_bits - 1];
+            for _ in 0..3 * cfg.max_history {
+                let (pc, target) = (Addr::new(rng.next_u64()), Addr::new(rng.next_u64()));
+                t.push_history(pc, target);
+                pushed.push((pc.as_u64() >> 2 ^ target.as_u64() >> 3) & 1);
+                for table in 0..cfg.tables {
+                    let len = cfg.history_length(table) as usize;
+                    let registers = [
+                        t.folded_index[table].value(),
+                        t.folded_tag[0][table].value(),
+                        t.folded_tag[1][table].value(),
+                    ];
+                    for (register, width) in registers.into_iter().zip(widths) {
+                        let oracle = pushed
+                            .iter()
+                            .rev()
+                            .take(len)
+                            .enumerate()
+                            .fold(0, |acc, (i, &h)| acc ^ (h << (i % width as usize)));
+                        assert_eq!(register, oracle, "table {table}, width {width}, len {len}");
+                    }
+                }
+            }
+        }
     }
 }

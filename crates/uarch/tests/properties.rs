@@ -177,6 +177,52 @@ proptest! {
         prop_assert_eq!(btb.restored_untouched(), 0);
     }
 
+    #[test]
+    fn cache_unused_restored_counter_matches_a_shadow_model(
+        ops in prop::collection::vec((0u64..24 * 64, 0u8..10), 1..400)
+    ) {
+        // 2 sets x 2 ways: 24 distinct lines keep every set evicting.
+        let mut cache =
+            SetAssocCache::new(CacheGeometry { size_bytes: 256, ways: 2, line_bytes: 64 });
+        // Lines a restore fill installed that no demand access has used yet.
+        let mut shadow = std::collections::BTreeSet::new();
+        for &(raw, op) in &ops {
+            let addr = Addr::new(raw);
+            let line = addr.line().as_u64();
+            let resident = cache.probe(addr);
+            match op {
+                0..=6 => {
+                    let kind = match op {
+                        0 | 1 => FillKind::Demand,
+                        2 | 3 => FillKind::Prefetch,
+                        _ => FillKind::Restore,
+                    };
+                    if let Some(evicted) = cache.fill(addr, kind) {
+                        shadow.remove(&evicted.addr.as_u64());
+                    }
+                    // Refilling a resident line changes only what a demand
+                    // fill marks: the line counts as used.
+                    if resident && kind == FillKind::Demand {
+                        shadow.remove(&line);
+                    } else if !resident && kind == FillKind::Restore {
+                        shadow.insert(line);
+                    }
+                }
+                7 | 8 => {
+                    if cache.lookup(addr) {
+                        shadow.remove(&line);
+                    }
+                }
+                _ => {
+                    let report = cache.invalidate_all();
+                    prop_assert_eq!(report.unused_restored, shadow.len() as u64);
+                    shadow.clear();
+                }
+            }
+            prop_assert_eq!(cache.unused_restored_resident(), shadow.len() as u64);
+        }
+    }
+
     // ---- bimodal ----
 
     #[test]
