@@ -1,7 +1,7 @@
-//! Minimal JSON support: enough to write and re-read cluster and bench
-//! reports with no external dependencies (the workspace builds offline;
-//! serde is not available). `ignite-bench` re-exports this module, so
-//! there is exactly one JSON implementation in the workspace.
+//! Minimal JSON support: enough to write and re-read the cluster and
+//! scope reports with no external dependencies (the workspace builds
+//! offline; serde is not available). It is the one JSON implementation
+//! in the workspace.
 //!
 //! [`Writer`] lays out the cluster and scope reports; [`escape`] and
 //! [`number`] render single tokens. [`parse`] is a strict recursive-descent

@@ -9,16 +9,18 @@
 //!                                 significant regressions/improvements
 //!
 //! DIFF OPTIONS:
-//!   --threshold PCT          relative significance threshold (default 5)
+//!   --threshold PCT          relative significance threshold, a finite
+//!                            percentage >= 0 (default 5)
 //!   --advisory               report but always exit 0 (for advisory CI gates)
 //!   --allow-cross-workload   compare despite mismatched workload fingerprints
 //! ```
 //!
 //! `diff` auto-detects each input by schema tag: `ignite-cluster-v1`
-//! reports, `ignite-scope-v1` reports, or `ignite-bench-v1` benchmark
-//! files. Pass two files of the same schema; only metrics named in
-//! both are compared. Exit status is 1 when significant regressions
-//! were found and `--advisory` was not given.
+//! and `-v2` reports, or `ignite-scope-v1` reports. Pass two cluster
+//! reports, of either version, or two scope reports; a mixed pair is
+//! refused with exit 1. Only metrics named in both are compared. Exit
+//! status is 1 when significant regressions were found and
+//! `--advisory` was not given.
 //!
 //! When both inputs carry workload fingerprints (reports produced with
 //! `cluster --traffic`), their identities must match: a latency diff
@@ -30,7 +32,7 @@
 
 use std::process::ExitCode;
 
-use ignite_scope::{diff, load_samples, workload_identity, ScopeReport};
+use ignite_scope::{diff, load_samples, same_kind, workload_identity, ScopeReport};
 
 fn usage() -> ! {
     eprintln!(
@@ -83,10 +85,15 @@ fn main() -> ExitCode {
                             eprintln!("scope: --threshold needs a value");
                             usage();
                         });
-                        threshold = v.parse().unwrap_or_else(|_| {
-                            eprintln!("scope: bad threshold '{v}'");
-                            usage();
-                        });
+                        threshold = match v.parse::<f64>() {
+                            Ok(t) if t.is_finite() && t >= 0.0 => t,
+                            _ => {
+                                eprintln!(
+                                    "scope: bad threshold '{v}': want a finite percentage >= 0"
+                                );
+                                usage();
+                            }
+                        };
                     }
                     "--advisory" => advisory = true,
                     "--allow-cross-workload" => allow_cross_workload = true,
@@ -100,6 +107,26 @@ fn main() -> ExitCode {
                 (Ok(a), Ok(b)) => (a, b),
                 (Err(code), _) | (_, Err(code)) => return code,
             };
+            let (old_schema, old) = match load_samples(&old_text) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("scope: {old_path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let (new_schema, new) = match load_samples(&new_text) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("scope: {new_path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            if !same_kind(&old_schema, &new_schema) {
+                eprintln!(
+                    "scope: refusing to compare {old_path} ({old_schema}) with {new_path} ({new_schema}): pass two cluster reports or two scope reports"
+                );
+                return ExitCode::FAILURE;
+            }
             let (old_id, new_id) = (workload_identity(&old_text), workload_identity(&new_text));
             if old_id != new_id && !allow_cross_workload {
                 let show = |id: &Option<String>| id.clone().unwrap_or_else(|| "(none)".into());
@@ -110,20 +137,6 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            let old = match load_samples(&old_text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("scope: {old_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let new = match load_samples(&new_text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("scope: {new_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
             let report = diff(&old, &new, threshold);
             print!("{}", report.to_text());
             if report.regressions() > 0 && !advisory {

@@ -1,6 +1,6 @@
 //! Observability for the Ignite simulator: event tracing + metrics.
 //!
-//! The simulator's reports (`ignite-cluster-v1`, `ignite-bench-v1`) say
+//! The simulator's reports (`ignite-cluster-v1`, `ignite-scope-v1`) say
 //! *what* happened — mean latency, hit rates, replay fault counters. This
 //! crate answers *why*: a per-core timeline of every discrete event the
 //! simulation takes (arrivals, dispatches, store evictions, replay
@@ -26,8 +26,9 @@
 //! emission site with `sink.enabled()`. [`NullSink::enabled`] is an
 //! `#[inline(always)] false` constant, so monomorphized call paths with
 //! `NullSink` compile to exactly the un-instrumented code — the golden
-//! snapshot tests and the benchmark baselines do not move when
-//! observability is off. See `DESIGN.md` §11.
+//! snapshot tests do not move when observability is off, and the
+//! repository benchmark's `zipf-steady` workload times that path. See
+//! `DESIGN.md` §11.
 
 pub mod chrome;
 pub mod event;

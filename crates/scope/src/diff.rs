@@ -2,13 +2,12 @@
 //! significant regressions and improvements.
 //!
 //! [`load_samples`] auto-detects the input by schema tag — an
-//! `ignite-cluster-v1` report, an `ignite-scope-v1` report, or an
-//! `ignite-bench-v1` benchmark file — and flattens it into named
-//! metric samples, each with a direction (is higher better?) and a
-//! noise floor. [`diff`] then compares two sample sets: a change is
-//! *significant* only when it exceeds both a relative threshold and
-//! three times the combined noise floors, so bench jitter does not
-//! read as a regression.
+//! `ignite-cluster-v1` or `-v2` report, or an `ignite-scope-v1` report —
+//! and flattens it into named metric samples, each with a direction (is
+//! higher better?). [`same_kind`] says whether two schemas compare at
+//! all, and [`diff`] then compares two sample sets: a change is
+//! *significant* when its baseline is nonzero and it exceeds a relative
+//! threshold.
 
 use std::fmt::Write as _;
 
@@ -21,15 +20,13 @@ pub struct MetricSample {
     pub name: String,
     /// The value.
     pub value: f64,
-    /// Noise floor (same units as `value`); 0 when unknown.
-    pub noise: f64,
     /// Whether larger values are better (utilization, hit rate) or
     /// worse (latency, violations).
     pub higher_is_better: bool,
 }
 
-fn sample(name: String, value: f64, noise: f64, higher_is_better: bool) -> MetricSample {
-    MetricSample { name, value, noise, higher_is_better }
+fn sample(name: String, value: f64, higher_is_better: bool) -> MetricSample {
+    MetricSample { name, value, higher_is_better }
 }
 
 fn num(obj: &[(String, Value)], key: &str) -> Option<f64> {
@@ -48,13 +45,13 @@ fn cluster_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
             ("mean_utilization", true),
         ] {
             if let Some(v) = num(t, key) {
-                out.push(sample(format!("totals/{key}"), v, 0.0, higher));
+                out.push(sample(format!("totals/{key}"), v, higher));
             }
         }
     }
     if let Some(st) = json::get(obj, "store").and_then(Value::as_object) {
         if let Some(v) = num(st, "hit_rate") {
-            out.push(sample("store/hit_rate".to_string(), v, 0.0, true));
+            out.push(sample("store/hit_rate".to_string(), v, true));
         }
     }
     if let Some(fs) = json::get(obj, "functions").and_then(Value::as_array) {
@@ -63,7 +60,7 @@ fn cluster_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
             let Some(abbr) = json::get(fo, "function").and_then(Value::as_str) else { continue };
             for (key, higher) in [("p99_latency_cycles", false), ("mean_service_cycles", false)] {
                 if let Some(v) = num(fo, key) {
-                    out.push(sample(format!("function/{abbr}/{key}"), v, 0.0, higher));
+                    out.push(sample(format!("function/{abbr}/{key}"), v, higher));
                 }
             }
         }
@@ -87,17 +84,17 @@ fn scope_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
                 "latency_cycles",
             ] {
                 if let Some(v) = num(t, key) {
-                    out.push(sample(format!("totals/mean_{key}"), v / inv, 0.0, false));
+                    out.push(sample(format!("totals/mean_{key}"), v / inv, false));
                 }
             }
         }
         for key in ["p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles"] {
             if let Some(v) = num(t, key) {
-                out.push(sample(format!("totals/{key}"), v, 0.0, false));
+                out.push(sample(format!("totals/{key}"), v, false));
             }
         }
         if let Some(v) = num(t, "slo_violations") {
-            out.push(sample("totals/slo_violations".to_string(), v, 0.0, false));
+            out.push(sample("totals/slo_violations".to_string(), v, false));
         }
     }
     if let Some(fs) = json::get(obj, "functions").and_then(Value::as_array) {
@@ -105,7 +102,7 @@ fn scope_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
             let Some(fo) = f.as_object() else { continue };
             let Some(abbr) = json::get(fo, "function").and_then(Value::as_str) else { continue };
             if let Some(v) = num(fo, "p99_latency_cycles") {
-                out.push(sample(format!("function/{abbr}/p99_latency_cycles"), v, 0.0, false));
+                out.push(sample(format!("function/{abbr}/p99_latency_cycles"), v, false));
             }
             // Per-function mean attribution components, so a diff can
             // call a scheduler or keep-alive change a win or regression
@@ -124,12 +121,7 @@ fn scope_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
                     "latency_cycles",
                 ] {
                     if let Some(v) = num(fo, key) {
-                        out.push(sample(
-                            format!("function/{abbr}/mean_{key}"),
-                            v / inv,
-                            0.0,
-                            false,
-                        ));
+                        out.push(sample(format!("function/{abbr}/mean_{key}"), v / inv, false));
                     }
                 }
             }
@@ -138,42 +130,53 @@ fn scope_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
     out
 }
 
-fn bench_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
-    let mut out = Vec::new();
-    if let Some(rs) = json::get(obj, "results").and_then(Value::as_array) {
-        for r in rs {
-            let Some(ro) = r.as_object() else { continue };
-            let Some(name) = json::get(ro, "name").and_then(Value::as_str) else { continue };
-            let Some(wall) = num(ro, "wall_ns") else { continue };
-            let mad = num(ro, "mad_ns").unwrap_or(0.0);
-            out.push(sample(format!("bench/{name}/wall_ns"), wall, mad, false));
-        }
+/// The report kinds [`load_samples`] reads. Both cluster schema
+/// versions are one kind: v2 adds the failure-model sections to v1, and
+/// a run with failures is compared with one without.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Cluster,
+    Scope,
+}
+
+fn kind(schema: &str) -> Option<Kind> {
+    match schema {
+        "ignite-cluster-v1" | "ignite-cluster-v2" => Some(Kind::Cluster),
+        "ignite-scope-v1" => Some(Kind::Scope),
+        _ => None,
     }
-    out
 }
 
 /// Flattens a serialized report into comparable samples, detecting the
-/// schema from the document's `schema` tag.
-pub fn load_samples(text: &str) -> Result<Vec<MetricSample>, String> {
+/// schema from the document's `schema` tag, and returns the tag with
+/// them.
+pub fn load_samples(text: &str) -> Result<(String, Vec<MetricSample>), String> {
     let doc = json::parse(text)?;
     let obj = doc.as_object().ok_or("document is not an object")?;
     let schema =
         json::get(obj, "schema").and_then(Value::as_str).ok_or("document has no 'schema' tag")?;
-    let samples = match schema {
-        "ignite-cluster-v1" | "ignite-cluster-v2" => cluster_samples(obj),
-        "ignite-scope-v1" => scope_samples(obj),
-        "ignite-bench-v1" => bench_samples(obj),
-        other => return Err(format!("unsupported schema '{other}'")),
+    let samples = match kind(schema) {
+        Some(Kind::Cluster) => cluster_samples(obj),
+        Some(Kind::Scope) => scope_samples(obj),
+        None => return Err(format!("unsupported schema '{schema}'")),
     };
     if samples.is_empty() {
         return Err(format!("no comparable metrics in '{schema}' document"));
     }
-    Ok(samples)
+    Ok((schema.to_string(), samples))
+}
+
+/// Whether reports of two schemas compare: both are cluster reports, of
+/// either version, or both are scope reports. Metrics of different
+/// report kinds that happen to share a name do not measure the same
+/// thing.
+pub fn same_kind(old_schema: &str, new_schema: &str) -> bool {
+    kind(old_schema).is_some() && kind(old_schema) == kind(new_schema)
 }
 
 /// Extracts a compact workload identity from a serialized cluster
 /// report, or `None` when the document carries no `workload`
-/// fingerprint section (legacy reports, scope reports, bench files).
+/// fingerprint section (legacy reports, scope reports).
 ///
 /// Two reports with different identities were produced by different
 /// traffic shapes, so a metric diff between them compares apples to
@@ -206,7 +209,8 @@ pub struct DiffEntry {
     pub new: f64,
     /// Relative change in percent (positive = increased).
     pub delta_pct: f64,
-    /// Whether the change cleared both significance gates.
+    /// Whether the baseline is nonzero and the change exceeds the
+    /// threshold.
     pub significant: bool,
     /// Significant *and* in the worse direction.
     pub regression: bool,
@@ -264,39 +268,35 @@ impl DiffReport {
     }
 }
 
-/// Compares two sample sets. A change is significant when its absolute
-/// delta exceeds `threshold_pct` percent of the baseline *and* three
-/// times the combined noise floors; direction then decides regression
-/// vs improvement.
+/// Compares two sample sets. A change is significant when the baseline
+/// is nonzero and the change exceeds `threshold_pct` percent of it;
+/// direction then decides regression vs improvement.
+///
+/// `threshold_pct` must be finite and at least 0: at NaN or infinity no
+/// change would be significant, and below 0 every one would.
 pub fn diff(old: &[MetricSample], new: &[MetricSample], threshold_pct: f64) -> DiffReport {
+    debug_assert!(
+        threshold_pct.is_finite() && threshold_pct >= 0.0,
+        "threshold {threshold_pct} is not a finite percentage >= 0"
+    );
     let mut report = DiffReport::default();
     for o in old {
         let Some(n) = new.iter().find(|n| n.name == o.name) else {
             report.removed.push(o.name.clone());
             continue;
         };
-        if o.value == 0.0 && n.value == 0.0 {
-            report.entries.push(DiffEntry {
-                name: o.name.clone(),
-                old: 0.0,
-                new: 0.0,
-                delta_pct: 0.0,
-                significant: false,
-                regression: false,
-                improvement: false,
-            });
-            continue;
-        }
         let delta = n.value - o.value;
-        let delta_pct =
-            if o.value == 0.0 { 100.0 * delta.signum() } else { 100.0 * delta / o.value };
-        let noise_gate = 3.0 * (o.noise + n.noise);
+        let delta_pct = if o.value != 0.0 {
+            100.0 * delta / o.value
+        } else if delta != 0.0 {
+            100.0 * delta.signum()
+        } else {
+            0.0
+        };
         // An exactly-zero baseline pins delta_pct to ±100, so the
-        // percent threshold is no test at all; without a noise floor to
-        // supply an absolute scale either, any nonzero jitter would be
-        // flagged. Demand at least one real yardstick.
-        let measurable = o.value != 0.0 || noise_gate > 0.0;
-        let significant = measurable && delta_pct.abs() > threshold_pct && delta.abs() > noise_gate;
+        // percent threshold is no test at all: any nonzero jitter would
+        // be flagged.
+        let significant = o.value != 0.0 && delta_pct.abs() > threshold_pct;
         let worse = if o.higher_is_better { delta < 0.0 } else { delta > 0.0 };
         report.entries.push(DiffEntry {
             name: o.name.clone(),
@@ -321,7 +321,7 @@ mod tests {
     use super::*;
 
     fn s(name: &str, value: f64) -> MetricSample {
-        sample(name.to_string(), value, 0.0, false)
+        sample(name.to_string(), value, false)
     }
 
     #[test]
@@ -343,8 +343,8 @@ mod tests {
         let d = diff(&new, &old, 10.0);
         assert_eq!(d.improvements(), 1);
         // Higher-is-better flips the call.
-        let old = vec![sample("util".into(), 0.5, 0.0, true)];
-        let new = vec![sample("util".into(), 0.9, 0.0, true)];
+        let old = vec![sample("util".into(), 0.5, true)];
+        let new = vec![sample("util".into(), 0.9, true)];
         assert_eq!(diff(&old, &new, 10.0).improvements(), 1);
         assert_eq!(diff(&new, &old, 10.0).regressions(), 1);
     }
@@ -353,9 +353,8 @@ mod tests {
     fn zero_baseline_without_a_noise_floor_is_not_significant() {
         // A component that is exactly zero in the baseline offers no
         // scale to judge a percent delta against: delta_pct pins to
-        // ±100 and (for noise-free report-derived samples) the noise
-        // gate is also zero, so 0 -> 1e-9 used to read as a significant
-        // 100% regression.
+        // ±100, so 0 -> 1e-9 would read as a significant 100%
+        // regression.
         let old = vec![s("function/mdsvc/mean_degraded_cycles", 0.0)];
         let new = vec![s("function/mdsvc/mean_degraded_cycles", 1e-9)];
         let d = diff(&old, &new, 5.0);
@@ -363,24 +362,6 @@ mod tests {
         let e = &d.entries[0];
         assert_eq!(e.delta_pct, 100.0);
         assert!(!e.significant);
-        // A zero baseline WITH a noise floor still flags a change that
-        // clears it — the gate supplies the missing scale.
-        let old = vec![sample("x".into(), 0.0, 1.0, false)];
-        let new = vec![sample("x".into(), 10.0, 1.0, false)];
-        assert_eq!(diff(&old, &new, 5.0).regressions(), 1);
-    }
-
-    #[test]
-    fn noise_floor_suppresses_jitter() {
-        let old = vec![sample("bench/x/wall_ns".into(), 1_000.0, 200.0, false)];
-        let new = vec![sample("bench/x/wall_ns".into(), 1_500.0, 200.0, false)];
-        // +50% but within 3*(200+200) = 1200 of noise: not significant.
-        let d = diff(&old, &new, 25.0);
-        assert_eq!(d.regressions(), 0);
-        // Same delta with tight noise is flagged.
-        let old = vec![sample("bench/x/wall_ns".into(), 1_000.0, 10.0, false)];
-        let new = vec![sample("bench/x/wall_ns".into(), 1_500.0, 10.0, false)];
-        assert_eq!(diff(&old, &new, 25.0).regressions(), 1);
     }
 
     #[test]
@@ -396,18 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn loads_bench_schema() {
-        let text = r#"{"schema": "ignite-bench-v1", "results": [
-            {"name": "decode", "kind": "micro", "wall_ns": 1200, "mad_ns": 15}
-        ]}"#;
-        let samples = load_samples(text).expect("bench samples");
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].name, "bench/decode/wall_ns");
-        assert_eq!(samples[0].noise, 15.0);
-        assert!(!samples[0].higher_is_better);
-    }
-
-    #[test]
     fn scope_samples_carry_per_function_components() {
         let text = r#"{"schema": "ignite-scope-v1", "totals": {"invocations": 4,
             "queue_cycles": 8, "dram_cycles": 4, "cold_frontend_cycles": 0,
@@ -418,7 +387,8 @@ mod tests {
             "queue_cycles": 8, "dram_cycles": 4, "cold_frontend_cycles": 0,
             "store_miss_cycles": 12, "degraded_cycles": 0, "execution_cycles": 20,
             "latency_cycles": 44, "p99_latency_cycles": 12}]}"#;
-        let samples = load_samples(text).expect("scope samples");
+        let (schema, samples) = load_samples(text).expect("scope samples");
+        assert_eq!(schema, "ignite-scope-v1");
         let miss = samples
             .iter()
             .find(|s| s.name == "function/mdsvc/mean_store_miss_cycles")
@@ -428,7 +398,7 @@ mod tests {
         // A scheduler swap that halves mdsvc's store misses reads as a
         // per-function improvement.
         let better = text.replace("\"store_miss_cycles\": 12", "\"store_miss_cycles\": 4");
-        let d = diff(&samples, &load_samples(&better).unwrap(), 5.0);
+        let d = diff(&samples, &load_samples(&better).unwrap().1, 5.0);
         assert!(d
             .entries
             .iter()
@@ -460,13 +430,21 @@ mod tests {
     #[test]
     fn workload_identity_is_none_without_fingerprint() {
         assert_eq!(workload_identity(r#"{"schema": "ignite-cluster-v1", "config": {}}"#), None);
-        assert_eq!(workload_identity(r#"{"schema": "ignite-bench-v1", "results": []}"#), None);
+        assert_eq!(workload_identity(r#"{"schema": "ignite-scope-v1", "totals": {}}"#), None);
         assert_eq!(workload_identity("not json"), None);
     }
 
     #[test]
     fn rejects_unknown_schema() {
-        assert!(load_samples(r#"{"schema": "nope"}"#).is_err());
         assert!(load_samples("{}").is_err());
+        // A benchmark file of the retired micro-kernel runner is as
+        // foreign as any other schema, results and all.
+        for schema in ["nope", "ignite-bench-v1"] {
+            let text = format!(
+                r#"{{"schema": "{schema}", "results": [{{"name": "decode", "wall_ns": 1200}}]}}"#
+            );
+            let err = load_samples(&text).expect_err(schema);
+            assert_eq!(err, format!("unsupported schema '{schema}'"));
+        }
     }
 }

@@ -16,8 +16,8 @@
 //!   supplied) keeps multi-window burn rates over the attribution
 //!   stream in pure integer arithmetic and emits `AlertFire` /
 //!   `AlertResolve` events onto their own trace track.
-//! - [`diff()`] compares two runs — cluster reports, scope reports, or
-//!   bench reports — and flags significant regressions/improvements,
+//! - [`diff()`] compares two runs — two cluster reports or two scope
+//!   reports — and flags significant regressions/improvements,
 //!   replacing ad-hoc percentage gates in CI.
 //!
 //! Everything here is deterministic: same events in, byte-identical
@@ -29,6 +29,8 @@ pub mod report;
 pub mod slo;
 
 pub use attribution::{FunctionAttribution, InvocationAttribution, ScopeAnalyzer};
-pub use diff::{diff, load_samples, workload_identity, DiffEntry, DiffReport, MetricSample};
+pub use diff::{
+    diff, load_samples, same_kind, workload_identity, DiffEntry, DiffReport, MetricSample,
+};
 pub use report::{record_scope_metrics, record_slo_metrics, ScopeReport, SCOPE_SCHEMA};
 pub use slo::{SloConfig, SloTracker, Transition};

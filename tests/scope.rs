@@ -5,7 +5,8 @@
 //! stability, the observability health checks (histogram overflow
 //! reaching `+Inf`, trace drops surfaced in report and metrics), and the
 //! validators' strictness: every key of every committed report is
-//! required with its kind, and deeply nested input is a clean error.
+//! required with its kind, deeply nested input is a clean error, and
+//! `scope diff` refuses bad thresholds and mixed report kinds.
 
 use ignite_cluster::json::{self, Value};
 use ignite_cluster::{
@@ -150,7 +151,8 @@ fn alerts_fire_into_their_own_track_and_chrome_export() {
 }
 
 /// `scope diff` of a run against itself must be clean for every schema
-/// it understands — the acceptance gate CI relies on.
+/// it understands — the acceptance gate CI relies on. The v2 report is
+/// the chaos golden configuration's.
 #[test]
 fn self_diffs_report_zero_regressions() {
     let cfg = golden_cfg();
@@ -158,13 +160,15 @@ fn self_diffs_report_zero_regressions() {
     let outcome = run_observed(&cfg, &mut analyzer);
     let scope_json = ScopeReport::from_analyzer(&analyzer, &abbrs(&outcome)).to_json();
     let cluster_json = ClusterReport::new(cfg, outcome).to_json();
-    let bench_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../crates/bench/baseline/quick.json");
-    let bench_json = std::fs::read_to_string(&bench_path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", bench_path.display()));
-    for (what, text) in [("scope", &scope_json), ("cluster", &cluster_json), ("bench", &bench_json)]
-    {
-        let samples = load_samples(text).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let chaos_json = std::fs::read_to_string(repo_path("tests/golden/chaos.json"))
+        .unwrap_or_else(|e| panic!("cannot read the chaos golden: {e}"));
+    for (what, text, want) in [
+        ("scope", &scope_json, "ignite-scope-v1"),
+        ("cluster", &cluster_json, "ignite-cluster-v1"),
+        ("chaos", &chaos_json, "ignite-cluster-v2"),
+    ] {
+        let (schema, samples) = load_samples(text).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(schema, want, "{what}");
         let d = diff(&samples, &samples, 5.0);
         assert_eq!(d.regressions(), 0, "{what} self-diff regressed:\n{}", d.to_text());
         assert_eq!(d.improvements(), 0, "{what} self-diff improved:\n{}", d.to_text());
@@ -427,4 +431,41 @@ fn validators_reject_deep_nesting_without_crashing() {
         assert!(!stderr.contains("overflow"), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `scope diff` takes a threshold only as a finite percentage >= 0, and
+/// compares two cluster reports, of either version, or two scope
+/// reports, never one of each: not even with `--allow-cross-workload`,
+/// which a fingerprinted report would otherwise ask for.
+#[test]
+fn scope_diff_refuses_bad_thresholds_and_mixed_report_kinds() {
+    let scope_diff = |old: &str, new: &str, args: &[&str]| {
+        let golden = |f: &str| repo_path(&format!("tests/golden/{f}"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scope"))
+            .arg("diff")
+            .args([golden(old), golden(new)])
+            .args(args)
+            .output()
+            .expect("spawn scope");
+        let text = |bytes: Vec<u8>| String::from_utf8_lossy(&bytes).into_owned();
+        (out.status.code(), text(out.stdout), text(out.stderr))
+    };
+    // This pair has 24 regressions at the default 5%, so a threshold
+    // that turned the gate off or flagged every change would show.
+    for t in ["nan", "inf", "-inf", "-1"] {
+        let (code, _, stderr) = scope_diff("cluster.json", "chaos.json", &["--threshold", t]);
+        assert_eq!(code, Some(2), "--threshold {t}: {stderr}");
+        assert!(stderr.contains(&format!("bad threshold '{t}'")), "{stderr}");
+    }
+    let (code, stdout, stderr) = scope_diff("cluster.json", "chaos.json", &["--threshold", "0"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.starts_with("scope diff: 47 metrics compared"), "{stdout}");
+    for (old, new, schemas) in [
+        ("traffic_mmpp.json", "scope.json", ["ignite-cluster-v1", "ignite-scope-v1"]),
+        ("scope.json", "chaos.json", ["ignite-scope-v1", "ignite-cluster-v2"]),
+    ] {
+        let (code, stdout, stderr) = scope_diff(old, new, &[]);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stdout.is_empty() && schemas.iter().all(|s| stderr.contains(s)), "{stderr}");
+    }
 }
