@@ -86,6 +86,11 @@ impl Topology {
 /// underflows and the arrival clock never reaches the horizon.
 pub const MAX_RATE_PER_MCYCLE: f64 = 1e6;
 
+/// Most simulated cores one run may build (`topology.nodes × cores`).
+/// Each core owns a whole machine of about 2.1 MB, so this caps a run's
+/// machines at about 2.1 GB.
+pub const MAX_CORES: usize = 1024;
+
 /// A configuration the simulator refuses to run, with enough structure
 /// for callers to match on. [`std::fmt::Display`] names the offending
 /// field; the CLI prints it and exits nonzero instead of panicking.
@@ -95,6 +100,13 @@ pub enum ConfigError {
     ZeroNodes,
     /// `cores == 0` (cores are per node).
     ZeroCores,
+    /// `topology.nodes × cores` overflows or exceeds [`MAX_CORES`].
+    TooManyCores {
+        /// The rejected node count.
+        nodes: usize,
+        /// The rejected cores per node.
+        cores: usize,
+    },
     /// A float field that must be finite and positive was not.
     NonPositive {
         /// Field name as spelled in the config.
@@ -159,6 +171,12 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroNodes => write!(f, "topology.nodes must be at least 1"),
             ConfigError::ZeroCores => write!(f, "cores must be at least 1"),
+            ConfigError::TooManyCores { nodes, cores } => {
+                write!(
+                    f,
+                    "topology.nodes * cores must be at most {MAX_CORES}, got {nodes} * {cores}"
+                )
+            }
             ConfigError::NonPositive { field, value } => {
                 write!(f, "{field} must be finite and positive, got {value}")
             }
@@ -290,6 +308,10 @@ impl ClusterConfig {
         }
         if self.cores == 0 {
             return Err(ConfigError::ZeroCores);
+        }
+        let nodes = self.topology.nodes;
+        if nodes.checked_mul(self.cores).is_none_or(|total| total > MAX_CORES) {
+            return Err(ConfigError::TooManyCores { nodes, cores: self.cores });
         }
         if let SchedulerKind::Random { choices: 0 } = self.topology.scheduler {
             return Err(ConfigError::ZeroSchedulerChoices);
@@ -1174,8 +1196,9 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
     }
 
     /// Crash check (chaos only): a crash window opening while the
-    /// attempt holds its core kills it — no completion, no writeback, a
-    /// fresh (fully cold) machine, and the core held busy until repair.
+    /// attempt holds its core kills it — no completion, no writeback, the
+    /// core's machine reset in place to fully cold, and the core held
+    /// busy until repair.
     /// Returns the crash cycle.
     fn crash(&mut self, at: &Attempt) -> Option<u64> {
         let now = self.now;
@@ -1195,7 +1218,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
         let kind = EventKind::CoreRestore { core: core_id, down_cycles: restart - crash_t };
         emit(self.sink, restart, Track::Chaos, kind);
         let core = &mut self.cores[at.core];
-        core.machine = Machine::new(&self.sim.uarch, &self.sim.cfg.fe);
+        core.machine.reset();
         core.last_seq.clear();
         core.busy_until = Some(restart);
         // The core worked (was busy) until the crash; the repair window
@@ -1963,6 +1986,16 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(bad.validate().unwrap_err(), ConfigError::ZeroKeepAliveWindow);
+        let shape = |nodes, cores| ClusterConfig {
+            cores,
+            topology: Topology { nodes, ..Topology::default() },
+            ..ClusterConfig::default()
+        };
+        assert!(shape(MAX_CORES / 4, 4).validate().is_ok());
+        for (nodes, cores) in [(MAX_CORES + 1, 1), (1 << 32, 1 << 32)] {
+            let err = shape(nodes, cores).validate().unwrap_err();
+            assert_eq!(err, ConfigError::TooManyCores { nodes, cores });
+        }
         let ok = ClusterConfig {
             topology: Topology {
                 nodes: 3,

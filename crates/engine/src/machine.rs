@@ -115,11 +115,13 @@ pub struct Machine {
     pub ignite: Option<Ignite>,
     /// Global clock (persists across invocations).
     pub now: Cycle,
-    /// Lifetime count of [`Machine::context_switch`] calls (observability:
-    /// the cluster's dispatch path reads it into context-switch events).
-    pub context_switches: u64,
     flush_rng: SplitMix64,
 }
+
+/// Degree of the always-on next-line prefetcher.
+const NL_DEGREE: usize = 2;
+/// Seed of the lukewarm protocol's BIM randomization.
+const FLUSH_SEED: u64 = 0xF1A5_60D5;
 
 impl Machine {
     /// Builds a cold machine for a front-end configuration.
@@ -133,15 +135,38 @@ impl Machine {
             cbp: Cbp::new(&uarch.cbp),
             ras: Ras::new(&uarch.ras),
             ittage: uarch.indirect_predictor.as_ref().map(Ittage::new),
-            nl: NextLine::new(2),
+            nl: NextLine::new(NL_DEGREE),
             boomerang: fe.select.boomerang.map(Boomerang::new),
             jukebox: fe.select.jukebox.map(Jukebox::new),
             confluence: fe.select.confluence.map(Confluence::new),
             ignite: fe.select.ignite.map(Ignite::new),
             now: 0,
-            context_switches: 0,
-            flush_rng: SplitMix64::new(0xF1A5_60D5),
+            flush_rng: SplitMix64::new(FLUSH_SEED),
         }
+    }
+
+    /// Returns the machine to exactly its [`Machine::new`] state for the
+    /// same configuration — a core restarting cold after a crash —
+    /// without reallocating the large tables: the caches forget their
+    /// lines by generation, and the BTB and predictors are rewritten in
+    /// place. The small parts are rebuilt, which also drops every
+    /// mechanism's per-container metadata.
+    pub fn reset(&mut self) {
+        self.hierarchy.reset();
+        self.itlb.reset();
+        self.btb.reset();
+        self.cbp.reset();
+        if let Some(it) = &mut self.ittage {
+            it.reset();
+        }
+        self.ras = Ras::new(&self.uarch.ras);
+        self.nl = NextLine::new(NL_DEGREE);
+        self.boomerang = self.fe.select.boomerang.map(Boomerang::new);
+        self.jukebox = self.fe.select.jukebox.map(Jukebox::new);
+        self.confluence = self.fe.select.confluence.map(Confluence::new);
+        self.ignite = self.fe.select.ignite.map(Ignite::new);
+        self.now = 0;
+        self.flush_rng = SplitMix64::new(FLUSH_SEED);
     }
 
     /// Applies the configured cross-invocation state policy: the lukewarm
@@ -193,7 +218,6 @@ impl Machine {
     /// state in Boomerang/Confluence resets exactly as
     /// [`Machine::between_invocations`] does.
     pub fn context_switch(&mut self) {
-        self.context_switches += 1;
         self.ras.flush();
         if let Some(b) = &mut self.boomerang {
             b.reset();
@@ -216,7 +240,13 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::InvocationResult;
+    use crate::sim::{run_invocation_obs, InvocationCtx};
+    use ignite_obs::{Event, TraceBuffer, Track};
     use ignite_uarch::addr::Addr;
+    use ignite_uarch::ittage::IttageConfig;
+    use ignite_uarch::loop_pred::LoopPredictorConfig;
+    use ignite_workloads::gen::{generate, GenParams};
     use ignite_workloads::suite::Suite;
 
     #[test]
@@ -278,6 +308,70 @@ mod tests {
         m.hierarchy.fetch(Addr::new(0x1000), 0);
         m.between_invocations();
         assert!(m.hierarchy.probe_l1i(Addr::new(0x1000)));
+    }
+
+    /// Runs `invocations` invocations, alternating the lukewarm flush and
+    /// a context switch between them, and returns every result and every
+    /// event they emit.
+    fn drive(
+        m: &mut Machine,
+        f: &PreparedFunction,
+        invocations: u64,
+    ) -> (Vec<InvocationResult>, Vec<Event>) {
+        let mut sink = TraceBuffer::new(1 << 20);
+        let results = (0..invocations)
+            .map(|i| {
+                if i % 2 == 1 {
+                    m.between_invocations();
+                } else if i > 0 {
+                    m.context_switch();
+                }
+                let ctx = InvocationCtx::default();
+                run_invocation_obs(m, f, i, ctx, &mut sink, Track::Core(0), 0)
+            })
+            .collect();
+        assert_eq!(sink.dropped(), 0, "trace buffer overflowed");
+        (results, sink.iter().copied().collect())
+    }
+
+    /// A reset machine behaves exactly like a fresh one: same results and
+    /// same event stream, for each of the ten front-ends
+    /// `tests/golden_results.rs` pins, with and without the optional
+    /// indirect and loop predictors.
+    #[test]
+    fn reset_machine_matches_a_fresh_machine() {
+        let mut p = GenParams::example("reset-test");
+        p.target_branches = 300;
+        p.target_code_bytes = 12 * 1024;
+        let f = PreparedFunction::from_image(generate(&p), 3, 8_000);
+        let tiny = UarchConfig::tiny_for_tests();
+        let mut extended = tiny;
+        extended.indirect_predictor = Some(IttageConfig::default());
+        extended.cbp.loop_predictor = Some(LoopPredictorConfig::default());
+        for uarch in [tiny, extended] {
+            for fe in [
+                FrontEndConfig::nl(),
+                FrontEndConfig::jukebox(),
+                FrontEndConfig::boomerang(),
+                FrontEndConfig::boomerang_jukebox(),
+                FrontEndConfig::ignite(),
+                FrontEndConfig::ignite_tage(),
+                FrontEndConfig::ideal(),
+                FrontEndConfig::confluence(),
+                FrontEndConfig::confluence_ignite(),
+                FrontEndConfig::ignite_boomerang(),
+            ] {
+                let mut used = Machine::new(&uarch, &fe);
+                drive(&mut used, &f, 3);
+                used.reset();
+                let mut fresh = Machine::new(&uarch, &fe);
+                assert!(
+                    drive(&mut used, &f, 4) == drive(&mut fresh, &f, 4),
+                    "{}: a reset machine diverged from a fresh one",
+                    fe.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,7 @@ impl BimodalConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bimodal {
+    cfg: BimodalConfig,
     table: Vec<Counter>,
 }
 
@@ -116,9 +117,10 @@ impl Bimodal {
     ///
     /// Panics if the configured size yields zero counters.
     pub fn new(cfg: &BimodalConfig) -> Self {
-        let n = cfg.counters();
-        assert!(n > 0, "bimodal table must have at least one counter");
-        Bimodal { table: vec![Counter::WeakNotTaken; n] }
+        assert!(cfg.counters() > 0, "bimodal table must have at least one counter");
+        let mut bim = Bimodal { cfg: *cfg, table: Vec::new() };
+        bim.reset();
+        bim
     }
 
     /// Number of counters.
@@ -177,11 +179,12 @@ impl Bimodal {
         }
     }
 
-    /// Resets every counter to weakly not-taken.
-    pub fn clear(&mut self) {
-        for c in &mut self.table {
-            *c = Counter::WeakNotTaken;
-        }
+    /// Resets every counter to weakly not-taken, the [`Bimodal::new`]
+    /// state, without reallocating.
+    pub fn reset(&mut self) {
+        // Rewrites every counter in place (builds the table on first use).
+        self.table.clear();
+        self.table.resize(self.cfg.counters(), Counter::WeakNotTaken);
     }
 }
 
@@ -288,7 +291,7 @@ mod tests {
         let mut b = bim();
         b.update(Addr::new(0x1), true);
         b.update(Addr::new(0x1), true);
-        b.clear();
+        b.reset();
         assert!(!b.predict(Addr::new(0x1)));
     }
 }

@@ -193,18 +193,30 @@ impl Btb {
     /// Panics if `entries` is not a multiple of `ways`.
     pub fn new(cfg: &BtbConfig) -> Self {
         let sets = cfg.sets();
-        Btb {
+        let mut btb = Btb {
             sets,
             ways: cfg.ways,
             set_mask: if sets.is_power_of_two() { sets as u64 - 1 } else { u64::MAX },
-            storage: vec![Way::default(); sets * cfg.ways],
+            storage: Vec::new(),
             clock: 0,
             insert_log: Vec::new(),
             restored_untouched: 0,
             vm_tagging: false,
             current_vm: 0,
             stats: BtbStats::default(),
-        }
+        };
+        btb.reset();
+        btb
+    }
+
+    /// Returns the BTB to its [`Btb::new`] state — empty, untagged, zeroed
+    /// statistics — without reallocating its ways.
+    pub fn reset(&mut self) {
+        self.flush();
+        self.clock = 0;
+        self.vm_tagging = false;
+        self.current_vm = 0;
+        self.reset_stats();
     }
 
     /// Enables VM tagging (§4.4): lookups match only entries installed by
@@ -388,9 +400,9 @@ impl Btb {
 
     /// Invalidates every entry (lukewarm flush).
     pub fn flush(&mut self) {
-        for way in &mut self.storage {
-            *way = Way::default();
-        }
+        // Rewrites every way in place (builds the table on first use).
+        self.storage.clear();
+        self.storage.resize(self.sets * self.ways, Way::default());
         self.restored_untouched = 0;
         self.insert_log.clear();
     }

@@ -8,8 +8,36 @@
 //!   served a demand access (used for Fig. 9c overprediction accounting).
 //! * `restored` — the line was filled by Ignite's replay engine.
 //! * `touched` — the line has served at least one demand access.
+//!
+//! # State layout
+//!
+//! A way costs 9 bytes, held in two parallel arrays:
+//!
+//! * one `u64` word: bits 0–47 hold the full line number (an [`Addr`] is
+//!   48 bits wide, so any line size fits), bits 48–60 the generation the
+//!   line was filled in, and bits 61–63 the prefetched, restored and
+//!   touched flags;
+//! * one `u8` LRU rank: among a set's valid ways, 0 is the most recently
+//!   used and `valid - 1` the least. [`CacheGeometry::sets`] allows at
+//!   most 256 ways, so a rank always fits.
+//!
+//! A lookup compares each word, flags masked off, with one key: the line
+//! number joined with the current generation. A 20-way set scan reads
+//! 160 bytes. A touch moves the way to rank 0 and ages every way ranked
+//! before it; a way's rank is meaningless while it is invalid and is
+//! rewritten when it is filled. The victim is the first invalid way,
+//! else the way ranked last.
+//!
+//! # Generation flush
+//!
+//! A word is valid only while its generation equals the cache's.
+//! [`SetAssocCache::invalidate_all`] bumps the generation, which
+//! invalidates every line without writing one. Only when the 13-bit
+//! generation wraps does it zero the words for real, once every
+//! `GENERATIONS - 1` flushes ([`SetAssocCache::GENERATIONS`]).
+//! Generations start at 1, so freshly zeroed arrays hold no valid line.
 
-use crate::addr::Addr;
+use crate::addr::{Addr, VA_BITS};
 use crate::stats::AccessStats;
 
 /// Geometry of a set-associative cache.
@@ -17,7 +45,7 @@ use crate::stats::AccessStats;
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
-    /// Associativity.
+    /// Associativity (at most 256).
     pub ways: usize,
     /// Line size in bytes (must be a power of two).
     pub line_bytes: u64,
@@ -28,10 +56,12 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero ways, non-power-of-two
-    /// line size, or a capacity not divisible into whole sets).
+    /// Panics if the geometry is degenerate (zero or more than 256 ways,
+    /// non-power-of-two line size, or a capacity not divisible into whole
+    /// sets).
     pub fn sets(&self) -> usize {
         assert!(self.ways > 0, "cache must have at least one way");
+        assert!(self.ways <= 256, "cache must have at most 256 ways");
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
         let lines = self.size_bytes / self.line_bytes;
         assert!(
@@ -60,16 +90,23 @@ pub enum FillKind {
     Restore,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    /// Line number (address / line size); doubles as the tag.
-    line_number: u64,
-    valid: bool,
-    lru_stamp: u64,
-    prefetched: bool,
-    restored: bool,
-    touched: bool,
-}
+/// Bit position of a word's generation field.
+const GEN_SHIFT: u32 = VA_BITS;
+/// One generation step, in place in the word.
+const GEN_ONE: u64 = 1 << GEN_SHIFT;
+/// The word's generation field.
+const GEN_MASK: u64 = (SetAssocCache::GENERATIONS - 1) << GEN_SHIFT;
+/// The line was prefetched (or restored) and has served no demand access.
+const PREFETCHED: u64 = 1 << 61;
+/// The line was installed by Ignite's replay.
+const RESTORED: u64 = 1 << 62;
+/// The line has served a demand access.
+const TOUCHED: u64 = 1 << 63;
+/// Line number and generation: what a lookup compares.
+const KEY_MASK: u64 = PREFETCHED - 1;
+/// The word's line-number field.
+const LINE_MASK: u64 = GEN_ONE - 1;
+const _: () = assert!(GEN_MASK | LINE_MASK == KEY_MASK, "fields must tile the key");
 
 /// Details of a demand hit (see [`SetAssocCache::lookup_hit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +127,7 @@ pub struct Evicted {
 }
 
 /// Counters for one cache instance.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand access counters.
     pub demand: AccessStats,
@@ -109,17 +146,6 @@ pub struct CacheStats {
     pub unused_restore_evictions: u64,
 }
 
-/// Result of flushing a cache (end-of-invocation sweep).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlushReport {
-    /// Valid lines discarded.
-    pub valid_lines: u64,
-    /// Prefetched lines never demanded before the flush (overprediction).
-    pub unused_prefetched: u64,
-    /// Restored (Ignite) lines never demanded before the flush.
-    pub unused_restored: u64,
-}
-
 /// A set-associative cache with true-LRU replacement.
 ///
 /// # Example
@@ -133,17 +159,25 @@ pub struct FlushReport {
 /// assert!(!c.lookup(a));
 /// c.fill(a, FillKind::Demand);
 /// assert!(c.lookup(a));
+/// c.invalidate_all();
+/// assert!(!c.probe(a));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    sets: usize,
     /// `sets - 1` when the set count is a power of two (the common case),
     /// letting [`SetAssocCache::set_of`] mask instead of divide;
     /// `u64::MAX` otherwise.
     set_mask: u64,
-    lines: Vec<Line>,
-    clock: u64,
+    sets: usize,
+    /// `log2(line_bytes)`: a line number is an address shifted right by it.
+    line_shift: u32,
+    /// One word per way, set-major (see the module docs for its fields).
+    words: Vec<u64>,
+    /// One LRU rank per way, parallel to `words`.
+    ranks: Vec<u8>,
+    /// The current generation, in place in the word (`gen * GEN_ONE`).
+    generation: u64,
     stats: CacheStats,
     /// Valid lines that are `restored` and not `touched`, kept current at
     /// every fill, hit, eviction and flush so reading it scans nothing.
@@ -151,6 +185,11 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
+    /// Generations a word can name. Generation 0 is never current, so
+    /// [`SetAssocCache::invalidate_all`] sweeps every line once per
+    /// `GENERATIONS - 1` calls.
+    pub const GENERATIONS: u64 = 1 << 13;
+
     /// Creates an empty cache with the given geometry.
     ///
     /// # Panics
@@ -158,12 +197,15 @@ impl SetAssocCache {
     /// Panics if the geometry is degenerate (see [`CacheGeometry::sets`]).
     pub fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.sets();
+        let lines = sets * geometry.ways;
         SetAssocCache {
             geometry,
-            sets,
             set_mask: if sets.is_power_of_two() { sets as u64 - 1 } else { u64::MAX },
-            lines: vec![Line::default(); sets * geometry.ways],
-            clock: 0,
+            sets,
+            line_shift: geometry.line_bytes.trailing_zeros(),
+            words: vec![0; lines],
+            ranks: vec![0; lines],
+            generation: GEN_ONE,
             stats: CacheStats::default(),
             unused_restored: 0,
         }
@@ -186,7 +228,7 @@ impl SetAssocCache {
 
     #[inline]
     fn line_number(&self, addr: Addr) -> u64 {
-        addr.as_u64() / self.geometry.line_bytes
+        addr.as_u64() >> self.line_shift
     }
 
     #[inline]
@@ -198,19 +240,32 @@ impl SetAssocCache {
         }
     }
 
-    /// The contiguous slice of ways backing `line_number`'s set, plus the
-    /// index of its first way. Scanning this slice directly (instead of
-    /// indexing `self.lines[i]` per way) keeps the associative search
-    /// bounds-check-free.
     #[inline]
-    fn set_slice(&self, line_number: u64) -> (usize, &[Line]) {
-        let base = self.set_of(line_number) * self.geometry.ways;
-        (base, &self.lines[base..base + self.geometry.ways])
+    fn is_valid(&self, word: u64) -> bool {
+        word & GEN_MASK == self.generation
     }
 
-    fn find(&self, line_number: u64) -> Option<usize> {
-        let (base, set) = self.set_slice(line_number);
-        set.iter().position(|l| l.valid && l.line_number == line_number).map(|i| base + i)
+    /// The index of the first way of `line_number`'s set, and the way
+    /// within the set holding that line, if it is resident.
+    #[inline]
+    fn find(&self, line_number: u64) -> (usize, Option<usize>) {
+        let base = self.set_of(line_number) * self.geometry.ways;
+        let key = line_number | self.generation;
+        let way =
+            self.words[base..base + self.geometry.ways].iter().position(|&w| w & KEY_MASK == key);
+        (base, way)
+    }
+
+    /// Makes `way` of the set at `base` the most recently used. Every way
+    /// ranked before `rank` (the way's old rank, or `u8::MAX` for a way
+    /// that was invalid) ages by one.
+    #[inline]
+    fn promote(&mut self, base: usize, way: usize, rank: u8) {
+        // Branch-free, so the loop compiles to a few vector compares.
+        for r in &mut self.ranks[base..base + self.geometry.ways] {
+            *r += u8::from(*r < rank);
+        }
+        self.ranks[base + way] = 0;
     }
 
     /// Demand access. Updates LRU, statistics and the per-line touch bit.
@@ -226,34 +281,36 @@ impl SetAssocCache {
     /// prefetcher installed — the trigger condition of a tagged next-line
     /// prefetcher.
     pub fn lookup_hit(&mut self, addr: Addr) -> Option<HitInfo> {
-        let ln = self.line_number(addr);
-        self.clock += 1;
-        match self.find(ln) {
-            Some(i) => {
-                let line = &mut self.lines[i];
-                line.lru_stamp = self.clock;
-                let was_prefetched = line.prefetched;
-                if line.prefetched {
-                    self.stats.prefetch_hits += 1;
-                    line.prefetched = false;
-                }
-                if line.restored && !line.touched {
-                    self.unused_restored -= 1;
-                }
-                line.touched = true;
-                self.stats.demand.record(true);
-                Some(HitInfo { was_prefetched })
-            }
-            None => {
-                self.stats.demand.record(false);
-                None
-            }
+        let (base, way) = self.find(self.line_number(addr));
+        let Some(way) = way else {
+            self.stats.demand.record(false);
+            return None;
+        };
+        let i = base + way;
+        let was_prefetched = self.demand(i);
+        if was_prefetched {
+            self.stats.prefetch_hits += 1;
         }
+        self.promote(base, way, self.ranks[i]);
+        self.stats.demand.record(true);
+        Some(HitInfo { was_prefetched })
+    }
+
+    /// Marks the line in way `i` as demanded: clears its prefetch mark and
+    /// sets its touch bit. Returns whether it was still marked prefetched.
+    #[inline]
+    fn demand(&mut self, i: usize) -> bool {
+        let word = self.words[i];
+        if word & (RESTORED | TOUCHED) == RESTORED {
+            self.unused_restored -= 1;
+        }
+        self.words[i] = (word & !PREFETCHED) | TOUCHED;
+        word & PREFETCHED != 0
     }
 
     /// Checks residency without updating LRU state or statistics.
     pub fn probe(&self, addr: Addr) -> bool {
-        self.find(self.line_number(addr)).is_some()
+        self.find(self.line_number(addr)).1.is_some()
     }
 
     /// Installs the line containing `addr`, evicting the LRU way if needed.
@@ -262,96 +319,79 @@ impl SetAssocCache {
     /// a demand fill of a prefetched resident line clears its prefetch mark.
     pub fn fill(&mut self, addr: Addr, kind: FillKind) -> Option<Evicted> {
         let ln = self.line_number(addr);
-        self.clock += 1;
         match kind {
             FillKind::Demand => self.stats.demand_fills += 1,
             FillKind::Prefetch | FillKind::Restore => self.stats.prefetch_fills += 1,
         }
-        if let Some(i) = self.find(ln) {
-            let line = &mut self.lines[i];
-            line.lru_stamp = self.clock;
+        let (base, way) = self.find(ln);
+        if let Some(way) = way {
+            let i = base + way;
             if kind == FillKind::Demand {
-                if line.restored && !line.touched {
-                    self.unused_restored -= 1;
-                }
-                line.prefetched = false;
-                line.touched = true;
+                self.demand(i);
             }
+            self.promote(base, way, self.ranks[i]);
             return None;
         }
-        // First invalid way, else the way with the oldest LRU stamp (first
-        // of equals — the same victim `min_by_key` over `(valid, stamp)`
-        // tuples would pick, without tuple-compare overhead per way).
-        let (base, set) = self.set_slice(ln);
-        let mut victim_in_set = 0;
-        let mut oldest = u64::MAX;
-        for (i, l) in set.iter().enumerate() {
-            if !l.valid {
-                victim_in_set = i;
-                break;
+        // First invalid way, else the way ranked last: a full set's valid
+        // ranks are exactly 0..ways.
+        let set = &self.words[base..base + self.geometry.ways];
+        let (way, rank, evicted) = match set.iter().position(|&w| !self.is_valid(w)) {
+            Some(way) => (way, u8::MAX, None),
+            None => {
+                let last = (self.geometry.ways - 1) as u8;
+                let way = self.ranks[base..base + self.geometry.ways]
+                    .iter()
+                    .position(|&r| r == last)
+                    .expect("a full set ranks one way last");
+                (way, last, Some(self.evict(self.words[base + way])))
             }
-            if l.lru_stamp < oldest {
-                oldest = l.lru_stamp;
-                victim_in_set = i;
-            }
-        }
-        let victim = base + victim_in_set;
-        let evicted = if self.lines[victim].valid {
-            self.stats.evictions += 1;
-            let old = self.lines[victim];
-            let unused = (old.prefetched || old.restored) && !old.touched;
-            if unused {
-                self.stats.unused_prefetch_evictions += 1;
-                if old.restored {
-                    self.stats.unused_restore_evictions += 1;
-                    self.unused_restored -= 1;
-                }
-            }
-            Some(Evicted {
-                addr: Addr::new(old.line_number * self.geometry.line_bytes),
-                was_unused_prefetch: unused,
-                was_restored: old.restored,
-            })
-        } else {
-            None
         };
-        self.lines[victim] = Line {
-            line_number: ln,
-            valid: true,
-            lru_stamp: self.clock,
-            prefetched: matches!(kind, FillKind::Prefetch | FillKind::Restore),
-            restored: kind == FillKind::Restore,
-            touched: kind == FillKind::Demand,
+        let flags = match kind {
+            FillKind::Demand => TOUCHED,
+            FillKind::Prefetch => PREFETCHED,
+            FillKind::Restore => {
+                self.unused_restored += 1;
+                PREFETCHED | RESTORED
+            }
         };
-        if kind == FillKind::Restore {
-            self.unused_restored += 1;
-        }
+        self.words[base + way] = ln | self.generation | flags;
+        self.promote(base, way, rank);
         evicted
     }
 
-    /// Invalidates every line, reporting unused prefetched/restored lines.
-    pub fn invalidate_all(&mut self) -> FlushReport {
-        let mut report = FlushReport::default();
-        for line in &mut self.lines {
-            if line.valid {
-                report.valid_lines += 1;
-                if (line.prefetched || line.restored) && !line.touched {
-                    report.unused_prefetched += 1;
-                    if line.restored {
-                        report.unused_restored += 1;
-                    }
-                }
+    /// Accounts the eviction of the valid line `word`.
+    fn evict(&mut self, word: u64) -> Evicted {
+        self.stats.evictions += 1;
+        let restored = word & RESTORED != 0;
+        let unused = word & (PREFETCHED | RESTORED) != 0 && word & TOUCHED == 0;
+        if unused {
+            self.stats.unused_prefetch_evictions += 1;
+            if restored {
+                self.stats.unused_restore_evictions += 1;
+                self.unused_restored -= 1;
             }
-            *line = Line::default();
         }
-        debug_assert_eq!(report.unused_restored, self.unused_restored);
+        Evicted {
+            addr: Addr::new((word & LINE_MASK) << self.line_shift),
+            was_unused_prefetch: unused,
+            was_restored: restored,
+        }
+    }
+
+    /// Invalidates every line (the lukewarm flush) by starting a new
+    /// generation; writes no line except when the generation wraps.
+    pub fn invalidate_all(&mut self) {
+        self.generation += GEN_ONE;
+        if self.generation == Self::GENERATIONS * GEN_ONE {
+            self.words.fill(0);
+            self.generation = GEN_ONE;
+        }
         self.unused_restored = 0;
-        report
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.words.iter().filter(|&&w| self.is_valid(w)).count()
     }
 
     /// Resident lines installed by Ignite's replay and never demanded yet
@@ -463,10 +503,23 @@ mod tests {
     fn restore_fill_tracked() {
         let mut c = small();
         c.fill(set0_addr(1), FillKind::Restore);
-        let report = c.invalidate_all();
-        assert_eq!(report.valid_lines, 1);
-        assert_eq!(report.unused_prefetched, 1);
-        assert_eq!(report.unused_restored, 1);
+        assert_eq!(c.occupancy(), 1);
+        assert_eq!(c.unused_restored_resident(), 1);
+        c.fill(set0_addr(2), FillKind::Demand);
+        let e = c.fill(set0_addr(3), FillKind::Demand).expect("evicts the restored line");
+        assert!(e.was_unused_prefetch);
+        assert!(e.was_restored);
+        assert_eq!(c.stats().unused_restore_evictions, 1);
+        assert_eq!(c.unused_restored_resident(), 0);
+    }
+
+    #[test]
+    fn flush_forgets_unused_restored_lines() {
+        let mut c = small();
+        c.fill(set0_addr(1), FillKind::Restore);
+        c.invalidate_all();
+        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.unused_restored_resident(), 0);
     }
 
     #[test]
@@ -496,7 +549,9 @@ mod tests {
         let mut c = small();
         c.fill(set0_addr(1), FillKind::Prefetch);
         c.fill(set0_addr(1), FillKind::Demand);
-        let report = c.invalidate_all();
-        assert_eq!(report.unused_prefetched, 0);
+        c.fill(set0_addr(2), FillKind::Demand);
+        let e = c.fill(set0_addr(3), FillKind::Demand).expect("evicts the demanded line");
+        assert_eq!(e.addr, set0_addr(1));
+        assert!(!e.was_unused_prefetch);
     }
 }

@@ -112,6 +112,20 @@ impl Cbp {
         self.tage.reset_stats();
     }
 
+    /// Returns the predictor to its [`Cbp::new`] state without
+    /// reallocating its tables: every component reset, no branch seen,
+    /// zeroed statistics.
+    pub fn reset(&mut self) {
+        self.bim.reset();
+        self.tage.reset();
+        if let Some(lp) = &mut self.loop_pred {
+            lp.reset();
+        }
+        self.seen.clear();
+        self.ignite_initialized.clear();
+        self.stats = CbpStats::default();
+    }
+
     /// The bimodal base (for state manipulation by the lukewarm protocol
     /// and Ignite's replay).
     pub fn bimodal_mut(&mut self) -> &mut Bimodal {

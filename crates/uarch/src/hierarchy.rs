@@ -7,7 +7,7 @@
 //! count; demand fetches always proceed.
 
 use crate::addr::Addr;
-use crate::cache::{CacheGeometry, FillKind, FlushReport, SetAssocCache};
+use crate::cache::{CacheGeometry, FillKind, SetAssocCache};
 use crate::fxmap::FxHashMap;
 use crate::Cycle;
 
@@ -60,17 +60,6 @@ pub struct AccessResult {
     /// For demand fetches: the access hit a line a prefetcher installed,
     /// and this was the line's first use (tagged next-line trigger).
     pub hit_prefetched: bool,
-}
-
-/// Flush reports for each level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HierarchyFlush {
-    /// L1-I flush report.
-    pub l1i: FlushReport,
-    /// L2 flush report.
-    pub l2: FlushReport,
-    /// LLC flush report.
-    pub llc: FlushReport,
 }
 
 /// In-flight fill table (MSHR model): line number → completion cycle.
@@ -361,14 +350,19 @@ impl Hierarchy {
     }
 
     /// Flushes every level (the lukewarm interleaving protocol, §5.3).
-    pub fn flush_all(&mut self) -> HierarchyFlush {
+    pub fn flush_all(&mut self) {
         self.inflight_l1i.clear();
         self.inflight_l2.clear();
-        HierarchyFlush {
-            l1i: self.l1i.invalidate_all(),
-            l2: self.l2.invalidate_all(),
-            llc: self.llc.invalidate_all(),
-        }
+        self.l1i.invalidate_all();
+        self.l2.invalidate_all();
+        self.llc.invalidate_all();
+    }
+
+    /// Returns the hierarchy to its [`Hierarchy::new`] state without
+    /// reallocating the caches.
+    pub fn reset(&mut self) {
+        self.flush_all();
+        self.reset_stats();
     }
 
     /// Resets statistics at all levels (start of a measured invocation).
@@ -478,10 +472,11 @@ mod tests {
     fn flush_empties_all_levels() {
         let mut h = hierarchy();
         h.fetch(Addr::new(0x1000), 0);
-        let report = h.flush_all();
-        assert!(report.l1i.valid_lines > 0);
-        assert!(report.l2.valid_lines > 0);
-        assert!(report.llc.valid_lines > 0);
+        assert!(h.l1i().occupancy() > 0);
+        assert!(h.l2().occupancy() > 0);
+        assert!(h.llc().occupancy() > 0);
+        h.flush_all();
+        assert_eq!(h.l1i().occupancy() + h.l2().occupancy() + h.llc().occupancy(), 0);
         let r = h.fetch(Addr::new(0x1000), 10_000);
         assert_eq!(r.served_by, Level::Memory);
     }

@@ -102,15 +102,17 @@ impl Ittage {
     pub fn new(cfg: &IttageConfig) -> Self {
         assert!(cfg.tables > 0 && cfg.tables <= 8, "1..=8 tables");
         assert!(cfg.entries_per_table.is_power_of_two(), "table size must be a power of two");
-        Ittage {
+        let mut ittage = Ittage {
             cfg: *cfg,
-            tables: vec![vec![IttageEntry::default(); cfg.entries_per_table]; cfg.tables],
+            tables: vec![Vec::new(); cfg.tables],
             hist_len: (0..cfg.tables).map(|i| cfg.history_length(i)).collect(),
-            ring: vec![0; cfg.max_history.max(1) as usize],
+            ring: Vec::new(),
             pos: 0,
             predictions: 0,
             tagged_hits: 0,
-        }
+        };
+        ittage.reset();
+        ittage
     }
 
     /// Advances the path history with a taken branch.
@@ -201,13 +203,24 @@ impl Ittage {
         self.tagged_hits
     }
 
-    /// Clears tables and history (lukewarm flush).
+    /// Clears tables and history (lukewarm flush), keeping the statistics.
     pub fn flush(&mut self) {
+        // Rewrites every entry in place (builds the tables on first use).
         for t in &mut self.tables {
-            t.fill(IttageEntry::default());
+            t.clear();
+            t.resize(self.cfg.entries_per_table, IttageEntry::default());
         }
-        self.ring.fill(0);
+        self.ring.clear();
+        self.ring.resize(self.cfg.max_history.max(1) as usize, 0);
         self.pos = 0;
+    }
+
+    /// Returns the predictor to its [`Ittage::new`] state without
+    /// reallocating.
+    pub fn reset(&mut self) {
+        self.flush();
+        self.predictions = 0;
+        self.tagged_hits = 0;
     }
 }
 

@@ -87,12 +87,10 @@ impl LoopPredictor {
     /// Panics if `entries` is zero.
     pub fn new(cfg: &LoopPredictorConfig) -> Self {
         assert!(cfg.entries > 0, "loop predictor needs entries");
-        LoopPredictor {
-            cfg: *cfg,
-            entries: vec![LoopEntry::default(); cfg.entries],
-            hits: 0,
-            confident_predictions: 0,
-        }
+        let mut lp =
+            LoopPredictor { cfg: *cfg, entries: Vec::new(), hits: 0, confident_predictions: 0 };
+        lp.reset();
+        lp
     }
 
     fn index(&self, pc: Addr) -> usize {
@@ -164,13 +162,22 @@ impl LoopPredictor {
 
     /// Clears all entries (lukewarm flush).
     pub fn flush(&mut self) {
-        self.entries.fill(LoopEntry::default());
+        // Rewrites every entry in place (builds the table on first use).
+        self.entries.clear();
+        self.entries.resize(self.cfg.entries, LoopEntry::default());
     }
 
     /// Clears statistics.
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.confident_predictions = 0;
+    }
+
+    /// Returns the predictor to its [`LoopPredictor::new`] state without
+    /// reallocating.
+    pub fn reset(&mut self) {
+        self.flush();
+        self.reset_stats();
     }
 }
 

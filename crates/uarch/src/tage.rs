@@ -199,6 +199,9 @@ impl Tage {
     /// Upper bound on `tables` supported by the fixed-size metadata arrays.
     pub const MAX_TABLES: usize = 16;
 
+    /// Seed of the allocation RNG of a cold predictor.
+    const RNG_SEED: u64 = 0x7A6E_5EED;
+
     /// Creates an empty predictor.
     ///
     /// # Panics
@@ -222,19 +225,21 @@ impl Tage {
                 .map(|i| Folded::new(cfg.history_length(i), cfg.tag_bits.saturating_sub(1).max(1)))
                 .collect(),
         ];
-        Tage {
+        let mut tage = Tage {
             cfg: *cfg,
-            tables: vec![vec![TageEntry::default(); cfg.entries_per_table]; cfg.tables],
+            tables: vec![Vec::new(); cfg.tables],
             history: History::new(fold_points.iter().max().map_or(1, |&p| p + 1)),
             fold_points,
             folded_index,
             folded_tag,
             update_count: 0,
-            rng: SplitMix64::new(0x7A6E_5EED),
+            rng: SplitMix64::new(Self::RNG_SEED),
             allocations: 0,
             tagged_hits: 0,
             predictions: 0,
-        }
+        };
+        tage.reset();
+        tage
     }
 
     /// The configuration.
@@ -399,10 +404,13 @@ impl Tage {
         self.history.push(bit);
     }
 
-    /// Clears all tables and history (lukewarm flush).
+    /// Clears all tables and history (lukewarm flush). The allocation RNG
+    /// and the statistics carry on.
     pub fn flush(&mut self) {
         for table in &mut self.tables {
-            table.fill(TageEntry::default());
+            // Rewrites every entry in place (builds the table on first use).
+            table.clear();
+            table.resize(self.cfg.entries_per_table, TageEntry::default());
         }
         self.history.clear();
         for f in &mut self.folded_index {
@@ -421,6 +429,15 @@ impl Tage {
         self.allocations = 0;
         self.tagged_hits = 0;
         self.predictions = 0;
+    }
+
+    /// Returns the predictor to its [`Tage::new`] state without
+    /// reallocating: a flush that also re-seeds the allocation RNG and
+    /// clears the statistics.
+    pub fn reset(&mut self) {
+        self.flush();
+        self.rng = SplitMix64::new(Self::RNG_SEED);
+        self.reset_stats();
     }
 
     /// Fraction of valid entries across all tables (inspection).

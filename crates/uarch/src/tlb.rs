@@ -102,6 +102,12 @@ impl Itlb {
         self.entries.reset_stats();
         self.misses_walked = 0;
     }
+
+    /// Returns the ITLB to its [`Itlb::new`] state without reallocating.
+    pub fn reset(&mut self) {
+        self.flush();
+        self.reset_stats();
+    }
 }
 
 #[cfg(test)]

@@ -1,15 +1,193 @@
 //! Property-based tests for the microarchitectural substrate.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
-use ignite_uarch::addr::{lines_spanned, Addr, LINE_BYTES, VA_MASK};
+use ignite_uarch::addr::{lines_spanned, Addr, LINE_BYTES, VA_BITS, VA_MASK};
 use ignite_uarch::bimodal::{Bimodal, BimodalConfig, Counter};
 use ignite_uarch::btb::{BranchKind, Btb, BtbConfig, BtbEntry};
-use ignite_uarch::cache::{CacheGeometry, FillKind, SetAssocCache};
+use ignite_uarch::cache::{CacheGeometry, CacheStats, Evicted, FillKind, HitInfo, SetAssocCache};
 use ignite_uarch::cbp::Cbp;
 use ignite_uarch::config::UarchConfig;
 use ignite_uarch::hierarchy::{Hierarchy, Level};
+use ignite_uarch::rng::SplitMix64;
 use ignite_uarch::tlb::{Itlb, TlbConfig};
+
+/// One call on a [`SetAssocCache`].
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Lookup(Addr),
+    LookupHit(Addr),
+    Probe(Addr),
+    Fill(Addr, FillKind),
+    InvalidateAll,
+}
+
+/// A line of the reference cache.
+#[derive(Debug, Clone, Copy)]
+struct ModelLine {
+    line: u64,
+    prefetched: bool,
+    restored: bool,
+    touched: bool,
+}
+
+/// A naive reference cache: one `Vec` per set, kept as an explicit LRU
+/// list (most recently used first), with every counter recomputed from
+/// the lines or counted per call.
+struct ModelCache {
+    line_bytes: u64,
+    ways: usize,
+    sets: Vec<Vec<ModelLine>>,
+    stats: CacheStats,
+}
+
+impl ModelCache {
+    fn new(geometry: CacheGeometry) -> Self {
+        ModelCache {
+            line_bytes: geometry.line_bytes,
+            ways: geometry.ways,
+            sets: vec![Vec::new(); geometry.sets()],
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// The set holding `addr`'s line and the line's position in it.
+    fn find(&mut self, addr: Addr) -> (u64, &mut Vec<ModelLine>, Option<usize>) {
+        let line = addr.as_u64() / self.line_bytes;
+        let n = self.sets.len() as u64;
+        let set = &mut self.sets[(line % n) as usize];
+        let pos = set.iter().position(|l| l.line == line);
+        (line, set, pos)
+    }
+
+    fn lookup_hit(&mut self, addr: Addr) -> Option<HitInfo> {
+        let (_, set, pos) = self.find(addr);
+        let hit = pos.map(|i| {
+            let mut l = set.remove(i);
+            let was_prefetched = l.prefetched;
+            l.prefetched = false;
+            l.touched = true;
+            set.insert(0, l);
+            HitInfo { was_prefetched }
+        });
+        self.stats.demand.record(hit.is_some());
+        if hit.is_some_and(|h| h.was_prefetched) {
+            self.stats.prefetch_hits += 1;
+        }
+        hit
+    }
+
+    fn probe(&mut self, addr: Addr) -> bool {
+        self.find(addr).2.is_some()
+    }
+
+    fn fill(&mut self, addr: Addr, kind: FillKind) -> Option<Evicted> {
+        match kind {
+            FillKind::Demand => self.stats.demand_fills += 1,
+            FillKind::Prefetch | FillKind::Restore => self.stats.prefetch_fills += 1,
+        }
+        let (ways, line_bytes) = (self.ways, self.line_bytes);
+        let (line, set, pos) = self.find(addr);
+        if let Some(i) = pos {
+            let mut l = set.remove(i);
+            if kind == FillKind::Demand {
+                l.prefetched = false;
+                l.touched = true;
+            }
+            set.insert(0, l);
+            return None;
+        }
+        let victim = (set.len() == ways).then(|| set.pop().expect("a full set has a last line"));
+        set.insert(
+            0,
+            ModelLine {
+                line,
+                prefetched: kind != FillKind::Demand,
+                restored: kind == FillKind::Restore,
+                touched: kind == FillKind::Demand,
+            },
+        );
+        let evicted = victim.map(|v| Evicted {
+            addr: Addr::new(v.line * line_bytes),
+            was_unused_prefetch: (v.prefetched || v.restored) && !v.touched,
+            was_restored: v.restored,
+        });
+        if let Some(e) = evicted {
+            self.stats.evictions += 1;
+            if e.was_unused_prefetch {
+                self.stats.unused_prefetch_evictions += 1;
+                if e.was_restored {
+                    self.stats.unused_restore_evictions += 1;
+                }
+            }
+        }
+        evicted
+    }
+
+    fn invalidate_all(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+    }
+
+    fn lines(&self) -> impl Iterator<Item = &ModelLine> {
+        self.sets.iter().flatten()
+    }
+}
+
+/// Drives a [`SetAssocCache`] and the reference model through `ops`,
+/// failing on the first return value, statistic, unused-restored count
+/// or occupancy that differs.
+fn check_against_model(geometry: CacheGeometry, ops: &[CacheOp]) -> Result<(), TestCaseError> {
+    let mut cache = SetAssocCache::new(geometry);
+    let mut model = ModelCache::new(geometry);
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            CacheOp::Lookup(a) => {
+                prop_assert_eq!(cache.lookup(a), model.lookup_hit(a).is_some(), "step {}", step)
+            }
+            CacheOp::LookupHit(a) => {
+                prop_assert_eq!(cache.lookup_hit(a), model.lookup_hit(a), "step {}", step)
+            }
+            CacheOp::Probe(a) => prop_assert_eq!(cache.probe(a), model.probe(a), "step {}", step),
+            CacheOp::Fill(a, kind) => {
+                prop_assert_eq!(cache.fill(a, kind), model.fill(a, kind), "step {}", step)
+            }
+            CacheOp::InvalidateAll => {
+                cache.invalidate_all();
+                model.invalidate_all();
+            }
+        }
+        prop_assert_eq!(cache.stats(), &model.stats, "step {} {:?}", step, op);
+        let unused_restored = model.lines().filter(|l| l.restored && !l.touched).count() as u64;
+        prop_assert_eq!(cache.unused_restored_resident(), unused_restored, "step {}", step);
+        prop_assert_eq!(cache.occupancy(), model.lines().count(), "step {}", step);
+    }
+    Ok(())
+}
+
+/// Decodes one drawn `(address index, op code)` pair; one code in 32
+/// flushes.
+fn cache_op(addr: Addr, code: u8) -> CacheOp {
+    match code {
+        0..=4 => CacheOp::Lookup(addr),
+        5..=9 => CacheOp::LookupHit(addr),
+        10..=13 => CacheOp::Probe(addr),
+        14..=19 => CacheOp::Fill(addr, FillKind::Demand),
+        20..=24 => CacheOp::Fill(addr, FillKind::Prefetch),
+        25..=30 => CacheOp::Fill(addr, FillKind::Restore),
+        _ => CacheOp::InvalidateAll,
+    }
+}
+
+/// An address anywhere in the 48-bit VA whose line maps to set
+/// `set % sets` (at most three distinct sets, so lines collide and
+/// evict), with tag and offset drawn from `raw`.
+fn colliding_addr(raw: u64, set: u64, sets: u64, line_bytes: u64) -> Addr {
+    let lines = (1u64 << VA_BITS) / line_bytes;
+    let tag = (raw >> 16) % (lines / sets);
+    let line = tag * sets + set % sets.min(3);
+    Addr::new(line * line_bytes + raw % line_bytes)
+}
 
 proptest! {
     // ---- addresses ----
@@ -214,13 +392,33 @@ proptest! {
                     }
                 }
                 _ => {
-                    let report = cache.invalidate_all();
-                    prop_assert_eq!(report.unused_restored, shadow.len() as u64);
+                    cache.invalidate_all();
                     shadow.clear();
+                    prop_assert_eq!(cache.occupancy(), 0);
                 }
             }
             prop_assert_eq!(cache.unused_restored_resident(), shadow.len() as u64);
         }
+    }
+
+    #[test]
+    fn cache_matches_the_reference_model(
+        ways in 1usize..21,
+        sets in 1u64..40,
+        line_shift in prop_oneof![Just(0u32), Just(6u32), Just(12u32)],
+        pool in prop::collection::vec((any::<u64>(), 0u64..3), 1..48),
+        ops in prop::collection::vec((0usize..48, 0u8..32), 1..400)
+    ) {
+        let line_bytes = 1u64 << line_shift;
+        let geometry =
+            CacheGeometry { size_bytes: sets * ways as u64 * line_bytes, ways, line_bytes };
+        let pool: Vec<Addr> = pool
+            .iter()
+            .map(|&(raw, set)| colliding_addr(raw, set, sets, line_bytes))
+            .collect();
+        let ops: Vec<CacheOp> =
+            ops.iter().map(|&(i, code)| cache_op(pool[i % pool.len()], code)).collect();
+        check_against_model(geometry, &ops)?;
     }
 
     // ---- bimodal ----
@@ -273,5 +471,27 @@ proptest! {
         let a = Addr::new(addr);
         tlb.translate(a);
         prop_assert_eq!(tlb.translate(a), 0);
+    }
+}
+
+/// More flushes than the generation counter holds. The first generation
+/// fills every way; later ones make at most one call each, so the lines
+/// of the first generation stay in ways that no later fill reaches, and
+/// only the wrap sweep keeps them from coming back when the generation
+/// counter returns to its first value.
+#[test]
+fn cache_matches_the_reference_model_across_generation_wraps() {
+    let geometry = CacheGeometry { size_bytes: 3 * 4 * 64, ways: 4, line_bytes: 64 };
+    let mut rng = SplitMix64::new(0x6E4);
+    let pool: Vec<Addr> =
+        (0..16).map(|_| colliding_addr(rng.next_u64(), rng.next_u64(), 3, 64)).collect();
+    let mut ops: Vec<CacheOp> = pool.iter().map(|&a| CacheOp::Fill(a, FillKind::Restore)).collect();
+    for _ in 0..2 * SetAssocCache::GENERATIONS + 5 {
+        ops.push(CacheOp::InvalidateAll);
+        let addr = pool[rng.next_below(pool.len() as u64) as usize];
+        ops.push(cache_op(addr, rng.next_below(31) as u8));
+    }
+    if let Err(e) = check_against_model(geometry, &ops) {
+        panic!("{e}");
     }
 }

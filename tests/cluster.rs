@@ -218,22 +218,28 @@ fn cluster_binary(args: &[&str]) -> std::process::Output {
 }
 
 /// Inputs the binary once accepted but could not finish: a suite scale
-/// past the paper's aborted allocating the suite, and a peak arrival rate
+/// past the paper's aborted allocating the suite, a peak arrival rate
 /// far past one per cycle underflowed the inter-arrival gap, so the
-/// arrival clock never reached the horizon. Each must exit 1 promptly,
-/// naming the field; a run still going after a minute fails the test
-/// instead of hanging it.
+/// arrival clock never reached the horizon, and a topology with more
+/// machines than memory holds aborted allocating them. Each must exit 1
+/// promptly, naming the field; a run still going after a minute fails
+/// the test instead of hanging it.
 #[test]
 fn cluster_binary_rejects_oversized_scale_and_arrival_rates() {
     use std::time::{Duration, Instant};
-    for (flag, value, field) in [
-        ("--scale", "1e9", "scale"),
-        ("--rate", "1e300", "rate_per_mcycle"),
-        ("--traffic", "mmpp:mults=1/1e300,dwells=300000/60000", "traffic"),
-        ("--traffic", "burst:every=400000,width=40000,mult=1e300", "traffic"),
-    ] {
+    let cases: [(&[&str], &str); 6] = [
+        (&["--scale", "1e9"], "scale"),
+        (&["--rate", "1e300"], "rate_per_mcycle"),
+        (&["--traffic", "mmpp:mults=1/1e300,dwells=300000/60000"], "traffic"),
+        (&["--traffic", "burst:every=400000,width=40000,mult=1e300"], "traffic"),
+        (&["--nodes", "100000", "--cores", "100000"], "topology.nodes * cores"),
+        (&["--nodes", "4294967296", "--cores", "4294967296"], "topology.nodes * cores"),
+    ];
+    for (args, field) in cases {
+        let label = args.join(" ");
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
-            .args([flag, value, "--horizon", "200000"])
+            .args(args)
+            .args(["--horizon", "200000"])
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::piped())
             .spawn()
@@ -242,17 +248,14 @@ fn cluster_binary_rejects_oversized_scale_and_arrival_rates() {
         while child.try_wait().expect("poll cluster binary").is_none() {
             if start.elapsed() > Duration::from_secs(60) {
                 let _ = child.kill();
-                panic!("{flag} {value}: still running after 60 s");
+                panic!("{label}: still running after 60 s");
             }
             std::thread::sleep(Duration::from_millis(20));
         }
         let out = child.wait_with_output().expect("collect cluster binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
-        assert!(
-            stderr.contains(&format!("invalid configuration: {field}")),
-            "{flag} {value}: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{label}: {stderr}");
+        assert!(stderr.contains(&format!("invalid configuration: {field}")), "{label}: {stderr}");
     }
 }
 
