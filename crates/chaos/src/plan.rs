@@ -172,7 +172,7 @@ impl RetryPolicy {
     /// [`backoff_max_cycles`](RetryPolicy::backoff_max_cycles), plus
     /// hash-derived jitter keyed on `(chaos_seed, invocation,
     /// attempt)` so retry timing is independent of global draw order.
-    /// Always >= 1 cycle.
+    /// Always >= 1 cycle; saturates at `u64::MAX` instead of overflowing.
     pub fn backoff_for(&self, chaos_seed: u64, invocation: u64, attempt: u32) -> u64 {
         let cap = u128::from(self.backoff_max_cycles.max(1));
         let mut b = u128::from(self.backoff_base_cycles.max(1));
@@ -189,7 +189,8 @@ impl RetryPolicy {
                 as u64;
             if span > 0 {
                 let draw = hash_draw(chaos_seed, LABEL_JITTER, invocation, u64::from(attempt));
-                backoff += ((u128::from(draw) * (u128::from(span) + 1)) >> 64) as u64;
+                let jitter = ((u128::from(draw) * (u128::from(span) + 1)) >> 64) as u64;
+                backoff = backoff.saturating_add(jitter);
             }
         }
         backoff.max(1)
@@ -346,6 +347,19 @@ mod tests {
         assert_eq!(a, p.backoff_for(5, 9, 2), "same key, same jitter");
         assert!(a >= base && a <= base + base / 4 + 1, "jitter within 25%: {base} -> {a}");
         assert_ne!(p.backoff_for(5, 9, 2), p.backoff_for(5, 10, 2), "keyed per invocation");
+    }
+
+    #[test]
+    fn backoff_saturates_instead_of_overflowing() {
+        let p = RetryPolicy {
+            backoff_base_cycles: u64::MAX,
+            backoff_max_cycles: u64::MAX,
+            jitter_ppm: PPM_SCALE,
+            ..RetryPolicy::default()
+        };
+        for attempt in 1..4 {
+            assert_eq!(p.backoff_for(1, 2, attempt), u64::MAX);
+        }
     }
 
     #[test]

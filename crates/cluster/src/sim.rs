@@ -34,7 +34,7 @@ use ignite_obs::{DegradeReason, DropReason, Event, EventKind, EventSink, NullSin
 use ignite_traffic::{FingerprintAccum, WorkloadFingerprint};
 use ignite_uarch::UarchConfig;
 use ignite_workloads::arrival::{Arrival, ArrivalConfig, ArrivalSource};
-use ignite_workloads::suite::Suite;
+use ignite_workloads::suite::{check_scale, ScaleError, Suite};
 
 use crate::fanout::{self, PanicFailure};
 use crate::keepalive::{KeepAliveKind, KeepAliveRt};
@@ -86,9 +86,17 @@ impl Topology {
 /// underflows and the arrival clock never reaches the horizon.
 pub const MAX_RATE_PER_MCYCLE: f64 = 1e6;
 
+/// The longest retry backoff a run accepts, for both
+/// `retry.backoff_base_cycles` and `retry.backoff_max_cycles`: 2^32
+/// cycles, about 1.7 s at 2.6 GHz and over 4,000 times the default
+/// ceiling. A retry moves the run's clock by its backoff, and the chaos
+/// schedule is generated window by window up to the clock, so a backoff
+/// near `u64::MAX` would never finish generating it.
+pub const MAX_BACKOFF_CYCLES: u64 = 1 << 32;
+
 /// Most simulated cores one run may build (`topology.nodes × cores`).
-/// Each core owns a whole machine of about 2.1 MB, so this caps a run's
-/// machines at about 2.1 GB.
+/// Each core owns a whole machine of about 1.8 MB, so this caps a run's
+/// machines at about 1.8 GB.
 pub const MAX_CORES: usize = 1024;
 
 /// A configuration the simulator refuses to run, with enough structure
@@ -135,6 +143,13 @@ pub enum ConfigError {
     },
     /// `retry.max_attempts == 0` (the first attempt counts).
     ZeroRetryAttempts,
+    /// A retry backoff above [`MAX_BACKOFF_CYCLES`].
+    BackoffTooLong {
+        /// Field name as spelled in the config.
+        field: &'static str,
+        /// The rejected value.
+        got: u64,
+    },
     /// `retry.jitter_ppm` above the PPM scale.
     JitterOverScale {
         /// The rejected value.
@@ -194,6 +209,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "zipf_s must be finite and non-negative, got {value}")
             }
             ConfigError::ZeroRetryAttempts => write!(f, "retry.max_attempts must be at least 1"),
+            ConfigError::BackoffTooLong { field, got } => {
+                write!(f, "{field} must be at most {MAX_BACKOFF_CYCLES}, got {got}")
+            }
             ConfigError::JitterOverScale { got } => {
                 write!(
                     f,
@@ -323,8 +341,14 @@ impl ClusterConfig {
             }
             _ => {}
         }
+        match check_scale(self.scale) {
+            Err(ScaleError::NonPositive(value)) => {
+                return Err(ConfigError::NonPositive { field: "scale", value });
+            }
+            Err(ScaleError::AboveFull(value)) => return Err(ConfigError::ScaleAboveFull { value }),
+            Ok(()) => {}
+        }
         for (field, value) in [
-            ("scale", self.scale),
             ("rate_per_mcycle", self.arrival.rate_per_mcycle),
             ("distance_saturation", self.distance_saturation),
             ("dram_bytes_per_cycle", self.dram_bytes_per_cycle),
@@ -333,15 +357,20 @@ impl ClusterConfig {
                 return Err(ConfigError::NonPositive { field, value });
             }
         }
-        if self.scale > 1.0 {
-            return Err(ConfigError::ScaleAboveFull { value: self.scale });
-        }
         self.check_peak_rate("rate_per_mcycle", 1.0)?;
         if !self.arrival.zipf_s.is_finite() || self.arrival.zipf_s < 0.0 {
             return Err(ConfigError::BadZipf { value: self.arrival.zipf_s });
         }
         if self.retry.max_attempts == 0 {
             return Err(ConfigError::ZeroRetryAttempts);
+        }
+        for (field, got) in [
+            ("retry.backoff_base_cycles", self.retry.backoff_base_cycles),
+            ("retry.backoff_max_cycles", self.retry.backoff_max_cycles),
+        ] {
+            if got > MAX_BACKOFF_CYCLES {
+                return Err(ConfigError::BackoffTooLong { field, got });
+            }
         }
         if self.retry.jitter_ppm > ignite_core::fault::PPM_SCALE {
             return Err(ConfigError::JitterOverScale { got: self.retry.jitter_ppm });
@@ -1917,6 +1946,18 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert!(msg(&bad).contains("max_attempts"));
+        for (base, max, field) in [
+            (MAX_BACKOFF_CYCLES + 1, MAX_BACKOFF_CYCLES, "retry.backoff_base_cycles"),
+            (1, u64::MAX, "retry.backoff_max_cycles"),
+        ] {
+            let mut cfg = chaos_cfg(7);
+            cfg.retry.backoff_base_cycles = base - 1;
+            cfg.retry.backoff_max_cycles = max.min(MAX_BACKOFF_CYCLES);
+            assert!(cfg.validate().is_ok(), "{field} at the bound");
+            cfg.retry.backoff_base_cycles = base;
+            cfg.retry.backoff_max_cycles = max;
+            assert!(msg(&cfg).starts_with(field), "{}", msg(&cfg));
+        }
         let mut bad = chaos_cfg(7);
         bad.chaos.as_mut().unwrap().crash_repair_cycles = 0;
         assert!(msg(&bad).contains("crash"));

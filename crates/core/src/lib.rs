@@ -232,11 +232,12 @@ impl Ignite {
 
     /// Drains the BTB's insertion log into the recorder (call every cycle,
     /// or at least once per committed block).
+    #[inline]
     pub fn observe_btb_insertions(&mut self, btb: &mut Btb) {
         let events = btb.drain_insertions();
         if let Some(rec) = &mut self.recorder {
-            for entry in &events {
-                rec.observe(entry);
+            for entry in events {
+                rec.observe(&entry);
             }
         }
     }

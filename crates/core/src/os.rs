@@ -9,6 +9,9 @@
 
 use std::collections::HashMap;
 
+use ignite_uarch::btb::BtbEntry;
+use ignite_uarch::fxmap::FxHashMap;
+
 use crate::codec::{CodecError, Metadata};
 use crate::fault::FaultPlan;
 
@@ -170,19 +173,15 @@ impl IgniteOs {
             Some(old) => {
                 // De-duplicate by branch PC (newest record wins) so repeated
                 // divergence does not grow the region without bound, then
-                // re-encode in the original reuse order.
-                let mut latest: std::collections::HashMap<u64, ignite_uarch::btb::BtbEntry> =
-                    std::collections::HashMap::new();
-                for e in old.decode().chain(recorded.decode()) {
-                    latest.insert(e.branch_pc.as_u64(), e);
-                }
-                let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
+                // re-encode in the original reuse order: each PC at its
+                // first position, with its latest record.
+                let entries: Vec<BtbEntry> = old.decode().chain(recorded.decode()).collect();
+                let mut latest: FxHashMap<u64, BtbEntry> =
+                    entries.iter().map(|e| (e.branch_pc.as_u64(), *e)).collect();
                 let mut enc = crate::codec::Encoder::new(codec);
-                for e in old.decode().chain(recorded.decode()) {
-                    if !seen.insert(e.branch_pc.as_u64()) {
-                        continue;
-                    }
-                    let entry = latest[&e.branch_pc.as_u64()];
+                for e in &entries {
+                    // Only a PC's first position still finds its record.
+                    let Some(entry) = latest.remove(&e.branch_pc.as_u64()) else { continue };
                     enc.push(&entry);
                     if enc.byte_len() > self.region_bytes {
                         break;

@@ -182,7 +182,8 @@ pub fn run_invocation_obs<S: EventSink>(
     }
 
     let mut walker = TraceWalker::with_noise(&f.image, invocation, f.invocation_instrs, f.noise);
-    let mut buf: VecDeque<Pending> = VecDeque::new();
+    // The lookahead never holds more than `ftq_cap + 2` blocks.
+    let mut buf: VecDeque<Pending> = VecDeque::with_capacity(ftq_cap + 2);
     let mut walker_done = false;
     // Number of leading `buf` entries considered "in the FTQ" (their lines
     // prefetched); the first is the block being fetched.
@@ -206,8 +207,9 @@ pub fn run_invocation_obs<S: EventSink>(
                 None => walker_done = true,
             }
         }
-        let Some(front) = buf.front() else { break };
-        let _ = front;
+        if buf.is_empty() {
+            break;
+        }
 
         // Paced mechanisms (Ignite replay, Jukebox replay, Confluence
         // streams) catch up to the global clock, stepping only the cycles
@@ -236,13 +238,11 @@ pub fn run_invocation_obs<S: EventSink>(
         mech_clock = m.now + 1;
 
         // Demand-time evaluation when the FTQ holds only this block (right
-        // after a resteer or at invocation start).
-        if buf[0].eval.is_none() {
-            let eval = evaluate(m, f, &buf[0].block, 0);
-            buf[0].eval = Some(eval);
-        }
-        let Pending { block, eval } = buf.pop_front().expect("non-empty");
-        let eval = eval.expect("evaluated above");
+        // after a resteer or at invocation start). The evaluation is read
+        // in place: it carries a whole prediction record.
+        let head = &mut buf[0];
+        let block = head.block;
+        let eval = &*head.eval.get_or_insert_with(|| evaluate(m, f, &block, 0));
         let block_start_cycle = m.now;
 
         // ---- Fetch ----
@@ -312,7 +312,9 @@ pub fn run_invocation_obs<S: EventSink>(
         }
 
         // Resteer handling.
-        match eval.outcome {
+        let outcome = eval.outcome;
+        buf.pop_front();
+        match outcome {
             Outcome::Correct => {}
             outcome => {
                 let penalty = match (outcome, br.kind) {
@@ -352,9 +354,12 @@ pub fn run_invocation_obs<S: EventSink>(
         res.topdown.add(Category::BackendBound, data_stall);
         block_cycles += data_stall;
         cycle_carry += block_cycles;
-        let whole = cycle_carry.floor();
-        m.now += whole as Cycle;
-        cycle_carry -= whole;
+        // The carry is never negative, so truncating is flooring (without
+        // a libm call on baseline x86-64).
+        debug_assert!(cycle_carry >= 0.0, "negative cycle carry {cycle_carry}");
+        let whole = cycle_carry as Cycle;
+        m.now += whole;
+        cycle_carry -= whole as f64;
 
         // ---- FTQ maintenance ----
         if ftq_len > 1 {
@@ -366,11 +371,10 @@ pub fn run_invocation_obs<S: EventSink>(
             while bpu_budget >= 1.0 && ftq_len < ftq_cap && !blocked && ftq_len < buf.len() {
                 bpu_budget -= 1.0;
                 // Evaluate the transition out of the newest FTQ block.
-                if buf[ftq_len - 1].eval.is_none() {
-                    let eval = evaluate(m, f, &buf[ftq_len - 1].block, ftq_len - 1);
-                    buf[ftq_len - 1].eval = Some(eval);
-                }
-                if buf[ftq_len - 1].eval.expect("set above").outcome == Outcome::Correct {
+                let newest = &mut buf[ftq_len - 1];
+                let eval =
+                    newest.eval.get_or_insert_with(|| evaluate(m, f, &newest.block, ftq_len - 1));
+                if eval.outcome == Outcome::Correct {
                     // The successor enters the FTQ: FDP prefetches it.
                     let nb = buf[ftq_len].block;
                     for line in lines_spanned(nb.start, u64::from(nb.bytes)) {

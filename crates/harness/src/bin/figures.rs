@@ -9,7 +9,7 @@
 //!          fig11 fig12 table1 table2 | all        (default: all)
 //!
 //! OPTIONS
-//!   --scale <f>         suite scale factor (default 1.0 = paper scale)
+//!   --scale <f>         suite scale factor in (0, 1] (default 1.0 = paper scale)
 //!   --invocations <n>   measured invocations per run (default 3)
 //!   --quick             shorthand for --scale 0.25 --invocations 1
 //!   --out <path>        also append rendered figures to a markdown file
@@ -21,6 +21,7 @@ use std::io::Write;
 
 use ignite_engine::protocol::RunOptions;
 use ignite_harness::{figures, Figure, Harness};
+use ignite_workloads::check_scale;
 
 const ALL_IDS: [&str; 18] = [
     "table1",
@@ -82,6 +83,9 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| exit_usage("--scale needs a number"));
+                if let Err(e) = check_scale(scale) {
+                    exit_usage(&format!("--scale: {e}"));
+                }
             }
             "--invocations" => {
                 invocations = it
@@ -114,13 +118,26 @@ fn main() {
         }
     }
 
+    // Open the output before the (possibly long) run, so a bad path
+    // fails at once.
+    let mut out_file = out.map(|path| {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .unwrap_or_else(|e| exit_error(&format!("cannot open {path}: {e}")));
+        (path, file)
+    });
+
     let harness = Harness::new(
         scale,
         RunOptions { warmup_invocations: 1, measured_invocations: invocations },
     );
     if let Some(path) = experiments {
         let md = ignite_harness::report::experiments_markdown(&harness);
-        std::fs::write(&path, md).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        if let Err(e) = std::fs::write(&path, md) {
+            exit_error(&format!("cannot write {path}: {e}"));
+        }
         eprintln!("[wrote {path}]");
         return;
     }
@@ -153,13 +170,10 @@ fn main() {
             }
         }
     }
-    if let Some(path) = out {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
-        f.write_all(rendered.as_bytes()).expect("write failed");
+    if let Some((path, f)) = &mut out_file {
+        if let Err(e) = f.write_all(rendered.as_bytes()) {
+            exit_error(&format!("cannot write {path}: {e}"));
+        }
         eprintln!("[appended to {path}]");
     }
     if !failures.is_empty() {
@@ -169,6 +183,13 @@ fn main() {
         }
         std::process::exit(1);
     }
+}
+
+/// Prints `msg` and exits 1: the arguments were valid, but the run
+/// could not finish.
+fn exit_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
 }
 
 fn exit_usage(msg: &str) -> ! {

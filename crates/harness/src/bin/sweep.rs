@@ -25,6 +25,7 @@ use ignite_engine::protocol::{run_function, RunOptions};
 use ignite_harness::Harness;
 use ignite_uarch::btb::BtbConfig;
 use ignite_uarch::UarchConfig;
+use ignite_workloads::check_scale;
 
 fn header(title: &str) {
     println!("\n## {title}\n");
@@ -283,6 +284,10 @@ fn main() {
                         usage();
                     }
                 };
+                if let Err(e) = check_scale(scale) {
+                    eprintln!("error: --scale: {e}\n");
+                    usage();
+                }
             }
             other => {
                 if other != "all" && !SWEEP_NAMES.contains(&other) {

@@ -15,8 +15,28 @@
 //! Full branch PCs are stored (rather than the 12-bit partial tags of the
 //! real hardware) so that recorded metadata is exact; the paper's gem5 model
 //! does the same. Partial-tag aliasing is not modelled.
+//!
+//! # State layout
+//!
+//! A way costs 17 bytes, held in three parallel arrays like the caches'
+//! ([`crate::cache`]):
+//!
+//! * one `u64` key word: bits 0–47 hold the branch PC, bits 48–60 the
+//!   generation the entry was inserted in, bit 61 the restored flag and
+//!   bit 62 the touched flag;
+//! * one `u64` target word: bits 0–47 hold the target, bits 48–50 the
+//!   [`BranchKind::code`];
+//! * one `u8` LRU rank: among a set's valid ways, 0 is the most recently
+//!   used and `valid - 1` the least.
+//!
+//! A lookup compares each key word, flags masked off, with the PC joined
+//! with the current generation, so a 6-way set scan reads 48 bytes. The
+//! victim is the first invalid way, else the way ranked last. A flush
+//! bumps the generation and writes no way, except when the 13-bit
+//! generation wraps ([`Btb::GENERATIONS`]).
 
-use crate::addr::Addr;
+use crate::addr::{Addr, VA_BITS, VA_MASK};
+use crate::cache::lru_promote;
 use crate::stats::AccessStats;
 
 /// Classification of control-flow-changing instructions.
@@ -106,36 +126,29 @@ impl BtbConfig {
             self.ways > 0 && self.entries.is_multiple_of(self.ways),
             "entries must divide into ways"
         );
+        assert!(self.ways <= 256, "at most 256 ways");
         self.entries / self.ways
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    valid: bool,
-    entry: BtbEntry,
-    lru_stamp: u64,
-    restored: bool,
-    touched: bool,
-    /// Owning VM when tagging is enabled (Arm FEAT_CSV2-style, §4.4).
-    vm: u16,
-}
-
-impl Default for Way {
-    fn default() -> Self {
-        Way {
-            valid: false,
-            entry: BtbEntry::new(Addr::NULL, Addr::NULL, BranchKind::Unconditional),
-            lru_stamp: 0,
-            restored: false,
-            touched: false,
-            vm: 0,
-        }
-    }
-}
+/// Bit position of a key word's generation field.
+const GEN_SHIFT: u32 = VA_BITS;
+/// One generation step, in place in the key word.
+const GEN_ONE: u64 = 1 << GEN_SHIFT;
+/// The key word's generation field.
+const GEN_MASK: u64 = (Btb::GENERATIONS - 1) << GEN_SHIFT;
+/// The entry was installed by Ignite's replay and has served no lookup.
+const RESTORED: u64 = 1 << 61;
+/// The entry has served a demand lookup.
+const TOUCHED: u64 = 1 << 62;
+/// Branch PC and generation: what a lookup compares.
+const KEY_MASK: u64 = RESTORED - 1;
+const _: () = assert!(GEN_MASK | VA_MASK == KEY_MASK, "fields must tile the key");
+/// Bit position of a target word's kind code.
+const KIND_SHIFT: u32 = VA_BITS;
 
 /// BTB statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BtbStats {
     /// Demand lookups (front-end branch identification).
     pub demand: AccessStats,
@@ -163,7 +176,7 @@ pub struct BtbStats {
 /// let entry = BtbEntry::new(Addr::new(0x100), Addr::new(0x900), BranchKind::Call);
 /// btb.insert(entry, false);
 /// assert_eq!(btb.lookup(Addr::new(0x100)), Some(entry));
-/// assert_eq!(btb.drain_insertions(), vec![entry]);
+/// assert_eq!(btb.drain_insertions().collect::<Vec<_>>(), vec![entry]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Btb {
@@ -172,63 +185,51 @@ pub struct Btb {
     /// `sets - 1` when the set count is a power of two (the common case),
     /// letting [`Btb::set_of`] mask instead of divide; `u64::MAX` otherwise.
     set_mask: u64,
-    storage: Vec<Way>,
-    clock: u64,
+    /// One key word per way, set-major (see the module docs).
+    keys: Vec<u64>,
+    /// One target word per way, parallel to `keys`.
+    targets: Vec<u64>,
+    /// One LRU rank per way, parallel to `keys`.
+    ranks: Vec<u8>,
+    /// The current generation, in place in the key word (`gen * GEN_ONE`).
+    generation: u64,
     insert_log: Vec<BtbEntry>,
     restored_untouched: u64,
-    /// VM tagging (Arm FEAT_CSV2 analog, §4.4): when enabled, entries are
-    /// only visible to the VM that installed them — including entries
-    /// injected by Ignite's replay, which closes the cross-VM speculative
-    /// side channel the paper discusses.
-    vm_tagging: bool,
-    current_vm: u16,
     stats: BtbStats,
 }
 
 impl Btb {
+    /// Generations a key word can name. Generation 0 is never current, so
+    /// [`Btb::flush`] sweeps every way once per `GENERATIONS - 1` calls.
+    pub const GENERATIONS: u64 = 1 << 13;
+
     /// Creates an empty BTB.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a multiple of `ways`.
+    /// Panics if `entries` is not a multiple of `ways`, or `ways` is zero
+    /// or above 256.
     pub fn new(cfg: &BtbConfig) -> Self {
         let sets = cfg.sets();
-        let mut btb = Btb {
+        Btb {
             sets,
             ways: cfg.ways,
             set_mask: if sets.is_power_of_two() { sets as u64 - 1 } else { u64::MAX },
-            storage: Vec::new(),
-            clock: 0,
+            keys: vec![0; cfg.entries],
+            targets: vec![0; cfg.entries],
+            ranks: vec![0; cfg.entries],
+            generation: GEN_ONE,
             insert_log: Vec::new(),
             restored_untouched: 0,
-            vm_tagging: false,
-            current_vm: 0,
             stats: BtbStats::default(),
-        };
-        btb.reset();
-        btb
+        }
     }
 
-    /// Returns the BTB to its [`Btb::new`] state — empty, untagged, zeroed
+    /// Returns the BTB to its [`Btb::new`] state — empty, zeroed
     /// statistics — without reallocating its ways.
     pub fn reset(&mut self) {
         self.flush();
-        self.clock = 0;
-        self.vm_tagging = false;
-        self.current_vm = 0;
         self.reset_stats();
-    }
-
-    /// Enables VM tagging (§4.4): lookups match only entries installed by
-    /// the currently running VM, so replayed entries from one VM are not
-    /// executable by another.
-    pub fn enable_vm_tagging(&mut self) {
-        self.vm_tagging = true;
-    }
-
-    /// Sets the currently running VM's tag.
-    pub fn set_vm(&mut self, vm: u16) {
-        self.current_vm = vm;
     }
 
     /// Statistics accumulated so far.
@@ -250,7 +251,12 @@ impl Btb {
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.storage.iter().filter(|w| w.valid).count()
+        self.keys.iter().filter(|&&k| self.is_valid(k)).count()
+    }
+
+    #[inline]
+    fn is_valid(&self, key: u64) -> bool {
+        key & GEN_MASK == self.generation
     }
 
     #[inline]
@@ -266,32 +272,32 @@ impl Btb {
         }
     }
 
-    /// The contiguous slice of ways backing `pc`'s set, plus the index of
-    /// its first way. Scanning this slice directly keeps the associative
-    /// search bounds-check-free.
+    /// The index of the first way of `pc`'s set, and the way within the
+    /// set holding `pc`, if it is resident.
     #[inline]
-    fn set_slice(&self, pc: Addr) -> (usize, &[Way]) {
+    fn find(&self, pc: Addr) -> (usize, Option<usize>) {
         let base = self.set_of(pc) * self.ways;
-        (base, &self.storage[base..base + self.ways])
+        let key = pc.as_u64() | self.generation;
+        let way = self.keys[base..base + self.ways].iter().position(|&k| k & KEY_MASK == key);
+        (base, way)
     }
 
-    fn find(&self, pc: Addr) -> Option<usize> {
-        let (base, set) = self.set_slice(pc);
-        set.iter()
-            .position(|w| {
-                w.valid && w.entry.branch_pc == pc && (!self.vm_tagging || w.vm == self.current_vm)
-            })
-            .map(|i| base + i)
-    }
-
-    fn note_touch(&mut self, i: usize) {
-        let way = &mut self.storage[i];
-        if way.restored && !way.touched {
-            self.restored_untouched = self.restored_untouched.saturating_sub(1);
-            self.stats.restored_used += 1;
+    /// The entry held in way `i`.
+    #[inline]
+    fn entry(&self, i: usize) -> BtbEntry {
+        let target = self.targets[i];
+        BtbEntry {
+            branch_pc: Addr::new(self.keys[i]),
+            target: Addr::new(target),
+            kind: BranchKind::ALL[(target >> KIND_SHIFT) as usize],
         }
-        way.restored = false;
-        way.touched = true;
+    }
+
+    /// Makes `way` of the set at `base` the most recently used
+    /// ([`lru_promote`]).
+    #[inline]
+    fn promote(&mut self, base: usize, way: usize, rank: u8) {
+        lru_promote(&mut self.ranks[base..base + self.ways], way, rank);
     }
 
     /// Demand lookup by branch PC.
@@ -308,25 +314,28 @@ impl Btb {
     /// this is the only way for the engine to learn, at prediction time,
     /// that it is acting on replayed — possibly stale — state.
     pub fn lookup_traced(&mut self, pc: Addr) -> Option<(BtbEntry, bool)> {
-        self.clock += 1;
-        match self.find(pc) {
-            Some(i) => {
-                let was_restored = self.storage[i].restored;
-                self.storage[i].lru_stamp = self.clock;
-                self.note_touch(i);
-                self.stats.demand.record(true);
-                Some((self.storage[i].entry, was_restored))
-            }
-            None => {
-                self.stats.demand.record(false);
-                None
-            }
+        let (base, way) = self.find(pc);
+        let Some(way) = way else {
+            self.stats.demand.record(false);
+            return None;
+        };
+        let i = base + way;
+        let key = self.keys[i];
+        let was_restored = key & RESTORED != 0;
+        if key & (RESTORED | TOUCHED) == RESTORED {
+            self.restored_untouched -= 1;
+            self.stats.restored_used += 1;
         }
+        self.keys[i] = (key & !RESTORED) | TOUCHED;
+        self.promote(base, way, self.ranks[i]);
+        self.stats.demand.record(true);
+        Some((self.entry(i), was_restored))
     }
 
     /// Residency check without side effects.
     pub fn probe(&self, pc: Addr) -> Option<BtbEntry> {
-        self.find(pc).map(|i| self.storage[i].entry)
+        let (base, way) = self.find(pc);
+        way.map(|way| self.entry(base + way))
     }
 
     /// Inserts (or updates) an entry, evicting the set's LRU way if needed.
@@ -335,81 +344,79 @@ impl Btb {
     /// ordinary insertions are appended to the insertion log that Ignite's
     /// recorder drains. Returns the evicted entry, if any.
     pub fn insert(&mut self, entry: BtbEntry, from_replay: bool) -> Option<BtbEntry> {
-        self.clock += 1;
-        if let Some(i) = self.find(entry.branch_pc) {
+        let target = entry.target.as_u64() | u64::from(entry.kind.code()) << KIND_SHIFT;
+        let (base, way) = self.find(entry.branch_pc);
+        if let Some(way) = way {
             // Target (or kind) update of an existing entry: no allocation,
             // nothing recorded — the paper records creation events only.
-            let way = &mut self.storage[i];
-            way.entry = entry;
-            way.lru_stamp = self.clock;
+            self.targets[base + way] = target;
+            self.promote(base, way, self.ranks[base + way]);
             return None;
         }
+        let mut key = entry.branch_pc.as_u64() | self.generation;
         if from_replay {
             self.stats.replay_insertions += 1;
             self.restored_untouched += 1;
+            key |= RESTORED;
         } else {
             self.stats.insertions += 1;
             self.insert_log.push(entry);
         }
-        // First invalid way, else the way with the oldest LRU stamp (first
-        // of equals — the same victim `min_by_key` over `(valid, stamp)`
-        // tuples would pick, without tuple-compare overhead per way).
-        let (base, set) = self.set_slice(entry.branch_pc);
-        let mut victim_in_set = 0;
-        let mut oldest = u64::MAX;
-        for (i, w) in set.iter().enumerate() {
-            if !w.valid {
-                victim_in_set = i;
-                break;
+        // First invalid way, else the way ranked last: a full set's valid
+        // ranks are exactly 0..ways.
+        let set = &self.keys[base..base + self.ways];
+        let (way, rank, evicted) = match set.iter().position(|&k| !self.is_valid(k)) {
+            Some(way) => (way, u8::MAX, None),
+            None => {
+                let last = (self.ways - 1) as u8;
+                let way = self.ranks[base..base + self.ways]
+                    .iter()
+                    .position(|&r| r == last)
+                    .expect("a full set ranks one way last");
+                (way, last, Some(self.evict(base + way)))
             }
-            if w.lru_stamp < oldest {
-                oldest = w.lru_stamp;
-                victim_in_set = i;
-            }
-        }
-        let victim = base + victim_in_set;
-        let evicted = if self.storage[victim].valid {
-            self.stats.evictions += 1;
-            let old = self.storage[victim];
-            if old.restored && !old.touched {
-                self.restored_untouched = self.restored_untouched.saturating_sub(1);
-                self.stats.restored_evicted_untouched += 1;
-            }
-            Some(old.entry)
-        } else {
-            None
         };
-        self.storage[victim] = Way {
-            valid: true,
-            entry,
-            lru_stamp: self.clock,
-            restored: from_replay,
-            touched: false,
-            vm: self.current_vm,
-        };
+        self.keys[base + way] = key;
+        self.targets[base + way] = target;
+        self.promote(base, way, rank);
         evicted
     }
 
-    /// Takes the log of committed-branch insertions since the last drain.
+    /// Accounts the eviction of the valid entry in way `i`.
+    fn evict(&mut self, i: usize) -> BtbEntry {
+        self.stats.evictions += 1;
+        if self.keys[i] & (RESTORED | TOUCHED) == RESTORED {
+            self.restored_untouched -= 1;
+            self.stats.restored_evicted_untouched += 1;
+        }
+        self.entry(i)
+    }
+
+    /// Drains the log of committed-branch insertions since the last drain,
+    /// keeping its allocation for the next ones.
     ///
     /// Ignite's record logic calls this each cycle to observe BTB allocation
     /// events (§4.1).
-    pub fn drain_insertions(&mut self) -> Vec<BtbEntry> {
-        std::mem::take(&mut self.insert_log)
+    #[inline]
+    pub fn drain_insertions(&mut self) -> std::vec::Drain<'_, BtbEntry> {
+        self.insert_log.drain(..)
     }
 
-    /// Invalidates every entry (lukewarm flush).
+    /// Invalidates every entry (lukewarm flush) by starting a new
+    /// generation; writes no way except when the generation wraps.
     pub fn flush(&mut self) {
-        // Rewrites every way in place (builds the table on first use).
-        self.storage.clear();
-        self.storage.resize(self.sets * self.ways, Way::default());
+        self.generation += GEN_ONE;
+        if self.generation == Self::GENERATIONS * GEN_ONE {
+            self.keys.fill(0);
+            self.generation = GEN_ONE;
+        }
         self.restored_untouched = 0;
         self.insert_log.clear();
     }
 
     /// Iterates over all valid entries (inspection/tests).
-    pub fn iter(&self) -> impl Iterator<Item = &BtbEntry> {
-        self.storage.iter().filter(|w| w.valid).map(|w| &w.entry)
+    pub fn iter(&self) -> impl Iterator<Item = BtbEntry> + '_ {
+        (0..self.keys.len()).filter(|&i| self.is_valid(self.keys[i])).map(|i| self.entry(i))
     }
 }
 
@@ -454,9 +461,9 @@ mod tests {
         let mut b = btb();
         b.insert(entry(0x10, 0x99), false);
         b.insert(entry(0x14, 0x88), true);
-        let log = b.drain_insertions();
+        let log: Vec<_> = b.drain_insertions().collect();
         assert_eq!(log, vec![entry(0x10, 0x99)]);
-        assert!(b.drain_insertions().is_empty(), "drain consumes");
+        assert_eq!(b.drain_insertions().len(), 0, "drain consumes");
     }
 
     #[test]
@@ -465,7 +472,7 @@ mod tests {
         b.insert(entry(0x10, 0x99), false);
         b.drain_insertions();
         b.insert(entry(0x10, 0xaa), false);
-        assert!(b.drain_insertions().is_empty());
+        assert_eq!(b.drain_insertions().len(), 0);
         assert_eq!(b.probe(Addr::new(0x10)).unwrap().target, Addr::new(0xaa));
         assert_eq!(b.stats().insertions, 1);
     }
@@ -542,43 +549,5 @@ mod tests {
     #[should_panic(expected = "entries must divide")]
     fn bad_geometry_panics() {
         Btb::new(&BtbConfig { entries: 7, ways: 2 });
-    }
-
-    #[test]
-    fn vm_tagging_isolates_entries() {
-        let mut b = btb();
-        b.enable_vm_tagging();
-        b.set_vm(1);
-        b.insert(entry(0x10, 0x99), true); // replayed by VM 1
-        assert!(b.lookup(Addr::new(0x10)).is_some(), "owner VM sees its entry");
-        b.set_vm(2);
-        assert!(
-            b.lookup(Addr::new(0x10)).is_none(),
-            "another VM must not consume VM 1's replayed entries (§4.4)"
-        );
-        b.set_vm(1);
-        assert!(b.lookup(Addr::new(0x10)).is_some());
-    }
-
-    #[test]
-    fn vm_tagging_disabled_is_transparent() {
-        let mut b = btb();
-        b.set_vm(1);
-        b.insert(entry(0x10, 0x99), false);
-        b.set_vm(2);
-        assert!(b.lookup(Addr::new(0x10)).is_some(), "no tagging: shared BTB");
-    }
-
-    #[test]
-    fn vm_tagged_duplicate_pcs_coexist() {
-        let mut b = btb();
-        b.enable_vm_tagging();
-        b.set_vm(1);
-        b.insert(entry(0x10, 0x99), false);
-        b.set_vm(2);
-        b.insert(entry(0x10, 0xaa), false);
-        assert_eq!(b.lookup(Addr::new(0x10)).unwrap().target, Addr::new(0xaa));
-        b.set_vm(1);
-        assert_eq!(b.lookup(Addr::new(0x10)).unwrap().target, Addr::new(0x99));
     }
 }

@@ -108,6 +108,19 @@ const KEY_MASK: u64 = PREFETCHED - 1;
 const LINE_MASK: u64 = GEN_ONE - 1;
 const _: () = assert!(GEN_MASK | LINE_MASK == KEY_MASK, "fields must tile the key");
 
+/// Makes `way` the most recently used of a set with LRU ranks `ranks`
+/// (0 = most recent). Every way ranked before `rank` (the way's old rank,
+/// or `u8::MAX` for a way that was invalid) ages by one. The BTB ranks its
+/// ways the same way.
+#[inline]
+pub(crate) fn lru_promote(ranks: &mut [u8], way: usize, rank: u8) {
+    // Branch-free, so the loop compiles to a few vector compares.
+    for r in ranks.iter_mut() {
+        *r += u8::from(*r < rank);
+    }
+    ranks[way] = 0;
+}
+
 /// Details of a demand hit (see [`SetAssocCache::lookup_hit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitInfo {
@@ -256,16 +269,11 @@ impl SetAssocCache {
         (base, way)
     }
 
-    /// Makes `way` of the set at `base` the most recently used. Every way
-    /// ranked before `rank` (the way's old rank, or `u8::MAX` for a way
-    /// that was invalid) ages by one.
+    /// Makes `way` of the set at `base` the most recently used
+    /// ([`lru_promote`]).
     #[inline]
     fn promote(&mut self, base: usize, way: usize, rank: u8) {
-        // Branch-free, so the loop compiles to a few vector compares.
-        for r in &mut self.ranks[base..base + self.geometry.ways] {
-            *r += u8::from(*r < rank);
-        }
-        self.ranks[base + way] = 0;
+        lru_promote(&mut self.ranks[base..base + self.geometry.ways], way, rank);
     }
 
     /// Demand access. Updates LRU, statistics and the per-line touch bit.

@@ -10,7 +10,7 @@
 
 use crate::addr::Addr;
 use crate::bimodal::{Bimodal, BimodalConfig, Counter};
-use crate::fxmap::FxHashSet;
+use crate::fxmap::FxHashMap;
 use crate::loop_pred::{LoopPredictor, LoopPredictorConfig};
 use crate::tage::{Tage, TageConfig, TagePrediction};
 
@@ -38,8 +38,16 @@ pub struct CbpPrediction {
     tage: TagePrediction,
 }
 
+const _: () = assert!(std::mem::size_of::<CbpPrediction>() <= 96, "prediction record grew");
+
+/// Per-branch flag: the branch resolved at least once this invocation.
+const SEEN: u8 = 1;
+/// Per-branch flag: Ignite's replay initialized the branch's BIM entry and
+/// the branch has not resolved since.
+const IGNITE_INITIALIZED: u8 = 2;
+
 /// Misprediction and provenance counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CbpStats {
     /// Conditional branches predicted.
     pub predictions: u64,
@@ -83,8 +91,9 @@ pub struct Cbp {
     bim: Bimodal,
     tage: Tage,
     loop_pred: Option<LoopPredictor>,
-    seen: FxHashSet<u64>,
-    ignite_initialized: FxHashSet<u64>,
+    /// [`SEEN`] and [`IGNITE_INITIALIZED`] flags by branch PC for the
+    /// current invocation: one probe classifies a resolved branch.
+    branch_flags: FxHashMap<u64, u8>,
     stats: CbpStats,
 }
 
@@ -95,8 +104,7 @@ impl Cbp {
             bim: Bimodal::new(&cfg.bimodal),
             tage: Tage::new(&cfg.tage),
             loop_pred: cfg.loop_predictor.as_ref().map(LoopPredictor::new),
-            seen: FxHashSet::default(),
-            ignite_initialized: FxHashSet::default(),
+            branch_flags: FxHashMap::default(),
             stats: CbpStats::default(),
         }
     }
@@ -121,8 +129,7 @@ impl Cbp {
         if let Some(lp) = &mut self.loop_pred {
             lp.reset();
         }
-        self.seen.clear();
-        self.ignite_initialized.clear();
+        self.branch_flags.clear();
         self.stats = CbpStats::default();
     }
 
@@ -187,8 +194,7 @@ impl Cbp {
             self.stats.tage_provided += 1;
         }
         let mispredicted = pred.taken != taken;
-        let first_execution = self.seen.insert(pc.as_u64());
-        let ignite_init = self.ignite_initialized.remove(&pc.as_u64());
+        let (first_execution, ignite_init) = self.note_resolved(pc);
         if mispredicted {
             self.stats.mispredictions += 1;
             if pred.from_tage {
@@ -225,8 +231,7 @@ impl Cbp {
     /// The branch still registers as executed for initial/subsequent
     /// classification, and both components train at commit as in hardware.
     pub fn resolve_uncounted(&mut self, pc: Addr, taken: bool, target: Addr) {
-        self.seen.insert(pc.as_u64());
-        self.ignite_initialized.remove(&pc.as_u64());
+        self.note_resolved(pc);
         let tage_pred = self.tage.predict(pc);
         let bim_dir = self.bim.predict(pc);
         let alt_pred = tage_pred.alt_direction().unwrap_or(bim_dir);
@@ -236,6 +241,16 @@ impl Cbp {
         if taken {
             self.tage.push_history(pc, target);
         }
+    }
+
+    /// Marks the branch at `pc` resolved and clears its Ignite mark.
+    /// Returns whether this was its first resolution this invocation and
+    /// whether Ignite had initialized its BIM entry before it.
+    #[inline]
+    fn note_resolved(&mut self, pc: Addr) -> (bool, bool) {
+        let flags = self.branch_flags.entry(pc.as_u64()).or_insert(0);
+        let before = std::mem::replace(flags, SEEN);
+        (before & SEEN == 0, before & IGNITE_INITIALIZED != 0)
     }
 
     /// Advances the taken-only history for a non-conditional taken branch
@@ -263,20 +278,19 @@ impl Cbp {
     /// Call *before* any Ignite replay so replay-marked entries are
     /// attributed to this invocation.
     pub fn begin_invocation(&mut self) {
-        self.seen.clear();
-        self.ignite_initialized.clear();
+        self.branch_flags.clear();
     }
 
     /// Ignite replay hook: initializes the BIM entry for `pc` and remembers
     /// the provenance for accuracy accounting.
     pub fn ignite_initialize(&mut self, pc: Addr, counter: Counter) {
         self.bim.set(pc, counter);
-        self.ignite_initialized.insert(pc.as_u64());
+        *self.branch_flags.entry(pc.as_u64()).or_insert(0) |= IGNITE_INITIALIZED;
     }
 
     /// Number of distinct conditional branches executed this invocation.
     pub fn distinct_branches_seen(&self) -> usize {
-        self.seen.len()
+        self.branch_flags.values().filter(|&&flags| flags & SEEN != 0).count()
     }
 }
 

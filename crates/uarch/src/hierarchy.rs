@@ -246,8 +246,12 @@ impl Hierarchy {
     pub fn fetch(&mut self, addr: Addr, now: Cycle) -> AccessResult {
         self.expire_inflight(now);
         let line = addr.line();
-        if let Some(touched) = self.mem_fills.get_mut(&line.line_number()) {
-            *touched = true;
+        // The map stays empty until a line comes from DRAM in this window,
+        // which warm code may never do: skip hashing the line until then.
+        if !self.mem_fills.is_empty() {
+            if let Some(touched) = self.mem_fills.get_mut(&line.line_number()) {
+                *touched = true;
+            }
         }
         if let Some(hit) = self.l1i.lookup_hit(line) {
             // A resident line may still be in flight (fills update cache

@@ -58,35 +58,44 @@ struct TageEntry {
     valid: bool,
 }
 
-/// Cyclically folded history register (Seznec's CSR construction): bit
-/// `i` of the last `orig_len` history bits (0 = newest) lands at position
-/// `i % comp_len`, XOR-folded into `comp_len` bits.
+/// One kind of cyclically folded history register (Seznec's CSR
+/// construction), kept for every table as a lane of one array. Bit `i` of
+/// a table's last `orig_len` history bits (0 = newest) lands at position
+/// `i % width`, XOR-folded into `width` bits. All tables share the width,
+/// so one push updates every lane with the same shifts; lanes past the
+/// configured tables fold bits nothing reads.
 #[derive(Debug, Clone, Copy)]
-struct Folded {
-    comp: u64,
-    comp_len: u32,
-    /// `orig_len % comp_len`, where the bit leaving the window sits once
-    /// the register has shifted; fixed here so an update divides nothing.
-    out_shift: u32,
+struct FoldLanes {
+    comp: [u32; Tage::MAX_TABLES],
+    /// Per table, `1 << (orig_len % width)`: where the bit leaving the
+    /// window sits once the register has shifted, fixed here so an update
+    /// divides nothing.
+    out_bit: [u32; Tage::MAX_TABLES],
+    width: u32,
 }
 
-impl Folded {
-    fn new(orig_len: u32, comp_len: u32) -> Self {
-        let comp_len = comp_len.max(1);
-        Folded { comp: 0, comp_len, out_shift: orig_len % comp_len }
+impl FoldLanes {
+    /// Registers of `width` bits (at most 16) over the windows of
+    /// `cfg`'s tables.
+    fn new(cfg: &TageConfig, width: u32) -> Self {
+        let width = width.max(1);
+        let mut out_bit = [0; Tage::MAX_TABLES];
+        for (t, bit) in out_bit.iter_mut().enumerate().take(cfg.tables) {
+            *bit = 1 << (cfg.history_length(t) % width);
+        }
+        FoldLanes { comp: [0; Tage::MAX_TABLES], out_bit, width }
     }
 
-    /// Shifts in `new_bit` and removes `old_bit` (the bit leaving the
-    /// `orig_len`-bit window).
-    fn update(&mut self, new_bit: u64, old_bit: u64) {
-        self.comp = (self.comp << 1) | new_bit;
-        self.comp ^= old_bit << self.out_shift;
-        self.comp ^= self.comp >> self.comp_len;
-        self.comp &= (1u64 << self.comp_len) - 1;
-    }
-
-    fn value(&self) -> u64 {
-        self.comp
+    /// Shifts `new_bit` into every lane and removes each lane's `old`
+    /// bit (the bit leaving that table's window).
+    #[inline]
+    fn update(&mut self, new_bit: u32, old: &[u32; Tage::MAX_TABLES]) {
+        let (width, mask) = (self.width, (1 << self.width) - 1);
+        // Branch-free and uniform across lanes, so it vectorizes.
+        for ((comp, &out_bit), &old) in self.comp.iter_mut().zip(&self.out_bit).zip(old) {
+            let c = (*comp << 1 | new_bit) ^ (old.wrapping_neg() & out_bit);
+            *comp = (c ^ c >> width) & mask;
+        }
     }
 }
 
@@ -125,21 +134,27 @@ impl History {
 }
 
 /// Prediction metadata threaded from [`Tage::predict`] to [`Tage::update`].
+///
+/// The engine queues one per in-flight conditional branch, so it is kept
+/// compact: [`Tage::new`] bounds tables to 65,536 entries and tags to 16
+/// bits, so every index and tag fits a `u16`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagePrediction {
+    /// Per-table indices computed at prediction time.
+    indices: [u16; Tage::MAX_TABLES],
+    /// Per-table tags computed at prediction time.
+    tags: [u16; Tage::MAX_TABLES],
     /// Table index of the hit with the longest history, if any.
-    provider: Option<usize>,
+    provider: Option<u8>,
     /// Direction from the provider (meaningless if `provider` is `None`).
     provider_pred: bool,
     /// Alternate prediction: next-longest hit, if any.
     alt: Option<bool>,
-    /// Per-table indices computed at prediction time.
-    indices: [usize; Tage::MAX_TABLES],
-    /// Per-table tags computed at prediction time.
-    tags: [u16; Tage::MAX_TABLES],
     /// The provider entry was weak (newly allocated).
     weak_provider: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<TagePrediction>() <= 88, "prediction record grew");
 
 impl TagePrediction {
     /// The tagged prediction, if any table hit.
@@ -185,14 +200,15 @@ pub struct Tage {
     history: History,
     /// Per table, the history index (its length minus one) of the bit
     /// that leaves its window on the next push.
-    fold_points: Vec<usize>,
-    folded_index: Vec<Folded>,
-    folded_tag: [Vec<Folded>; 2],
+    fold_points: [usize; Tage::MAX_TABLES],
+    /// Folded history feeding the index hash (`log2(entries)` bits).
+    folded_index: FoldLanes,
+    /// Folded history feeding the tag hash: `tag_bits` and `tag_bits - 1`
+    /// bits wide.
+    folded_tag: [FoldLanes; 2],
     update_count: u64,
     rng: SplitMix64,
     allocations: u64,
-    tagged_hits: u64,
-    predictions: u64,
 }
 
 impl Tage {
@@ -207,36 +223,30 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate: zero tables, more than
-    /// [`Tage::MAX_TABLES`] tables, a non-power-of-two table size, or
+    /// [`Tage::MAX_TABLES`] tables, a non-power-of-two table size or one
+    /// above 65,536 entries, a tag width outside 1–16 bits, or
     /// `min_history > max_history`.
     pub fn new(cfg: &TageConfig) -> Self {
         assert!(cfg.tables > 0 && cfg.tables <= Self::MAX_TABLES, "1..=16 tables supported");
         assert!(cfg.entries_per_table.is_power_of_two(), "table size must be a power of two");
+        assert!(cfg.entries_per_table <= 1 << 16, "at most 65,536 entries per table");
+        assert!((1..=16).contains(&cfg.tag_bits), "tags must be 1..=16 bits wide");
         assert!(cfg.min_history <= cfg.max_history, "min history exceeds max");
         assert!(cfg.min_history > 0, "history lengths must be at least 1");
-        let index_bits = cfg.entries_per_table.trailing_zeros();
-        let fold_points: Vec<usize> =
-            (0..cfg.tables).map(|i| cfg.history_length(i) as usize - 1).collect();
-        let folded_index =
-            (0..cfg.tables).map(|i| Folded::new(cfg.history_length(i), index_bits)).collect();
-        let folded_tag = [
-            (0..cfg.tables).map(|i| Folded::new(cfg.history_length(i), cfg.tag_bits)).collect(),
-            (0..cfg.tables)
-                .map(|i| Folded::new(cfg.history_length(i), cfg.tag_bits.saturating_sub(1).max(1)))
-                .collect(),
-        ];
+        let mut fold_points = [0; Self::MAX_TABLES];
+        for (t, point) in fold_points.iter_mut().enumerate().take(cfg.tables) {
+            *point = cfg.history_length(t) as usize - 1;
+        }
         let mut tage = Tage {
             cfg: *cfg,
             tables: vec![Vec::new(); cfg.tables],
             history: History::new(fold_points.iter().max().map_or(1, |&p| p + 1)),
             fold_points,
-            folded_index,
-            folded_tag,
+            folded_index: FoldLanes::new(cfg, cfg.entries_per_table.trailing_zeros()),
+            folded_tag: [FoldLanes::new(cfg, cfg.tag_bits), FoldLanes::new(cfg, cfg.tag_bits - 1)],
             update_count: 0,
             rng: SplitMix64::new(Self::RNG_SEED),
             allocations: 0,
-            tagged_hits: 0,
-            predictions: 0,
         };
         tage.reset();
         tage
@@ -252,51 +262,40 @@ impl Tage {
         self.allocations
     }
 
-    /// Predictions served by a tagged table.
-    pub fn tagged_hits(&self) -> u64 {
-        self.tagged_hits
-    }
-
-    /// Total predictions made.
-    pub fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
     fn index(&self, table: usize, pc: Addr) -> usize {
         let pcv = pc.as_u64();
         let mask = self.cfg.entries_per_table as u64 - 1;
         let h = pcv
             ^ (pcv >> (self.cfg.entries_per_table.trailing_zeros() as u64 + table as u64 + 1))
-            ^ self.folded_index[table].value();
+            ^ u64::from(self.folded_index.comp[table]);
         (h & mask) as usize
     }
 
     fn tag(&self, table: usize, pc: Addr) -> u16 {
         let pcv = pc.as_u64();
         let mask = (1u64 << self.cfg.tag_bits) - 1;
-        ((pcv ^ self.folded_tag[0][table].value() ^ (self.folded_tag[1][table].value() << 1))
-            & mask) as u16
+        let folded = self.folded_tag[0].comp[table] ^ self.folded_tag[1].comp[table] << 1;
+        ((pcv ^ u64::from(folded)) & mask) as u16
     }
 
     /// Computes the prediction for `pc`.
-    pub fn predict(&mut self, pc: Addr) -> TagePrediction {
-        self.predictions += 1;
-        let mut indices = [0usize; Self::MAX_TABLES];
+    pub fn predict(&self, pc: Addr) -> TagePrediction {
+        let mut indices = [0u16; Self::MAX_TABLES];
         let mut tags = [0u16; Self::MAX_TABLES];
         let mut provider = None;
         let mut provider_pred = false;
         let mut weak_provider = false;
         let mut alt = None;
-        // Scan from longest history (highest table) down.
-        for t in (0..self.cfg.tables).rev() {
-            indices[t] = self.index(t, pc);
+        for t in 0..self.cfg.tables {
+            indices[t] = self.index(t, pc) as u16;
             tags[t] = self.tag(t, pc);
         }
+        // Scan from longest history (highest table) down.
         for t in (0..self.cfg.tables).rev() {
-            let e = &self.tables[t][indices[t]];
+            let e = &self.tables[t][usize::from(indices[t])];
             if e.valid && e.tag == tags[t] {
                 if provider.is_none() {
-                    provider = Some(t);
+                    provider = Some(t as u8);
                     provider_pred = e.ctr >= 0;
                     weak_provider = e.useful == 0 && (e.ctr == 0 || e.ctr == -1);
                 } else {
@@ -305,10 +304,7 @@ impl Tage {
                 }
             }
         }
-        if provider.is_some() {
-            self.tagged_hits += 1;
-        }
-        TagePrediction { provider, provider_pred, alt, indices, tags, weak_provider }
+        TagePrediction { indices, tags, provider, provider_pred, alt, weak_provider }
     }
 
     /// Trains the predictor with the resolved outcome.
@@ -335,9 +331,9 @@ impl Tage {
                 }
             }
         }
-        if let Some(p) = pred.provider {
+        if let Some(p) = pred.provider.map(usize::from) {
             let correct = pred.provider_pred == taken;
-            let e = &mut self.tables[p][pred.indices[p]];
+            let e = &mut self.tables[p][usize::from(pred.indices[p])];
             e.ctr = if taken { (e.ctr + 1).min(3) } else { (e.ctr - 1).max(-4) };
             // Usefulness trains only when provider and alternate disagree.
             if pred.provider_pred != alt_pred {
@@ -350,7 +346,7 @@ impl Tage {
         }
         // Allocate on misprediction in a table with longer history.
         if mispredicted {
-            let start = pred.provider.map_or(0, |p| p + 1);
+            let start = pred.provider.map_or(0, |p| usize::from(p) + 1);
             if start < self.cfg.tables {
                 // Choose randomly among allocatable (u == 0) candidates,
                 // biased toward shorter histories as in Seznec's TAGE.
@@ -361,7 +357,7 @@ impl Tage {
                     t += 1;
                 }
                 while t < self.cfg.tables {
-                    let idx = pred.indices[t];
+                    let idx = usize::from(pred.indices[t]);
                     if self.tables[t][idx].useful == 0 {
                         self.tables[t][idx] = TageEntry {
                             tag: pred.tags[t],
@@ -378,8 +374,7 @@ impl Tage {
                 if !allocated {
                     // Decay usefulness so future allocations can succeed.
                     for t in start..self.cfg.tables {
-                        let idx = pred.indices[t];
-                        let e = &mut self.tables[t][idx];
+                        let e = &mut self.tables[t][usize::from(pred.indices[t])];
                         e.useful = e.useful.saturating_sub(1);
                     }
                 }
@@ -395,12 +390,14 @@ impl Tage {
         let bit = (pc.as_u64() >> 2 ^ target.as_u64() >> 3) & 1;
         // The bit falling out of each folded window is the one at its
         // fold point *before* the push.
-        for t in 0..self.cfg.tables {
-            let old = self.history.bit(self.fold_points[t]);
-            self.folded_index[t].update(bit, old);
-            self.folded_tag[0][t].update(bit, old);
-            self.folded_tag[1][t].update(bit, old);
+        let mut old = [0; Self::MAX_TABLES];
+        for (o, &point) in old.iter_mut().zip(&self.fold_points).take(self.cfg.tables) {
+            *o = self.history.bit(point) as u32;
         }
+        let bit32 = bit as u32;
+        self.folded_index.update(bit32, &old);
+        self.folded_tag[0].update(bit32, &old);
+        self.folded_tag[1].update(bit32, &old);
         self.history.push(bit);
     }
 
@@ -413,13 +410,9 @@ impl Tage {
             table.resize(self.cfg.entries_per_table, TageEntry::default());
         }
         self.history.clear();
-        for f in &mut self.folded_index {
-            f.comp = 0;
-        }
-        for side in &mut self.folded_tag {
-            for f in side.iter_mut() {
-                f.comp = 0;
-            }
+        self.folded_index.comp = [0; Self::MAX_TABLES];
+        for lanes in &mut self.folded_tag {
+            lanes.comp = [0; Self::MAX_TABLES];
         }
         self.update_count = 0;
     }
@@ -427,8 +420,6 @@ impl Tage {
     /// Clears statistics, keeping predictor state.
     pub fn reset_stats(&mut self) {
         self.allocations = 0;
-        self.tagged_hits = 0;
-        self.predictions = 0;
     }
 
     /// Returns the predictor to its [`Tage::new`] state without
@@ -494,7 +485,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_has_no_tagged_hit() {
-        let mut t = tage();
+        let t = tage();
         let p = t.predict(Addr::new(0x1234));
         assert!(p.direction().is_none());
     }
@@ -575,8 +566,7 @@ mod tests {
         let snapshot = t.clone();
         t.flush();
         let restored = snapshot.clone();
-        let mut r = restored;
-        let p = r.predict(pc);
+        let p = restored.predict(pc);
         assert!(p.direction().is_some(), "snapshot preserves tagged entries");
     }
 
@@ -623,10 +613,11 @@ mod tests {
                 for table in 0..cfg.tables {
                     let len = cfg.history_length(table) as usize;
                     let registers = [
-                        t.folded_index[table].value(),
-                        t.folded_tag[0][table].value(),
-                        t.folded_tag[1][table].value(),
-                    ];
+                        t.folded_index.comp[table],
+                        t.folded_tag[0].comp[table],
+                        t.folded_tag[1].comp[table],
+                    ]
+                    .map(u64::from);
                     for (register, width) in registers.into_iter().zip(widths) {
                         let oracle = pushed
                             .iter()

@@ -5,9 +5,9 @@ use proptest::TestCaseError;
 
 use ignite_uarch::addr::{lines_spanned, Addr, LINE_BYTES, VA_BITS, VA_MASK};
 use ignite_uarch::bimodal::{Bimodal, BimodalConfig, Counter};
-use ignite_uarch::btb::{BranchKind, Btb, BtbConfig, BtbEntry};
+use ignite_uarch::btb::{BranchKind, Btb, BtbConfig, BtbEntry, BtbStats};
 use ignite_uarch::cache::{CacheGeometry, CacheStats, Evicted, FillKind, HitInfo, SetAssocCache};
-use ignite_uarch::cbp::Cbp;
+use ignite_uarch::cbp::{Cbp, CbpPrediction, CbpStats};
 use ignite_uarch::config::UarchConfig;
 use ignite_uarch::hierarchy::{Hierarchy, Level};
 use ignite_uarch::rng::SplitMix64;
@@ -187,6 +187,248 @@ fn colliding_addr(raw: u64, set: u64, sets: u64, line_bytes: u64) -> Addr {
     let tag = (raw >> 16) % (lines / sets);
     let line = tag * sets + set % sets.min(3);
     Addr::new(line * line_bytes + raw % line_bytes)
+}
+
+/// One call on a [`Btb`].
+#[derive(Debug, Clone, Copy)]
+enum BtbOp {
+    LookupTraced(Addr),
+    Probe(Addr),
+    Insert(BtbEntry, bool),
+    Flush,
+    DrainInsertions,
+    Reset,
+}
+
+/// A way of the reference BTB.
+#[derive(Debug, Clone, Copy)]
+struct ModelWay {
+    entry: BtbEntry,
+    restored: bool,
+    touched: bool,
+}
+
+/// A naive reference BTB: one `Vec` per set, kept as an explicit LRU
+/// list (most recently used first), with per-way restored and touched
+/// flags and every counter recomputed from the ways or counted per call.
+struct ModelBtb {
+    ways: usize,
+    sets: Vec<Vec<ModelWay>>,
+    log: Vec<BtbEntry>,
+    stats: BtbStats,
+}
+
+impl ModelBtb {
+    fn new(cfg: &BtbConfig) -> Self {
+        ModelBtb {
+            ways: cfg.ways,
+            sets: vec![Vec::new(); cfg.entries / cfg.ways],
+            log: Vec::new(),
+            stats: BtbStats::default(),
+        }
+    }
+
+    /// The BTB's set hash: the PC without its alignment bits, with two
+    /// higher slices folded in.
+    fn set_index(pc: Addr, sets: usize) -> usize {
+        let v = pc.as_u64() >> 2;
+        ((v ^ v >> 11 ^ v >> 23) % sets as u64) as usize
+    }
+
+    /// The set holding `pc` and the way holding it, if any.
+    fn find(&mut self, pc: Addr) -> (&mut Vec<ModelWay>, Option<usize>) {
+        let index = Self::set_index(pc, self.sets.len());
+        let set = &mut self.sets[index];
+        let pos = set.iter().position(|w| w.entry.branch_pc == pc);
+        (set, pos)
+    }
+
+    fn lookup_traced(&mut self, pc: Addr) -> Option<(BtbEntry, bool)> {
+        let (set, pos) = self.find(pc);
+        let hit = pos.map(|i| {
+            let mut w = set.remove(i);
+            let was_restored = w.restored;
+            w.restored = false;
+            w.touched = true;
+            set.insert(0, w);
+            (w.entry, was_restored)
+        });
+        if hit.is_some_and(|(_, was_restored)| was_restored) {
+            self.stats.restored_used += 1;
+        }
+        self.stats.demand.record(hit.is_some());
+        hit
+    }
+
+    fn probe(&mut self, pc: Addr) -> Option<BtbEntry> {
+        let (set, pos) = self.find(pc);
+        pos.map(|i| set[i].entry)
+    }
+
+    fn insert(&mut self, entry: BtbEntry, from_replay: bool) -> Option<BtbEntry> {
+        let ways = self.ways;
+        let (set, pos) = self.find(entry.branch_pc);
+        if let Some(i) = pos {
+            let mut w = set.remove(i);
+            w.entry = entry;
+            set.insert(0, w);
+            return None;
+        }
+        let victim = (set.len() == ways).then(|| set.pop().expect("a full set has a last way"));
+        set.insert(0, ModelWay { entry, restored: from_replay, touched: false });
+        if from_replay {
+            self.stats.replay_insertions += 1;
+        } else {
+            self.stats.insertions += 1;
+            self.log.push(entry);
+        }
+        if let Some(v) = victim {
+            self.stats.evictions += 1;
+            if v.restored && !v.touched {
+                self.stats.restored_evicted_untouched += 1;
+            }
+        }
+        victim.map(|v| v.entry)
+    }
+
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+        self.log.clear();
+    }
+
+    fn ways(&self) -> impl Iterator<Item = &ModelWay> {
+        self.sets.iter().flatten()
+    }
+}
+
+/// A BTB's entries in a canonical order, for multiset comparison.
+fn sorted_entries(entries: impl Iterator<Item = BtbEntry>) -> Vec<(Addr, Addr, u8)> {
+    let mut v: Vec<_> = entries.map(|e| (e.branch_pc, e.target, e.kind.code())).collect();
+    v.sort_unstable();
+    v
+}
+
+/// Drives a [`Btb`] and the reference model through `ops`, failing on the
+/// first return value, statistic, restored-untouched count, occupancy or
+/// entry multiset that differs.
+fn check_btb_against_model(cfg: BtbConfig, ops: &[BtbOp]) -> Result<(), TestCaseError> {
+    let mut btb = Btb::new(&cfg);
+    let mut model = ModelBtb::new(&cfg);
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            BtbOp::LookupTraced(pc) => {
+                prop_assert_eq!(btb.lookup_traced(pc), model.lookup_traced(pc), "step {}", step)
+            }
+            BtbOp::Probe(pc) => prop_assert_eq!(btb.probe(pc), model.probe(pc), "step {}", step),
+            BtbOp::Insert(entry, from_replay) => prop_assert_eq!(
+                btb.insert(entry, from_replay),
+                model.insert(entry, from_replay),
+                "step {}",
+                step
+            ),
+            BtbOp::Flush => {
+                btb.flush();
+                model.flush();
+            }
+            BtbOp::DrainInsertions => {
+                let drained: Vec<BtbEntry> = btb.drain_insertions().collect();
+                prop_assert_eq!(drained, std::mem::take(&mut model.log), "step {}", step);
+            }
+            BtbOp::Reset => {
+                btb.reset();
+                model.flush();
+                model.stats = BtbStats::default();
+            }
+        }
+        prop_assert_eq!(btb.stats(), &model.stats, "step {} {:?}", step, op);
+        let untouched = model.ways().filter(|w| w.restored && !w.touched).count() as u64;
+        prop_assert_eq!(btb.restored_untouched(), untouched, "step {}", step);
+        prop_assert_eq!(btb.occupancy(), model.ways().count(), "step {}", step);
+        prop_assert_eq!(
+            sorted_entries(btb.iter()),
+            sorted_entries(model.ways().map(|w| w.entry)),
+            "step {}",
+            step
+        );
+    }
+    Ok(())
+}
+
+/// `n` branch PCs anywhere in the 48-bit VA that hash into the first
+/// three sets (or fewer, if there are fewer), so branches collide and
+/// evict.
+fn colliding_pcs(seed: u64, sets: usize, n: usize) -> Vec<Addr> {
+    let mut rng = SplitMix64::new(seed);
+    let mut pcs = Vec::with_capacity(n);
+    while pcs.len() < n {
+        let pc = Addr::new(rng.next_u64());
+        if ModelBtb::set_index(pc, sets) < 3 {
+            pcs.push(pc);
+        }
+    }
+    pcs
+}
+
+/// Decodes one drawn `(pc, target, op code)` triple; one code in 32
+/// flushes and one resets.
+fn btb_op(pc: Addr, target: u64, code: u8) -> BtbOp {
+    let entry = BtbEntry::new(pc, Addr::new(target), BranchKind::ALL[target as usize % 5]);
+    match code {
+        0..=9 => BtbOp::LookupTraced(pc),
+        10..=13 => BtbOp::Probe(pc),
+        14..=20 => BtbOp::Insert(entry, false),
+        21..=27 => BtbOp::Insert(entry, true),
+        28..=29 => BtbOp::DrainInsertions,
+        30 => BtbOp::Flush,
+        _ => BtbOp::Reset,
+    }
+}
+
+/// One call on a [`Cbp`].
+#[derive(Debug, Clone, Copy)]
+enum CbpOp {
+    /// Predicts a branch and queues the prediction, as the FTQ does.
+    Predict(Addr),
+    /// Resolves the oldest queued prediction.
+    Resolve(bool),
+    ResolveUncounted(Addr, bool),
+    IgniteInitialize(Addr, Counter),
+    BeginInvocation,
+}
+
+/// The CBP's first-execution and Ignite bookkeeping as two sets, with
+/// every [`CbpStats`] counter derived from them and each prediction.
+#[derive(Default)]
+struct CbpShadow {
+    seen: std::collections::HashSet<u64>,
+    ignite_initialized: std::collections::HashSet<u64>,
+    stats: CbpStats,
+}
+
+impl CbpShadow {
+    fn resolve(&mut self, pc: Addr, taken: bool, pred: &CbpPrediction) {
+        let s = &mut self.stats;
+        s.predictions += 1;
+        s.tage_provided += u64::from(pred.from_tage);
+        let first = self.seen.insert(pc.as_u64());
+        let ignite = self.ignite_initialized.remove(&pc.as_u64());
+        if pred.taken != taken {
+            s.mispredictions += 1;
+            if pred.from_tage {
+                s.tage_mispredictions += 1;
+            } else {
+                s.bim_mispredictions += 1;
+            }
+            if first {
+                s.initial_mispredictions += 1;
+                s.ignite_induced_mispredictions += u64::from(ignite && !pred.from_tage);
+            } else {
+                s.subsequent_mispredictions += 1;
+            }
+        } else if first && ignite && !pred.from_tage {
+            s.ignite_covered_initials += 1;
+        }
+    }
 }
 
 proptest! {
@@ -421,6 +663,20 @@ proptest! {
         check_against_model(geometry, &ops)?;
     }
 
+    #[test]
+    fn btb_matches_the_reference_model(
+        ways in 1usize..9,
+        sets in prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(64usize), 1usize..40],
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0usize..48, any::<u64>(), 0u8..32), 1..400)
+    ) {
+        let cfg = BtbConfig { entries: sets * ways, ways };
+        let pool = colliding_pcs(seed, sets, 48);
+        let ops: Vec<BtbOp> =
+            ops.iter().map(|&(i, target, code)| btb_op(pool[i], target, code)).collect();
+        check_btb_against_model(cfg, &ops)?;
+    }
+
     // ---- bimodal ----
 
     #[test]
@@ -463,6 +719,57 @@ proptest! {
         prop_assert!(s.mispredictions <= s.predictions);
     }
 
+    #[test]
+    fn cbp_flags_match_two_shadow_sets(
+        loop_predictor in any::<bool>(),
+        pool in prop::collection::vec(any::<u64>(), 1..24),
+        ops in prop::collection::vec((0usize..24, 0u8..4, 0u8..16), 1..400)
+    ) {
+        let mut cfg = UarchConfig::tiny_for_tests().cbp;
+        cfg.loop_predictor =
+            loop_predictor.then(ignite_uarch::loop_pred::LoopPredictorConfig::default);
+        let mut cbp = Cbp::new(&cfg);
+        let mut shadow = CbpShadow::default();
+        let mut queued: std::collections::VecDeque<(Addr, CbpPrediction)> =
+            std::collections::VecDeque::new();
+        for (step, &(i, v, code)) in ops.iter().enumerate() {
+            let pc = Addr::new(pool[i % pool.len()]);
+            let taken = v & 1 == 1;
+            let op = match code {
+                0..=5 => CbpOp::Predict(pc),
+                6..=10 => CbpOp::Resolve(taken),
+                11..=12 => CbpOp::ResolveUncounted(pc, taken),
+                13..=14 => CbpOp::IgniteInitialize(pc, Counter::from_value(v)),
+                _ => CbpOp::BeginInvocation,
+            };
+            match op {
+                CbpOp::Predict(pc) => queued.push_back((pc, cbp.predict(pc))),
+                CbpOp::Resolve(taken) => {
+                    if let Some((pc, pred)) = queued.pop_front() {
+                        cbp.resolve(pc, taken, pc + 64, &pred);
+                        shadow.resolve(pc, taken, &pred);
+                    }
+                }
+                CbpOp::ResolveUncounted(pc, taken) => {
+                    cbp.resolve_uncounted(pc, taken, pc + 64);
+                    shadow.seen.insert(pc.as_u64());
+                    shadow.ignite_initialized.remove(&pc.as_u64());
+                }
+                CbpOp::IgniteInitialize(pc, counter) => {
+                    cbp.ignite_initialize(pc, counter);
+                    shadow.ignite_initialized.insert(pc.as_u64());
+                }
+                CbpOp::BeginInvocation => {
+                    cbp.begin_invocation();
+                    shadow.seen.clear();
+                    shadow.ignite_initialized.clear();
+                }
+            }
+            prop_assert_eq!(cbp.stats(), &shadow.stats, "step {} {:?}", step, op);
+            prop_assert_eq!(cbp.distinct_branches_seen(), shadow.seen.len(), "step {}", step);
+        }
+    }
+
     // ---- ITLB ----
 
     #[test]
@@ -492,6 +799,29 @@ fn cache_matches_the_reference_model_across_generation_wraps() {
         ops.push(cache_op(addr, rng.next_below(31) as u8));
     }
     if let Err(e) = check_against_model(geometry, &ops) {
+        panic!("{e}");
+    }
+}
+
+/// More flushes than the BTB's generation counter holds, built like the
+/// cache's wrap case: the first generation fills every way with replayed
+/// entries, and each later generation makes at most one call, so only
+/// the wrap sweep keeps the first generation's entries from coming back.
+#[test]
+fn btb_matches_the_reference_model_across_generation_wraps() {
+    let cfg = BtbConfig { entries: 3 * 4, ways: 4 };
+    let mut rng = SplitMix64::new(0xB7B);
+    let pool = colliding_pcs(rng.next_u64(), 3, 16);
+    let mut ops: Vec<BtbOp> = pool
+        .iter()
+        .map(|&pc| BtbOp::Insert(BtbEntry::new(pc, pc, BranchKind::Call), true))
+        .collect();
+    for _ in 0..2 * Btb::GENERATIONS + 5 {
+        ops.push(BtbOp::Flush);
+        let pc = pool[rng.next_below(pool.len() as u64) as usize];
+        ops.push(btb_op(pc, rng.next_u64(), rng.next_below(30) as u8));
+    }
+    if let Err(e) = check_btb_against_model(cfg, &ops) {
         panic!("{e}");
     }
 }

@@ -125,6 +125,41 @@ const PAPER_FUNCTIONS: [(&str, &str, Language, u32, u32); 20] = [
     ("Shipping", "Ship-G", Language::Go, 350, 8_200),
 ];
 
+/// A suite scale factor [`check_scale`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScaleError {
+    /// Not finite, or not above zero.
+    NonPositive(f64),
+    /// Above 1.0, the paper's full suite.
+    AboveFull(f64),
+}
+
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScaleError::NonPositive(v) => write!(f, "scale must be finite and positive, got {v}"),
+            ScaleError::AboveFull(v) => {
+                write!(f, "scale must be at most 1 (the paper's full suite), got {v}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
+/// Checks a suite scale factor: finite, above zero and at most 1.0, the
+/// paper's full suite. Every entry point that builds a suite from a
+/// user's scale checks it here.
+pub fn check_scale(factor: f64) -> Result<(), ScaleError> {
+    if !factor.is_finite() || factor <= 0.0 {
+        Err(ScaleError::NonPositive(factor))
+    } else if factor > 1.0 {
+        Err(ScaleError::AboveFull(factor))
+    } else {
+        Ok(())
+    }
+}
+
 impl Suite {
     /// The full 20-function suite at paper scale.
     ///
@@ -140,9 +175,11 @@ impl Suite {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is not positive.
+    /// Panics if [`check_scale`] refuses `factor`.
     pub fn paper_suite_scaled(factor: f64) -> Self {
-        assert!(factor > 0.0, "scale factor must be positive");
+        if let Err(e) = check_scale(factor) {
+            panic!("{e}");
+        }
         let functions = PAPER_FUNCTIONS
             .iter()
             .enumerate()

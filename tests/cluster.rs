@@ -220,20 +220,27 @@ fn cluster_binary(args: &[&str]) -> std::process::Output {
 /// Inputs the binary once accepted but could not finish: a suite scale
 /// past the paper's aborted allocating the suite, a peak arrival rate
 /// far past one per cycle underflowed the inter-arrival gap, so the
-/// arrival clock never reached the horizon, and a topology with more
-/// machines than memory holds aborted allocating them. Each must exit 1
-/// promptly, naming the field; a run still going after a minute fails
-/// the test instead of hanging it.
+/// arrival clock never reached the horizon, a topology with more
+/// machines than memory holds aborted allocating them, and a retry
+/// backoff near `u64::MAX` overflowed adding its jitter (or, without
+/// overflow checks, moved the clock so far that generating the chaos
+/// schedule never finished). Each must exit 1 promptly, naming the
+/// field; a run still going after a minute fails the test instead of
+/// hanging it.
 #[test]
 fn cluster_binary_rejects_oversized_scale_and_arrival_rates() {
     use std::time::{Duration, Instant};
-    let cases: [(&[&str], &str); 6] = [
+    const HUGE_BACKOFF: &str = "base=18446744073709551615,max=18446744073709551615";
+    const HUGE_CEILING: &str = "max=18446744073709551615";
+    let cases: [(&[&str], &str); 8] = [
         (&["--scale", "1e9"], "scale"),
         (&["--rate", "1e300"], "rate_per_mcycle"),
         (&["--traffic", "mmpp:mults=1/1e300,dwells=300000/60000"], "traffic"),
         (&["--traffic", "burst:every=400000,width=40000,mult=1e300"], "traffic"),
         (&["--nodes", "100000", "--cores", "100000"], "topology.nodes * cores"),
         (&["--nodes", "4294967296", "--cores", "4294967296"], "topology.nodes * cores"),
+        (&["--chaos", "default", "--retry", HUGE_BACKOFF], "retry.backoff_base_cycles"),
+        (&["--chaos", "default", "--retry", HUGE_CEILING], "retry.backoff_max_cycles"),
     ];
     for (args, field) in cases {
         let label = args.join(" ");

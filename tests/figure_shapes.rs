@@ -97,3 +97,48 @@ fn fig11_bim_policy_shape() {
     assert!(s("BIM wT") > s("BTB only"), "weakly taken helps");
     assert!(s("BIM wNT") < s("BIM wT"), "weakly not-taken is the wrong policy");
 }
+
+/// Inputs the `sweep` and `figures` binaries once panicked or aborted
+/// on: a scale of zero, NaN or infinity panicked building the suite, a
+/// scale of 1e9 aborted allocating it, and an unwritable `--out` panicked
+/// after the run. A bad scale is a usage error (exit 2); an unwritable
+/// output exits 1 before any figure runs. A minute is far more than any
+/// case needs.
+#[test]
+fn binaries_refuse_bad_scales_and_unwritable_outputs() {
+    use std::time::{Duration, Instant};
+    let cases: [(&str, &[&str], i32, &str); 6] = [
+        (env!("CARGO_BIN_EXE_sweep"), &["--scale", "0", "codec"], 2, "--scale"),
+        (env!("CARGO_BIN_EXE_sweep"), &["--scale", "nan", "codec"], 2, "--scale"),
+        (env!("CARGO_BIN_EXE_sweep"), &["--scale", "inf", "codec"], 2, "--scale"),
+        (env!("CARGO_BIN_EXE_figures"), &["--scale", "0", "table1"], 2, "--scale"),
+        (env!("CARGO_BIN_EXE_figures"), &["--scale", "1e9", "table1"], 2, "--scale"),
+        (
+            env!("CARGO_BIN_EXE_figures"),
+            &["--quick", "--out", "/nonexistent/dir/x.md", "table1"],
+            1,
+            "cannot open /nonexistent/dir/x.md",
+        ),
+    ];
+    for (bin, args, code, message) in cases {
+        let label = args.join(" ");
+        let mut child = std::process::Command::new(bin)
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn binary");
+        let start = Instant::now();
+        while child.try_wait().expect("poll binary").is_none() {
+            if start.elapsed() > Duration::from_secs(60) {
+                let _ = child.kill();
+                panic!("{label}: still running after 60 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{label}: {stderr}");
+        assert!(stderr.contains(&format!("error: {message}")), "{label}: {stderr}");
+    }
+}
