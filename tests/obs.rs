@@ -1,13 +1,16 @@
 //! Observability integration gates: DES-transition trace coverage,
 //! cross-process metrics byte-determinism, the zero-perturbation
-//! guarantee (an enabled sink must not change simulation results), and
-//! the pinned event stream of every committed golden configuration.
+//! guarantee (an enabled sink must not change simulation results), the
+//! pinned event stream of every committed golden configuration, and the
+//! pinned bytes of the `cluster` binary's trace and metrics exports.
 //!
 //! The report goldens do not fix event order, so
 //! `tests/golden/event_digests.txt` pins it: one `name events fnv64`
 //! line per golden configuration, the digest being FNV-1a over
-//! `format!("{event:?}\n")` of every event in emission order. To update
-//! after an intentional change:
+//! `format!("{event:?}\n")` of every event in emission order.
+//! `tests/golden/export_digests.txt` pins what the binary writes with
+//! `--trace-out` and `--metrics-out`: one `name file bytes fnv64` line
+//! per file. To update either after an intentional change:
 //!
 //! ```text
 //! IGNITE_BLESS=1 cargo test -p ignite-harness --test obs
@@ -170,13 +173,33 @@ fn digest_line<P: PolicyHook>(
     let mut buf = TraceBuffer::new(1 << 22);
     ClusterSim::new(cfg.clone()).run_source_policy_obs(source, &mut buf, policy);
     assert_eq!(buf.dropped(), 0, "{name}: buffer must hold the whole run");
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for e in buf.iter() {
-        for b in format!("{e:?}\n").bytes() {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
+    let hash = buf.iter().fold(FNV_OFFSET, |hash, e| fnv1a(hash, format!("{e:?}\n").as_bytes()));
     format!("{name} {} {hash:016x}\n", buf.len())
+}
+
+/// The FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Compares `current` with the committed `tests/golden/{file}`, or
+/// writes it there under `IGNITE_BLESS=1`.
+fn check_golden(file: &str, current: &str, what: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file);
+    if std::env::var_os("IGNITE_BLESS").is_some_and(|v| v == "1") {
+        std::fs::write(&path, current).expect("write digests");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).expect("read the committed digests");
+    assert_eq!(
+        committed, current,
+        "{what} changed; if intentional, re-bless with \
+         IGNITE_BLESS=1 cargo test -p ignite-harness --test obs"
+    );
 }
 
 fn mmpp_source(cfg: &ClusterConfig) -> Box<dyn ArrivalSource> {
@@ -225,18 +248,57 @@ fn golden_event_streams_match() {
         Controller::new(ControllerSpec::parse(CONTROL_SPEC).expect("golden spec must parse"));
     current += &digest_line("control", &control, &mut *mmpp_source(&control), &mut controller);
     current += &digest_line("traffic_mmpp", &mmpp, &mut *mmpp_source(&mmpp), &mut StaticPolicy);
+    check_golden("event_digests.txt", &current, "event stream");
+}
 
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/event_digests.txt");
-    if std::env::var_os("IGNITE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &current).expect("write event digests");
-        eprintln!("blessed {}", path.display());
-        return;
+/// The Chrome trace and the metrics exposition the `cluster` binary
+/// writes are pinned byte for byte for two runs that carry every
+/// exporter: the scope golden configuration under the default SLO, and
+/// the control golden configuration with the default SLO riding along.
+#[test]
+fn cluster_binary_exports_match_digests() {
+    let dir = std::env::temp_dir().join(format!("ignite-exports-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scope: &[&str] = &["--horizon", "800000", "--capacity", "8192", "--slo", "default"];
+    let control: &[&str] = &[
+        "--nodes",
+        "2",
+        "--cores",
+        "2",
+        "--keepalive",
+        "hybrid",
+        "--capacity",
+        "4096",
+        "--horizon",
+        "1500000",
+        "--traffic",
+        MMPP_SPEC,
+        "--controller",
+        CONTROL_SPEC,
+        "--slo",
+        "default",
+    ];
+    let mut current = String::new();
+    for (name, args) in [("scope", scope), ("control", control)] {
+        let trace = dir.join(format!("{name}-trace.json"));
+        let metrics = dir.join(format!("{name}-metrics.prom"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
+            .args(args)
+            .arg("--trace-out")
+            .arg(&trace)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .arg("--out")
+            .arg(dir.join(format!("{name}-report.json")))
+            .output()
+            .expect("spawn cluster binary");
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        for (file, path) in [("trace", &trace), ("metrics", &metrics)] {
+            let bytes = std::fs::read(path).expect("read the export");
+            let hash = fnv1a(FNV_OFFSET, &bytes);
+            current += &format!("{name} {file} {} {hash:016x}\n", bytes.len());
+        }
     }
-    let committed = std::fs::read_to_string(&path).expect("read the committed event digests");
-    assert_eq!(
-        committed, current,
-        "event stream changed; if intentional, re-bless with \
-         IGNITE_BLESS=1 cargo test -p ignite-harness --test obs"
-    );
+    let _ = std::fs::remove_dir_all(&dir);
+    check_golden("export_digests.txt", &current, "an exported trace or exposition");
 }
