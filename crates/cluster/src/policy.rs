@@ -16,19 +16,18 @@
 //! * Emission/actuation sites are guarded by [`PolicyHook::enabled`];
 //!   a disabled policy's sites dead-code-eliminate completely.
 //! * [`PolicyHook::observe`] receives one [`PolicySample`] per
-//!   completed invocation (the same seven attribution components the
-//!   scope layer records) and must be O(1).
+//!   completed invocation (the same [`Attribution`] record the scope
+//!   layer folds) and must be O(1).
 //! * [`PolicyHook::on_epoch`] runs at epoch boundaries only (gated by
 //!   [`PolicyHook::epoch_due`] so the simulator never assembles
 //!   [`ClusterGauges`] off-epoch) and returns the decisions taken, each
 //!   of which the simulator mirrors onto the `Track::Controller` trace
 //!   track.
 
-use ignite_obs::CtrlRule;
+use ignite_obs::{Attribution, CtrlRule};
 
-/// One completed invocation, folded into the policy online. Fields are
-/// the exact seven-component attribution tiling (they sum to
-/// `latency_cycles`) plus the store outcome the components were
+/// One completed invocation, folded into the policy online: its
+/// attribution record plus the store outcome the components were
 /// attributed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicySample {
@@ -36,23 +35,8 @@ pub struct PolicySample {
     pub function: u32,
     /// Completion timestamp (cluster cycles).
     pub completion: u64,
-    /// End-to-end latency; the seven components below tile it exactly.
-    pub latency_cycles: u64,
-    /// Time queued before dispatch.
-    pub queue_cycles: u64,
-    /// Cycles lost to failed attempts and backoff waits (chaos only).
-    pub retry_cycles: u64,
-    /// Metadata DRAM transfer on a store hit.
-    pub dram_cycles: u64,
-    /// Cold front-end stalls (store hit with Ignite replaying, Ignite
-    /// off, or replay suppressed by policy).
-    pub cold_frontend_cycles: u64,
-    /// Front-end stalls re-paid because the store missed.
-    pub store_miss_cycles: u64,
-    /// Front-end stalls paid because chaos degraded replay away.
-    pub degraded_cycles: u64,
-    /// Steady-state execution.
-    pub execution_cycles: u64,
+    /// The latency and the seven components that tile it.
+    pub cycles: Attribution,
     /// Whether the metadata store served this invocation.
     pub store_hit: bool,
     /// Whether this policy suppressed record/replay for the invocation.

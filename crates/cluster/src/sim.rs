@@ -30,7 +30,9 @@ use ignite_engine::config::FrontEndConfig;
 use ignite_engine::machine::{Machine, PreparedFunction};
 use ignite_engine::metrics::InvocationResult;
 use ignite_engine::sim::{run_invocation_obs, InvocationCtx};
-use ignite_obs::{DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Track};
+use ignite_obs::{
+    Attribution, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Track,
+};
 use ignite_traffic::{FingerprintAccum, WorkloadFingerprint};
 use ignite_uarch::UarchConfig;
 use ignite_workloads::arrival::{Arrival, ArrivalConfig, ArrivalSource};
@@ -1330,19 +1332,25 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             // avoid; after a hit (with Ignite off, or with replay
             // suppressed by policy) they are the residual
             // cold-front-end penalty; when chaos degraded replay away
-            // they are the price of availability. The policy folds the
-            // same components it would see on the trace, so the
-            // controller can run over a [`NullSink`].
-            let dram_cycles = at.service - at.exec_cycles;
+            // they are the price of availability. The record is built
+            // once: the trace event and the policy sample carry the same
+            // value, so the controller can run over a [`NullSink`].
             let frontend = at.res.front_end_stall_cycles();
-            let execution = at.exec_cycles - frontend;
-            let (cold_frontend, store_miss, degraded_cycles) = if at.degrade.is_some() {
-                (0, 0, frontend)
-            } else if self.ignite_on && !at.store_hit && !at.policy_bypass {
-                (0, frontend, 0)
-            } else {
-                (frontend, 0, 0)
+            let mut cycles = Attribution {
+                queue_cycles: job.queue_accum,
+                retry_cycles: job.lost_cycles,
+                dram_cycles: at.service - at.exec_cycles,
+                execution_cycles: at.exec_cycles - frontend,
+                latency_cycles: latency,
+                ..Attribution::default()
             };
+            if at.degrade.is_some() {
+                cycles.degraded_cycles = frontend;
+            } else if self.ignite_on && !at.store_hit && !at.policy_bypass {
+                cycles.store_miss_cycles = frontend;
+            } else {
+                cycles.cold_frontend_cycles = frontend;
+            }
             if self.sink.enabled() {
                 // The span covers fetch + engine + writeback.
                 let invocation = self.fns[fi].count - 1;
@@ -1355,30 +1363,13 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             }
             let kind = EventKind::Complete { function: a.function, service_cycles: at.service };
             emit(self.sink, completion, track, kind);
-            let kind = EventKind::Attribution {
-                function: a.function,
-                queue_cycles: job.queue_accum,
-                retry_cycles: job.lost_cycles,
-                dram_cycles,
-                cold_frontend_cycles: cold_frontend,
-                store_miss_cycles: store_miss,
-                degraded_cycles,
-                execution_cycles: execution,
-                latency_cycles: latency,
-            };
+            let kind = EventKind::Attribution { function: a.function, cycles };
             emit(self.sink, completion, track, kind);
             if self.policy.enabled() {
                 self.policy.observe(&PolicySample {
                     function: a.function,
                     completion,
-                    latency_cycles: latency,
-                    queue_cycles: job.queue_accum,
-                    retry_cycles: job.lost_cycles,
-                    dram_cycles,
-                    cold_frontend_cycles: cold_frontend,
-                    store_miss_cycles: store_miss,
-                    degraded_cycles,
-                    execution_cycles: execution,
+                    cycles,
                     store_hit: at.store_hit,
                     replay_suppressed: at.policy_bypass,
                 });
@@ -2119,31 +2110,14 @@ mod tests {
         let mut attributed = 0u64;
         let mut latency_sum = 0u64;
         for e in buf.iter() {
-            if let EventKind::Attribution {
-                queue_cycles,
-                retry_cycles,
-                dram_cycles,
-                cold_frontend_cycles,
-                store_miss_cycles,
-                degraded_cycles,
-                execution_cycles,
-                latency_cycles,
-                ..
-            } = e.kind
-            {
+            if let EventKind::Attribution { cycles, .. } = e.kind {
                 assert_eq!(
-                    queue_cycles
-                        + retry_cycles
-                        + dram_cycles
-                        + cold_frontend_cycles
-                        + store_miss_cycles
-                        + degraded_cycles
-                        + execution_cycles,
-                    latency_cycles,
+                    cycles.component_sum(),
+                    cycles.latency_cycles,
                     "components must tile the latency"
                 );
                 attributed += 1;
-                latency_sum += latency_cycles;
+                latency_sum += cycles.latency_cycles;
             }
         }
         assert_eq!(attributed, out.invocations, "every completion is attributed");

@@ -105,16 +105,6 @@ impl Controller {
         }
     }
 
-    /// The parsed spec this controller runs.
-    pub fn spec(&self) -> &ControllerSpec {
-        &self.spec
-    }
-
-    /// Decisions taken so far (the audit trail, in actuation order).
-    pub fn decisions(&self) -> &[Decision] {
-        &self.decisions
-    }
-
     fn effective_cores(&self, cores_per_node: usize) -> usize {
         if self.active == 0 {
             cores_per_node
@@ -258,7 +248,8 @@ impl PolicyHook for Controller {
         }
         // Transitions surface through the scope layer's alert track;
         // the controller only consumes the firing state.
-        let _ = self.tracker.observe(&self.slo_cfg, sample.completion, sample.latency_cycles);
+        let latency = sample.cycles.latency_cycles;
+        let _ = self.tracker.observe(&self.slo_cfg, sample.completion, latency);
         self.scope.observe(sample);
     }
 
@@ -319,19 +310,17 @@ impl PolicyHook for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ignite_obs::Attribution;
 
     fn sample(function: u32, completion: u64, latency: u64) -> PolicySample {
         PolicySample {
             function,
             completion,
-            latency_cycles: latency,
-            queue_cycles: 0,
-            retry_cycles: 0,
-            dram_cycles: 0,
-            cold_frontend_cycles: 0,
-            store_miss_cycles: 0,
-            degraded_cycles: 0,
-            execution_cycles: latency,
+            cycles: Attribution {
+                execution_cycles: latency,
+                latency_cycles: latency,
+                ..Attribution::default()
+            },
             store_hit: false,
             replay_suppressed: false,
         }
@@ -359,8 +348,8 @@ mod tests {
         // store_miss cycles — replay costs, saves nothing.
         for i in 0..8u64 {
             let mut s = sample(7, 1_000 + i * 100, 5_000);
-            s.store_miss_cycles = 3_000;
-            s.execution_cycles = 2_000;
+            s.cycles.store_miss_cycles = 3_000;
+            s.cycles.execution_cycles = 2_000;
             c.observe(&s);
         }
         assert!(c.replay_admitted(7));
@@ -498,7 +487,7 @@ mod tests {
                         epoch * spec.epoch_cycles + i * 9_000 + 1,
                         if epoch % 2 == 0 { 4_000 } else { 300 },
                     );
-                    s.store_miss_cycles = 2_000;
+                    s.cycles.store_miss_cycles = 2_000;
                     c.observe(&s);
                 }
                 g.footprint_bytes =

@@ -1,13 +1,10 @@
 //! The windowed online fold over the policy sample stream.
 //!
 //! [`OnlineScope`] is the controller's view of the attribution stream:
-//! per-function component accumulators for the current epoch, an epoch
-//! latency sketch merged into a cumulative sketch at each boundary
-//! (reusing [`QuantileSketch::merge`], which is exactly how the offline
-//! scope report builds cluster-wide quantiles), and a cumulative
-//! per-function idle-gap sketch for keep-alive retuning. Every
-//! [`OnlineScope::observe`] is O(1) (sketch inserts are O(log buckets));
-//! nothing retains raw samples.
+//! per-function component accumulators and a latency sketch for the
+//! current epoch, and a cumulative per-function idle-gap sketch for
+//! keep-alive retuning. Every [`OnlineScope::observe`] is O(1) (sketch
+//! inserts are O(log buckets)); nothing retains raw samples.
 
 use std::collections::BTreeMap;
 
@@ -24,8 +21,6 @@ pub struct FnWindow {
     /// Invocations that paid a store miss (replay attempted, metadata
     /// absent).
     pub misses: u64,
-    /// Invocations dispatched with replay suppressed by policy.
-    pub suppressed: u64,
     /// Attributed record/replay cost: `dram + store_miss` cycles.
     pub replay_cost_cycles: u64,
     /// Residual front-end stall cycles summed over store hits — what a
@@ -58,12 +53,10 @@ impl FnWindow {
 #[derive(Debug, Clone, Default)]
 pub struct OnlineScope {
     epoch_latency: QuantileSketch,
-    cumulative_latency: QuantileSketch,
     functions: BTreeMap<u32, FnWindow>,
     idle_gaps: BTreeMap<u32, QuantileSketch>,
     last_completion: BTreeMap<u32, u64>,
     epoch_samples: u64,
-    total_samples: u64,
 }
 
 impl OnlineScope {
@@ -72,22 +65,24 @@ impl OnlineScope {
         Self::default()
     }
 
-    /// Folds one completed invocation into the current epoch window.
+    /// Folds one completed invocation into the current epoch window. An
+    /// invocation with replay suppressed counts on neither side of the
+    /// replay savings estimate.
     pub fn observe(&mut self, s: &PolicySample) {
-        self.epoch_latency.observe(s.latency_cycles);
+        let c = &s.cycles;
+        self.epoch_latency.observe(c.latency_cycles);
         self.epoch_samples += 1;
-        self.total_samples += 1;
         let w = self.functions.entry(s.function).or_default();
         w.invocations += 1;
-        w.replay_cost_cycles += s.dram_cycles + s.store_miss_cycles;
-        if s.replay_suppressed {
-            w.suppressed += 1;
-        } else if s.store_hit {
-            w.hits += 1;
-            w.hit_frontend_cycles += s.cold_frontend_cycles;
-        } else {
-            w.misses += 1;
-            w.miss_frontend_cycles += s.store_miss_cycles;
+        w.replay_cost_cycles += c.dram_cycles + c.store_miss_cycles;
+        if !s.replay_suppressed {
+            if s.store_hit {
+                w.hits += 1;
+                w.hit_frontend_cycles += c.cold_frontend_cycles;
+            } else {
+                w.misses += 1;
+                w.miss_frontend_cycles += c.store_miss_cycles;
+            }
         }
         match self.last_completion.insert(s.function, s.completion) {
             Some(prev) if s.completion > prev => {
@@ -102,20 +97,9 @@ impl OnlineScope {
         self.epoch_samples
     }
 
-    /// Completed invocations folded since construction.
-    pub fn total_samples(&self) -> u64 {
-        self.total_samples
-    }
-
     /// The current epoch's latency quantile (percent, 0..=100).
     pub fn epoch_quantile(&self, p: u32) -> u64 {
         self.epoch_latency.quantile(p)
-    }
-
-    /// The all-run latency quantile over every *drained* epoch (the
-    /// current window is not included until drained).
-    pub fn cumulative_quantile(&self, p: u32) -> u64 {
-        self.cumulative_latency.quantile(p)
     }
 
     /// Cumulative idle-gap sketches per function (completion-to-
@@ -125,12 +109,11 @@ impl OnlineScope {
         &self.idle_gaps
     }
 
-    /// Closes the epoch: merges the epoch latency sketch into the
-    /// cumulative one and returns the per-function windows, resetting
-    /// both for the next epoch. Idle-gap sketches persist across
-    /// epochs (windows need history to stabilize).
+    /// Closes the epoch: returns the per-function windows and resets
+    /// them and the epoch latency sketch for the next epoch. Idle-gap
+    /// sketches persist across epochs (windows need history to
+    /// stabilize).
     pub fn drain_epoch(&mut self) -> BTreeMap<u32, FnWindow> {
-        self.cumulative_latency.merge(&self.epoch_latency);
         self.epoch_latency = QuantileSketch::new();
         self.epoch_samples = 0;
         std::mem::take(&mut self.functions)
@@ -140,37 +123,34 @@ impl OnlineScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ignite_obs::Attribution;
 
     fn sample(function: u32, completion: u64, latency: u64) -> PolicySample {
         PolicySample {
             function,
             completion,
-            latency_cycles: latency,
-            queue_cycles: 0,
-            retry_cycles: 0,
-            dram_cycles: 0,
-            cold_frontend_cycles: 0,
-            store_miss_cycles: 0,
-            degraded_cycles: 0,
-            execution_cycles: latency,
+            cycles: Attribution {
+                execution_cycles: latency,
+                latency_cycles: latency,
+                ..Attribution::default()
+            },
             store_hit: false,
             replay_suppressed: false,
         }
     }
 
     #[test]
-    fn drain_merges_epoch_into_cumulative() {
+    fn drain_returns_and_resets_the_epoch_window() {
         let mut scope = OnlineScope::new();
         for i in 0..10u64 {
             scope.observe(&sample(0, i * 100, 1_000 + i));
         }
         assert_eq!(scope.epoch_samples(), 10);
-        assert_eq!(scope.cumulative_quantile(99), 0);
+        assert!(scope.epoch_quantile(99) >= 1_009);
         let fns = scope.drain_epoch();
         assert_eq!(fns[&0].invocations, 10);
         assert_eq!(scope.epoch_samples(), 0);
-        assert_eq!(scope.total_samples(), 10);
-        assert!(scope.cumulative_quantile(99) >= 1_009);
+        assert_eq!(scope.epoch_quantile(99), 0);
         assert!(scope.drain_epoch().is_empty());
     }
 
@@ -179,18 +159,18 @@ mod tests {
         let mut scope = OnlineScope::new();
         let mut hit = sample(3, 100, 500);
         hit.store_hit = true;
-        hit.dram_cycles = 40;
-        hit.cold_frontend_cycles = 60;
+        hit.cycles.dram_cycles = 40;
+        hit.cycles.cold_frontend_cycles = 60;
         scope.observe(&hit);
         let mut miss = sample(3, 200, 900);
-        miss.store_miss_cycles = 300;
+        miss.cycles.store_miss_cycles = 300;
         scope.observe(&miss);
         let mut sup = sample(3, 300, 700);
         sup.replay_suppressed = true;
-        sup.cold_frontend_cycles = 280;
+        sup.cycles.cold_frontend_cycles = 280;
         scope.observe(&sup);
         let w = scope.drain_epoch()[&3];
-        assert_eq!((w.hits, w.misses, w.suppressed), (1, 1, 1));
+        assert_eq!((w.invocations, w.hits, w.misses), (3, 1, 1));
         assert_eq!(w.replay_cost_cycles, 340);
         assert_eq!(w.hit_frontend_cycles, 60);
         assert_eq!(w.miss_frontend_cycles, 300);

@@ -107,26 +107,11 @@ fn push_args(out: &mut String, kind: &EventKind) {
             field(out, "container", container);
             field(out, "bytes", bytes);
         }
-        EventKind::Attribution {
-            function,
-            queue_cycles,
-            retry_cycles,
-            dram_cycles,
-            cold_frontend_cycles,
-            store_miss_cycles,
-            degraded_cycles,
-            execution_cycles,
-            latency_cycles,
-        } => {
+        EventKind::Attribution { function, cycles } => {
             field(out, "function", u64::from(function));
-            field(out, "queue_cycles", queue_cycles);
-            field(out, "retry_cycles", retry_cycles);
-            field(out, "dram_cycles", dram_cycles);
-            field(out, "cold_frontend_cycles", cold_frontend_cycles);
-            field(out, "store_miss_cycles", store_miss_cycles);
-            field(out, "degraded_cycles", degraded_cycles);
-            field(out, "execution_cycles", execution_cycles);
-            field(out, "latency_cycles", latency_cycles);
+            for (key, value) in cycles.fields() {
+                field(out, key, value);
+            }
         }
         EventKind::AlertFire { function, burn_milli }
         | EventKind::AlertResolve { function, burn_milli } => {

@@ -199,6 +199,80 @@ impl Phase {
     }
 }
 
+/// One completed invocation's latency, split into seven causal
+/// components that sum *exactly* to `latency_cycles` (the tested scope
+/// invariant). The simulator builds it once per completion; the trace,
+/// the policy and every scope report read this one record, and a sum of
+/// records ([`Attribution::add`]) keeps the invariant.
+///
+/// `retry_cycles` and `degraded_cycles` are zero whenever chaos is off,
+/// preserving the five-component decomposition of chaos-free runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Attribution {
+    /// Arrival → dispatch wait.
+    pub queue_cycles: u64,
+    /// Cycles lost to failed attempts and backoff waits.
+    pub retry_cycles: u64,
+    /// Record/replay metadata DRAM transfer.
+    pub dram_cycles: u64,
+    /// Cold front-end stalls: after a store hit, with Ignite off, or
+    /// with replay suppressed by policy.
+    pub cold_frontend_cycles: u64,
+    /// Front-end stalls re-paid because the store missed and Ignite had
+    /// to re-record.
+    pub store_miss_cycles: u64,
+    /// Front-end stalls paid because chaos degraded replay away.
+    pub degraded_cycles: u64,
+    /// Steady-state execution.
+    pub execution_cycles: u64,
+    /// End-to-end latency, arrival → completion.
+    pub latency_cycles: u64,
+}
+
+impl Attribution {
+    /// Sum of the seven components; equals `latency_cycles` by the
+    /// attribution invariant.
+    pub fn component_sum(&self) -> u64 {
+        self.queue_cycles
+            + self.retry_cycles
+            + self.dram_cycles
+            + self.cold_frontend_cycles
+            + self.store_miss_cycles
+            + self.degraded_cycles
+            + self.execution_cycles
+    }
+
+    /// Adds `other` field by field: the attribution of both sets of
+    /// invocations together.
+    pub fn add(&mut self, other: &Attribution) {
+        for ((_, sum), (_, cycles)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *sum += cycles;
+        }
+    }
+
+    /// Every field as `(report key, cycles)`, in the order traces and
+    /// reports write them: the seven components, then `latency_cycles`.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(key, cycles)| (key, *cycles))
+    }
+
+    /// [`Attribution::fields`] with each value writable, so a reader can
+    /// fill a record from its report keys.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 8] {
+        [
+            ("queue_cycles", &mut self.queue_cycles),
+            ("retry_cycles", &mut self.retry_cycles),
+            ("dram_cycles", &mut self.dram_cycles),
+            ("cold_frontend_cycles", &mut self.cold_frontend_cycles),
+            ("store_miss_cycles", &mut self.store_miss_cycles),
+            ("degraded_cycles", &mut self.degraded_cycles),
+            ("execution_cycles", &mut self.execution_cycles),
+            ("latency_cycles", &mut self.latency_cycles),
+        ]
+    }
+}
+
 /// What happened. Payload fields become `args` in the Chrome export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -237,27 +311,9 @@ pub enum EventKind {
     StoreEvict { container: u64, bytes: u64 },
     /// An insert was rejected (region larger than the store).
     StoreReject { container: u64, bytes: u64 },
-    /// Causal latency attribution for one completed invocation. The
-    /// seven components sum *exactly* to `latency_cycles` (the tested
-    /// scope invariant): time queued, cycles lost to failed attempts
-    /// and backoff waits, metadata DRAM transfer, cold front-end
-    /// stalls after a store hit (or with Ignite off), front-end stalls
-    /// re-paid because the store missed and Ignite had to re-record,
-    /// front-end stalls paid because chaos degraded replay away, and
-    /// steady-state execution. `retry_cycles` and `degraded_cycles`
-    /// are zero whenever chaos is off, preserving the five-component
-    /// v1 decomposition bit-for-bit.
-    Attribution {
-        function: u32,
-        queue_cycles: u64,
-        retry_cycles: u64,
-        dram_cycles: u64,
-        cold_frontend_cycles: u64,
-        store_miss_cycles: u64,
-        degraded_cycles: u64,
-        execution_cycles: u64,
-        latency_cycles: u64,
-    },
+    /// Causal latency attribution for one completed invocation (see
+    /// [`Attribution`]).
+    Attribution { function: u32, cycles: Attribution },
     /// A multi-window SLO burn-rate alert started firing for a
     /// function (`burn_milli` is the fast-window burn rate ×1000).
     AlertFire { function: u32, burn_milli: u64 },

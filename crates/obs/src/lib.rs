@@ -37,8 +37,8 @@ pub mod sketch;
 
 pub use chrome::{to_chrome_json, ChromeOptions, CHROME_SCHEMA};
 pub use event::{
-    CtrlRule, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Phase, TraceBuffer,
-    Track,
+    Attribution, CtrlRule, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Phase,
+    TraceBuffer, Track,
 };
 pub use metrics::MetricsRegistry;
 pub use sketch::QuantileSketch;

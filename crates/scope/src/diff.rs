@@ -12,6 +12,7 @@
 use std::fmt::Write as _;
 
 use ignite_cluster::json::{self, Value};
+use ignite_obs::Attribution;
 
 /// One comparable metric from a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,26 +69,23 @@ fn cluster_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
     out
 }
 
+/// The mean of each attribution key of a scope report row over its
+/// invocations, named `{prefix}/mean_{key}`.
+fn mean_attribution(row: &[(String, Value)], prefix: &str, out: &mut Vec<MetricSample>) {
+    let inv = num(row, "invocations").unwrap_or(0.0);
+    if inv > 0.0 {
+        for (key, _) in Attribution::default().fields() {
+            if let Some(v) = num(row, key) {
+                out.push(sample(format!("{prefix}/mean_{key}"), v / inv, false));
+            }
+        }
+    }
+}
+
 fn scope_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
     let mut out = Vec::new();
     if let Some(t) = json::get(obj, "totals").and_then(Value::as_object) {
-        let inv = num(t, "invocations").unwrap_or(0.0);
-        if inv > 0.0 {
-            for key in [
-                "queue_cycles",
-                "retry_cycles",
-                "dram_cycles",
-                "cold_frontend_cycles",
-                "store_miss_cycles",
-                "degraded_cycles",
-                "execution_cycles",
-                "latency_cycles",
-            ] {
-                if let Some(v) = num(t, key) {
-                    out.push(sample(format!("totals/mean_{key}"), v / inv, false));
-                }
-            }
-        }
+        mean_attribution(t, "totals", &mut out);
         for key in ["p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles"] {
             if let Some(v) = num(t, key) {
                 out.push(sample(format!("totals/{key}"), v, false));
@@ -108,23 +106,7 @@ fn scope_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
             // call a scheduler or keep-alive change a win or regression
             // *per function* (e.g. store-miss cycles dropping for hot
             // functions under affinity routing).
-            let inv = num(fo, "invocations").unwrap_or(0.0);
-            if inv > 0.0 {
-                for key in [
-                    "queue_cycles",
-                    "retry_cycles",
-                    "dram_cycles",
-                    "cold_frontend_cycles",
-                    "store_miss_cycles",
-                    "degraded_cycles",
-                    "execution_cycles",
-                    "latency_cycles",
-                ] {
-                    if let Some(v) = num(fo, key) {
-                        out.push(sample(format!("function/{abbr}/mean_{key}"), v / inv, false));
-                    }
-                }
-            }
+            mean_attribution(fo, &format!("function/{abbr}"), &mut out);
         }
     }
     out

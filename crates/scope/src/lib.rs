@@ -10,8 +10,9 @@
 //!   per-function latency breakdowns. Because the cluster simulator's
 //!   attribution components are integer cycle counts that tile the
 //!   end-to-end latency *exactly*, the analyzer's aggregates carry the
-//!   same invariant: queue + dram + cold-front-end + store-miss +
-//!   execution == latency, per invocation and in every sum.
+//!   same invariant: the seven components of an
+//!   [`ignite_obs::Attribution`] sum to its latency, per invocation and
+//!   in every sum.
 //! - [`SloTracker`] (driven by the analyzer when an [`SloConfig`] is
 //!   supplied) keeps multi-window burn rates over the attribution
 //!   stream in pure integer arithmetic and emits `AlertFire` /
@@ -28,7 +29,7 @@ pub mod diff;
 pub mod report;
 pub mod slo;
 
-pub use attribution::{FunctionAttribution, InvocationAttribution, ScopeAnalyzer};
+pub use attribution::{ScopeAnalyzer, ScopeTotals};
 pub use diff::{
     diff, load_samples, same_kind, workload_identity, DiffEntry, DiffReport, MetricSample,
 };

@@ -6,9 +6,9 @@
 //! writes for the same SLO section and row count.
 
 use ignite_cluster::json::{self, Value};
-use ignite_obs::{EventSink, MetricsRegistry};
+use ignite_obs::{Attribution, EventSink, MetricsRegistry};
 
-use crate::attribution::{InvocationAttribution, ScopeAnalyzer};
+use crate::attribution::{ScopeAnalyzer, ScopeTotals};
 use crate::slo::SloConfig;
 
 /// Schema tag written into (and required of) every scope report.
@@ -21,60 +21,26 @@ pub struct FunctionScope {
     pub function: u32,
     /// Table-1 abbreviation (or `fn-<i>` when unknown).
     pub abbr: String,
-    /// The function's attributed sums and sketch quantiles.
+    /// The function's fold.
     pub totals: ScopeTotals,
 }
 
-/// Attributed sums and sketch quantiles over a set of invocations: the
-/// whole run, or one function's.
-#[derive(Debug, Clone, Default)]
-pub struct ScopeTotals {
-    /// Invocations attributed.
-    pub invocations: u64,
-    /// Summed queueing cycles.
-    pub queue_cycles: u64,
-    /// Summed retry/backoff cycles (chaos runs only; 0 otherwise).
-    pub retry_cycles: u64,
-    /// Summed metadata DRAM cycles.
-    pub dram_cycles: u64,
-    /// Summed cold front-end cycles.
-    pub cold_frontend_cycles: u64,
-    /// Summed store-miss re-record cycles.
-    pub store_miss_cycles: u64,
-    /// Summed degraded-mode front-end cycles (chaos runs only).
-    pub degraded_cycles: u64,
-    /// Summed execution cycles.
-    pub execution_cycles: u64,
-    /// Summed end-to-end latency.
-    pub latency_cycles: u64,
-    /// Sketch quantiles.
-    pub p50_latency: u64,
-    /// 95th percentile.
-    pub p95_latency: u64,
-    /// 99th percentile.
-    pub p99_latency: u64,
-    /// SLO violations.
-    pub violations: u64,
-    /// Alert fire transitions.
-    pub alert_fires: u64,
-    /// Alert resolve transitions.
-    pub alert_resolves: u64,
+/// Function `function`'s abbreviation from `abbrs` (suite order, as in
+/// `ClusterOutcome::functions`), or `fn-<i>` past its end.
+fn abbr(abbrs: &[String], function: u32) -> String {
+    abbrs.get(function as usize).cloned().unwrap_or_else(|| format!("fn-{function}"))
 }
 
 impl ScopeTotals {
+    /// Writes one row: the sums, then quantiles read from the sketch.
     fn write(&self, w: &mut json::Writer) {
         w.field("invocations", self.invocations);
-        w.field("queue_cycles", self.queue_cycles);
-        w.field("retry_cycles", self.retry_cycles);
-        w.field("dram_cycles", self.dram_cycles);
-        w.field("cold_frontend_cycles", self.cold_frontend_cycles);
-        w.field("store_miss_cycles", self.store_miss_cycles);
-        w.field("degraded_cycles", self.degraded_cycles);
-        w.field("execution_cycles", self.execution_cycles);
-        w.field("latency_cycles", self.latency_cycles);
-        w.field("p50_latency_cycles", self.p50_latency);
-        w.field("p95_latency_cycles", self.p95_latency);
-        w.field("p99_latency_cycles", self.p99_latency);
+        for (key, cycles) in self.cycles.fields() {
+            w.field(key, cycles);
+        }
+        w.field("p50_latency_cycles", self.latency.quantile(50));
+        w.field("p95_latency_cycles", self.latency.quantile(95));
+        w.field("p99_latency_cycles", self.latency.quantile(99));
         w.field("slo_violations", self.violations);
         w.field("alert_fires", self.alert_fires);
         w.field("alert_resolves", self.alert_resolves);
@@ -116,46 +82,18 @@ impl ScopeReport {
     /// Builds the report from a finished analyzer. `abbrs` maps
     /// function index to its abbreviation (suite order, as in
     /// `ClusterOutcome::functions`); indices past the end get `fn-<i>`.
+    /// The totals row is the merge of the function rows.
     pub fn from_analyzer<S: EventSink>(analyzer: &ScopeAnalyzer<S>, abbrs: &[String]) -> Self {
         let mut totals = ScopeTotals::default();
         let mut functions = Vec::new();
         for (&function, f) in analyzer.per_function() {
-            let abbr =
-                abbrs.get(function as usize).cloned().unwrap_or_else(|| format!("fn-{function}"));
-            let row = ScopeTotals {
-                invocations: f.invocations,
-                queue_cycles: f.queue_cycles,
-                retry_cycles: f.retry_cycles,
-                dram_cycles: f.dram_cycles,
-                cold_frontend_cycles: f.cold_frontend_cycles,
-                store_miss_cycles: f.store_miss_cycles,
-                degraded_cycles: f.degraded_cycles,
-                execution_cycles: f.execution_cycles,
-                latency_cycles: f.latency_cycles,
-                p50_latency: f.latency.quantile(50),
-                p95_latency: f.latency.quantile(95),
-                p99_latency: f.latency.quantile(99),
-                violations: f.violations,
-                alert_fires: f.alert_fires,
-                alert_resolves: f.alert_resolves,
-            };
-            functions.push(FunctionScope { function, abbr, totals: row });
-            totals.queue_cycles += f.queue_cycles;
-            totals.retry_cycles += f.retry_cycles;
-            totals.dram_cycles += f.dram_cycles;
-            totals.cold_frontend_cycles += f.cold_frontend_cycles;
-            totals.store_miss_cycles += f.store_miss_cycles;
-            totals.degraded_cycles += f.degraded_cycles;
-            totals.execution_cycles += f.execution_cycles;
-            totals.latency_cycles += f.latency_cycles;
-            totals.violations += f.violations;
-            totals.alert_fires += f.alert_fires;
-            totals.alert_resolves += f.alert_resolves;
+            totals.merge(f);
+            functions.push(FunctionScope {
+                function,
+                abbr: abbr(abbrs, function),
+                totals: f.clone(),
+            });
         }
-        totals.invocations = analyzer.total_invocations();
-        totals.p50_latency = analyzer.overall().quantile(50);
-        totals.p95_latency = analyzer.overall().quantile(95);
-        totals.p99_latency = analyzer.overall().quantile(99);
         ScopeReport { slo: analyzer.slo().copied(), totals, functions }
     }
 
@@ -216,18 +154,10 @@ impl ScopeReport {
 
         let check = |row: &[(String, Value)], ctx: &str| -> Result<u64, String> {
             let n = |key: &str| json::get_count(row, ctx, key);
-            let a = InvocationAttribution {
-                function: 0,
-                ts: 0,
-                queue_cycles: n("queue_cycles")?,
-                retry_cycles: n("retry_cycles")?,
-                dram_cycles: n("dram_cycles")?,
-                cold_frontend_cycles: n("cold_frontend_cycles")?,
-                store_miss_cycles: n("store_miss_cycles")?,
-                degraded_cycles: n("degraded_cycles")?,
-                execution_cycles: n("execution_cycles")?,
-                latency_cycles: n("latency_cycles")?,
-            };
+            let mut a = Attribution::default();
+            for (key, cycles) in a.fields_mut() {
+                *cycles = n(key)?;
+            }
             let (sum, latency) = (a.component_sum(), a.latency_cycles);
             if sum != latency {
                 return Err(format!("{ctx}: components sum to {sum}, latency is {latency}"));
@@ -259,19 +189,14 @@ impl ScopeReport {
 pub fn record_scope_metrics(reg: &mut MetricsRegistry, report: &ScopeReport) {
     for f in &report.functions {
         let t = &f.totals;
-        // The chaos components only appear in the exposition when they
-        // are nonzero, keeping chaos-free expositions byte-identical to
-        // what they were before the failure model existed.
-        for (component, cycles, always) in [
-            ("queue", t.queue_cycles, true),
-            ("retry", t.retry_cycles, false),
-            ("dram", t.dram_cycles, true),
-            ("cold_frontend", t.cold_frontend_cycles, true),
-            ("store_miss", t.store_miss_cycles, true),
-            ("degraded", t.degraded_cycles, false),
-            ("execution", t.execution_cycles, true),
-        ] {
-            if !always && cycles == 0 {
+        let [components @ .., _latency] = t.cycles.fields();
+        for (key, cycles) in components {
+            let component = key.trim_end_matches("_cycles");
+            // The chaos components only appear in the exposition when
+            // they are nonzero, keeping chaos-free expositions
+            // byte-identical to what they were before the failure model
+            // existed.
+            if cycles == 0 && matches!(component, "retry" | "degraded") {
                 continue;
             }
             reg.inc_counter(
@@ -299,7 +224,7 @@ pub fn record_scope_metrics(reg: &mut MetricsRegistry, report: &ScopeReport) {
             "ignite_scope_p99_latency_cycles",
             "Sketch 99th-percentile latency",
             &[("function", function)],
-            t.p99_latency as f64,
+            t.latency.quantile(99) as f64,
         );
     }
 }
@@ -318,8 +243,7 @@ pub fn record_slo_metrics<S: EventSink>(
 ) {
     let Some(cfg) = analyzer.slo().copied() else { return };
     for (&function, f) in analyzer.per_function() {
-        let abbr =
-            abbrs.get(function as usize).cloned().unwrap_or_else(|| format!("fn-{function}"));
+        let abbr = abbr(abbrs, function);
         let fl = [("function", abbr.as_str())];
         reg.inc_counter(
             "ignite_slo_alerts_fired_total",
@@ -352,33 +276,36 @@ mod tests {
     use crate::attribution::ScopeAnalyzer;
     use ignite_obs::{Event, EventKind, NullSink, Track};
 
+    /// The `Attribution` event of one completion at `ts`.
+    fn attribution(ts: u64, function: u32, mut cycles: Attribution) -> Event {
+        cycles.latency_cycles = cycles.component_sum();
+        Event {
+            ts,
+            dur: 0,
+            track: Track::Cluster,
+            kind: EventKind::Attribution { function, cycles },
+        }
+    }
+
+    /// A completion that spent all of `latency` executing.
+    fn executing(latency: u64) -> Attribution {
+        Attribution { execution_cycles: latency, ..Attribution::default() }
+    }
+
     fn analyzer_with_traffic() -> ScopeAnalyzer<NullSink> {
         let mut an = ScopeAnalyzer::new(NullSink).with_slo(SloConfig::default());
         for i in 0u64..50 {
-            let function = (i % 3) as u32;
-            let queue = 13 * i;
-            let exec = 40_000 + 1_000 * i;
-            an.record(Event {
-                ts: 1_000 * (i + 1),
-                dur: 0,
-                track: Track::Cluster,
-                kind: EventKind::Attribution {
-                    function,
-                    queue_cycles: queue,
-                    retry_cycles: if i % 5 == 0 { 700 } else { 0 },
-                    dram_cycles: 128 * i,
-                    cold_frontend_cycles: if i % 2 == 0 { 9_000 } else { 0 },
-                    store_miss_cycles: if i % 2 == 1 { 9_000 } else { 0 },
-                    degraded_cycles: if i % 7 == 0 { 300 } else { 0 },
-                    execution_cycles: exec,
-                    latency_cycles: queue
-                        + if i % 5 == 0 { 700 } else { 0 }
-                        + 128 * i
-                        + 9_000
-                        + if i % 7 == 0 { 300 } else { 0 }
-                        + exec,
-                },
-            });
+            let cycles = Attribution {
+                queue_cycles: 13 * i,
+                retry_cycles: if i % 5 == 0 { 700 } else { 0 },
+                dram_cycles: 128 * i,
+                cold_frontend_cycles: if i % 2 == 0 { 9_000 } else { 0 },
+                store_miss_cycles: if i % 2 == 1 { 9_000 } else { 0 },
+                degraded_cycles: if i % 7 == 0 { 300 } else { 0 },
+                execution_cycles: 40_000 + 1_000 * i,
+                latency_cycles: 0,
+            };
+            an.record(attribution(1_000 * (i + 1), (i % 3) as u32, cycles));
         }
         an
     }
@@ -410,22 +337,7 @@ mod tests {
     fn slo_families_appear_only_with_an_slo_and_are_byte_deterministic() {
         // No SLO configured: the families must be entirely absent.
         let mut plain = ScopeAnalyzer::new(NullSink);
-        plain.record(Event {
-            ts: 1_000,
-            dur: 0,
-            track: Track::Cluster,
-            kind: EventKind::Attribution {
-                function: 0,
-                queue_cycles: 0,
-                retry_cycles: 0,
-                dram_cycles: 0,
-                cold_frontend_cycles: 0,
-                store_miss_cycles: 0,
-                degraded_cycles: 0,
-                execution_cycles: 10,
-                latency_cycles: 10,
-            },
-        });
+        plain.record(attribution(1_000, 0, executing(10)));
         let mut reg = MetricsRegistry::new();
         record_slo_metrics(&mut reg, &plain, &[]);
         assert_eq!(reg.expose(), "", "SLO-free exposition must carry no ignite_slo_ family");
@@ -444,22 +356,7 @@ mod tests {
             let mut an = ScopeAnalyzer::new(NullSink).with_slo(cfg);
             for i in 0u64..12 {
                 let lat = if i < 8 { 500 } else { 1 };
-                an.record(Event {
-                    ts: 100 * (i + 1),
-                    dur: 0,
-                    track: Track::Cluster,
-                    kind: EventKind::Attribution {
-                        function: 0,
-                        queue_cycles: 0,
-                        retry_cycles: 0,
-                        dram_cycles: 0,
-                        cold_frontend_cycles: 0,
-                        store_miss_cycles: 0,
-                        degraded_cycles: 0,
-                        execution_cycles: lat,
-                        latency_cycles: lat,
-                    },
-                });
+                an.record(attribution(100 * (i + 1), 0, executing(lat)));
             }
             an
         };
