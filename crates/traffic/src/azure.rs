@@ -206,6 +206,12 @@ impl AzureTrace {
         Ok(AzureTrace { functions, minutes })
     }
 
+    /// Simulated cycles the trace spans at `cycles_per_minute`, or
+    /// `None` when that overflows the `u64` cycle clock.
+    pub(crate) fn span_cycles(&self, cycles_per_minute: u64) -> Option<u64> {
+        (self.minutes as u64).checked_mul(cycles_per_minute)
+    }
+
     /// Total invocations across all rows and minutes.
     pub fn total_invocations(&self) -> u64 {
         self.functions.iter().flat_map(|f| f.per_minute.iter()).sum()
@@ -286,9 +292,11 @@ impl AzureSource {
     ///
     /// # Panics
     ///
-    /// Panics if `cycles_per_minute` is zero or the suite is empty.
+    /// Panics if `cycles_per_minute` is zero, the trace's minutes at that
+    /// rate end past `u64::MAX`, or the suite is empty.
     pub fn new(trace: AzureTrace, suite: &Suite, cycles_per_minute: u64) -> Self {
         assert!(cycles_per_minute > 0, "cycles_per_minute must be positive");
+        assert!(trace.span_cycles(cycles_per_minute).is_some(), "trace span overflows u64");
         assert!(!suite.functions().is_empty(), "empty suite");
         let mapped = trace.map_to_suite(suite);
         AzureSource {
@@ -308,11 +316,13 @@ impl AzureSource {
 
     fn fill_minute(&mut self, minute: usize) {
         let cpm = self.cycles_per_minute;
+        // No overflow: `new` refused a trace whose last minute ends past
+        // `u64::MAX`, and each offset is below `cpm`.
         let base = minute as u64 * cpm;
         for (idx, function) in self.trace.functions.iter().enumerate() {
-            let c = function.per_minute[minute];
+            let c = u128::from(function.per_minute[minute]);
             for k in 0..c {
-                let offset = ((2 * k + 1) * cpm) / (2 * c);
+                let offset = ((2 * k + 1) * u128::from(cpm) / (2 * c)) as u64;
                 self.buffer.push(Arrival { cycle: base + offset, function: self.mapped[idx] });
             }
         }

@@ -116,7 +116,8 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Error building a source from a spec (I/O or trace parse).
+/// Error building a source from a spec (I/O, trace parse, or a trace
+/// too long for the cycle clock).
 #[derive(Debug)]
 pub enum BuildError {
     /// Reading the Azure CSV failed.
@@ -128,6 +129,14 @@ pub enum BuildError {
     },
     /// The Azure CSV failed to parse.
     Parse(AzureParseError),
+    /// The Azure trace's minutes at `cpm` cycles each end past the
+    /// `u64` cycle clock.
+    SpanOverflow {
+        /// Minute columns in the trace.
+        minutes: usize,
+        /// The configured cycles per minute.
+        cycles_per_minute: u64,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -135,6 +144,12 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::Io { path, error } => write!(f, "cannot read '{path}': {error}"),
             BuildError::Parse(e) => write!(f, "azure trace: {e}"),
+            BuildError::SpanOverflow { minutes, cycles_per_minute } => write!(
+                f,
+                "azure trace: {minutes} minutes at cpm={cycles_per_minute} end past the \
+                 largest cycle ({}); lower cpm",
+                u64::MAX
+            ),
         }
     }
 }
@@ -201,7 +216,12 @@ impl TrafficSpec {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| BuildError::Io { path: path.clone(), error: e.to_string() })?;
                 let trace = AzureTrace::parse(&text).map_err(BuildError::Parse)?;
-                Ok(Box::new(AzureSource::new(trace, suite, *cycles_per_minute)))
+                let cycles_per_minute = *cycles_per_minute;
+                if trace.span_cycles(cycles_per_minute).is_none() {
+                    let minutes = trace.minutes;
+                    return Err(BuildError::SpanOverflow { minutes, cycles_per_minute });
+                }
+                Ok(Box::new(AzureSource::new(trace, suite, cycles_per_minute)))
             }
             TrafficSpec::Mmpp { mults, dwells } => Ok(Box::new(ModulatedSource::new(
                 arrival,
