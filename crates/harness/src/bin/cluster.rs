@@ -60,9 +60,9 @@
 //!                        attribution report for the run
 //!   --slo SPEC           enable burn-rate SLO alerting; SPEC is 'default'
 //!                        or comma-separated k=v pairs: threshold=CYCLES,
-//!                        objective=PCT, fast=CYCLES, slow=CYCLES,
-//!                        burn=MULT, min=N. Alerts land on their own
-//!                        trace track and in the scope report.
+//!                        objective=PCT (0 to below 99.95), fast=CYCLES,
+//!                        slow=CYCLES, burn=MULT, min=N. Alerts land on
+//!                        their own trace track and in the scope report.
 //!   --controller SPEC    close the loop: fold the live obs stream into
 //!                        an online scope window and actuate policy at
 //!                        epoch boundaries (replay on/off per function,
@@ -171,11 +171,14 @@ fn parse_slo(spec: &str) -> SloConfig {
             "threshold" => slo.threshold_cycles = parse(v, "--slo threshold"),
             "objective" => {
                 let pct: f64 = parse(v, "--slo objective");
-                if !(0.0..100.0).contains(&pct) {
+                // Rounded to milli-units, the objective must stay below
+                // 1000: 99.95 and up would leave no error budget.
+                let milli = (pct * 10.0).round();
+                if !(0.0..100.0).contains(&pct) || milli >= 1000.0 {
                     eprintln!("cluster: --slo objective must be in [0, 100), got {pct}");
                     usage();
                 }
-                slo.objective_milli = (pct * 10.0).round() as u32;
+                slo.objective_milli = milli as u32;
             }
             "fast" => slo.fast_window_cycles = parse(v, "--slo fast"),
             "slow" => slo.slow_window_cycles = parse(v, "--slo slow"),
