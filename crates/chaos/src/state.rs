@@ -164,12 +164,6 @@ pub(crate) const LABEL_DROP: u64 = 4 << 32;
 pub(crate) const LABEL_JITTER: u64 = 5 << 32;
 
 impl ChaosState {
-    /// Builds the per-core streams for a single node with `cores`
-    /// cores (the pre-multinode constructor, kept byte-compatible).
-    pub fn new(plan: ChaosPlan, cores: usize) -> Self {
-        Self::for_cluster(plan, 1, cores)
-    }
-
     /// Builds the streams for an N-node cluster: crash and straggle
     /// streams for every core (global core index `node *
     /// cores_per_node + local`), and one store-unavailability stream
@@ -180,9 +174,9 @@ impl ChaosState {
     /// plan replays identically for a given shape. Node 0's store
     /// stream label is `LABEL_STORE | 0 == LABEL_STORE` and the root
     /// generator reaches the store fork in the same state for
-    /// `(1, c)` as the old single-node constructor did for `c` cores —
-    /// which is what keeps 1-node chaos runs byte-identical to the
-    /// committed goldens.
+    /// `(1, c)` as the single-node constructor that preceded it did for
+    /// `c` cores — which is what keeps 1-node chaos runs byte-identical
+    /// to the committed goldens.
     pub fn for_cluster(plan: ChaosPlan, nodes: usize, cores_per_node: usize) -> Self {
         let total = nodes * cores_per_node;
         let mut root = SplitMix64::new(plan.seed);
@@ -249,26 +243,15 @@ impl ChaosState {
         }
     }
 
-    /// Whether node 0's metadata store is unreachable at `t` (the
-    /// single-node shorthand for [`ChaosState::store_unavailable_on`]).
-    pub fn store_unavailable(&mut self, t: u64) -> bool {
-        self.store_unavailable_on(0, t)
-    }
-
     /// Whether `node`'s metadata store is unreachable at `t`.
     pub fn store_unavailable_on(&mut self, node: usize, t: u64) -> bool {
         self.store[node].contains(t)
     }
 
-    /// The earliest restart among cores down at `now` — the extra DES
-    /// event source that wakes the scheduler when queued work is
-    /// waiting only on repairs.
-    pub fn earliest_restart(&mut self, now: u64) -> Option<u64> {
-        self.earliest_restart_among(0..self.crash.len(), now)
-    }
-
-    /// [`ChaosState::earliest_restart`] restricted to a global-core
-    /// range — one node's cores, when only that node has queued work.
+    /// The earliest restart among the cores in a global-core range
+    /// (one node's) that are down at `now` — the extra DES event source
+    /// that wakes the scheduler when queued work is waiting only on
+    /// repairs.
     pub fn earliest_restart_among(
         &mut self,
         cores: std::ops::Range<usize>,
@@ -375,7 +358,7 @@ mod tests {
     #[test]
     fn chaos_state_streams_are_independent_per_core() {
         let plan = ChaosPlan { seed: 77, ..ChaosPlan::default_preset() };
-        let mut st = ChaosState::new(plan, 2);
+        let mut st = ChaosState::for_cluster(plan, 1, 2);
         st.crash[0].ensure_to(10_000_000);
         st.crash[1].ensure_to(10_000_000);
         assert_ne!(st.crash[0].windows, st.crash[1].windows);
@@ -395,13 +378,6 @@ mod tests {
         }
         assert_ne!(st.store[0].windows, st.store[1].windows);
         assert_ne!(st.store[1].windows, st.store[2].windows);
-        // The single-node constructor is the 1-node cluster, stream for
-        // stream (the golden byte-identity contract).
-        let mut single = ChaosState::new(plan, 2);
-        let mut one = ChaosState::for_cluster(plan, 1, 2);
-        single.store[0].ensure_to(10_000_000);
-        one.store[0].ensure_to(10_000_000);
-        assert_eq!(single.store[0].windows, one.store[0].windows);
     }
 
     #[test]
@@ -412,12 +388,12 @@ mod tests {
             crash_repair_cycles: 2_000,
             ..ChaosPlan::none()
         };
-        let mut st = ChaosState::new(plan, 4);
+        let mut st = ChaosState::for_cluster(plan, 1, 4);
         // Find a time at which at least one core is down.
         let t = (0..1_000_000)
             .find(|&t| (0..4).any(|c| st.core_down(c, t)))
             .expect("some core goes down");
-        let earliest = st.earliest_restart(t).expect("a core is down");
+        let earliest = st.earliest_restart_among(0..4, t).expect("a core is down");
         for c in 0..4 {
             if let Some(r) = st.core_restart_after(c, t) {
                 assert!(earliest <= r);

@@ -144,11 +144,6 @@ impl Cbp {
         &self.bim
     }
 
-    /// The TAGE component (for warm/cold state control).
-    pub fn tage_mut(&mut self) -> &mut Tage {
-        &mut self.tage
-    }
-
     /// The TAGE component, immutably.
     pub fn tage(&self) -> &Tage {
         &self.tage
