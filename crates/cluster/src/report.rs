@@ -351,7 +351,11 @@ impl ClusterReport {
     /// position, invocations are conserved on every node and in the chaos
     /// ledger, the fingerprint has its schema tag and sane statistics
     /// (shares in `[0, 1]`, `top1 <= top5`, CV² >= 0), and the fire
-    /// counters agree with the decision log.
+    /// counters agree with the decision log. Across rows: p50 ≤ p95 ≤ p99
+    /// in the totals and in every function row, and the totals'
+    /// invocations equal the sum over the functions, over the cores and,
+    /// when present, over the nodes' completions and the chaos ledger's
+    /// `completed`.
     pub fn validate(text: &str) -> Result<(), String> {
         let doc = json::parse(text)?;
         let obj = doc.as_object().ok_or("report is not an object")?;
@@ -438,6 +442,43 @@ impl ClusterReport {
                 return Err(format!("empty '{key}' array"));
             }
         }
+        let totals = json::get_object(obj, "totals");
+        let ordered = |row: &[(String, Value)], ctx: &str| -> Result<(), String> {
+            let n = |key| json::get_count(row, ctx, key);
+            let (p50, p95, p99) =
+                (n("p50_latency_cycles")?, n("p95_latency_cycles")?, n("p99_latency_cycles")?);
+            if p50 <= p95 && p95 <= p99 {
+                return Ok(());
+            }
+            Err(format!(
+                "{ctx}: quantiles not ordered: p50_latency_cycles {p50}, \
+                 p95_latency_cycles {p95}, p99_latency_cycles {p99}"
+            ))
+        };
+        ordered(totals, "totals")?;
+        for (i, row) in json::get_array(obj, "functions").iter().enumerate() {
+            ordered(row.as_object().unwrap_or_default(), &format!("functions[{i}]"))?;
+        }
+        // Every completion is counted once in each breakdown.
+        let invocations = json::get_count(totals, "totals", "invocations")?;
+        for (key, count) in
+            [("functions", "invocations"), ("cores", "invocations"), ("nodes", "completed")]
+        {
+            let rows = json::get_array(obj, key);
+            if rows.is_empty() {
+                continue;
+            }
+            let mut sum = 0u64;
+            for (i, row) in rows.iter().enumerate() {
+                let row = row.as_object().unwrap_or_default();
+                sum = sum.saturating_add(json::get_count(row, &format!("{key}[{i}]"), count)?);
+            }
+            if sum != invocations {
+                return Err(format!(
+                    "{key}[].{count} sum to {sum}, totals.invocations is {invocations}"
+                ));
+            }
+        }
         for (i, node) in nodes.iter().enumerate() {
             let ctx = format!("nodes[{i}]");
             let n = |key| json::get_count(node.as_object().unwrap_or_default(), &ctx, key);
@@ -492,6 +533,12 @@ impl ClusterReport {
                     "chaos: conservation violated: submitted {} != completed+dropped {}",
                     stats.submitted,
                     stats.completed + stats.dropped_total()
+                ));
+            }
+            if stats.completed != invocations {
+                return Err(format!(
+                    "chaos.completed is {}, totals.invocations is {invocations}",
+                    stats.completed
                 ));
             }
         }
@@ -735,7 +782,8 @@ mod tests {
 
     #[test]
     fn validate_enforces_conservation_and_tag_pairing() {
-        let good = chaos_report().to_json();
+        let mut r = chaos_report();
+        let good = r.to_json();
         // Break conservation: bump submitted by prefixing a digit.
         let bad = good.replacen("\"submitted\": ", "\"submitted\": 9", 1);
         let err = ClusterReport::validate(&bad).unwrap_err();
@@ -746,6 +794,12 @@ mod tests {
         // A v2 tag without a chaos section is rejected.
         let plain = report().to_json().replacen(CLUSTER_SCHEMA, CLUSTER_SCHEMA_V2, 1);
         assert!(ClusterReport::validate(&plain).is_err());
+        // A conserved ledger that completed more than the totals count.
+        let ledger = r.outcome.chaos.as_mut().expect("a chaos run");
+        ledger.submitted += 1;
+        ledger.completed += 1;
+        let err = ClusterReport::validate(&r.to_json()).unwrap_err();
+        assert!(err.starts_with("chaos.completed is"), "{err}");
     }
 
     #[test]
@@ -849,7 +903,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_mislabeled_node_sections() {
-        let good = multinode_report().to_json();
+        let mut r = multinode_report();
+        let good = r.to_json();
         // Node array length disagreeing with the config count.
         let bad = good.replacen("\"nodes\": 3", "\"nodes\": 2", 1);
         assert!(ClusterReport::validate(&bad).unwrap_err().contains("entries"));
@@ -862,5 +917,10 @@ mod tests {
         // Per-node conservation: bump one node's submitted count.
         let bad = good.replacen("\"submitted\": ", "\"submitted\": 9", 1);
         assert!(ClusterReport::validate(&bad).unwrap_err().contains("conservation"));
+        // A conserved node that completed more than the totals count.
+        r.outcome.nodes[0].submitted += 1;
+        r.outcome.nodes[0].completed += 1;
+        let err = ClusterReport::validate(&r.to_json()).unwrap_err();
+        assert!(err.starts_with("nodes[].completed sum to"), "{err}");
     }
 }

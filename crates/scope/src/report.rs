@@ -133,8 +133,11 @@ impl ScopeReport {
     /// [`ScopeReport::to_json`] writes for the same SLO section and row
     /// count ([`json::same_shape`]), and the attribution invariant — the
     /// seven components sum exactly to the latency, in the totals and in
-    /// every row — plus ordered quantiles and row invocations summing to
-    /// the total. A row without `retry_cycles` or `degraded_cycles`, as
+    /// every row — plus ordered quantiles, an SLO objective below 1000
+    /// milli, and a totals row that is the merge of the function rows:
+    /// each of its summed keys (the invocations, every attribution key,
+    /// the violations and the alert transitions) equals the sum over the
+    /// rows. A row without `retry_cycles` or `degraded_cycles`, as
     /// written before the failure model existed, reads them as 0.
     pub fn validate(text: &str) -> Result<(), String> {
         let mut doc = json::parse(text)?;
@@ -151,8 +154,20 @@ impl ScopeReport {
             functions: vec![FunctionScope::default(); json::get_array(obj, "functions").len()],
         };
         json::same_shape(&doc, &json::parse(&skeleton.to_json())?, "report")?;
+        if let Some(slo) = json::get(obj, "slo").and_then(Value::as_object) {
+            let objective = json::get_count(slo, "slo", "objective_milli")?;
+            if objective >= 1000 {
+                return Err(format!("slo: objective_milli {objective} is not below 1000"));
+            }
+        }
 
-        let check = |row: &[(String, Value)], ctx: &str| -> Result<u64, String> {
+        // The keys a totals row sums over the function rows.
+        let summed: Vec<&str> = ["invocations"]
+            .into_iter()
+            .chain(Attribution::default().fields().map(|(key, _)| key))
+            .chain(["slo_violations", "alert_fires", "alert_resolves"])
+            .collect();
+        let check = |row: &[(String, Value)], ctx: &str| -> Result<Vec<u64>, String> {
             let n = |key: &str| json::get_count(row, ctx, key);
             let mut a = Attribution::default();
             for (key, cycles) in a.fields_mut() {
@@ -167,16 +182,20 @@ impl ScopeReport {
             if !(p50 <= p95 && p95 <= p99) {
                 return Err(format!("{ctx}: quantiles not ordered: {p50} {p95} {p99}"));
             }
-            n("invocations")
+            summed.iter().map(|key| n(key)).collect()
         };
-        let total = check(json::get_object(obj, "totals"), "totals")?;
-        let mut sum = 0u64;
+        let totals = check(json::get_object(obj, "totals"), "totals")?;
+        let mut sums = vec![0u64; summed.len()];
         for (i, row) in json::get_array(obj, "functions").iter().enumerate() {
             let row = row.as_object().unwrap_or_default();
-            sum = sum.saturating_add(check(row, &format!("functions[{i}]"))?);
+            for (sum, v) in sums.iter_mut().zip(check(row, &format!("functions[{i}]"))?) {
+                *sum = sum.saturating_add(v);
+            }
         }
-        if sum != total {
-            return Err(format!("function invocations sum to {sum}, totals say {total}"));
+        for ((key, sum), total) in summed.iter().zip(sums).zip(totals) {
+            if sum != total {
+                return Err(format!("functions[].{key} sum to {sum}, totals.{key} is {total}"));
+            }
         }
         Ok(())
     }
