@@ -31,7 +31,8 @@ use ignite_engine::machine::{Machine, PreparedFunction};
 use ignite_engine::metrics::InvocationResult;
 use ignite_engine::sim::{run_invocation_obs, InvocationCtx};
 use ignite_obs::{
-    Attribution, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Track,
+    Attribution, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, QuantileSketch,
+    Track,
 };
 use ignite_traffic::{FingerprintAccum, WorkloadFingerprint};
 use ignite_uarch::UarchConfig;
@@ -431,11 +432,15 @@ pub struct FunctionSummary {
     pub abbr: String,
     /// Invocations completed.
     pub invocations: u64,
-    /// Latency percentiles (arrival → completion), in cycles.
+    /// Median latency (arrival → completion), in cycles: the
+    /// [`QuantileSketch::quantile`] of this function's completions, never
+    /// below the exact nearest-rank value and at most `exact / 64` above
+    /// it. The scope report's row for this function writes the same
+    /// value.
     pub p50_latency: u64,
-    /// 95th percentile latency.
+    /// 95th percentile latency, from the same sketch.
     pub p95_latency: u64,
-    /// 99th percentile latency.
+    /// 99th percentile latency, from the same sketch.
     pub p99_latency: u64,
     /// Mean service time (dispatch → completion), in cycles.
     pub mean_service: f64,
@@ -554,18 +559,21 @@ pub struct ClusterOutcome {
     /// different times, so this bounds — and for one node equals — the
     /// true cluster-wide peak).
     pub peak_footprint_bytes: usize,
-    /// Cluster-wide latency percentiles over all invocations, in cycles.
+    /// Cluster-wide median latency, in cycles: the
+    /// [`QuantileSketch::quantile`] of the merged per-function sketches,
+    /// never below the exact nearest-rank value and at most `exact / 64`
+    /// above it. The scope report's totals row writes the same value.
     pub p50_latency: u64,
-    /// 95th percentile.
+    /// 95th percentile, from the same merged sketch.
     pub p95_latency: u64,
-    /// 99th percentile.
+    /// 99th percentile, from the same merged sketch.
     pub p99_latency: u64,
     /// Mean latency over all invocations, in cycles.
     pub mean_latency: f64,
     /// Latency counts per [`LATENCY_BUCKETS`] bound (non-cumulative),
     /// plus one trailing overflow bucket.
     pub latency_histogram: Vec<u64>,
-    /// Sum of all invocation latencies, in cycles.
+    /// Sum of all invocation latencies, in cycles (saturating).
     pub latency_sum: u64,
     /// Chaos ledger (`Some` iff the config enabled chaos). Its
     /// conservation law — `submitted == completed + dropped` — is
@@ -640,12 +648,12 @@ impl NodeState {
 }
 
 /// One function's accumulators: counters land in `summary` directly,
-/// and the sums below become its means and percentiles at the end of
-/// the run.
+/// and the sums and the latency sketch below become its means and
+/// percentiles at the end of the run.
 #[derive(Default)]
 struct FunctionState {
     summary: FunctionSummary,
-    latencies: Vec<u64>,
+    latency: QuantileSketch,
     service_cycles: u64,
     queue_cycles: u64,
     cold_sum: f64,
@@ -853,8 +861,8 @@ struct Run<'a, S, P> {
     submitted: u64,
     now: u64,
     makespan: u64,
-    latencies: Vec<u64>,
-    latency_sum: u64,
+    /// Completions per [`LATENCY_BUCKETS`] bound, plus the overflow.
+    latency_histogram: [u64; LATENCY_BUCKETS.len() + 1],
 }
 
 impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
@@ -917,8 +925,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             submitted: 0,
             now: 0,
             makespan: 0,
-            latencies: Vec::new(),
-            latency_sum: 0,
+            latency_histogram: [0; LATENCY_BUCKETS.len() + 1],
         }
     }
 
@@ -1381,7 +1388,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
         core.usage.busy_cycles += at.service;
         core.usage.invocations += 1;
         let f = &mut self.fns[fi];
-        f.latencies.push(latency);
+        f.latency.observe(latency);
         f.service_cycles += at.service;
         f.queue_cycles += job.queue_accum;
         f.cold_sum += at.cold;
@@ -1401,8 +1408,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
         s.result.merge(&at.res);
         self.nodes[job.node].usage.completed += 1;
         self.makespan = self.makespan.max(completion);
-        self.latencies.push(latency);
-        self.latency_sum += latency;
+        self.latency_histogram[LATENCY_BUCKETS.partition_point(|&b| b < latency)] += 1;
     }
 
     /// Routes a failed attempt: bounded retry with deterministic
@@ -1535,7 +1541,8 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
 
     /// Folds the run into its outcome: closes keep-alive episodes at the
     /// makespan, drains the policy, and turns the accumulators into
-    /// percentiles, means and utilizations.
+    /// means, utilizations and percentiles: each function's read from
+    /// its sketch, the cluster's from the merge of those sketches.
     fn finish(mut self) -> ClusterOutcome {
         let makespan = self.makespan;
         let per_node = self.sim.cfg.cores;
@@ -1549,18 +1556,19 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             }
         };
         let keepalive = &self.keepalive;
+        let mut latency = QuantileSketch::new();
         let functions = self
             .fns
             .into_iter()
             .enumerate()
-            .map(|(fi, mut f)| {
-                f.latencies.sort_unstable();
-                let n = f.latencies.len() as f64;
+            .map(|(fi, f)| {
+                latency.merge(&f.latency);
+                let n = f.summary.invocations as f64;
                 let mean = |sum: f64| if n == 0.0 { 0.0 } else { sum / n };
                 FunctionSummary {
-                    p50_latency: percentile(&f.latencies, 50),
-                    p95_latency: percentile(&f.latencies, 95),
-                    p99_latency: percentile(&f.latencies, 99),
+                    p50_latency: f.latency.quantile(50),
+                    p95_latency: f.latency.quantile(95),
+                    p99_latency: f.latency.quantile(99),
                     mean_service: mean(f.service_cycles as f64),
                     mean_queue: mean(f.queue_cycles as f64),
                     mean_cold_fraction: mean(f.cold_sum),
@@ -1617,16 +1625,9 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             );
             rt.stats
         });
-        let mut latencies = self.latencies;
-        latencies.sort_unstable();
-        let n = latencies.len();
-        let mut latency_histogram = vec![0u64; LATENCY_BUCKETS.len() + 1];
-        for &l in &latencies {
-            let i = LATENCY_BUCKETS.iter().position(|&b| l <= b).unwrap_or(LATENCY_BUCKETS.len());
-            latency_histogram[i] += 1;
-        }
+        let n = latency.count();
         ClusterOutcome {
-            invocations: n as u64,
+            invocations: n,
             makespan,
             cores,
             footprint_bytes: nodes.iter().map(|n| n.footprint_bytes).sum(),
@@ -1634,29 +1635,17 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             nodes,
             functions,
             store,
-            p50_latency: percentile(&latencies, 50),
-            p95_latency: percentile(&latencies, 95),
-            p99_latency: percentile(&latencies, 99),
-            mean_latency: if n == 0 { 0.0 } else { self.latency_sum as f64 / n as f64 },
-            latency_histogram,
-            latency_sum: self.latency_sum,
+            p50_latency: latency.quantile(50),
+            p95_latency: latency.quantile(95),
+            p99_latency: latency.quantile(99),
+            mean_latency: if n == 0 { 0.0 } else { latency.sum() as f64 / n as f64 },
+            latency_histogram: self.latency_histogram.to_vec(),
+            latency_sum: latency.sum(),
             chaos,
             workload: self.fingerprint.finish(),
             controller,
         }
     }
-}
-
-/// Nearest-rank percentile of an already-sorted slice (0 for empty data).
-///
-/// `rank = max(1, ceil(n·p/100))`, clamped to `n` so an out-of-range `p`
-/// (> 100) saturates at the maximum instead of indexing past the slice.
-fn percentile(sorted: &[u64], p: u32) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() as u64 * u64::from(p)).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
 }
 
 /// Runs the same cluster at several store capacities, sharded across
@@ -1818,66 +1807,6 @@ mod tests {
         let caps = [2 * 1024, 256 * 1024, 8 * 1024];
         for (i, r) in sweep_capacities(&cfg, &caps, 2).into_iter().enumerate() {
             assert_eq!(r.expect_err("a zero-core point must panic").index, i);
-        }
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let data: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&data, 50), 50);
-        assert_eq!(percentile(&data, 95), 95);
-        assert_eq!(percentile(&data, 99), 99);
-        assert_eq!(percentile(&[7], 99), 7);
-        assert_eq!(percentile(&[], 50), 0);
-    }
-
-    #[test]
-    fn percentile_out_of_range_saturates_at_max() {
-        // Regression: p > 100 used to compute rank > n and index past the
-        // slice; it must saturate at the maximum instead.
-        assert_eq!(percentile(&[1, 2, 3], 101), 3);
-        assert_eq!(percentile(&[5], 400), 5);
-    }
-
-    /// Brute-force nearest-rank reference: the smallest value `v` in the
-    /// data such that at least `p`% of the data is ≤ `v`.
-    fn percentile_reference(sorted: &[u64], p: u32) -> u64 {
-        for &v in sorted {
-            let at_or_below = sorted.iter().filter(|&&y| y <= v).count() as u64;
-            if at_or_below * 100 >= u64::from(p) * sorted.len() as u64 {
-                return v;
-            }
-        }
-        *sorted.last().expect("non-empty")
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn percentile_matches_brute_force(
-            mut data in proptest::collection::vec(0u64..1_000_000, 1..200),
-            p in 0u32..101,
-        ) {
-            data.sort_unstable();
-            proptest::prop_assert_eq!(percentile(&data, p), percentile_reference(&data, p));
-        }
-
-        #[test]
-        fn percentiles_are_monotone_and_max_bounded(
-            mut data in proptest::collection::vec(0u64..1_000_000, 1..200),
-        ) {
-            data.sort_unstable();
-            let max = *data.last().expect("non-empty");
-            let curve: Vec<u64> = (0..=100).map(|p| percentile(&data, p)).collect();
-            for w in curve.windows(2) {
-                proptest::prop_assert!(w[0] <= w[1], "percentile curve must be monotone");
-            }
-            proptest::prop_assert_eq!(curve[100], max);
-            if data.len() < 100 {
-                // With fewer than 100 samples the 99th percentile is the max.
-                proptest::prop_assert_eq!(percentile(&data, 99), max);
-            }
         }
     }
 

@@ -10,8 +10,16 @@
 //!
 //! Sketches are mergeable ([`QuantileSketch::merge`]): merging the
 //! per-function sketches of a cluster run yields exactly the sketch the
-//! run would have built globally, which is how the scope report computes
-//! cluster-wide percentiles without retaining raw latencies.
+//! run would have built globally, so cluster-wide percentiles need no
+//! raw latencies.
+//!
+//! This is the workspace's one latency-percentile definition. The
+//! cluster simulator folds each completion into one sketch per function
+//! and the scope analyzer folds each attribution record into its own;
+//! both see the same latencies, so the cluster report, the scope report
+//! and their metrics write the same p50/p95/p99, per function and, from
+//! the merged sketches, for the whole run. Each value is never below the
+//! exact nearest-rank percentile and at most `exact / 64` above it.
 
 use std::collections::BTreeMap;
 
@@ -128,11 +136,12 @@ impl QuantileSketch {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
-    /// Nearest-rank quantile (`p` in percent, 0..=100): the upper bound
-    /// of the bucket holding the rank-`max(1, ceil(n·p/100))` smallest
-    /// value, clamped to the observed `[min, max]`. Returns 0 when
-    /// empty. Never below the exact nearest-rank percentile, and never
-    /// above it by more than `exact / 64` (exact below 128).
+    /// Nearest-rank quantile (`p` in percent, 0..=100; a larger `p`
+    /// reads the maximum): the upper bound of the bucket holding the
+    /// rank-`max(1, ceil(n·p/100))` smallest value, clamped to the
+    /// observed `[min, max]`. Returns 0 when empty. Never below the exact
+    /// nearest-rank percentile, and never above it by more than
+    /// `exact / 64` (exact below 128).
     pub fn quantile(&self, p: u32) -> u64 {
         if self.total == 0 {
             return 0;
@@ -155,14 +164,27 @@ impl QuantileSketch {
 mod tests {
     use super::*;
 
-    /// Exact nearest-rank percentile over a sorted slice (mirrors the
-    /// cluster's `percentile()` reference).
+    /// Exact nearest-rank percentile over a sorted slice: the value of
+    /// rank `max(1, ceil(n·p/100))`, the reference the sketch's bound is
+    /// stated against.
     fn exact_percentile(sorted: &[u64], p: u32) -> u64 {
         if sorted.is_empty() {
             return 0;
         }
         let rank = (sorted.len() as u64 * u64::from(p)).div_ceil(100).max(1) as usize;
         sorted[rank.min(sorted.len()) - 1]
+    }
+
+    /// The nearest-rank definition itself: the smallest value `v` such
+    /// that at least `p`% of the data is ≤ `v`.
+    fn brute_force(data: &[u64], p: u32) -> u64 {
+        for &v in data {
+            let at_or_below = data.iter().filter(|&&y| y <= v).count() as u64;
+            if at_or_below * 100 >= u64::from(p) * data.len() as u64 {
+                return v;
+            }
+        }
+        *data.last().expect("non-empty")
     }
 
     #[test]
@@ -172,11 +194,14 @@ mod tests {
         for &v in &data {
             s.observe(v);
         }
-        for p in [0, 25, 50, 75, 99, 100] {
+        for p in [0, 25, 50, 75, 95, 99, 100] {
             assert_eq!(s.quantile(p), exact_percentile(&data, p), "p{p}");
         }
         assert_eq!(s.count(), 128);
         assert_eq!(s.sum(), data.iter().sum::<u64>());
+        let mut one = QuantileSketch::new();
+        one.observe(7);
+        assert_eq!(one.quantile(99), 7);
     }
 
     #[test]
@@ -229,6 +254,9 @@ mod tests {
                 s.observe(v);
             }
             data.sort_unstable();
+            for p in [0, 1, 50, 95, 99, 100] {
+                proptest::prop_assert_eq!(exact_percentile(&data, p), brute_force(&data, p));
+            }
             for p in 0..=100u32 {
                 let exact = exact_percentile(&data, p);
                 let approx = s.quantile(p);
@@ -255,6 +283,13 @@ mod tests {
             }
             proptest::prop_assert_eq!(curve[100], s.max());
             proptest::prop_assert!(curve[0] >= s.min());
+            // A percent past 100 saturates at the maximum.
+            proptest::prop_assert_eq!(s.quantile(101), s.max());
+            proptest::prop_assert_eq!(s.quantile(400), s.max());
+            if data.len() < 100 {
+                // With fewer than 100 values the 99th percentile is the max.
+                proptest::prop_assert_eq!(s.quantile(99), s.max());
+            }
         }
 
         #[test]
