@@ -98,8 +98,9 @@ pub const MAX_RATE_PER_MCYCLE: f64 = 1e6;
 pub const MAX_BACKOFF_CYCLES: u64 = 1 << 32;
 
 /// Most simulated cores one run may build (`topology.nodes × cores`).
-/// Each core owns a whole machine of about 1.8 MB, so this caps a run's
-/// machines at about 1.8 GB.
+/// Each core owns a machine of 0.36 MB when built, whose caches grow
+/// with the sets its workload fills up to about 1.7 MB at full size, so
+/// this caps a run's machines at about 1.8 GB.
 pub const MAX_CORES: usize = 1024;
 
 /// A configuration the simulator refuses to run, with enough structure

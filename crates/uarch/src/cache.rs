@@ -28,6 +28,21 @@
 //! rewritten when it is filled. The victim is the first invalid way,
 //! else the way ranked last.
 //!
+//! Both arrays cover only the filled prefix: sets `0..=h`, where `h` is
+//! the highest set filled since the cache was built. A new cache holds
+//! no way. A lookup or probe of a set past the prefix misses without
+//! allocating; a fill there extends both arrays with zeroed (hence
+//! invalid) ways up to its set. Growth at least doubles the capacity,
+//! so it is amortized, but never past `sets × ways`: a cache that fills
+//! every set holds exactly the arrays a full-size layout would.
+//!
+//! The prefix stays short for the suite's code. Its images sit 16 MiB
+//! apart from `0x40_0000`, a multiple of every Table 2 set period (L2
+//! 64 KiB, LLC 512 KiB), so every image's code starts at set 0 and a
+//! function fills the sets its code spans from there: the suite fills
+//! at most a few hundred of the LLC's 8,192 sets. Code at other bases
+//! keeps less of the saving, but never costs more than the full arrays.
+//!
 //! # Generation flush
 //!
 //! A word is valid only while its generation equals the cache's.
@@ -35,7 +50,8 @@
 //! invalidates every line without writing one. Only when the 13-bit
 //! generation wraps does it zero the words for real, once every
 //! `GENERATIONS - 1` flushes ([`SetAssocCache::GENERATIONS`]).
-//! Generations start at 1, so freshly zeroed arrays hold no valid line.
+//! Generations start at 1, so zeroed ways, fresh or swept, hold no
+//! valid line.
 
 use crate::addr::{Addr, VA_BITS};
 use crate::stats::AccessStats;
@@ -185,7 +201,8 @@ pub struct SetAssocCache {
     sets: usize,
     /// `log2(line_bytes)`: a line number is an address shifted right by it.
     line_shift: u32,
-    /// One word per way, set-major (see the module docs for its fields).
+    /// One word per way, set-major, for the filled prefix of sets (see
+    /// the module docs for its fields).
     words: Vec<u64>,
     /// One LRU rank per way, parallel to `words`.
     ranks: Vec<u8>,
@@ -203,21 +220,21 @@ impl SetAssocCache {
     /// `GENERATIONS - 1` calls.
     pub const GENERATIONS: u64 = 1 << 13;
 
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. It allocates no
+    /// way until its first fill (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (see [`CacheGeometry::sets`]).
     pub fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.sets();
-        let lines = sets * geometry.ways;
         SetAssocCache {
             geometry,
             set_mask: if sets.is_power_of_two() { sets as u64 - 1 } else { u64::MAX },
             sets,
             line_shift: geometry.line_bytes.trailing_zeros(),
-            words: vec![0; lines],
-            ranks: vec![0; lines],
+            words: Vec::new(),
+            ranks: Vec::new(),
             generation: GEN_ONE,
             stats: CacheStats::default(),
             unused_restored: 0,
@@ -259,14 +276,29 @@ impl SetAssocCache {
     }
 
     /// The index of the first way of `line_number`'s set, and the way
-    /// within the set holding that line, if it is resident.
+    /// within the set holding that line, if it is resident. A set past
+    /// the filled prefix holds no line.
     #[inline]
     fn find(&self, line_number: u64) -> (usize, Option<usize>) {
         let base = self.set_of(line_number) * self.geometry.ways;
         let key = line_number | self.generation;
-        let way =
-            self.words[base..base + self.geometry.ways].iter().position(|&w| w & KEY_MASK == key);
-        (base, way)
+        let set = self.words.get(base..base + self.geometry.ways);
+        (base, set.and_then(|set| set.iter().position(|&w| w & KEY_MASK == key)))
+    }
+
+    /// Extends the filled prefix with zeroed, hence invalid, ways to
+    /// `len` ways, reserving at least double the old capacity but never
+    /// more than the whole cache's ways.
+    #[cold]
+    fn grow(&mut self, len: usize) {
+        let capacity = self.words.capacity();
+        if len > capacity {
+            let target = len.max(2 * capacity).min(self.sets * self.geometry.ways);
+            self.words.reserve_exact(target - self.words.len());
+            self.ranks.reserve_exact(target - self.ranks.len());
+        }
+        self.words.resize(len, 0);
+        self.ranks.resize(len, 0);
     }
 
     /// Makes `way` of the set at `base` the most recently used
@@ -339,6 +371,9 @@ impl SetAssocCache {
             }
             self.promote(base, way, self.ranks[i]);
             return None;
+        }
+        if self.words.len() < base + self.geometry.ways {
+            self.grow(base + self.geometry.ways);
         }
         // First invalid way, else the way ranked last: a full set's valid
         // ranks are exactly 0..ways.
@@ -550,6 +585,68 @@ mod tests {
         c.fill(d, FillKind::Demand);
         assert!(c.probe(a), "refreshed line must survive");
         assert!(!c.probe(b));
+    }
+
+    /// 8 sets x 4 ways x 64 B, and the address of line `tag` of `set`.
+    fn eight_sets() -> (SetAssocCache, impl Fn(u64, u64) -> Addr) {
+        let c =
+            SetAssocCache::new(CacheGeometry { size_bytes: 8 * 4 * 64, ways: 4, line_bytes: 64 });
+        (c, |set, tag| Addr::new((tag * 8 + set) * 64))
+    }
+
+    /// Lengths and capacities of both arrays.
+    fn footprint(c: &SetAssocCache) -> [usize; 4] {
+        [c.words.len(), c.words.capacity(), c.ranks.len(), c.ranks.capacity()]
+    }
+
+    #[test]
+    fn filling_one_set_allocates_one_sets_ways() {
+        let (mut c, at) = eight_sets();
+        assert_eq!(footprint(&c), [0; 4], "a new cache holds no way");
+        c.fill(at(0, 1), FillKind::Demand);
+        assert_eq!(footprint(&c), [4; 4]);
+        for tag in 2..7 {
+            c.fill(at(0, tag), FillKind::Prefetch);
+        }
+        assert_eq!(footprint(&c), [4; 4], "refilling set 0 grows nothing");
+        assert_eq!(c.occupancy(), 4);
+    }
+
+    #[test]
+    fn lookups_past_the_filled_prefix_miss_and_allocate_nothing() {
+        let (mut c, at) = eight_sets();
+        for set in 0..8 {
+            assert!(!c.lookup(at(set, 1)));
+            assert!(!c.probe(at(set, 1)));
+        }
+        assert_eq!(footprint(&c), [0; 4]);
+        c.fill(at(1, 1), FillKind::Restore);
+        let filled = footprint(&c);
+        assert_eq!(filled[0], 2 * 4, "a fill covers the sets up to its own");
+        for set in 2..8 {
+            assert_eq!(c.lookup_hit(at(set, 1)), None);
+            assert!(!c.probe(at(set, 1)));
+        }
+        c.invalidate_all();
+        assert_eq!(c.occupancy(), 0);
+        assert_eq!(footprint(&c), filled);
+        assert_eq!(c.stats().demand.misses, 8 + 6);
+    }
+
+    #[test]
+    fn filling_every_set_ends_at_exactly_the_whole_cache() {
+        // 5 sets x 3 ways: doubling 3 -> 6 -> 12 -> 24 would overshoot 15.
+        let geometry = CacheGeometry { size_bytes: 5 * 3 * 64, ways: 3, line_bytes: 64 };
+        for order in [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]] {
+            let mut c = SetAssocCache::new(geometry);
+            for set in order {
+                c.fill(Addr::new(set * 64), FillKind::Demand);
+                let [_, words, _, ranks] = footprint(&c);
+                assert!(words <= 15 && ranks <= 15, "capacity past the cache: {words}, {ranks}");
+            }
+            assert_eq!(footprint(&c), [15; 4], "fill order {order:?}");
+            assert_eq!(c.occupancy(), 5);
+        }
     }
 
     #[test]

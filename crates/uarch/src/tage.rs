@@ -9,6 +9,16 @@
 //!
 //! Following the paper's §5.3 (citing the IBM z15 and AMD Zen 4), the
 //! global history is *taken-only*: only taken branches shift bits in.
+//!
+//! # State layout
+//!
+//! Every tagged table lives in one flat array of 4-byte entries: entry
+//! `idx` of table `t` sits at `t << log2(entries_per_table) | idx`. An
+//! entry is a `u16` tag plus one byte each for the signed 3-bit counter
+//! and the 2-bit usefulness counter. Bit 15 of the tag is the valid
+//! flag, so a lookup makes one compare (the stored tag against the
+//! computed tag with that bit set) and a tag is at most 15 bits wide.
+//! The Table 2 predictor (8 tables of 4,096 entries) holds 128 KiB.
 
 use crate::addr::Addr;
 use crate::rng::SplitMix64;
@@ -48,15 +58,22 @@ impl TageConfig {
     }
 }
 
+/// One tagged entry. [`TageEntry::default`] is invalid.
 #[derive(Debug, Clone, Copy, Default)]
 struct TageEntry {
+    /// The tag in the low `tag_bits` bits, joined with [`VALID`] once
+    /// the entry is allocated.
     tag: u16,
     /// Signed 3-bit counter in `[-4, 3]`; `>= 0` predicts taken.
     ctr: i8,
     /// 2-bit usefulness counter.
     useful: u8,
-    valid: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<TageEntry>() == 4, "a TAGE entry is 4 bytes");
+
+/// A [`TageEntry`]'s valid flag, in the tag's top bit.
+const VALID: u16 = 1 << 15;
 
 /// One kind of cyclically folded history register (Seznec's CSR
 /// construction), kept for every table as a lane of one array. Bit `i` of
@@ -136,7 +153,7 @@ impl History {
 /// Prediction metadata threaded from [`Tage::predict`] to [`Tage::update`].
 ///
 /// The engine queues one per in-flight conditional branch, so it is kept
-/// compact: [`Tage::new`] bounds tables to 65,536 entries and tags to 16
+/// compact: [`Tage::new`] bounds tables to 65,536 entries and tags to 15
 /// bits, so every index and tag fits a `u16`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagePrediction {
@@ -196,7 +213,11 @@ impl TagePrediction {
 #[derive(Debug, Clone)]
 pub struct Tage {
     cfg: TageConfig,
-    tables: Vec<Vec<TageEntry>>,
+    /// Every table's entries (see the module docs for the layout).
+    entries: Vec<TageEntry>,
+    /// `log2(entries_per_table)`: the shift from a table to its first
+    /// entry.
+    index_bits: u32,
     history: History,
     /// Per table, the history index (its length minus one) of the bit
     /// that leaves its window on the next push.
@@ -224,25 +245,27 @@ impl Tage {
     ///
     /// Panics if the configuration is degenerate: zero tables, more than
     /// [`Tage::MAX_TABLES`] tables, a non-power-of-two table size or one
-    /// above 65,536 entries, a tag width outside 1–16 bits, or
+    /// above 65,536 entries, a tag width outside 1–15 bits, or
     /// `min_history > max_history`.
     pub fn new(cfg: &TageConfig) -> Self {
         assert!(cfg.tables > 0 && cfg.tables <= Self::MAX_TABLES, "1..=16 tables supported");
         assert!(cfg.entries_per_table.is_power_of_two(), "table size must be a power of two");
         assert!(cfg.entries_per_table <= 1 << 16, "at most 65,536 entries per table");
-        assert!((1..=16).contains(&cfg.tag_bits), "tags must be 1..=16 bits wide");
+        assert!((1..=15).contains(&cfg.tag_bits), "tags must be 1..=15 bits wide");
         assert!(cfg.min_history <= cfg.max_history, "min history exceeds max");
         assert!(cfg.min_history > 0, "history lengths must be at least 1");
         let mut fold_points = [0; Self::MAX_TABLES];
         for (t, point) in fold_points.iter_mut().enumerate().take(cfg.tables) {
             *point = cfg.history_length(t) as usize - 1;
         }
+        let index_bits = cfg.entries_per_table.trailing_zeros();
         let mut tage = Tage {
             cfg: *cfg,
-            tables: vec![Vec::new(); cfg.tables],
+            entries: Vec::new(),
+            index_bits,
             history: History::new(fold_points.iter().max().map_or(1, |&p| p + 1)),
             fold_points,
-            folded_index: FoldLanes::new(cfg, cfg.entries_per_table.trailing_zeros()),
+            folded_index: FoldLanes::new(cfg, index_bits),
             folded_tag: [FoldLanes::new(cfg, cfg.tag_bits), FoldLanes::new(cfg, cfg.tag_bits - 1)],
             update_count: 0,
             rng: SplitMix64::new(Self::RNG_SEED),
@@ -266,9 +289,15 @@ impl Tage {
         let pcv = pc.as_u64();
         let mask = self.cfg.entries_per_table as u64 - 1;
         let h = pcv
-            ^ (pcv >> (self.cfg.entries_per_table.trailing_zeros() as u64 + table as u64 + 1))
+            ^ (pcv >> (u64::from(self.index_bits) + table as u64 + 1))
             ^ u64::from(self.folded_index.comp[table]);
         (h & mask) as usize
+    }
+
+    /// The position of entry `idx` of table `table` in the flat array.
+    #[inline]
+    fn slot(&self, table: usize, idx: u16) -> usize {
+        table << self.index_bits | usize::from(idx)
     }
 
     fn tag(&self, table: usize, pc: Addr) -> u16 {
@@ -292,8 +321,8 @@ impl Tage {
         }
         // Scan from longest history (highest table) down.
         for t in (0..self.cfg.tables).rev() {
-            let e = &self.tables[t][usize::from(indices[t])];
-            if e.valid && e.tag == tags[t] {
+            let e = &self.entries[self.slot(t, indices[t])];
+            if e.tag == tags[t] | VALID {
                 if provider.is_none() {
                     provider = Some(t as u8);
                     provider_pred = e.ctr >= 0;
@@ -325,15 +354,14 @@ impl Tage {
         // Periodic graceful decay of usefulness counters.
         if self.cfg.u_reset_period > 0 && self.update_count.is_multiple_of(self.cfg.u_reset_period)
         {
-            for table in &mut self.tables {
-                for e in table.iter_mut() {
-                    e.useful >>= 1;
-                }
+            for e in &mut self.entries {
+                e.useful >>= 1;
             }
         }
         if let Some(p) = pred.provider.map(usize::from) {
             let correct = pred.provider_pred == taken;
-            let e = &mut self.tables[p][usize::from(pred.indices[p])];
+            let slot = self.slot(p, pred.indices[p]);
+            let e = &mut self.entries[slot];
             e.ctr = if taken { (e.ctr + 1).min(3) } else { (e.ctr - 1).max(-4) };
             // Usefulness trains only when provider and alternate disagree.
             if pred.provider_pred != alt_pred {
@@ -357,13 +385,12 @@ impl Tage {
                     t += 1;
                 }
                 while t < self.cfg.tables {
-                    let idx = usize::from(pred.indices[t]);
-                    if self.tables[t][idx].useful == 0 {
-                        self.tables[t][idx] = TageEntry {
-                            tag: pred.tags[t],
+                    let slot = self.slot(t, pred.indices[t]);
+                    if self.entries[slot].useful == 0 {
+                        self.entries[slot] = TageEntry {
+                            tag: pred.tags[t] | VALID,
                             ctr: if taken { 0 } else { -1 },
                             useful: 0,
-                            valid: true,
                         };
                         self.allocations += 1;
                         allocated = true;
@@ -374,7 +401,8 @@ impl Tage {
                 if !allocated {
                     // Decay usefulness so future allocations can succeed.
                     for t in start..self.cfg.tables {
-                        let e = &mut self.tables[t][usize::from(pred.indices[t])];
+                        let slot = self.slot(t, pred.indices[t]);
+                        let e = &mut self.entries[slot];
                         e.useful = e.useful.saturating_sub(1);
                     }
                 }
@@ -404,11 +432,9 @@ impl Tage {
     /// Clears all tables and history (lukewarm flush). The allocation RNG
     /// and the statistics carry on.
     pub fn flush(&mut self) {
-        for table in &mut self.tables {
-            // Rewrites every entry in place (builds the table on first use).
-            table.clear();
-            table.resize(self.cfg.entries_per_table, TageEntry::default());
-        }
+        // Rewrites every entry in place (builds the array on first use).
+        self.entries.clear();
+        self.entries.resize(self.cfg.tables << self.index_bits, TageEntry::default());
         self.history.clear();
         self.folded_index.comp = [0; Self::MAX_TABLES];
         for lanes in &mut self.folded_tag {
@@ -433,9 +459,8 @@ impl Tage {
 
     /// Fraction of valid entries across all tables (inspection).
     pub fn occupancy(&self) -> f64 {
-        let total = self.cfg.tables * self.cfg.entries_per_table;
-        let valid: usize = self.tables.iter().map(|t| t.iter().filter(|e| e.valid).count()).sum();
-        valid as f64 / total as f64
+        let valid = self.entries.iter().filter(|e| e.tag & VALID != 0).count();
+        valid as f64 / self.entries.len() as f64
     }
 }
 

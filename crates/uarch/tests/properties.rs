@@ -11,6 +11,7 @@ use ignite_uarch::cbp::{Cbp, CbpPrediction, CbpStats};
 use ignite_uarch::config::UarchConfig;
 use ignite_uarch::hierarchy::{Hierarchy, Level};
 use ignite_uarch::rng::SplitMix64;
+use ignite_uarch::tage::{Tage, TageConfig, TagePrediction};
 use ignite_uarch::tlb::{Itlb, TlbConfig};
 
 /// One call on a [`SetAssocCache`].
@@ -183,10 +184,26 @@ fn cache_op(addr: Addr, code: u8) -> CacheOp {
 /// `set % sets` (at most three distinct sets, so lines collide and
 /// evict), with tag and offset drawn from `raw`.
 fn colliding_addr(raw: u64, set: u64, sets: u64, line_bytes: u64) -> Addr {
+    addr_in_set(raw, set % sets.min(3), sets, line_bytes)
+}
+
+/// An address anywhere in the 48-bit VA whose line maps to set `set`
+/// of `sets`, with tag and offset drawn from `raw`.
+fn addr_in_set(raw: u64, set: u64, sets: u64, line_bytes: u64) -> Addr {
     let lines = (1u64 << VA_BITS) / line_bytes;
     let tag = (raw >> 16) % (lines / sets);
-    let line = tag * sets + set % sets.min(3);
-    Addr::new(line * line_bytes + raw % line_bytes)
+    Addr::new((tag * sets + set) * line_bytes + raw % line_bytes)
+}
+
+/// An address for a pool code: codes 0–2 collide in the first three
+/// sets ([`colliding_addr`]), 3 maps to the last set and 4 to the middle
+/// one, so the cache's filled prefix grows past sets that hold lines.
+fn pool_addr(raw: u64, code: u64, sets: u64, line_bytes: u64) -> Addr {
+    match code {
+        3 => addr_in_set(raw, sets - 1, sets, line_bytes),
+        4 => addr_in_set(raw, sets / 2, sets, line_bytes),
+        _ => colliding_addr(raw, code, sets, line_bytes),
+    }
 }
 
 /// One call on a [`Btb`].
@@ -431,6 +448,270 @@ impl CbpShadow {
     }
 }
 
+/// One call on a [`Tage`].
+#[derive(Debug, Clone, Copy)]
+enum TageOp {
+    /// Predicts a branch and queues the prediction, as the CBP does.
+    Predict(Addr),
+    /// Trains with the oldest queued prediction, or with a fresh one for
+    /// the given branch when none is queued.
+    Update {
+        pc: Addr,
+        taken: bool,
+        mispredicted: bool,
+        alt_pred: bool,
+    },
+    PushHistory(Addr, Addr),
+    Flush,
+    Reset,
+}
+
+/// The seed [`Tage`] gives its allocation RNG when built or reset.
+const TAGE_RNG_SEED: u64 = 0x7A6E_5EED;
+
+/// An entry of the shadow TAGE, with an explicit valid flag.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShadowEntry {
+    valid: bool,
+    tag: u16,
+    ctr: i8,
+    useful: u8,
+}
+
+/// The shadow's prediction: the fields of a [`TagePrediction`], by the
+/// same names in the same order, so the two `Debug` texts agree when
+/// every field does (the real fields are private).
+#[derive(Debug, Clone, Copy)]
+struct ShadowPrediction {
+    indices: [u16; Tage::MAX_TABLES],
+    tags: [u16; Tage::MAX_TABLES],
+    provider: Option<u8>,
+    provider_pred: bool,
+    alt: Option<bool>,
+    weak_provider: bool,
+}
+
+/// A naive TAGE: one `Vec` per table, an explicit valid flag per entry,
+/// and each folded history recomputed from the pushed bits after every
+/// push. Counts the usefulness decays and failed allocations it sees.
+struct TageShadow {
+    cfg: TageConfig,
+    tables: Vec<Vec<ShadowEntry>>,
+    /// Pushed history bits, newest first, as many as the longest window.
+    history: std::collections::VecDeque<u64>,
+    /// Per table: the folded index history and the two folded tag
+    /// histories.
+    folds: Vec<[u64; 3]>,
+    updates: u64,
+    rng: SplitMix64,
+    allocations: u64,
+    decays: u64,
+    failed_allocations: u64,
+}
+
+impl TageShadow {
+    fn new(cfg: &TageConfig) -> Self {
+        let mut shadow = TageShadow {
+            cfg: *cfg,
+            tables: Vec::new(),
+            history: Default::default(),
+            folds: Vec::new(),
+            updates: 0,
+            rng: SplitMix64::new(TAGE_RNG_SEED),
+            allocations: 0,
+            decays: 0,
+            failed_allocations: 0,
+        };
+        shadow.flush();
+        shadow
+    }
+
+    /// Folds the newest `len` history bits into `width` bits from scratch:
+    /// bit `i` (0 = newest) lands at `i % width`. A register is never
+    /// narrower than one bit.
+    fn fold(&self, len: u32, width: u32) -> u64 {
+        let width = width.max(1) as usize;
+        let bits = self.history.iter().take(len as usize).enumerate();
+        bits.fold(0, |acc, (i, &h)| acc ^ h << (i % width))
+    }
+
+    fn refold(&mut self) {
+        let index_bits = self.cfg.entries_per_table.trailing_zeros();
+        let widths = [index_bits, self.cfg.tag_bits, self.cfg.tag_bits - 1];
+        self.folds = (0..self.cfg.tables)
+            .map(|t| widths.map(|w| self.fold(self.cfg.history_length(t), w)))
+            .collect();
+    }
+
+    fn predict(&self, pc: Addr) -> ShadowPrediction {
+        let pcv = pc.as_u64();
+        let index_bits = u64::from(self.cfg.entries_per_table.trailing_zeros());
+        let mut p = ShadowPrediction {
+            indices: [0; Tage::MAX_TABLES],
+            tags: [0; Tage::MAX_TABLES],
+            provider: None,
+            provider_pred: false,
+            alt: None,
+            weak_provider: false,
+        };
+        for (t, [index, tag0, tag1]) in self.folds.iter().copied().enumerate() {
+            let h = pcv ^ pcv >> (index_bits + t as u64 + 1) ^ index;
+            p.indices[t] = (h % self.cfg.entries_per_table as u64) as u16;
+            p.tags[t] = ((pcv ^ (tag0 ^ tag1 << 1)) % (1 << self.cfg.tag_bits)) as u16;
+        }
+        for t in (0..self.cfg.tables).rev() {
+            let e = self.tables[t][usize::from(p.indices[t])];
+            if !e.valid || e.tag != p.tags[t] {
+                continue;
+            }
+            if p.provider.is_some() {
+                p.alt = Some(e.ctr >= 0);
+                break;
+            }
+            p.provider = Some(t as u8);
+            p.provider_pred = e.ctr >= 0;
+            p.weak_provider = e.useful == 0 && (e.ctr == 0 || e.ctr == -1);
+        }
+        p
+    }
+
+    fn update(&mut self, taken: bool, p: &ShadowPrediction, mispredicted: bool, alt_pred: bool) {
+        self.updates += 1;
+        if self.cfg.u_reset_period > 0 && self.updates.is_multiple_of(self.cfg.u_reset_period) {
+            self.decays += 1;
+            for e in self.tables.iter_mut().flatten() {
+                e.useful /= 2;
+            }
+        }
+        if let Some(t) = p.provider {
+            let e = &mut self.tables[usize::from(t)][usize::from(p.indices[usize::from(t)])];
+            e.ctr = if taken { (e.ctr + 1).min(3) } else { (e.ctr - 1).max(-4) };
+            if p.provider_pred != alt_pred {
+                e.useful = if p.provider_pred == taken {
+                    (e.useful + 1).min(3)
+                } else {
+                    e.useful.saturating_sub(1)
+                };
+            }
+        }
+        let start = p.provider.map_or(0, |t| usize::from(t) + 1);
+        if !mispredicted || start >= self.cfg.tables {
+            return;
+        }
+        let mut first = start;
+        if first + 1 < self.cfg.tables && self.rng.chance(0.5) {
+            first += 1;
+        }
+        let free = (first..self.cfg.tables)
+            .find(|&t| self.tables[t][usize::from(p.indices[t])].useful == 0);
+        if let Some(t) = free {
+            let ctr = if taken { 0 } else { -1 };
+            self.tables[t][usize::from(p.indices[t])] =
+                ShadowEntry { valid: true, tag: p.tags[t], ctr, useful: 0 };
+            self.allocations += 1;
+        } else {
+            self.failed_allocations += 1;
+            for t in start..self.cfg.tables {
+                let e = &mut self.tables[t][usize::from(p.indices[t])];
+                e.useful = e.useful.saturating_sub(1);
+            }
+        }
+    }
+
+    fn push_history(&mut self, pc: Addr, target: Addr) {
+        self.history.push_front((pc.as_u64() >> 2 ^ target.as_u64() >> 3) & 1);
+        self.history.truncate(self.cfg.max_history as usize);
+        self.refold();
+    }
+
+    fn flush(&mut self) {
+        let table = vec![ShadowEntry::default(); self.cfg.entries_per_table];
+        self.tables = vec![table; self.cfg.tables];
+        self.history.clear();
+        self.refold();
+        self.updates = 0;
+    }
+
+    fn reset(&mut self) {
+        self.flush();
+        self.rng = SplitMix64::new(TAGE_RNG_SEED);
+        self.allocations = 0;
+    }
+
+    fn occupancy(&self) -> f64 {
+        let valid = self.tables.iter().flatten().filter(|e| e.valid).count();
+        valid as f64 / (self.cfg.tables * self.cfg.entries_per_table) as f64
+    }
+}
+
+/// Drives a [`Tage`] and the shadow through `ops`, failing on the first
+/// prediction, allocation count or occupancy that differs. Returns the
+/// shadow, for its coverage counters.
+fn check_tage_against_shadow(
+    cfg: &TageConfig,
+    ops: &[TageOp],
+) -> Result<TageShadow, TestCaseError> {
+    let mut tage = Tage::new(cfg);
+    let mut shadow = TageShadow::new(cfg);
+    let mut queued: std::collections::VecDeque<(TagePrediction, ShadowPrediction)> =
+        std::collections::VecDeque::new();
+    let predict = |tage: &Tage, shadow: &TageShadow, pc: Addr, step: usize| {
+        let (real, naive) = (tage.predict(pc), shadow.predict(pc));
+        prop_assert_eq!(
+            real.direction(),
+            naive.provider.map(|_| naive.provider_pred),
+            "step {}",
+            step
+        );
+        prop_assert_eq!(real.alt_direction(), naive.alt, "step {}", step);
+        prop_assert_eq!(real.weak_provider(), naive.weak_provider, "step {}", step);
+        let naive_text = format!("{naive:?}").replacen("ShadowPrediction", "TagePrediction", 1);
+        prop_assert_eq!(format!("{real:?}"), naive_text, "step {}", step);
+        Ok((real, naive))
+    };
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            TageOp::Predict(pc) => queued.push_back(predict(&tage, &shadow, pc, step)?),
+            TageOp::Update { pc, taken, mispredicted, alt_pred } => {
+                let (real, naive) = match queued.pop_front() {
+                    Some(pair) => pair,
+                    None => predict(&tage, &shadow, pc, step)?,
+                };
+                tage.update(pc, taken, &real, mispredicted, alt_pred);
+                shadow.update(taken, &naive, mispredicted, alt_pred);
+            }
+            TageOp::PushHistory(pc, target) => {
+                tage.push_history(pc, target);
+                shadow.push_history(pc, target);
+            }
+            TageOp::Flush => {
+                tage.flush();
+                shadow.flush();
+            }
+            TageOp::Reset => {
+                tage.reset();
+                shadow.reset();
+            }
+        }
+        prop_assert_eq!(tage.allocations(), shadow.allocations, "step {} {:?}", step, op);
+        prop_assert_eq!(tage.occupancy(), shadow.occupancy(), "step {} {:?}", step, op);
+    }
+    Ok(shadow)
+}
+
+/// Decodes one drawn `(pc, target, flags, op code)` quadruple; one code
+/// in 64 flushes and one resets.
+fn tage_op(pc: Addr, target: Addr, flags: u8, code: u8) -> TageOp {
+    let flag = |bit: u8| flags & bit != 0;
+    match code {
+        0..=19 => TageOp::Predict(pc),
+        20..=41 => TageOp::Update { pc, taken: flag(1), mispredicted: flag(2), alt_pred: flag(4) },
+        42..=61 => TageOp::PushHistory(pc, target),
+        62 => TageOp::Flush,
+        _ => TageOp::Reset,
+    }
+}
+
 proptest! {
     // ---- addresses ----
 
@@ -648,18 +929,24 @@ proptest! {
         ways in 1usize..21,
         sets in 1u64..40,
         line_shift in prop_oneof![Just(0u32), Just(6u32), Just(12u32)],
-        pool in prop::collection::vec((any::<u64>(), 0u64..3), 1..48),
+        pool in prop::collection::vec((any::<u64>(), 0u64..5), 1..48),
+        high_first in any::<bool>(),
         ops in prop::collection::vec((0usize..48, 0u8..32), 1..400)
     ) {
         let line_bytes = 1u64 << line_shift;
         let geometry =
             CacheGeometry { size_bytes: sets * ways as u64 * line_bytes, ways, line_bytes };
-        let pool: Vec<Addr> = pool
-            .iter()
-            .map(|&(raw, set)| colliding_addr(raw, set, sets, line_bytes))
+        let pool: Vec<Addr> =
+            pool.iter().map(|&(raw, code)| pool_addr(raw, code, sets, line_bytes)).collect();
+        // Half the cases start by filling the pool from its highest set
+        // down, so the first fill grows the prefix furthest.
+        let mut first: Vec<Addr> = if high_first { pool.clone() } else { Vec::new() };
+        first.sort_by_key(|a| std::cmp::Reverse(a.as_u64() / line_bytes % sets));
+        let ops: Vec<CacheOp> = first
+            .into_iter()
+            .map(|a| CacheOp::Fill(a, FillKind::Demand))
+            .chain(ops.iter().map(|&(i, code)| cache_op(pool[i % pool.len()], code)))
             .collect();
-        let ops: Vec<CacheOp> =
-            ops.iter().map(|&(i, code)| cache_op(pool[i % pool.len()], code)).collect();
         check_against_model(geometry, &ops)?;
     }
 
@@ -770,6 +1057,33 @@ proptest! {
         }
     }
 
+    // ---- TAGE ----
+
+    #[test]
+    fn tage_matches_a_nested_table_shadow(
+        tables in 1usize..9,
+        index_bits in 0u32..7,
+        tag_bits in 1u32..16,
+        min_history in 1u32..9,
+        extra_history in 0u32..60,
+        u_reset_period in prop_oneof![Just(0u64), 1u64..64, Just(1u64 << 18)],
+        pool in prop::collection::vec(any::<u64>(), 1..16),
+        ops in prop::collection::vec((0usize..16, 0usize..16, any::<u8>(), 0u8..64), 1..800)
+    ) {
+        let cfg = TageConfig {
+            tables,
+            entries_per_table: 1 << index_bits,
+            tag_bits,
+            min_history,
+            max_history: min_history + extra_history,
+            u_reset_period,
+        };
+        let at = |i: usize| Addr::new(pool[i % pool.len()]);
+        let ops: Vec<TageOp> =
+            ops.iter().map(|&(i, j, flags, code)| tage_op(at(i), at(j), flags, code)).collect();
+        check_tage_against_shadow(&cfg, &ops)?;
+    }
+
     // ---- ITLB ----
 
     #[test]
@@ -823,5 +1137,45 @@ fn btb_matches_the_reference_model_across_generation_wraps() {
     }
     if let Err(e) = check_btb_against_model(cfg, &ops) {
         panic!("{e}");
+    }
+}
+
+/// Long runs of the TAGE shadow check: the Table 2 geometry, and a small
+/// one over enough updates to cross its usefulness-decay period several
+/// times and to find every candidate entry useful. Each branch has a
+/// fixed direction and the alternate always disagrees with it, so a
+/// correct provider gains usefulness on every update.
+#[test]
+fn tage_matches_a_nested_table_shadow_on_long_runs() {
+    let table2 = UarchConfig::ice_lake_like().cbp.tage;
+    let small = TageConfig {
+        tables: 4,
+        entries_per_table: 16,
+        tag_bits: 9,
+        min_history: 2,
+        max_history: 24,
+        u_reset_period: 500,
+    };
+    for (cfg, len) in [(table2, 1_000), (small, 20_000)] {
+        let mut rng = SplitMix64::new(0x7A6E);
+        let pool: Vec<Addr> = (0..24).map(|_| Addr::new(rng.next_u64())).collect();
+        // No flush or reset, so the update count reaches the period.
+        let mut ops = Vec::new();
+        for _ in 0..len {
+            let [pc, target] = [(); 2].map(|_| pool[rng.next_below(24) as usize]);
+            if rng.chance(0.5) {
+                let taken = pc.as_u64() & 1 == 1;
+                let mispredicted = rng.chance(0.5);
+                ops.push(TageOp::Predict(pc));
+                ops.push(TageOp::Update { pc, taken, mispredicted, alt_pred: !taken });
+            } else {
+                ops.push(TageOp::PushHistory(pc, target));
+            }
+        }
+        let shadow = check_tage_against_shadow(&cfg, &ops).unwrap_or_else(|e| panic!("{e}"));
+        if cfg == small {
+            assert!(shadow.decays >= 2, "only {} usefulness decays", shadow.decays);
+            assert!(shadow.failed_allocations > 0, "no allocation failed");
+        }
     }
 }
