@@ -352,10 +352,13 @@ impl ClusterReport {
     /// ledger, the fingerprint has its schema tag and sane statistics
     /// (shares in `[0, 1]`, `top1 <= top5`, CV² >= 0), and the fire
     /// counters agree with the decision log. Across rows: p50 ≤ p95 ≤ p99
-    /// in the totals and in every function row, and the totals'
-    /// invocations equal the sum over the functions, over the cores and,
-    /// when present, over the nodes' completions and the chaos ledger's
-    /// `completed`.
+    /// in the totals and in every function row; the totals' invocations
+    /// equal the sum over the functions, over the cores and, when present,
+    /// over the nodes' completions and the chaos ledger's `completed`; the
+    /// store's hits and misses equal the sums of the functions' metadata
+    /// hits and misses; and, when nodes are present, the store's hits,
+    /// misses, footprint and peak footprint equal their sums over the
+    /// nodes' stores.
     pub fn validate(text: &str) -> Result<(), String> {
         let doc = json::parse(text)?;
         let obj = doc.as_object().ok_or("report is not an object")?;
@@ -459,24 +462,43 @@ impl ClusterReport {
         for (i, row) in json::get_array(obj, "functions").iter().enumerate() {
             ordered(row.as_object().unwrap_or_default(), &format!("functions[{i}]"))?;
         }
-        // Every completion is counted once in each breakdown.
+        // Every completion is counted once in each breakdown, and every
+        // store access once per function and, on a multi-node run, once
+        // per node. Each check sums a column of an array (a dotted column
+        // reads the row's sub-object) and compares it with a total.
         let invocations = json::get_count(totals, "totals", "invocations")?;
-        for (key, count) in
-            [("functions", "invocations"), ("cores", "invocations"), ("nodes", "completed")]
-        {
+        let store = |key| json::get_count(json::get_object(obj, "store"), "store", key);
+        let (hits, misses) = (store("hits")?, store("misses")?);
+        let (footprint, peak) = (store("footprint_bytes")?, store("peak_footprint_bytes")?);
+        let sums = [
+            ("functions", "invocations", "totals.invocations", invocations),
+            ("cores", "invocations", "totals.invocations", invocations),
+            ("nodes", "completed", "totals.invocations", invocations),
+            ("functions", "metadata_hits", "store.hits", hits),
+            ("functions", "metadata_misses", "store.misses", misses),
+            ("nodes", "store.hits", "store.hits", hits),
+            ("nodes", "store.misses", "store.misses", misses),
+            ("nodes", "store.footprint_bytes", "store.footprint_bytes", footprint),
+            ("nodes", "store.peak_footprint_bytes", "store.peak_footprint_bytes", peak),
+        ];
+        for (key, column, total_key, total) in sums {
             let rows = json::get_array(obj, key);
             if rows.is_empty() {
                 continue;
             }
+            let (section, count) = column.rsplit_once('.').unwrap_or(("", column));
             let mut sum = 0u64;
             for (i, row) in rows.iter().enumerate() {
-                let row = row.as_object().unwrap_or_default();
-                sum = sum.saturating_add(json::get_count(row, &format!("{key}[{i}]"), count)?);
+                let (mut row, mut ctx) =
+                    (row.as_object().unwrap_or_default(), format!("{key}[{i}]"));
+                if !section.is_empty() {
+                    row = json::get_object(row, section);
+                    ctx = format!("{ctx}.{section}");
+                }
+                sum = sum.saturating_add(json::get_count(row, &ctx, count)?);
             }
-            if sum != invocations {
-                return Err(format!(
-                    "{key}[].{count} sum to {sum}, totals.invocations is {invocations}"
-                ));
+            if sum != total {
+                return Err(format!("{key}[].{column} sum to {sum}, {total_key} is {total}"));
             }
         }
         for (i, node) in nodes.iter().enumerate() {

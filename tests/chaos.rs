@@ -131,16 +131,31 @@ fn chaos_outcome_conserves_and_recovers() {
     assert!(ch.completed > 10 * ch.dropped_total(), "drops dominate: {ch:?}");
 }
 
-/// The zero-cost-when-off contract, end to end: running the cluster
-/// golden configuration with `chaos: None` must reproduce the committed
-/// v1 golden snapshot byte-for-byte. This is the regression gate that
-/// keeps the failure model strictly additive.
+/// The zero-cost-when-off contract, end to end: running the chaos golden
+/// configuration with `chaos: None` must reproduce the v1 golden
+/// byte-for-byte. It is compared with a fresh run of the v1 golden's own
+/// configuration (the plain cluster golden, no chaos plan) and, except
+/// while `IGNITE_BLESS=1` lets the `cluster` test binary rewrite it, with
+/// the committed snapshot. This is the regression gate that keeps the
+/// failure model strictly additive.
 #[test]
 fn chaos_off_reproduces_committed_v1_golden() {
     let mut cfg = chaos_cfg();
     cfg.chaos = None;
     let outcome = ClusterSim::new(cfg.clone()).run();
     let current = ClusterReport::new(cfg, outcome).to_json();
+    let mut plain = ClusterConfig::default();
+    plain.arrival.horizon_cycles = 800_000;
+    plain.store.capacity_bytes = 8 * 1024;
+    let outcome = ClusterSim::new(plain.clone()).run();
+    assert_eq!(
+        ClusterReport::new(plain, outcome).to_json(),
+        current,
+        "a chaos-free run no longer matches a plain run: chaos is not zero-cost-when-off"
+    );
+    if std::env::var_os("IGNITE_BLESS").is_some_and(|v| v == "1") {
+        return;
+    }
     let v1 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cluster.json");
     let committed = std::fs::read_to_string(&v1)
         .unwrap_or_else(|e| panic!("cannot read {} ({e})", v1.display()));

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use ignite_chaos::ChaosPlan;
 use ignite_cluster::{
     ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, PolicyHook,
-    SchedulerKind, Topology,
+    SchedulerKind, StaticPolicy, Topology,
 };
 use ignite_control::{Controller, ControllerSpec};
 use ignite_obs::{CtrlRule, EventKind, NullSink, TraceBuffer};
@@ -125,20 +125,28 @@ impl PolicyHook for EnabledDefaults {
 
 /// The zero-cost-when-off contract, checked from the enabled side: an
 /// enabled policy that keeps every static default must reproduce the
-/// committed golden reports byte for byte.
+/// golden reports byte for byte. Each is compared with a fresh run of the
+/// golden's own configuration under [`StaticPolicy`] and, except while
+/// `IGNITE_BLESS=1` lets the goldens' own test binaries rewrite them,
+/// with the committed snapshot.
 #[test]
 fn static_policy_is_transparent_on_the_goldens() {
+    fn report_under<P: PolicyHook>(name: &str, cfg: &ClusterConfig, policy: &mut P) -> String {
+        let sim = ClusterSim::new(cfg.clone());
+        let outcome = sim.run_source_policy_obs(&mut cfg.arrival.source(), &mut NullSink, policy);
+        assert!(outcome.controller.is_none(), "{name}: a policy without stats attached some");
+        ClusterReport::new(cfg.clone(), outcome).to_json()
+    }
+    let blessing = std::env::var_os("IGNITE_BLESS").is_some_and(|v| v == "1");
     for (name, cfg) in
         [("cluster", cluster_cfg()), ("chaos", chaos_cfg()), ("multinode", multinode_cfg())]
     {
-        let mut source = cfg.arrival.source();
-        let outcome = ClusterSim::new(cfg.clone()).run_source_policy_obs(
-            &mut source,
-            &mut NullSink,
-            &mut EnabledDefaults,
-        );
-        assert!(outcome.controller.is_none(), "{name}: a policy without stats attached some");
-        let report = ClusterReport::new(cfg, outcome).to_json();
+        let report = report_under(name, &cfg, &mut EnabledDefaults);
+        let plain = report_under(name, &cfg, &mut StaticPolicy);
+        assert!(report == plain, "{name}: an enabled default policy diverged from a static one");
+        if blessing {
+            continue;
+        }
         let golden = std::fs::read_to_string(repo_path(&format!("tests/golden/{name}.json")))
             .expect("read committed golden");
         assert!(report == golden, "{name}: an enabled default policy diverged from the golden");

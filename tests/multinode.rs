@@ -2,8 +2,9 @@
 //! 3-node affinity/hybrid cluster, cross-process determinism, the
 //! single-node byte-identity contract (`--nodes 1 --scheduler fifo
 //! --keepalive none` must reproduce every committed golden, chaos on
-//! and off), validator rejection of mislabeled per-node sections, and
-//! CLI exit-code regression tests for bad topology specs.
+//! and off), validator rejection of mislabeled per-node sections and of
+//! store totals that disagree with their rows, and CLI exit-code
+//! regression tests for bad topology specs.
 //!
 //! The golden snapshot is the full JSON report of the cluster golden
 //! configuration reshaped to 3 nodes x 2 cores under affinity routing
@@ -189,6 +190,39 @@ fn validator_rejects_mislabeled_node_sections() {
         ClusterReport::validate(&bad).is_err(),
         "cold-start keys under a single-node config must be caught"
     );
+}
+
+/// `text` with the count on the first line that starts with `prefix`
+/// (indentation included) raised by one.
+fn bumped(text: &str, prefix: &str) -> String {
+    let at = text.find(&format!("\n{prefix}")).unwrap_or_else(|| panic!("no line {prefix:?}"));
+    let start = at + 1 + prefix.len();
+    let end = start + text[start..].find(|c: char| !c.is_ascii_digit()).expect("a count");
+    let n: u64 = text[start..end].parse().expect("a count");
+    format!("{}{}{}", &text[..start], n + 1, &text[end..])
+}
+
+/// The store totals are cross-checked: `store.hits` and `store.misses`
+/// must equal the sums of the functions' metadata counters, and each
+/// store total the sum over the nodes' stores. A golden report with any
+/// one of these counts raised by one is rejected by an error that names
+/// the key.
+#[test]
+fn validator_cross_checks_the_store_counters() {
+    let good = golden_report();
+    ClusterReport::validate(&good).expect("pristine multinode report validates");
+    for (prefix, key) in [
+        ("    \"hits\": ", "store.hits is"),
+        ("      \"metadata_hits\": ", "functions[].metadata_hits sum to"),
+        ("        \"hits\": ", "nodes[].store.hits sum to"),
+        ("    \"misses\": ", "store.misses is"),
+        ("        \"footprint_bytes\": ", "nodes[].store.footprint_bytes sum to"),
+        ("    \"peak_footprint_bytes\": ", "store.peak_footprint_bytes is"),
+    ] {
+        let err = ClusterReport::validate(&bumped(&good, prefix))
+            .expect_err(&format!("a raised {prefix:?} must be caught"));
+        assert!(err.contains(key), "{prefix:?}: {err}");
+    }
 }
 
 /// Bad topology specs exit nonzero with a diagnostic, never a panic:
