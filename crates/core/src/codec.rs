@@ -398,9 +398,18 @@ pub struct Encoder {
 impl Encoder {
     /// Creates an empty encoder.
     pub fn new(cfg: CodecConfig) -> Self {
+        Encoder::with_buffer(cfg, Vec::new())
+    }
+
+    /// Creates an empty encoder writing into `buffer`, whose contents are
+    /// discarded and whose capacity is kept: pass back the buffer
+    /// [`Encoder::finish_reusing`] returned, and encoding allocates
+    /// nothing once it has grown to the largest region encoded.
+    pub fn with_buffer(cfg: CodecConfig, mut buffer: Vec<u8>) -> Self {
+        buffer.clear();
         Encoder {
             cfg,
-            writer: BitWriter::default(),
+            writer: BitWriter { bytes: buffer, bit_len: 0 },
             last_target: None,
             entries: 0,
             compressed: 0,
@@ -460,19 +469,32 @@ impl Encoder {
     }
 
     /// Finalizes into immutable metadata.
-    pub fn finish(self) -> Metadata {
-        let check = checksum(
-            &self.writer.bytes,
-            self.entries as u32,
-            self.cfg.src_delta_bits,
-            self.cfg.tgt_delta_bits,
-        );
+    pub fn finish(mut self) -> Metadata {
+        let bytes = std::mem::take(&mut self.writer.bytes);
+        self.seal(bytes)
+    }
+
+    /// Finalizes into metadata that holds exactly its encoded bytes, and
+    /// hands the buffer back for the next encoder
+    /// ([`Encoder::with_buffer`]).
+    pub fn finish_reusing(self) -> (Metadata, Vec<u8>) {
+        let metadata = self.seal(self.writer.bytes.to_vec());
+        (metadata, self.writer.bytes)
+    }
+
+    /// Wraps `bytes`, this encoder's payload, into checksummed metadata.
+    fn seal(&self, bytes: Vec<u8>) -> Metadata {
         Metadata {
-            bytes: self.writer.bytes,
+            checksum: checksum(
+                &bytes,
+                self.entries as u32,
+                self.cfg.src_delta_bits,
+                self.cfg.tgt_delta_bits,
+            ),
+            bytes,
             entries: self.entries,
             cfg_src_bits: self.cfg.src_delta_bits,
             cfg_tgt_bits: self.cfg.tgt_delta_bits,
-            checksum: check,
         }
     }
 }
@@ -670,6 +692,24 @@ mod tests {
         let cfg = CodecConfig::default();
         assert_eq!(cfg.compressed_bits(), 1 + 3 + 9 + 21);
         assert_eq!(cfg.full_bits(), 1 + 3 + 96);
+    }
+
+    #[test]
+    fn a_reused_buffer_encodes_what_a_fresh_one_does() {
+        let cfg = CodecConfig::default();
+        let long: Vec<_> = (0..40u64)
+            .map(|i| entry(0x1000 + i * 48, 0x9000 + i * 4096, BranchKind::Call))
+            .collect();
+        let short = [entry(0x2000, 0x2040, BranchKind::Conditional)];
+        let mut enc = Encoder::new(cfg);
+        long.iter().for_each(|e| enc.push(e));
+        let (first, buffer) = enc.finish_reusing();
+        assert_eq!(first, roundtrip(cfg, &long), "reusing changes no byte");
+        assert_eq!(first.bytes.capacity(), first.bytes.len(), "the region is exactly sized");
+        let mut enc = Encoder::with_buffer(cfg, buffer);
+        short.iter().for_each(|e| enc.push(e));
+        let (second, _) = enc.finish_reusing();
+        assert_eq!(second, roundtrip(cfg, &short), "a reused buffer keeps no old byte");
     }
 
     #[test]

@@ -59,6 +59,9 @@ pub mod record;
 pub mod replay;
 pub mod store;
 
+use std::collections::VecDeque;
+
+use ignite_uarch::addr::Addr;
 use ignite_uarch::btb::Btb;
 use ignite_uarch::cbp::Cbp;
 use ignite_uarch::hierarchy::Hierarchy;
@@ -124,6 +127,13 @@ pub struct Ignite {
     /// regions, stale restorations noticed at commit); folded into the
     /// replay stats at `end_invocation`.
     fault_stats: ReplayStats,
+    /// Working memory kept from one invocation to the next, so that a
+    /// warmed instance allocates only the regions it hands back: the
+    /// merge's buffers, whose decode buffer each replay session borrows
+    /// and whose encoder buffer each recording borrows.
+    scratch: os::MergeScratch,
+    /// The replay session's line queue, kept likewise.
+    lines: VecDeque<Addr>,
 }
 
 impl Ignite {
@@ -138,6 +148,8 @@ impl Ignite {
             replayer: None,
             active: None,
             fault_stats: ReplayStats::default(),
+            scratch: os::MergeScratch::default(),
+            lines: VecDeque::new(),
         }
     }
 
@@ -160,9 +172,15 @@ impl Ignite {
     /// sets the control bits as the function is scheduled).
     pub fn begin_invocation(&mut self, container: u64) {
         let plan = self.os.function_started(container);
-        self.recorder =
-            plan.record.then(|| Recorder::new(self.cfg.codec, self.cfg.metadata_budget_bytes));
-        self.replayer = plan.replay_metadata.as_ref().map(|md| Replayer::new(md, self.cfg.replay));
+        let (cfg, scratch, lines) = (&self.cfg, &mut self.scratch, &mut self.lines);
+        self.recorder = plan.record.then(|| {
+            let bits = std::mem::take(&mut scratch.bits);
+            Recorder::with_buffer(cfg.codec, cfg.metadata_budget_bytes, bits)
+        });
+        self.replayer = plan.replay_metadata.as_deref().map(|md| {
+            let entries = std::mem::take(&mut scratch.entries);
+            Replayer::with_buffers(md, cfg.replay, entries, std::mem::take(lines))
+        });
         self.fault_stats = ReplayStats::default();
         if let Some((_, claimed)) = plan.replay_error {
             // The region existed but was destroyed before it could be read;
@@ -256,22 +274,27 @@ impl Ignite {
     pub fn end_invocation(&mut self, container: u64) -> IgniteInvocationStats {
         debug_assert_eq!(self.active, Some(container), "mismatched begin/end");
         let mut stats = IgniteInvocationStats::default();
-        let replayed = self.replayer.take();
-        if let Some(replayer) = &replayed {
+        let replayer = self.replayer.take();
+        let replayed = replayer.is_some();
+        if let Some(replayer) = replayer {
             stats.replay = *replayer.stats();
             // Unfinished = still pending at the cursor. Deriving it from
             // `total - restored` would re-count watchdog-abandoned records,
             // which are already in `entries_dropped`.
             stats.replay_unfinished = replayer.pending_entries() as u64;
+            (self.scratch.entries, self.lines) = replayer.into_buffers();
         }
         stats.replay.merge(&std::mem::take(&mut self.fault_stats));
         if let Some(recorder) = self.recorder.take() {
             stats.entries_recorded = recorder.entries() as u64;
             stats.record_bytes = recorder.streamed_bytes();
-            if replayed.is_some() {
-                self.os.function_finished_merge(container, recorder.finish(), self.cfg.codec);
+            let (recorded, bits) = recorder.finish_reusing();
+            self.scratch.bits = bits;
+            if replayed {
+                let scratch = &mut self.scratch;
+                self.os.function_finished_merge(container, recorded, self.cfg.codec, scratch);
             } else {
-                self.os.function_finished(container, Some(recorder.finish()));
+                self.os.function_finished(container, Some(recorded));
             }
         }
         self.active = None;

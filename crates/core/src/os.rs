@@ -7,12 +7,14 @@
 //! (record and replay simultaneously, letting the metadata track behaviour
 //! that evolves between invocations).
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use ignite_uarch::btb::BtbEntry;
 use ignite_uarch::fxmap::FxHashMap;
 
-use crate::codec::{CodecError, Metadata};
+use crate::codec::{CodecConfig, CodecError, Encoder, Metadata};
 use crate::fault::FaultPlan;
 
 /// Control-register state for one Ignite engine pair (record + replay have
@@ -35,16 +37,34 @@ impl Default for ControlRegisters {
 
 /// What the OS arms when a function is scheduled onto a core.
 #[derive(Debug, Clone)]
-pub struct InvocationPlan {
+pub struct InvocationPlan<'a> {
     /// Metadata from the previous invocation, to be replayed (absent on the
-    /// container's first invocation or when replay is disabled).
-    pub replay_metadata: Option<Metadata>,
+    /// container's first invocation or when replay is disabled): the
+    /// stored region itself, borrowed, or the copy an active fault plan
+    /// corrupted.
+    pub replay_metadata: Option<Cow<'a, Metadata>>,
     /// Whether recording should run during this invocation.
     pub record: bool,
     /// Set when a stored region existed but injected faults destroyed its
     /// structure before it could be read: the error, and how many records
     /// the region held before corruption.
     pub replay_error: Option<(CodecError, usize)>,
+}
+
+/// The working memory of [`IgniteOs::function_finished_merge`], kept by
+/// its caller from one merge to the next. [`crate::Ignite`] also lends
+/// the decode buffer to each replay session and the encoder buffer to
+/// each recording, which have ended by the time the merge runs. Every
+/// user clears what it borrows first, and nothing shrinks.
+#[derive(Debug, Clone, Default)]
+pub struct MergeScratch {
+    /// Decoded records: the old region's, then the recording's.
+    pub(crate) entries: Vec<BtbEntry>,
+    /// Each branch PC's slot: its first position in `entries` once
+    /// de-duplicated.
+    slots: FxHashMap<u64, usize>,
+    /// The encoder's buffer.
+    pub(crate) bits: Vec<u8>,
 }
 
 /// The modelled host OS managing Ignite metadata regions.
@@ -111,7 +131,7 @@ impl IgniteOs {
     /// Called when the scheduler places `container` on a core: returns the
     /// invocation plan per the control registers (§4.3), applying the fault
     /// plan (if any) to the stored region as it is read back.
-    pub fn function_started(&mut self, container: u64) -> InvocationPlan {
+    pub fn function_started(&mut self, container: u64) -> InvocationPlan<'_> {
         let mut plan = InvocationPlan {
             replay_metadata: None,
             record: self.control.record,
@@ -124,7 +144,7 @@ impl IgniteOs {
             return plan;
         };
         if !self.faults.is_active() {
-            plan.replay_metadata = Some(stored.clone());
+            plan.replay_metadata = Some(Cow::Borrowed(stored));
             return plan;
         }
         let invocation = {
@@ -134,7 +154,7 @@ impl IgniteOs {
             v
         };
         match self.faults.apply(stored, container, invocation) {
-            Ok(md) => plan.replay_metadata = md,
+            Ok(md) => plan.replay_metadata = md.map(Cow::Owned),
             Err(e) => plan.replay_error = Some((e, stored.entries())),
         }
         plan
@@ -158,12 +178,15 @@ impl IgniteOs {
     /// holds only the branches that *diverged* this invocation. Appending
     /// them keeps the established working set while reacting to behaviour
     /// changes. The merged region is re-encoded and truncated at the region
-    /// budget.
+    /// budget. The merge works in `scratch`, which it clears first; kept
+    /// from one merge to the next, it makes a merge allocate only the
+    /// merged region.
     pub fn function_finished_merge(
         &mut self,
         container: u64,
         recorded: Metadata,
-        codec: crate::codec::CodecConfig,
+        codec: CodecConfig,
+        scratch: &mut MergeScratch,
     ) {
         if recorded.is_empty() {
             return;
@@ -174,20 +197,36 @@ impl IgniteOs {
                 // De-duplicate by branch PC (newest record wins) so repeated
                 // divergence does not grow the region without bound, then
                 // re-encode in the original reuse order: each PC at its
-                // first position, with its latest record.
-                let entries: Vec<BtbEntry> = old.decode().chain(recorded.decode()).collect();
-                let mut latest: FxHashMap<u64, BtbEntry> =
-                    entries.iter().map(|e| (e.branch_pc.as_u64(), *e)).collect();
-                let mut enc = crate::codec::Encoder::new(codec);
-                for e in &entries {
-                    // Only a PC's first position still finds its record.
-                    let Some(entry) = latest.remove(&e.branch_pc.as_u64()) else { continue };
-                    enc.push(&entry);
+                // first position, with its latest record. The records are
+                // compacted in place: `slots` maps a PC to its first
+                // position among the `unique` records kept so far.
+                let MergeScratch { entries, slots, bits } = scratch;
+                entries.clear();
+                entries.extend(old.decode());
+                entries.extend(recorded.decode());
+                slots.clear();
+                let mut unique = 0;
+                for i in 0..entries.len() {
+                    let e = entries[i];
+                    match slots.entry(e.branch_pc.as_u64()) {
+                        Entry::Occupied(slot) => entries[*slot.get()] = e,
+                        Entry::Vacant(slot) => {
+                            slot.insert(unique);
+                            entries[unique] = e;
+                            unique += 1;
+                        }
+                    }
+                }
+                let mut enc = Encoder::with_buffer(codec, std::mem::take(bits));
+                for e in &entries[..unique] {
+                    enc.push(e);
                     if enc.byte_len() > self.region_bytes {
                         break;
                     }
                 }
-                enc.finish()
+                let (merged, buffer) = enc.finish_reusing();
+                *bits = buffer;
+                merged
             }
         };
         self.regions.insert(container, merged);

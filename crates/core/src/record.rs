@@ -40,8 +40,15 @@ pub struct Recorder {
 impl Recorder {
     /// Creates a recorder with the given metadata budget (paper: 120 KiB).
     pub fn new(codec: CodecConfig, budget_bytes: usize) -> Self {
+        Recorder::with_buffer(codec, budget_bytes, Vec::new())
+    }
+
+    /// Like [`Recorder::new`], encoding into `buffer` (see
+    /// [`Encoder::with_buffer`]); [`Recorder::finish_reusing`] hands it
+    /// back.
+    pub fn with_buffer(codec: CodecConfig, budget_bytes: usize, buffer: Vec<u8>) -> Self {
         Recorder {
-            encoder: Encoder::new(codec),
+            encoder: Encoder::with_buffer(codec, buffer),
             budget_bytes,
             streamed_bytes: 0,
             dropped: 0,
@@ -91,6 +98,12 @@ impl Recorder {
     /// Finalizes the recording into metadata for the OS to store.
     pub fn finish(self) -> Metadata {
         self.encoder.finish()
+    }
+
+    /// Like [`Recorder::finish`], with metadata of exactly its encoded
+    /// size, handing the encoder's buffer back for the next recording.
+    pub fn finish_reusing(self) -> (Metadata, Vec<u8>) {
+        self.encoder.finish_reusing()
     }
 }
 

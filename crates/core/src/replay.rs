@@ -16,6 +16,8 @@
 //! entries exceeds a threshold (1 K, §5.3), extending the BTB's effective
 //! reach for functions whose branch working set exceeds its capacity.
 
+use std::collections::VecDeque;
+
 use ignite_uarch::addr::{lines_spanned, Addr};
 use ignite_uarch::bimodal::{BimInitPolicy, Counter};
 use ignite_uarch::btb::{Btb, BtbEntry};
@@ -163,7 +165,7 @@ pub struct Replayer {
     prev_target: Option<Addr>,
     /// Lines awaiting an L2 prefetch slot (BTB/BIM restoration runs at the
     /// replay rate; instruction streaming is DRAM-bandwidth limited).
-    pending_lines: std::collections::VecDeque<Addr>,
+    pending_lines: VecDeque<Addr>,
     /// Metadata bytes per record (amortized), for streaming accounting.
     bytes_per_entry: f64,
     /// Consecutive steps with neither restoration nor prefetch progress.
@@ -180,9 +182,24 @@ impl Replayer {
     /// dropped. Either way the session itself always constructs — corrupted
     /// metadata degrades to fewer restorations, never to a panic.
     pub fn new(metadata: &Metadata, cfg: ReplayConfig) -> Self {
+        Replayer::with_buffers(metadata, cfg, Vec::new(), VecDeque::new())
+    }
+
+    /// Like [`Replayer::new`], decoding into `entries` and queueing lines
+    /// into `lines`, both cleared first: pass back the buffers an earlier
+    /// session's [`Replayer::into_buffers`] returned, and a session
+    /// allocates nothing once they have grown to the largest region
+    /// replayed. The session is the same whatever the buffers held.
+    pub fn with_buffers(
+        metadata: &Metadata,
+        cfg: ReplayConfig,
+        mut entries: Vec<BtbEntry>,
+        mut lines: VecDeque<Addr>,
+    ) -> Self {
+        entries.clear();
+        lines.clear();
         let mut stats = ReplayStats::default();
         let claimed = metadata.entries();
-        let mut entries: Vec<BtbEntry> = Vec::new();
         let validation = if cfg.validate_metadata { metadata.validate() } else { Ok(()) };
         match validation {
             Err(_) => {
@@ -190,6 +207,9 @@ impl Replayer {
                 stats.entries_dropped = claimed as u64;
             }
             Ok(()) => {
+                // `claimed` is at most what the payload can hold:
+                // `Metadata::from_bytes` refuses an implausible count.
+                entries.reserve(claimed);
                 for record in metadata.decode_checked() {
                     match record {
                         Ok(e) => entries.push(e),
@@ -212,11 +232,17 @@ impl Replayer {
             entries,
             cursor: 0,
             prev_target: None,
-            pending_lines: std::collections::VecDeque::new(),
+            pending_lines: lines,
             bytes_per_entry,
             stall_steps: 0,
             stats,
         }
+    }
+
+    /// Ends the session and hands back its decode buffer and line queue
+    /// for the next one ([`Replayer::with_buffers`]).
+    pub fn into_buffers(self) -> (Vec<BtbEntry>, VecDeque<Addr>) {
+        (self.entries, self.pending_lines)
     }
 
     /// Creates a session for a region that could not be read at all
@@ -638,6 +664,72 @@ mod tests {
         assert_eq!(replay.stats().watchdog_abandons, 1);
         assert!(replay.stats().entries_dropped > 0);
         assert!(replay.stats().entries_restored < 40);
+    }
+
+    /// A session built on an earlier session's buffers restores exactly
+    /// what a fresh session does: the same BTB, CBP and ITLB effects,
+    /// statistics and pending records, part-way through and at the end.
+    /// The earlier sessions are a longer one, stopped with records and
+    /// lines still queued, and one that hit a decode error mid-stream.
+    #[test]
+    fn reused_buffers_restore_exactly_what_fresh_ones_do() {
+        let region = |n: u64, base: u64| {
+            let kinds = [BranchKind::Conditional, BranchKind::Call, BranchKind::Unconditional];
+            let entries: Vec<_> = (0..n)
+                .map(|i| {
+                    let pc = Addr::new(base + i * 200);
+                    BtbEntry::new(pc, pc + 40, kinds[i as usize % 3])
+                })
+                .collect();
+            metadata(&entries)
+        };
+        let (long, short) = (region(120, 0x10_000), region(30, 0x80_000));
+        let mut broken = long.to_bytes();
+        let cut = broken.len() - 8;
+        broken.truncate(cut);
+        broken[16..20].copy_from_slice(&((cut - 20) as u32).to_le_bytes());
+        let broken = Metadata::from_bytes(&broken).expect("structurally intact");
+
+        // What a session leaves behind after 10 steps and at its end.
+        let effects = |mut replay: Replayer| {
+            let mut m = machine();
+            let mut seen = Vec::new();
+            for now in 0..200 {
+                if now == 10 || replay.is_done() {
+                    seen.push((
+                        format!("{:?} {:?} {:?}", m.btb, m.cbp, m.itlb),
+                        *replay.stats(),
+                        replay.pending_entries(),
+                    ));
+                }
+                if replay.is_done() {
+                    break;
+                }
+                replay.step(now, &mut m.btb, &mut m.cbp, &mut m.itlb, &mut m.hierarchy);
+            }
+            seen
+        };
+        let cfg = ReplayConfig::default();
+        let fresh = effects(Replayer::new(&short, cfg));
+
+        let mut m = machine();
+        let mut longer = Replayer::new(&long, cfg);
+        for now in 0..5 {
+            longer.step(now, &mut m.btb, &mut m.cbp, &mut m.itlb, &mut m.hierarchy);
+        }
+        assert!(longer.pending_entries() > 30, "the longer session stops early");
+        let (entries, lines) = longer.into_buffers();
+        assert!(!lines.is_empty(), "the longer session leaves lines queued");
+        let reused = Replayer::with_buffers(&short, cfg, entries, lines);
+        assert_eq!(effects(reused), fresh, "after a longer session");
+
+        let unchecked = ReplayConfig { validate_metadata: false, ..cfg };
+        let failed = Replayer::new(&broken, unchecked);
+        assert_eq!(failed.stats().decode_errors, 1, "the session hits a decode error");
+        assert!(failed.total_entries() > 30, "and decodes more records than the next region");
+        let (entries, lines) = failed.into_buffers();
+        let reused = Replayer::with_buffers(&short, cfg, entries, lines);
+        assert_eq!(effects(reused), fresh, "after a session that hit a decode error");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! silently corrupts restored front-end state, so the roundtrip property is
 //! tested over arbitrary branch streams and delta-width configurations.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use ignite_core::codec::{CodecConfig, Encoder, Metadata};
+use ignite_core::os::{IgniteOs, MergeScratch};
 use ignite_core::record::Recorder;
 use ignite_core::replay::{ReplayConfig, Replayer};
 use ignite_core::{Ignite, IgniteConfig};
@@ -59,6 +62,56 @@ fn arb_chain() -> impl Strategy<Value = Vec<BtbEntry>> {
 
 fn arb_widths() -> impl Strategy<Value = CodecConfig> {
     (4u32..32, 4u32..32).prop_map(|(s, t)| CodecConfig { src_delta_bits: s, tgt_delta_bits: t })
+}
+
+/// Records whose branch PCs come from a pool of 24, so PCs repeat within
+/// a stream and across two streams.
+fn arb_pooled_stream() -> impl Strategy<Value = Vec<BtbEntry>> {
+    prop::collection::vec((0u64..24, 0u64..4096, arb_kind()), 0..48).prop_map(|records| {
+        records
+            .into_iter()
+            .map(|(pc, target, kind)| {
+                BtbEntry::new(
+                    Addr::new(0x40_0000 + pc * 52),
+                    Addr::new(0x40_0000 + target * 4),
+                    kind,
+                )
+            })
+            .collect()
+    })
+}
+
+fn encode(cfg: CodecConfig, entries: &[BtbEntry]) -> Metadata {
+    let mut enc = Encoder::new(cfg);
+    for e in entries {
+        enc.push(e);
+    }
+    enc.finish()
+}
+
+/// The double-buffer merge as it was first written, with fresh buffers
+/// and a map of whole records, kept as the reference for
+/// [`IgniteOs::function_finished_merge`]: each branch PC at its first
+/// position with its latest record, re-encoded until the region budget
+/// is crossed.
+fn reference_merge(
+    old: &Metadata,
+    recorded: &Metadata,
+    codec: CodecConfig,
+    region_bytes: usize,
+) -> Metadata {
+    let entries: Vec<BtbEntry> = old.decode().chain(recorded.decode()).collect();
+    let mut latest: HashMap<u64, BtbEntry> =
+        entries.iter().map(|e| (e.branch_pc.as_u64(), *e)).collect();
+    let mut enc = Encoder::new(codec);
+    for e in &entries {
+        let Some(entry) = latest.remove(&e.branch_pc.as_u64()) else { continue };
+        enc.push(&entry);
+        if enc.byte_len() > region_bytes {
+            break;
+        }
+    }
+    enc.finish()
 }
 
 proptest! {
@@ -187,6 +240,38 @@ proptest! {
     /// The fallible decoder agrees with the infallible one on every
     /// well-formed stream: `decode_checked(encode(x)) == x`, with no error
     /// in any position.
+    /// One `MergeScratch` serving a sequence of merges (random old and
+    /// new streams with repeated PCs, budgets that often truncate)
+    /// leaves each merged region byte-identical to the reference merge.
+    #[test]
+    fn merges_in_a_reused_scratch_match_the_reference(
+        merges in prop::collection::vec(
+            (arb_pooled_stream(), arb_pooled_stream(), 4usize..256),
+            1..6,
+        ),
+        cfg in arb_widths(),
+    ) {
+        let mut scratch = MergeScratch::default();
+        for (old, recorded, region_bytes) in merges {
+            let (old, recorded) = (encode(cfg, &old), encode(cfg, &recorded));
+            let expected = if recorded.is_empty() {
+                Some(old.clone())
+            } else if old.is_empty() {
+                Some(recorded.clone())
+            } else {
+                Some(reference_merge(&old, &recorded, cfg, region_bytes))
+            }
+            .filter(|md| !md.is_empty());
+            let mut os = IgniteOs::new(region_bytes);
+            os.install(1, old);
+            os.function_finished_merge(1, recorded, cfg, &mut scratch);
+            prop_assert_eq!(
+                os.metadata(1).map(Metadata::to_bytes),
+                expected.as_ref().map(Metadata::to_bytes)
+            );
+        }
+    }
+
     #[test]
     fn decode_checked_roundtrip_arbitrary_entries(
         entries in arb_entries(),

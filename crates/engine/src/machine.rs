@@ -1,6 +1,8 @@
 //! The simulated machine: microarchitectural structures plus the selected
 //! prefetching/restoration mechanisms.
 
+use std::collections::VecDeque;
+
 use ignite_core::Ignite;
 use ignite_prefetch::boomerang::Boomerang;
 use ignite_prefetch::branch_index::{BranchIndex, PredecodedBranch};
@@ -17,8 +19,10 @@ use ignite_uarch::tlb::Itlb;
 use ignite_uarch::{Cycle, UarchConfig};
 use ignite_workloads::cfg::{CodeImage, Terminator};
 use ignite_workloads::suite::SuiteFunction;
+use ignite_workloads::trace::WalkTables;
 
 use crate::config::FrontEndConfig;
+use crate::sim::Pending;
 
 /// A workload bound to the simulator: the code image plus the predecode
 /// oracle built from it.
@@ -116,6 +120,11 @@ pub struct Machine {
     /// Global clock (persists across invocations).
     pub now: Cycle,
     flush_rng: SplitMix64,
+    /// The trace walker's tables, lent to each invocation's walk.
+    pub(crate) walk_tables: WalkTables,
+    /// The lookahead (FTQ) buffer, lent to each invocation; empty
+    /// between invocations.
+    pub(crate) ftq: VecDeque<Pending>,
 }
 
 /// Degree of the always-on next-line prefetcher.
@@ -142,6 +151,8 @@ impl Machine {
             ignite: fe.select.ignite.map(Ignite::new),
             now: 0,
             flush_rng: SplitMix64::new(FLUSH_SEED),
+            walk_tables: WalkTables::default(),
+            ftq: VecDeque::new(),
         }
     }
 
@@ -150,7 +161,9 @@ impl Machine {
     /// without reallocating the large tables: the caches forget their
     /// lines by generation, and the BTB and predictors are rewritten in
     /// place. The small parts are rebuilt, which also drops every
-    /// mechanism's per-container metadata.
+    /// mechanism's per-container metadata. The per-invocation buffers are
+    /// kept: a walk clears its tables before reading them, and the FTQ
+    /// is empty between invocations.
     pub fn reset(&mut self) {
         self.hierarchy.reset();
         self.itlb.reset();

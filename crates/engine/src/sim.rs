@@ -20,8 +20,6 @@
 //! * The back-end is abstract: retire-width throughput plus a cold/warm
 //!   data-stall model (DESIGN.md §5).
 
-use std::collections::VecDeque;
-
 use ignite_obs::{Event, EventKind, EventSink, NullSink, Phase, Track};
 use ignite_uarch::addr::{lines_spanned, LINE_BYTES};
 use ignite_uarch::btb::{BranchKind, BtbEntry};
@@ -55,8 +53,10 @@ struct Eval {
     btb_hit: bool,
 }
 
+/// One block of the lookahead buffer, with the BPU's evaluation of its
+/// transition once made.
 #[derive(Debug, Clone)]
-struct Pending {
+pub(crate) struct Pending {
     block: BlockExec,
     eval: Option<Eval>,
 }
@@ -181,9 +181,15 @@ pub fn run_invocation_obs<S: EventSink>(
         }
     }
 
-    let mut walker = TraceWalker::with_noise(&f.image, invocation, f.invocation_instrs, f.noise);
+    // The walker's tables and the lookahead buffer are the machine's,
+    // lent to this invocation and handed back at its end, so a warmed
+    // machine allocates neither.
+    let tables = std::mem::take(&mut m.walk_tables);
+    let mut walker =
+        TraceWalker::with_tables(&f.image, invocation, f.invocation_instrs, f.noise, tables);
     // The lookahead never holds more than `ftq_cap + 2` blocks.
-    let mut buf: VecDeque<Pending> = VecDeque::with_capacity(ftq_cap + 2);
+    let mut buf = std::mem::take(&mut m.ftq);
+    buf.reserve(ftq_cap + 2);
     let mut walker_done = false;
     // Number of leading `buf` entries considered "in the FTQ" (their lines
     // prefetched); the first is the block being fetched.
@@ -268,11 +274,11 @@ pub fn run_invocation_obs<S: EventSink>(
                     }
                 }
                 if effective_miss || r.hit_prefetched {
-                    for (pf_line, pf) in m.nl.trigger_observed(line, t, &mut m.hierarchy) {
+                    m.nl.trigger_observed(line, t, &mut m.hierarchy, |pf_line, pf| {
                         if let Some(jb) = &mut m.jukebox {
                             jb.observe_fill(pf_line, pf.served_by);
                         }
-                    }
+                    });
                 }
                 if let Some(jb) = &mut m.jukebox {
                     jb.observe_fill(line, r.served_by);
@@ -389,6 +395,8 @@ pub fn run_invocation_obs<S: EventSink>(
     }
 
     // ---- Wrap up ----
+    m.walk_tables = walker.into_tables();
+    m.ftq = buf;
     res.traffic.useless_instruction_bytes = m.hierarchy.untouched_fill_bytes();
     res.cycles = m.now - start_cycle;
     let cbp = m.cbp.stats();

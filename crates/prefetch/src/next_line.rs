@@ -63,28 +63,30 @@ impl NextLine {
     /// Returns the bytes this trigger pulled from DRAM (for bandwidth
     /// accounting).
     pub fn trigger(&mut self, line: Addr, now: Cycle, hierarchy: &mut Hierarchy) -> u64 {
-        self.trigger_observed(line, now, hierarchy).iter().map(|(_, r)| r.bytes_from_memory).sum()
+        let mut bytes = 0;
+        self.trigger_observed(line, now, hierarchy, |_, r| bytes += r.bytes_from_memory);
+        bytes
     }
 
-    /// Like [`NextLine::trigger`], but returns each issued prefetch with its
-    /// line address so callers (e.g. Jukebox's off-chip-miss recorder) can
-    /// observe the fills.
+    /// Like [`NextLine::trigger`], but hands each issued prefetch with its
+    /// line address to `observe`, in line order, so callers (e.g.
+    /// Jukebox's off-chip-miss recorder) can observe the fills without a
+    /// list being built per trigger.
     pub fn trigger_observed(
         &mut self,
         line: Addr,
         now: Cycle,
         hierarchy: &mut Hierarchy,
-    ) -> Vec<(Addr, AccessResult)> {
+        mut observe: impl FnMut(Addr, AccessResult),
+    ) {
         self.triggered += 1;
-        let mut issued = Vec::with_capacity(self.degree);
         for i in 1..=self.degree as u64 {
             let next = line.line() + i * LINE_BYTES;
             if let Some(result) = hierarchy.prefetch_l1i(next, now, FillKind::Prefetch) {
                 self.issued += 1;
-                issued.push((next, result));
+                observe(next, result);
             }
         }
-        issued
     }
 
     /// Clears statistics.

@@ -43,4 +43,4 @@ pub mod trace;
 pub use arrival::{Arrival, ArrivalConfig, ArrivalSource, PoissonZipfSource, Trace, TraceSource};
 pub use cfg::{BasicBlock, CodeImage, Terminator};
 pub use suite::{check_scale, FunctionProfile, Language, ScaleError, Suite, SuiteFunction};
-pub use trace::{BlockExec, ExecutedBranch, TraceWalker};
+pub use trace::{BlockExec, ExecutedBranch, TraceWalker, WalkTables};

@@ -63,31 +63,60 @@ impl BlockExec {
     }
 }
 
-/// Memoized structural behaviour of one branch site.
+/// Memoized structural behaviour of one conditional branch site.
 ///
-/// Every variant is a pure function of `(image_seed, block)` — plus the
-/// invocation-fixed deviation bit — so it is derived once per walker and
-/// replayed from the cache instead of reseeding an RNG per execution.
+/// Every variant is a pure function of `(image_seed, block)`, so it is
+/// derived once per walk and replayed from the memo instead of reseeding
+/// an RNG per execution.
 #[derive(Debug, Clone, Copy)]
 enum Pattern {
     /// Loop back-edge trip pattern (period 4 or 8, guaranteed exit bit).
-    Loop { bits: u8, period: u32 },
+    Loop { bits: u8, period: u8 },
     /// Direction fixed for the whole invocation.
     Fixed { taken: bool },
     /// 8-bit periodic direction pattern.
     Periodic { bits: u8 },
     /// Direction fixed per (branch, caller) pair; resolved at execution
-    /// time from the call stack.
-    Context { base_seed: u64 },
-    /// Indirect dispatch: the target index for each pattern phase.
-    Indirect { period: u32, idx: [usize; 2] },
+    /// time from the call stack and a seed re-derived from the block.
+    Context,
 }
 
-/// Per-block memo: the invocation-fixed deviation bit plus the pattern.
+/// Per-block memo: the invocation-fixed deviation bit plus the site's
+/// behaviour. 12 bytes, and so is `Option<BlockMemo>`: the memo table
+/// holds one per block of the image.
 #[derive(Debug, Clone, Copy)]
-struct BlockMemo {
-    deviates: bool,
-    pattern: Pattern,
+enum BlockMemo {
+    /// A conditional branch and its direction pattern.
+    Cond { deviates: bool, pattern: Pattern },
+    /// An indirect dispatch: the target index for each phase of its
+    /// period of two executions (equal for a monomorphic site).
+    Indirect { deviates: bool, idx: [u32; 2] },
+}
+
+// The memo table's per-block cost, as documented on `BlockMemo`.
+const _: () = assert!(std::mem::size_of::<Option<BlockMemo>>() == 12);
+
+/// A walk's working memory: the call stack, the root order, and one
+/// execution count and one memo entry per block of the image.
+///
+/// [`TraceWalker::new`] and [`TraceWalker::with_noise`] build fresh tables
+/// for each walk. A caller that walks many invocations (the simulation
+/// engine keeps one per machine) lends the same tables to each walk with
+/// [`TraceWalker::with_tables`] and takes them back with
+/// [`TraceWalker::into_tables`], so once they have grown to the largest
+/// image walked a walk allocates nothing. Each walk clears them first;
+/// they never shrink.
+#[derive(Debug, Clone, Default)]
+pub struct WalkTables {
+    /// Return-to block indices (global).
+    stack: Vec<u32>,
+    /// Function visit order; stable across invocations of the same image.
+    roots: Vec<u32>,
+    /// Per-block dynamic execution counters (pattern phase).
+    exec_counts: Vec<u32>,
+    /// Lazily classified per-block behaviour (conditional and indirect
+    /// sites only).
+    memo: Vec<Option<BlockMemo>>,
 }
 
 /// Iterator over the dynamic basic blocks of one invocation.
@@ -113,17 +142,9 @@ pub struct TraceWalker<'a> {
     noise: f64,
     budget_instrs: u64,
     emitted_instrs: u64,
-    /// Return-to block indices (global).
-    stack: Vec<u32>,
     current: Option<u32>,
-    /// Function visit order; stable across invocations of the same image.
-    roots: Vec<u32>,
     root_pos: usize,
-    /// Per-block dynamic execution counters (pattern phase).
-    exec_counts: Vec<u32>,
-    /// Lazily classified per-block behaviour (conditional and indirect
-    /// sites only).
-    memo: Vec<Option<BlockMemo>>,
+    tables: WalkTables,
     truncated_calls: u64,
 }
 
@@ -162,14 +183,35 @@ impl<'a> TraceWalker<'a> {
         budget_instrs: u64,
         noise: f64,
     ) -> Self {
+        TraceWalker::with_tables(image, invocation, budget_instrs, noise, WalkTables::default())
+    }
+
+    /// Like [`TraceWalker::with_noise`], walking in `tables` (cleared
+    /// first) instead of fresh ones; [`TraceWalker::into_tables`] hands
+    /// them back. The walk is the same whatever the tables held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `noise` is outside `[0, 1]`.
+    pub fn with_tables(
+        image: &'a CodeImage,
+        invocation: u64,
+        budget_instrs: u64,
+        noise: f64,
+        mut tables: WalkTables,
+    ) -> Self {
         assert!((0.0..=1.0).contains(&noise), "noise must be a probability");
         // Image-stable root order: a seeded shuffle of all functions with
         // the entry function first.
         let image_seed = image.name().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
+        // The call stack needs no clearing here: the first block of every
+        // walk is a root, whose entry clears it.
+        let WalkTables { roots, exec_counts, memo, .. } = &mut tables;
         let mut order_rng = SplitMix64::new(image_seed);
-        let mut roots: Vec<u32> = image.live_functions().collect();
+        roots.clear();
+        roots.extend(image.live_functions());
         for i in (1..roots.len()).rev() {
             let j = order_rng.next_below(i as u64 + 1) as usize;
             roots.swap(i, j);
@@ -178,6 +220,10 @@ impl<'a> TraceWalker<'a> {
             roots.swap(0, pos);
         }
         let block_count = image.blocks().len();
+        exec_counts.clear();
+        exec_counts.resize(block_count, 0);
+        memo.clear();
+        memo.resize(block_count, None);
         TraceWalker {
             image,
             image_seed,
@@ -186,14 +232,16 @@ impl<'a> TraceWalker<'a> {
             noise,
             budget_instrs,
             emitted_instrs: 0,
-            stack: Vec::new(),
             current: None,
-            roots,
             root_pos: 0,
-            exec_counts: vec![0; block_count],
-            memo: vec![None; block_count],
+            tables,
             truncated_calls: 0,
         }
+    }
+
+    /// Ends the walk and hands back its tables for the next one.
+    pub fn into_tables(self) -> WalkTables {
+        self.tables
     }
 
     /// Whether this branch site deviates from its structural behaviour for
@@ -207,10 +255,16 @@ impl<'a> TraceWalker<'a> {
 
     /// Advances and returns this block's execution count (pattern phase).
     fn bump_count(&mut self, block: u32) -> u32 {
-        let c = &mut self.exec_counts[block as usize];
+        let c = &mut self.tables.exec_counts[block as usize];
         let k = *c;
         *c = c.wrapping_add(1);
         k
+    }
+
+    /// The seed of conditional `block`'s structure (its pattern class and
+    /// bits, and a context pattern's per-caller directions).
+    fn cond_seed(&self, block: u32) -> u64 {
+        self.image_seed ^ (u64::from(block)).wrapping_mul(0xA076_1D64_78BD_642F)
     }
 
     /// Classifies conditional `block` into its per-invocation pattern: a
@@ -220,8 +274,7 @@ impl<'a> TraceWalker<'a> {
     /// terminate. Derived once per block; [`TraceWalker::pattern_taken`]
     /// replays it per execution.
     fn classify_cond(&self, block: u32, bias: f64, is_loop: bool) -> Pattern {
-        let base_seed = self.image_seed ^ (u64::from(block)).wrapping_mul(0xA076_1D64_78BD_642F);
-        let mut struct_rng = SplitMix64::new(base_seed);
+        let mut struct_rng = SplitMix64::new(self.cond_seed(block));
         // Most branches are fixed-direction within an invocation (what a
         // warm bimodal captures); the rest follow short patterns whose bits
         // also depend on the *call context*, which only a history-based
@@ -232,7 +285,7 @@ impl<'a> TraceWalker<'a> {
             // Loops: a fixed trip-count pattern of period 4 or 8 with a
             // guaranteed exit. TAGE can learn trip counts from its own
             // taken-bits accumulating in the history.
-            let period: u32 = if roll < 50 { 4 } else { 8 };
+            let period: u8 = if roll < 50 { 4 } else { 8 };
             let mut bits: u8 = 0;
             for j in 0..period {
                 if struct_rng.chance(bias) {
@@ -266,54 +319,75 @@ impl<'a> TraceWalker<'a> {
         // Context-sensitive: direction fixed per (branch, caller) pair —
         // separable by a path-history predictor (TAGE) but aliased in the
         // bimodal, which sees only the majority direction.
-        Pattern::Context { base_seed }
+        Pattern::Context
     }
 
-    /// The structural outcome of a classified conditional at execution `k`.
-    fn pattern_taken(&self, pattern: Pattern, k: u32, bias: f64) -> bool {
+    /// The structural outcome of conditional `block`'s pattern at
+    /// execution `k`.
+    fn pattern_taken(&self, block: u32, pattern: Pattern, k: u32, bias: f64) -> bool {
         match pattern {
-            Pattern::Loop { bits, period } => (bits >> (k % period)) & 1 == 1,
+            Pattern::Loop { bits, period } => (bits >> (k % u32::from(period))) & 1 == 1,
             Pattern::Fixed { taken } => taken,
             Pattern::Periodic { bits } => (bits >> (k % 8)) & 1 == 1,
-            Pattern::Context { base_seed } => {
-                let context = u64::from(self.stack.last().copied().unwrap_or(0));
-                let mut ctx_rng =
-                    SplitMix64::new(base_seed ^ context.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            Pattern::Context => {
+                let context = u64::from(self.tables.stack.last().copied().unwrap_or(0));
+                let mut ctx_rng = SplitMix64::new(
+                    self.cond_seed(block) ^ context.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
                 ctx_rng.chance(bias)
             }
-            Pattern::Indirect { .. } => unreachable!("conditional block with indirect pattern"),
         }
     }
 
     /// Classifies indirect `block`: a skewed, patterned index into the
-    /// target list for each phase of the (1- or 2-execution) period.
-    fn classify_indirect(&self, block: u32, fan: usize) -> Pattern {
+    /// target list for each phase of the (1- or 2-execution) period, the
+    /// two equal for a period of 1.
+    fn classify_indirect(&self, block: u32, fan: usize) -> [u32; 2] {
         let seed = self.image_seed ^ (u64::from(block)).wrapping_mul(0x2545_F491_4F6C_DD1D);
         let mut pat_rng = SplitMix64::new(seed);
         // Most dispatch sites are effectively monomorphic (one hot target);
         // a minority alternate between two targets. The phase-1 index
         // continues the phase-0 RNG stream, as the unmemoized walk did.
-        let period = if pat_rng.chance(0.85) { 1 } else { 2 };
-        let mut idx = [0usize; 2];
-        for slot in &mut idx {
-            let mut i = 0;
-            while i + 1 < fan && pat_rng.chance(0.15) {
+        let alternates = !pat_rng.chance(0.85);
+        let mut draw = || {
+            let mut i = 0u32;
+            while (i as usize) + 1 < fan && pat_rng.chance(0.15) {
                 i += 1;
             }
-            *slot = i;
-        }
-        Pattern::Indirect { period, idx }
+            i
+        };
+        let first = draw();
+        [first, if alternates { draw() } else { first }]
     }
 
-    /// The memoized behaviour of conditional/indirect `block`, classifying
-    /// on first execution.
-    fn memo(&mut self, block: u32, classify: impl Fn(&Self) -> Pattern) -> BlockMemo {
-        match self.memo[block as usize] {
-            Some(m) => m,
+    /// The memoized deviation bit and pattern of conditional `block`,
+    /// classifying on first execution.
+    fn cond_memo(&mut self, block: u32, bias: f64, is_loop: bool) -> (bool, Pattern) {
+        match self.tables.memo[block as usize] {
+            Some(BlockMemo::Cond { deviates, pattern }) => (deviates, pattern),
+            Some(BlockMemo::Indirect { .. }) => {
+                unreachable!("conditional block with indirect memo")
+            }
             None => {
-                let m = BlockMemo { deviates: self.deviates(block), pattern: classify(self) };
-                self.memo[block as usize] = Some(m);
-                m
+                let deviates = self.deviates(block);
+                let pattern = self.classify_cond(block, bias, is_loop);
+                self.tables.memo[block as usize] = Some(BlockMemo::Cond { deviates, pattern });
+                (deviates, pattern)
+            }
+        }
+    }
+
+    /// The memoized deviation bit and phase indices of indirect `block`,
+    /// classifying on first execution.
+    fn indirect_memo(&mut self, block: u32, fan: usize) -> (bool, [u32; 2]) {
+        match self.tables.memo[block as usize] {
+            Some(BlockMemo::Indirect { deviates, idx }) => (deviates, idx),
+            Some(BlockMemo::Cond { .. }) => unreachable!("indirect block with conditional memo"),
+            None => {
+                let deviates = self.deviates(block);
+                let idx = self.classify_indirect(block, fan);
+                self.tables.memo[block as usize] = Some(BlockMemo::Indirect { deviates, idx });
+                (deviates, idx)
             }
         }
     }
@@ -329,7 +403,8 @@ impl<'a> TraceWalker<'a> {
     }
 
     fn next_root(&mut self) -> u32 {
-        let f = self.roots[self.root_pos % self.roots.len()];
+        let roots = &self.tables.roots;
+        let f = roots[self.root_pos % roots.len()];
         self.root_pos += 1;
         self.image.functions()[f as usize].first_block
     }
@@ -345,7 +420,7 @@ impl Iterator for TraceWalker<'_> {
         let bi = match self.current {
             Some(b) => b,
             None => {
-                self.stack.clear();
+                self.tables.stack.clear();
                 self.next_root()
             }
         };
@@ -356,14 +431,14 @@ impl Iterator for TraceWalker<'_> {
                 let target_addr = self.image.block(*target).start;
                 let k = self.bump_count(bi);
                 let is_loop = *target <= bi;
-                let memo = self.memo(bi, |w| w.classify_cond(bi, *bias, is_loop));
-                let mut taken = self.pattern_taken(memo.pattern, k, *bias);
+                let (deviates, pattern) = self.cond_memo(bi, *bias, is_loop);
+                let mut taken = self.pattern_taken(bi, pattern, k, *bias);
                 // Deviation flips forward branches only: flipping a loop
                 // back-edge could turn it into an infinite loop. Deviating
                 // loops shift their phase instead (a different trip count).
-                if memo.deviates {
+                if deviates {
                     if is_loop {
-                        taken = self.pattern_taken(memo.pattern, k + 1, *bias);
+                        taken = self.pattern_taken(bi, pattern, k + 1, *bias);
                     } else {
                         taken = !taken;
                     }
@@ -391,8 +466,8 @@ impl Iterator for TraceWalker<'_> {
             Terminator::Call { callee } => {
                 let entry = self.image.functions()[*callee as usize].first_block;
                 let entry_addr = self.image.block(entry).start;
-                if self.stack.len() < MAX_CALL_DEPTH {
-                    self.stack.push(bi + 1);
+                if self.tables.stack.len() < MAX_CALL_DEPTH {
+                    self.tables.stack.push(bi + 1);
                     (
                         ExecutedBranch {
                             pc,
@@ -416,7 +491,7 @@ impl Iterator for TraceWalker<'_> {
                     )
                 }
             }
-            Terminator::Ret => match self.stack.pop() {
+            Terminator::Ret => match self.tables.stack.pop() {
                 Some(ret_to) => (
                     ExecutedBranch {
                         pc,
@@ -443,12 +518,9 @@ impl Iterator for TraceWalker<'_> {
             },
             Terminator::Indirect { targets } => {
                 let k = self.bump_count(bi);
-                let memo = self.memo(bi, |w| w.classify_indirect(bi, targets.len()));
-                let Pattern::Indirect { period, idx } = memo.pattern else {
-                    unreachable!("indirect block with conditional pattern")
-                };
-                let mut idx = idx[(k % period) as usize];
-                if memo.deviates {
+                let (deviates, idx) = self.indirect_memo(bi, targets.len());
+                let mut idx = idx[(k % 2) as usize] as usize;
+                if deviates {
                     // A deviating dispatch site favours a different target
                     // this invocation.
                     idx = (idx + 1) % targets.len();
@@ -606,8 +678,8 @@ mod tests {
     #[test]
     fn root_order_is_invocation_invariant() {
         let img = small_image();
-        let a = TraceWalker::new(&img, 0, 10).roots.clone();
-        let b = TraceWalker::new(&img, 42, 10).roots.clone();
+        let a = TraceWalker::new(&img, 0, 10).tables.roots.clone();
+        let b = TraceWalker::new(&img, 42, 10).tables.roots.clone();
         assert_eq!(a, b, "root order must not depend on the invocation");
     }
 

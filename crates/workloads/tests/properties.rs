@@ -6,7 +6,7 @@ use ignite_uarch::addr::Addr;
 use ignite_uarch::btb::BranchKind;
 use ignite_workloads::arrival::{ArrivalConfig, Trace, TraceParseError};
 use ignite_workloads::gen::{generate, GenParams};
-use ignite_workloads::trace::TraceWalker;
+use ignite_workloads::trace::{TraceWalker, WalkTables};
 
 fn arb_params() -> impl Strategy<Value = GenParams> {
     (
@@ -146,6 +146,32 @@ proptest! {
         let a: Vec<_> = TraceWalker::new(&img, invocation, 2_000).collect();
         let b: Vec<_> = TraceWalker::new(&img, invocation, 2_000).collect();
         prop_assert_eq!(a, b);
+    }
+
+    /// A walk in lent tables yields exactly what a walk in fresh ones
+    /// does, whatever walks the tables served before. One `WalkTables`
+    /// serves every image largest first, so each later walk runs in
+    /// tables grown for a bigger image, and then a random sequence of
+    /// images, invocations, budgets and noise levels.
+    #[test]
+    fn reused_walk_tables_match_fresh_walks(
+        params in prop::collection::vec(arb_params(), 2..4),
+        walks in prop::collection::vec((0usize..4, 0u64..16, 0.0f64..0.3, 200u64..4_000), 1..6),
+    ) {
+        let mut images: Vec<_> = params.iter().map(generate).collect();
+        images.sort_by_key(|img| std::cmp::Reverse(img.blocks().len()));
+        prop_assume!(images[0].blocks().len() > images[images.len() - 1].blocks().len());
+        let largest_first = (0..images.len()).map(|i| (i, i as u64, 0.03, 3_000));
+        let random = walks.iter().map(|&(i, inv, noise, budget)| (i % images.len(), inv, noise, budget));
+        let mut tables = WalkTables::default();
+        for (i, invocation, noise, budget) in largest_first.chain(random) {
+            let image = &images[i];
+            let fresh: Vec<_> = TraceWalker::with_noise(image, invocation, budget, noise).collect();
+            let mut walker = TraceWalker::with_tables(image, invocation, budget, noise, tables);
+            let reused: Vec<_> = walker.by_ref().collect();
+            tables = walker.into_tables();
+            prop_assert_eq!(reused, fresh, "image {}, invocation {}", i, invocation);
+        }
     }
 
     /// Arrival generation is a pure function of the config: same seed ⇒
