@@ -68,6 +68,6 @@ pub use report::{ClusterReport, ObsSummary, CLUSTER_SCHEMA, CLUSTER_SCHEMA_V2};
 pub use sched::{NodeLoad, Scheduler, SchedulerKind};
 pub use sim::{
     sweep_capacities, ClusterConfig, ClusterOutcome, ClusterSim, ConfigError, CoreUsage,
-    FunctionSummary, NodeUsage, Topology, LATENCY_BUCKETS,
+    FunctionSummary, NodeUsage, Topology, LATENCY_BUCKETS, MAX_JOBS,
 };
 pub use tracecheck::{validate_trace, TraceSummary};

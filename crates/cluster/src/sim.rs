@@ -103,6 +103,13 @@ pub const MAX_BACKOFF_CYCLES: u64 = 1 << 32;
 /// this caps a run's machines at about 1.8 GB.
 pub const MAX_CORES: usize = 1024;
 
+/// Most worker threads a capacity sweep may ask for (the `cluster`
+/// binary's `--jobs`). Each worker simulates a whole cluster, whose
+/// default topology alone holds about 1.4 MB, and the fan-out panics if
+/// the OS refuses a thread, so the binary refuses larger values before
+/// anything runs.
+pub const MAX_JOBS: usize = 256;
+
 /// A configuration the simulator refuses to run, with enough structure
 /// for callers to match on. [`std::fmt::Display`] names the offending
 /// field; the CLI prints it and exits nonzero instead of panicking.

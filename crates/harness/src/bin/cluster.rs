@@ -26,8 +26,9 @@
 //!   --horizon CYCLES   arrival horizon (default 4000000)
 //!   --capacity BYTES   metadata store capacity (default 262144)
 //!   --policy P         eviction: lru, size-aware, pin-hot (default lru)
-//!   --jobs N           sweep worker threads (default 1; the sweep
-//!                      output is byte-identical at any job count)
+//!   --jobs N           sweep worker threads, at most 256 (default 1;
+//!                      the sweep output is byte-identical at any job
+//!                      count)
 //!   --threads N        alias for --jobs
 //!   --sweep B1,B2,...  run a store-capacity sweep, print a table (points
 //!                      at or above the unbounded run's peak footprint
@@ -94,7 +95,7 @@ use ignite_chaos::{parse_chaos_spec, parse_retry_spec, ChaosPlan};
 use ignite_cluster::{
     metrics_for, record_metrics, record_trace_health, sweep_capacities, validate_trace,
     ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, ObsSummary,
-    SchedulerKind, StaticPolicy,
+    SchedulerKind, StaticPolicy, MAX_JOBS,
 };
 use ignite_control::{Controller, ControllerSpec};
 use ignite_core::EvictionPolicy;
@@ -287,8 +288,8 @@ fn parse_args() -> Args {
                     usage();
                 });
             }
-            "--jobs" => args.threads = parse(&value(&mut it, "--jobs"), "--jobs"),
-            "--threads" => args.threads = parse(&value(&mut it, "--threads"), "--threads"),
+            "--jobs" => args.threads = parse_jobs(&value(&mut it, "--jobs"), "--jobs"),
+            "--threads" => args.threads = parse_jobs(&value(&mut it, "--threads"), "--threads"),
             "--sweep" => {
                 let list = value(&mut it, "--sweep");
                 args.sweep = Some(list.split(',').map(|c| parse(c.trim(), "--sweep")).collect());
@@ -338,6 +339,17 @@ fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
         eprintln!("cluster: bad value '{s}' for {flag}");
         usage();
     })
+}
+
+/// Parses a sweep worker count, refusing one above [`MAX_JOBS`]: each
+/// worker is an OS thread simulating a whole cluster.
+fn parse_jobs(s: &str, flag: &str) -> usize {
+    let jobs = parse(s, flag);
+    if jobs > MAX_JOBS {
+        eprintln!("cluster: {flag} must be at most {MAX_JOBS}, got {jobs}");
+        usage();
+    }
+    jobs
 }
 
 /// Builds the configured workload as a stream: the traffic spec, a

@@ -337,6 +337,24 @@ fn cluster_binary_rejects_trace_with_sweep() {
     assert!(out.stdout.is_empty(), "no sweep table may be printed");
 }
 
+/// Each sweep worker is an OS thread simulating a whole cluster, and the
+/// fan-out panics when the OS refuses a thread, so the binary refuses a
+/// worker count above `MAX_JOBS` (256) before anything runs, naming the
+/// flag. The cap itself is accepted. (A two-point sweep starts at most
+/// two threads whatever the count asked for.)
+#[test]
+fn cluster_binary_caps_sweep_jobs() {
+    for flag in ["--jobs", "--threads"] {
+        let out = cluster_binary(&["--sweep", "4096,8192", flag, "100000", "--horizon", "100000"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 100000: {stderr}");
+        assert!(stderr.contains(&format!("{flag} must be at most 256")), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} 100000: no sweep table may be printed");
+    }
+    let out = cluster_binary(&["--sweep", "4096,8192", "--jobs", "256", "--horizon", "100000"]);
+    assert!(out.status.success(), "--jobs 256: {}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// The trace text format is a faithful transport: emitting the generated
 /// trace, parsing it back, and serving it reproduces the direct run
 /// byte-for-byte (the cluster binary's `--emit-trace`/`--trace` path).

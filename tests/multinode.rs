@@ -129,27 +129,49 @@ fn multinode_child_emits_report() {
 /// (1 node, fifo, no keep-alive) reproduces the committed single-node
 /// goldens byte-for-byte — the chaos-free v1 report AND the chaos v2
 /// report. This is what lets the scheduler land without re-blessing
-/// any existing snapshot.
+/// any existing snapshot. Each explicit run is compared with a fresh run
+/// of its golden's own configuration (topology left at its default)
+/// and, except while `IGNITE_BLESS=1` lets the `cluster` and `chaos`
+/// test binaries rewrite the goldens, with the committed file, so the
+/// one-command re-bless does not depend on the order cargo runs the
+/// test binaries in.
 #[test]
 fn default_topology_reproduces_committed_goldens() {
-    let run = |chaos: bool| {
+    let run = |explicit: bool, chaos: bool| {
         let mut cfg = ClusterConfig::default();
         cfg.arrival.horizon_cycles = 800_000;
         cfg.store.capacity_bytes = 8 * 1024;
-        cfg.topology =
-            Topology { nodes: 1, scheduler: SchedulerKind::Fifo, keepalive: KeepAliveKind::None };
+        if explicit {
+            cfg.topology = Topology {
+                nodes: 1,
+                scheduler: SchedulerKind::Fifo,
+                keepalive: KeepAliveKind::None,
+            };
+        }
         if chaos {
             cfg.chaos = Some(ChaosPlan::default_preset().seeded(7));
         }
         let outcome = ClusterSim::new(cfg.clone()).run();
         ClusterReport::new(cfg, outcome).to_json()
     };
-    let v1 = std::fs::read_to_string(golden_dir().join("cluster.json"))
-        .expect("committed cluster golden");
-    assert_eq!(run(false), v1, "1-node fifo/none run must match the committed v1 golden");
-    let v2 =
-        std::fs::read_to_string(golden_dir().join("chaos.json")).expect("committed chaos golden");
-    assert_eq!(run(true), v2, "1-node fifo/none chaos run must match the committed v2 golden");
+    let bless = std::env::var_os("IGNITE_BLESS").is_some_and(|v| v == "1");
+    for (chaos, golden, label) in [(false, "cluster.json", "v1"), (true, "chaos.json", "v2")] {
+        let current = run(true, chaos);
+        assert_eq!(
+            current,
+            run(false, chaos),
+            "1-node fifo/none run must match the {label} golden's own configuration"
+        );
+        if bless {
+            continue;
+        }
+        let committed = std::fs::read_to_string(golden_dir().join(golden))
+            .unwrap_or_else(|e| panic!("cannot read committed {golden} ({e})"));
+        assert_eq!(
+            current, committed,
+            "1-node fifo/none run must match the committed {label} golden"
+        );
+    }
 }
 
 /// Mislabeled per-node sections must not validate: pairing between the
