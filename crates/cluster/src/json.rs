@@ -1,15 +1,20 @@
-//! Minimal JSON support: enough to write and re-read the cluster and
-//! scope reports with no external dependencies (the workspace builds
-//! offline; serde is not available). It is the one JSON implementation
-//! in the workspace.
+//! Minimal JSON support: enough to write the cluster and scope reports
+//! and read them back into their types, with no external dependencies
+//! (the workspace builds offline; serde is not available). It is the one
+//! JSON implementation in the workspace.
 //!
-//! [`Writer`] lays out the cluster and scope reports; [`escape`] and
-//! [`number`] render single tokens. [`parse`] is a strict recursive-descent
-//! reader for the subset of JSON the reports use: malformed input, or
-//! nesting deeper than [`MAX_DEPTH`], returns an error and never panics.
-//! [`same_shape`] checks a document against what an emitter writes; the
-//! report validators emit a zero-valued skeleton with the document's
-//! optional sections and row counts, and compare.
+//! [`Writer`] lays out a report; [`escape`] and [`number`] render single
+//! tokens. [`parse`] is a strict recursive-descent reader for the subset
+//! of JSON the reports use: malformed input, or nesting deeper than
+//! [`MAX_DEPTH`], returns an error and never panics.
+//!
+//! A report's [`Walker`] walks its sections in document order, listing
+//! each record's keys once, in a field table of [`Field`]s, to write the
+//! report or to read it back. A value the report derives from others is
+//! written but never read, so [`same_doc`], comparing a document with
+//! the report written back from what was read, names a key that is
+//! missing, mistyped or unknown, and a derived value that disagrees with
+//! the values it comes from.
 
 use std::fmt::{Display, Write as _};
 
@@ -73,22 +78,201 @@ pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// The pairs of the object under `key`; empty when there is none.
-pub fn get_object<'a>(obj: &'a [(String, Value)], key: &str) -> &'a [(String, Value)] {
-    get(obj, key).and_then(Value::as_object).unwrap_or_default()
+/// A value of a typed record that a field table writes and reads.
+pub trait Scalar {
+    /// Writes `"key": value`.
+    fn write(&self, w: &mut Writer, key: &str);
+    /// Sets the value from `v` when `v` holds one, and leaves it otherwise.
+    fn read(&mut self, v: &Value);
 }
 
-/// The elements of the array under `key`; empty when there is none.
-pub fn get_array<'a>(obj: &'a [(String, Value)], key: &str) -> &'a [Value] {
-    get(obj, key).and_then(Value::as_array).unwrap_or_default()
+/// A number writes with the writer's `$write`. An integer reads any
+/// number, saturating and dropping a fraction.
+macro_rules! number_scalar {
+    ($($t:ty: $write:ident),*) => {$(
+        impl Scalar for $t {
+            fn write(&self, w: &mut Writer, key: &str) {
+                w.$write(key, *self);
+            }
+
+            fn read(&mut self, v: &Value) {
+                if let Some(x) = v.as_f64() {
+                    *self = x as $t;
+                }
+            }
+        }
+    )*};
+}
+number_scalar!(u64: field, u32: field, usize: field, i64: field, f64: float);
+
+impl Scalar for String {
+    fn write(&self, w: &mut Writer, key: &str) {
+        w.field(key, escape(self));
+    }
+
+    fn read(&mut self, v: &Value) {
+        if let Some(s) = v.as_str() {
+            s.clone_into(self);
+        }
+    }
 }
 
-/// The number under `key` as a count: an integer in `0..=2^53`, so a sum
-/// of a few cannot overflow. `ctx` names the object in the error.
-pub fn get_count(obj: &[(String, Value)], ctx: &str, key: &str) -> Result<u64, String> {
-    let x = get(obj, key).and_then(Value::as_f64).unwrap_or(f64::NAN);
-    let exact = x.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(&x);
-    exact.then_some(x as u64).ok_or_else(|| format!("{ctx}.{key}: expected a count, found {x}"))
+/// One entry of a field table: a record's keys in document order, each
+/// with its value, listed once for both writing and reading.
+pub enum Field<'a> {
+    /// A value the document carries: read, then written back.
+    Stored(&'a mut dyn Scalar),
+    /// A count derived from other values: written, never read.
+    Count(u64),
+    /// A ratio or mean derived from other values: written, never read.
+    Float(f64),
+    /// A fixed string, such as a schema tag: written, never read.
+    Tag(&'static str),
+    /// `null`: written, never read.
+    Null,
+    /// A key the record leaves out, of a section its run did not have.
+    Absent,
+}
+
+impl Field<'_> {
+    /// This entry if `on`, else [`Field::Absent`].
+    pub fn when(self, on: bool) -> Self {
+        if on {
+            self
+        } else {
+            Field::Absent
+        }
+    }
+}
+
+/// A field table of `N` entries.
+pub type Table<'a, const N: usize> = [(&'static str, Field<'a>); N];
+
+/// Row `i` of `rows`, which a reader, walking the rows in order, adds.
+pub fn row<T: Default>(rows: &mut Vec<T>, i: usize) -> &mut T {
+    if i == rows.len() {
+        rows.push(T::default());
+    }
+    &mut rows[i]
+}
+
+/// Writes a report, or reads one back into its types, in one walk of its
+/// sections in document order, a field table at a time: the walk defines
+/// both the layout and its reading. Reading, a missing value or one of
+/// the wrong kind leaves its field as it was, and a section that is no
+/// object reads as an empty one; comparing the document with the report
+/// written back ([`same_doc`]) then names the first such key by its path.
+/// Rows come from the document's arrays, never sized from a number in it.
+pub struct Walker<'a> {
+    /// The document written so far; `None` when reading.
+    out: Option<Writer>,
+    /// When reading, the object the walk is in.
+    pairs: &'a [(String, Value)],
+}
+
+impl<'a> Walker<'a> {
+    /// A walker that writes a report.
+    pub fn writer() -> Self {
+        Walker { out: Some(Writer::default()), pairs: &[] }
+    }
+
+    /// A walker that reads `doc`.
+    pub fn reader(doc: &'a Value) -> Self {
+        Walker { out: None, pairs: doc.as_object().unwrap_or_default() }
+    }
+
+    /// The document written.
+    pub fn finish(self) -> String {
+        self.out.map(Writer::finish).unwrap_or_default()
+    }
+
+    /// The value under `key` in the object being read, if there is one.
+    pub fn get(&self, key: &str) -> Option<&'a Value> {
+        get(self.pairs, key)
+    }
+
+    /// Writes a field table, or reads its stored values.
+    pub fn table<'b>(&mut self, table: impl IntoIterator<Item = (&'static str, Field<'b>)>) {
+        for (key, field) in table {
+            let Some(w) = &mut self.out else {
+                if let (Field::Stored(v), Some(x)) = (field, get(self.pairs, key)) {
+                    v.read(x);
+                }
+                continue;
+            };
+            match field {
+                Field::Stored(v) => v.write(w, key),
+                Field::Count(n) => w.field(key, n),
+                Field::Float(x) => w.float(key, x),
+                Field::Tag(s) => w.field(key, escape(s)),
+                Field::Null => w.field(key, "null"),
+                Field::Absent => {}
+            }
+        }
+    }
+
+    /// Walks the object under `key` with `body`.
+    pub fn section(&mut self, key: &str, body: impl FnOnce(&mut Self)) {
+        let outer = self.enter(Some(key), ['{', '}'], false, self.get(key));
+        body(self);
+        self.leave(outer);
+    }
+
+    /// Walks the object under `key`, which holds a field table.
+    pub fn fields<'b>(
+        &mut self,
+        key: &str,
+        table: impl IntoIterator<Item = (&'static str, Field<'b>)>,
+    ) {
+        self.section(key, |w| w.table(table));
+    }
+
+    /// Walks the rows of the array under `key` with `row`, given each
+    /// row's index and record: the records of `rows` when writing, and
+    /// when reading as many new records as the document's array holds.
+    /// An `inline` row is written on one line.
+    pub fn rows<T: Default>(
+        &mut self,
+        key: &str,
+        rows: &mut Vec<T>,
+        inline: bool,
+        mut row: impl FnMut(&mut Self, usize, &mut T),
+    ) {
+        let items = self.get(key).and_then(Value::as_array).unwrap_or_default();
+        if self.out.is_none() {
+            rows.resize_with(items.len(), T::default);
+        }
+        let outer = self.enter(Some(key), ['[', ']'], false, None);
+        for (i, record) in rows.iter_mut().enumerate() {
+            self.enter(None, ['{', '}'], inline, items.get(i));
+            row(self, i, record);
+            self.leave(&[]);
+        }
+        self.leave(outer);
+    }
+
+    /// Opens an object or array, under `key` when it has one, and reads
+    /// `v` as the object inside; returns the object to go back to.
+    fn enter(
+        &mut self,
+        key: Option<&str>,
+        brackets: [char; 2],
+        inline: bool,
+        v: Option<&'a Value>,
+    ) -> &'a [(String, Value)] {
+        if let Some(w) = &mut self.out {
+            w.open(key, brackets, inline);
+        }
+        std::mem::replace(&mut self.pairs, v.and_then(Value::as_object).unwrap_or_default())
+    }
+
+    /// Closes what [`Walker::enter`] opened, going back to `outer`.
+    fn leave(&mut self, outer: &'a [(String, Value)]) {
+        if let Some(w) = &mut self.out {
+            w.close();
+        }
+        self.pairs = outer;
+    }
 }
 
 /// Renders a string as a quoted JSON literal.
@@ -181,28 +365,8 @@ impl Writer {
         self.field(key, if x.is_finite() { x } else { 0.0 });
     }
 
-    /// Opens an object under `key`, up to the matching [`Writer::close`].
-    pub fn object(&mut self, key: &str) {
-        self.open(Some(key), ['{', '}'], false);
-    }
-
-    /// Opens an array under `key`, up to the matching [`Writer::close`].
-    pub fn array(&mut self, key: &str) {
-        self.open(Some(key), ['[', ']'], false);
-    }
-
-    /// Opens an object as the next element of the innermost array.
-    pub fn row(&mut self) {
-        self.open(None, ['{', '}'], false);
-    }
-
-    /// Opens an inline row as the next element of the innermost array.
-    pub fn inline_row(&mut self) {
-        self.open(None, ['{', '}'], true);
-    }
-
     /// Closes the innermost open object or array.
-    pub fn close(&mut self) {
+    fn close(&mut self) {
         let close = self.open.pop().expect("an open object or array");
         if !std::mem::take(&mut self.inline) {
             self.out.push('\n');
@@ -219,15 +383,25 @@ impl Writer {
     }
 }
 
-/// Checks that `doc` has the shape of `want`: at every path, the same keys
-/// in the same order, the same array lengths and the same kind of value.
-/// The error names the first path that differs, rooted at `path`.
-pub fn same_shape(doc: &Value, want: &Value, path: &str) -> Result<(), String> {
+/// Checks that `doc` has the shape of `want`, and with `values` is
+/// `want`, naming the first path that differs, rooted at `path`: at
+/// every path, the same keys in the same order, the same array lengths
+/// and the same kind of value, and with `values` equal scalars.
+pub fn same_doc(doc: &Value, want: &Value, path: &str, values: bool) -> Result<(), String> {
+    compare(doc, want, &mut path.to_string(), values)
+}
+
+fn compare(doc: &Value, want: &Value, path: &mut String, values: bool) -> Result<(), String> {
+    let len = path.len();
     match (doc, want) {
         (Value::Object(d), Value::Object(w)) => {
             for (i, (key, wv)) in w.iter().enumerate() {
                 match d.get(i) {
-                    Some((k, dv)) if k == key => same_shape(dv, wv, &format!("{path}.{key}"))?,
+                    Some((k, dv)) if k == key => {
+                        let _ = write!(path, ".{key}");
+                        compare(dv, wv, path, values)?;
+                        path.truncate(len);
+                    }
                     Some((k, _)) if get(w, k).is_none() => {
                         return Err(format!("{path}: unexpected key '{k}'"))
                     }
@@ -241,14 +415,27 @@ pub fn same_shape(doc: &Value, want: &Value, path: &str) -> Result<(), String> {
             }
         }
         (Value::Array(d), Value::Array(w)) if d.len() == w.len() => {
-            let mut items = d.iter().zip(w).enumerate();
-            items.try_for_each(|(i, (dv, wv))| same_shape(dv, wv, &format!("{path}[{i}]")))
+            for (i, (dv, wv)) in d.iter().zip(w).enumerate() {
+                let _ = write!(path, "[{i}]");
+                compare(dv, wv, path, values)?;
+                path.truncate(len);
+            }
+            Ok(())
         }
         (Value::Array(d), Value::Array(w)) => {
             Err(format!("{path}: {} entries, expected {}", d.len(), w.len()))
         }
-        _ if kind(doc) == kind(want) => Ok(()),
-        _ => Err(format!("{path}: expected {}, found {}", kind(want), kind(doc))),
+        _ if kind(doc) != kind(want) => {
+            Err(format!("{path}: expected {}, found {}", kind(want), kind(doc)))
+        }
+        _ if !values || doc == want => Ok(()),
+        (Value::Number(d), Value::Number(w)) => {
+            Err(format!("{path}: expected {}, found {}", number(*w), number(*d)))
+        }
+        (Value::String(d), Value::String(w)) => {
+            Err(format!("{path}: expected {}, found {}", escape(w), escape(d)))
+        }
+        _ => Err(format!("{path}: expected {want:?}, found {doc:?}")),
     }
 }
 
@@ -265,7 +452,7 @@ fn kind(v: &Value) -> &'static str {
 
 /// Parses a JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { text, pos: 0, depth: 0 };
+    let mut p = Parser { text, pos: 0, depth: 0, pairs: Vec::new(), elements: Vec::new() };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -282,6 +469,11 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects open at `pos`.
     depth: usize,
+    /// The members read so far of every open object, innermost last: a
+    /// closed object moves its own into a vector of exactly their number.
+    pairs: Vec<(String, Value)>,
+    /// The same for the elements of every open array.
+    elements: Vec<Value>,
 }
 
 impl Parser<'_> {
@@ -320,14 +512,28 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => Ok(Value::Object(self.items(b'}', |p| {
-                let key = p.string()?;
-                p.skip_ws();
-                p.expect(b':')?;
-                p.skip_ws();
-                Ok((key, p.value()?))
-            })?)),
-            Some(b'[') => Ok(Value::Array(self.items(b']', Self::value)?)),
+            Some(b'{') => {
+                let start = self.pairs.len();
+                self.items(b'}', |p| {
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(b':')?;
+                    p.skip_ws();
+                    let value = p.value()?;
+                    p.pairs.push((key, value));
+                    Ok(())
+                })?;
+                Ok(Value::Object(self.pairs.drain(start..).collect()))
+            }
+            Some(b'[') => {
+                let start = self.elements.len();
+                self.items(b']', |p| {
+                    let value = p.value()?;
+                    p.elements.push(value);
+                    Ok(())
+                })?;
+                Ok(Value::Array(self.elements.drain(start..).collect()))
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -339,24 +545,23 @@ impl Parser<'_> {
 
     /// Reads the comma-separated items of the object or array opening at
     /// `pos`, through its `close` bracket.
-    fn items<T>(
+    fn items(
         &mut self,
         close: u8,
-        mut item: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         if self.depth == MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
         }
         self.depth += 1;
         self.pos += 1;
         self.skip_ws();
-        let mut items = Vec::new();
         if self.peek() == Some(close) {
             self.pos += 1;
         } else {
             loop {
                 self.skip_ws();
-                items.push(item(self)?);
+                item(self)?;
                 self.skip_ws();
                 match self.bump() {
                     Some(b',') => {}
@@ -369,7 +574,7 @@ impl Parser<'_> {
             }
         }
         self.depth -= 1;
-        Ok(items)
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -464,20 +669,20 @@ mod tests {
     fn writer_places_commas_and_indentation() {
         let mut w = Writer::default();
         w.field("a", 1);
-        w.object("b");
+        w.open(Some("b"), ['{', '}'], false);
         w.float("x", f64::NAN);
         w.float("y", 0.5);
         w.close();
-        w.array("rows");
-        w.inline_row();
+        w.open(Some("rows"), ['[', ']'], false);
+        w.open(None, ['{', '}'], true);
         w.field("i", 0);
         w.field("s", escape("q\""));
         w.close();
-        w.row();
+        w.open(None, ['{', '}'], false);
         w.field("j", "null");
         w.close();
         w.close();
-        w.array("none");
+        w.open(Some("none"), ['[', ']'], false);
         w.close();
         let want = "{\n  \"a\": 1,\n  \"b\": {\n    \"x\": 0,\n    \"y\": 0.5\n  },\n  \
                     \"rows\": [\n    {\"i\": 0, \"s\": \"q\\\"\"},\n    {\n      \"j\": null\n    }\n  \
@@ -490,8 +695,16 @@ mod tests {
     #[test]
     fn same_shape_names_the_first_difference() {
         let want = parse(r#"{"a": 1, "b": [{"c": "x"}], "d": null}"#).unwrap();
-        let same = parse(r#"{"a": 2, "b": [{"c": "y"}], "d": null}"#).unwrap();
-        assert_eq!(same_shape(&same, &want, "r"), Ok(()));
+        let same = parse(r#"{"a": 1.0, "b": [{"c": "x"}], "d": null}"#).unwrap();
+        assert_eq!(same_doc(&same, &want, "r", true), Ok(()));
+        // Values differ only in the second pass.
+        for (doc, err) in [
+            (r#"{"a": 2, "b": [{"c": "x"}], "d": null}"#, "r.a: expected 1, found 2"),
+            (r#"{"a": 1, "b": [{"c": "y"}], "d": null}"#, r#"r.b[0].c: expected "x", found "y""#),
+        ] {
+            assert_eq!(same_doc(&parse(doc).unwrap(), &want, "r", false), Ok(()), "{doc}");
+            assert_eq!(same_doc(&parse(doc).unwrap(), &want, "r", true), Err(err.to_string()));
+        }
         for (doc, err) in [
             (r#"{"b": [{"c": "x"}], "d": null}"#, "r: missing 'a'"),
             (r#"{"a": 1, "z": 0, "b": [{"c": "x"}], "d": null}"#, "r: unexpected key 'z'"),
@@ -508,19 +721,55 @@ mod tests {
             ),
             (r#"{"a": 1, "b": [{"c": "x"}], "d": {}}"#, "r.d: expected null, found an object"),
         ] {
-            assert_eq!(same_shape(&parse(doc).unwrap(), &want, "r"), Err(err.to_string()), "{doc}");
+            let doc = parse(doc).unwrap();
+            assert_eq!(same_doc(&doc, &want, "r", false), Err(err.to_string()), "{doc:?}");
         }
     }
 
+    /// A reading walk fills the stored values of the right kind, leaves
+    /// the rest as they were, skips derived entries and takes its rows
+    /// from the arrays; a writing walk writes back what it read.
+    #[test]
+    fn a_walk_writes_back_what_it_reads() {
+        fn walk(w: &mut Walker, a: &mut u64, b: &mut String, rows: &mut Vec<u64>) {
+            w.table([("a", Field::Stored(a)), ("b", Field::Stored(b)), ("c", Field::Count(4))]);
+            w.rows("rows", rows, true, |w, _, n| w.table([("n", Field::Stored(n))]));
+        }
+        let doc = parse(r#"{"a": 3, "b": 1, "c": 9, "rows": [{"n": 1}, {"n": "2"}, 5]}"#).unwrap();
+        let (mut a, mut b, mut rows) = (7, "x".to_string(), Vec::new());
+        walk(&mut Walker::reader(&doc), &mut a, &mut b, &mut rows);
+        assert_eq!((a, b.as_str(), rows.as_slice()), (3, "x", &[1, 0, 0][..]));
+        let mut w = Walker::writer();
+        walk(&mut w, &mut a, &mut b, &mut rows);
+        let want =
+            "{\n  \"a\": 3,\n  \"b\": \"x\",\n  \"c\": 4,\n  \"rows\": [\n    {\"n\": 1},\n    \
+                    {\"n\": 0},\n    {\"n\": 0}\n  ]\n}\n";
+        assert_eq!(w.finish(), want);
+    }
+
+    /// A count reads any number, and only an exact integer in `u64`'s
+    /// range is written back as the number the document holds.
     #[test]
     fn counts_are_exact_non_negative_integers() {
-        let doc = parse(r#"{"a": 3, "b": -1, "c": 1.5, "d": 1e300, "e": "3"}"#).unwrap();
-        let obj = doc.as_object().unwrap();
-        assert_eq!(get_count(obj, "x", "a"), Ok(3));
-        for key in ["b", "c", "d", "e", "missing"] {
-            let err = get_count(obj, "x", key).unwrap_err();
-            assert!(err.starts_with(&format!("x.{key}: expected a count")), "{err}");
+        let read_back = |doc: &str| {
+            let (doc, mut n) = (parse(doc).unwrap(), 7u64);
+            Walker::reader(&doc).table([("n", Field::Stored(&mut n))]);
+            let mut w = Walker::writer();
+            w.table([("n", Field::Stored(&mut n))]);
+            same_doc(&doc, &parse(&w.finish()).unwrap(), "x", true)
+        };
+        assert_eq!(read_back(r#"{"n": 3}"#), Ok(()));
+        assert_eq!(read_back(r#"{"n": 18446744073709551615}"#), Ok(()));
+        for (n, err) in [
+            ("-1", "x.n: expected 0, found -1"),
+            ("1.5", "x.n: expected 1, found 1.5"),
+            (r#""3""#, "x.n: expected a number, found a string"),
+        ] {
+            assert_eq!(read_back(&format!(r#"{{"n": {n}}}"#)), Err(err.to_string()), "{n}");
         }
+        assert!(read_back(r#"{"n": 1e300}"#)
+            .unwrap_err()
+            .starts_with("x.n: expected 18446744073709552000"));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct ClusterGauges {
 /// One controller decision: the cause snapshot (`observed` vs
 /// `threshold`), the rule that fired, and the actuated `value`.
 /// `function` is `u32::MAX` for cluster-wide decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Decision {
     /// Epoch-boundary cycle the decision actuated at.
     pub at: u64,

@@ -8,19 +8,22 @@
 //! for floats — so two same-seed runs, in different processes, produce
 //! identical bytes (the golden tests rely on this).
 //!
-//! [`ClusterReport::to_json`] is the only definition of the schema:
-//! [`ClusterReport::validate`] checks a document against what `to_json`
-//! writes for the same optional sections and row counts.
+//! Each section's keys are listed once, in a field table ([`json::Field`])
+//! that drives both [`ClusterReport::to_json`] and
+//! [`ClusterReport::from_json`]. A value `to_json` derives from others — a
+//! hit rate, the mean utilization, a slowdown, the aggregate replay
+//! counters, a row's index, the controller's fire counts, the schema tags
+//! — is recomputed, never read back.
 
 use ignite_chaos::{ChaosPlan, ChaosStats};
-use ignite_core::ReplayStats;
+use ignite_core::{EvictionPolicy, ReplayStats, StoreStats};
 use ignite_obs::CtrlRule;
 
-use crate::json::{self, Value};
+use crate::json::{self, Field::*, Scalar, Table, Value, Walker};
 use crate::keepalive::KeepAliveKind;
-use crate::policy::{ControllerStats, Decision};
+use crate::policy::ControllerStats;
 use crate::sched::SchedulerKind;
-use crate::sim::{ClusterConfig, ClusterOutcome, CoreUsage, FunctionSummary, NodeUsage, Topology};
+use crate::sim::{ClusterConfig, ClusterOutcome};
 
 /// Schema tag written into (and required of) every chaos-free report.
 pub const CLUSTER_SCHEMA: &str = "ignite-cluster-v1";
@@ -57,28 +60,99 @@ pub struct ClusterReport {
     /// untraced reports — including the golden snapshot — byte-identical
     /// to pre-observability output.
     pub obs: Option<ObsSummary>,
+    /// Each function's `cpi`, `l1i_mpki` and `btb_mpki`, in
+    /// `outcome.functions` order. The document carries these ratios but
+    /// not the engine sums they come from, so [`ClusterReport::new`]
+    /// computes them once.
+    pub engine: Vec<[f64; 3]>,
+    /// The totals' `instructions`: the engine results' sum.
+    pub instructions: u64,
+    /// The totals' `cycles`: the engine results' sum.
+    pub cycles: u64,
 }
 
-fn write_replay(w: &mut json::Writer, replay: &ReplayStats, unfinished: u64) {
-    w.object("replay");
-    w.field("entries_restored", replay.entries_restored);
-    w.field("bim_initialized", replay.bim_initialized);
-    w.field("l2_prefetches", replay.l2_prefetches);
-    w.field("itlb_warmed", replay.itlb_warmed);
-    w.field("metadata_bytes", replay.metadata_bytes);
-    w.field("throttled_steps", replay.throttled_steps);
-    w.field("decode_errors", replay.decode_errors);
-    w.field("entries_dropped", replay.entries_dropped);
-    w.field("stale_restored", replay.stale_restored);
-    w.field("watchdog_abandons", replay.watchdog_abandons);
-    w.field("replay_unfinished", unfinished);
-    w.close();
+/// A policy or rule: written as its spec string, which reads back. An
+/// unknown spec leaves the value as it was.
+macro_rules! spec_scalar {
+    ($($t:ty: $spec:expr, $parse:expr;)*) => {$(
+        impl Scalar for $t {
+            fn write(&self, w: &mut json::Writer, key: &str) {
+                w.field(key, json::escape(&($spec)(self)));
+            }
+
+            fn read(&mut self, v: &Value) {
+                if let Some(parsed) = v.as_str().and_then($parse) {
+                    *self = parsed;
+                }
+            }
+        }
+    )*};
+}
+spec_scalar! {
+    SchedulerKind: SchedulerKind::spec, |s| SchedulerKind::parse(s).ok();
+    KeepAliveKind: KeepAliveKind::spec, |s| KeepAliveKind::parse(s).ok();
+    EvictionPolicy: |p: &Self| p.name(), EvictionPolicy::parse;
+    CtrlRule: |r: &Self| r.key(), |s| Self::ALL.into_iter().find(|r| r.key() == s);
+}
+
+/// A store section; a node's keeps only the hit and miss counters.
+fn store_fields<'a>(
+    st: &'a mut StoreStats,
+    all: bool,
+    footprint: &'a mut usize,
+    peak: &'a mut usize,
+) -> Table<'a, 11> {
+    let hit_rate = st.hit_rate();
+    [
+        ("hits", Stored(&mut st.hits)),
+        ("misses", Stored(&mut st.misses)),
+        ("hit_rate", Float(hit_rate)),
+        ("insertions", Stored(&mut st.insertions).when(all)),
+        ("evictions", Stored(&mut st.evictions).when(all)),
+        ("rejected", Stored(&mut st.rejected).when(all)),
+        ("bytes_read", Stored(&mut st.bytes_read).when(all)),
+        ("bytes_written", Stored(&mut st.bytes_written).when(all)),
+        ("bytes_evicted", Stored(&mut st.bytes_evicted).when(all)),
+        ("footprint_bytes", Stored(footprint)),
+        ("peak_footprint_bytes", Stored(peak)),
+    ]
+}
+
+fn replay_fields<'a>(r: &'a mut ReplayStats, unfinished: &'a mut u64) -> Table<'a, 11> {
+    [
+        ("entries_restored", Stored(&mut r.entries_restored)),
+        ("bim_initialized", Stored(&mut r.bim_initialized)),
+        ("l2_prefetches", Stored(&mut r.l2_prefetches)),
+        ("itlb_warmed", Stored(&mut r.itlb_warmed)),
+        ("metadata_bytes", Stored(&mut r.metadata_bytes)),
+        ("throttled_steps", Stored(&mut r.throttled_steps)),
+        ("decode_errors", Stored(&mut r.decode_errors)),
+        ("entries_dropped", Stored(&mut r.entries_dropped)),
+        ("stale_restored", Stored(&mut r.stale_restored)),
+        ("watchdog_abandons", Stored(&mut r.watchdog_abandons)),
+        ("replay_unfinished", Stored(unfinished)),
+    ]
+}
+
+/// The sum of `column` over `rows`, `None` when there are none.
+fn sum<T>(rows: &[T], column: impl Fn(&T) -> u64) -> Option<u128> {
+    (!rows.is_empty()).then(|| rows.iter().map(|row| u128::from(column(row))).sum())
 }
 
 impl ClusterReport {
-    /// Pairs a configuration with its outcome.
+    /// Pairs a configuration with its outcome, computing the engine
+    /// figures the report writes from each function's engine result.
     pub fn new(config: ClusterConfig, outcome: ClusterOutcome) -> Self {
-        ClusterReport { config, outcome, obs: None }
+        let total = outcome.total_result();
+        let engine = outcome.functions.iter().map(|f| &f.result);
+        ClusterReport {
+            engine: engine.map(|r| [r.cpi(), r.l1i_mpki(), r.btb_mpki()]).collect(),
+            instructions: total.instructions,
+            cycles: total.cycles,
+            config,
+            outcome,
+            obs: None,
+        }
     }
 
     /// Attaches trace-buffer health (traced runs only).
@@ -107,428 +181,380 @@ impl ClusterReport {
     /// tag. A default topology emits none of them, keeping single-node
     /// reports byte-identical to pre-multinode output.
     pub fn to_json(&self) -> String {
-        let cfg = &self.config;
-        let out = &self.outcome;
-        let total = out.total_result();
-        let multi = !cfg.topology.is_default();
-        let mut w = json::Writer::default();
-        w.field("schema", json::escape(self.schema()));
-        w.object("config");
-        w.field("cores", cfg.cores);
+        self.clone().write()
+    }
+
+    fn write(&mut self) -> String {
+        let mut w = Walker::writer();
+        self.walk(&mut w, !self.config.topology.is_default());
+        w.finish()
+    }
+
+    /// Walks the report in document order. A reader has set each optional
+    /// section the document holds to its default beforehand, and `multi`
+    /// says whether the topology's keys and sections are there.
+    fn walk(&mut self, w: &mut Walker, multi: bool) {
+        let chaos = self.outcome.chaos.is_some();
+        w.table([("schema", Tag(self.schema()))]);
+        let cfg = &mut self.config;
+        let (topology, arrival, store) = (&mut cfg.topology, &mut cfg.arrival, &mut cfg.store);
+        w.fields(
+            "config",
+            [
+                ("cores", Stored(&mut cfg.cores)),
+                ("nodes", Stored(&mut topology.nodes).when(multi)),
+                ("scheduler", Stored(&mut topology.scheduler).when(multi)),
+                ("keepalive", Stored(&mut topology.keepalive).when(multi)),
+                ("fe", Stored(&mut cfg.fe.name)),
+                ("scale", Stored(&mut cfg.scale)),
+                ("seed", Stored(&mut arrival.seed)),
+                ("functions", Stored(&mut arrival.functions)),
+                ("rate_per_mcycle", Stored(&mut arrival.rate_per_mcycle)),
+                ("zipf_s", Stored(&mut arrival.zipf_s)),
+                ("horizon_cycles", Stored(&mut arrival.horizon_cycles)),
+                ("traffic", cfg.traffic.as_mut().map_or(Absent, |s| Stored(s))),
+                ("controller", cfg.controller.as_mut().map_or(Absent, |s| Stored(s))),
+                ("store_capacity_bytes", Stored(&mut store.capacity_bytes)),
+                ("store_policy", Stored(&mut store.policy)),
+                ("store_pinned_hot", Stored(&mut store.pinned_hot)),
+                ("distance_saturation", Stored(&mut cfg.distance_saturation)),
+                ("dram_bytes_per_cycle", Stored(&mut cfg.dram_bytes_per_cycle)),
+            ],
+        );
+        let out = &mut self.outcome;
+        let (utilization, wasted) = (out.mean_utilization(), out.wasted_keepalive_cycles());
+        w.fields(
+            "totals",
+            [
+                ("invocations", Stored(&mut out.invocations)),
+                ("makespan_cycles", Stored(&mut out.makespan)),
+                ("instructions", Stored(&mut self.instructions)),
+                ("cycles", Stored(&mut self.cycles)),
+                ("mean_latency_cycles", Stored(&mut out.mean_latency)),
+                ("p50_latency_cycles", Stored(&mut out.p50_latency)),
+                ("p95_latency_cycles", Stored(&mut out.p95_latency)),
+                ("p99_latency_cycles", Stored(&mut out.p99_latency)),
+                ("mean_utilization", Float(utilization)),
+                ("wasted_keepalive_cycles", Count(wasted).when(multi)),
+            ],
+        );
+        w.rows("cores", &mut out.cores, true, |w, i, c| {
+            w.table([
+                ("core", Count(i as u64)),
+                ("invocations", Stored(&mut c.invocations)),
+                ("busy_cycles", Stored(&mut c.busy_cycles)),
+                ("utilization", Stored(&mut c.utilization)),
+            ])
+        });
         if multi {
-            w.field("nodes", cfg.topology.nodes);
-            w.field("scheduler", json::escape(&cfg.topology.scheduler.spec()));
-            w.field("keepalive", json::escape(&cfg.topology.keepalive.spec()));
+            w.rows("nodes", &mut out.nodes, false, |w, i, nd| {
+                w.table([
+                    ("node", Count(i as u64)),
+                    ("submitted", Stored(&mut nd.submitted)),
+                    ("completed", Stored(&mut nd.completed)),
+                    ("dropped", Stored(&mut nd.dropped)),
+                    ("queue_peak", Stored(&mut nd.queue_peak)),
+                    ("busy_cycles", Stored(&mut nd.busy_cycles)),
+                    ("utilization", Stored(&mut nd.utilization)),
+                    ("wasted_keepalive_cycles", Stored(&mut nd.wasted_keepalive_cycles)),
+                ]);
+                let (footprint, peak) = (&mut nd.footprint_bytes, &mut nd.peak_footprint_bytes);
+                w.fields("store", store_fields(&mut nd.store, false, footprint, peak))
+            });
         }
-        w.field("fe", json::escape(&cfg.fe.name));
-        w.float("scale", cfg.scale);
-        w.field("seed", cfg.arrival.seed);
-        w.field("functions", cfg.arrival.functions);
-        w.float("rate_per_mcycle", cfg.arrival.rate_per_mcycle);
-        w.float("zipf_s", cfg.arrival.zipf_s);
-        w.field("horizon_cycles", cfg.arrival.horizon_cycles);
-        if let Some(spec) = &cfg.traffic {
-            w.field("traffic", json::escape(spec));
+        let (footprint, peak) = (&mut out.footprint_bytes, &mut out.peak_footprint_bytes);
+        w.fields("store", store_fields(&mut out.store, true, footprint, peak));
+        // The aggregate replay is the functions' sum. A reader meets it
+        // before the functions and reads it into these locals, unused.
+        let (mut replay, mut unfinished) = (ReplayStats::default(), 0u64);
+        for f in &out.functions {
+            replay.merge(&f.result.replay);
+            unfinished = unfinished.saturating_add(f.result.replay_unfinished);
         }
-        if let Some(spec) = &cfg.controller {
-            w.field("controller", json::escape(spec));
-        }
-        w.field("store_capacity_bytes", cfg.store.capacity_bytes);
-        w.field("store_policy", json::escape(cfg.store.policy.name()));
-        w.field("store_pinned_hot", cfg.store.pinned_hot);
-        w.float("distance_saturation", cfg.distance_saturation);
-        w.float("dram_bytes_per_cycle", cfg.dram_bytes_per_cycle);
-        w.close();
-        w.object("totals");
-        w.field("invocations", out.invocations);
-        w.field("makespan_cycles", out.makespan);
-        w.field("instructions", total.instructions);
-        w.field("cycles", total.cycles);
-        w.float("mean_latency_cycles", out.mean_latency);
-        w.field("p50_latency_cycles", out.p50_latency);
-        w.field("p95_latency_cycles", out.p95_latency);
-        w.field("p99_latency_cycles", out.p99_latency);
-        w.float("mean_utilization", out.mean_utilization());
-        if multi {
-            w.field("wasted_keepalive_cycles", out.wasted_keepalive_cycles());
-        }
-        w.close();
-        w.array("cores");
-        for (i, c) in out.cores.iter().enumerate() {
-            w.inline_row();
-            w.field("core", i);
-            w.field("invocations", c.invocations);
-            w.field("busy_cycles", c.busy_cycles);
-            w.float("utilization", c.utilization);
-            w.close();
-        }
-        w.close();
-        if multi {
-            w.array("nodes");
-            for (i, nd) in out.nodes.iter().enumerate() {
-                w.row();
-                w.field("node", i);
-                w.field("submitted", nd.submitted);
-                w.field("completed", nd.completed);
-                w.field("dropped", nd.dropped);
-                w.field("queue_peak", nd.queue_peak);
-                w.field("busy_cycles", nd.busy_cycles);
-                w.float("utilization", nd.utilization);
-                w.field("wasted_keepalive_cycles", nd.wasted_keepalive_cycles);
-                w.object("store");
-                w.field("hits", nd.store.hits);
-                w.field("misses", nd.store.misses);
-                w.float("hit_rate", nd.store.hit_rate());
-                w.field("footprint_bytes", nd.footprint_bytes);
-                w.field("peak_footprint_bytes", nd.peak_footprint_bytes);
-                w.close();
-                w.close();
-            }
-            w.close();
-        }
-        let st = &out.store;
-        w.object("store");
-        w.field("hits", st.hits);
-        w.field("misses", st.misses);
-        w.float("hit_rate", st.hit_rate());
-        w.field("insertions", st.insertions);
-        w.field("evictions", st.evictions);
-        w.field("rejected", st.rejected);
-        w.field("bytes_read", st.bytes_read);
-        w.field("bytes_written", st.bytes_written);
-        w.field("bytes_evicted", st.bytes_evicted);
-        w.field("footprint_bytes", out.footprint_bytes);
-        w.field("peak_footprint_bytes", out.peak_footprint_bytes);
-        w.close();
-        write_replay(&mut w, &total.replay, total.replay_unfinished);
+        w.fields("replay", replay_fields(&mut replay, &mut unfinished));
         // Workload fingerprint: present exactly when a `--traffic` spec
         // drove the run. Default Poisson/Zipf runs emit nothing here, so
         // pre-traffic reports stay byte-identical.
-        if cfg.traffic.is_some() {
-            let wl = &out.workload;
-            w.object("workload");
-            w.field("schema", json::escape(ignite_traffic::WORKLOAD_SCHEMA));
-            w.field("arrivals", wl.arrivals);
-            w.field("functions", wl.functions);
-            w.field("horizon_cycles", wl.horizon_cycles);
-            w.float("rate_per_mcycle", wl.rate_per_mcycle);
-            w.float("interarrival_cv2", wl.interarrival_cv2);
-            w.float("zipf_s_hat", wl.zipf_s_hat);
-            w.float("top1_share", wl.top1_share);
-            w.float("top5_share", wl.top5_share);
-            w.close();
+        if self.config.traffic.is_some() {
+            let wl = &mut out.workload;
+            w.fields(
+                "workload",
+                [
+                    ("schema", Tag(ignite_traffic::WORKLOAD_SCHEMA)),
+                    ("arrivals", Stored(&mut wl.arrivals)),
+                    ("functions", Stored(&mut wl.functions)),
+                    ("horizon_cycles", Stored(&mut wl.horizon_cycles)),
+                    ("rate_per_mcycle", Stored(&mut wl.rate_per_mcycle)),
+                    ("interarrival_cv2", Stored(&mut wl.interarrival_cv2)),
+                    ("zipf_s_hat", Stored(&mut wl.zipf_s_hat)),
+                    ("top1_share", Stored(&mut wl.top1_share)),
+                    ("top5_share", Stored(&mut wl.top5_share)),
+                ],
+            );
         }
-        if let Some(ch) = &out.chaos {
-            let plan = cfg.chaos.as_ref().expect("chaos stats imply a chaos plan");
-            let rp = &cfg.retry;
-            w.object("chaos");
-            w.object("plan");
-            w.field("seed", plan.seed);
-            w.field("crash_mtbf_cycles", plan.crash_mtbf_cycles);
-            w.field("crash_repair_cycles", plan.crash_repair_cycles);
-            w.field("straggle_mtbf_cycles", plan.straggle_mtbf_cycles);
-            w.field("straggle_duration_cycles", plan.straggle_duration_cycles);
-            w.field("straggle_factor_milli", plan.straggle_factor_milli);
-            w.field("store_unavail_mtbf_cycles", plan.store_unavail_mtbf_cycles);
-            w.field("store_unavail_duration_cycles", plan.store_unavail_duration_cycles);
-            w.field("corrupt_ppm", plan.store_fault.bit_flip_ppm);
-            w.field("loss_ppm", plan.store_fault.loss_ppm);
-            w.field("dispatch_drop_ppm", plan.dispatch_drop_ppm);
-            w.close();
-            w.object("retry");
-            w.field("max_attempts", rp.max_attempts);
-            w.field("backoff_base_cycles", rp.backoff_base_cycles);
-            w.field("backoff_mult_milli", rp.backoff_mult_milli);
-            w.field("backoff_max_cycles", rp.backoff_max_cycles);
-            w.field("jitter_ppm", rp.jitter_ppm);
-            w.field("deadline_cycles", rp.deadline_cycles);
-            w.field("breaker_threshold", rp.breaker_threshold);
-            w.field("breaker_cooldown_cycles", rp.breaker_cooldown_cycles);
-            w.close();
-            w.field("submitted", ch.submitted);
-            w.field("completed", ch.completed);
-            w.field("retried_to_success", ch.retried_to_success);
-            w.field("attempts_failed", ch.attempts_failed);
-            w.field("crash_kills", ch.crash_kills);
-            w.field("dispatch_drops", ch.dispatch_drops);
-            w.field("dropped_deadline", ch.dropped_deadline);
-            w.field("dropped_retries_exhausted", ch.dropped_retries_exhausted);
-            w.field("degraded_unavailable", ch.degraded_unavailable);
-            w.field("degraded_corrupt", ch.degraded_corrupt);
-            w.field("degraded_loss", ch.degraded_loss);
-            w.field("degraded_breaker", ch.degraded_breaker);
-            w.field("straggled", ch.straggled);
-            w.field("writeback_skipped", ch.writeback_skipped);
-            w.field("store_regions_dropped", ch.store_regions_dropped);
-            w.field("breaker_opens", ch.breaker_opens);
-            w.field("breaker_closes", ch.breaker_closes);
-            w.field("retry_cycles", ch.retry_cycles);
-            w.field("backoff_cycles", ch.backoff_cycles);
-            w.close();
+        if let (Some(ch), Some(plan)) = (&mut out.chaos, &mut self.config.chaos) {
+            let rp = &mut self.config.retry;
+            w.section("chaos", |w| {
+                w.fields(
+                    "plan",
+                    [
+                        ("seed", Stored(&mut plan.seed)),
+                        ("crash_mtbf_cycles", Stored(&mut plan.crash_mtbf_cycles)),
+                        ("crash_repair_cycles", Stored(&mut plan.crash_repair_cycles)),
+                        ("straggle_mtbf_cycles", Stored(&mut plan.straggle_mtbf_cycles)),
+                        ("straggle_duration_cycles", Stored(&mut plan.straggle_duration_cycles)),
+                        ("straggle_factor_milli", Stored(&mut plan.straggle_factor_milli)),
+                        ("store_unavail_mtbf_cycles", Stored(&mut plan.store_unavail_mtbf_cycles)),
+                        (
+                            "store_unavail_duration_cycles",
+                            Stored(&mut plan.store_unavail_duration_cycles),
+                        ),
+                        ("corrupt_ppm", Stored(&mut plan.store_fault.bit_flip_ppm)),
+                        ("loss_ppm", Stored(&mut plan.store_fault.loss_ppm)),
+                        ("dispatch_drop_ppm", Stored(&mut plan.dispatch_drop_ppm)),
+                    ],
+                );
+                w.fields(
+                    "retry",
+                    [
+                        ("max_attempts", Stored(&mut rp.max_attempts)),
+                        ("backoff_base_cycles", Stored(&mut rp.backoff_base_cycles)),
+                        ("backoff_mult_milli", Stored(&mut rp.backoff_mult_milli)),
+                        ("backoff_max_cycles", Stored(&mut rp.backoff_max_cycles)),
+                        ("jitter_ppm", Stored(&mut rp.jitter_ppm)),
+                        ("deadline_cycles", Stored(&mut rp.deadline_cycles)),
+                        ("breaker_threshold", Stored(&mut rp.breaker_threshold)),
+                        ("breaker_cooldown_cycles", Stored(&mut rp.breaker_cooldown_cycles)),
+                    ],
+                );
+                w.table([
+                    ("submitted", Stored(&mut ch.submitted)),
+                    ("completed", Stored(&mut ch.completed)),
+                    ("retried_to_success", Stored(&mut ch.retried_to_success)),
+                    ("attempts_failed", Stored(&mut ch.attempts_failed)),
+                    ("crash_kills", Stored(&mut ch.crash_kills)),
+                    ("dispatch_drops", Stored(&mut ch.dispatch_drops)),
+                    ("dropped_deadline", Stored(&mut ch.dropped_deadline)),
+                    ("dropped_retries_exhausted", Stored(&mut ch.dropped_retries_exhausted)),
+                    ("degraded_unavailable", Stored(&mut ch.degraded_unavailable)),
+                    ("degraded_corrupt", Stored(&mut ch.degraded_corrupt)),
+                    ("degraded_loss", Stored(&mut ch.degraded_loss)),
+                    ("degraded_breaker", Stored(&mut ch.degraded_breaker)),
+                    ("straggled", Stored(&mut ch.straggled)),
+                    ("writeback_skipped", Stored(&mut ch.writeback_skipped)),
+                    ("store_regions_dropped", Stored(&mut ch.store_regions_dropped)),
+                    ("breaker_opens", Stored(&mut ch.breaker_opens)),
+                    ("breaker_closes", Stored(&mut ch.breaker_closes)),
+                    ("retry_cycles", Stored(&mut ch.retry_cycles)),
+                    ("backoff_cycles", Stored(&mut ch.backoff_cycles)),
+                ])
+            });
         }
-        if let Some(obs) = &self.obs {
-            w.object("obs");
-            w.field("trace_events", obs.trace_events);
-            w.field("trace_dropped", obs.trace_dropped);
-            w.close();
+        if let Some(obs) = &mut self.obs {
+            w.fields(
+                "obs",
+                [
+                    ("trace_events", Stored(&mut obs.trace_events)),
+                    ("trace_dropped", Stored(&mut obs.trace_dropped)),
+                ],
+            );
         }
         // The controller section — the decision audit trail — exists
         // only for controller-on runs, so every controller-off report
         // stays byte-identical to its golden.
-        if let Some(ctrl) = &out.controller {
-            w.object("controller");
-            w.field("epochs", ctrl.epochs);
-            w.field("samples", ctrl.samples);
-            w.field("replay_denied", ctrl.replay_denied);
-            w.field("store_denied", ctrl.store_denied);
-            w.field("final_active_cores", ctrl.final_active_cores);
-            w.object("fires");
-            for rule in CtrlRule::ALL {
-                w.field(rule.key(), ctrl.fires(rule));
-            }
-            w.close();
-            w.array("decisions");
-            for d in &ctrl.decisions {
-                w.inline_row();
-                w.field("at", d.at);
-                w.field("epoch", d.epoch);
-                w.field("rule", json::escape(d.rule.key()));
-                // A cluster-wide decision has no target function: -1.
-                let function = if d.function == u32::MAX { -1 } else { i64::from(d.function) };
-                w.field("function", function);
-                w.field("value", d.value);
-                w.field("observed", d.observed);
-                w.field("threshold", d.threshold);
-                w.close();
-            }
-            w.close();
-            w.close();
-        }
-        w.array("functions");
-        for f in &out.functions {
-            w.row();
-            w.field("function", json::escape(&f.abbr));
-            w.field("invocations", f.invocations);
-            w.field("p50_latency_cycles", f.p50_latency);
-            w.field("p95_latency_cycles", f.p95_latency);
-            w.field("p99_latency_cycles", f.p99_latency);
-            w.float("mean_service_cycles", f.mean_service);
-            w.float("mean_queue_cycles", f.mean_queue);
-            w.float("mean_cold_fraction", f.mean_cold_fraction);
-            w.field("metadata_hits", f.metadata_hits);
-            w.field("metadata_misses", f.metadata_misses);
-            w.float("metadata_hit_rate", f.metadata_hit_rate());
-            if multi {
-                w.field("cold_starts", f.cold_starts);
-                w.field("lukewarm_starts", f.lukewarm_starts);
-                w.field("warm_starts", f.warm_starts);
-                w.field("min_service_cycles", f.min_service);
-                w.float("slowdown", f.slowdown());
-                w.field("wasted_keepalive_cycles", f.wasted_keepalive_cycles);
-            }
-            if out.chaos.is_some() {
-                w.field("retries", f.retries);
-                w.field("degraded", f.degraded);
-                w.field("dropped", f.dropped);
-            }
-            w.float("cpi", f.result.cpi());
-            w.float("l1i_mpki", f.result.l1i_mpki());
-            w.float("btb_mpki", f.result.btb_mpki());
-            write_replay(&mut w, &f.result.replay, f.result.replay_unfinished);
-            w.close();
-        }
-        w.close();
-        w.finish()
-    }
-
-    /// Validates that `text` is an `ignite-cluster-v1` or `-v2` report: it
-    /// has the shape [`ClusterReport::to_json`] writes for the same optional
-    /// sections and row counts ([`json::same_shape`]), with the v2 tag
-    /// going with a `chaos` section and a config `nodes`, `traffic` or
-    /// `controller` key with its own section. Past the shape: the node
-    /// count matches the `nodes` array, the scheduler and keep-alive specs
-    /// parse, `cores` and `functions` are non-empty, nodes are labeled by
-    /// position, invocations are conserved on every node and in the chaos
-    /// ledger, the fingerprint has its schema tag and sane statistics
-    /// (shares in `[0, 1]`, `top1 <= top5`, CV² >= 0), and the fire
-    /// counters agree with the decision log. Across rows: p50 ≤ p95 ≤ p99
-    /// in the totals and in every function row; the totals' invocations
-    /// equal the sum over the functions, over the cores and, when present,
-    /// over the nodes' completions and the chaos ledger's `completed`; the
-    /// store's hits and misses equal the sums of the functions' metadata
-    /// hits and misses; and, when nodes are present, the store's hits,
-    /// misses, footprint and peak footprint equal their sums over the
-    /// nodes' stores.
-    pub fn validate(text: &str) -> Result<(), String> {
-        let doc = json::parse(text)?;
-        let obj = doc.as_object().ok_or("report is not an object")?;
-        let schema = json::get(obj, "schema").and_then(Value::as_str);
-        let v2 = schema == Some(CLUSTER_SCHEMA_V2);
-        if !v2 && schema != Some(CLUSTER_SCHEMA) {
-            let want = [CLUSTER_SCHEMA, CLUSTER_SCHEMA_V2];
-            return Err(format!("schema {schema:?}, want one of {want:?}"));
-        }
-        let config = json::get_object(obj, "config");
-        let paired = |key: &str, section: &str| match (
-            json::get(config, key).is_some(),
-            json::get(obj, section).is_some(),
-        ) {
-            (true, false) => Err(format!("config '{key}' requires a '{section}' section")),
-            (false, true) => Err(format!("'{section}' section requires a config '{key}' key")),
-            (both, _) => Ok(both),
-        };
-        let multi = paired("nodes", "nodes")?;
-        let traffic = paired("traffic", "workload")?;
-        let controlled = paired("controller", "controller")?;
-        // The skeleton is sized from the document's arrays, never from a
-        // number in it: the node count must match the array first.
-        let nodes = json::get_array(obj, "nodes");
-        let topology = if multi {
-            let n = json::get(config, "nodes").and_then(Value::as_f64);
-            let n = n.ok_or("report.config.nodes: expected a number")?;
-            if n != nodes.len() as f64 {
-                return Err(format!("'nodes' array has {} entries, config says {n}", nodes.len()));
-            }
-            let spec = |key| json::get(config, key).and_then(Value::as_str).unwrap_or_default();
-            let bad = |e| format!("config: {e}");
-            Topology {
-                nodes: nodes.len(),
-                scheduler: SchedulerKind::parse(spec("scheduler")).map_err(bad)?,
-                keepalive: KeepAliveKind::parse(spec("keepalive")).map_err(bad)?,
-            }
-        } else {
-            Topology::default()
-        };
-        // The decision log's rules, for the fire counters to agree with.
-        let controller = json::get_object(obj, "controller");
-        let mut log = Vec::new();
-        for (i, d) in json::get_array(controller, "decisions").iter().enumerate() {
-            let key = d.as_object().and_then(|o| json::get(o, "rule")).and_then(Value::as_str);
-            let key = key.unwrap_or_default();
-            let rule = CtrlRule::ALL.into_iter().find(|r| r.key() == key);
-            let rule =
-                rule.ok_or_else(|| format!("controller.decisions[{i}]: unknown rule {key:?}"))?;
-            log.push(Decision {
-                at: 0,
-                epoch: 0,
-                rule,
-                function: 0,
-                value: 0,
-                observed: 0,
-                threshold: 0,
+        if let Some(ctrl) = &mut out.controller {
+            let fires = CtrlRule::ALL.map(|rule| (rule.key(), Count(ctrl.fires(rule))));
+            w.section("controller", |w| {
+                w.table([
+                    ("epochs", Stored(&mut ctrl.epochs)),
+                    ("samples", Stored(&mut ctrl.samples)),
+                    ("replay_denied", Stored(&mut ctrl.replay_denied)),
+                    ("store_denied", Stored(&mut ctrl.store_denied)),
+                    ("final_active_cores", Stored(&mut ctrl.final_active_cores)),
+                ]);
+                w.fields("fires", fires);
+                w.rows("decisions", &mut ctrl.decisions, true, |w, _, d| {
+                    // A cluster-wide decision has no target function: -1.
+                    let mut function =
+                        if d.function == u32::MAX { -1 } else { i64::from(d.function) };
+                    w.table([
+                        ("at", Stored(&mut d.at)),
+                        ("epoch", Stored(&mut d.epoch)),
+                        ("rule", Stored(&mut d.rule)),
+                        ("function", Stored(&mut function)),
+                        ("value", Stored(&mut d.value)),
+                        ("observed", Stored(&mut d.observed)),
+                        ("threshold", Stored(&mut d.threshold)),
+                    ]);
+                    d.function = u32::try_from(function).unwrap_or(u32::MAX);
+                })
             });
         }
-        let rows = |key: &str| json::get_array(obj, key).len();
-        let skeleton = ClusterReport {
-            config: ClusterConfig {
-                topology,
-                chaos: v2.then(ChaosPlan::default),
-                traffic: traffic.then(String::new),
-                controller: controlled.then(String::new),
-                ..ClusterConfig::default()
-            },
-            outcome: ClusterOutcome {
-                cores: vec![CoreUsage::default(); rows("cores")],
-                nodes: vec![NodeUsage::default(); nodes.len()],
-                functions: vec![FunctionSummary::default(); rows("functions")],
-                chaos: v2.then(ChaosStats::default),
-                controller: controlled
-                    .then(|| ControllerStats { decisions: log, ..Default::default() }),
-                ..ClusterOutcome::default()
-            },
-            obs: json::get(obj, "obs").map(|_| ObsSummary::default()),
-        };
-        json::same_shape(&doc, &json::parse(&skeleton.to_json())?, "report")?;
+        let engine = &mut self.engine;
+        w.rows("functions", &mut out.functions, false, |w, i, f| {
+            let [cpi, l1i_mpki, btb_mpki] = json::row(engine, i);
+            let (hit_rate, slowdown) = (f.metadata_hit_rate(), f.slowdown());
+            w.table([
+                ("function", Stored(&mut f.abbr)),
+                ("invocations", Stored(&mut f.invocations)),
+                ("p50_latency_cycles", Stored(&mut f.p50_latency)),
+                ("p95_latency_cycles", Stored(&mut f.p95_latency)),
+                ("p99_latency_cycles", Stored(&mut f.p99_latency)),
+                ("mean_service_cycles", Stored(&mut f.mean_service)),
+                ("mean_queue_cycles", Stored(&mut f.mean_queue)),
+                ("mean_cold_fraction", Stored(&mut f.mean_cold_fraction)),
+                ("metadata_hits", Stored(&mut f.metadata_hits)),
+                ("metadata_misses", Stored(&mut f.metadata_misses)),
+                ("metadata_hit_rate", Float(hit_rate)),
+                ("cold_starts", Stored(&mut f.cold_starts).when(multi)),
+                ("lukewarm_starts", Stored(&mut f.lukewarm_starts).when(multi)),
+                ("warm_starts", Stored(&mut f.warm_starts).when(multi)),
+                ("min_service_cycles", Stored(&mut f.min_service).when(multi)),
+                ("slowdown", Float(slowdown).when(multi)),
+                ("wasted_keepalive_cycles", Stored(&mut f.wasted_keepalive_cycles).when(multi)),
+                ("retries", Stored(&mut f.retries).when(chaos)),
+                ("degraded", Stored(&mut f.degraded).when(chaos)),
+                ("dropped", Stored(&mut f.dropped).when(chaos)),
+                ("cpi", Stored(cpi)),
+                ("l1i_mpki", Stored(l1i_mpki)),
+                ("btb_mpki", Stored(btb_mpki)),
+            ]);
+            let replay = replay_fields(&mut f.result.replay, &mut f.result.replay_unfinished);
+            w.fields("replay", replay)
+        })
+    }
 
-        for key in ["cores", "functions"] {
-            if rows(key) == 0 {
+    /// Reads a report back into its types. The document must be the
+    /// report written back from what was read ([`json::same_doc`]), so an
+    /// error names the first key that is missing, of the wrong kind,
+    /// unknown or out of order by its path, and then a value written from
+    /// others — a hit rate, a mean utilization, a slowdown, the aggregate
+    /// replay, a row's index, a fire count, a schema tag — that disagrees
+    /// with them.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        Self::read(&json::parse(text)?)
+    }
+
+    /// [`ClusterReport::from_json`] of a parsed document.
+    pub fn read(doc: &Value) -> Result<Self, String> {
+        Self::read_checking(doc, |_| Ok(()))
+    }
+
+    /// Reads `doc` as [`ClusterReport::read`] does, running `check`
+    /// between the comparisons of the shapes and of the values.
+    fn read_checking(doc: &Value, check: fn(&Self) -> Result<(), String>) -> Result<Self, String> {
+        let mut r = Walker::reader(doc);
+        let config = Walker::reader(r.get("config").unwrap_or(&Value::Null));
+        // An optional section is there when its config key or itself is;
+        // writing the report back then names the one that is missing.
+        let has = |key, section| config.get(key).or(r.get(section)).is_some();
+        let multi = has("nodes", "nodes");
+        let schema = r.get("schema").and_then(Value::as_str);
+        let chaos = r.get("chaos").is_some() || schema == Some(CLUSTER_SCHEMA_V2);
+        let config = ClusterConfig {
+            chaos: chaos.then(ChaosPlan::default),
+            traffic: has("traffic", "workload").then(String::new),
+            controller: has("controller", "controller").then(String::new),
+            ..ClusterConfig::default()
+        };
+        let outcome = ClusterOutcome {
+            chaos: chaos.then(ChaosStats::default),
+            controller: config.controller.as_ref().map(|_| ControllerStats::default()),
+            ..ClusterOutcome::default()
+        };
+        let mut report = ClusterReport::new(config, outcome);
+        report.obs = r.get("obs").map(|_| ObsSummary::default());
+        report.walk(&mut r, multi);
+        let want = json::parse(&report.write())?;
+        json::same_doc(doc, &want, "report", false)?;
+        check(&report)?;
+        json::same_doc(doc, &want, "report", true)?;
+        Ok(report)
+    }
+
+    /// Checks the invariants every run keeps, on typed data: `cores` and
+    /// `functions` are non-empty; a multi-node run has one `nodes` entry
+    /// per configured node; p50 ≤ p95 ≤ p99 in the totals and in every
+    /// function row; the totals' invocations equal their sums over the
+    /// functions, the cores and, when present, the nodes' completions;
+    /// the store's hits and misses equal the functions' metadata hits and
+    /// misses, and with nodes the store's hits, misses, footprint and
+    /// peak footprint equal their sums over the nodes; every node and the
+    /// chaos ledger conserve invocations, and the ledger completed the
+    /// totals' invocations; a traffic-driven run's fingerprint has shares
+    /// in `[0, 1]`, `top1 <= top5` and CV² ≥ 0.
+    pub fn check(&self) -> Result<(), String> {
+        let (cfg, out, nodes) = (&self.config, &self.outcome, &self.outcome.nodes);
+        for (key, rows) in [("cores", out.cores.len()), ("functions", out.functions.len())] {
+            if rows == 0 {
                 return Err(format!("empty '{key}' array"));
             }
         }
-        let totals = json::get_object(obj, "totals");
-        let ordered = |row: &[(String, Value)], ctx: &str| -> Result<(), String> {
-            let n = |key| json::get_count(row, ctx, key);
-            let (p50, p95, p99) =
-                (n("p50_latency_cycles")?, n("p95_latency_cycles")?, n("p99_latency_cycles")?);
-            if p50 <= p95 && p95 <= p99 {
-                return Ok(());
-            }
-            Err(format!(
-                "{ctx}: quantiles not ordered: p50_latency_cycles {p50}, \
-                 p95_latency_cycles {p95}, p99_latency_cycles {p99}"
-            ))
-        };
-        ordered(totals, "totals")?;
-        for (i, row) in json::get_array(obj, "functions").iter().enumerate() {
-            ordered(row.as_object().unwrap_or_default(), &format!("functions[{i}]"))?;
+        if (!cfg.topology.is_default() || !nodes.is_empty()) && nodes.len() != cfg.topology.nodes {
+            let n = cfg.topology.nodes;
+            return Err(format!("'nodes' array has {} entries, config says {n}", nodes.len()));
         }
-        // Every completion is counted once in each breakdown, and every
-        // store access once per function and, on a multi-node run, once
-        // per node. Each check sums a column of an array (a dotted column
-        // reads the row's sub-object) and compares it with a total.
-        let invocations = json::get_count(totals, "totals", "invocations")?;
-        let store = |key| json::get_count(json::get_object(obj, "store"), "store", key);
-        let (hits, misses) = (store("hits")?, store("misses")?);
-        let (footprint, peak) = (store("footprint_bytes")?, store("peak_footprint_bytes")?);
-        let sums = [
-            ("functions", "invocations", "totals.invocations", invocations),
-            ("cores", "invocations", "totals.invocations", invocations),
-            ("nodes", "completed", "totals.invocations", invocations),
-            ("functions", "metadata_hits", "store.hits", hits),
-            ("functions", "metadata_misses", "store.misses", misses),
-            ("nodes", "store.hits", "store.hits", hits),
-            ("nodes", "store.misses", "store.misses", misses),
-            ("nodes", "store.footprint_bytes", "store.footprint_bytes", footprint),
-            ("nodes", "store.peak_footprint_bytes", "store.peak_footprint_bytes", peak),
-        ];
-        for (key, column, total_key, total) in sums {
-            let rows = json::get_array(obj, key);
-            if rows.is_empty() {
-                continue;
-            }
-            let (section, count) = column.rsplit_once('.').unwrap_or(("", column));
-            let mut sum = 0u64;
-            for (i, row) in rows.iter().enumerate() {
-                let (mut row, mut ctx) =
-                    (row.as_object().unwrap_or_default(), format!("{key}[{i}]"));
-                if !section.is_empty() {
-                    row = json::get_object(row, section);
-                    ctx = format!("{ctx}.{section}");
-                }
-                sum = sum.saturating_add(json::get_count(row, &ctx, count)?);
-            }
-            if sum != total {
-                return Err(format!("{key}[].{column} sum to {sum}, {total_key} is {total}"));
-            }
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            let ctx = format!("nodes[{i}]");
-            let n = |key| json::get_count(node.as_object().unwrap_or_default(), &ctx, key);
-            if n("node")? != i as u64 {
-                return Err(format!("{ctx} is labeled node {}", n("node")?));
-            }
-            let usage = NodeUsage {
-                submitted: n("submitted")?,
-                completed: n("completed")?,
-                dropped: n("dropped")?,
-                ..NodeUsage::default()
-            };
-            if !usage.conserved() {
+        let totals = [out.p50_latency, out.p95_latency, out.p99_latency];
+        let rows = out.functions.iter().map(|f| [f.p50_latency, f.p95_latency, f.p99_latency]);
+        for (i, [p50, p95, p99]) in std::iter::once(totals).chain(rows).enumerate() {
+            if p50 > p95 || p95 > p99 {
+                let row =
+                    if i == 0 { "totals".to_string() } else { format!("functions[{}]", i - 1) };
                 return Err(format!(
-                    "{ctx}: conservation violated: submitted {} != completed {} + dropped {}",
-                    usage.submitted, usage.completed, usage.dropped
+                    "{row}: quantiles not ordered: p50_latency_cycles {p50}, \
+                     p95_latency_cycles {p95}, p99_latency_cycles {p99}"
                 ));
             }
         }
-        if traffic {
-            let wl = json::get_object(obj, "workload");
-            let tag = json::get(wl, "schema").and_then(Value::as_str);
-            if tag != Some(ignite_traffic::WORKLOAD_SCHEMA) {
-                let want = ignite_traffic::WORKLOAD_SCHEMA;
-                return Err(format!("workload: schema {tag:?}, want {want:?}"));
+        // Every completion is counted once in each breakdown, and every
+        // store access once per function and, with nodes, once per node.
+        let (fns, inv, hits, misses) =
+            (&out.functions, out.invocations, out.store.hits, out.store.misses);
+        let (fp, peak) = (out.footprint_bytes as u64, out.peak_footprint_bytes as u64);
+        let node_fp = sum(nodes, |n| n.footprint_bytes as u64);
+        let node_peak = sum(nodes, |n| n.peak_footprint_bytes as u64);
+        for (column, sum, total_key, total) in [
+            ("functions[].invocations", sum(fns, |f| f.invocations), "totals.invocations", inv),
+            ("cores[].invocations", sum(&out.cores, |c| c.invocations), "totals.invocations", inv),
+            ("nodes[].completed", sum(nodes, |n| n.completed), "totals.invocations", inv),
+            ("functions[].metadata_hits", sum(fns, |f| f.metadata_hits), "store.hits", hits),
+            (
+                "functions[].metadata_misses",
+                sum(fns, |f| f.metadata_misses),
+                "store.misses",
+                misses,
+            ),
+            ("nodes[].store.hits", sum(nodes, |n| n.store.hits), "store.hits", hits),
+            ("nodes[].store.misses", sum(nodes, |n| n.store.misses), "store.misses", misses),
+            ("nodes[].store.footprint_bytes", node_fp, "store.footprint_bytes", fp),
+            ("nodes[].store.peak_footprint_bytes", node_peak, "store.peak_footprint_bytes", peak),
+        ] {
+            if let Some(sum) = sum.filter(|&sum| sum != u128::from(total)) {
+                return Err(format!("{column} sum to {sum}, {total_key} is {total}"));
             }
-            let n = |k: &str| json::get(wl, k).and_then(Value::as_f64).unwrap_or(f64::NAN);
-            let (top1, top5, cv2) = (n("top1_share"), n("top5_share"), n("interarrival_cv2"));
+        }
+        if let Some((i, nd)) = nodes.iter().enumerate().find(|(_, nd)| !nd.conserved()) {
+            let (submitted, completed, dropped) = (nd.submitted, nd.completed, nd.dropped);
+            return Err(format!(
+                "nodes[{i}]: conservation violated: submitted {submitted} != completed {completed} \
+                 + dropped {dropped}"
+            ));
+        }
+        if let Some(ch) = &out.chaos {
+            let [submitted, completed, deadline, exhausted] =
+                [ch.submitted, ch.completed, ch.dropped_deadline, ch.dropped_retries_exhausted];
+            let served = u128::from(completed) + u128::from(deadline) + u128::from(exhausted);
+            if served != u128::from(submitted) {
+                let law = format!("submitted {submitted} != completed+dropped {served}");
+                return Err(format!("chaos: conservation violated: {law}"));
+            }
+            if completed != inv {
+                return Err(format!("chaos.completed is {completed}, totals.invocations is {inv}"));
+            }
+        }
+        if cfg.traffic.is_some() {
+            let wl = &out.workload;
+            let (top1, top5, cv2) = (wl.top1_share, wl.top5_share, wl.interarrival_cv2);
             for (k, v) in [("top1_share", top1), ("top5_share", top5)] {
                 if !(0.0..=1.0).contains(&v) {
                     return Err(format!("workload: '{k}' {v} outside [0, 1]"));
@@ -541,43 +567,15 @@ impl ClusterReport {
                 return Err(format!("workload: negative interarrival_cv2 {cv2}"));
             }
         }
-        if v2 {
-            let n = |key| json::get_count(json::get_object(obj, "chaos"), "chaos", key);
-            let stats = ChaosStats {
-                submitted: n("submitted")?,
-                completed: n("completed")?,
-                dropped_deadline: n("dropped_deadline")?,
-                dropped_retries_exhausted: n("dropped_retries_exhausted")?,
-                ..ChaosStats::default()
-            };
-            if !stats.conserved() {
-                return Err(format!(
-                    "chaos: conservation violated: submitted {} != completed+dropped {}",
-                    stats.submitted,
-                    stats.completed + stats.dropped_total()
-                ));
-            }
-            if stats.completed != invocations {
-                return Err(format!(
-                    "chaos.completed is {}, totals.invocations is {invocations}",
-                    stats.completed
-                ));
-            }
-        }
-        if let Some(log) = &skeleton.outcome.controller {
-            let fires = json::get_object(controller, "fires");
-            for rule in CtrlRule::ALL {
-                let n = json::get_count(fires, "controller.fires", rule.key())?;
-                if n != log.fires(rule) {
-                    return Err(format!(
-                        "controller: fires['{}'] is {n} but the decision log has {}",
-                        rule.key(),
-                        log.fires(rule)
-                    ));
-                }
-            }
-        }
         Ok(())
+    }
+
+    /// Validates that `text` is an `ignite-cluster-v1` or `-v2` report:
+    /// [`ClusterReport::from_json`] reads it, with [`ClusterReport::check`]
+    /// run once its shape is known good, so a broken invariant is named
+    /// before a derived value that disagrees with its counts.
+    pub fn validate(text: &str) -> Result<(), String> {
+        Self::read_checking(&json::parse(text)?, Self::check).map(drop)
     }
 }
 
@@ -755,9 +753,9 @@ mod tests {
         assert_eq!(err, "report.functions[0]: unexpected key 'bogus'");
     }
 
-    /// The skeleton is sized from the document's arrays: a node count
-    /// that disagrees with the array, however large, is an error before
-    /// anything is built from it.
+    /// Rows come from the document's arrays, never sized from a number
+    /// in it: a node count that disagrees with the array, however large,
+    /// is an error.
     #[test]
     fn node_counts_past_the_array_are_rejected_before_sizing() {
         let good = multinode_report().to_json();
@@ -935,7 +933,8 @@ mod tests {
         assert!(ClusterReport::validate(&bad).unwrap_err().contains("scheduler"));
         // A node labeled with the wrong index.
         let bad = good.replacen("\"node\": 1,", "\"node\": 2,", 1);
-        assert!(ClusterReport::validate(&bad).unwrap_err().contains("labeled"));
+        let err = ClusterReport::validate(&bad).unwrap_err();
+        assert_eq!(err, "report.nodes[1].node: expected 1, found 2");
         // Per-node conservation: bump one node's submitted count.
         let bad = good.replacen("\"submitted\": ", "\"submitted\": 9", 1);
         assert!(ClusterReport::validate(&bad).unwrap_err().contains("conservation"));

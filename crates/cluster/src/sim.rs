@@ -42,6 +42,7 @@ use ignite_workloads::suite::{check_scale, ScaleError, Suite};
 use crate::fanout::{self, PanicFailure};
 use crate::keepalive::{KeepAliveKind, KeepAliveRt};
 use crate::policy::{ClusterGauges, ControllerStats, PolicyHook, PolicySample, StaticPolicy};
+use crate::report::ClusterReport;
 use crate::sched::{NodeLoad, Scheduler, SchedulerKind};
 
 /// Inclusive upper bounds of the cluster latency histogram, in cycles
@@ -489,7 +490,7 @@ pub struct FunctionSummary {
 impl FunctionSummary {
     /// Store hit rate for this function, 0.0 when it never dispatched.
     pub fn metadata_hit_rate(&self) -> f64 {
-        let total = self.metadata_hits + self.metadata_misses;
+        let total = self.metadata_hits.saturating_add(self.metadata_misses);
         if total == 0 {
             0.0
         } else {
@@ -541,7 +542,7 @@ pub struct NodeUsage {
 impl NodeUsage {
     /// The per-node conservation law: `submitted == completed + dropped`.
     pub fn conserved(&self) -> bool {
-        self.submitted == self.completed + self.dropped
+        self.completed.checked_add(self.dropped) == Some(self.submitted)
     }
 }
 
@@ -584,8 +585,8 @@ pub struct ClusterOutcome {
     /// Sum of all invocation latencies, in cycles (saturating).
     pub latency_sum: u64,
     /// Chaos ledger (`Some` iff the config enabled chaos). Its
-    /// conservation law — `submitted == completed + dropped` — is
-    /// enforced by the `ignite-cluster-v2` report validator.
+    /// conservation law — `submitted == completed + dropped` — is one of
+    /// the invariants [`crate::ClusterReport::check`] holds.
     pub chaos: Option<ChaosStats>,
     /// Statistical fingerprint of the arrival stream the run consumed.
     /// Always computed (it is O(1) per arrival); serialized into the
@@ -621,7 +622,7 @@ impl ClusterOutcome {
     /// Total keep-alive cycles spent pinning regions nobody reused
     /// (0 under [`KeepAliveKind::None`]).
     pub fn wasted_keepalive_cycles(&self) -> u64 {
-        self.nodes.iter().map(|n| n.wasted_keepalive_cycles).sum()
+        self.nodes.iter().map(|n| n.wasted_keepalive_cycles).fold(0, u64::saturating_add)
     }
 }
 
@@ -1550,7 +1551,8 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
     /// Folds the run into its outcome: closes keep-alive episodes at the
     /// makespan, drains the policy, and turns the accumulators into
     /// means, utilizations and percentiles: each function's read from
-    /// its sketch, the cluster's from the merge of those sketches.
+    /// its sketch, the cluster's from the merge of those sketches. A
+    /// debug build checks the outcome against [`ClusterReport::check`].
     fn finish(mut self) -> ClusterOutcome {
         let makespan = self.makespan;
         let per_node = self.sim.cfg.cores;
@@ -1618,23 +1620,15 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
                 }
             })
             .collect();
-        debug_assert!(nodes.iter().all(NodeUsage::conserved), "node conservation violated");
         let chaos = self.chaos.map(|mut rt| {
             for b in &rt.breakers {
                 rt.stats.breaker_opens += b.opens();
                 rt.stats.breaker_closes += b.closes();
             }
-            debug_assert!(
-                rt.stats.conserved(),
-                "conservation violated: submitted {} != completed {} + dropped {}",
-                rt.stats.submitted,
-                rt.stats.completed,
-                rt.stats.dropped_total()
-            );
             rt.stats
         });
         let n = latency.count();
-        ClusterOutcome {
+        let outcome = ClusterOutcome {
             invocations: n,
             makespan,
             cores,
@@ -1652,7 +1646,9 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             chaos,
             workload: self.fingerprint.finish(),
             controller,
-        }
+        };
+        debug_assert_eq!(ClusterReport::new(self.sim.cfg.clone(), outcome.clone()).check(), Ok(()));
+        outcome
     }
 }
 

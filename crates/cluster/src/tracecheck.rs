@@ -1,15 +1,15 @@
 //! Validator for `ignite-trace-chrome-v1` trace files.
 //!
 //! Checks the Chrome trace-event export in [`ignite_obs::chrome`] key by
-//! key. Unlike [`crate::report::ClusterReport::validate`], which compares
-//! a report with the skeleton its emitter writes, it has no skeleton:
-//! event shapes vary by phase. It requires parseable JSON, the right
-//! schema tag in `otherData`, and every event shaped the way Perfetto /
-//! `chrome://tracing` expect — a known phase (`M`, `X` or `i`), numeric
-//! `ts`/`pid`/`tid`, and a `dur` on complete events. On
-//! success it returns per-event-name counts, which the integration tests
-//! use to assert that a cluster run produced at least one event for every
-//! DES transition type.
+//! key. Unlike [`crate::report::ClusterReport::validate`], which reads a
+//! report back into its types and compares it with the report written
+//! back from them, it has no typed model: event shapes vary by phase.
+//! It requires parseable JSON, the right schema tag in `otherData`, and
+//! every event shaped the way Perfetto / `chrome://tracing` expect — a
+//! known phase (`M`, `X` or `i`), numeric `ts`/`pid`/`tid`, and a `dur`
+//! on complete events. On success it returns per-event-name counts,
+//! which the integration tests use to assert that a cluster run
+//! produced at least one event for every DES transition type.
 
 use std::collections::BTreeMap;
 

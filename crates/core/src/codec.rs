@@ -391,7 +391,6 @@ pub struct Encoder {
     writer: BitWriter,
     last_target: Option<Addr>,
     entries: usize,
-    compressed: usize,
     full: usize,
 }
 
@@ -412,7 +411,6 @@ impl Encoder {
             writer: BitWriter { bytes: buffer, bit_len: 0 },
             last_target: None,
             entries: 0,
-            compressed: 0,
             full: 0,
         }
     }
@@ -436,7 +434,6 @@ impl Encoder {
             let tgt = entry.branch_pc.delta_to(entry.target);
             self.writer.write(src as u64, self.cfg.src_delta_bits);
             self.writer.write(tgt as u64, self.cfg.tgt_delta_bits);
-            self.compressed += 1;
         } else {
             self.writer.write(0, 1);
             self.writer.write(u64::from(entry.kind.code()), KIND_BITS);
@@ -456,11 +453,6 @@ impl Encoder {
     /// Records encoded so far.
     pub fn entries(&self) -> usize {
         self.entries
-    }
-
-    /// Records that used the compressed format.
-    pub fn compressed_entries(&self) -> usize {
-        self.compressed
     }
 
     /// Records that fell back to full addresses.
@@ -641,7 +633,7 @@ mod tests {
             enc.push(e);
         }
         assert_eq!(enc.full_entries(), 1);
-        assert_eq!(enc.compressed_entries(), 49);
+        assert_eq!(enc.entries() - enc.full_entries(), 49, "compressed records");
         let bits_per_entry = enc.byte_len() * 8 / entries.len();
         assert!(bits_per_entry < 40, "{bits_per_entry} bits/entry");
         let md = enc.finish();

@@ -112,18 +112,18 @@ pub struct ReplayStats {
 }
 
 impl ReplayStats {
-    /// Accumulates `other` into `self`, field by field.
+    /// Accumulates `other` into `self`, field by field, saturating.
     pub fn merge(&mut self, other: &ReplayStats) {
-        self.entries_restored += other.entries_restored;
-        self.bim_initialized += other.bim_initialized;
-        self.l2_prefetches += other.l2_prefetches;
-        self.itlb_warmed += other.itlb_warmed;
-        self.metadata_bytes += other.metadata_bytes;
-        self.throttled_steps += other.throttled_steps;
-        self.decode_errors += other.decode_errors;
-        self.entries_dropped += other.entries_dropped;
-        self.stale_restored += other.stale_restored;
-        self.watchdog_abandons += other.watchdog_abandons;
+        self.entries_restored = self.entries_restored.saturating_add(other.entries_restored);
+        self.bim_initialized = self.bim_initialized.saturating_add(other.bim_initialized);
+        self.l2_prefetches = self.l2_prefetches.saturating_add(other.l2_prefetches);
+        self.itlb_warmed = self.itlb_warmed.saturating_add(other.itlb_warmed);
+        self.metadata_bytes = self.metadata_bytes.saturating_add(other.metadata_bytes);
+        self.throttled_steps = self.throttled_steps.saturating_add(other.throttled_steps);
+        self.decode_errors = self.decode_errors.saturating_add(other.decode_errors);
+        self.entries_dropped = self.entries_dropped.saturating_add(other.entries_dropped);
+        self.stale_restored = self.stale_restored.saturating_add(other.stale_restored);
+        self.watchdog_abandons = self.watchdog_abandons.saturating_add(other.watchdog_abandons);
     }
 }
 
@@ -243,16 +243,6 @@ impl Replayer {
     /// for the next one ([`Replayer::with_buffers`]).
     pub fn into_buffers(self) -> (Vec<BtbEntry>, VecDeque<Addr>) {
         (self.entries, self.pending_lines)
-    }
-
-    /// Creates a session for a region that could not be read at all
-    /// (structural corruption or loss detected before decode): it is
-    /// immediately done and carries the drop accounting.
-    pub fn unreadable(claimed_entries: usize, cfg: ReplayConfig) -> Self {
-        let mut r = Replayer::new(&crate::codec::Encoder::new(Default::default()).finish(), cfg);
-        r.stats.decode_errors = 1;
-        r.stats.entries_dropped = claimed_entries as u64;
-        r
     }
 
     /// Whether every record has been replayed and every queued instruction
@@ -730,14 +720,6 @@ mod tests {
         let (entries, lines) = failed.into_buffers();
         let reused = Replayer::with_buffers(&short, cfg, entries, lines);
         assert_eq!(effects(reused), fresh, "after a session that hit a decode error");
-    }
-
-    #[test]
-    fn unreadable_region_accounts_drops() {
-        let replay = Replayer::unreadable(17, ReplayConfig::default());
-        assert!(replay.is_done());
-        assert_eq!(replay.stats().decode_errors, 1);
-        assert_eq!(replay.stats().entries_dropped, 17);
     }
 
     #[test]

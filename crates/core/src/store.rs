@@ -95,7 +95,7 @@ pub struct StoreStats {
 impl StoreStats {
     /// Fraction of fetches that hit, 0.0 when nothing was fetched.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits.saturating_add(self.misses);
         if total == 0 {
             0.0
         } else {

@@ -49,26 +49,6 @@ pub struct RestoreAccuracy {
 }
 
 impl RestoreAccuracy {
-    /// Fraction covered, of all classified events.
-    pub fn covered_fraction(&self) -> f64 {
-        let total = self.covered + self.uncovered + self.overpredicted;
-        if total == 0 {
-            0.0
-        } else {
-            self.covered as f64 / total as f64
-        }
-    }
-
-    /// Fraction overpredicted, of all classified events.
-    pub fn overpredicted_fraction(&self) -> f64 {
-        let total = self.covered + self.uncovered + self.overpredicted;
-        if total == 0 {
-            0.0
-        } else {
-            self.overpredicted as f64 / total as f64
-        }
-    }
-
     /// Merges counts.
     pub fn merge(&mut self, other: &RestoreAccuracy) {
         self.covered += other.covered;
@@ -153,11 +133,6 @@ impl InvocationResult {
         mpki(self.cbp_mispredictions, self.instructions)
     }
 
-    /// Combined BPU MPKI (BTB + CBP), as plotted in Figs. 3, 4, 12.
-    pub fn bpu_mpki(&self) -> f64 {
-        self.btb_mpki() + self.cbp_mpki()
-    }
-
     /// Initial mispredictions per kilo-instruction (Figs. 6, 9b).
     pub fn initial_mpki(&self) -> f64 {
         mpki(self.initial_mispredictions, self.instructions)
@@ -222,7 +197,6 @@ mod tests {
         assert!((r.l1i_mpki() - 37.0).abs() < 1e-12);
         assert!((r.btb_mpki() - 13.0).abs() < 1e-12);
         assert!((r.cbp_mpki() - 21.0).abs() < 1e-12);
-        assert!((r.bpu_mpki() - 34.0).abs() < 1e-12);
     }
 
     #[test]
@@ -251,13 +225,5 @@ mod tests {
             replay_metadata_bytes: 20,
         };
         assert_eq!(t.total(), 180);
-    }
-
-    #[test]
-    fn accuracy_fractions() {
-        let a = RestoreAccuracy { covered: 90, uncovered: 6, overpredicted: 4 };
-        assert!((a.covered_fraction() - 0.9).abs() < 1e-12);
-        assert!((a.overpredicted_fraction() - 0.04).abs() < 1e-12);
-        assert_eq!(RestoreAccuracy::default().covered_fraction(), 0.0);
     }
 }

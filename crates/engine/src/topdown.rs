@@ -85,12 +85,6 @@ impl TopDown {
         self.fetch_bound + self.bad_speculation
     }
 
-    /// Per-category CPI contributions for `instructions` retired.
-    pub fn cpi_stack(&self, instructions: u64) -> [(Category, f64); 4] {
-        let n = instructions.max(1) as f64;
-        Category::ALL.map(|c| (c, self.get(c) / n))
-    }
-
     /// Merges another accumulation into this one.
     pub fn merge(&mut self, other: &TopDown) {
         self.retiring += other.retiring;
@@ -123,21 +117,6 @@ mod tests {
         t.add(Category::BackendBound, 2.0);
         assert_eq!(t.total(), 20.0);
         assert_eq!(t.front_end(), 8.0);
-    }
-
-    #[test]
-    fn cpi_stack_normalizes() {
-        let mut t = TopDown::default();
-        t.add(Category::Retiring, 100.0);
-        let stack = t.cpi_stack(200);
-        assert_eq!(stack[0], (Category::Retiring, 0.5));
-    }
-
-    #[test]
-    fn cpi_stack_handles_zero_instructions() {
-        let t = TopDown::default();
-        let stack = t.cpi_stack(0);
-        assert_eq!(stack[0].1, 0.0);
     }
 
     #[test]

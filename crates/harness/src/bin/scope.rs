@@ -16,11 +16,13 @@
 //! ```
 //!
 //! `diff` auto-detects each input by schema tag: `ignite-cluster-v1`
-//! and `-v2` reports, or `ignite-scope-v1` reports. Pass two cluster
-//! reports, of either version, or two scope reports; a mixed pair is
-//! refused with exit 1. Only metrics named in both are compared. Exit
-//! status is 1 when significant regressions were found and
-//! `--advisory` was not given.
+//! and `-v2` reports, or `ignite-scope-v1` reports, each read back into
+//! its typed report, so an input that is not exactly such a report is
+//! refused with exit 1 and the path of its first difference. Pass two
+//! cluster reports, of either version, or two scope reports; a mixed
+//! pair is refused with exit 1. Only metrics named in both are
+//! compared. Exit status is 1 when significant regressions were found
+//! and `--advisory` was not given.
 //!
 //! When both inputs carry workload fingerprints (reports produced with
 //! `cluster --traffic`), their identities must match: a latency diff

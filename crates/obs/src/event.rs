@@ -93,10 +93,11 @@ impl DegradeReason {
 /// name so traces and counters distinguish the four actuation axes
 /// (replay admission, store admission, core scaling, keep-alive
 /// retuning) without parsing args.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CtrlRule {
     /// Record/replay disabled for a function: attributed
     /// `store_miss + dram` cycles exceeded the replayed savings.
+    #[default]
     ReplayOff,
     /// A periodic probe re-enabled record/replay to re-measure.
     ReplayOn,

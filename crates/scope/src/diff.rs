@@ -3,16 +3,18 @@
 //!
 //! [`load_samples`] auto-detects the input by schema tag — an
 //! `ignite-cluster-v1` or `-v2` report, or an `ignite-scope-v1` report —
-//! and flattens it into named metric samples, each with a direction (is
-//! higher better?). [`same_kind`] says whether two schemas compare at
-//! all, and [`diff`] then compares two sample sets: a change is
-//! *significant* when its baseline is nonzero and it exceeds a relative
-//! threshold.
+//! reads it into its typed report and flattens that into named metric
+//! samples, each with a direction (is higher better?). [`same_kind`] says
+//! whether two schemas compare at all, and [`diff`] then compares two
+//! sample sets: a change is *significant* when its baseline is nonzero
+//! and it exceeds a relative threshold.
 
 use std::fmt::Write as _;
 
-use ignite_cluster::json::{self, Value};
-use ignite_obs::Attribution;
+use ignite_cluster::json::{self, Value, Walker};
+use ignite_cluster::ClusterReport;
+
+use crate::report::{ScopeReport, ScopeRow};
 
 /// One comparable metric from a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,88 +28,55 @@ pub struct MetricSample {
     pub higher_is_better: bool,
 }
 
-fn sample(name: String, value: f64, higher_is_better: bool) -> MetricSample {
-    MetricSample { name, value, higher_is_better }
+fn sample(name: impl Into<String>, value: f64, higher_is_better: bool) -> MetricSample {
+    MetricSample { name: name.into(), value, higher_is_better }
 }
 
-fn num(obj: &[(String, Value)], key: &str) -> Option<f64> {
-    json::get(obj, key).and_then(Value::as_f64)
-}
-
-fn cluster_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
-    let mut out = Vec::new();
-    if let Some(t) = json::get(obj, "totals").and_then(Value::as_object) {
-        for (key, higher) in [
-            ("mean_latency_cycles", false),
-            ("p50_latency_cycles", false),
-            ("p95_latency_cycles", false),
-            ("p99_latency_cycles", false),
-            ("makespan_cycles", false),
-            ("mean_utilization", true),
-        ] {
-            if let Some(v) = num(t, key) {
-                out.push(sample(format!("totals/{key}"), v, higher));
-            }
-        }
+fn cluster_samples(report: &ClusterReport) -> Vec<MetricSample> {
+    let out = &report.outcome;
+    let mut samples = vec![
+        sample("totals/mean_latency_cycles", out.mean_latency, false),
+        sample("totals/p50_latency_cycles", out.p50_latency as f64, false),
+        sample("totals/p95_latency_cycles", out.p95_latency as f64, false),
+        sample("totals/p99_latency_cycles", out.p99_latency as f64, false),
+        sample("totals/makespan_cycles", out.makespan as f64, false),
+        sample("totals/mean_utilization", out.mean_utilization(), true),
+        sample("store/hit_rate", out.store.hit_rate(), true),
+    ];
+    for f in &out.functions {
+        let name = |key| format!("function/{}/{key}", f.abbr);
+        samples.push(sample(name("p99_latency_cycles"), f.p99_latency as f64, false));
+        samples.push(sample(name("mean_service_cycles"), f.mean_service, false));
     }
-    if let Some(st) = json::get(obj, "store").and_then(Value::as_object) {
-        if let Some(v) = num(st, "hit_rate") {
-            out.push(sample("store/hit_rate".to_string(), v, true));
-        }
-    }
-    if let Some(fs) = json::get(obj, "functions").and_then(Value::as_array) {
-        for f in fs {
-            let Some(fo) = f.as_object() else { continue };
-            let Some(abbr) = json::get(fo, "function").and_then(Value::as_str) else { continue };
-            for (key, higher) in [("p99_latency_cycles", false), ("mean_service_cycles", false)] {
-                if let Some(v) = num(fo, key) {
-                    out.push(sample(format!("function/{abbr}/{key}"), v, higher));
-                }
-            }
-        }
-    }
-    out
+    samples
 }
 
 /// The mean of each attribution key of a scope report row over its
 /// invocations, named `{prefix}/mean_{key}`.
-fn mean_attribution(row: &[(String, Value)], prefix: &str, out: &mut Vec<MetricSample>) {
-    let inv = num(row, "invocations").unwrap_or(0.0);
-    if inv > 0.0 {
-        for (key, _) in Attribution::default().fields() {
-            if let Some(v) = num(row, key) {
-                out.push(sample(format!("{prefix}/mean_{key}"), v / inv, false));
-            }
+fn mean_attribution(row: &ScopeRow, prefix: &str, out: &mut Vec<MetricSample>) {
+    if row.invocations > 0 {
+        for (key, cycles) in row.cycles.fields() {
+            let mean = cycles as f64 / row.invocations as f64;
+            out.push(sample(format!("{prefix}/mean_{key}"), mean, false));
         }
     }
 }
 
-fn scope_samples(obj: &[(String, Value)]) -> Vec<MetricSample> {
-    let mut out = Vec::new();
-    if let Some(t) = json::get(obj, "totals").and_then(Value::as_object) {
-        mean_attribution(t, "totals", &mut out);
-        for key in ["p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles"] {
-            if let Some(v) = num(t, key) {
-                out.push(sample(format!("totals/{key}"), v, false));
-            }
-        }
-        if let Some(v) = num(t, "slo_violations") {
-            out.push(sample("totals/slo_violations".to_string(), v, false));
-        }
+fn scope_samples(report: &ScopeReport) -> Vec<MetricSample> {
+    let (mut out, totals) = (Vec::new(), &report.totals);
+    mean_attribution(totals, "totals", &mut out);
+    for (q, cycles) in ["p50", "p95", "p99"].into_iter().zip(totals.latency) {
+        out.push(sample(format!("totals/{q}_latency_cycles"), cycles as f64, false));
     }
-    if let Some(fs) = json::get(obj, "functions").and_then(Value::as_array) {
-        for f in fs {
-            let Some(fo) = f.as_object() else { continue };
-            let Some(abbr) = json::get(fo, "function").and_then(Value::as_str) else { continue };
-            if let Some(v) = num(fo, "p99_latency_cycles") {
-                out.push(sample(format!("function/{abbr}/p99_latency_cycles"), v, false));
-            }
-            // Per-function mean attribution components, so a diff can
-            // call a scheduler or keep-alive change a win or regression
-            // *per function* (e.g. store-miss cycles dropping for hot
-            // functions under affinity routing).
-            mean_attribution(fo, &format!("function/{abbr}"), &mut out);
-        }
+    out.push(sample("totals/slo_violations", totals.violations as f64, false));
+    for f in &report.functions {
+        let prefix = format!("function/{}", f.abbr);
+        out.push(sample(format!("{prefix}/p99_latency_cycles"), f.totals.latency[2] as f64, false));
+        // Per-function mean attribution components, so a diff can
+        // call a scheduler or keep-alive change a win or regression
+        // *per function* (e.g. store-miss cycles dropping for hot
+        // functions under affinity routing).
+        mean_attribution(&f.totals, &prefix, &mut out);
     }
     out
 }
@@ -129,23 +98,19 @@ fn kind(schema: &str) -> Option<Kind> {
     }
 }
 
-/// Flattens a serialized report into comparable samples, detecting the
-/// schema from the document's `schema` tag, and returns the tag with
-/// them.
+/// Reads a serialized report into its typed report, detecting the schema
+/// from the document's `schema` tag, and flattens it into comparable
+/// samples, returned with the tag.
 pub fn load_samples(text: &str) -> Result<(String, Vec<MetricSample>), String> {
     let doc = json::parse(text)?;
-    let obj = doc.as_object().ok_or("document is not an object")?;
-    let schema =
-        json::get(obj, "schema").and_then(Value::as_str).ok_or("document has no 'schema' tag")?;
-    let samples = match kind(schema) {
-        Some(Kind::Cluster) => cluster_samples(obj),
-        Some(Kind::Scope) => scope_samples(obj),
+    let schema = Walker::reader(&doc).get("schema").and_then(Value::as_str);
+    let schema = schema.ok_or("document has no 'schema' tag")?.to_string();
+    let samples = match kind(&schema) {
+        Some(Kind::Cluster) => cluster_samples(&ClusterReport::read(&doc)?),
+        Some(Kind::Scope) => scope_samples(&ScopeReport::read(&doc)?),
         None => return Err(format!("unsupported schema '{schema}'")),
     };
-    if samples.is_empty() {
-        return Err(format!("no comparable metrics in '{schema}' document"));
-    }
-    Ok((schema.to_string(), samples))
+    Ok((schema, samples))
 }
 
 /// Whether reports of two schemas compare: both are cluster reports, of
@@ -157,8 +122,8 @@ pub fn same_kind(old_schema: &str, new_schema: &str) -> bool {
 }
 
 /// Extracts a compact workload identity from a serialized cluster
-/// report, or `None` when the document carries no `workload`
-/// fingerprint section (legacy reports, scope reports).
+/// report, or `None` when the text is no cluster report or carries no
+/// `workload` fingerprint section.
 ///
 /// Two reports with different identities were produced by different
 /// traffic shapes, so a metric diff between them compares apples to
@@ -168,15 +133,10 @@ pub fn same_kind(old_schema: &str, new_schema: &str) -> bool {
 /// measured statistics, so two runs of the same spec under different
 /// policies still compare cleanly.
 pub fn workload_identity(text: &str) -> Option<String> {
-    let doc = json::parse(text).ok()?;
-    let obj = doc.as_object()?;
-    let workload = json::get(obj, "workload")?.as_object()?;
-    let arrivals = json::get(workload, "arrivals").and_then(Value::as_f64)?;
-    let functions = json::get(workload, "functions").and_then(Value::as_f64)?;
-    let config = json::get(obj, "config").and_then(Value::as_object);
-    let traffic =
-        config.and_then(|c| json::get(c, "traffic")).and_then(Value::as_str).unwrap_or("(none)");
-    let seed = config.and_then(|c| num(c, "seed")).unwrap_or(0.0);
+    let report = ClusterReport::from_json(text).ok()?;
+    let traffic = report.config.traffic.as_deref()?;
+    let (seed, wl) = (report.config.arrival.seed, &report.outcome.workload);
+    let (arrivals, functions) = (wl.arrivals, wl.functions);
     Some(format!("traffic={traffic} seed={seed} arrivals={arrivals} functions={functions}"))
 }
 
@@ -301,9 +261,12 @@ pub fn diff(old: &[MetricSample], new: &[MetricSample], threshold_pct: f64) -> D
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::FunctionScope;
+    use ignite_cluster::{ClusterConfig, ClusterOutcome};
+    use ignite_obs::Attribution;
 
     fn s(name: &str, value: f64) -> MetricSample {
-        sample(name.to_string(), value, false)
+        sample(name, value, false)
     }
 
     #[test]
@@ -325,8 +288,8 @@ mod tests {
         let d = diff(&new, &old, 10.0);
         assert_eq!(d.improvements(), 1);
         // Higher-is-better flips the call.
-        let old = vec![sample("util".into(), 0.5, true)];
-        let new = vec![sample("util".into(), 0.9, true)];
+        let old = vec![sample("util", 0.5, true)];
+        let new = vec![sample("util", 0.9, true)];
         assert_eq!(diff(&old, &new, 10.0).improvements(), 1);
         assert_eq!(diff(&new, &old, 10.0).regressions(), 1);
     }
@@ -360,16 +323,25 @@ mod tests {
 
     #[test]
     fn scope_samples_carry_per_function_components() {
-        let text = r#"{"schema": "ignite-scope-v1", "totals": {"invocations": 4,
-            "queue_cycles": 8, "dram_cycles": 4, "cold_frontend_cycles": 0,
-            "store_miss_cycles": 12, "degraded_cycles": 0, "execution_cycles": 20,
-            "latency_cycles": 44, "p50_latency_cycles": 10, "p95_latency_cycles": 11,
-            "p99_latency_cycles": 12},
-            "functions": [{"function": "mdsvc", "invocations": 4,
-            "queue_cycles": 8, "dram_cycles": 4, "cold_frontend_cycles": 0,
-            "store_miss_cycles": 12, "degraded_cycles": 0, "execution_cycles": 20,
-            "latency_cycles": 44, "p99_latency_cycles": 12}]}"#;
-        let (schema, samples) = load_samples(text).expect("scope samples");
+        let row = |store_miss_cycles| {
+            let cycles = Attribution {
+                queue_cycles: 8,
+                dram_cycles: 4,
+                store_miss_cycles,
+                execution_cycles: 20,
+                latency_cycles: 32 + store_miss_cycles,
+                ..Attribution::default()
+            };
+            ScopeRow { invocations: 4, cycles, latency: [10, 11, 12], ..ScopeRow::default() }
+        };
+        let report = |store_miss_cycles| {
+            let totals = row(store_miss_cycles);
+            let mdsvc = FunctionScope { function: 0, abbr: "mdsvc".into(), totals };
+            ScopeReport { slo: None, totals, functions: vec![mdsvc] }.to_json()
+        };
+        let text = report(12);
+        ScopeReport::validate(&text).expect("a valid scope report");
+        let (schema, samples) = load_samples(&text).expect("scope samples");
         assert_eq!(schema, "ignite-scope-v1");
         let miss = samples
             .iter()
@@ -377,42 +349,56 @@ mod tests {
             .expect("per-function store-miss sample");
         assert_eq!(miss.value, 3.0);
         assert!(!miss.higher_is_better);
-        // A scheduler swap that halves mdsvc's store misses reads as a
-        // per-function improvement.
-        let better = text.replace("\"store_miss_cycles\": 12", "\"store_miss_cycles\": 4");
-        let d = diff(&samples, &load_samples(&better).unwrap().1, 5.0);
+        // A scheduler swap that cuts mdsvc's store misses to a third
+        // reads as a per-function improvement.
+        let d = diff(&samples, &load_samples(&report(4)).unwrap().1, 5.0);
         assert!(d
             .entries
             .iter()
             .any(|e| e.name == "function/mdsvc/mean_store_miss_cycles" && e.improvement));
     }
 
+    /// A cluster report of a run with no invocations: `traffic` its
+    /// `--traffic` spec, the fingerprint counting `arrivals`.
+    fn cluster_report(traffic: Option<&str>, seed: u64, arrivals: u64) -> ClusterReport {
+        let mut cfg = ClusterConfig { traffic: traffic.map(String::from), ..Default::default() };
+        cfg.arrival.seed = seed;
+        let mut outcome = ClusterOutcome::default();
+        outcome.workload.arrivals = arrivals;
+        outcome.workload.functions = 20;
+        ClusterReport::new(cfg, outcome)
+    }
+
     #[test]
     fn workload_identity_extracts_configured_shape() {
-        let report = r#"{"schema": "ignite-cluster-v1",
-            "config": {"seed": 42, "traffic": "mmpp:mults=1/6,dwells=300000/60000"},
-            "workload": {"schema": "ignite-workload-v1", "arrivals": 50, "functions": 20}}"#;
-        let id = workload_identity(report).expect("identity");
+        let mmpp = Some("mmpp:mults=1/6,dwells=300000/60000");
+        let report = cluster_report(mmpp, 42, 50);
+        let id = workload_identity(&report.to_json()).expect("identity");
         assert_eq!(
             id,
             "traffic=mmpp:mults=1/6,dwells=300000/60000 seed=42 arrivals=50 functions=20"
         );
         // Same workload under a different policy keeps the identity:
         // nothing outside config/workload participates.
-        let other = report.replace("ignite-cluster-v1", "ignite-cluster-v2");
-        assert_eq!(workload_identity(&other).as_deref(), Some(id.as_str()));
+        let mut other = report.clone();
+        other.config.store.capacity_bytes /= 2;
+        other.outcome.workload.top1_share = 0.5;
+        assert_eq!(workload_identity(&other.to_json()).as_deref(), Some(id.as_str()));
         // A different traffic spec, arrival count, or seed changes it.
-        for (from, to) in
-            [("mmpp:", "diurnal:"), ("\"arrivals\": 50", "\"arrivals\": 51"), ("42", "43")]
-        {
-            assert_ne!(workload_identity(&report.replace(from, to)), Some(id.clone()));
+        for changed in [
+            cluster_report(Some("diurnal:"), 42, 50),
+            cluster_report(mmpp, 42, 51),
+            cluster_report(mmpp, 43, 50),
+        ] {
+            assert_ne!(workload_identity(&changed.to_json()), Some(id.clone()));
         }
     }
 
     #[test]
     fn workload_identity_is_none_without_fingerprint() {
-        assert_eq!(workload_identity(r#"{"schema": "ignite-cluster-v1", "config": {}}"#), None);
-        assert_eq!(workload_identity(r#"{"schema": "ignite-scope-v1", "totals": {}}"#), None);
+        assert_eq!(workload_identity(&cluster_report(None, 42, 50).to_json()), None);
+        let scope = ScopeReport { slo: None, totals: ScopeRow::default(), functions: Vec::new() };
+        assert_eq!(workload_identity(&scope.to_json()), None);
         assert_eq!(workload_identity("not json"), None);
     }
 

@@ -33,5 +33,5 @@ pub use attribution::{ScopeAnalyzer, ScopeTotals};
 pub use diff::{
     diff, load_samples, same_kind, workload_identity, DiffEntry, DiffReport, MetricSample,
 };
-pub use report::{record_scope_metrics, record_slo_metrics, ScopeReport, SCOPE_SCHEMA};
+pub use report::{record_scope_metrics, record_slo_metrics, ScopeReport, ScopeRow, SCOPE_SCHEMA};
 pub use slo::{SloConfig, SloTracker, Transition};

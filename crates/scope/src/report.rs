@@ -1,11 +1,10 @@
 //! The `ignite-scope-v1` report: serialization, validation, and
 //! Prometheus exposition of an analyzer's aggregates.
 //!
-//! [`ScopeReport::to_json`] is the only definition of the schema:
-//! [`ScopeReport::validate`] checks a document against what `to_json`
-//! writes for the same SLO section and row count.
+//! Each row's keys are listed once, in a field table that drives both
+//! [`ScopeReport::to_json`] and [`ScopeReport::from_json`].
 
-use ignite_cluster::json::{self, Value};
+use ignite_cluster::json::{self, Field::*, Value, Walker};
 use ignite_obs::{Attribution, EventSink, MetricsRegistry};
 
 use crate::attribution::{ScopeAnalyzer, ScopeTotals};
@@ -14,6 +13,54 @@ use crate::slo::SloConfig;
 /// Schema tag written into (and required of) every scope report.
 pub const SCOPE_SCHEMA: &str = "ignite-scope-v1";
 
+/// The keys of a row's latency quantiles.
+const QUANTILES: [&str; 3] = ["p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles"];
+
+/// One row of the report: a fold's sums and its latency sketch's
+/// quantiles, from which the sketch cannot be rebuilt.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ScopeRow {
+    /// Invocations attributed.
+    pub invocations: u64,
+    /// Summed attribution; the components still tile the latency.
+    pub cycles: Attribution,
+    /// The sketch's p50, p95 and p99 latency, in cycles.
+    pub latency: [u64; 3],
+    /// SLO violations (0 when no SLO is configured).
+    pub violations: u64,
+    /// Alert fire transitions.
+    pub alert_fires: u64,
+    /// Alert resolve transitions.
+    pub alert_resolves: u64,
+}
+
+impl ScopeRow {
+    /// The row of a fold.
+    fn new(t: &ScopeTotals) -> Self {
+        ScopeRow {
+            invocations: t.invocations,
+            cycles: t.cycles,
+            latency: [50, 95, 99].map(|q| t.latency.quantile(q)),
+            violations: t.violations,
+            alert_fires: t.alert_fires,
+            alert_resolves: t.alert_resolves,
+        }
+    }
+
+    /// Every field as `(report key, value)`, in document order.
+    fn fields(&mut self) -> impl Iterator<Item = (&'static str, &mut u64)> {
+        let [p50, p95, p99] = &mut self.latency;
+        let quantiles = QUANTILES.into_iter().zip([p50, p95, p99]);
+        let alerts =
+            [("alert_fires", &mut self.alert_fires), ("alert_resolves", &mut self.alert_resolves)];
+        std::iter::once(("invocations", &mut self.invocations))
+            .chain(self.cycles.fields_mut())
+            .chain(quantiles)
+            .chain(std::iter::once(("slo_violations", &mut self.violations)))
+            .chain(alerts)
+    }
+}
+
 /// Per-function rows of the report.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionScope {
@@ -21,8 +68,8 @@ pub struct FunctionScope {
     pub function: u32,
     /// Table-1 abbreviation (or `fn-<i>` when unknown).
     pub abbr: String,
-    /// The function's fold.
-    pub totals: ScopeTotals,
+    /// The function's row.
+    pub totals: ScopeRow,
 }
 
 /// Function `function`'s abbreviation from `abbrs` (suite order, as in
@@ -31,51 +78,15 @@ fn abbr(abbrs: &[String], function: u32) -> String {
     abbrs.get(function as usize).cloned().unwrap_or_else(|| format!("fn-{function}"))
 }
 
-impl ScopeTotals {
-    /// Writes one row: the sums, then quantiles read from the sketch.
-    fn write(&self, w: &mut json::Writer) {
-        w.field("invocations", self.invocations);
-        for (key, cycles) in self.cycles.fields() {
-            w.field(key, cycles);
-        }
-        w.field("p50_latency_cycles", self.latency.quantile(50));
-        w.field("p95_latency_cycles", self.latency.quantile(95));
-        w.field("p99_latency_cycles", self.latency.quantile(99));
-        w.field("slo_violations", self.violations);
-        w.field("alert_fires", self.alert_fires);
-        w.field("alert_resolves", self.alert_resolves);
-    }
-}
-
 /// The full report, ready to serialize.
 #[derive(Debug, Clone)]
 pub struct ScopeReport {
     /// SLO in force during the run, if any.
     pub slo: Option<SloConfig>,
-    /// Cluster-wide totals.
-    pub totals: ScopeTotals,
+    /// Cluster-wide totals: the merge of the function rows.
+    pub totals: ScopeRow,
     /// Per-function rows, by function index.
     pub functions: Vec<FunctionScope>,
-}
-
-/// Reads every row written before the failure model, which lacks the
-/// chaos components, as one whose chaos components are 0.
-fn read_legacy_rows(v: &mut Value) {
-    match v {
-        Value::Object(pairs) => {
-            for (key, after) in
-                [("retry_cycles", "queue_cycles"), ("degraded_cycles", "store_miss_cycles")]
-            {
-                let at = pairs.iter().position(|(k, _)| k == after);
-                if let (None, Some(i)) = (json::get(pairs, key), at) {
-                    pairs.insert(i + 1, (key.to_string(), Value::Number(0.0)));
-                }
-            }
-            pairs.iter_mut().for_each(|(_, v)| read_legacy_rows(v));
-        }
-        Value::Array(items) => items.iter_mut().for_each(read_legacy_rows),
-        _ => {}
-    }
 }
 
 impl ScopeReport {
@@ -88,116 +99,124 @@ impl ScopeReport {
         let mut functions = Vec::new();
         for (&function, f) in analyzer.per_function() {
             totals.merge(f);
-            functions.push(FunctionScope {
-                function,
-                abbr: abbr(abbrs, function),
-                totals: f.clone(),
-            });
+            let totals = ScopeRow::new(f);
+            functions.push(FunctionScope { function, abbr: abbr(abbrs, function), totals });
         }
-        ScopeReport { slo: analyzer.slo().copied(), totals, functions }
+        let report =
+            ScopeReport { slo: analyzer.slo().copied(), totals: ScopeRow::new(&totals), functions };
+        debug_assert_eq!(report.check(), Ok(()));
+        report
     }
 
     /// Serializes to deterministic, pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut w = json::Writer::default();
-        w.field("schema", json::escape(SCOPE_SCHEMA));
-        match &self.slo {
-            None => w.field("slo", "null"),
-            Some(slo) => {
-                w.object("slo");
-                w.field("threshold_cycles", slo.threshold_cycles);
-                w.field("objective_milli", slo.objective_milli);
-                w.field("fast_window_cycles", slo.fast_window_cycles);
-                w.field("slow_window_cycles", slo.slow_window_cycles);
-                w.field("burn_milli", slo.burn_milli);
-                w.field("min_count", slo.min_count);
-                w.close();
-            }
-        }
-        w.object("totals");
-        self.totals.write(&mut w);
-        w.close();
-        w.array("functions");
-        for f in &self.functions {
-            w.row();
-            w.field("function", json::escape(&f.abbr));
-            w.field("index", f.function);
-            f.totals.write(&mut w);
-            w.close();
-        }
-        w.close();
+        self.clone().write()
+    }
+
+    fn write(&mut self) -> String {
+        let mut w = Walker::writer();
+        self.walk(&mut w);
         w.finish()
     }
 
-    /// Validates serialized report text: the schema tag, the shape
-    /// [`ScopeReport::to_json`] writes for the same SLO section and row
-    /// count ([`json::same_shape`]), and the attribution invariant — the
-    /// seven components sum exactly to the latency, in the totals and in
-    /// every row — plus ordered quantiles, an SLO objective below 1000
-    /// milli, and a totals row that is the merge of the function rows:
-    /// each of its summed keys (the invocations, every attribution key,
-    /// the violations and the alert transitions) equals the sum over the
-    /// rows. A row without `retry_cycles` or `degraded_cycles`, as
-    /// written before the failure model existed, reads them as 0.
-    pub fn validate(text: &str) -> Result<(), String> {
-        let mut doc = json::parse(text)?;
-        let obj = doc.as_object().ok_or("report is not an object")?;
-        let schema = json::get(obj, "schema").and_then(Value::as_str);
-        if schema != Some(SCOPE_SCHEMA) {
-            return Err(format!("schema {schema:?}, want {SCOPE_SCHEMA:?}"));
+    /// Walks the report in document order. A reader has set the SLO the
+    /// document holds, if any, beforehand.
+    fn walk(&mut self, w: &mut Walker) {
+        w.table([("schema", Tag(SCOPE_SCHEMA))]);
+        match &mut self.slo {
+            None => w.table([("slo", Null)]),
+            Some(slo) => w.fields(
+                "slo",
+                [
+                    ("threshold_cycles", Stored(&mut slo.threshold_cycles)),
+                    ("objective_milli", Stored(&mut slo.objective_milli)),
+                    ("fast_window_cycles", Stored(&mut slo.fast_window_cycles)),
+                    ("slow_window_cycles", Stored(&mut slo.slow_window_cycles)),
+                    ("burn_milli", Stored(&mut slo.burn_milli)),
+                    ("min_count", Stored(&mut slo.min_count)),
+                ],
+            ),
         }
-        read_legacy_rows(&mut doc);
-        let obj = doc.as_object().unwrap_or_default();
-        let skeleton = ScopeReport {
-            slo: json::get(obj, "slo").and_then(Value::as_object).map(|_| SloConfig::default()),
-            totals: ScopeTotals::default(),
-            functions: vec![FunctionScope::default(); json::get_array(obj, "functions").len()],
-        };
-        json::same_shape(&doc, &json::parse(&skeleton.to_json())?, "report")?;
-        if let Some(slo) = json::get(obj, "slo").and_then(Value::as_object) {
-            let objective = json::get_count(slo, "slo", "objective_milli")?;
+        w.fields("totals", self.totals.fields().map(|(k, v)| (k, Stored(v))));
+        w.rows("functions", &mut self.functions, false, |w, _, f| {
+            w.table([("function", Stored(&mut f.abbr)), ("index", Stored(&mut f.function))]);
+            w.table(f.totals.fields().map(|(k, v)| (k, Stored(v))));
+        });
+    }
+
+    /// Reads a report back into its types. The document must be the
+    /// report written back from what was read ([`json::same_doc`]), so an
+    /// error names the first key that is missing, of the wrong kind,
+    /// unknown or out of order by its path, such as
+    /// `report.totals: missing 'queue_cycles'`.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        Self::read(&json::parse(text)?)
+    }
+
+    /// [`ScopeReport::from_json`] of a parsed document.
+    pub fn read(doc: &Value) -> Result<Self, String> {
+        Self::read_checking(doc, |_| Ok(()))
+    }
+
+    /// Reads `doc` as [`ScopeReport::read`] does, running `check`
+    /// between the comparisons of the shapes and of the values.
+    fn read_checking(doc: &Value, check: fn(&Self) -> Result<(), String>) -> Result<Self, String> {
+        let mut r = Walker::reader(doc);
+        let slo = r.get("slo").and_then(Value::as_object).map(|_| SloConfig::default());
+        let mut report = ScopeReport { slo, totals: ScopeRow::default(), functions: Vec::new() };
+        report.walk(&mut r);
+        let want = json::parse(&report.write())?;
+        json::same_doc(doc, &want, "report", false)?;
+        check(&report)?;
+        json::same_doc(doc, &want, "report", true)?;
+        Ok(report)
+    }
+
+    /// Checks the report's invariants on typed data: an SLO objective
+    /// below 1000 milli; in the totals and in every row, seven components
+    /// that sum exactly to the latency and p50 ≤ p95 ≤ p99; and a totals
+    /// row that is the merge of the function rows, each of its summed
+    /// keys (all but the quantiles) equal to its sum over the rows.
+    pub fn check(&self) -> Result<(), String> {
+        if let Some(objective) = self.slo.map(|slo| slo.objective_milli) {
             if objective >= 1000 {
                 return Err(format!("slo: objective_milli {objective} is not below 1000"));
             }
         }
-
-        // The keys a totals row sums over the function rows.
-        let summed: Vec<&str> = ["invocations"]
-            .into_iter()
-            .chain(Attribution::default().fields().map(|(key, _)| key))
-            .chain(["slo_violations", "alert_fires", "alert_resolves"])
-            .collect();
-        let check = |row: &[(String, Value)], ctx: &str| -> Result<Vec<u64>, String> {
-            let n = |key: &str| json::get_count(row, ctx, key);
-            let mut a = Attribution::default();
-            for (key, cycles) in a.fields_mut() {
-                *cycles = n(key)?;
+        let rows = self.functions.iter().map(|f| &f.totals);
+        for (i, row) in std::iter::once(&self.totals).chain(rows).enumerate() {
+            let ctx =
+                || if i == 0 { "totals".to_string() } else { format!("functions[{}]", i - 1) };
+            let [components @ .., (_, latency)] = row.cycles.fields();
+            let sum: u128 = components.iter().map(|&(_, c)| u128::from(c)).sum();
+            if sum != u128::from(latency) {
+                return Err(format!("{}: components sum to {sum}, latency is {latency}", ctx()));
             }
-            let (sum, latency) = (a.component_sum(), a.latency_cycles);
-            if sum != latency {
-                return Err(format!("{ctx}: components sum to {sum}, latency is {latency}"));
-            }
-            let (p50, p95, p99) =
-                (n("p50_latency_cycles")?, n("p95_latency_cycles")?, n("p99_latency_cycles")?);
+            let [p50, p95, p99] = row.latency;
             if !(p50 <= p95 && p95 <= p99) {
-                return Err(format!("{ctx}: quantiles not ordered: {p50} {p95} {p99}"));
-            }
-            summed.iter().map(|key| n(key)).collect()
-        };
-        let totals = check(json::get_object(obj, "totals"), "totals")?;
-        let mut sums = vec![0u64; summed.len()];
-        for (i, row) in json::get_array(obj, "functions").iter().enumerate() {
-            let row = row.as_object().unwrap_or_default();
-            for (sum, v) in sums.iter_mut().zip(check(row, &format!("functions[{i}]"))?) {
-                *sum = sum.saturating_add(v);
+                return Err(format!("{}: quantiles not ordered: {p50} {p95} {p99}", ctx()));
             }
         }
-        for ((key, sum), total) in summed.iter().zip(sums).zip(totals) {
-            if sum != total {
+        let mut sums = [0u128; 15];
+        for mut f in self.functions.iter().map(|f| f.totals) {
+            for (sum, (_, v)) in sums.iter_mut().zip(f.fields()) {
+                *sum += u128::from(*v);
+            }
+        }
+        let mut totals = self.totals;
+        for (sum, (key, total)) in sums.into_iter().zip(totals.fields()) {
+            if sum != u128::from(*total) && !QUANTILES.contains(&key) {
                 return Err(format!("functions[].{key} sum to {sum}, totals.{key} is {total}"));
             }
         }
         Ok(())
+    }
+
+    /// Validates serialized report text: [`ScopeReport::from_json`]
+    /// reads it, with [`ScopeReport::check`] run once its shape is known
+    /// good.
+    pub fn validate(text: &str) -> Result<(), String> {
+        Self::read_checking(&json::parse(text)?, Self::check).map(drop)
     }
 }
 
@@ -243,7 +262,7 @@ pub fn record_scope_metrics(reg: &mut MetricsRegistry, report: &ScopeReport) {
             "ignite_scope_p99_latency_cycles",
             "Sketch 99th-percentile latency",
             &[("function", function)],
-            t.latency.quantile(99) as f64,
+            t.latency[2] as f64,
         );
     }
 }

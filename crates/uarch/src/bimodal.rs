@@ -162,15 +162,6 @@ impl Bimodal {
         self.table[i] = counter;
     }
 
-    /// Applies an initialization policy to the entry for `pc`.
-    pub fn apply_policy(&mut self, pc: Addr, policy: BimInitPolicy) {
-        match policy {
-            BimInitPolicy::None => {}
-            BimInitPolicy::WeaklyNotTaken => self.set(pc, Counter::WeakNotTaken),
-            BimInitPolicy::WeaklyTaken => self.set(pc, Counter::WeakTaken),
-        }
-    }
-
     /// Overwrites the whole table with random state — the lukewarm protocol
     /// "overwrites the bimodal predictor with a random state" (§5.3).
     pub fn randomize(&mut self, rng: &mut SplitMix64) {
@@ -246,25 +237,6 @@ mod tests {
         b.set(pc, Counter::WeakTaken);
         assert!(b.predict(pc));
         assert_eq!(b.counter(pc), Counter::WeakTaken);
-    }
-
-    #[test]
-    fn apply_policy_none_is_noop() {
-        let mut b = bim();
-        let pc = Addr::new(0x77);
-        let before = b.counter(pc);
-        b.apply_policy(pc, BimInitPolicy::None);
-        assert_eq!(b.counter(pc), before);
-    }
-
-    #[test]
-    fn apply_policy_sets_direction() {
-        let mut b = bim();
-        let pc = Addr::new(0x77);
-        b.apply_policy(pc, BimInitPolicy::WeaklyTaken);
-        assert!(b.predict(pc));
-        b.apply_policy(pc, BimInitPolicy::WeaklyNotTaken);
-        assert!(!b.predict(pc));
     }
 
     #[test]

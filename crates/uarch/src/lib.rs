@@ -16,7 +16,6 @@
 //! * [`bimodal`] / [`tage`] / [`cbp`] — the conditional branch predictor:
 //!   a 2-bit bimodal base plus a TAGE component, composed as an
 //!   L-TAGE-style predictor.
-//! * [`ftq`] — the fetch target queue of a decoupled front-end.
 //! * [`config`] — the simulated processor parameters (paper Table 2).
 //!
 //! # Example
@@ -38,7 +37,6 @@ pub mod btb;
 pub mod cache;
 pub mod cbp;
 pub mod config;
-pub mod ftq;
 pub mod fxmap;
 pub mod hierarchy;
 pub mod ittage;

@@ -42,15 +42,6 @@ pub fn speedup(baseline_cycles: u64, cycles: u64) -> f64 {
     }
 }
 
-/// Geometric mean of a slice of positive values; 1.0 for an empty slice.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -129,13 +120,6 @@ mod tests {
         assert!((speedup(200, 100) - 2.0).abs() < 1e-12);
         assert_eq!(speedup(0, 10), 1.0);
         assert_eq!(speedup(10, 0), 1.0);
-    }
-
-    #[test]
-    fn geomean_basic() {
-        let g = geomean(&[1.0, 4.0]);
-        assert!((g - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 1.0);
     }
 
     #[test]

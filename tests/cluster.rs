@@ -15,7 +15,6 @@
 use std::path::PathBuf;
 
 use ignite_chaos::ChaosPlan;
-use ignite_cluster::json::{self, Value};
 use ignite_cluster::{
     sweep_capacities, ClusterConfig, ClusterReport, ClusterSim, KeepAliveKind, SchedulerKind,
     StaticPolicy, Topology,
@@ -383,16 +382,9 @@ fn replayed_trace_reproduces_direct_run() {
 fn validation_rejects_rows_that_disagree_with_the_totals() {
     let golden = std::fs::read_to_string(golden_path()).expect("read tests/golden/cluster.json");
     ClusterReport::validate(&golden).expect("the committed golden validates");
-    let doc = json::parse(&golden).expect("the golden parses");
-    let obj = doc.as_object().expect("an object");
-    let count = |row: &[(String, Value)], key| json::get_count(row, "golden", key).expect(key);
-    let totals = json::get_object(obj, "totals");
-    let (n, p50, p95) = (
-        count(totals, "invocations"),
-        count(totals, "p50_latency_cycles"),
-        count(totals, "p95_latency_cycles"),
-    );
-    let core0 = count(json::get_array(obj, "cores")[0].as_object().expect("a row"), "invocations");
+    let out = ClusterReport::from_json(&golden).expect("the golden reads back").outcome;
+    let (n, p50, p95, core0) =
+        (out.invocations, out.p50_latency, out.p95_latency, out.cores[0].invocations);
     let cases = [
         (format!("\"invocations\": {n},"), format!("\"invocations\": {},", n + 1), "invocations"),
         (
@@ -412,6 +404,56 @@ fn validation_rejects_rows_that_disagree_with_the_totals() {
         assert_ne!(bad, golden, "the golden has no {from}");
         let err = ClusterReport::validate(&bad).expect_err(&to);
         assert!(err.contains(key), "{to}: {err}");
+    }
+}
+
+/// `text` with the number after the first `"key": ` replaced by
+/// `to(number)`.
+fn edit_first(text: &str, key: &str, to: impl Fn(&str) -> String) -> String {
+    let at = text.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+    let end = at + text[at..].find([',', '\n']).expect("a delimiter");
+    format!("{}{}{}", &text[..at], to(&text[at..end]), &text[end..])
+}
+
+/// Copies of the committed goldens that edit one value the report
+/// derives from others fail validation, naming the value's path: each
+/// still keeps every invariant among the values it stores, so only
+/// writing the report back from what was read catches it.
+#[test]
+fn derived_values_that_disagree_with_their_counts_are_rejected() {
+    let read = |file: &str| {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file);
+        std::fs::read_to_string(path).expect("a committed golden")
+    };
+    // Each edit sets a value, or with `None` raises a count by one.
+    let edits = [
+        ("cluster.json", "hit_rate", "report.store.hit_rate", Some("0.5")),
+        (
+            "cluster.json",
+            "metadata_hit_rate",
+            "report.functions[0].metadata_hit_rate",
+            Some("0.123"),
+        ),
+        ("cluster.json", "mean_utilization", "report.totals.mean_utilization", Some("0.9")),
+        ("cluster.json", "entries_restored", "report.replay.entries_restored", None),
+        (
+            "multinode.json",
+            "wasted_keepalive_cycles",
+            "report.totals.wasted_keepalive_cycles",
+            None,
+        ),
+        ("multinode.json", "hit_rate", "report.nodes[0].store.hit_rate", Some("0.01")),
+        ("multinode.json", "slowdown", "report.functions[0].slowdown", Some("7.5")),
+    ];
+    for (file, key, path, value) in edits {
+        let golden = read(file);
+        ClusterReport::validate(&golden).expect("the committed golden validates");
+        let bad = edit_first(&golden, key, |n| {
+            value.map_or_else(|| (n.parse::<u64>().expect("a count") + 1).to_string(), String::from)
+        });
+        assert_ne!(bad, golden, "{file}: {path} already has the edited value");
+        let err = ClusterReport::validate(&bad).expect_err(path);
+        assert!(err.starts_with(&format!("{path}: expected ")), "{file}: {err}");
     }
 }
 

@@ -14,7 +14,7 @@ use ignite_cluster::{
     metrics_for, record_trace_health, validate_trace, ClusterConfig, ClusterOutcome, ClusterReport,
     ClusterSim, ObsSummary, StaticPolicy,
 };
-use ignite_obs::{Attribution, EventKind, EventSink, NullSink, TraceBuffer, Track};
+use ignite_obs::{Attribution, EventKind, EventSink, NullSink, QuantileSketch, TraceBuffer, Track};
 use ignite_scope::{diff, load_samples, ScopeAnalyzer, ScopeReport, SloConfig};
 
 /// Same pinned configuration as the cluster golden test: long enough
@@ -139,31 +139,22 @@ fn cluster_and_scope_reports_write_the_same_percentiles() {
     let scope = ScopeReport::from_analyzer(&analyzer, &abbrs(&outcome)).to_json();
     let metrics = metrics_for(&cfg, &outcome).expose();
     let cluster = ClusterReport::new(cfg, outcome).to_json();
-    let (cluster, scope) =
-        (json::parse(&cluster).expect("parses"), json::parse(&scope).expect("parses"));
-    let (cluster, scope) =
-        (cluster.as_object().expect("object"), scope.as_object().expect("object"));
-    let quantiles = |row: &[(String, Value)]| {
-        ["p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles"]
-            .map(|key| json::get_count(row, "row", key).expect(key))
-    };
-    let name = |row: &[(String, Value)]| {
-        json::get(row, "function").and_then(Value::as_str).map(String::from)
-    };
-    let totals = quantiles(json::get_object(scope, "totals"));
-    assert_eq!(quantiles(json::get_object(cluster, "totals")), totals, "totals");
-    let scope_rows: Vec<_> =
-        json::get_array(scope, "functions").iter().filter_map(Value::as_object).collect();
+    let cluster = ClusterReport::from_json(&cluster).expect("reads back").outcome;
+    let scope = ScopeReport::from_json(&scope).expect("reads back");
+    let totals = scope.totals.latency;
+    assert_eq!([cluster.p50_latency, cluster.p95_latency, cluster.p99_latency], totals, "totals");
     let mut compared = 0;
-    for row in json::get_array(cluster, "functions").iter().filter_map(Value::as_object) {
-        if json::get_count(row, "row", "invocations") == Ok(0) {
-            continue;
-        }
-        let theirs = scope_rows.iter().find(|r| name(r) == name(row)).expect("a scope row");
-        assert_eq!(quantiles(row), quantiles(theirs), "{:?}", name(row));
+    for f in cluster.functions.iter().filter(|f| f.invocations > 0) {
+        let theirs = scope.functions.iter().find(|r| r.abbr == f.abbr).expect("a scope row");
+        assert_eq!(
+            [f.p50_latency, f.p95_latency, f.p99_latency],
+            theirs.totals.latency,
+            "{}",
+            f.abbr
+        );
         compared += 1;
     }
-    assert_eq!(compared, scope_rows.len(), "every scope row has a cluster row");
+    assert_eq!(compared, scope.functions.len(), "every scope row has a cluster row");
     for (q, want) in ["0.5", "0.95", "0.99"].into_iter().zip(totals) {
         let gauge = metrics.lines().find(|l| {
             l.starts_with("ignite_cluster_latency_quantile_cycles{")
@@ -182,11 +173,11 @@ fn cluster_and_scope_reports_write_the_same_percentiles() {
 fn scope_validate_rejects_unmerged_totals_and_an_out_of_range_objective() {
     let text = std::fs::read_to_string(repo_path("tests/golden/scope.json")).expect("golden");
     assert_eq!(ScopeReport::validate(&text), Ok(()));
-    let doc = json::parse(&text).expect("the golden parses");
-    let totals = json::get_object(doc.as_object().expect("an object"), "totals");
+    let totals = ScopeReport::from_json(&text).expect("the golden reads back").totals.cycles;
     let mut unmerged = text.clone();
-    for key in ["queue_cycles", "latency_cycles"] {
-        let v = json::get_count(totals, "totals", key).expect(key);
+    for (key, v) in
+        [("queue_cycles", totals.queue_cycles), ("latency_cycles", totals.latency_cycles)]
+    {
         // The first match is in the totals row, which precedes the rows.
         let raised =
             unmerged.replacen(&format!("\"{key}\": {v},"), &format!("\"{key}\": {},", v + 5), 1);
@@ -280,7 +271,7 @@ fn sketch_bytes_identical_across_processes() {
 }
 
 /// Helper for [`sketch_bytes_identical_across_processes`]: prints the
-/// `Debug` rendering of the report's merged latency sketch and the
+/// `Debug` rendering of the analyzer's merged latency sketch and the
 /// report when spawned with `IGNITE_SCOPE_CHILD=1`, does nothing in a
 /// normal run.
 #[test]
@@ -292,7 +283,9 @@ fn scope_child_emits_sketch() {
     let mut analyzer = ScopeAnalyzer::new(NullSink).with_slo(SloConfig::default());
     let outcome = run_observed(&cfg, &mut analyzer);
     let report = ScopeReport::from_analyzer(&analyzer, &abbrs(&outcome));
-    println!("IGNITE_SCOPE sketch {:?}", report.totals.latency);
+    let mut sketch = QuantileSketch::new();
+    analyzer.per_function().values().for_each(|f| sketch.merge(&f.latency));
+    println!("IGNITE_SCOPE sketch {sketch:?}");
     for line in report.to_json().lines() {
         println!("IGNITE_SCOPE {line}");
     }
@@ -435,22 +428,10 @@ fn object_at<'a>(v: &'a mut Value, at: &[usize]) -> &'a mut Vec<(String, Value)>
 
 /// Every committed report passes its validator, and fails it once any
 /// one key is deleted or any one number turned into a string, with an
-/// error naming the key. The one exception is the scope report's legacy
-/// form: its rows may omit the chaos components.
+/// error naming the key.
 #[test]
 fn committed_reports_require_every_key_with_its_kind() {
-    type Validate = fn(&str) -> Result<(), String>;
-    let cluster: Validate = ClusterReport::validate;
-    let scope: Validate = ScopeReport::validate;
-    for (file, validate, optional) in [
-        ("cluster.json", cluster, &[][..]),
-        ("chaos.json", cluster, &[]),
-        ("multinode.json", cluster, &[]),
-        ("control.json", cluster, &[]),
-        ("traffic_azure.json", cluster, &[]),
-        ("traffic_mmpp.json", cluster, &[]),
-        ("scope.json", scope, &["retry_cycles", "degraded_cycles"]),
-    ] {
+    for (file, validate) in committed_reports() {
         let text = std::fs::read_to_string(repo_path(&format!("tests/golden/{file}")))
             .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
         let doc = json::parse(&text).expect("golden parses");
@@ -460,13 +441,9 @@ fn committed_reports_require_every_key_with_its_kind() {
         for (at, parent, i) in sites {
             let mut cut = doc.clone();
             let (key, value) = object_at(&mut cut, &at).remove(i);
-            let result = validate(&render(&cut));
-            if optional.contains(&key.as_str()) {
-                assert_eq!(result, Ok(()), "{file}: {parent}.{key} is optional");
-            } else {
-                let err = result.expect_err(&format!("{file}: {parent}.{key} deleted"));
-                assert!(err.contains(&key), "{file}: {parent}.{key} deleted: {err}");
-            }
+            let err =
+                validate(&render(&cut)).expect_err(&format!("{file}: {parent}.{key} deleted"));
+            assert!(err.contains(&key), "{file}: {parent}.{key} deleted: {err}");
             if let Value::Number(x) = value {
                 let mut typo = doc.clone();
                 object_at(&mut typo, &at)[i].1 = Value::String(json::number(x));
@@ -478,18 +455,37 @@ fn committed_reports_require_every_key_with_its_kind() {
     }
 }
 
-/// A scope report written before the failure model, whose rows carry no
-/// `retry_cycles` or `degraded_cycles`, still validates.
+type Validate = fn(&str) -> Result<(), String>;
+
+/// Every committed report and its validator.
+fn committed_reports() -> [(&'static str, Validate); 7] {
+    let (cluster, scope): (Validate, Validate) = (ClusterReport::validate, ScopeReport::validate);
+    [
+        ("cluster.json", cluster),
+        ("chaos.json", cluster),
+        ("multinode.json", cluster),
+        ("control.json", cluster),
+        ("traffic_azure.json", cluster),
+        ("traffic_mmpp.json", cluster),
+        ("scope.json", scope),
+    ]
+}
+
+/// Every committed report reads back into its types and writes back
+/// byte for byte: the chaos v2, multi-node, controller, Azure and MMPP
+/// shapes, and the scope report.
 #[test]
-fn legacy_scope_report_validates() {
-    let text = std::fs::read_to_string(repo_path("tests/golden/scope.json")).expect("golden");
-    let legacy: String = text
-        .lines()
-        .filter(|l| !l.contains("\"retry_cycles\"") && !l.contains("\"degraded_cycles\""))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert!(legacy.len() < text.len(), "the golden carries the chaos components");
-    assert_eq!(ScopeReport::validate(&legacy), Ok(()));
+fn every_committed_report_round_trips() {
+    for (file, _) in committed_reports() {
+        let text = std::fs::read_to_string(repo_path(&format!("tests/golden/{file}")))
+            .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
+        let back = if file == "scope.json" {
+            ScopeReport::from_json(&text).map(|r| r.to_json())
+        } else {
+            ClusterReport::from_json(&text).map(|r| r.to_json())
+        };
+        assert_eq!(back.as_deref(), Ok(text.as_str()), "{file}");
+    }
 }
 
 /// Deeply nested input is a parse error for every validating command: exit
