@@ -10,13 +10,15 @@
 //!
 //! A report's [`Walker`] walks its sections in document order, listing
 //! each record's keys once, in a field table of [`Field`]s, to write the
-//! report or to read it back. A value the report derives from others is
-//! written but never read, so [`same_doc`], comparing a document with
-//! the report written back from what was read, names a key that is
-//! missing, mistyped or unknown, and a derived value that disagrees with
-//! the values it comes from.
+//! report, to read it back, or to set a gauge for each of its numbers. A
+//! value the report derives from others is written but never read, so
+//! [`same_doc`], comparing a document with the report written back from
+//! what was read, names a key that is missing, mistyped or unknown, and a
+//! derived value that disagrees with the values it comes from.
 
 use std::fmt::{Display, Write as _};
+
+use ignite_obs::MetricsRegistry;
 
 /// The deepest nesting of arrays and objects [`parse`] accepts. The
 /// reports nest four levels.
@@ -84,6 +86,14 @@ pub trait Scalar {
     fn write(&self, w: &mut Writer, key: &str);
     /// Sets the value from `v` when `v` holds one, and leaves it otherwise.
     fn read(&mut self, v: &Value);
+    /// The value, if it is a number.
+    fn number(&self) -> Option<f64> {
+        None
+    }
+    /// The value, if it is a string.
+    fn text(&self) -> Option<&str> {
+        None
+    }
 }
 
 /// A number writes with the writer's `$write`. An integer reads any
@@ -100,6 +110,10 @@ macro_rules! number_scalar {
                     *self = x as $t;
                 }
             }
+
+            fn number(&self) -> Option<f64> {
+                Some(*self as f64)
+            }
         }
     )*};
 }
@@ -114,6 +128,10 @@ impl Scalar for String {
         if let Some(s) = v.as_str() {
             s.clone_into(self);
         }
+    }
+
+    fn text(&self) -> Option<&str> {
+        Some(self)
     }
 }
 
@@ -143,6 +161,16 @@ impl Field<'_> {
             Field::Absent
         }
     }
+
+    /// The number the entry writes, if it writes one.
+    fn number(&self) -> Option<f64> {
+        match self {
+            Field::Stored(v) => v.number(),
+            Field::Count(n) => Some(*n as f64),
+            Field::Float(x) => Some(*x),
+            Field::Tag(_) | Field::Null | Field::Absent => None,
+        }
+    }
 }
 
 /// A field table of `N` entries.
@@ -156,34 +184,130 @@ pub fn row<T: Default>(rows: &mut Vec<T>, i: usize) -> &mut T {
     &mut rows[i]
 }
 
-/// Writes a report, or reads one back into its types, in one walk of its
-/// sections in document order, a field table at a time: the walk defines
-/// both the layout and its reading. Reading, a missing value or one of
-/// the wrong kind leaves its field as it was, and a section that is no
-/// object reads as an empty one; comparing the document with the report
-/// written back ([`same_doc`]) then names the first such key by its path.
-/// Rows come from the document's arrays, never sized from a number in it.
+/// Writes a report, reads one back into its types, or sets a gauge for
+/// each of its numbers, in one walk of its sections in document order, a
+/// field table at a time: the walk defines the layout, its reading and
+/// its exposition. Reading, a missing value or one of the wrong kind
+/// leaves its field as it was, and a section that is no object reads as
+/// an empty one; comparing the document with the report written back
+/// ([`same_doc`]) then names the first such key by its path. Rows come
+/// from the document's arrays, never sized from a number in it.
 pub struct Walker<'a> {
-    /// The document written so far; `None` when reading.
-    out: Option<Writer>,
+    mode: Mode<'a>,
     /// When reading, the object the walk is in.
     pairs: &'a [(String, Value)],
+}
+
+enum Mode<'a> {
+    /// The document written so far.
+    Write(Writer),
+    Read,
+    Gauges(Gauges<'a>),
+}
+
+/// Where a gauge walk is: the name and path of the section it is in, and
+/// the labels of the rows it is in.
+struct Gauges<'a> {
+    reg: &'a mut MetricsRegistry,
+    /// `ignite_{report}_`, then each enclosing key and `_`.
+    name: String,
+    /// Each enclosing key and `.`, with `[]` after an array's.
+    path: String,
+    /// ` in the {report} report`, which ends each sample's help.
+    suffix: String,
+    /// The caller's labels, then the label of each enclosing row.
+    labels: Vec<(&'a str, String)>,
+    /// The lengths of `name`, `path` and `labels` to go back to when the
+    /// innermost open section, array or row closes.
+    marks: Vec<[usize; 3]>,
+    /// Whether the next entry is a row's first, which labels the row.
+    row_start: bool,
+}
+
+impl Gauges<'_> {
+    fn enter(&mut self, key: Option<&str>, array: bool) {
+        self.marks.push([self.name.len(), self.path.len(), self.labels.len()]);
+        match key {
+            Some(key) => {
+                self.name.push_str(key);
+                self.name.push('_');
+                self.path.push_str(key);
+                self.path.push_str(if array { "[]." } else { "." });
+            }
+            None => self.row_start = true,
+        }
+    }
+
+    fn leave(&mut self) {
+        let [name, path, labels] = self.marks.pop().expect("an open section, array or row");
+        self.name.truncate(name);
+        self.path.truncate(path);
+        self.labels.truncate(labels);
+        self.row_start = false;
+    }
+
+    /// Takes a row's first entry as its label, or sets the gauge of a
+    /// number.
+    fn entry(&mut self, key: &'static str, field: Field) {
+        if std::mem::take(&mut self.row_start) {
+            let text = match &field {
+                Field::Stored(v) => v.text().map(str::to_string),
+                _ => None,
+            };
+            if let Some(label) = text.or_else(|| field.number().map(|x| x.to_string())) {
+                self.labels.push((key, label));
+            }
+            return;
+        }
+        let Some(value) = field.number() else { return };
+        let (name, path) = (self.name.len(), self.path.len());
+        self.name.push_str(key);
+        self.path.push_str(key);
+        self.path.push_str(&self.suffix);
+        let labels: Vec<(&str, &str)> = self.labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        self.reg.set_gauge(&self.name, &self.path, &labels, value);
+        self.name.truncate(name);
+        self.path.truncate(path);
+    }
 }
 
 impl<'a> Walker<'a> {
     /// A walker that writes a report.
     pub fn writer() -> Self {
-        Walker { out: Some(Writer::default()), pairs: &[] }
+        Walker { mode: Mode::Write(Writer::default()), pairs: &[] }
     }
 
     /// A walker that reads `doc`.
     pub fn reader(doc: &'a Value) -> Self {
-        Walker { out: None, pairs: doc.as_object().unwrap_or_default() }
+        Walker { mode: Mode::Read, pairs: doc.as_object().unwrap_or_default() }
+    }
+
+    /// A walker that sets a gauge in `reg` for every number the report
+    /// writes (stored, counted or derived), under `labels`: the number at
+    /// path `a.b.c` is the gauge `ignite_{report}_a_b_c`, its help that
+    /// path. A row adds its array's key to the path and its first entry
+    /// to the labels, keyed by the entry's key, so that entry is a label
+    /// and not a sample. Strings, tags, `null` and [`Walker::log`]s are
+    /// not exposed.
+    pub fn gauges(reg: &'a mut MetricsRegistry, report: &str, labels: &[(&'a str, &str)]) -> Self {
+        let gauges = Gauges {
+            reg,
+            name: format!("ignite_{report}_"),
+            path: String::new(),
+            suffix: format!(" in the {report} report"),
+            labels: labels.iter().map(|&(k, v)| (k, v.to_string())).collect(),
+            marks: Vec::new(),
+            row_start: false,
+        };
+        Walker { mode: Mode::Gauges(gauges), pairs: &[] }
     }
 
     /// The document written.
     pub fn finish(self) -> String {
-        self.out.map(Writer::finish).unwrap_or_default()
+        match self.mode {
+            Mode::Write(w) => w.finish(),
+            Mode::Read | Mode::Gauges(_) => String::new(),
+        }
     }
 
     /// The value under `key` in the object being read, if there is one.
@@ -191,22 +315,25 @@ impl<'a> Walker<'a> {
         get(self.pairs, key)
     }
 
-    /// Writes a field table, or reads its stored values.
+    /// Writes a field table, reads its stored values, or sets the gauges
+    /// of its numbers.
     pub fn table<'b>(&mut self, table: impl IntoIterator<Item = (&'static str, Field<'b>)>) {
         for (key, field) in table {
-            let Some(w) = &mut self.out else {
-                if let (Field::Stored(v), Some(x)) = (field, get(self.pairs, key)) {
-                    v.read(x);
+            match &mut self.mode {
+                Mode::Write(w) => match field {
+                    Field::Stored(v) => v.write(w, key),
+                    Field::Count(n) => w.field(key, n),
+                    Field::Float(x) => w.float(key, x),
+                    Field::Tag(s) => w.field(key, escape(s)),
+                    Field::Null => w.field(key, "null"),
+                    Field::Absent => {}
+                },
+                Mode::Read => {
+                    if let (Field::Stored(v), Some(x)) = (field, get(self.pairs, key)) {
+                        v.read(x);
+                    }
                 }
-                continue;
-            };
-            match field {
-                Field::Stored(v) => v.write(w, key),
-                Field::Count(n) => w.field(key, n),
-                Field::Float(x) => w.float(key, x),
-                Field::Tag(s) => w.field(key, escape(s)),
-                Field::Null => w.field(key, "null"),
-                Field::Absent => {}
+                Mode::Gauges(g) => g.entry(key, field),
             }
         }
     }
@@ -239,7 +366,7 @@ impl<'a> Walker<'a> {
         mut row: impl FnMut(&mut Self, usize, &mut T),
     ) {
         let items = self.get(key).and_then(Value::as_array).unwrap_or_default();
-        if self.out.is_none() {
+        if let Mode::Read = self.mode {
             rows.resize_with(items.len(), T::default);
         }
         let outer = self.enter(Some(key), ['[', ']'], false, None);
@@ -251,6 +378,19 @@ impl<'a> Walker<'a> {
         self.leave(outer);
     }
 
+    /// Walks an event log under `key`: inline rows, several of which may
+    /// share a first entry, so a gauge walk skips them.
+    pub fn log<T: Default>(
+        &mut self,
+        key: &str,
+        rows: &mut Vec<T>,
+        row: impl FnMut(&mut Self, usize, &mut T),
+    ) {
+        if !matches!(self.mode, Mode::Gauges(_)) {
+            self.rows(key, rows, true, row);
+        }
+    }
+
     /// Opens an object or array, under `key` when it has one, and reads
     /// `v` as the object inside; returns the object to go back to.
     fn enter(
@@ -260,16 +400,20 @@ impl<'a> Walker<'a> {
         inline: bool,
         v: Option<&'a Value>,
     ) -> &'a [(String, Value)] {
-        if let Some(w) = &mut self.out {
-            w.open(key, brackets, inline);
+        match &mut self.mode {
+            Mode::Write(w) => w.open(key, brackets, inline),
+            Mode::Read => {}
+            Mode::Gauges(g) => g.enter(key, brackets[0] == '['),
         }
         std::mem::replace(&mut self.pairs, v.and_then(Value::as_object).unwrap_or_default())
     }
 
     /// Closes what [`Walker::enter`] opened, going back to `outer`.
     fn leave(&mut self, outer: &'a [(String, Value)]) {
-        if let Some(w) = &mut self.out {
-            w.close();
+        match &mut self.mode {
+            Mode::Write(w) => w.close(),
+            Mode::Read => {}
+            Mode::Gauges(g) => g.leave(),
         }
         self.pairs = outer;
     }
@@ -745,6 +889,35 @@ mod tests {
             "{\n  \"a\": 3,\n  \"b\": \"x\",\n  \"c\": 4,\n  \"rows\": [\n    {\"n\": 1},\n    \
                     {\"n\": 0},\n    {\"n\": 0}\n  ]\n}\n";
         assert_eq!(w.finish(), want);
+    }
+
+    /// A gauge walk sets one gauge per number, named and helped by its
+    /// path, with a row's first entry as the row's label, and leaves out
+    /// strings, tags, `null` and logs.
+    #[test]
+    fn a_gauge_walk_names_each_number_by_its_path() {
+        let mut reg = MetricsRegistry::new();
+        let mut w = Walker::gauges(&mut reg, "t", &[("k", "v")]);
+        let mut s = "x".to_string();
+        w.table([
+            ("schema", Field::Tag("t")),
+            ("a", Field::Count(3)),
+            ("s", Field::Stored(&mut s)),
+        ]);
+        w.fields("b", [("c", Field::Float(0.5)), ("n", Field::Null)]);
+        let mut rows = vec![("x".to_string(), 1u64), ("y".to_string(), 2)];
+        w.rows("rows", &mut rows, false, |w, _, (f, n)| {
+            w.table([("f", Field::Stored(f)), ("n", Field::Stored(n))])
+        });
+        w.log("log", &mut vec![7u64], |w, _, at| w.table([("at", Field::Stored(at))]));
+        let want = "# HELP ignite_t_a a in the t report\n# TYPE ignite_t_a gauge\n\
+                    ignite_t_a{k=\"v\"} 3\n\
+                    # HELP ignite_t_b_c b.c in the t report\n# TYPE ignite_t_b_c gauge\n\
+                    ignite_t_b_c{k=\"v\"} 0.5\n\
+                    # HELP ignite_t_rows_n rows[].n in the t report\n\
+                    # TYPE ignite_t_rows_n gauge\n\
+                    ignite_t_rows_n{f=\"x\",k=\"v\"} 1\nignite_t_rows_n{f=\"y\",k=\"v\"} 2\n";
+        assert_eq!(reg.expose(), want);
     }
 
     /// A count reads any number, and only an exact integer in `u64`'s

@@ -63,7 +63,7 @@ pub use keepalive::{KeepAliveKind, KeepAliveRt};
 pub use policy::{
     ClusterGauges, ControllerStats, Decision, PolicyHook, PolicySample, StaticPolicy,
 };
-pub use prom::{metrics_for, record_metrics, record_trace_health};
+pub use prom::{metrics_for, record_metrics};
 pub use report::{ClusterReport, ObsSummary, CLUSTER_SCHEMA, CLUSTER_SCHEMA_V2};
 pub use sched::{NodeLoad, Scheduler, SchedulerKind};
 pub use sim::{

@@ -93,7 +93,7 @@ pub struct Decision {
 
 /// End-of-run controller summary surfaced as
 /// `ClusterOutcome::controller`, the report's `controller` section and
-/// the `ignite_ctrl_*` Prometheus family.
+/// so its `ignite_cluster_controller_*` Prometheus gauges.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ControllerStats {
     /// Epoch evaluations completed.

@@ -9,15 +9,15 @@
 //! identical bytes (the golden tests rely on this).
 //!
 //! Each section's keys are listed once, in a field table ([`json::Field`])
-//! that drives both [`ClusterReport::to_json`] and
-//! [`ClusterReport::from_json`]. A value `to_json` derives from others — a
-//! hit rate, the mean utilization, a slowdown, the aggregate replay
-//! counters, a row's index, the controller's fire counts, the schema tags
-//! — is recomputed, never read back.
+//! that drives [`ClusterReport::to_json`], [`ClusterReport::from_json`]
+//! and the metrics exposition ([`crate::prom`]). A value `to_json`
+//! derives from others — a hit rate, the mean utilization, a slowdown,
+//! the aggregate replay counters, a row's index, the controller's fire
+//! counts, the schema tags — is recomputed, never read back.
 
 use ignite_chaos::{ChaosPlan, ChaosStats};
 use ignite_core::{EvictionPolicy, ReplayStats, StoreStats};
-use ignite_obs::CtrlRule;
+use ignite_obs::{CtrlRule, MetricsRegistry};
 
 use crate::json::{self, Field::*, Scalar, Table, Value, Walker};
 use crate::keepalive::KeepAliveKind;
@@ -188,6 +188,13 @@ impl ClusterReport {
         let mut w = Walker::writer();
         self.walk(&mut w, !self.config.topology.is_default());
         w.finish()
+    }
+
+    /// Sets a gauge in `reg` for every number the report writes, under
+    /// `labels` ([`Walker::gauges`]).
+    pub(crate) fn set_gauges(&mut self, reg: &mut MetricsRegistry, labels: &[(&str, &str)]) {
+        let multi = !self.config.topology.is_default();
+        self.walk(&mut Walker::gauges(reg, "cluster", labels), multi);
     }
 
     /// Walks the report in document order. A reader has set each optional
@@ -373,7 +380,7 @@ impl ClusterReport {
                     ("final_active_cores", Stored(&mut ctrl.final_active_cores)),
                 ]);
                 w.fields("fires", fires);
-                w.rows("decisions", &mut ctrl.decisions, true, |w, _, d| {
+                w.log("decisions", &mut ctrl.decisions, |w, _, d| {
                     // A cluster-wide decision has no target function: -1.
                     let mut function =
                         if d.function == u32::MAX { -1 } else { i64::from(d.function) };

@@ -25,7 +25,8 @@
 //! Every decision is observability: the simulator mirrors each
 //! [`ignite_cluster::Decision`] onto the `Track::Controller` trace
 //! track, the run report grows a validated `controller` section, and
-//! the Prometheus exposition grows the `ignite_ctrl_*` family. The
+//! the Prometheus exposition, a projection of that report, grows its
+//! `ignite_cluster_controller_*` gauges. The
 //! controller is bit-deterministic: integer-only rule math, `BTreeMap`
 //! iteration everywhere, and epoch boundaries derived purely from the
 //! simulated clock.

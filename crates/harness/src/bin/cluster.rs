@@ -54,8 +54,13 @@
 //!   --validate FILE    validate an existing report and exit
 //!   --trace-out FILE     write a Chrome trace (Perfetto-loadable) of the
 //!                        run; one track per core plus queue/store tracks
-//!   --metrics-out FILE   write Prometheus-style metrics; with --sweep,
-//!                        every point appears under a store_capacity label
+//!   --metrics-out FILE   write Prometheus-style metrics: a gauge for every
+//!                        number of the reports the run writes, named by
+//!                        its path (ignite_cluster_totals_invocations,
+//!                        ignite_scope_functions_queue_cycles), plus the
+//!                        latency histogram and, with --slo, the live
+//!                        burn rates; with --sweep, every point appears
+//!                        under a store_capacity label
 //!   --validate-trace FILE  validate an existing Chrome trace and exit
 //!   --scope-out FILE     write an ignite-scope-v1 causal latency
 //!                        attribution report for the run
@@ -72,9 +77,10 @@
 //!                        k=v pairs: epoch=CYCLES, slo=CYCLES,
 //!                        min-samples=N, probe=EPOCHS, min-cores=N.
 //!                        Every decision lands in the report's
-//!                        'controller' section, the ignite_ctrl_*
-//!                        metric family and (with --trace-out) its own
-//!                        trace track. Conflicts with --sweep.
+//!                        'controller' section (exposed as the
+//!                        ignite_cluster_controller_* gauges) and
+//!                        (with --trace-out) its own trace track.
+//!                        Conflicts with --sweep.
 //!   --chaos SPEC         enable failure injection; SPEC is 'default',
 //!                        'none', or comma-separated k=v pairs:
 //!                        crash-mtbf, crash-repair, straggle-mtbf,
@@ -93,9 +99,8 @@ use std::process::ExitCode;
 
 use ignite_chaos::{parse_chaos_spec, parse_retry_spec, ChaosPlan};
 use ignite_cluster::{
-    metrics_for, record_metrics, record_trace_health, sweep_capacities, validate_trace,
-    ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, KeepAliveKind, ObsSummary,
-    SchedulerKind, StaticPolicy, MAX_JOBS,
+    record_metrics, sweep_capacities, validate_trace, ClusterConfig, ClusterOutcome, ClusterReport,
+    ClusterSim, KeepAliveKind, ObsSummary, SchedulerKind, StaticPolicy, MAX_JOBS,
 };
 use ignite_control::{Controller, ControllerSpec};
 use ignite_core::EvictionPolicy;
@@ -596,7 +601,8 @@ fn main() -> ExitCode {
                     if let Some(reg) = &mut metrics {
                         let mut point = cfg.clone();
                         point.store.capacity_bytes = *cap;
-                        record_metrics(reg, &point, &out, &[("store_capacity", &cap.to_string())]);
+                        let report = ClusterReport::new(point, out);
+                        record_metrics(reg, report, &[("store_capacity", &cap.to_string())]);
                     }
                 }
                 Err(f) => {
@@ -687,16 +693,21 @@ fn main() -> ExitCode {
         Sinks::Both(an) => Some(an.inner()),
         _ => None,
     };
+    let mut report = ClusterReport::new(cfg, outcome);
+    if let Some(buf) = trace_buf {
+        report = report
+            .with_obs(ObsSummary { trace_events: buf.len() as u64, trace_dropped: buf.dropped() });
+    }
 
-    if let Some(report) = &scope_report {
-        let text = report.to_json();
+    if let Some(scope) = &scope_report {
+        let text = scope.to_json();
         if let Err(e) = ScopeReport::validate(&text) {
             eprintln!("cluster: emitted scope report failed validation: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!(
             "scope: {} invocations attributed | {} SLO violations | {} alert fires",
-            report.totals.invocations, report.totals.violations, report.totals.alert_fires
+            scope.totals.invocations, scope.totals.violations, scope.totals.alert_fires
         );
         if let Some(path) = &args.scope_out {
             if let Err(e) = std::fs::write(path, &text) {
@@ -708,10 +719,9 @@ fn main() -> ExitCode {
     }
 
     if let (Some(path), Some(buf)) = (&args.trace_out, trace_buf) {
-        let names: Vec<String> = outcome.functions.iter().map(|f| f.abbr.clone()).collect();
         let text = to_chrome_json(
             buf,
-            &ChromeOptions { process_name: "ignite-cluster", function_names: &names },
+            &ChromeOptions { process_name: "ignite-cluster", function_names: &abbrs },
         );
         if let Err(e) = validate_trace(&text) {
             eprintln!("cluster: emitted trace failed validation: {e}");
@@ -724,12 +734,12 @@ fn main() -> ExitCode {
         eprintln!("wrote {path} ({} events, {} dropped)", buf.len(), buf.dropped());
     }
     if let Some(path) = &args.metrics_out {
-        let mut reg = metrics_for(&cfg, &outcome);
-        if let Some(buf) = trace_buf {
-            record_trace_health(&mut reg, buf.len() as u64, buf.dropped());
-        }
-        if let Some(report) = &scope_report {
-            record_scope_metrics(&mut reg, report);
+        // The exposition is the reports this run writes, plus the
+        // latency histogram and the live burn rates.
+        let mut reg = MetricsRegistry::new();
+        record_metrics(&mut reg, report.clone(), &[]);
+        if let Some(scope) = &scope_report {
+            record_scope_metrics(&mut reg, scope);
         }
         match &sinks {
             Sinks::Scope(an) => record_slo_metrics(&mut reg, an, &abbrs),
@@ -743,11 +753,6 @@ fn main() -> ExitCode {
         eprintln!("wrote {path}");
     }
 
-    let mut report = ClusterReport::new(cfg, outcome);
-    if let Some(buf) = trace_buf {
-        report = report
-            .with_obs(ObsSummary { trace_events: buf.len() as u64, trace_dropped: buf.dropped() });
-    }
     let text = report.to_json();
     if let Err(e) = ClusterReport::validate(&text) {
         eprintln!("cluster: emitted report failed validation: {e}");

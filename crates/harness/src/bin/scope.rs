@@ -34,7 +34,7 @@
 
 use std::process::ExitCode;
 
-use ignite_scope::{diff, load_samples, same_kind, workload_identity, ScopeReport};
+use ignite_scope::{diff, load_samples, same_kind, ScopeReport};
 
 fn usage() -> ! {
     eprintln!(
@@ -109,37 +109,37 @@ fn main() -> ExitCode {
                 (Ok(a), Ok(b)) => (a, b),
                 (Err(code), _) | (_, Err(code)) => return code,
             };
-            let (old_schema, old) = match load_samples(&old_text) {
+            let old = match load_samples(&old_text) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("scope: {old_path}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let (new_schema, new) = match load_samples(&new_text) {
+            let new = match load_samples(&new_text) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("scope: {new_path}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            if !same_kind(&old_schema, &new_schema) {
+            let (old_schema, new_schema) = (&old.schema, &new.schema);
+            if !same_kind(old_schema, new_schema) {
                 eprintln!(
                     "scope: refusing to compare {old_path} ({old_schema}) with {new_path} ({new_schema}): pass two cluster reports or two scope reports"
                 );
                 return ExitCode::FAILURE;
             }
-            let (old_id, new_id) = (workload_identity(&old_text), workload_identity(&new_text));
-            if old_id != new_id && !allow_cross_workload {
+            if old.workload != new.workload && !allow_cross_workload {
                 let show = |id: &Option<String>| id.clone().unwrap_or_else(|| "(none)".into());
                 eprintln!(
                     "scope: workload fingerprints differ; refusing to compare\n  {old_path}: {}\n  {new_path}: {}\npass --allow-cross-workload to compare anyway",
-                    show(&old_id),
-                    show(&new_id)
+                    show(&old.workload),
+                    show(&new.workload)
                 );
                 return ExitCode::FAILURE;
             }
-            let report = diff(&old, &new, threshold);
+            let report = diff(&old.samples, &new.samples, threshold);
             print!("{}", report.to_text());
             if report.regressions() > 0 && !advisory {
                 ExitCode::FAILURE

@@ -5,7 +5,7 @@
 //! crate answers *why*: a per-core timeline of every discrete event the
 //! simulation takes (arrivals, dispatches, store evictions, replay
 //! watchdog abandons, Top-Down phase attribution) plus an exported
-//! counter/gauge/histogram registry.
+//! gauge/histogram registry.
 //!
 //! Two sinks, both dependency-free and deterministic:
 //!
@@ -15,10 +15,12 @@
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`: one
 //!   track per simulated core, one for the metadata store, one for the
 //!   cluster queue.
-//! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms
-//!   with Prometheus-style text exposition. Iteration order is
-//!   `BTreeMap`-sorted everywhere, so the exposition is byte-identical
-//!   for identical inputs across processes.
+//! * [`MetricsRegistry`] — gauges and fixed-bucket histograms with
+//!   Prometheus-style text exposition of one end-of-run snapshot. The
+//!   cluster and scope reports fill it through their own walks, so it
+//!   holds exactly their numbers. Iteration order is `BTreeMap`-sorted
+//!   everywhere, so the exposition is byte-identical for identical
+//!   inputs across processes.
 //!
 //! # The zero-cost contract
 //!

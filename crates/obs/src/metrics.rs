@@ -1,28 +1,28 @@
 //! Metrics registry with deterministic Prometheus-style exposition.
 //!
-//! Three instrument families — monotone `u64` counters, `f64` gauges,
-//! and fixed-bucket `u64` histograms — each addressable by name plus an
-//! optional label set. Everything is stored in `BTreeMap`s and labels
-//! are sorted by key, so [`MetricsRegistry::expose`] is byte-identical
-//! for identical inputs, across runs and across processes. Non-finite
-//! gauge values are pinned to `0` at write time: the exposition never
-//! contains `NaN` or `inf`.
+//! Two instrument families — `f64` gauges and fixed-bucket `u64`
+//! histograms — each addressable by name plus an optional label set.
+//! An exposition is one end-of-run snapshot, so setting a sample again
+//! replaces it: recording the same run twice writes the same text.
+//! Everything is stored in `BTreeMap`s and labels are sorted by key, so
+//! [`MetricsRegistry::expose`] is byte-identical for identical inputs,
+//! across runs and across processes. Non-finite gauge values are pinned
+//! to `0` at write time: the exposition never contains `NaN` or `inf`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 #[derive(Debug, Clone)]
 enum MetricData {
-    Counter(BTreeMap<String, u64>),
     Gauge(BTreeMap<String, f64>),
     Histogram { bounds: Vec<u64>, series: BTreeMap<String, HistSeries> },
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct HistSeries {
     /// Per-bound counts (non-cumulative), plus one overflow bucket.
     counts: Vec<u64>,
     sum: u64,
-    total: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -31,29 +31,21 @@ struct Metric {
     data: MetricData,
 }
 
-/// Formats an `f64` for exposition: shortest round-trip form, with
-/// non-finite values pinned to `0`.
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
-}
-
 /// Renders a label set as `{k="v",...}` with keys sorted, or `""` when
 /// empty.
 fn label_key(labels: &[(&str, &str)]) -> String {
+    if !labels.is_sorted() {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        return label_key(&sorted);
+    }
     if labels.is_empty() {
         return String::new();
     }
-    let mut sorted: Vec<_> = labels.to_vec();
-    sorted.sort_unstable();
-    let mut out = String::from("{");
-    for (i, (k, v)) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let len: usize = labels.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+    let mut out = String::with_capacity(len + 1);
+    for (i, (k, v)) in labels.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
         out.push_str(k);
         out.push_str("=\"");
         for c in v.chars() {
@@ -70,17 +62,7 @@ fn label_key(labels: &[(&str, &str)]) -> String {
     out
 }
 
-/// Injects an extra label into an already-rendered label key (used for
-/// histogram `le`).
-fn with_le(key: &str, le: &str) -> String {
-    if key.is_empty() {
-        format!("{{le=\"{le}\"}}")
-    } else {
-        format!("{},le=\"{le}\"}}", &key[..key.len() - 1])
-    }
-}
-
-/// A named collection of counters, gauges and histograms.
+/// A named collection of gauges and histograms.
 ///
 /// Instruments are created on first touch; re-using a name with a
 /// different instrument family (or different histogram bounds) panics —
@@ -96,34 +78,20 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Number of registered metric names.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Adds `by` to a counter sample.
-    pub fn inc_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], by: u64) {
-        let metric = self.metrics.entry(name.to_string()).or_insert_with(|| Metric {
-            help: help.to_string(),
-            data: MetricData::Counter(BTreeMap::new()),
-        });
-        let MetricData::Counter(series) = &mut metric.data else {
-            panic!("metric {name} already registered with a different type");
-        };
-        *series.entry(label_key(labels)).or_insert(0) += by;
+    /// The data of the family `name`, created by `new` on first touch.
+    /// The name and help are only allocated then: a report sets hundreds
+    /// of samples, most of them into families its rows share.
+    fn family(&mut self, name: &str, help: &str, new: impl FnOnce() -> MetricData) -> &mut Metric {
+        if !self.metrics.contains_key(name) {
+            let metric = Metric { help: help.to_string(), data: new() };
+            self.metrics.insert(name.to_string(), metric);
+        }
+        self.metrics.get_mut(name).expect("the family exists")
     }
 
     /// Sets a gauge sample. Non-finite values are pinned to `0`.
     pub fn set_gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        let metric = self.metrics.entry(name.to_string()).or_insert_with(|| Metric {
-            help: help.to_string(),
-            data: MetricData::Gauge(BTreeMap::new()),
-        });
+        let metric = self.family(name, help, || MetricData::Gauge(BTreeMap::new()));
         let MetricData::Gauge(series) = &mut metric.data else {
             panic!("metric {name} already registered with a different type");
         };
@@ -131,33 +99,15 @@ impl MetricsRegistry {
         series.insert(label_key(labels), pinned);
     }
 
-    /// Records one observation into a fixed-bucket histogram. `bounds`
-    /// are inclusive upper bucket bounds in increasing order; values
-    /// above the last bound land in the implicit `+Inf` bucket.
-    pub fn observe(
-        &mut self,
-        name: &str,
-        help: &str,
-        bounds: &[u64],
-        labels: &[(&str, &str)],
-        value: u64,
-    ) {
-        let series = self.histogram_series(name, help, bounds, labels);
-        let idx = bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len());
-        series.counts[idx] += 1;
-        series.sum += value;
-        series.total += 1;
-    }
-
-    /// Merges precomputed bucket counts (one per bound, plus one
-    /// overflow count at the end) into a histogram sample. Lets callers
-    /// that already aggregated deterministically (e.g. the cluster
-    /// outcome) expose without replaying every observation.
+    /// Sets a histogram sample from precomputed bucket counts: one per
+    /// bound, plus one overflow count at the end. `bounds` are inclusive
+    /// upper bucket bounds in increasing order; values above the last
+    /// bound belong in the implicit `+Inf` bucket.
     ///
     /// # Panics
     ///
     /// Panics if `counts.len() != bounds.len() + 1`.
-    pub fn merge_histogram(
+    pub fn set_histogram(
         &mut self,
         name: &str,
         help: &str,
@@ -167,77 +117,81 @@ impl MetricsRegistry {
         sum: u64,
     ) {
         assert_eq!(counts.len(), bounds.len() + 1, "need one count per bound plus overflow");
-        let series = self.histogram_series(name, help, bounds, labels);
-        for (slot, c) in series.counts.iter_mut().zip(counts) {
-            *slot += c;
-        }
-        series.sum += sum;
-        series.total += counts.iter().sum::<u64>();
-    }
-
-    fn histogram_series(
-        &mut self,
-        name: &str,
-        help: &str,
-        bounds: &[u64],
-        labels: &[(&str, &str)],
-    ) -> &mut HistSeries {
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "histogram bounds must increase");
-        let metric = self.metrics.entry(name.to_string()).or_insert_with(|| Metric {
-            help: help.to_string(),
-            data: MetricData::Histogram { bounds: bounds.to_vec(), series: BTreeMap::new() },
+        let metric = self.family(name, help, || MetricData::Histogram {
+            bounds: bounds.to_vec(),
+            series: BTreeMap::new(),
         });
         let MetricData::Histogram { bounds: have, series } = &mut metric.data else {
             panic!("metric {name} already registered with a different type");
         };
         assert_eq!(have.as_slice(), bounds, "metric {name} re-registered with different bounds");
-        series.entry(label_key(labels)).or_insert_with(|| HistSeries {
-            counts: vec![0; bounds.len() + 1],
-            ..HistSeries::default()
-        })
+        series.insert(label_key(labels), HistSeries { counts: counts.to_vec(), sum });
     }
 
     /// Prometheus-style text exposition: `# HELP` / `# TYPE` preamble
     /// per metric, samples sorted by label key, histograms expanded to
     /// cumulative `_bucket{le=...}` plus `_sum` and `_count`.
     pub fn expose(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.exposed_len());
         for (name, metric) in &self.metrics {
             if !metric.help.is_empty() {
-                out.push_str(&format!("# HELP {name} {}\n", metric.help));
+                let _ = writeln!(out, "# HELP {name} {}", metric.help);
             }
             match &metric.data {
-                MetricData::Counter(series) => {
-                    out.push_str(&format!("# TYPE {name} counter\n"));
-                    for (labels, v) in series {
-                        out.push_str(&format!("{name}{labels} {v}\n"));
-                    }
-                }
                 MetricData::Gauge(series) => {
-                    out.push_str(&format!("# TYPE {name} gauge\n"));
+                    let _ = writeln!(out, "# TYPE {name} gauge");
                     for (labels, v) in series {
-                        out.push_str(&format!("{name}{labels} {}\n", fmt_f64(*v)));
+                        let _ = writeln!(out, "{name}{labels} {v}");
                     }
                 }
                 MetricData::Histogram { bounds, series } => {
-                    out.push_str(&format!("# TYPE {name} histogram\n"));
+                    let _ = writeln!(out, "# TYPE {name} histogram");
                     for (labels, h) in series {
+                        // `le` joins the sample's own labels inside one pair of braces.
+                        let (open, comma) = match labels.strip_suffix('}') {
+                            Some(open) => (open, ","),
+                            None => ("{", ""),
+                        };
                         let mut cumulative = 0u64;
                         for (bound, count) in bounds.iter().zip(&h.counts) {
                             cumulative += count;
-                            let le = with_le(labels, &bound.to_string());
-                            out.push_str(&format!("{name}_bucket{le} {cumulative}\n"));
+                            let _ = writeln!(
+                                out,
+                                "{name}_bucket{open}{comma}le=\"{bound}\"}} {cumulative}"
+                            );
                         }
                         cumulative += h.counts[bounds.len()];
-                        let le = with_le(labels, "+Inf");
-                        out.push_str(&format!("{name}_bucket{le} {cumulative}\n"));
-                        out.push_str(&format!("{name}_sum{labels} {}\n", h.sum));
-                        out.push_str(&format!("{name}_count{labels} {}\n", h.total));
+                        let _ =
+                            writeln!(out, "{name}_bucket{open}{comma}le=\"+Inf\"}} {cumulative}");
+                        let _ = writeln!(out, "{name}_sum{labels} {}", h.sum);
+                        let _ = writeln!(out, "{name}_count{labels} {cumulative}");
                     }
                 }
             }
         }
         out
+    }
+
+    /// About the length of [`MetricsRegistry::expose`]'s text, so it is
+    /// written into one allocation: each gauge value is taken to be 12
+    /// bytes long, each histogram bucket line to carry a 12-byte bound
+    /// and count.
+    fn exposed_len(&self) -> usize {
+        let mut len = 0;
+        for (name, metric) in &self.metrics {
+            len += 2 * name.len() + metric.help.len() + 24;
+            len += match &metric.data {
+                MetricData::Gauge(series) => {
+                    series.keys().map(|labels| name.len() + labels.len() + 14).sum::<usize>()
+                }
+                MetricData::Histogram { bounds, series } => series
+                    .keys()
+                    .map(|labels| (bounds.len() + 3) * (name.len() + labels.len() + 32))
+                    .sum(),
+            };
+        }
+        len
     }
 }
 
@@ -249,19 +203,19 @@ mod tests {
     fn exposition_is_deterministic_and_sorted() {
         let build = || {
             let mut reg = MetricsRegistry::new();
-            reg.inc_counter("zeta_total", "last metric", &[], 3);
-            reg.inc_counter("alpha_total", "first metric", &[("b", "2"), ("a", "1")], 1);
-            reg.inc_counter("alpha_total", "first metric", &[("a", "1"), ("b", "2")], 1);
+            reg.set_gauge("zeta", "last metric", &[], 3.0);
+            reg.set_gauge("alpha", "first metric", &[("b", "2"), ("a", "1")], 1.0);
+            reg.set_gauge("alpha", "first metric", &[("a", "1"), ("b", "2")], 2.0);
             reg.set_gauge("mid_gauge", "middle", &[], 1.5);
             reg
         };
         let a = build().expose();
         assert_eq!(a, build().expose());
-        // Metric names sorted, duplicate label sets merged regardless of order.
-        let alpha = a.find("alpha_total").unwrap();
-        let zeta = a.find("zeta_total").unwrap();
+        // Metric names sorted, one sample per label set regardless of order.
+        let alpha = a.find("alpha").unwrap();
+        let zeta = a.find("zeta").unwrap();
         assert!(alpha < zeta);
-        assert!(a.contains("alpha_total{a=\"1\",b=\"2\"} 2\n"));
+        assert!(a.contains("alpha{a=\"1\",b=\"2\"} 2\n"));
         assert!(a.contains("mid_gauge 1.5\n"));
     }
 
@@ -279,10 +233,8 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative() {
         let mut reg = MetricsRegistry::new();
-        let bounds = [10, 100, 1000];
-        for v in [5, 7, 50, 5000] {
-            reg.observe("lat", "latency", &bounds, &[], v);
-        }
+        // The observations 5, 7, 50 and 5000.
+        reg.set_histogram("lat", "latency", &[10, 100, 1000], &[], &[2, 1, 0, 1], 5062);
         let text = reg.expose();
         assert!(text.contains("lat_bucket{le=\"10\"} 2\n"));
         assert!(text.contains("lat_bucket{le=\"100\"} 3\n"));
@@ -292,24 +244,34 @@ mod tests {
         assert!(text.contains("lat_count 4\n"));
     }
 
+    /// A histogram set twice under one label set holds the second
+    /// series, as a gauge does, so recording a run twice writes what
+    /// recording it once does.
     #[test]
-    fn merge_histogram_matches_observations() {
+    fn set_histogram_replaces_its_series() {
         let bounds = [10, 100];
-        let mut by_obs = MetricsRegistry::new();
-        for v in [3, 30, 300] {
-            by_obs.observe("h", "", &bounds, &[("f", "x")], v);
-        }
-        let mut by_merge = MetricsRegistry::new();
-        by_merge.merge_histogram("h", "", &bounds, &[("f", "x")], &[1, 1, 1], 333);
-        assert_eq!(by_obs.expose(), by_merge.expose());
+        let once = |reg: &mut MetricsRegistry| {
+            reg.set_histogram("h", "", &bounds, &[("f", "x")], &[1, 1, 1], 333);
+            reg.set_gauge("g", "", &[("f", "x")], 3.0);
+        };
+        let mut twice = MetricsRegistry::new();
+        once(&mut twice);
+        once(&mut twice);
+        let mut single = MetricsRegistry::new();
+        once(&mut single);
+        assert_eq!(twice.expose(), single.expose());
+        let want = "# TYPE g gauge\ng{f=\"x\"} 3\n# TYPE h histogram\n\
+                    h_bucket{f=\"x\",le=\"10\"} 1\nh_bucket{f=\"x\",le=\"100\"} 2\n\
+                    h_bucket{f=\"x\",le=\"+Inf\"} 3\nh_sum{f=\"x\"} 333\nh_count{f=\"x\"} 3\n";
+        assert_eq!(single.expose(), want);
     }
 
     #[test]
     #[should_panic(expected = "different type")]
     fn type_confusion_panics() {
         let mut reg = MetricsRegistry::new();
-        reg.inc_counter("m", "", &[], 1);
         reg.set_gauge("m", "", &[], 1.0);
+        reg.set_histogram("m", "", &[1], &[], &[0, 0], 0);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! [`load_samples`] auto-detects the input by schema tag — an
 //! `ignite-cluster-v1` or `-v2` report, or an `ignite-scope-v1` report —
 //! reads it into its typed report and flattens that into named metric
-//! samples, each with a direction (is higher better?). [`same_kind`] says
-//! whether two schemas compare at all, and [`diff`] then compares two
-//! sample sets: a change is *significant* when its baseline is nonzero
-//! and it exceeds a relative threshold.
+//! samples, each with a direction (is higher better?), and a cluster
+//! report's workload identity. [`same_kind`] says whether two schemas
+//! compare at all, and [`diff`] then compares two sample sets: a change
+//! is *significant* when its baseline is nonzero and it exceeds a
+//! relative threshold.
 
 use std::fmt::Write as _;
 
@@ -98,19 +99,42 @@ fn kind(schema: &str) -> Option<Kind> {
     }
 }
 
+/// A report read for comparison.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Loaded {
+    /// The document's `schema` tag.
+    pub schema: String,
+    /// The report flattened into comparable samples.
+    pub samples: Vec<MetricSample>,
+    /// A cluster report's workload identity, `None` for a report with no
+    /// `workload` fingerprint section.
+    ///
+    /// Two reports with different identities were produced by different
+    /// traffic shapes, so a metric diff between them compares apples to
+    /// oranges; `scope diff` refuses such pairs unless explicitly
+    /// overridden. The identity is the *configured* shape (the
+    /// `--traffic` spec plus arrival seed/rate/skew inputs and stream
+    /// size), not the measured statistics, so two runs of the same spec
+    /// under different policies still compare cleanly.
+    pub workload: Option<String>,
+}
+
 /// Reads a serialized report into its typed report, detecting the schema
 /// from the document's `schema` tag, and flattens it into comparable
-/// samples, returned with the tag.
-pub fn load_samples(text: &str) -> Result<(String, Vec<MetricSample>), String> {
+/// samples, returned with the tag and the workload identity.
+pub fn load_samples(text: &str) -> Result<Loaded, String> {
     let doc = json::parse(text)?;
     let schema = Walker::reader(&doc).get("schema").and_then(Value::as_str);
     let schema = schema.ok_or("document has no 'schema' tag")?.to_string();
-    let samples = match kind(&schema) {
-        Some(Kind::Cluster) => cluster_samples(&ClusterReport::read(&doc)?),
-        Some(Kind::Scope) => scope_samples(&ScopeReport::read(&doc)?),
+    let (samples, workload) = match kind(&schema) {
+        Some(Kind::Cluster) => {
+            let report = ClusterReport::read(&doc)?;
+            (cluster_samples(&report), workload_identity(&report))
+        }
+        Some(Kind::Scope) => (scope_samples(&ScopeReport::read(&doc)?), None),
         None => return Err(format!("unsupported schema '{schema}'")),
     };
-    Ok((schema, samples))
+    Ok(Loaded { schema, samples, workload })
 }
 
 /// Whether reports of two schemas compare: both are cluster reports, of
@@ -121,19 +145,8 @@ pub fn same_kind(old_schema: &str, new_schema: &str) -> bool {
     kind(old_schema).is_some() && kind(old_schema) == kind(new_schema)
 }
 
-/// Extracts a compact workload identity from a serialized cluster
-/// report, or `None` when the text is no cluster report or carries no
-/// `workload` fingerprint section.
-///
-/// Two reports with different identities were produced by different
-/// traffic shapes, so a metric diff between them compares apples to
-/// oranges; `scope diff` refuses such pairs unless explicitly
-/// overridden. The identity is the *configured* shape (the `--traffic`
-/// spec plus arrival seed/rate/skew inputs and stream size), not the
-/// measured statistics, so two runs of the same spec under different
-/// policies still compare cleanly.
-pub fn workload_identity(text: &str) -> Option<String> {
-    let report = ClusterReport::from_json(text).ok()?;
+/// A cluster report's workload identity ([`Loaded::workload`]).
+fn workload_identity(report: &ClusterReport) -> Option<String> {
     let traffic = report.config.traffic.as_deref()?;
     let (seed, wl) = (report.config.arrival.seed, &report.outcome.workload);
     let (arrivals, functions) = (wl.arrivals, wl.functions);
@@ -341,7 +354,7 @@ mod tests {
         };
         let text = report(12);
         ScopeReport::validate(&text).expect("a valid scope report");
-        let (schema, samples) = load_samples(&text).expect("scope samples");
+        let Loaded { schema, samples, .. } = load_samples(&text).expect("scope samples");
         assert_eq!(schema, "ignite-scope-v1");
         let miss = samples
             .iter()
@@ -351,7 +364,7 @@ mod tests {
         assert!(!miss.higher_is_better);
         // A scheduler swap that cuts mdsvc's store misses to a third
         // reads as a per-function improvement.
-        let d = diff(&samples, &load_samples(&report(4)).unwrap().1, 5.0);
+        let d = diff(&samples, &load_samples(&report(4)).unwrap().samples, 5.0);
         assert!(d
             .entries
             .iter()
@@ -369,11 +382,16 @@ mod tests {
         ClusterReport::new(cfg, outcome)
     }
 
+    /// The workload identity `load_samples` reads from `text`.
+    fn identity(text: &str) -> Option<String> {
+        load_samples(text).ok()?.workload
+    }
+
     #[test]
     fn workload_identity_extracts_configured_shape() {
         let mmpp = Some("mmpp:mults=1/6,dwells=300000/60000");
         let report = cluster_report(mmpp, 42, 50);
-        let id = workload_identity(&report.to_json()).expect("identity");
+        let id = identity(&report.to_json()).expect("identity");
         assert_eq!(
             id,
             "traffic=mmpp:mults=1/6,dwells=300000/60000 seed=42 arrivals=50 functions=20"
@@ -383,23 +401,23 @@ mod tests {
         let mut other = report.clone();
         other.config.store.capacity_bytes /= 2;
         other.outcome.workload.top1_share = 0.5;
-        assert_eq!(workload_identity(&other.to_json()).as_deref(), Some(id.as_str()));
+        assert_eq!(identity(&other.to_json()).as_deref(), Some(id.as_str()));
         // A different traffic spec, arrival count, or seed changes it.
         for changed in [
             cluster_report(Some("diurnal:"), 42, 50),
             cluster_report(mmpp, 42, 51),
             cluster_report(mmpp, 43, 50),
         ] {
-            assert_ne!(workload_identity(&changed.to_json()), Some(id.clone()));
+            assert_ne!(identity(&changed.to_json()), Some(id.clone()));
         }
     }
 
     #[test]
     fn workload_identity_is_none_without_fingerprint() {
-        assert_eq!(workload_identity(&cluster_report(None, 42, 50).to_json()), None);
+        assert_eq!(identity(&cluster_report(None, 42, 50).to_json()), None);
         let scope = ScopeReport { slo: None, totals: ScopeRow::default(), functions: Vec::new() };
-        assert_eq!(workload_identity(&scope.to_json()), None);
-        assert_eq!(workload_identity("not json"), None);
+        assert_eq!(identity(&scope.to_json()), None);
+        assert_eq!(identity("not json"), None);
     }
 
     #[test]

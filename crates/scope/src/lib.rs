@@ -30,8 +30,6 @@ pub mod report;
 pub mod slo;
 
 pub use attribution::{ScopeAnalyzer, ScopeTotals};
-pub use diff::{
-    diff, load_samples, same_kind, workload_identity, DiffEntry, DiffReport, MetricSample,
-};
+pub use diff::{diff, load_samples, same_kind, DiffEntry, DiffReport, Loaded, MetricSample};
 pub use report::{record_scope_metrics, record_slo_metrics, ScopeReport, ScopeRow, SCOPE_SCHEMA};
 pub use slo::{SloConfig, SloTracker, Transition};

@@ -1,8 +1,9 @@
 //! The `ignite-scope-v1` report: serialization, validation, and
 //! Prometheus exposition of an analyzer's aggregates.
 //!
-//! Each row's keys are listed once, in a field table that drives both
-//! [`ScopeReport::to_json`] and [`ScopeReport::from_json`].
+//! Each row's keys are listed once, in a field table that drives
+//! [`ScopeReport::to_json`], [`ScopeReport::from_json`] and
+//! [`record_scope_metrics`].
 
 use ignite_cluster::json::{self, Field::*, Value, Walker};
 use ignite_obs::{Attribution, EventSink, MetricsRegistry};
@@ -220,81 +221,27 @@ impl ScopeReport {
     }
 }
 
-/// Records the report into a metrics registry as
-/// `ignite_scope_*` families: per-component cycle counters labeled by
-/// component and function, invocation/violation/alert counters, and
-/// quantile gauges.
+/// Records the report into a metrics registry: a gauge for each of its
+/// numbers, named `ignite_scope_` and the number's path, a function row's
+/// under its `function` label ([`Walker::gauges`]).
 pub fn record_scope_metrics(reg: &mut MetricsRegistry, report: &ScopeReport) {
-    for f in &report.functions {
-        let t = &f.totals;
-        let [components @ .., _latency] = t.cycles.fields();
-        for (key, cycles) in components {
-            let component = key.trim_end_matches("_cycles");
-            // The chaos components only appear in the exposition when
-            // they are nonzero, keeping chaos-free expositions
-            // byte-identical to what they were before the failure model
-            // existed.
-            if cycles == 0 && matches!(component, "retry" | "degraded") {
-                continue;
-            }
-            reg.inc_counter(
-                "ignite_scope_component_cycles_total",
-                "Attributed latency cycles by causal component",
-                &[("component", component), ("function", f.abbr.as_str())],
-                cycles,
-            );
-        }
-        for (name, help, value) in [
-            ("ignite_scope_invocations_total", "Invocations attributed by scope", t.invocations),
-            (
-                "ignite_scope_slo_violations_total",
-                "Invocations over the SLO latency threshold",
-                t.violations,
-            ),
-            ("ignite_scope_alert_fires_total", "Burn-rate alert fire transitions", t.alert_fires),
-        ] {
-            reg.inc_counter(name, help, &[("function", f.abbr.as_str())], value);
-        }
-    }
-    let rows = report.functions.iter().map(|f| (f.abbr.as_str(), &f.totals));
-    for (function, t) in rows.chain([("all", &report.totals)]) {
-        reg.set_gauge(
-            "ignite_scope_p99_latency_cycles",
-            "Sketch 99th-percentile latency",
-            &[("function", function)],
-            t.latency[2] as f64,
-        );
-    }
+    report.clone().walk(&mut Walker::gauges(reg, "scope", &[]));
 }
 
-/// Records the SLO alerting surface into the registry as `ignite_slo_*`
-/// families: alert Fire/Resolve transition counters and the live
-/// fast/slow burn-rate gauges per function (the same
-/// [`crate::slo::SloTracker::current_burn`] values the policy
-/// controller reads). Emits nothing when the analyzer has no SLO
-/// configured, so SLO-free expositions stay byte-identical to
-/// pre-alerting output.
+/// Records the live fast/slow burn-rate gauges per function into the
+/// registry as `ignite_slo_burn_rate_milli`: the same
+/// [`crate::slo::SloTracker::current_burn`] values the policy controller
+/// reads, which no report holds. Emits nothing when the analyzer has no
+/// SLO configured, so SLO-free expositions carry no `ignite_slo_`
+/// family.
 pub fn record_slo_metrics<S: EventSink>(
     reg: &mut MetricsRegistry,
     analyzer: &ScopeAnalyzer<S>,
     abbrs: &[String],
 ) {
     let Some(cfg) = analyzer.slo().copied() else { return };
-    for (&function, f) in analyzer.per_function() {
+    for &function in analyzer.per_function().keys() {
         let abbr = abbr(abbrs, function);
-        let fl = [("function", abbr.as_str())];
-        reg.inc_counter(
-            "ignite_slo_alerts_fired_total",
-            "Burn-rate alert Fire transitions",
-            &fl,
-            f.alert_fires,
-        );
-        reg.inc_counter(
-            "ignite_slo_alerts_resolved_total",
-            "Burn-rate alert Resolve transitions",
-            &fl,
-            f.alert_resolves,
-        );
         let (fast, slow) =
             analyzer.trackers().get(&function).map(|t| t.current_burn(&cfg)).unwrap_or((0, 0));
         for (window, burn) in [("fast", fast), ("slow", slow)] {
@@ -399,15 +346,17 @@ mod tests {
             an
         };
         let expose = |an: &ScopeAnalyzer<NullSink>| {
+            let abbrs = ["aes".into()];
             let mut reg = MetricsRegistry::new();
-            record_slo_metrics(&mut reg, an, &["aes".into()]);
+            record_scope_metrics(&mut reg, &ScopeReport::from_analyzer(an, &abbrs));
+            record_slo_metrics(&mut reg, an, &abbrs);
             reg.expose()
         };
         let a = expose(&an());
         assert_eq!(a, expose(&an()), "exposition must be byte-deterministic");
         for needle in [
-            "ignite_slo_alerts_fired_total{function=\"aes\"} 1",
-            "ignite_slo_alerts_resolved_total{function=\"aes\"}",
+            "ignite_scope_functions_alert_fires{function=\"aes\"} 1",
+            "ignite_scope_functions_alert_resolves{function=\"aes\"}",
             "ignite_slo_burn_rate_milli{function=\"aes\",window=\"fast\"}",
             "ignite_slo_burn_rate_milli{function=\"aes\",window=\"slow\"}",
         ] {
@@ -423,17 +372,18 @@ mod tests {
         record_scope_metrics(&mut reg, &report);
         let text = reg.expose();
         for needle in [
-            "ignite_scope_component_cycles_total",
-            "component=\"queue\"",
-            "component=\"retry\"",
-            "component=\"dram\"",
-            "component=\"cold_frontend\"",
-            "component=\"store_miss\"",
-            "component=\"degraded\"",
-            "component=\"execution\"",
-            "ignite_scope_invocations_total",
-            "ignite_scope_slo_violations_total",
-            "ignite_scope_p99_latency_cycles",
+            "ignite_scope_functions_latency_cycles{",
+            "ignite_scope_functions_queue_cycles{",
+            "ignite_scope_functions_retry_cycles{",
+            "ignite_scope_functions_dram_cycles{",
+            "ignite_scope_functions_cold_frontend_cycles{",
+            "ignite_scope_functions_store_miss_cycles{",
+            "ignite_scope_functions_degraded_cycles{",
+            "ignite_scope_functions_execution_cycles{",
+            "ignite_scope_functions_invocations{",
+            "ignite_scope_functions_slo_violations{",
+            "ignite_scope_functions_p99_latency_cycles{",
+            "ignite_scope_totals_p99_latency_cycles ",
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }

@@ -315,6 +315,25 @@ fn sweep_output_matches_the_committed_golden() {
     }
 }
 
+/// A sweep that lists a point twice runs it twice, and its exposition
+/// holds that point once: every sample is set, not added to, so the
+/// repeat writes the bytes a single point writes.
+#[test]
+fn a_repeated_sweep_point_is_exposed_once() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let exposition = |capacities: &str| {
+        let path = dir.join(format!("sweep-{capacities}.prom"));
+        let path = path.to_str().expect("utf-8 temp path");
+        let args = ["--horizon", "600000", "--sweep", capacities, "--metrics-out", path];
+        let out = cluster_binary(&args);
+        assert!(out.status.success(), "{capacities}: {}", String::from_utf8_lossy(&out.stderr));
+        std::fs::read_to_string(path).expect("read the exposition")
+    };
+    let once = exposition("2048");
+    assert!(once.contains("ignite_cluster_totals_invocations{store_capacity=\"2048\"} "));
+    assert_eq!(exposition("2048,2048"), once);
+}
+
 /// A sweep regenerates the built-in arrival process at every point, so
 /// the binary must refuse a replayed trace instead of silently ignoring
 /// it.

@@ -1,8 +1,10 @@
 //! Observability integration gates: DES-transition trace coverage,
 //! cross-process metrics byte-determinism, the zero-perturbation
 //! guarantee (an enabled sink must not change simulation results), the
-//! pinned event stream of every committed golden configuration, and the
-//! pinned bytes of the `cluster` binary's trace and metrics exports.
+//! pinned event stream of every committed golden configuration, the
+//! pinned bytes of the `cluster` binary's trace and metrics exports, and
+//! the exposition's naming rule, checked against a walk of the reports'
+//! JSON that knows nothing of their field tables.
 //!
 //! The report goldens do not fix event order, so
 //! `tests/golden/event_digests.txt` pins it: one `name events fnv64`
@@ -16,9 +18,11 @@
 //! IGNITE_BLESS=1 cargo test -p ignite-harness --test obs
 //! ```
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use ignite_chaos::ChaosPlan;
+use ignite_cluster::json::Value;
 use ignite_cluster::{
     metrics_for, validate_trace, ClusterConfig, ClusterReport, ClusterSim, KeepAliveKind,
     PolicyHook, SchedulerKind, StaticPolicy, Topology,
@@ -301,4 +305,209 @@ fn cluster_binary_exports_match_digests() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     check_golden("export_digests.txt", &current, "an exported trace or exposition");
+}
+
+/// A report's numbers as exposition samples: `(name, sorted labels)` to
+/// value, with each name's `# HELP` text.
+#[derive(Debug, Default, PartialEq)]
+struct Samples {
+    values: BTreeMap<(String, Vec<(String, String)>), f64>,
+    help: BTreeMap<String, String>,
+}
+
+impl Samples {
+    fn insert(&mut self, name: String, mut labels: Vec<(String, String)>, value: f64) {
+        labels.sort();
+        let old = self.values.insert((name.clone(), labels), value);
+        assert!(old.is_none(), "two samples named {name} with the same labels");
+    }
+}
+
+/// Flattens a parsed report by the exposition's naming rule, from the
+/// document alone: the number at path `a.b.c` is the sample
+/// `ignite_{report}_a_b_c`, whose help names that path; a row of array
+/// `a` adds `a` to the name and its first entry, as a label, to
+/// `labels`; strings, `null` and the controller's decision log are not
+/// samples.
+fn flatten(
+    pairs: &[(String, Value)],
+    report: &str,
+    path: &str,
+    labels: &[(String, String)],
+    out: &mut Samples,
+) {
+    for (key, v) in pairs {
+        let path = format!("{path}{key}");
+        match v {
+            Value::Number(x) => {
+                let name = format!("ignite_{report}_{}", path.replace("[]", "").replace('.', "_"));
+                out.help.insert(name.clone(), format!("{path} in the {report} report"));
+                out.insert(name, labels.to_vec(), *x);
+            }
+            Value::Object(section) => flatten(section, report, &format!("{path}."), labels, out),
+            Value::Array(_) if path == "controller.decisions" => {}
+            Value::Array(rows) => {
+                for row in rows {
+                    let [(label, first), rest @ ..] = row.as_object().expect("a row") else {
+                        panic!("{path}: an empty row");
+                    };
+                    let first = match first {
+                        Value::Number(x) => x.to_string(),
+                        Value::String(s) => s.clone(),
+                        other => panic!("{path}: a row labelled by {other:?}"),
+                    };
+                    let mut labels = labels.to_vec();
+                    labels.push((label.clone(), first));
+                    flatten(rest, report, &format!("{path}[]."), &labels, out);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Flattens the report in file `path` ([`flatten`]) into `out`.
+fn flatten_file(path: &std::path::Path, report: &str, labels: &[(&str, &str)], out: &mut Samples) {
+    let text = std::fs::read_to_string(path).expect("read a report");
+    let doc = ignite_cluster::json::parse(&text).expect("a report parses");
+    let labels: Vec<_> = labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+    flatten(doc.as_object().expect("a report is an object"), report, "", &labels, out);
+}
+
+/// The samples and help texts of an exposition, but for the families no
+/// report holds: the latency histogram and the live burn rates.
+fn exposition_samples(text: &str) -> Samples {
+    let from_reports = |name: &str| {
+        !name.starts_with("ignite_cluster_latency_cycles") && name != "ignite_slo_burn_rate_milli"
+    };
+    let mut out = Samples::default();
+    for line in text.lines() {
+        if let Some(help) = line.strip_prefix("# HELP ") {
+            let (name, help) = help.split_once(' ').expect("a help line names its family");
+            if from_reports(name) {
+                out.help.insert(name.to_string(), help.to_string());
+            }
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("a sample line");
+        let (name, labels) = match series.split_once('{') {
+            Some((name, labels)) => (name, labels.strip_suffix('}').expect("closed labels")),
+            None => (series, ""),
+        };
+        if !from_reports(name) {
+            continue;
+        }
+        let labels = labels.split(',').filter(|l| !l.is_empty()).map(|l| {
+            let (k, v) = l.split_once('=').expect("a label");
+            (
+                k.to_string(),
+                v.strip_prefix('"').and_then(|v| v.strip_suffix('"')).expect("quoted").to_string(),
+            )
+        });
+        out.insert(name.to_string(), labels.collect(), value.parse().expect("a number"));
+    }
+    out
+}
+
+/// The exposition is a projection of the reports, checked against a walk
+/// of their JSON that knows nothing of the field tables: on each golden
+/// configuration (the cluster one with the default SLO, which is also
+/// the scope golden's, and the chaos one traced, for the `obs` section),
+/// the samples the binary exposes, but for the histogram and the burn
+/// rates, are exactly the numbers of the reports it writes, named and
+/// labelled by path, with equal values and help naming the path; and a
+/// two-point sweep exposes each point's report under its
+/// `store_capacity` label.
+#[test]
+fn each_exposition_is_its_reports_flattened() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("exposition-oracle");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let words = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+    let golden = "--horizon 800000 --capacity 8192";
+    let fixture = repo_path("tests/fixtures/azure_mini.csv");
+    let mut azure = words(&format!("{golden} --traffic"));
+    azure.push(format!("azure:{},cpm=800000", fixture.display()));
+    let runs = [
+        ("cluster", words(&format!("{golden} --slo default --scope-out"))),
+        ("chaos", words(&format!("{golden} --chaos default --chaos-seed 7 --trace-out"))),
+        (
+            "multinode",
+            words(&format!(
+                "{golden} --nodes 3 --cores 2 --scheduler affinity --keepalive hybrid:50000"
+            )),
+        ),
+        (
+            "control",
+            words(&format!(
+                "--nodes 2 --cores 2 --keepalive hybrid --capacity 4096 --horizon 1500000 \
+                 --traffic {MMPP_SPEC} --controller {CONTROL_SPEC}"
+            )),
+        ),
+        ("traffic_azure", azure),
+        ("traffic_mmpp", words(&format!("{golden} --traffic {MMPP_SPEC}"))),
+    ];
+    let file = |name: &str, ext: &str| dir.join(format!("{name}.{ext}"));
+    // Runs the binary with `args`, each `--*-out` flag followed by a file
+    // of its own, and returns the exposition's samples.
+    let run = |name: &str, args: &[String]| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"));
+        for arg in args {
+            match arg.as_str() {
+                "--trace-out" => cmd.arg(arg).arg(file(name, "trace.json")),
+                "--scope-out" => cmd.arg(arg).arg(file(name, "scope.json")),
+                _ => cmd.arg(arg),
+            };
+        }
+        cmd.arg("--out").arg(file(name, "json")).arg("--metrics-out").arg(file(name, "prom"));
+        let out = cmd.output().expect("spawn cluster binary");
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        exposition_samples(&std::fs::read_to_string(file(name, "prom")).expect("the exposition"))
+    };
+    for (name, args) in runs {
+        let exposed = run(name, &args);
+        let mut want = Samples::default();
+        flatten_file(&file(name, "json"), "cluster", &[], &mut want);
+        if args.iter().any(|a| a == "--scope-out") {
+            flatten_file(&file(name, "scope.json"), "scope", &[], &mut want);
+        }
+        if name == "chaos" {
+            assert!(want.values.keys().any(|(n, _)| n == "ignite_cluster_obs_trace_dropped"));
+        }
+        assert_eq!(exposed, want, "{name}: the exposition is not its reports flattened");
+    }
+    let mut want = Samples::default();
+    for capacity in ["2048", "8192"] {
+        let name = format!("capacity-{capacity}");
+        run(&name, &words(&format!("--horizon 600000 --capacity {capacity}")));
+        let labels = [("store_capacity", capacity)];
+        flatten_file(&file(&name, "json"), "cluster", &labels, &mut want);
+    }
+    let exposed = run("sweep", &words("--horizon 600000 --sweep 2048,8192"));
+    assert_eq!(exposed, want, "the sweep exposition is not its points' reports flattened");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The naming rule on the committed reports: each cluster golden
+/// flattens to 534–700 samples and the scope golden to 245, no two with
+/// the same name and labels, and none at or above 2^53, past which a
+/// gauge's `f64` no longer holds every integer.
+#[test]
+fn committed_reports_flatten_to_distinct_exact_samples() {
+    let goldens = ["cluster", "chaos", "multinode", "control", "traffic_azure", "traffic_mmpp"];
+    for (file, report) in goldens.map(|g| (g, "cluster")).into_iter().chain([("scope", "scope")]) {
+        let mut samples = Samples::default();
+        flatten_file(&repo_path(&format!("tests/golden/{file}.json")), report, &[], &mut samples);
+        let n = samples.values.len();
+        let want = if report == "scope" { 245..=245 } else { 534..=700 };
+        assert!(want.contains(&n), "{file}: {n} samples");
+        let big = samples.values.iter().find(|(_, &v)| v.abs() >= 2f64.powi(53));
+        assert!(big.is_none(), "{file}: {big:?} is past 2^53");
+    }
+}
+
+fn repo_path(rel: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
 }

@@ -11,11 +11,12 @@
 
 use ignite_cluster::json::{self, Value};
 use ignite_cluster::{
-    metrics_for, record_trace_health, validate_trace, ClusterConfig, ClusterOutcome, ClusterReport,
+    metrics_for, record_metrics, validate_trace, ClusterConfig, ClusterOutcome, ClusterReport,
     ClusterSim, ObsSummary, StaticPolicy,
 };
+use ignite_obs::MetricsRegistry;
 use ignite_obs::{Attribution, EventKind, EventSink, NullSink, QuantileSketch, TraceBuffer, Track};
-use ignite_scope::{diff, load_samples, ScopeAnalyzer, ScopeReport, SloConfig};
+use ignite_scope::{diff, load_samples, Loaded, ScopeAnalyzer, ScopeReport, SloConfig};
 
 /// Same pinned configuration as the cluster golden test: long enough
 /// that recurrences hit the store and eviction engages.
@@ -129,8 +130,8 @@ fn golden_scope_report_matches() {
 /// One latency-percentile definition: the golden scope configuration,
 /// run once with a scope analyzer, writes the same p50/p95/p99 into the
 /// cluster report as into the scope report, in the totals and in every
-/// row of a function that ran, and the cluster's quantile gauges carry
-/// the scope totals' values.
+/// row of a function that ran, and the cluster's totals quantile gauges
+/// carry the scope totals' values.
 #[test]
 fn cluster_and_scope_reports_write_the_same_percentiles() {
     let cfg = golden_cfg();
@@ -155,11 +156,9 @@ fn cluster_and_scope_reports_write_the_same_percentiles() {
         compared += 1;
     }
     assert_eq!(compared, scope.functions.len(), "every scope row has a cluster row");
-    for (q, want) in ["0.5", "0.95", "0.99"].into_iter().zip(totals) {
-        let gauge = metrics.lines().find(|l| {
-            l.starts_with("ignite_cluster_latency_quantile_cycles{")
-                && l.contains(&format!("quantile=\"{q}\"}}"))
-        });
+    for (q, want) in ["p50", "p95", "p99"].into_iter().zip(totals) {
+        let name = format!("ignite_cluster_totals_{q}_latency_cycles ");
+        let gauge = metrics.lines().find(|l| l.starts_with(&name));
         let value = gauge.and_then(|l| l.rsplit(' ').next());
         assert_eq!(value, Some(want.to_string().as_str()), "quantile {q}");
     }
@@ -238,7 +237,8 @@ fn self_diffs_report_zero_regressions() {
         ("cluster", &cluster_json, "ignite-cluster-v1"),
         ("chaos", &chaos_json, "ignite-cluster-v2"),
     ] {
-        let (schema, samples) = load_samples(text).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let Loaded { schema, samples, .. } =
+            load_samples(text).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(schema, want, "{what}");
         let d = diff(&samples, &samples, 5.0);
         assert_eq!(d.regressions(), 0, "{what} self-diff regressed:\n{}", d.to_text());
@@ -353,13 +353,13 @@ fn trace_drops_are_surfaced() {
     assert!(!plain.contains("trace_dropped"));
     ClusterReport::validate(&plain).expect("plain report must validate");
 
-    let mut reg = metrics_for(&cfg, &outcome);
-    record_trace_health(&mut reg, buf.len() as u64, buf.dropped());
+    let mut reg = MetricsRegistry::new();
+    record_metrics(&mut reg, report, &[]);
     let metrics = reg.expose();
-    assert!(metrics.contains("ignite_trace_events_total"));
+    assert!(metrics.contains("ignite_cluster_obs_trace_events"));
     let dropped_line = metrics
         .lines()
-        .find(|l| l.starts_with("ignite_trace_dropped_events_total "))
+        .find(|l| l.starts_with("ignite_cluster_obs_trace_dropped "))
         .expect("dropped-events metric");
     let v: f64 = dropped_line.rsplit(' ').next().unwrap().parse().unwrap();
     assert_eq!(v as u64, buf.dropped());
