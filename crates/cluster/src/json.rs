@@ -18,7 +18,7 @@
 
 use std::fmt::{Display, Write as _};
 
-use ignite_obs::MetricsRegistry;
+use ignite_obs::{MetricsRegistry, Sample};
 
 /// The deepest nesting of arrays and objects [`parse`] accepts. The
 /// reports nest four levels.
@@ -87,7 +87,7 @@ pub trait Scalar {
     /// Sets the value from `v` when `v` holds one, and leaves it otherwise.
     fn read(&mut self, v: &Value);
     /// The value, if it is a number.
-    fn number(&self) -> Option<f64> {
+    fn number(&self) -> Option<Sample> {
         None
     }
     /// The value, if it is a string.
@@ -96,10 +96,11 @@ pub trait Scalar {
     }
 }
 
-/// A number writes with the writer's `$write`. An integer reads any
-/// number, saturating and dropping a fraction.
+/// A number writes with the writer's `$write`, and is a `$sample`
+/// gauge. An integer reads any number, saturating and dropping a
+/// fraction.
 macro_rules! number_scalar {
-    ($($t:ty: $write:ident),*) => {$(
+    ($($t:ty: $write:ident $sample:ident),*) => {$(
         impl Scalar for $t {
             fn write(&self, w: &mut Writer, key: &str) {
                 w.$write(key, *self);
@@ -111,13 +112,13 @@ macro_rules! number_scalar {
                 }
             }
 
-            fn number(&self) -> Option<f64> {
-                Some(*self as f64)
+            fn number(&self) -> Option<Sample> {
+                Some(Sample::$sample(*self as _))
             }
         }
     )*};
 }
-number_scalar!(u64: field, u32: field, usize: field, i64: field, f64: float);
+number_scalar!(u64: field UInt, u32: field UInt, usize: field UInt, i64: field Int, f64: float Float);
 
 impl Scalar for String {
     fn write(&self, w: &mut Writer, key: &str) {
@@ -163,11 +164,11 @@ impl Field<'_> {
     }
 
     /// The number the entry writes, if it writes one.
-    fn number(&self) -> Option<f64> {
+    fn number(&self) -> Option<Sample> {
         match self {
             Field::Stored(v) => v.number(),
-            Field::Count(n) => Some(*n as f64),
-            Field::Float(x) => Some(*x),
+            Field::Count(n) => Some((*n).into()),
+            Field::Float(x) => Some((*x).into()),
             Field::Tag(_) | Field::Null | Field::Absent => None,
         }
     }

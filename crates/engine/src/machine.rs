@@ -12,7 +12,6 @@ use ignite_prefetch::next_line::NextLine;
 use ignite_uarch::btb::Btb;
 use ignite_uarch::cbp::Cbp;
 use ignite_uarch::hierarchy::Hierarchy;
-use ignite_uarch::ittage::Ittage;
 use ignite_uarch::ras::Ras;
 use ignite_uarch::rng::SplitMix64;
 use ignite_uarch::tlb::Itlb;
@@ -105,8 +104,6 @@ pub struct Machine {
     pub cbp: Cbp,
     /// Return address stack.
     pub ras: Ras,
-    /// Optional indirect target predictor.
-    pub ittage: Option<Ittage>,
     /// Always-on next-line prefetcher (§5.3).
     pub nl: NextLine,
     /// Boomerang BTB prefiller, if selected.
@@ -143,7 +140,6 @@ impl Machine {
             btb: Btb::new(&uarch.btb),
             cbp: Cbp::new(&uarch.cbp),
             ras: Ras::new(&uarch.ras),
-            ittage: uarch.indirect_predictor.as_ref().map(Ittage::new),
             nl: NextLine::new(NL_DEGREE),
             boomerang: fe.select.boomerang.map(Boomerang::new),
             jukebox: fe.select.jukebox.map(Jukebox::new),
@@ -169,9 +165,6 @@ impl Machine {
         self.itlb.reset();
         self.btb.reset();
         self.cbp.reset();
-        if let Some(it) = &mut self.ittage {
-            it.reset();
-        }
         self.ras = Ras::new(&self.uarch.ras);
         self.nl = NextLine::new(NL_DEGREE);
         self.boomerang = self.fe.select.boomerang.map(Boomerang::new);
@@ -200,11 +193,6 @@ impl Machine {
         // The RAS is architectural per-context state; a context switch
         // always empties it (it refills within a few calls).
         self.ras.flush();
-        if !p.warm_tage {
-            if let Some(it) = &mut self.ittage {
-                it.flush();
-            }
-        }
         if !p.warm_tage {
             self.cbp.flush_tagged();
         }
@@ -257,8 +245,6 @@ mod tests {
     use crate::sim::{run_invocation_obs, InvocationCtx};
     use ignite_obs::{Event, TraceBuffer, Track};
     use ignite_uarch::addr::Addr;
-    use ignite_uarch::ittage::IttageConfig;
-    use ignite_uarch::loop_pred::LoopPredictorConfig;
     use ignite_workloads::gen::{generate, GenParams};
     use ignite_workloads::suite::Suite;
 
@@ -349,41 +335,35 @@ mod tests {
 
     /// A reset machine behaves exactly like a fresh one: same results and
     /// same event stream, for each of the ten front-ends
-    /// `tests/golden_results.rs` pins, with and without the optional
-    /// indirect and loop predictors.
+    /// `tests/golden_results.rs` pins.
     #[test]
     fn reset_machine_matches_a_fresh_machine() {
         let mut p = GenParams::example("reset-test");
         p.target_branches = 300;
         p.target_code_bytes = 12 * 1024;
         let f = PreparedFunction::from_image(generate(&p), 3, 8_000);
-        let tiny = UarchConfig::tiny_for_tests();
-        let mut extended = tiny;
-        extended.indirect_predictor = Some(IttageConfig::default());
-        extended.cbp.loop_predictor = Some(LoopPredictorConfig::default());
-        for uarch in [tiny, extended] {
-            for fe in [
-                FrontEndConfig::nl(),
-                FrontEndConfig::jukebox(),
-                FrontEndConfig::boomerang(),
-                FrontEndConfig::boomerang_jukebox(),
-                FrontEndConfig::ignite(),
-                FrontEndConfig::ignite_tage(),
-                FrontEndConfig::ideal(),
-                FrontEndConfig::confluence(),
-                FrontEndConfig::confluence_ignite(),
-                FrontEndConfig::ignite_boomerang(),
-            ] {
-                let mut used = Machine::new(&uarch, &fe);
-                drive(&mut used, &f, 3);
-                used.reset();
-                let mut fresh = Machine::new(&uarch, &fe);
-                assert!(
-                    drive(&mut used, &f, 4) == drive(&mut fresh, &f, 4),
-                    "{}: a reset machine diverged from a fresh one",
-                    fe.name
-                );
-            }
+        let uarch = UarchConfig::tiny_for_tests();
+        for fe in [
+            FrontEndConfig::nl(),
+            FrontEndConfig::jukebox(),
+            FrontEndConfig::boomerang(),
+            FrontEndConfig::boomerang_jukebox(),
+            FrontEndConfig::ignite(),
+            FrontEndConfig::ignite_tage(),
+            FrontEndConfig::ideal(),
+            FrontEndConfig::confluence(),
+            FrontEndConfig::confluence_ignite(),
+            FrontEndConfig::ignite_boomerang(),
+        ] {
+            let mut used = Machine::new(&uarch, &fe);
+            drive(&mut used, &f, 3);
+            used.reset();
+            let mut fresh = Machine::new(&uarch, &fe);
+            assert!(
+                drive(&mut used, &f, 4) == drive(&mut fresh, &f, 4),
+                "{}: a reset machine diverged from a fresh one",
+                fe.name
+            );
         }
     }
 

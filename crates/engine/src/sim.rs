@@ -622,13 +622,6 @@ fn evaluate(m: &mut Machine, f: &PreparedFunction, block: &BlockExec, lookahead:
     if br.kind == BranchKind::Call {
         m.ras.push(block.fallthrough());
     }
-    // The indirect predictor's path history also advances in prediction
-    // order, for every taken branch.
-    if br.taken {
-        if let Some(it) = &mut m.ittage {
-            it.push_history(br.pc, br.target);
-        }
-    }
     let (outcome, cbp_pred) = match identified {
         Some(entry) => match br.kind {
             BranchKind::Conditional => {
@@ -653,26 +646,9 @@ fn evaluate(m: &mut Machine, f: &PreparedFunction, block: &BlockExec, lookahead:
                     }
                 }
             }
-            BranchKind::Indirect => {
-                // An ITTAGE predictor (if configured) overrides the BTB's
-                // last-target prediction for polymorphic dispatch sites.
-                // It predicts and trains here, in prediction order, so its
-                // history discipline is self-consistent.
-                let predicted = match &mut m.ittage {
-                    Some(it) => {
-                        let p = it.predict(br.pc).unwrap_or(entry.target);
-                        it.update(br.pc, br.target);
-                        p
-                    }
-                    None => entry.target,
-                };
-                if predicted == actual_next {
-                    (Outcome::Correct, None)
-                } else {
-                    (Outcome::WrongTarget, None)
-                }
-            }
-            BranchKind::Unconditional | BranchKind::Call => {
+            // The BTB supplies the target: the last one seen for an
+            // indirect branch.
+            BranchKind::Indirect | BranchKind::Unconditional | BranchKind::Call => {
                 if entry.target == actual_next {
                     (Outcome::Correct, None)
                 } else {

@@ -10,7 +10,7 @@
 //!
 //! OPTIONS
 //!   --scale <f>         suite scale factor in (0, 1] (default 1.0 = paper scale)
-//!   --invocations <n>   measured invocations per run (default 3)
+//!   --invocations <n>   measured invocations per run, at least 1 (default 3)
 //!   --quick             shorthand for --scale 0.25 --invocations 1
 //!   --out <path>        also append rendered figures to a markdown file
 //!   --experiments <path> run everything and write the paper-vs-measured
@@ -19,6 +19,7 @@
 
 use std::io::Write;
 
+use ignite_cluster::fanout::panic_message;
 use ignite_engine::protocol::RunOptions;
 use ignite_harness::{figures, Figure, Harness};
 use ignite_workloads::check_scale;
@@ -91,7 +92,8 @@ fn main() {
                 invocations = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| exit_usage("--invocations needs an integer"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| exit_usage("--invocations needs a positive integer"));
             }
             "--quick" => {
                 scale = 0.25;
@@ -160,11 +162,7 @@ fn main() {
                 rendered.push('\n');
             }
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = panic_message(payload);
                 eprintln!("[{} FAILED after {:.1?}: {}]", id, t.elapsed(), msg);
                 failures.push((id.clone(), msg));
             }

@@ -14,10 +14,10 @@
 //!
 //! ```text
 //! sweep [--scale F] [SWEEPS...]
-//! sweeps: codec budget throttle btb-size divergence host loop ittage
-//!         faults | all
+//! sweeps: codec budget throttle btb-size divergence host faults | all
 //! ```
 
+use ignite_cluster::fanout::panic_message;
 use ignite_core::codec::CodecConfig;
 use ignite_core::FaultPlan;
 use ignite_engine::config::FrontEndConfig;
@@ -29,17 +29,6 @@ use ignite_workloads::check_scale;
 
 fn header(title: &str) {
     println!("\n## {title}\n");
-}
-
-/// Mean speedup of `fe` over NL across the suite.
-fn mean_speedup(
-    h: &Harness,
-    fe: &FrontEndConfig,
-    baseline: &[ignite_engine::InvocationResult],
-) -> f64 {
-    let results = h.run_config(fe);
-    baseline.iter().zip(&results).map(|(b, r)| b.cpi() / r.cpi()).sum::<f64>()
-        / results.len() as f64
 }
 
 fn sweep_codec(h: &Harness) {
@@ -88,7 +77,7 @@ fn sweep_budget(h: &Harness) {
         let ignite = fe.select.ignite.as_mut().expect("ignite");
         ignite.metadata_budget_bytes = kib * 1024;
         fe.name = format!("Ignite {kib}KiB");
-        println!("{:>9}KiB {:>10.3}", kib, mean_speedup(h, &fe, &baseline));
+        println!("{:>9}KiB {:>10.3}", kib, h.speedups(&baseline, &h.run_config(&fe)).mean);
     }
 }
 
@@ -101,7 +90,7 @@ fn sweep_throttle(h: &Harness) {
         fe.select.ignite.as_mut().expect("ignite").replay.throttle_threshold = threshold;
         fe.name = format!("Ignite thr={threshold}");
         let label = if threshold == u64::MAX { "off".to_string() } else { threshold.to_string() };
-        println!("{label:>12} {:>10.3}", mean_speedup(h, &fe, &baseline));
+        println!("{label:>12} {:>10.3}", h.speedups(&baseline, &h.run_config(&fe)).mean);
     }
 }
 
@@ -119,17 +108,9 @@ fn sweep_btb_size(h: &Harness) {
             .map(|f| run_function(&uarch, &FrontEndConfig::nl(), f, h.opts))
             .collect();
         for fe in [FrontEndConfig::boomerang_jukebox(), FrontEndConfig::ignite()] {
-            let mean = h
-                .functions()
-                .iter()
-                .zip(&baseline)
-                .map(|(f, b)| {
-                    let r = run_function(&uarch, &fe, f, h.opts);
-                    b.cpi() / r.cpi()
-                })
-                .sum::<f64>()
-                / h.functions().len() as f64;
-            results.push(mean);
+            let runs: Vec<_> =
+                h.functions().iter().map(|f| run_function(&uarch, &fe, f, h.opts)).collect();
+            results.push(h.speedups(&baseline, &runs).mean);
         }
         println!(
             "{:>10} {:>12.3} {:>12.3} {:>12.3}",
@@ -143,74 +124,23 @@ fn sweep_divergence(h: &Harness) {
     let opts = h.opts;
     println!("{:>10} {:>10} {:>12} {:>12}", "noise", "speedup", "BTB MPKI", "init MPKI");
     for noise in [0.0, 0.01, 0.03, 0.10, 0.25] {
-        let mut speedups = Vec::new();
-        let mut btb = Vec::new();
-        let mut init = Vec::new();
+        let mut baseline = Vec::new();
+        let mut results = Vec::new();
         for f in h.functions().iter().take(6) {
             let mut f = f.clone();
             f.noise = noise;
-            let b = run_function(&h.uarch, &FrontEndConfig::nl(), &f, opts);
-            let r = run_function(&h.uarch, &FrontEndConfig::ignite(), &f, opts);
-            speedups.push(b.cpi() / r.cpi());
-            btb.push(r.btb_mpki());
-            init.push(r.initial_mpki());
+            baseline.push(run_function(&h.uarch, &FrontEndConfig::nl(), &f, opts));
+            results.push(run_function(&h.uarch, &FrontEndConfig::ignite(), &f, opts));
         }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let mean = |metric: fn(&ignite_engine::InvocationResult) -> f64| {
+            results.iter().map(metric).sum::<f64>() / results.len() as f64
+        };
         println!(
             "{:>10.2} {:>10.3} {:>12.2} {:>12.2}",
             noise,
-            mean(&speedups),
-            mean(&btb),
-            mean(&init)
-        );
-    }
-}
-
-fn sweep_loop_predictor(h: &Harness) {
-    header("L-TAGE loop predictor (off in the calibrated default)");
-    println!("{:>14} {:>12} {:>12}", "loop pred", "NL CPI", "Ignite CPI");
-    for enabled in [false, true] {
-        let mut uarch = h.uarch;
-        uarch.cbp.loop_predictor =
-            enabled.then(ignite_uarch::loop_pred::LoopPredictorConfig::default);
-        let mut nl_cpi = Vec::new();
-        let mut ig_cpi = Vec::new();
-        for f in h.functions().iter().take(8) {
-            nl_cpi.push(run_function(&uarch, &FrontEndConfig::nl(), f, h.opts).cpi());
-            ig_cpi.push(run_function(&uarch, &FrontEndConfig::ignite(), f, h.opts).cpi());
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        println!(
-            "{:>14} {:>12.3} {:>12.3}",
-            if enabled { "on" } else { "off" },
-            mean(&nl_cpi),
-            mean(&ig_cpi)
-        );
-    }
-}
-
-fn sweep_ittage(h: &Harness) {
-    header("ITTAGE indirect target predictor (off in the calibrated default)");
-    println!("{:>10} {:>12} {:>12} {:>14}", "ittage", "NL CPI", "Ignite CPI", "Ignite BTB MPKI");
-    for enabled in [false, true] {
-        let mut uarch = h.uarch;
-        uarch.indirect_predictor = enabled.then(ignite_uarch::ittage::IttageConfig::default);
-        let mut nl_cpi = Vec::new();
-        let mut ig_cpi = Vec::new();
-        let mut ig_btb = Vec::new();
-        for f in h.functions().iter().take(8) {
-            nl_cpi.push(run_function(&uarch, &FrontEndConfig::nl(), f, h.opts).cpi());
-            let r = run_function(&uarch, &FrontEndConfig::ignite(), f, h.opts);
-            ig_cpi.push(r.cpi());
-            ig_btb.push(r.btb_mpki());
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        println!(
-            "{:>10} {:>12.3} {:>12.3} {:>14.2}",
-            if enabled { "on" } else { "off" },
-            mean(&nl_cpi),
-            mean(&ig_cpi),
-            mean(&ig_btb)
+            h.speedups(&baseline, &results).mean,
+            mean(|r| r.btb_mpki()),
+            mean(|r| r.initial_mpki())
         );
     }
 }
@@ -218,7 +148,7 @@ fn sweep_ittage(h: &Harness) {
 fn sweep_faults(h: &Harness) {
     header("Metadata fault injection (hardened decode; DESIGN.md fault model)");
     let baseline = h.run_config(&FrontEndConfig::nl());
-    let fdp = mean_speedup(h, &FrontEndConfig::fdp(), &baseline);
+    let fdp = h.speedups(&baseline, &h.run_config(&FrontEndConfig::fdp())).mean;
     println!("record-only floor (FDP): {fdp:.3}");
     println!(
         "{:>10} {:>8} {:>10} {:>12} {:>10} {:>8} {:>10}",
@@ -231,9 +161,7 @@ fn sweep_faults(h: &Harness) {
             let fe = FrontEndConfig::ignite()
                 .with_faults(&format!("{kind} {rate}"), mk(rate, 0x0016_117E));
             let results = h.run_config(&fe);
-            let speedup =
-                baseline.iter().zip(&results).map(|(b, r)| b.cpi() / r.cpi()).sum::<f64>()
-                    / results.len() as f64;
+            let speedup = h.speedups(&baseline, &results).mean;
             let replay = results.iter().fold(ignite_core::ReplayStats::default(), |mut acc, r| {
                 acc.merge(&r.replay);
                 acc
@@ -256,12 +184,12 @@ fn sweep_host(h: &Harness) {
     header("Ignite host prefetcher: FDP vs Boomerang (§5.3)");
     let baseline = h.run_config(&FrontEndConfig::nl());
     for fe in [FrontEndConfig::ignite(), FrontEndConfig::ignite_boomerang()] {
-        println!("{:<20} {:>10.3}", fe.name.clone(), mean_speedup(h, &fe, &baseline));
+        println!("{:<20} {:>10.3}", fe.name, h.speedups(&baseline, &h.run_config(&fe)).mean);
     }
 }
 
 const SWEEP_NAMES: &[&str] =
-    &["codec", "budget", "throttle", "btb-size", "divergence", "host", "loop", "ittage", "faults"];
+    &["codec", "budget", "throttle", "btb-size", "divergence", "host", "faults"];
 
 fn usage() -> ! {
     eprintln!("usage: sweep [--scale F] [NAMES...]");
@@ -312,8 +240,6 @@ fn main() {
             "btb-size" => Some(sweep_btb_size),
             "divergence" => Some(sweep_divergence),
             "host" => Some(sweep_host),
-            "loop" => Some(sweep_loop_predictor),
-            "ittage" => Some(sweep_ittage),
             "faults" => Some(sweep_faults),
             other => {
                 eprintln!("unknown sweep {other}");
@@ -322,11 +248,7 @@ fn main() {
         };
         let Some(run) = run else { continue };
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&h))) {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let msg = panic_message(payload);
             eprintln!("[sweep {w} FAILED: {msg}]");
             failures.push((w.clone(), msg));
         }

@@ -9,7 +9,6 @@
 //! or slightly beats preserving the BIM outright.
 
 use crate::figure::{Figure, Series};
-use crate::figures::mean_speedup;
 use crate::runner::Harness;
 use ignite_engine::config::FrontEndConfig;
 use ignite_uarch::bimodal::BimInitPolicy;
@@ -39,7 +38,7 @@ pub fn run(h: &Harness) -> Figure {
         series.push(Series::new(
             cfg.name.clone(),
             [
-                ("Speedup".to_string(), mean_speedup(&baseline, results)),
+                ("Speedup".to_string(), h.speedups(&baseline, results).mean),
                 ("BTB MPKI".to_string(), results.iter().map(|r| r.btb_mpki()).sum::<f64>() / n),
                 ("CBP MPKI".to_string(), results.iter().map(|r| r.cbp_mpki()).sum::<f64>() / n),
             ],

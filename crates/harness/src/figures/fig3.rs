@@ -8,7 +8,6 @@
 //! structures (L1-I ≈ 26 MPKI, BTB ≈ 13, CBP ≈ 21).
 
 use crate::figure::{Figure, Series};
-use crate::figures::mean_speedup;
 use crate::runner::Harness;
 use ignite_engine::config::FrontEndConfig;
 
@@ -33,7 +32,7 @@ pub fn run(h: &Harness) -> Figure {
         series.push(Series::new(
             cfg.name.clone(),
             [
-                ("Speedup".to_string(), mean_speedup(baseline, results)),
+                ("Speedup".to_string(), h.speedups(baseline, results).mean),
                 (
                     "L1I MPKI".to_string(),
                     results.iter().map(|r| r.l1i_mpki()).sum::<f64>() / results.len() as f64,

@@ -7,7 +7,6 @@
 //! ~10%, with large BPU MPKI reductions at each step.
 
 use crate::figure::{Figure, Series};
-use crate::figures::mean_speedup;
 use crate::runner::Harness;
 use ignite_engine::config::{FrontEndConfig, StatePolicy};
 
@@ -34,7 +33,7 @@ pub fn run(h: &Harness) -> Figure {
         series.push(Series::new(
             cfg.name.clone(),
             [
-                ("Speedup".to_string(), mean_speedup(&baseline, results)),
+                ("Speedup".to_string(), h.speedups(&baseline, results).mean),
                 ("L1I MPKI".to_string(), results.iter().map(|r| r.l1i_mpki()).sum::<f64>() / n),
                 ("BTB MPKI".to_string(), results.iter().map(|r| r.btb_mpki()).sum::<f64>() / n),
                 ("CBP MPKI".to_string(), results.iter().map(|r| r.cbp_mpki()).sum::<f64>() / n),

@@ -33,7 +33,7 @@ pub fn run(h: &Harness) -> Figure {
         series.push(per_function_series(
             &cfg.name,
             h.abbrs(),
-            baseline.iter().zip(results).map(|(b, r)| b.cpi() / r.cpi().max(1e-12)),
+            h.speedups(&baseline, results).per_function,
         ));
     }
     Figure {

@@ -19,7 +19,6 @@ pub mod fig9;
 pub mod tables;
 
 use crate::figure::Series;
-use ignite_engine::metrics::InvocationResult;
 
 /// Builds a per-function series and appends the arithmetic mean as a final
 /// `"Mean"` point (the way the paper's per-function figures end with a
@@ -37,16 +36,6 @@ pub(crate) fn per_function_series(
     };
     points.push(("Mean".to_string(), mean));
     Series { label: label.to_string(), points }
-}
-
-/// Mean speedup over the suite (mean of per-function CPI ratios).
-pub(crate) fn mean_speedup(base: &[InvocationResult], res: &[InvocationResult]) -> f64 {
-    let v: Vec<f64> = base
-        .iter()
-        .zip(res)
-        .map(|(b, r)| if r.cpi() > 0.0 { b.cpi() / r.cpi() } else { 1.0 })
-        .collect();
-    v.iter().sum::<f64>() / v.len().max(1) as f64
 }
 
 #[cfg(test)]

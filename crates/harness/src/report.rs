@@ -372,9 +372,7 @@ fn faults_report(h: &Harness) -> Report {
     ];
     for fe in &configs {
         let results = h.run_config(fe);
-        let mean = baseline.iter().zip(&results).map(|(b, r)| b.cpi() / r.cpi()).sum::<f64>()
-            / results.len() as f64;
-        speedups.push((fe.name.clone(), mean));
+        speedups.push((fe.name.clone(), h.speedups(&baseline, &results).mean));
         dropped.push((
             fe.name.clone(),
             results.iter().map(|r| r.replay.entries_dropped).sum::<u64>() as f64,

@@ -151,21 +151,31 @@ impl Harness {
         configs.iter().map(|c| self.run_config(c)).collect()
     }
 
-    /// Per-function speedups of `results` over `baseline` (equal-work
-    /// comparison: cycles are normalized by instructions executed).
+    /// The paper's headline metric: the speedup of `results` over
+    /// `baseline` on each function, the ratio of their CPIs (an equal-work
+    /// comparison, since cycles are normalized by instructions executed),
+    /// and the suite mean of those ratios. Both slices are in suite order;
+    /// they may stop short of the suite, as long as they match.
     ///
     /// # Panics
     ///
-    /// Panics if either side has a non-positive or non-finite CPI — a
-    /// function that executed zero instructions produces `cpi() == 0.0`,
-    /// and quietly mapping that to "speedup 1.0" would hide a broken run
-    /// inside an otherwise plausible figure.
+    /// Panics, naming the function, if either side has a non-positive or
+    /// non-finite CPI: a function that executed zero instructions produces
+    /// `cpi() == 0.0`, and quietly mapping that to "speedup 1.0" would
+    /// hide a broken run inside an otherwise plausible figure.
     pub fn speedups(
         &self,
         baseline: &[InvocationResult],
         results: &[InvocationResult],
-    ) -> Vec<(String, f64)> {
-        self.abbrs
+    ) -> Speedups {
+        assert!(
+            !results.is_empty() && results.len() == baseline.len(),
+            "speedups of {} results over {} baseline runs",
+            results.len(),
+            baseline.len()
+        );
+        let per_function: Vec<f64> = self
+            .abbrs
             .iter()
             .zip(baseline.iter().zip(results))
             .map(|(abbr, (b, r))| {
@@ -180,10 +190,21 @@ impl Harness {
                     r_cpi > 0.0 && r_cpi.is_finite(),
                     "degenerate CPI {r_cpi} for {abbr}: the run produced no instructions"
                 );
-                (abbr.clone(), b_cpi / r_cpi)
+                b_cpi / r_cpi
             })
-            .collect()
+            .collect();
+        let mean = per_function.iter().sum::<f64>() / per_function.len() as f64;
+        Speedups { per_function, mean }
     }
+}
+
+/// Speedups over a baseline ([`Harness::speedups`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Speedups {
+    /// One per function, in suite order.
+    pub per_function: Vec<f64>,
+    /// The arithmetic mean of `per_function`.
+    pub mean: f64,
 }
 
 #[cfg(test)]
@@ -220,7 +241,9 @@ mod tests {
         let h = tiny();
         let r = h.run_config(&FrontEndConfig::nl());
         let s = h.speedups(&r, &r);
-        assert!(s.iter().all(|(_, v)| (*v - 1.0).abs() < 1e-12));
+        assert_eq!(s.per_function.len(), 20);
+        assert!(s.per_function.iter().all(|v| (*v - 1.0).abs() < 1e-12));
+        assert!((s.mean - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -231,6 +254,19 @@ mod tests {
         let r = catch_unwind(AssertUnwindSafe(|| h.speedups(&good, &broken)));
         let msg = panic_message(r.expect_err("zero-CPI results must not pass"));
         assert!(msg.contains("degenerate"), "unexpected panic message: {msg}");
+    }
+
+    /// One function that executed nothing fails the suite mean, by name,
+    /// instead of counting as a speedup of 1.0.
+    #[test]
+    fn suite_mean_over_an_empty_run_names_the_function() {
+        let h = tiny();
+        let baseline = h.run_config(&FrontEndConfig::nl());
+        let mut results = baseline.clone();
+        results[5] = InvocationResult::default();
+        let r = catch_unwind(AssertUnwindSafe(|| h.speedups(&baseline, &results).mean));
+        let msg = panic_message(r.expect_err("a zero-instruction run must not average in"));
+        assert!(msg.contains(&format!("for {}:", h.abbrs()[5])), "got: {msg}");
     }
 
     #[test]

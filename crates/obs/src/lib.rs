@@ -42,5 +42,5 @@ pub use event::{
     Attribution, CtrlRule, DegradeReason, DropReason, Event, EventKind, EventSink, NullSink, Phase,
     TraceBuffer, Track,
 };
-pub use metrics::MetricsRegistry;
+pub use metrics::{MetricsRegistry, Sample};
 pub use sketch::QuantileSketch;

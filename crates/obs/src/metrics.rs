@@ -1,7 +1,8 @@
 //! Metrics registry with deterministic Prometheus-style exposition.
 //!
-//! Two instrument families — `f64` gauges and fixed-bucket `u64`
-//! histograms — each addressable by name plus an optional label set.
+//! Two instrument families — gauges, each an integer or an `f64`
+//! ([`Sample`]), and fixed-bucket `u64` histograms — each addressable by
+//! name plus an optional label set.
 //! An exposition is one end-of-run snapshot, so setting a sample again
 //! replaces it: recording the same run twice writes the same text.
 //! Everything is stored in `BTreeMap`s and labels are sorted by key, so
@@ -12,9 +13,45 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// A gauge's value. An integer is written with all its digits, as the
+/// JSON reports write it: an `f64` holds every integer only up to 2^53.
+/// A float is written in its shortest round-trip form, and a non-finite
+/// one as `0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Sample {
+    /// A count, a cycle number, a byte size.
+    UInt(u64),
+    /// A signed integer.
+    Int(i64),
+    /// A ratio or a mean.
+    Float(f64),
+}
+
+impl From<f64> for Sample {
+    fn from(x: f64) -> Self {
+        Sample::Float(x)
+    }
+}
+
+impl From<u64> for Sample {
+    fn from(n: u64) -> Self {
+        Sample::UInt(n)
+    }
+}
+
+impl std::fmt::Display for Sample {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Sample::UInt(n) => write!(f, "{n}"),
+            Sample::Int(n) => write!(f, "{n}"),
+            Sample::Float(x) => write!(f, "{}", if x.is_finite() { x } else { 0.0 }),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum MetricData {
-    Gauge(BTreeMap<String, f64>),
+    Gauge(BTreeMap<String, Sample>),
     Histogram { bounds: Vec<u64>, series: BTreeMap<String, HistSeries> },
 }
 
@@ -89,14 +126,19 @@ impl MetricsRegistry {
         self.metrics.get_mut(name).expect("the family exists")
     }
 
-    /// Sets a gauge sample. Non-finite values are pinned to `0`.
-    pub fn set_gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
+    /// Sets a gauge sample. Non-finite values are written as `0`.
+    pub fn set_gauge(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        value: impl Into<Sample>,
+    ) {
         let metric = self.family(name, help, || MetricData::Gauge(BTreeMap::new()));
         let MetricData::Gauge(series) = &mut metric.data else {
             panic!("metric {name} already registered with a different type");
         };
-        let pinned = if value.is_finite() { value } else { 0.0 };
-        series.insert(label_key(labels), pinned);
+        series.insert(label_key(labels), value.into());
     }
 
     /// Sets a histogram sample from precomputed bucket counts: one per
@@ -279,5 +321,16 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.set_gauge("g", "", &[], 42.0);
         assert!(reg.expose().contains("g 42\n"));
+    }
+
+    /// An integer gauge keeps every digit, where its `f64` would round.
+    #[test]
+    fn integer_gauges_keep_every_digit() {
+        let mut reg = MetricsRegistry::new();
+        reg.set_gauge("g", "", &[], u64::MAX);
+        reg.set_gauge("h", "", &[], u64::MAX as f64);
+        let text = reg.expose();
+        assert!(text.contains("g 18446744073709551615\n"), "{text}");
+        assert!(text.contains("h 18446744073709552000\n"), "{text}");
     }
 }

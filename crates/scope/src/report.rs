@@ -249,7 +249,7 @@ pub fn record_slo_metrics<S: EventSink>(
                 "ignite_slo_burn_rate_milli",
                 "Burn rate at end of run, in milli-units (1000 = sustainable)",
                 &[("function", abbr.as_str()), ("window", window)],
-                burn as f64,
+                burn,
             );
         }
     }

@@ -11,19 +11,15 @@
 use crate::addr::Addr;
 use crate::bimodal::{Bimodal, BimodalConfig, Counter};
 use crate::fxmap::FxHashMap;
-use crate::loop_pred::{LoopPredictor, LoopPredictorConfig};
 use crate::tage::{Tage, TageConfig, TagePrediction};
 
-/// CBP configuration: base + tagged component (+ optional loop predictor).
+/// CBP configuration: base + tagged component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CbpConfig {
     /// Bimodal base predictor.
     pub bimodal: BimodalConfig,
     /// TAGE component.
     pub tage: TageConfig,
-    /// Optional loop predictor, completing Seznec's L-TAGE. Off by default
-    /// in the reproduction's calibrated configuration.
-    pub loop_predictor: Option<LoopPredictorConfig>,
 }
 
 /// Prediction metadata threaded from [`Cbp::predict`] to [`Cbp::resolve`].
@@ -90,7 +86,6 @@ pub struct CbpStats {
 pub struct Cbp {
     bim: Bimodal,
     tage: Tage,
-    loop_pred: Option<LoopPredictor>,
     /// [`SEEN`] and [`IGNITE_INITIALIZED`] flags by branch PC for the
     /// current invocation: one probe classifies a resolved branch.
     branch_flags: FxHashMap<u64, u8>,
@@ -103,7 +98,6 @@ impl Cbp {
         Cbp {
             bim: Bimodal::new(&cfg.bimodal),
             tage: Tage::new(&cfg.tage),
-            loop_pred: cfg.loop_predictor.as_ref().map(LoopPredictor::new),
             branch_flags: FxHashMap::default(),
             stats: CbpStats::default(),
         }
@@ -126,9 +120,6 @@ impl Cbp {
     pub fn reset(&mut self) {
         self.bim.reset();
         self.tage.reset();
-        if let Some(lp) = &mut self.loop_pred {
-            lp.reset();
-        }
         self.branch_flags.clear();
         self.stats = CbpStats::default();
     }
@@ -153,19 +144,6 @@ impl Cbp {
     pub fn predict(&mut self, pc: Addr) -> CbpPrediction {
         let tage_pred = self.tage.predict(pc);
         let bim_dir = self.bim.predict(pc);
-        // A confident loop-predictor entry overrides everything (L-TAGE).
-        if let Some(lp) = &mut self.loop_pred {
-            if let Some(p) = lp.predict(pc) {
-                if p.confident {
-                    return CbpPrediction {
-                        taken: p.taken,
-                        from_tage: false,
-                        base: bim_dir,
-                        tage: tage_pred,
-                    };
-                }
-            }
-        }
         let (taken, from_tage) = match tage_pred.direction() {
             Some(dir) => {
                 if tage_pred.weak_provider() {
@@ -211,9 +189,6 @@ impl Cbp {
         self.bim.update(pc, taken);
         let alt_pred = pred.tage.alt_direction().unwrap_or(pred.base);
         self.tage.update(pc, taken, &pred.tage, mispredicted, alt_pred);
-        if let Some(lp) = &mut self.loop_pred {
-            lp.update(pc, taken);
-        }
         if taken {
             self.tage.push_history(pc, target);
         }
@@ -254,18 +229,10 @@ impl Cbp {
         self.tage.push_history(pc, target);
     }
 
-    /// Flushes the history-based components (TAGE and the loop predictor)
-    /// — the lukewarm protocol's CBP flush.
+    /// Flushes the history-based component (TAGE) — the lukewarm
+    /// protocol's CBP flush.
     pub fn flush_tagged(&mut self) {
         self.tage.flush();
-        if let Some(lp) = &mut self.loop_pred {
-            lp.flush();
-        }
-    }
-
-    /// The loop predictor, if configured.
-    pub fn loop_predictor(&self) -> Option<&LoopPredictor> {
-        self.loop_pred.as_ref()
     }
 
     /// Marks the start of a new invocation: resets first-execution tracking.
@@ -292,7 +259,6 @@ impl Cbp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::UarchConfig;
     use crate::rng::SplitMix64;
 
     fn cbp() -> Cbp {
@@ -306,59 +272,7 @@ mod tests {
                 max_history: 64,
                 u_reset_period: 1 << 16,
             },
-            loop_predictor: None,
         })
-    }
-
-    #[test]
-    fn loop_predictor_overrides_on_constant_trip_loops() {
-        let mut cfg = UarchConfig::tiny_for_tests().cbp;
-        cfg.loop_predictor = Some(crate::loop_pred::LoopPredictorConfig::default());
-        let mut with_lp = Cbp::new(&cfg);
-        cfg.loop_predictor = None;
-        let mut without = Cbp::new(&cfg);
-        let pc = Addr::new(0x1234);
-        let run = |c: &mut Cbp| -> u64 {
-            c.begin_invocation();
-            for _ in 0..40 {
-                for _ in 0..6 {
-                    let p = c.predict(pc);
-                    c.resolve(pc, true, Addr::new(0x2000), &p);
-                }
-                let p = c.predict(pc);
-                c.resolve(pc, false, Addr::new(0x2000), &p);
-            }
-            c.stats().mispredictions
-        };
-        let lp_misses = run(&mut with_lp);
-        let plain_misses = run(&mut without);
-        assert!(
-            lp_misses * 2 < plain_misses,
-            "loop predictor must nail constant trips: {lp_misses} vs {plain_misses}"
-        );
-    }
-
-    #[test]
-    fn flush_tagged_clears_loop_predictor() {
-        let mut cfg = UarchConfig::tiny_for_tests().cbp;
-        cfg.loop_predictor = Some(crate::loop_pred::LoopPredictorConfig::default());
-        let mut c = Cbp::new(&cfg);
-        let pc = Addr::new(0x88);
-        for _ in 0..20 {
-            for _ in 0..3 {
-                let p = c.predict(pc);
-                c.resolve(pc, true, Addr::new(0x100), &p);
-            }
-            let p = c.predict(pc);
-            c.resolve(pc, false, Addr::new(0x100), &p);
-        }
-        c.flush_tagged();
-        assert_eq!(c.loop_predictor().unwrap().hits(), c.loop_predictor().unwrap().hits());
-        // After the flush the loop predictor has no tracked entries: the
-        // next prediction must come from bimodal/TAGE, not a stale loop.
-        let p = c.predict(pc);
-        let _ = p;
-        assert!(c.tage().occupancy() < 1e-9);
     }
 
     #[test]

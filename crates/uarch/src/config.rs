@@ -9,7 +9,6 @@ use crate::btb::BtbConfig;
 use crate::cache::CacheGeometry;
 use crate::cbp::CbpConfig;
 use crate::hierarchy::HierarchyConfig;
-use crate::ittage::IttageConfig;
 use crate::ras::RasConfig;
 use crate::tage::TageConfig;
 use crate::tlb::TlbConfig;
@@ -71,9 +70,6 @@ pub struct UarchConfig {
     pub btb: BtbConfig,
     /// Return address stack.
     pub ras: RasConfig,
-    /// Optional ITTAGE-style indirect target predictor (off in the
-    /// calibrated default; ablation via the `sweep` binary).
-    pub indirect_predictor: Option<IttageConfig>,
     /// Conditional branch predictor.
     pub cbp: CbpConfig,
     /// Decoupled front-end.
@@ -104,7 +100,6 @@ impl UarchConfig {
             itlb: TlbConfig { entries: 128, ways: 8, walk_latency: 60 },
             btb: BtbConfig { entries: 12 * 1024, ways: 6 },
             ras: RasConfig { entries: 32 },
-            indirect_predictor: None,
             cbp: CbpConfig {
                 bimodal: BimodalConfig { size_bytes: 5 * 1024 },
                 tage: TageConfig {
@@ -115,7 +110,6 @@ impl UarchConfig {
                     max_history: 512,
                     u_reset_period: 1 << 18,
                 },
-                loop_predictor: None,
             },
             frontend: FrontEndConfig {
                 fetch_bytes_per_cycle: 16,
@@ -156,7 +150,6 @@ impl UarchConfig {
             itlb: TlbConfig { entries: 32, ways: 4, walk_latency: 60 },
             btb: BtbConfig { entries: 512, ways: 4 },
             ras: RasConfig { entries: 16 },
-            indirect_predictor: None,
             cbp: CbpConfig {
                 bimodal: BimodalConfig { size_bytes: 1024 },
                 tage: TageConfig {
@@ -167,7 +160,6 @@ impl UarchConfig {
                     max_history: 64,
                     u_reset_period: 1 << 16,
                 },
-                loop_predictor: None,
             },
             frontend: FrontEndConfig {
                 fetch_bytes_per_cycle: 16,

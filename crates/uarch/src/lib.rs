@@ -14,8 +14,7 @@
 //! * [`btb`] — a set-associative branch target buffer with insertion
 //!   observation (the hook Ignite's recorder uses).
 //! * [`bimodal`] / [`tage`] / [`cbp`] — the conditional branch predictor:
-//!   a 2-bit bimodal base plus a TAGE component, composed as an
-//!   L-TAGE-style predictor.
+//!   a 2-bit bimodal base plus a TAGE component.
 //! * [`config`] — the simulated processor parameters (paper Table 2).
 //!
 //! # Example
@@ -39,8 +38,6 @@ pub mod cbp;
 pub mod config;
 pub mod fxmap;
 pub mod hierarchy;
-pub mod ittage;
-pub mod loop_pred;
 pub mod ras;
 pub mod rng;
 pub mod stats;

@@ -1008,14 +1008,10 @@ proptest! {
 
     #[test]
     fn cbp_flags_match_two_shadow_sets(
-        loop_predictor in any::<bool>(),
         pool in prop::collection::vec(any::<u64>(), 1..24),
         ops in prop::collection::vec((0usize..24, 0u8..4, 0u8..16), 1..400)
     ) {
-        let mut cfg = UarchConfig::tiny_for_tests().cbp;
-        cfg.loop_predictor =
-            loop_predictor.then(ignite_uarch::loop_pred::LoopPredictorConfig::default);
-        let mut cbp = Cbp::new(&cfg);
+        let mut cbp = Cbp::new(&UarchConfig::tiny_for_tests().cbp);
         let mut shadow = CbpShadow::default();
         let mut queued: std::collections::VecDeque<(Addr, CbpPrediction)> =
             std::collections::VecDeque::new();

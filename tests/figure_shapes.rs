@@ -100,19 +100,22 @@ fn fig11_bim_policy_shape() {
 
 /// Inputs the `sweep` and `figures` binaries once panicked or aborted
 /// on: a scale of zero, NaN or infinity panicked building the suite, a
-/// scale of 1e9 aborted allocating it, and an unwritable `--out` panicked
-/// after the run. A bad scale is a usage error (exit 2); an unwritable
-/// output exits 1 before any figure runs. A minute is far more than any
-/// case needs.
+/// scale of 1e9 aborted allocating it, an unwritable `--out` panicked
+/// after the run, and zero measured invocations, which executed no
+/// instruction, fail every speedup's CPI check. A bad scale or
+/// invocation count is a usage error (exit 2); an unwritable output
+/// exits 1 before any figure runs. A minute is far more than any case
+/// needs.
 #[test]
 fn binaries_refuse_bad_scales_and_unwritable_outputs() {
     use std::time::{Duration, Instant};
-    let cases: [(&str, &[&str], i32, &str); 6] = [
+    let cases: [(&str, &[&str], i32, &str); 7] = [
         (env!("CARGO_BIN_EXE_sweep"), &["--scale", "0", "codec"], 2, "--scale"),
         (env!("CARGO_BIN_EXE_sweep"), &["--scale", "nan", "codec"], 2, "--scale"),
         (env!("CARGO_BIN_EXE_sweep"), &["--scale", "inf", "codec"], 2, "--scale"),
         (env!("CARGO_BIN_EXE_figures"), &["--scale", "0", "table1"], 2, "--scale"),
         (env!("CARGO_BIN_EXE_figures"), &["--scale", "1e9", "table1"], 2, "--scale"),
+        (env!("CARGO_BIN_EXE_figures"), &["--invocations", "0", "fig3"], 2, "--invocations"),
         (
             env!("CARGO_BIN_EXE_figures"),
             &["--quick", "--out", "/nonexistent/dir/x.md", "table1"],

@@ -492,8 +492,8 @@ fn each_exposition_is_its_reports_flattened() {
 
 /// The naming rule on the committed reports: each cluster golden
 /// flattens to 534–700 samples and the scope golden to 245, no two with
-/// the same name and labels, and none at or above 2^53, past which a
-/// gauge's `f64` no longer holds every integer.
+/// the same name and labels, and none at or above 2^53, past which this
+/// file's `f64` samples no longer hold every integer.
 #[test]
 fn committed_reports_flatten_to_distinct_exact_samples() {
     let goldens = ["cluster", "chaos", "multinode", "control", "traffic_azure", "traffic_mmpp"];
@@ -506,6 +506,34 @@ fn committed_reports_flatten_to_distinct_exact_samples() {
         let big = samples.values.iter().find(|(_, &v)| v.abs() >= 2f64.powi(53));
         assert!(big.is_none(), "{file}: {big:?} is past 2^53");
     }
+}
+
+/// An integer past 2^53 reads the same in the report and in the
+/// exposition: a trace replay with the largest horizon writes its digits
+/// in both, where an `f64` gauge would round it to 18446744073709552000.
+#[test]
+fn a_horizon_past_2_pow_53_keeps_its_digits_in_the_exposition() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("horizon-digits");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = |name: &str| dir.join(name);
+    std::fs::write(file("trace"), "ignite-trace-v1 20\n1000 0\n5000 3\n").expect("a trace");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster"))
+        .args(["--horizon", &u64::MAX.to_string(), "--trace"])
+        .args([file("trace"), "--out".into(), file("report.json")])
+        .args(["--metrics-out".into(), file("metrics.prom")])
+        .output()
+        .expect("spawn cluster binary");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let read = |name: &str| std::fs::read_to_string(file(name)).expect("an output");
+    let (report, metrics) = (read("report.json"), read("metrics.prom"));
+    let value = |text: &str, key: &str| {
+        let at = text.find(key).unwrap_or_else(|| panic!("no {key} in\n{text}")) + key.len();
+        text[at..].split([',', '\n']).next().expect("a value").to_string()
+    };
+    let digits = u64::MAX.to_string();
+    assert_eq!(value(&report, "\"horizon_cycles\": "), digits);
+    assert_eq!(value(&metrics, "\nignite_cluster_config_horizon_cycles "), digits);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn repo_path(rel: &str) -> PathBuf {
