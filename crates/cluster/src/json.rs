@@ -31,8 +31,9 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, as f64.
-    Number(f64),
+    /// A JSON number: an integer token that fits `u64` or `i64` exactly,
+    /// and any other number as the nearest `f64`.
+    Number(Sample),
     /// A string literal.
     String(String),
     /// An array.
@@ -52,8 +53,10 @@ impl Value {
 
     /// The value as an f64, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
+        match *self {
+            Value::Number(Sample::UInt(n)) => Some(n as f64),
+            Value::Number(Sample::Int(n)) => Some(n as f64),
+            Value::Number(Sample::Float(x)) => Some(x),
             _ => None,
         }
     }
@@ -96,19 +99,23 @@ pub trait Scalar {
     }
 }
 
-/// A number writes with the writer's `$write`, and is a `$sample`
-/// gauge. An integer reads any number, saturating and dropping a
-/// fraction.
-macro_rules! number_scalar {
-    ($($t:ty: $write:ident $sample:ident),*) => {$(
+/// An integer writes all its digits and is a `$sample` gauge. It reads
+/// an integer exactly, saturating one out of its range, and any other
+/// number saturating and dropping a fraction.
+macro_rules! integer_scalar {
+    ($($t:ty: $sample:ident),*) => {$(
         impl Scalar for $t {
             fn write(&self, w: &mut Writer, key: &str) {
-                w.$write(key, *self);
+                w.field(key, *self);
             }
 
             fn read(&mut self, v: &Value) {
-                if let Some(x) = v.as_f64() {
-                    *self = x as $t;
+                let saturate = |n: i128| n.clamp(<$t>::MIN as i128, <$t>::MAX as i128) as $t;
+                match *v {
+                    Value::Number(Sample::UInt(n)) => *self = saturate(n.into()),
+                    Value::Number(Sample::Int(n)) => *self = saturate(n.into()),
+                    Value::Number(Sample::Float(x)) => *self = x as $t,
+                    _ => {}
                 }
             }
 
@@ -118,7 +125,23 @@ macro_rules! number_scalar {
         }
     )*};
 }
-number_scalar!(u64: field UInt, u32: field UInt, usize: field UInt, i64: field Int, f64: float Float);
+integer_scalar!(u64: UInt, u32: UInt, usize: UInt, i64: Int);
+
+impl Scalar for f64 {
+    fn write(&self, w: &mut Writer, key: &str) {
+        w.float(key, *self);
+    }
+
+    fn read(&mut self, v: &Value) {
+        if let Some(x) = v.as_f64() {
+            *self = x;
+        }
+    }
+
+    fn number(&self) -> Option<Sample> {
+        Some(Sample::Float(*self))
+    }
+}
 
 impl Scalar for String {
     fn write(&self, w: &mut Writer, key: &str) {
@@ -531,7 +554,8 @@ impl Writer {
 /// Checks that `doc` has the shape of `want`, and with `values` is
 /// `want`, naming the first path that differs, rooted at `path`: at
 /// every path, the same keys in the same order, the same array lengths
-/// and the same kind of value, and with `values` equal scalars.
+/// and the same kind of value, and with `values` equal scalars. Numbers
+/// are equal when they have the same value; integers compare exactly.
 pub fn same_doc(doc: &Value, want: &Value, path: &str, values: bool) -> Result<(), String> {
     compare(doc, want, &mut path.to_string(), values)
 }
@@ -573,14 +597,35 @@ fn compare(doc: &Value, want: &Value, path: &mut String, values: bool) -> Result
         _ if kind(doc) != kind(want) => {
             Err(format!("{path}: expected {}, found {}", kind(want), kind(doc)))
         }
-        _ if !values || doc == want => Ok(()),
+        (Value::Number(d), Value::Number(w)) if !values || same_number(*d, *w) => Ok(()),
         (Value::Number(d), Value::Number(w)) => {
-            Err(format!("{path}: expected {}, found {}", number(*w), number(*d)))
+            let show = |n: &Sample| match *n {
+                Sample::Float(x) => number(x),
+                n => n.to_string(),
+            };
+            Err(format!("{path}: expected {}, found {}", show(w), show(d)))
         }
+        _ if !values || doc == want => Ok(()),
         (Value::String(d), Value::String(w)) => {
             Err(format!("{path}: expected {}, found {}", escape(w), escape(d)))
         }
         _ => Err(format!("{path}: expected {want:?}, found {doc:?}")),
+    }
+}
+
+/// Whether two numbers have the same value, exactly: an integer equals
+/// a float only when the float is that integer.
+fn same_number(a: Sample, b: Sample) -> bool {
+    let exact = |s: Sample| match s {
+        Sample::UInt(n) => Some(i128::from(n)),
+        Sample::Int(n) => Some(i128::from(n)),
+        Sample::Float(x) if x.fract() == 0.0 && x.abs() < 2f64.powi(100) => Some(x as i128),
+        Sample::Float(_) => None,
+    };
+    match (exact(a), exact(b), a, b) {
+        (Some(m), Some(n), ..) => m == n,
+        (_, _, Sample::Float(x), Sample::Float(y)) => x == y,
+        _ => false,
     }
 }
 
@@ -760,9 +805,17 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let token = &self.text[start..self.pos];
+        // An integer token keeps every digit when it fits; any other
+        // number is the nearest f64.
+        if let Ok(n) = token.parse::<u64>() {
+            return Ok(Value::Number(Sample::UInt(n)));
+        }
+        if let Ok(n) = token.parse::<i64>() {
+            return Ok(Value::Number(Sample::Int(n)));
+        }
         token
             .parse::<f64>()
-            .map(Value::Number)
+            .map(|x| Value::Number(Sample::Float(x)))
             .map_err(|_| format!("bad number '{token}' at byte {start}"))
     }
 }
@@ -775,7 +828,12 @@ mod tests {
     fn parses_scalars() {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
-        assert_eq!(parse("-2.5e3").unwrap(), Value::Number(-2500.0));
+        assert_eq!(parse("-2.5e3").unwrap(), Value::Number(Sample::Float(-2500.0)));
+        assert_eq!(parse("-7").unwrap(), Value::Number(Sample::Int(-7)));
+        let max = parse("18446744073709551615").unwrap();
+        assert_eq!(max, Value::Number(Sample::UInt(u64::MAX)));
+        let past = parse("18446744073709551616").unwrap();
+        assert_eq!(past, Value::Number(Sample::Float(18446744073709551616.0)));
         assert_eq!(parse(r#""a\nb""#).unwrap(), Value::String("a\nb".into()));
     }
 
@@ -934,6 +992,7 @@ mod tests {
         };
         assert_eq!(read_back(r#"{"n": 3}"#), Ok(()));
         assert_eq!(read_back(r#"{"n": 18446744073709551615}"#), Ok(()));
+        assert_eq!(read_back(r#"{"n": 9007199254740993}"#), Ok(()));
         for (n, err) in [
             ("-1", "x.n: expected 0, found -1"),
             ("1.5", "x.n: expected 1, found 1.5"),
@@ -943,7 +1002,33 @@ mod tests {
         }
         assert!(read_back(r#"{"n": 1e300}"#)
             .unwrap_err()
-            .starts_with("x.n: expected 18446744073709552000"));
+            .starts_with("x.n: expected 18446744073709551615, found 1000"));
+        assert_eq!(
+            read_back(r#"{"n": 18446744073709551616}"#),
+            Err("x.n: expected 18446744073709551615, found 18446744073709552000".into())
+        );
+    }
+
+    /// Integers compare exactly, also past 2^53, where neighbours share an
+    /// `f64`; an integer equals a float only when the float is that
+    /// integer.
+    #[test]
+    fn numbers_compare_exactly() {
+        let differs = |doc: &str, want: &str| {
+            same_doc(&parse(doc).unwrap(), &parse(want).unwrap(), "x", true).err()
+        };
+        let past = differs("9007199254740993", "9007199254740992");
+        assert_eq!(past.as_deref(), Some("x: expected 9007199254740992, found 9007199254740993"));
+        let top = differs("18446744073709551000", "18446744073709551615");
+        assert_eq!(
+            top.as_deref(),
+            Some("x: expected 18446744073709551615, found 18446744073709551000")
+        );
+        assert!(differs("18446744073709551616", "18446744073709551615").is_some());
+        assert!(differs("-1", "18446744073709551615").is_some());
+        for (doc, want) in [("1.0", "1"), ("-0", "0"), ("0.5", "0.5"), ("1e2", "100")] {
+            assert_eq!(differs(doc, want), None, "{doc} vs {want}");
+        }
     }
 
     #[test]

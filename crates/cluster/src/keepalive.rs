@@ -7,10 +7,11 @@
 //! [`KeepAliveKind::None`] (evict on capacity pressure, the legacy
 //! behaviour), [`KeepAliveKind::Fixed`] (one window for every function),
 //! and [`KeepAliveKind::Hybrid`] — the hybrid-histogram policy of
-//! "How Low Can You Go?" (Tan et al.): each function tracks a log2
-//! histogram of its observed idle gaps and pins for the 99th-percentile
-//! gap, falling back to a default window until it has seen enough gaps
-//! to trust the histogram.
+//! "How Low Can You Go?" (Tan et al.): each function folds its observed
+//! idle gaps into a [`QuantileSketch`], the workspace's one percentile
+//! definition, and pins for the smallest power of two above their 99th
+//! percentile, falling back to a default window until it has seen
+//! enough gaps to trust the estimate.
 //!
 //! Accounting follows the dslab-faas cost model: every cycle a window
 //! holds a region that no invocation touches is a **wasted keep-alive
@@ -23,16 +24,20 @@
 
 use std::collections::BTreeMap;
 
+use ignite_obs::QuantileSketch;
+
 use crate::sim::ConfigError;
 
-/// Observations a hybrid histogram needs before its percentile
-/// estimate overrides the default window.
-const HYBRID_MIN_OBSERVATIONS: u64 = 4;
+/// Idle gaps a function needs on record before their percentile
+/// overrides the default window.
+pub const HYBRID_MIN_OBSERVATIONS: u64 = 4;
 
-/// Bounds on any hybrid-derived window, in cycles (the histogram is
-/// log2-bucketed, so the derived window is always a power of two).
-const HYBRID_MIN_WINDOW: u64 = 1 << 10;
-const HYBRID_MAX_WINDOW: u64 = 1 << 22;
+/// Lower bound on any hybrid-derived window, in cycles. The window is
+/// the smallest power of two above the p99 idle gap, so it is always a
+/// power of two.
+pub const HYBRID_MIN_WINDOW: u64 = 1 << 10;
+/// Upper bound on any hybrid-derived window, in cycles.
+pub const HYBRID_MAX_WINDOW: u64 = 1 << 22;
 
 /// Which keep-alive policy governs post-completion pinning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +51,10 @@ pub enum KeepAliveKind {
         /// Window length in cycles (`fixed:CYCLES`).
         window_cycles: u64,
     },
-    /// Hybrid-histogram: per-function idle-gap histograms pick the
-    /// window (p99 of observed gaps); the default window covers the
-    /// cold-start period before a function has enough history.
+    /// Hybrid-histogram: per-function idle-gap sketches pick the
+    /// window (the power of two above the p99 gap); the default window
+    /// covers the cold-start period before a function has enough
+    /// history.
     Hybrid {
         /// Window used until a function has four idle gaps on record
         /// (`hybrid:CYCLES`; bare `hybrid` = 50000).
@@ -100,45 +106,17 @@ impl KeepAliveKind {
     }
 }
 
-/// Per-function log2 histogram of observed idle gaps (completion to
-/// next fetch), feeding the hybrid policy's percentile window.
-#[derive(Debug, Clone)]
-struct IdleHist {
-    counts: [u64; 64],
-    total: u64,
-}
-
-impl Default for IdleHist {
-    fn default() -> Self {
-        IdleHist { counts: [0; 64], total: 0 }
+/// The hybrid window for a function's idle gaps: the smallest power of
+/// two above their p99, within [`HYBRID_MIN_WINDOW`, `HYBRID_MAX_WINDOW`];
+/// `None` with fewer than [`HYBRID_MIN_OBSERVATIONS`] gaps. Every bucket
+/// of the sketch lies inside one power-of-two octave, so this is the top
+/// of the octave that holds the exact nearest-rank p99 gap.
+fn hybrid_window(gaps: &QuantileSketch) -> Option<u64> {
+    if gaps.count() < HYBRID_MIN_OBSERVATIONS {
+        return None;
     }
-}
-
-impl IdleHist {
-    fn record(&mut self, gap: u64) {
-        // Bucket i covers [2^i, 2^(i+1)): floor(log2) of the gap.
-        let bucket = 63 - gap.max(1).leading_zeros() as usize;
-        self.counts[bucket] += 1;
-        self.total += 1;
-    }
-
-    /// p99 of recorded gaps, rounded up to its bucket's upper bound and
-    /// clamped to the hybrid window range; `None` with too few gaps.
-    fn p99_window(&self) -> Option<u64> {
-        if self.total < HYBRID_MIN_OBSERVATIONS {
-            return None;
-        }
-        let rank = (self.total * 99).div_ceil(100).max(1);
-        let mut seen = 0;
-        for (bucket, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let upper = if bucket >= 63 { u64::MAX } else { 1u64 << (bucket + 1) };
-                return Some(upper.clamp(HYBRID_MIN_WINDOW, HYBRID_MAX_WINDOW));
-            }
-        }
-        None
-    }
+    let p99 = gaps.quantile(99).min(HYBRID_MAX_WINDOW);
+    Some((p99 + 1).next_power_of_two().clamp(HYBRID_MIN_WINDOW, HYBRID_MAX_WINDOW))
 }
 
 /// One open keep-alive episode: the region has been pinned on a node
@@ -151,14 +129,14 @@ struct Slot {
     until: u64,
 }
 
-/// Keep-alive runtime: open episodes, per-function idle histograms, and
+/// Keep-alive runtime: open episodes, per-function idle-gap sketches, and
 /// the wasted-cycle ledgers. One instance serves the whole cluster;
 /// episodes are keyed by `(node, container)` so nodes never share a
 /// window.
 #[derive(Debug, Clone)]
 pub struct KeepAliveRt {
     kind: KeepAliveKind,
-    hist: BTreeMap<usize, IdleHist>,
+    gaps: BTreeMap<usize, QuantileSketch>,
     slots: BTreeMap<(usize, u64), Slot>,
     wasted_node: Vec<u64>,
     wasted_fn: Vec<u64>,
@@ -169,7 +147,7 @@ impl KeepAliveRt {
     pub fn new(kind: KeepAliveKind, nodes: usize, functions: usize) -> Self {
         KeepAliveRt {
             kind,
-            hist: BTreeMap::new(),
+            gaps: BTreeMap::new(),
             slots: BTreeMap::new(),
             wasted_node: vec![0; nodes],
             wasted_fn: vec![0; functions],
@@ -187,10 +165,7 @@ impl KeepAliveRt {
             KeepAliveKind::None => None,
             KeepAliveKind::Fixed { window_cycles } => Some(window_cycles),
             KeepAliveKind::Hybrid { default_window_cycles } => Some(
-                self.hist
-                    .get(&function)
-                    .and_then(IdleHist::p99_window)
-                    .unwrap_or(default_window_cycles),
+                self.gaps.get(&function).and_then(hybrid_window).unwrap_or(default_window_cycles),
             ),
         }
     }
@@ -242,14 +217,14 @@ impl KeepAliveRt {
     /// `node` is about to fetch `container` at `t` (hit or miss): the
     /// open episode, if any, ends here — its span up to `t` was useful,
     /// anything the window still promised past `t` costs nothing. The
-    /// observed idle gap feeds the hybrid histogram.
+    /// observed idle gap feeds the hybrid policy's sketch.
     pub fn on_fetch(&mut self, node: usize, container: u64, t: u64) {
         if !self.enabled() {
             return;
         }
         if let Some(slot) = self.slots.remove(&(node, container)) {
             if matches!(self.kind, KeepAliveKind::Hybrid { .. }) {
-                self.hist.entry(slot.function).or_default().record(t.saturating_sub(slot.since));
+                self.gaps.entry(slot.function).or_default().observe(t.saturating_sub(slot.since));
             }
             if t < slot.until {
                 // Reused inside the window: nothing wasted.
@@ -381,31 +356,95 @@ mod tests {
     }
 
     /// Audit pin: the hybrid window clamp is exact at both power-of-two
-    /// boundaries. A gap in the bucket just below the floor rounds up to
+    /// boundaries. A gap in the octave just below the floor rounds up to
     /// exactly `HYBRID_MIN_WINDOW` (no off-by-one shift past it), a gap
-    /// whose bucket upper bound IS the floor passes through unclamped,
-    /// and gaps at or beyond the ceiling bucket — including the
-    /// saturating `u64::MAX` top bucket — pin to `HYBRID_MAX_WINDOW`.
+    /// whose octave top IS the floor passes through unclamped, and gaps
+    /// at or beyond the ceiling octave — including `u64::MAX` in the top
+    /// octave — pin to `HYBRID_MAX_WINDOW`.
     #[test]
     fn hybrid_window_clamps_exactly_at_the_power_of_two_boundaries() {
         let fill = |gap: u64| {
-            let mut h = IdleHist::default();
+            let mut gaps = QuantileSketch::new();
             for _ in 0..HYBRID_MIN_OBSERVATIONS {
-                h.record(gap);
+                gaps.observe(gap);
             }
-            h.p99_window().expect("enough observations")
+            hybrid_window(&gaps).expect("enough observations")
         };
-        // Bucket [2^9, 2^10) rounds up to 2^10 == the floor: clamp is a
-        // no-op, not a push to the next bucket.
+        // Octave [2^9, 2^10) rounds up to 2^10 == the floor: clamp is a
+        // no-op, not a push to the next octave.
         assert_eq!(fill((1 << 10) - 1), HYBRID_MIN_WINDOW);
-        // Bucket [2^10, 2^11) rounds up to 2^11, already above the floor.
+        // Octave [2^10, 2^11) rounds up to 2^11, already above the floor.
         assert_eq!(fill(1 << 10), 1 << 11);
-        // Bucket [2^21, 2^22) rounds up to exactly the ceiling.
+        // Octave [2^21, 2^22) rounds up to exactly the ceiling.
         assert_eq!(fill((1 << 22) - 1), HYBRID_MAX_WINDOW);
-        // Bucket [2^22, 2^23) rounds up past the ceiling and clamps back.
+        // Octave [2^22, 2^23) rounds up past the ceiling and clamps back.
         assert_eq!(fill(1 << 22), HYBRID_MAX_WINDOW);
-        // The saturating top bucket (upper bound u64::MAX) clamps too.
+        // The top octave, up to u64::MAX, clamps too.
         assert_eq!(fill(u64::MAX), HYBRID_MAX_WINDOW);
+    }
+
+    /// The log2 idle-gap histogram the hybrid policy kept before it read
+    /// the workspace's quantile sketch, kept here as the reference the
+    /// sketch-derived window must equal.
+    struct IdleHist {
+        counts: [u64; 64],
+        total: u64,
+    }
+
+    impl IdleHist {
+        fn record(&mut self, gap: u64) {
+            // Bucket i covers [2^i, 2^(i+1)): floor(log2) of the gap.
+            self.counts[63 - gap.max(1).leading_zeros() as usize] += 1;
+            self.total += 1;
+        }
+
+        /// p99 of the recorded gaps, rounded up to its bucket's upper
+        /// bound and clamped to the hybrid window range.
+        fn p99_window(&self) -> Option<u64> {
+            if self.total < HYBRID_MIN_OBSERVATIONS {
+                return None;
+            }
+            let rank = (self.total * 99).div_ceil(100).max(1);
+            let mut seen = 0;
+            for (bucket, &n) in self.counts.iter().enumerate() {
+                seen += n;
+                if seen >= rank {
+                    let upper = if bucket >= 63 { u64::MAX } else { 1u64 << (bucket + 1) };
+                    return Some(upper.clamp(HYBRID_MIN_WINDOW, HYBRID_MAX_WINDOW));
+                }
+            }
+            None
+        }
+    }
+
+    /// One idle gap of a mixed stream: zero, an exact power of two, one
+    /// off a power of two, near `u64::MAX`, or of any magnitude.
+    fn gap((kind, shift, bits): (u8, u32, u64)) -> u64 {
+        match kind {
+            0 => 0,
+            1 => 1 << shift,
+            2 => (1u64 << shift).wrapping_sub(1).max(1),
+            3 => u64::MAX - (bits >> 56),
+            _ => bits >> shift,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// On every prefix of a gap stream, the window read from the
+        /// sketch equals the reference histogram's.
+        #[test]
+        fn the_sketch_window_equals_the_log2_histogram_window(
+            stream in proptest::collection::vec((0u8..5, 0u32..64, proptest::prelude::any::<u64>()), 0..160),
+        ) {
+            let (mut sketch, mut hist) = (QuantileSketch::new(), IdleHist { counts: [0; 64], total: 0 });
+            for g in stream.into_iter().map(gap) {
+                sketch.observe(g);
+                hist.record(g);
+                proptest::prop_assert_eq!(hybrid_window(&sketch), hist.p99_window(), "after {}", g);
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use std::collections::BTreeMap;
 
+use ignite_cluster::keepalive::{HYBRID_MAX_WINDOW, HYBRID_MIN_OBSERVATIONS, HYBRID_MIN_WINDOW};
 use ignite_cluster::{ClusterGauges, ControllerStats, Decision, PolicyHook, PolicySample};
 use ignite_obs::CtrlRule;
 use ignite_scope::{SloConfig, SloTracker};
@@ -39,12 +40,6 @@ use crate::spec::ControllerSpec;
 
 /// Sentinel for cluster-wide decisions (no single target function).
 const CLUSTER_WIDE: u32 = u32::MAX;
-/// Keep-alive retune clamp, mirroring the hybrid policy's bounds.
-const KA_MIN_WINDOW: u64 = 1 << 10;
-/// Upper keep-alive clamp (see [`KA_MIN_WINDOW`]).
-const KA_MAX_WINDOW: u64 = 1 << 22;
-/// Idle-gap observations required before retuning a function.
-const KA_MIN_OBSERVATIONS: u64 = 4;
 
 /// The online policy controller. See the module docs for the rules.
 #[derive(Debug, Clone)]
@@ -219,11 +214,11 @@ impl Controller {
         if gauges.keepalive_enabled {
             let mut retunes: Vec<(u32, u64, u64)> = Vec::new();
             for (&f, gaps) in self.scope.idle_gaps() {
-                if gaps.count() < KA_MIN_OBSERVATIONS {
+                if gaps.count() < HYBRID_MIN_OBSERVATIONS {
                     continue;
                 }
                 let p99 = gaps.quantile(99);
-                let window = p99.clamp(KA_MIN_WINDOW, KA_MAX_WINDOW);
+                let window = p99.clamp(HYBRID_MIN_WINDOW, HYBRID_MAX_WINDOW);
                 if self.ka_windows.get(&f) != Some(&window) {
                     retunes.push((f, window, p99));
                 }

@@ -13,8 +13,8 @@
 //!                      (route to the node holding the function's Ignite
 //!                      metadata) (default fifo)
 //!   --keepalive P      pre-warm retention: none, fixed:CYCLES, or
-//!                      hybrid[:CYCLES] (per-function idle-window
-//!                      histogram, p99) (default none)
+//!                      hybrid[:CYCLES] (per-function idle-gap
+//!                      sketch, p99) (default none)
 //!   --fe NAME          front-end config: nl, boomerang, jukebox,
 //!                      boomerang-jukebox, confluence, ignite,
 //!                      ignite-tage, ideal (default ignite)
@@ -105,6 +105,7 @@ use ignite_cluster::{
 use ignite_control::{Controller, ControllerSpec};
 use ignite_core::EvictionPolicy;
 use ignite_engine::config::FrontEndConfig;
+use ignite_harness::cli::{self, Cursor, Exit};
 use ignite_obs::{
     to_chrome_json, ChromeOptions, EventSink, MetricsRegistry, NullSink, TraceBuffer,
 };
@@ -120,12 +121,37 @@ use ignite_workloads::suite::Suite;
 /// reported in the export's `dropped_events`.
 const TRACE_BUFFER_EVENTS: usize = 1 << 18;
 
+const USAGE: &str = "usage: cluster [--cores N] [--nodes N] [--scheduler P] [--keepalive P] \
+     [--fe NAME] [--scale F] [--seed S] [--rate R] \
+     [--zipf S] [--horizon CYCLES] [--capacity BYTES] [--policy P] \
+     [--jobs N] [--threads N] \
+     [--sweep B1,B2,...] [--trace FILE] [--traffic SPEC] [--stats] \
+     [--emit-trace FILE] [--out FILE] \
+     [--validate FILE] [--trace-out FILE] [--metrics-out FILE] \
+     [--validate-trace FILE] [--scope-out FILE] [--slo SPEC] \
+     [--controller SPEC] [--chaos SPEC] [--chaos-seed S] [--retry SPEC]";
+
+fn main() -> ExitCode {
+    match parse(std::env::args().skip(1).collect()).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(exit) => exit.report(USAGE),
+    }
+}
+
+fn usage(message: impl std::fmt::Display) -> Exit {
+    Exit::Usage(format!("cluster: {message}"))
+}
+
+fn fail(message: impl std::fmt::Display) -> Exit {
+    Exit::Failure(format!("cluster: {message}"))
+}
+
+#[derive(Default)]
 struct Args {
     cfg: ClusterConfig,
     threads: usize,
     sweep: Option<Vec<usize>>,
     trace: Option<String>,
-    traffic: Option<String>,
     stats: bool,
     emit_trace: Option<String>,
     out: Option<String>,
@@ -135,75 +161,113 @@ struct Args {
     validate_trace: Option<String>,
     scope_out: Option<String>,
     slo: Option<SloConfig>,
-    controller: Option<String>,
     chaos: Option<ChaosPlan>,
     chaos_seed: u64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cluster [--cores N] [--nodes N] [--scheduler P] [--keepalive P] \
-         [--fe NAME] [--scale F] [--seed S] [--rate R] \
-         [--zipf S] [--horizon CYCLES] [--capacity BYTES] [--policy P] \
-         [--jobs N] [--threads N] \
-         [--sweep B1,B2,...] [--trace FILE] [--traffic SPEC] [--stats] \
-         [--emit-trace FILE] [--out FILE] \
-         [--validate FILE] [--trace-out FILE] [--metrics-out FILE] \
-         [--validate-trace FILE] [--scope-out FILE] [--slo SPEC] \
-         [--controller SPEC] [--chaos SPEC] [--chaos-seed S] [--retry SPEC]"
-    );
-    std::process::exit(2);
+fn parse(argv: Vec<String>) -> Result<Args, Exit> {
+    // Single-threaded by default: the sweep output is byte-identical at
+    // any job count, so parallelism is strictly opt-in speed.
+    let mut args = Args { threads: 1, chaos_seed: 1, ..Args::default() };
+    let mut it = Cursor::new(argv, usage);
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--cores" => args.cfg.cores = it.parse(&arg)?,
+            "--nodes" => args.cfg.topology.nodes = it.parse(&arg)?,
+            "--scheduler" => args.cfg.topology.scheduler = it.spec(&arg, SchedulerKind::parse)?,
+            "--keepalive" => args.cfg.topology.keepalive = it.spec(&arg, KeepAliveKind::parse)?,
+            "--fe" => {
+                let name = it.value(&arg)?;
+                args.cfg.fe =
+                    front_end(&name).ok_or_else(|| usage(format!("unknown front-end '{name}'")))?;
+            }
+            "--scale" => args.cfg.scale = it.parse(&arg)?,
+            "--seed" => args.cfg.arrival.seed = it.parse(&arg)?,
+            "--rate" => args.cfg.arrival.rate_per_mcycle = it.parse(&arg)?,
+            "--zipf" => args.cfg.arrival.zipf_s = it.parse(&arg)?,
+            "--horizon" => args.cfg.arrival.horizon_cycles = it.parse(&arg)?,
+            "--capacity" => args.cfg.store.capacity_bytes = it.parse(&arg)?,
+            "--policy" => {
+                let name = it.value(&arg)?;
+                args.cfg.store.policy = EvictionPolicy::parse(&name)
+                    .ok_or_else(|| usage(format!("unknown policy '{name}'")))?;
+            }
+            "--jobs" | "--threads" => {
+                // Each worker is an OS thread simulating a whole cluster.
+                args.threads = it.parse(&arg)?;
+                if args.threads > MAX_JOBS {
+                    let jobs = args.threads;
+                    return Err(usage(format!("{arg} must be at most {MAX_JOBS}, got {jobs}")));
+                }
+            }
+            "--sweep" => {
+                let list = it.value(&arg)?;
+                let points = list.split(',').map(|c| it.parse_str(c.trim(), "--sweep"));
+                args.sweep = Some(points.collect::<Result<_, _>>()?);
+            }
+            "--trace" => args.trace = Some(it.value(&arg)?),
+            "--traffic" => args.cfg.traffic = Some(it.value(&arg)?),
+            "--stats" => args.stats = true,
+            "--emit-trace" => args.emit_trace = Some(it.value(&arg)?),
+            "--out" => args.out = Some(it.value(&arg)?),
+            "--validate" => args.validate = Some(it.value(&arg)?),
+            "--trace-out" => args.trace_out = Some(it.value(&arg)?),
+            "--metrics-out" => args.metrics_out = Some(it.value(&arg)?),
+            "--validate-trace" => args.validate_trace = Some(it.value(&arg)?),
+            "--scope-out" => args.scope_out = Some(it.value(&arg)?),
+            "--slo" => {
+                let spec = it.value(&arg)?;
+                args.slo = Some(parse_slo(&it, &spec)?);
+            }
+            "--controller" => args.cfg.controller = Some(it.value(&arg)?),
+            "--chaos" => args.chaos = Some(it.spec(&arg, parse_chaos_spec)?),
+            "--chaos-seed" => args.chaos_seed = it.parse(&arg)?,
+            "--retry" => args.cfg.retry = it.spec(&arg, parse_retry_spec)?,
+            _ => return Err(usage(format!("unknown argument '{arg}'"))),
+        }
+    }
+    Ok(args)
 }
 
 /// Parses an `--slo` spec: `default`, or comma-separated `k=v` pairs
 /// over [`SloConfig::default`]. `objective` is a percent (95 -> 950
 /// milli) and `burn` a multiplier (2 -> 2000 milli); everything else is
 /// taken verbatim.
-fn parse_slo(spec: &str) -> SloConfig {
+fn parse_slo(it: &Cursor, spec: &str) -> Result<SloConfig, Exit> {
     let mut slo = SloConfig::default();
     if spec == "default" {
-        return slo;
+        return Ok(slo);
     }
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
+    for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let Some((k, v)) = part.split_once('=') else {
-            eprintln!("cluster: --slo expects k=v pairs, got '{part}'");
-            usage();
+            return Err(usage(format!("--slo expects k=v pairs, got '{part}'")));
         };
         match k {
-            "threshold" => slo.threshold_cycles = parse(v, "--slo threshold"),
+            "threshold" => slo.threshold_cycles = it.parse_str(v, "--slo threshold")?,
             "objective" => {
-                let pct: f64 = parse(v, "--slo objective");
+                let pct: f64 = it.parse_str(v, "--slo objective")?;
                 // Rounded to milli-units, the objective must stay below
                 // 1000: 99.95 and up would leave no error budget.
                 let milli = (pct * 10.0).round();
                 if !(0.0..100.0).contains(&pct) || milli >= 1000.0 {
-                    eprintln!("cluster: --slo objective must be in [0, 100), got {pct}");
-                    usage();
+                    return Err(usage(format!("--slo objective must be in [0, 100), got {pct}")));
                 }
                 slo.objective_milli = milli as u32;
             }
-            "fast" => slo.fast_window_cycles = parse(v, "--slo fast"),
-            "slow" => slo.slow_window_cycles = parse(v, "--slo slow"),
+            "fast" => slo.fast_window_cycles = it.parse_str(v, "--slo fast")?,
+            "slow" => slo.slow_window_cycles = it.parse_str(v, "--slo slow")?,
             "burn" => {
-                let mult: f64 = parse(v, "--slo burn");
+                let mult: f64 = it.parse_str(v, "--slo burn")?;
                 if !mult.is_finite() || mult <= 0.0 {
-                    eprintln!("cluster: --slo burn must be positive, got {mult}");
-                    usage();
+                    return Err(usage(format!("--slo burn must be positive, got {mult}")));
                 }
                 slo.burn_milli = (mult * 1000.0).round() as u64;
             }
-            "min" => slo.min_count = parse(v, "--slo min"),
-            _ => {
-                eprintln!("cluster: unknown --slo key '{k}'");
-                usage();
-            }
+            "min" => slo.min_count = it.parse_str(v, "--slo min")?,
+            _ => return Err(usage(format!("unknown --slo key '{k}'"))),
         }
     }
-    slo
+    Ok(slo)
 }
 
 fn front_end(name: &str) -> Option<FrontEndConfig> {
@@ -220,480 +284,258 @@ fn front_end(name: &str) -> Option<FrontEndConfig> {
     })
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        cfg: ClusterConfig::default(),
-        // Single-threaded by default: the sweep output is byte-identical
-        // at any job count, so parallelism is strictly opt-in speed.
-        threads: 1,
-        sweep: None,
-        trace: None,
-        traffic: None,
-        stats: false,
-        emit_trace: None,
-        out: None,
-        validate: None,
-        trace_out: None,
-        metrics_out: None,
-        validate_trace: None,
-        scope_out: None,
-        slo: None,
-        controller: None,
-        chaos: None,
-        chaos_seed: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().unwrap_or_else(|| {
-            eprintln!("cluster: {flag} needs a value");
-            usage();
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cores" => args.cfg.cores = parse(&value(&mut it, "--cores"), "--cores"),
-            "--nodes" => args.cfg.topology.nodes = parse(&value(&mut it, "--nodes"), "--nodes"),
-            "--scheduler" => {
-                let spec = value(&mut it, "--scheduler");
-                args.cfg.topology.scheduler = SchedulerKind::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("cluster: --scheduler: {e}");
-                    usage();
-                });
-            }
-            "--keepalive" => {
-                let spec = value(&mut it, "--keepalive");
-                args.cfg.topology.keepalive = KeepAliveKind::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("cluster: --keepalive: {e}");
-                    usage();
-                });
-            }
-            "--fe" => {
-                let name = value(&mut it, "--fe");
-                args.cfg.fe = front_end(&name).unwrap_or_else(|| {
-                    eprintln!("cluster: unknown front-end '{name}'");
-                    usage();
-                });
-            }
-            "--scale" => args.cfg.scale = parse(&value(&mut it, "--scale"), "--scale"),
-            "--seed" => args.cfg.arrival.seed = parse(&value(&mut it, "--seed"), "--seed"),
-            "--rate" => {
-                args.cfg.arrival.rate_per_mcycle = parse(&value(&mut it, "--rate"), "--rate");
-            }
-            "--zipf" => args.cfg.arrival.zipf_s = parse(&value(&mut it, "--zipf"), "--zipf"),
-            "--horizon" => {
-                args.cfg.arrival.horizon_cycles = parse(&value(&mut it, "--horizon"), "--horizon");
-            }
-            "--capacity" => {
-                args.cfg.store.capacity_bytes = parse(&value(&mut it, "--capacity"), "--capacity");
-            }
-            "--policy" => {
-                let name = value(&mut it, "--policy");
-                args.cfg.store.policy = EvictionPolicy::parse(&name).unwrap_or_else(|| {
-                    eprintln!("cluster: unknown policy '{name}'");
-                    usage();
-                });
-            }
-            "--jobs" => args.threads = parse_jobs(&value(&mut it, "--jobs"), "--jobs"),
-            "--threads" => args.threads = parse_jobs(&value(&mut it, "--threads"), "--threads"),
-            "--sweep" => {
-                let list = value(&mut it, "--sweep");
-                args.sweep = Some(list.split(',').map(|c| parse(c.trim(), "--sweep")).collect());
-            }
-            "--trace" => args.trace = Some(value(&mut it, "--trace")),
-            "--traffic" => args.traffic = Some(value(&mut it, "--traffic")),
-            "--stats" => args.stats = true,
-            "--emit-trace" => args.emit_trace = Some(value(&mut it, "--emit-trace")),
-            "--out" => args.out = Some(value(&mut it, "--out")),
-            "--validate" => args.validate = Some(value(&mut it, "--validate")),
-            "--trace-out" => args.trace_out = Some(value(&mut it, "--trace-out")),
-            "--metrics-out" => args.metrics_out = Some(value(&mut it, "--metrics-out")),
-            "--validate-trace" => {
-                args.validate_trace = Some(value(&mut it, "--validate-trace"));
-            }
-            "--scope-out" => args.scope_out = Some(value(&mut it, "--scope-out")),
-            "--slo" => args.slo = Some(parse_slo(&value(&mut it, "--slo"))),
-            "--controller" => args.controller = Some(value(&mut it, "--controller")),
-            "--chaos" => {
-                let spec = value(&mut it, "--chaos");
-                args.chaos = Some(parse_chaos_spec(&spec).unwrap_or_else(|e| {
-                    eprintln!("cluster: --chaos: {e}");
-                    usage();
-                }));
-            }
-            "--chaos-seed" => {
-                args.chaos_seed = parse(&value(&mut it, "--chaos-seed"), "--chaos-seed");
-            }
-            "--retry" => {
-                let spec = value(&mut it, "--retry");
-                args.cfg.retry = parse_retry_spec(&spec).unwrap_or_else(|e| {
-                    eprintln!("cluster: --retry: {e}");
-                    usage();
-                });
-            }
-            _ => {
-                eprintln!("cluster: unknown argument '{arg}'");
-                usage();
-            }
-        }
+/// The modes, in the order their flags are honoured: the two validators,
+/// then (after [`check`]) `--stats`, `--emit-trace`, `--sweep` and a
+/// single run.
+fn run(mut args: Args) -> Result<(), Exit> {
+    if let Some(path) = &args.validate {
+        cli::load(path, ClusterReport::validate).map_err(fail)?;
+        println!("{path}: valid cluster report");
+        return Ok(());
     }
-    args
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("cluster: bad value '{s}' for {flag}");
-        usage();
-    })
-}
-
-/// Parses a sweep worker count, refusing one above [`MAX_JOBS`]: each
-/// worker is an OS thread simulating a whole cluster.
-fn parse_jobs(s: &str, flag: &str) -> usize {
-    let jobs = parse(s, flag);
-    if jobs > MAX_JOBS {
-        eprintln!("cluster: {flag} must be at most {MAX_JOBS}, got {jobs}");
-        usage();
+    if let Some(path) = &args.validate_trace {
+        let summary = cli::load(path, validate_trace).map_err(fail)?;
+        let (events, dropped) = (summary.total_events(), summary.dropped_events);
+        println!("{path}: valid trace, {events} events ({dropped} dropped)");
+        return Ok(());
     }
-    jobs
+    let (traffic, mut controller) = check(&mut args)?;
+    let trace = args.trace.as_deref().map(|path| cli::load(path, Trace::parse));
+    let trace = trace.transpose().map_err(fail)?;
+    let workload = || source(&args.cfg, &traffic, &trace);
+    if args.stats {
+        stats(&args.cfg, &mut *workload()?);
+    } else if let Some(path) = &args.emit_trace {
+        // With --traffic the source is materialized into the same
+        // ignite-trace-v1 format, so shaped workloads can be archived
+        // and replayed through --trace like any other trace.
+        let trace = materialize(&mut *workload()?);
+        cli::write(path, trace.to_text()).map_err(fail)?;
+        println!("wrote {} arrivals to {path}", trace.arrivals.len());
+    } else if let Some(capacities) = &args.sweep {
+        sweep(&args, capacities)?;
+    } else {
+        simulate(&args, &mut *workload()?, controller.as_mut())?;
+    }
+    Ok(())
 }
 
-/// Builds the configured workload as a stream: the traffic spec, a
-/// replayed trace file, or the built-in Poisson/Zipf process.
-fn build_source<'a>(
-    spec: &Option<TrafficSpec>,
-    trace: &'a Option<Trace>,
+/// The configured workload as a stream: the traffic spec, a replayed
+/// trace file, or the built-in Poisson/Zipf process.
+fn source<'a>(
     cfg: &ClusterConfig,
-) -> Result<Box<dyn ArrivalSource + 'a>, String> {
-    match (spec, trace) {
-        (Some(spec), _) => {
-            let suite = Suite::paper_suite_scaled(cfg.scale);
-            spec.build(&cfg.arrival, &suite)
-                .map(|s| s as Box<dyn ArrivalSource + 'a>)
-                .map_err(|e| e.to_string())
-        }
+    traffic: &Option<TrafficSpec>,
+    trace: &'a Option<Trace>,
+) -> Result<Box<dyn ArrivalSource + 'a>, Exit> {
+    match (traffic, trace) {
+        (Some(spec), _) => spec
+            .build(&cfg.arrival, &Suite::paper_suite_scaled(cfg.scale))
+            .map_err(|e| fail(format!("--traffic: {e}"))),
         (None, Some(t)) => Ok(Box::new(TraceSource::new(t))),
         (None, None) => Ok(Box::new(cfg.arrival.source())),
     }
 }
 
-fn main() -> ExitCode {
-    let args = parse_args();
-
-    if let Some(path) = &args.validate {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cluster: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match ClusterReport::validate(&text) {
-            Ok(()) => {
-                println!("{path}: valid cluster report");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cluster: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if let Some(path) = &args.validate_trace {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cluster: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_trace(&text) {
-            Ok(summary) => {
-                println!(
-                    "{path}: valid trace, {} events ({} dropped)",
-                    summary.total_events(),
-                    summary.dropped_events
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cluster: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let mut cfg = args.cfg;
+/// Every check made before reading an input or simulating, in order: the
+/// configuration, the workload's flags and spec, the controller's, and
+/// what a sweep cannot do. Returns the workload spec and the controller.
+fn check(args: &mut Args) -> Result<(Option<TrafficSpec>, Option<Controller>), Exit> {
+    let cfg = &mut args.cfg;
     cfg.arrival.functions = 20; // the full paper suite
-    if let Some(plan) = args.chaos {
+    if let Some(plan) = args.chaos.take() {
         // The failure schedule draws from its own seed: `--seed` owns
         // the arrival stream, `--chaos-seed` owns the chaos stream.
         cfg.chaos = Some(plan.seeded(args.chaos_seed));
     }
-    if let Err(e) = cfg.validate() {
-        eprintln!("cluster: invalid configuration: {e}");
-        return ExitCode::FAILURE;
-    }
+    cfg.validate().map_err(|e| fail(format!("invalid configuration: {e}")))?;
 
     // A shaped workload replaces the arrival process wholesale, so it
     // conflicts with replaying a trace file and with the sweep (whose
     // points regenerate the built-in process).
-    let traffic_spec = match &args.traffic {
+    let sweep = args.sweep.is_some();
+    let traffic = match &cfg.traffic {
         None => None,
+        Some(_) if args.trace.is_some() => {
+            return Err(fail("--traffic and --trace both define the workload; pick one"));
+        }
+        Some(_) if sweep => return Err(fail("--traffic is not supported with --sweep")),
         Some(raw) => {
-            if args.trace.is_some() {
-                eprintln!("cluster: --traffic and --trace both define the workload; pick one");
-                return ExitCode::FAILURE;
-            }
-            if args.sweep.is_some() {
-                eprintln!("cluster: --traffic is not supported with --sweep");
-                return ExitCode::FAILURE;
-            }
-            let spec = match TrafficSpec::parse(raw) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    eprintln!("cluster: --traffic: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let spec = TrafficSpec::parse(raw).map_err(|e| fail(format!("--traffic: {e}")))?;
             if let Some(multiplier) = spec.peak_multiplier() {
-                if let Err(e) = cfg.check_peak_rate("traffic", multiplier) {
-                    eprintln!("cluster: invalid configuration: {e}");
-                    return ExitCode::FAILURE;
-                }
+                let peak = cfg.check_peak_rate("traffic", multiplier);
+                peak.map_err(|e| fail(format!("invalid configuration: {e}")))?;
             }
-            cfg.traffic = Some(raw.clone());
             Some(spec)
         }
     };
     // The sweep regenerates the built-in arrival process at every point,
     // so a replayed trace file would be silently ignored.
-    if args.trace.is_some() && args.sweep.is_some() {
-        eprintln!("cluster: --trace is not supported with --sweep");
-        return ExitCode::FAILURE;
+    if args.trace.is_some() && sweep {
+        return Err(fail("--trace is not supported with --sweep"));
     }
     // The controller mutates scheduling state (replay gates, admission,
     // active cores, keep-alive windows) as the run unfolds, so it is
     // incompatible with the sweep (which compares static configurations
     // by design).
-    let mut controller = match &args.controller {
+    let controller = match &cfg.controller {
         None => None,
+        Some(_) if sweep => return Err(fail("--controller is not supported with --sweep")),
         Some(raw) => {
-            if args.sweep.is_some() {
-                eprintln!("cluster: --controller is not supported with --sweep");
-                return ExitCode::FAILURE;
-            }
-            match ControllerSpec::parse(raw) {
-                Ok(spec) => {
-                    cfg.controller = Some(raw.clone());
-                    Some(Controller::new(spec))
-                }
-                Err(e) => {
-                    eprintln!("cluster: --controller: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let spec =
+                ControllerSpec::parse(raw).map_err(|e| fail(format!("--controller: {e}")))?;
+            Some(Controller::new(spec))
         }
     };
-    let replay_trace = match &args.trace {
-        None => None,
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cluster: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Trace::parse(&text) {
-                Ok(trace) => Some(trace),
-                Err(e) => {
-                    eprintln!("cluster: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-
-    if args.stats {
-        let mut source = match build_source(&traffic_spec, &replay_trace, &cfg) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cluster: --traffic: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut accum = FingerprintAccum::new(source.functions());
-        while let Some(a) = source.next_arrival() {
-            accum.observe(a);
-        }
-        let fp = accum.finish();
-        println!(
-            "{} invocations | horizon {} cycles | rate {:.2}/Mcycle | \
-             interarrival cv2 {:.3} | zipf s_hat {:.3}",
-            fp.arrivals, fp.horizon_cycles, fp.rate_per_mcycle, fp.interarrival_cv2, fp.zipf_s_hat
-        );
-        let suite = Suite::paper_suite_scaled(cfg.scale);
-        let mut shares: Vec<(usize, u64)> =
-            accum.counts().iter().copied().enumerate().filter(|&(_, c)| c > 0).collect();
-        shares.sort_by_key(|&(i, c)| (std::cmp::Reverse(c), i));
-        for (i, count) in shares {
-            let abbr = suite.functions().get(i).map_or("?", |f| f.profile.abbr.as_str());
-            println!(
-                "{abbr:>8}  {count:>8}  {:.4}",
-                if fp.arrivals == 0 { 0.0 } else { count as f64 / fp.arrivals as f64 }
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &args.emit_trace {
-        // With --traffic the source is materialized into the same
-        // ignite-trace-v1 format, so shaped workloads can be archived
-        // and replayed through --trace like any other trace.
-        let trace = match build_source(&traffic_spec, &replay_trace, &cfg) {
-            Ok(mut s) => materialize(&mut *s),
-            Err(e) => {
-                eprintln!("cluster: --traffic: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, trace.to_text()) {
-            eprintln!("cluster: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {} arrivals to {path}", trace.arrivals.len());
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(capacities) = &args.sweep {
+    // Only a sweep that runs (no --stats, no --emit-trace) refuses the
+    // single-run outputs.
+    if sweep && !args.stats && args.emit_trace.is_none() {
         if args.trace_out.is_some() {
-            eprintln!("cluster: --trace-out traces a single run; not supported with --sweep");
-            return ExitCode::FAILURE;
+            return Err(fail("--trace-out traces a single run; not supported with --sweep"));
         }
         if args.scope_out.is_some() || args.slo.is_some() {
-            eprintln!(
-                "cluster: --scope-out/--slo analyze a single run; not supported with --sweep"
-            );
-            return ExitCode::FAILURE;
+            return Err(fail("--scope-out/--slo analyze a single run; not supported with --sweep"));
         }
-        // Independent sweep points shard across threads; a panicking point
-        // reports its failure without tearing down the rest.
-        let results = sweep_capacities(&cfg, capacities, args.threads);
-        let mut metrics = args.metrics_out.as_ref().map(|_| MetricsRegistry::new());
+    }
+    Ok((traffic, controller))
+}
+
+/// `--stats`: the workload's fingerprint and each function's share of
+/// it, without simulating.
+fn stats(cfg: &ClusterConfig, source: &mut dyn ArrivalSource) {
+    let mut accum = FingerprintAccum::new(source.functions());
+    while let Some(a) = source.next_arrival() {
+        accum.observe(a);
+    }
+    let fp = accum.finish();
+    println!(
+        "{} invocations | horizon {} cycles | rate {:.2}/Mcycle | \
+         interarrival cv2 {:.3} | zipf s_hat {:.3}",
+        fp.arrivals, fp.horizon_cycles, fp.rate_per_mcycle, fp.interarrival_cv2, fp.zipf_s_hat
+    );
+    let suite = Suite::paper_suite_scaled(cfg.scale);
+    let mut shares: Vec<(usize, u64)> =
+        accum.counts().iter().copied().enumerate().filter(|&(_, c)| c > 0).collect();
+    shares.sort_by_key(|&(i, c)| (std::cmp::Reverse(c), i));
+    for (i, count) in shares {
+        let abbr = suite.functions().get(i).map_or("?", |f| f.profile.abbr.as_str());
         println!(
-            "{:>12} {:>9} {:>10} {:>14} {:>14} {:>12}",
-            "capacity", "hit_rate", "evictions", "mean_lat_cyc", "p95_lat_cyc", "peak_bytes"
+            "{abbr:>8}  {count:>8}  {:.4}",
+            if fp.arrivals == 0 { 0.0 } else { count as f64 / fp.arrivals as f64 }
         );
-        let mut failures = 0;
-        for (cap, r) in capacities.iter().zip(results) {
-            match r {
-                Ok(out) => {
-                    println!(
-                        "{:>12} {:>9.3} {:>10} {:>14.0} {:>14} {:>12}",
-                        cap,
-                        out.store.hit_rate(),
-                        out.store.evictions,
-                        out.mean_latency,
-                        out.p95_latency,
-                        out.peak_footprint_bytes
-                    );
-                    if let Some(reg) = &mut metrics {
-                        let mut point = cfg.clone();
-                        point.store.capacity_bytes = *cap;
-                        let report = ClusterReport::new(point, out);
-                        record_metrics(reg, report, &[("store_capacity", &cap.to_string())]);
-                    }
-                }
-                Err(f) => {
-                    eprintln!("cluster: capacity {cap} failed: {f}");
-                    failures += 1;
+    }
+}
+
+/// `--sweep`: one table row per store capacity. Independent sweep points
+/// shard across threads; a panicking point reports its failure without
+/// tearing down the rest, and fails the run once the rest are written.
+fn sweep(args: &Args, capacities: &[usize]) -> Result<(), Exit> {
+    let cfg = &args.cfg;
+    let results = sweep_capacities(cfg, capacities, args.threads);
+    let mut metrics = args.metrics_out.as_ref().map(|_| MetricsRegistry::new());
+    println!(
+        "{:>12} {:>9} {:>10} {:>14} {:>14} {:>12}",
+        "capacity", "hit_rate", "evictions", "mean_lat_cyc", "p95_lat_cyc", "peak_bytes"
+    );
+    let mut failures = 0;
+    for (cap, r) in capacities.iter().zip(results) {
+        match r {
+            Ok(out) => {
+                println!(
+                    "{:>12} {:>9.3} {:>10} {:>14.0} {:>14} {:>12}",
+                    cap,
+                    out.store.hit_rate(),
+                    out.store.evictions,
+                    out.mean_latency,
+                    out.p95_latency,
+                    out.peak_footprint_bytes
+                );
+                if let Some(reg) = &mut metrics {
+                    let mut point = cfg.clone();
+                    point.store.capacity_bytes = *cap;
+                    let report = ClusterReport::new(point, out);
+                    record_metrics(reg, report, &[("store_capacity", &cap.to_string())]);
                 }
             }
-        }
-        if let (Some(path), Some(reg)) = (&args.metrics_out, &metrics) {
-            if let Err(e) = std::fs::write(path, reg.expose()) {
-                eprintln!("cluster: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+            Err(f) => {
+                eprintln!("cluster: capacity {cap} failed: {f}");
+                failures += 1;
             }
-            eprintln!("wrote {path}");
         }
-        return if failures == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
-
-    let sim = ClusterSim::new(cfg.clone());
-
-    // Four sink shapes, picked once: a plain run, a trace ring, the
-    // scope analyzer over a discarded stream, or the analyzer teeing
-    // into the ring (alerts land in the trace too).
-    enum Sinks {
-        Plain(NullSink),
-        Trace(TraceBuffer),
-        Scope(Box<ScopeAnalyzer<NullSink>>),
-        Both(Box<ScopeAnalyzer<TraceBuffer>>),
+    if let (Some(path), Some(reg)) = (&args.metrics_out, &metrics) {
+        cli::write(path, reg.expose()).map_err(fail)?;
+        eprintln!("wrote {path}");
     }
+    if failures > 0 {
+        return Err(Exit::Failure(String::new()));
+    }
+    Ok(())
+}
+
+/// Four sink shapes, picked once: a plain run, a trace ring, the scope
+/// analyzer over a discarded stream, or the analyzer teeing into the
+/// ring (alerts land in the trace too).
+enum Sinks {
+    Plain(NullSink),
+    Trace(TraceBuffer),
+    Scope(Box<ScopeAnalyzer<NullSink>>),
+    Both(Box<ScopeAnalyzer<TraceBuffer>>),
+}
+
+/// The scope analyzer over `inner`, with the SLO tracker when one is
+/// configured.
+fn analyzer<S: EventSink>(inner: S, slo: Option<SloConfig>) -> Box<ScopeAnalyzer<S>> {
+    let an = ScopeAnalyzer::new(inner);
+    Box::new(match slo {
+        Some(slo) => an.with_slo(slo),
+        None => an,
+    })
+}
+
+fn run_one<S: EventSink>(
+    sim: &ClusterSim,
+    source: &mut dyn ArrivalSource,
+    sink: &mut S,
+    policy: Option<&mut Controller>,
+) -> ClusterOutcome {
+    match policy {
+        Some(ctrl) => sim.run_source_policy_obs(source, sink, ctrl),
+        None => sim.run_source_policy_obs(source, sink, &mut StaticPolicy),
+    }
+}
+
+/// A single run: simulate it, then write and print what the flags ask
+/// for, each output checked by its own validator first.
+fn simulate(
+    args: &Args,
+    source: &mut dyn ArrivalSource,
+    policy: Option<&mut Controller>,
+) -> Result<(), Exit> {
+    let sim = ClusterSim::new(args.cfg.clone());
     let scope_on = args.scope_out.is_some() || args.slo.is_some();
-    let with_slo = |an: ScopeAnalyzer<TraceBuffer>| match args.slo {
-        Some(slo) => an.with_slo(slo),
-        None => an,
-    };
-    let with_slo_null = |an: ScopeAnalyzer<NullSink>| match args.slo {
-        Some(slo) => an.with_slo(slo),
-        None => an,
-    };
     let mut sinks = match (args.trace_out.is_some(), scope_on) {
         (false, false) => Sinks::Plain(NullSink),
         (true, false) => Sinks::Trace(TraceBuffer::new(TRACE_BUFFER_EVENTS)),
-        (false, true) => Sinks::Scope(Box::new(with_slo_null(ScopeAnalyzer::new(NullSink)))),
-        (true, true) => Sinks::Both(Box::new(with_slo(ScopeAnalyzer::new(TraceBuffer::new(
-            TRACE_BUFFER_EVENTS,
-        ))))),
+        (false, true) => Sinks::Scope(analyzer(NullSink, args.slo)),
+        (true, true) => Sinks::Both(analyzer(TraceBuffer::new(TRACE_BUFFER_EVENTS), args.slo)),
     };
-
-    fn run_one<S: EventSink>(
-        sim: &ClusterSim,
-        source: &mut dyn ArrivalSource,
-        sink: &mut S,
-        policy: Option<&mut Controller>,
-    ) -> ClusterOutcome {
-        match policy {
-            Some(ctrl) => sim.run_source_policy_obs(source, sink, ctrl),
-            None => sim.run_source_policy_obs(source, sink, &mut StaticPolicy),
-        }
-    }
-    let mut run_source =
-        |sim: &ClusterSim, source: &mut dyn ArrivalSource, sinks: &mut Sinks| -> ClusterOutcome {
-            let policy = controller.as_mut();
-            match sinks {
-                Sinks::Plain(s) => run_one(sim, source, s, policy),
-                Sinks::Trace(s) => run_one(sim, source, s, policy),
-                Sinks::Scope(s) => run_one(sim, source, s.as_mut(), policy),
-                Sinks::Both(s) => run_one(sim, source, s.as_mut(), policy),
-            }
-        };
-    let mut source = match build_source(&traffic_spec, &replay_trace, &cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cluster: --traffic: {e}");
-            return ExitCode::FAILURE;
-        }
+    let outcome = match &mut sinks {
+        Sinks::Plain(s) => run_one(&sim, source, s, policy),
+        Sinks::Trace(s) => run_one(&sim, source, s, policy),
+        Sinks::Scope(s) => run_one(&sim, source, s.as_mut(), policy),
+        Sinks::Both(s) => run_one(&sim, source, s.as_mut(), policy),
     };
-    let outcome = run_source(&sim, &mut *source, &mut sinks);
 
     let abbrs: Vec<String> = outcome.functions.iter().map(|f| f.abbr.clone()).collect();
     // Borrow rather than consume the sinks: the analyzer's live burn-rate
     // trackers are still needed by the metrics exposition below.
-    let scope_report = match &sinks {
-        Sinks::Scope(an) => Some(ScopeReport::from_analyzer(an, &abbrs)),
-        Sinks::Both(an) => Some(ScopeReport::from_analyzer(an, &abbrs)),
-        _ => None,
+    let (scope_report, trace_buf) = match &sinks {
+        Sinks::Plain(_) => (None, None),
+        Sinks::Trace(buf) => (None, Some(buf)),
+        Sinks::Scope(an) => (Some(ScopeReport::from_analyzer(an, &abbrs)), None),
+        Sinks::Both(an) => (Some(ScopeReport::from_analyzer(an, &abbrs)), Some(an.inner())),
     };
-    let trace_buf: Option<&TraceBuffer> = match &sinks {
-        Sinks::Trace(buf) => Some(buf),
-        Sinks::Both(an) => Some(an.inner()),
-        _ => None,
-    };
-    let mut report = ClusterReport::new(cfg, outcome);
+    let mut report = ClusterReport::new(args.cfg.clone(), outcome);
     if let Some(buf) = trace_buf {
         report = report
             .with_obs(ObsSummary { trace_events: buf.len() as u64, trace_dropped: buf.dropped() });
@@ -701,19 +543,14 @@ fn main() -> ExitCode {
 
     if let Some(scope) = &scope_report {
         let text = scope.to_json();
-        if let Err(e) = ScopeReport::validate(&text) {
-            eprintln!("cluster: emitted scope report failed validation: {e}");
-            return ExitCode::FAILURE;
-        }
+        ScopeReport::validate(&text)
+            .map_err(|e| fail(format!("emitted scope report failed validation: {e}")))?;
         eprintln!(
             "scope: {} invocations attributed | {} SLO violations | {} alert fires",
             scope.totals.invocations, scope.totals.violations, scope.totals.alert_fires
         );
         if let Some(path) = &args.scope_out {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("cluster: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            cli::write(path, &text).map_err(fail)?;
             eprintln!("wrote {path}");
         }
     }
@@ -723,14 +560,8 @@ fn main() -> ExitCode {
             buf,
             &ChromeOptions { process_name: "ignite-cluster", function_names: &abbrs },
         );
-        if let Err(e) = validate_trace(&text) {
-            eprintln!("cluster: emitted trace failed validation: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cluster: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        validate_trace(&text).map_err(|e| fail(format!("emitted trace failed validation: {e}")))?;
+        cli::write(path, &text).map_err(fail)?;
         eprintln!("wrote {path} ({} events, {} dropped)", buf.len(), buf.dropped());
     }
     if let Some(path) = &args.metrics_out {
@@ -746,18 +577,13 @@ fn main() -> ExitCode {
             Sinks::Both(an) => record_slo_metrics(&mut reg, an, &abbrs),
             _ => {}
         }
-        if let Err(e) = std::fs::write(path, reg.expose()) {
-            eprintln!("cluster: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        cli::write(path, reg.expose()).map_err(fail)?;
         eprintln!("wrote {path}");
     }
 
     let text = report.to_json();
-    if let Err(e) = ClusterReport::validate(&text) {
-        eprintln!("cluster: emitted report failed validation: {e}");
-        return ExitCode::FAILURE;
-    }
+    ClusterReport::validate(&text)
+        .map_err(|e| fail(format!("emitted report failed validation: {e}")))?;
     eprintln!(
         "{} invocations over {} cycles | mean latency {:.0} cycles (p95 {}) | \
          store hit rate {:.3} | peak footprint {} bytes",
@@ -810,12 +636,202 @@ fn main() -> ExitCode {
     match &args.out {
         None => print!("{text}"),
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("cluster: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            cli::write(path, &text).map_err(fail)?;
             eprintln!("wrote {path}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Parses `args` and makes every check made before an input is read
+    /// or anything is simulated.
+    fn checked(args: &[&str]) -> Result<Args, Exit> {
+        let mut args = parse(args.iter().map(|a| a.to_string()).collect())?;
+        check(&mut args)?;
+        Ok(args)
+    }
+
+    /// The exit code `main` would pick.
+    fn code(result: &Result<Args, Exit>) -> u8 {
+        match result {
+            Ok(_) => 0,
+            Err(Exit::Usage(_)) => 2,
+            Err(Exit::Failure(_)) => 1,
+        }
+    }
+
+    #[test]
+    fn the_parse_step_reads_flags_and_refuses_bad_values() {
+        let args = checked(&["--cores", "2", "--nodes", "3", "--jobs", "4", "--sweep", "1, 2"])
+            .unwrap_or_else(|e| panic!("{e:?}"));
+        assert_eq!((args.cfg.cores, args.cfg.topology.nodes, args.threads), (2, 3, 4));
+        assert_eq!(args.sweep, Some(vec![1, 2]));
+        assert_eq!(args.cfg.arrival.functions, 20);
+        for (argv, message) in [
+            (&["--cores"][..], "cluster: --cores needs a value"),
+            (&["--cores", "x"], "cluster: bad value 'x' for --cores"),
+            (&["--sweep", "1,x"], "cluster: bad value 'x' for --sweep"),
+            (&["--threads", "257"], "cluster: --threads must be at most 256, got 257"),
+            (&["--fe", "x"], "cluster: unknown front-end 'x'"),
+            (&["--slo", "min"], "cluster: --slo expects k=v pairs, got 'min'"),
+            (&["--slo", "burn=0"], "cluster: --slo burn must be positive, got 0"),
+            (&["--bogus"], "cluster: unknown argument '--bogus'"),
+        ] {
+            assert_eq!(checked(argv).err(), Some(Exit::Usage(message.into())), "{argv:?}");
+        }
+    }
+
+    /// The flag conflicts are failures (exit 1), in the order they are
+    /// checked; a sweep that only prints `--stats` refuses nothing.
+    #[test]
+    fn conflicting_flags_are_refused_before_anything_runs() {
+        let mmpp = "mmpp:mults=1/6,dwells=300000/60000";
+        for (argv, message) in [
+            (&["--traffic", mmpp, "--trace", "t"][..], "--traffic and --trace both define"),
+            (&["--traffic", mmpp, "--sweep", "1"], "--traffic is not supported with --sweep"),
+            (&["--trace", "t", "--sweep", "1"], "--trace is not supported with --sweep"),
+            (&["--controller", "default", "--sweep", "1"], "--controller is not supported"),
+            (&["--sweep", "1", "--trace-out", "t"], "--trace-out traces a single run"),
+            (&["--sweep", "1", "--slo", "default"], "--scope-out/--slo analyze a single run"),
+            (&["--cores", "0", "--traffic", "x"], "invalid configuration: cores"),
+        ] {
+            match checked(argv) {
+                Err(Exit::Failure(m)) => {
+                    assert!(m.starts_with(&format!("cluster: {message}")), "{m}")
+                }
+                other => panic!("{argv:?}: {:?}", other.err()),
+            }
+        }
+        assert!(checked(&["--stats", "--sweep", "1", "--trace-out", "t"]).is_ok());
+    }
+
+    /// Inputs that once crashed, aborted or hung keep their exit codes:
+    /// 2 for a bad argument, 1 for a configuration refused before the run.
+    #[test]
+    fn once_crashing_inputs_keep_their_exit_codes() {
+        for (argv, want) in [
+            (&["--jobs", "100000"][..], 2),
+            (&["--slo", "objective=99.95"], 2),
+            (&["--rate", "1e300"], 1),
+            (&["--scale", "1e9"], 1),
+            (&["--nodes", "4294967296", "--cores", "4294967296"], 1),
+            (&["--retry", "base=4294967297"], 1),
+            (&["--traffic", "mmpp:mults=1/1e300"], 1),
+        ] {
+            assert_eq!(code(&checked(argv)), want, "{argv:?}");
+        }
+    }
+
+    /// Every value-taking flag, and every key of a spec-valued flag, with
+    /// each hostile value, alone and given twice, ends in arguments that
+    /// pass the checks or in an [`Exit`], never in a panic. Nothing here
+    /// reads an input, simulates or starts a thread.
+    #[test]
+    fn hostile_values_never_panic_the_parse_or_the_checks() {
+        const HOSTILE: [&str; 10] = [
+            "0",
+            "-1",
+            "4294967296",
+            "9007199254740993",
+            "18446744073709551616",
+            "1e300",
+            "nan",
+            "inf",
+            "",
+            "1x",
+        ];
+        let flags = [
+            "--cores",
+            "--nodes",
+            "--scheduler",
+            "--keepalive",
+            "--fe",
+            "--scale",
+            "--seed",
+            "--rate",
+            "--zipf",
+            "--horizon",
+            "--capacity",
+            "--policy",
+            "--jobs",
+            "--threads",
+            "--sweep",
+            "--trace",
+            "--traffic",
+            "--emit-trace",
+            "--out",
+            "--validate",
+            "--trace-out",
+            "--metrics-out",
+            "--validate-trace",
+            "--scope-out",
+            "--slo",
+            "--controller",
+            "--chaos",
+            "--chaos-seed",
+            "--retry",
+        ];
+        let mut cases: Vec<Vec<String>> = Vec::new();
+        for flag in flags {
+            cases.push(vec![flag.into()]);
+            for v in HOSTILE {
+                cases.push(vec![flag.into(), v.into()]);
+                cases.push(vec![flag.into(), v.into(), flag.into(), v.into()]);
+            }
+        }
+        let keys = [
+            ("--slo", "threshold fast slow min objective burn"),
+            ("--retry", "attempts base mult max jitter-ppm deadline breaker-threshold breaker-cooldown"),
+            ("--chaos", "crash-mtbf crash-repair straggle-mtbf straggle-dur straggle-factor store-mtbf store-dur corrupt-ppm loss-ppm drop-ppm"),
+            ("--controller", "epoch slo min-samples probe min-cores"),
+        ];
+        let mut specs: Vec<(&str, String)> = Vec::new();
+        for (flag, names) in keys {
+            specs.extend(names.split(' ').map(|k| (flag, format!("{k}={{}}"))));
+        }
+        for template in [
+            "mmpp:mults={}/6",
+            "mmpp:mults=1/{}",
+            "mmpp:dwells={}/60000",
+            "diurnal:period={}",
+            "diurnal:amp={}",
+            "burst:every={}",
+            "burst:width={}",
+            "burst:mult={}",
+            "azure:x.csv,cpm={}",
+        ] {
+            specs.push(("--traffic", template.into()));
+        }
+        specs.extend(
+            [("--scheduler", "random:{}"), ("--keepalive", "fixed:{}")].map(|(f, t)| (f, t.into())),
+        );
+        specs.extend(
+            [("--keepalive", "hybrid:{}"), ("--sweep", "2048,{}")].map(|(f, t)| (f, t.into())),
+        );
+        for (flag, template) in &specs {
+            for v in HOSTILE {
+                let value = template.replace("{}", v);
+                cases.push(vec![flag.to_string(), value.clone()]);
+                cases.push(vec![flag.to_string(), value.clone(), flag.to_string(), value]);
+            }
+        }
+        // The peak-rate check multiplies the rate by the shape's peak.
+        for v in HOSTILE {
+            cases.push(["--rate", v, "--traffic", "mmpp:mults=1/6"].map(String::from).to_vec());
+        }
+        cases.push(vec!["--stats".into(), "--stats".into()]);
+        let mut codes = [0usize; 3];
+        for case in &cases {
+            let argv: Vec<&str> = case.iter().map(String::as_str).collect();
+            let result = catch_unwind(AssertUnwindSafe(|| checked(&argv)));
+            let result = result.unwrap_or_else(|_| panic!("{argv:?} panicked"));
+            codes[code(&result) as usize] += 1;
+        }
+        assert!(codes.iter().all(|&n| n > 0), "{codes:?} of {} cases", cases.len());
+    }
 }

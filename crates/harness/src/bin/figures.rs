@@ -14,190 +14,217 @@
 //!   --quick             shorthand for --scale 0.25 --invocations 1
 //!   --out <path>        also append rendered figures to a markdown file
 //!   --experiments <path> run everything and write the paper-vs-measured
-//!                        EXPERIMENTS.md report to <path>
+//!                        EXPERIMENTS.md report to <path>, keeping
+//!                        whatever an existing file holds after its
+//!                        generated part
 //! ```
 
 use std::io::Write;
+use std::process::ExitCode;
 
-use ignite_cluster::fanout::panic_message;
 use ignite_engine::protocol::RunOptions;
-use ignite_harness::{figures, Figure, Harness};
+use ignite_harness::cli::{self, Exit};
+use ignite_harness::{figures, report, Figure, Harness};
 use ignite_workloads::check_scale;
 
-const ALL_IDS: [&str; 18] = [
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig8",
-    "fig9a",
-    "fig9b",
-    "fig9c",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ext-adaptation",
-    "ext-metadata",
-    "ext-interleaving",
+/// A figure or table by id.
+type Experiment = (&'static str, fn(&Harness) -> Figure);
+
+/// Every figure and table, in the order `all` runs them.
+const FIGURES: [Experiment; 18] = [
+    ("table1", figures::tables::table1),
+    ("table2", figures::tables::table2),
+    ("fig1", figures::fig1::run),
+    ("fig2", figures::fig2::run),
+    ("fig3", figures::fig3::run),
+    ("fig4", figures::fig4::run),
+    ("fig5", figures::fig5::run),
+    ("fig6", figures::fig6::run),
+    ("fig8", figures::fig8::run),
+    ("fig9a", figures::fig9::run_a),
+    ("fig9b", figures::fig9::run_b),
+    ("fig9c", figures::fig9::run_c),
+    ("fig10", figures::fig10::run),
+    ("fig11", figures::fig11::run),
+    ("fig12", figures::fig12::run),
+    ("ext-adaptation", figures::ext::adaptation),
+    ("ext-metadata", figures::ext::metadata_footprint),
+    ("ext-interleaving", figures::ext::interleaving),
 ];
 
-fn run_one(h: &Harness, id: &str) -> Option<Figure> {
-    Some(match id {
-        "fig1" => figures::fig1::run(h),
-        "fig2" => figures::fig2::run(h),
-        "fig3" => figures::fig3::run(h),
-        "fig4" => figures::fig4::run(h),
-        "fig5" => figures::fig5::run(h),
-        "fig6" => figures::fig6::run(h),
-        "fig8" => figures::fig8::run(h),
-        "fig9a" => figures::fig9::run_a(h),
-        "fig9b" => figures::fig9::run_b(h),
-        "fig9c" => figures::fig9::run_c(h),
-        "fig10" => figures::fig10::run(h),
-        "fig11" => figures::fig11::run(h),
-        "fig12" => figures::fig12::run(h),
-        "table1" => figures::tables::table1(h),
-        "table2" => figures::tables::table2(h),
-        "ext-adaptation" => figures::ext::adaptation(h),
-        "ext-metadata" => figures::ext::metadata_footprint(h),
-        "ext-interleaving" => figures::ext::interleaving(h),
-        _ => return None,
-    })
+fn main() -> ExitCode {
+    match parse(std::env::args().skip(1).collect()).and_then(|args| args.map(run).transpose()) {
+        Ok(Some(())) => ExitCode::SUCCESS,
+        Ok(None) => {
+            eprintln!("{}", usage_text());
+            ExitCode::SUCCESS
+        }
+        Err(exit) => exit.report(usage_text()),
+    }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1.0f64;
-    let mut invocations = 3usize;
-    let mut out: Option<String> = None;
-    let mut experiments: Option<String> = None;
-    let mut ids: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+fn usage_text() -> String {
+    let ids: Vec<&str> = FIGURES.iter().map(|&(id, _)| id).collect();
+    format!(
+        "usage: figures [--scale F] [--invocations N] [--quick] [--out PATH] [IDS...]\n\
+         ids: {} | all",
+        ids.join(" ")
+    )
+}
+
+fn usage(message: impl std::fmt::Display) -> Exit {
+    Exit::Usage(format!("error: {message}\n"))
+}
+
+fn fail(message: impl std::fmt::Display) -> Exit {
+    Exit::Failure(format!("error: {message}"))
+}
+
+struct Args {
+    scale: f64,
+    invocations: usize,
+    out: Option<String>,
+    experiments: Option<String>,
+    ids: Vec<Experiment>,
+}
+
+/// Parses the arguments; `None` when they ask for the usage text.
+fn parse(argv: Vec<String>) -> Result<Option<Args>, Exit> {
+    let (mut scale, mut invocations) = (1.0, 3);
+    let (mut out, mut experiments, mut ids) = (None, None, Vec::new());
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| exit_usage("--scale needs a number"));
-                if let Err(e) = check_scale(scale) {
-                    exit_usage(&format!("--scale: {e}"));
-                }
+                let value = it.next().and_then(|v| v.parse().ok());
+                scale = value.ok_or_else(|| usage("--scale needs a number"))?;
+                check_scale(scale).map_err(|e| usage(format!("--scale: {e}")))?;
             }
             "--invocations" => {
-                invocations = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| exit_usage("--invocations needs a positive integer"));
+                let value = it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+                invocations =
+                    value.ok_or_else(|| usage("--invocations needs a positive integer"))?;
             }
-            "--quick" => {
-                scale = 0.25;
-                invocations = 1;
-            }
-            "--out" => {
-                out = Some(it.next().unwrap_or_else(|| exit_usage("--out needs a path")));
-            }
+            "--quick" => (scale, invocations) = (0.25, 1),
+            "--out" => out = Some(it.next().ok_or_else(|| usage("--out needs a path"))?),
             "--experiments" => {
-                experiments =
-                    Some(it.next().unwrap_or_else(|| exit_usage("--experiments needs a path")));
+                experiments = Some(it.next().ok_or_else(|| usage("--experiments needs a path"))?);
             }
-            "--help" | "-h" => exit_usage(""),
-            id if id.starts_with('-') => exit_usage(&format!("unknown option {id}")),
+            "--help" | "-h" => return Ok(None),
+            id if id.starts_with('-') => return Err(usage(format!("unknown option {id}"))),
             id => ids.push(id.to_string()),
         }
     }
-    if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
-    }
-    for id in &ids {
-        if !ALL_IDS.contains(&id.as_str()) {
-            exit_usage(&format!("unknown figure id {id}"));
-        }
-    }
+    let ids = if ids.is_empty() || ids.iter().any(|i| i == "all") {
+        FIGURES.to_vec()
+    } else {
+        let figure = |id: &String| FIGURES.iter().find(|&&(known, _)| known == id);
+        let ids =
+            ids.iter().map(|id| figure(id).ok_or_else(|| usage(format!("unknown figure id {id}"))));
+        ids.map(|f| f.copied()).collect::<Result<_, _>>()?
+    };
+    Ok(Some(Args { scale, invocations, out, experiments, ids }))
+}
 
+fn run(args: Args) -> Result<(), Exit> {
     // Open the output before the (possibly long) run, so a bad path
     // fails at once.
-    let mut out_file = out.map(|path| {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| exit_error(&format!("cannot open {path}: {e}")));
-        (path, file)
-    });
+    let mut out_file = match args.out {
+        None => None,
+        Some(path) => {
+            let file = std::fs::OpenOptions::new().create(true).append(true).open(&path);
+            Some((file.map_err(|e| fail(format!("cannot open {path}: {e}")))?, path))
+        }
+    };
 
     let harness = Harness::new(
-        scale,
-        RunOptions { warmup_invocations: 1, measured_invocations: invocations },
+        args.scale,
+        RunOptions { warmup_invocations: 1, measured_invocations: args.invocations },
     );
-    if let Some(path) = experiments {
-        let md = ignite_harness::report::experiments_markdown(&harness);
-        if let Err(e) = std::fs::write(&path, md) {
-            exit_error(&format!("cannot write {path}: {e}"));
-        }
+    if let Some(path) = args.experiments {
+        report::write_experiments(&path, &harness).map_err(fail)?;
         eprintln!("[wrote {path}]");
-        return;
+        return Ok(());
     }
     // Each figure runs under catch_unwind so one broken experiment does
     // not cost the rest of a (potentially hours-long) paper-scale run.
     // Failures are summarised at the end and reflected in the exit code.
     let mut rendered = String::new();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    for id in &ids {
-        let t = std::time::Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_one(&harness, id).expect("validated above")
-        }));
-        match outcome {
+    let harness = &harness;
+    let jobs = args.ids.iter().map(|&(id, figure)| (id, move || figure(harness)));
+    let result = cli::run_isolated(
+        jobs,
+        |id, elapsed, outcome| match outcome {
             Ok(fig) => {
                 let text = fig.render();
                 println!("{text}");
-                eprintln!("[{} done in {:.1?}]", id, t.elapsed());
+                eprintln!("[{id} done in {elapsed:.1?}]");
                 rendered.push_str(&text);
                 rendered.push('\n');
             }
-            Err(payload) => {
-                let msg = panic_message(payload);
-                eprintln!("[{} FAILED after {:.1?}: {}]", id, t.elapsed(), msg);
-                failures.push((id.clone(), msg));
+            Err(msg) => eprintln!("[{id} FAILED after {elapsed:.1?}: {msg}]"),
+        },
+        |failed| format!("{failed} of {} figure(s) failed:", args.ids.len()),
+    );
+    if let Some((f, path)) = &mut out_file {
+        f.write_all(rendered.as_bytes()).map_err(|e| fail(format!("cannot write {path}: {e}")))?;
+        eprintln!("[appended to {path}]");
+    }
+    result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn parsed(args: &[&str]) -> Result<Option<Args>, Exit> {
+        parse(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    fn ids(args: &[&str]) -> Vec<&'static str> {
+        let args = parsed(args).ok().flatten().expect("arguments that run");
+        args.ids.iter().map(|&(id, _)| id).collect()
+    }
+
+    #[test]
+    fn the_parse_step_selects_figures_and_refuses_bad_arguments() {
+        assert_eq!(ids(&[]).len(), 18);
+        assert_eq!(ids(&["fig3", "table1", "fig3"]), ["fig3", "table1", "fig3"]);
+        assert_eq!(ids(&["bogus", "all"]).len(), 18);
+        let args = parsed(&["--quick", "--scale", "0.5"]).ok().flatten().expect("valid");
+        assert_eq!((args.scale, args.invocations), (0.5, 1));
+        assert!(matches!(parsed(&["--help", "--scale", "0"]), Ok(None)));
+        for (argv, message) in [
+            (&["bogus"][..], "unknown figure id bogus"),
+            (&["-x"], "unknown option -x"),
+            (&["--scale", "0"], "--scale: "),
+            (&["--scale"], "--scale needs a number"),
+            (&["--invocations", "0"], "--invocations needs a positive integer"),
+            (&["--out"], "--out needs a path"),
+        ] {
+            match parsed(argv) {
+                Err(Exit::Usage(m)) => assert!(m.starts_with(&format!("error: {message}")), "{m}"),
+                _ => panic!("{argv:?} must be a usage error"),
             }
         }
     }
-    if let Some((path, f)) = &mut out_file {
-        if let Err(e) = f.write_all(rendered.as_bytes()) {
-            exit_error(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("[appended to {path}]");
-    }
-    if !failures.is_empty() {
-        eprintln!("\n{} of {} figure(s) failed:", failures.len(), ids.len());
-        for (id, msg) in &failures {
-            eprintln!("  {id}: {msg}");
-        }
-        std::process::exit(1);
-    }
-}
 
-/// Prints `msg` and exits 1: the arguments were valid, but the run
-/// could not finish.
-fn exit_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(1);
-}
-
-fn exit_usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}\n");
+    /// Every value-taking flag with each hostile value, alone and given
+    /// twice, parses or is refused, and never panics; no harness is built.
+    #[test]
+    fn hostile_values_never_panic_the_parse() {
+        let hostile = ["0", "-1", "4294967296", "9007199254740993", "18446744073709551616"];
+        let hostile = hostile.into_iter().chain(["1e300", "nan", "inf", "", "1x"]);
+        for v in hostile {
+            for flag in ["--scale", "--invocations", "--out", "--experiments"] {
+                for argv in [vec![flag, v], vec![flag, v, flag, v], vec![flag]] {
+                    let r = catch_unwind(AssertUnwindSafe(|| parsed(&argv).map(|a| a.is_some())));
+                    assert!(r.is_ok(), "{argv:?} panicked");
+                }
+            }
+        }
+        assert!(matches!(parsed(&["--scale", "nan"]), Err(Exit::Usage(_))));
+        assert!(matches!(parsed(&["--invocations", "18446744073709551616"]), Err(Exit::Usage(_))));
     }
-    eprintln!(
-        "usage: figures [--scale F] [--invocations N] [--quick] [--out PATH] [IDS...]\n\
-         ids: {} | all",
-        ALL_IDS.join(" ")
-    );
-    std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -34,119 +34,161 @@
 
 use std::process::ExitCode;
 
+use ignite_harness::cli::{self, Cursor, Exit};
 use ignite_scope::{diff, load_samples, same_kind, ScopeReport};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scope validate FILE\n       scope diff OLD NEW [--threshold PCT] [--advisory] [--allow-cross-workload]"
-    );
-    std::process::exit(2);
-}
-
-fn read(path: &str) -> Result<String, ExitCode> {
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("scope: cannot read {path}: {e}");
-        ExitCode::FAILURE
-    })
-}
+const USAGE: &str = "usage: scope validate FILE\n       scope diff OLD NEW [--threshold PCT] [--advisory] [--allow-cross-workload]";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("validate") => {
-            let [_, path] = argv.as_slice() else { usage() };
-            let text = match read(path) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            match ScopeReport::validate(&text) {
-                Ok(()) => {
-                    println!("{path}: valid {}", ignite_scope::SCOPE_SCHEMA);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("scope: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("diff") => {
-            let rest = &argv[1..];
-            if rest.len() < 2 {
-                usage();
-            }
-            let (old_path, new_path) = (&rest[0], &rest[1]);
-            let mut threshold = 5.0f64;
-            let mut advisory = false;
-            let mut allow_cross_workload = false;
-            let mut it = rest[2..].iter();
+    match parse(std::env::args().skip(1).collect()).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(exit) => exit.report(USAGE),
+    }
+}
+
+fn usage(message: impl std::fmt::Display) -> Exit {
+    Exit::Usage(format!("scope: {message}"))
+}
+
+fn fail(message: impl std::fmt::Display) -> Exit {
+    Exit::Failure(format!("scope: {message}"))
+}
+
+enum Command {
+    Validate(String),
+    Diff(Diff),
+}
+
+struct Diff {
+    old: String,
+    new: String,
+    threshold: f64,
+    advisory: bool,
+    allow_cross_workload: bool,
+}
+
+fn parse(argv: Vec<String>) -> Result<Command, Exit> {
+    let mut it = Cursor::new(argv, usage);
+    let (command, first, second) = (it.next(), it.next(), it.next());
+    match (command.as_deref(), first, second) {
+        (Some("validate"), Some(path), None) => Ok(Command::Validate(path)),
+        (Some("diff"), Some(old), Some(new)) => {
+            let (mut threshold, mut advisory, mut allow_cross_workload) = (5.0, false, false);
             while let Some(arg) = it.next() {
                 match arg.as_str() {
                     "--threshold" => {
-                        let v = it.next().unwrap_or_else(|| {
-                            eprintln!("scope: --threshold needs a value");
-                            usage();
-                        });
+                        let v = it.value("--threshold")?;
                         threshold = match v.parse::<f64>() {
                             Ok(t) if t.is_finite() && t >= 0.0 => t,
                             _ => {
-                                eprintln!(
-                                    "scope: bad threshold '{v}': want a finite percentage >= 0"
-                                );
-                                usage();
+                                let want = "want a finite percentage >= 0";
+                                return Err(usage(format!("bad threshold '{v}': {want}")));
                             }
                         };
                     }
                     "--advisory" => advisory = true,
                     "--allow-cross-workload" => allow_cross_workload = true,
-                    other => {
-                        eprintln!("scope: unknown argument '{other}'");
-                        usage();
-                    }
+                    other => return Err(usage(format!("unknown argument '{other}'"))),
                 }
             }
-            let (old_text, new_text) = match (read(old_path), read(new_path)) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(code), _) | (_, Err(code)) => return code,
-            };
-            let old = match load_samples(&old_text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("scope: {old_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let new = match load_samples(&new_text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("scope: {new_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (old_schema, new_schema) = (&old.schema, &new.schema);
-            if !same_kind(old_schema, new_schema) {
-                eprintln!(
-                    "scope: refusing to compare {old_path} ({old_schema}) with {new_path} ({new_schema}): pass two cluster reports or two scope reports"
-                );
-                return ExitCode::FAILURE;
-            }
-            if old.workload != new.workload && !allow_cross_workload {
-                let show = |id: &Option<String>| id.clone().unwrap_or_else(|| "(none)".into());
-                eprintln!(
-                    "scope: workload fingerprints differ; refusing to compare\n  {old_path}: {}\n  {new_path}: {}\npass --allow-cross-workload to compare anyway",
-                    show(&old.workload),
-                    show(&new.workload)
-                );
-                return ExitCode::FAILURE;
-            }
-            let report = diff(&old.samples, &new.samples, threshold);
-            print!("{}", report.to_text());
-            if report.regressions() > 0 && !advisory {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
+            Ok(Command::Diff(Diff { old, new, threshold, advisory, allow_cross_workload }))
+        }
+        _ => Err(Exit::Usage(String::new())),
+    }
+}
+
+fn run(command: Command) -> Result<(), Exit> {
+    match command {
+        Command::Validate(path) => {
+            cli::load(&path, ScopeReport::validate).map_err(fail)?;
+            println!("{path}: valid {}", ignite_scope::SCOPE_SCHEMA);
+            Ok(())
+        }
+        Command::Diff(args) => compare(args),
+    }
+}
+
+fn compare(args: Diff) -> Result<(), Exit> {
+    let (old_path, new_path) = (&args.old, &args.new);
+    // Both files are read before either is refused, so each unreadable
+    // one is named.
+    let (old_text, new_text) = match (cli::read(old_path), cli::read(new_path)) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(e), Ok(_)) | (Ok(_), Err(e)) => return Err(fail(e)),
+        (Err(a), Err(b)) => return Err(Exit::Failure(format!("scope: {a}\nscope: {b}"))),
+    };
+    let old = load_samples(&old_text).map_err(|e| fail(format!("{old_path}: {e}")))?;
+    let new = load_samples(&new_text).map_err(|e| fail(format!("{new_path}: {e}")))?;
+    let (old_schema, new_schema) = (&old.schema, &new.schema);
+    if !same_kind(old_schema, new_schema) {
+        return Err(fail(format!(
+            "refusing to compare {old_path} ({old_schema}) with {new_path} ({new_schema}): pass two cluster reports or two scope reports"
+        )));
+    }
+    if old.workload != new.workload && !args.allow_cross_workload {
+        let show = |id: &Option<String>| id.clone().unwrap_or_else(|| "(none)".into());
+        return Err(fail(format!(
+            "workload fingerprints differ; refusing to compare\n  {old_path}: {}\n  {new_path}: {}\npass --allow-cross-workload to compare anyway",
+            show(&old.workload),
+            show(&new.workload)
+        )));
+    }
+    let report = diff(&old.samples, &new.samples, args.threshold);
+    print!("{}", report.to_text());
+    if report.regressions() > 0 && !args.advisory {
+        // The report printed says what regressed.
+        return Err(Exit::Failure(String::new()));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn parsed(args: &[&str]) -> Result<Command, Exit> {
+        parse(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn the_parse_step_reads_commands_and_refuses_bad_arguments() {
+        assert!(matches!(parsed(&["validate", "f"]), Ok(Command::Validate(p)) if p == "f"));
+        let Ok(Command::Diff(d)) = parsed(&["diff", "a", "b", "--threshold", "0", "--advisory"])
+        else {
+            panic!("a diff");
+        };
+        assert_eq!((d.old.as_str(), d.new.as_str(), d.threshold), ("a", "b", 0.0));
+        assert!(d.advisory && !d.allow_cross_workload);
+        for argv in [&[][..], &["diff", "a"], &["validate"], &["validate", "a", "b"], &["x"]] {
+            assert_eq!(parsed(argv).err(), Some(Exit::Usage(String::new())), "{argv:?}");
+        }
+        for (argv, message) in [
+            (&["diff", "a", "b", "--threshold"][..], "scope: --threshold needs a value"),
+            (&["diff", "a", "b", "--x"], "scope: unknown argument '--x'"),
+        ] {
+            assert_eq!(parsed(argv).err(), Some(Exit::Usage(message.into())), "{argv:?}");
+        }
+    }
+
+    /// `--threshold` with each hostile value, alone and given twice, parses
+    /// or is refused (exit 2), and never panics: `nan` and `inf`, which
+    /// once switched the gate off, are refused.
+    #[test]
+    fn hostile_thresholds_never_panic_the_parse() {
+        let hostile = ["0", "-1", "4294967296", "9007199254740993", "18446744073709551616"];
+        for v in hostile.into_iter().chain(["1e300", "nan", "inf", "", "1x"]) {
+            let once = ["diff", "a", "b", "--threshold", v];
+            let twice = ["diff", "a", "b", "--threshold", v, "--threshold", v];
+            for argv in [&once[..], &twice[..]] {
+                let r = catch_unwind(AssertUnwindSafe(|| parsed(argv).map(|_| ())));
+                assert!(r.is_ok(), "{argv:?} panicked");
             }
         }
-        _ => usage(),
+        for v in ["nan", "inf", "-1", "", "1x"] {
+            let refused = parsed(&["diff", "a", "b", "--threshold", v]).err();
+            let want = format!("scope: bad threshold '{v}': want a finite percentage >= 0");
+            assert_eq!(refused, Some(Exit::Usage(want)));
+        }
     }
 }

@@ -17,11 +17,13 @@
 //! sweeps: codec budget throttle btb-size divergence host faults | all
 //! ```
 
-use ignite_cluster::fanout::panic_message;
+use std::process::ExitCode;
+
 use ignite_core::codec::CodecConfig;
 use ignite_core::FaultPlan;
 use ignite_engine::config::FrontEndConfig;
 use ignite_engine::protocol::{run_function, RunOptions};
+use ignite_harness::cli::{self, Exit};
 use ignite_harness::Harness;
 use ignite_uarch::btb::BtbConfig;
 use ignite_uarch::UarchConfig;
@@ -188,76 +190,114 @@ fn sweep_host(h: &Harness) {
     }
 }
 
-const SWEEP_NAMES: &[&str] =
-    &["codec", "budget", "throttle", "btb-size", "divergence", "host", "faults"];
+/// An ablation by name.
+type Sweep = (&'static str, fn(&Harness));
 
-fn usage() -> ! {
-    eprintln!("usage: sweep [--scale F] [NAMES...]");
-    eprintln!("names: {} | all", SWEEP_NAMES.join(" "));
-    std::process::exit(2);
+/// Every sweep, in the order `all` runs them.
+const SWEEPS: [Sweep; 7] = [
+    ("codec", sweep_codec),
+    ("budget", sweep_budget),
+    ("throttle", sweep_throttle),
+    ("btb-size", sweep_btb_size),
+    ("divergence", sweep_divergence),
+    ("host", sweep_host),
+    ("faults", sweep_faults),
+];
+
+fn main() -> ExitCode {
+    match parse(std::env::args().skip(1).collect()).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(exit) => {
+            let names: Vec<&str> = SWEEPS.iter().map(|&(name, _)| name).collect();
+            exit.report(format!(
+                "usage: sweep [--scale F] [NAMES...]\nnames: {} | all",
+                names.join(" ")
+            ))
+        }
+    }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 0.25f64;
-    let mut which: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+fn usage(message: impl std::fmt::Display) -> Exit {
+    Exit::Usage(format!("error: {message}\n"))
+}
+
+/// The suite scale and the sweeps to run, in order.
+fn parse(argv: Vec<String>) -> Result<(f64, Vec<Sweep>), Exit> {
+    let (mut scale, mut all, mut sweeps) = (0.25, false, Vec::new());
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("error: --scale needs a number\n");
-                        usage();
-                    }
-                };
-                if let Err(e) = check_scale(scale) {
-                    eprintln!("error: --scale: {e}\n");
-                    usage();
-                }
+                let value = it.next().and_then(|v| v.parse().ok());
+                scale = value.ok_or_else(|| usage("--scale needs a number"))?;
+                check_scale(scale).map_err(|e| usage(format!("--scale: {e}")))?;
             }
-            other => {
-                if other != "all" && !SWEEP_NAMES.contains(&other) {
-                    eprintln!("error: unknown sweep {other}\n");
-                    usage();
-                }
-                which.push(other.to_string());
-            }
+            "all" => all = true,
+            other => match SWEEPS.iter().find(|&&(name, _)| name == other) {
+                Some(&sweep) => sweeps.push(sweep),
+                None => return Err(usage(format!("unknown sweep {other}"))),
+            },
         }
     }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = SWEEP_NAMES.iter().map(|s| s.to_string()).collect();
+    if all || sweeps.is_empty() {
+        sweeps = SWEEPS.to_vec();
     }
-    let h = Harness::new(scale, RunOptions::quick());
-    // Isolate each sweep: one panicking ablation must not cost the rest.
-    let mut failures: Vec<(String, String)> = Vec::new();
-    for w in &which {
-        let run: Option<fn(&Harness)> = match w.as_str() {
-            "codec" => Some(sweep_codec),
-            "budget" => Some(sweep_budget),
-            "throttle" => Some(sweep_throttle),
-            "btb-size" => Some(sweep_btb_size),
-            "divergence" => Some(sweep_divergence),
-            "host" => Some(sweep_host),
-            "faults" => Some(sweep_faults),
-            other => {
-                eprintln!("unknown sweep {other}");
-                None
+    Ok((scale, sweeps))
+}
+
+/// Runs each sweep, isolated: one panicking ablation must not cost the
+/// rest.
+fn run((scale, sweeps): (f64, Vec<Sweep>)) -> Result<(), Exit> {
+    let h = &Harness::new(scale, RunOptions::quick());
+    cli::run_isolated(
+        sweeps.into_iter().map(|(name, sweep)| (name, move || sweep(h))),
+        |name, _, result| {
+            if let Err(msg) = result {
+                eprintln!("[sweep {name} FAILED: {msg}]");
             }
-        };
-        let Some(run) = run else { continue };
-        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&h))) {
-            let msg = panic_message(payload);
-            eprintln!("[sweep {w} FAILED: {msg}]");
-            failures.push((w.clone(), msg));
+        },
+        |failed| format!("{failed} sweep(s) failed:"),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn parsed(args: &[&str]) -> Result<(f64, Vec<&'static str>), Exit> {
+        let (scale, sweeps) = parse(args.iter().map(|a| a.to_string()).collect())?;
+        Ok((scale, sweeps.iter().map(|&(name, _)| name).collect()))
+    }
+
+    #[test]
+    fn the_parse_step_selects_sweeps_and_refuses_bad_arguments() {
+        assert_eq!(parsed(&[]).map(|(s, w)| (s, w.len())), Ok((0.25, 7)));
+        assert_eq!(
+            parsed(&["host", "codec", "host"]).map(|p| p.1),
+            Ok(vec!["host", "codec", "host"])
+        );
+        assert_eq!(parsed(&["codec", "all"]).map(|p| p.1.len()), Ok(7));
+        assert_eq!(parsed(&["--scale", "0.5", "faults"]), Ok((0.5, vec!["faults"])));
+        for (argv, message) in [
+            (&["bogus"][..], "error: unknown sweep bogus\n"),
+            (&["--scale"], "error: --scale needs a number\n"),
+            (&["--scale", "x"], "error: --scale needs a number\n"),
+        ] {
+            assert_eq!(parsed(argv), Err(Exit::Usage(message.into())), "{argv:?}");
         }
     }
-    if !failures.is_empty() {
-        eprintln!("\n{} sweep(s) failed:", failures.len());
-        for (w, msg) in &failures {
-            eprintln!("  {w}: {msg}");
+
+    /// `--scale` with each hostile value, alone and given twice, parses
+    /// or is refused (exit 2), and never panics; no harness is built.
+    #[test]
+    fn hostile_scales_never_panic_the_parse() {
+        let hostile = ["0", "-1", "4294967296", "9007199254740993", "18446744073709551616"];
+        for v in hostile.into_iter().chain(["1e300", "nan", "inf", "", "1x"]) {
+            for argv in [vec!["--scale", v], vec!["--scale", v, "--scale", v]] {
+                let r = catch_unwind(AssertUnwindSafe(|| parsed(&argv)));
+                assert!(matches!(r, Ok(Err(Exit::Usage(_)))), "{argv:?}");
+            }
         }
-        std::process::exit(1);
     }
 }

@@ -23,6 +23,7 @@
 //! assert!(!fig.render().is_empty());
 //! ```
 
+pub mod cli;
 pub mod figure;
 pub mod figures;
 pub mod report;

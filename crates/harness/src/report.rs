@@ -413,7 +413,14 @@ fn faults_report(h: &Harness) -> Report {
     }
 }
 
-/// Runs every experiment and renders the full EXPERIMENTS.md content.
+/// The line that ends the generated part of EXPERIMENTS.md: the
+/// generator writes it last, and a rewrite keeps what follows it
+/// ([`kept_after_generated`]).
+pub const GENERATED_END: &str =
+    "<!-- End of the part `figures --experiments` writes; it keeps what follows. -->";
+
+/// Runs every experiment and renders the generated part of
+/// EXPERIMENTS.md, ending with the [`GENERATED_END`] line.
 pub fn experiments_markdown(h: &Harness) -> String {
     let reports: Vec<(&str, Report)> = vec![
         ("Fig. 1", fig1_report(h)),
@@ -452,7 +459,40 @@ pub fn experiments_markdown(h: &Harness) -> String {
         out.push('\n');
         out.push_str(&report.figure.render());
     }
+    out.push_str(GENERATED_END);
+    out.push('\n');
     out
+}
+
+/// Runs every experiment and writes EXPERIMENTS.md to `path`: the
+/// generated part, then what an existing file holds after its
+/// [`GENERATED_END`] line. An existing file without one is refused
+/// before anything runs.
+pub fn write_experiments(path: &str, h: &Harness) -> Result<(), String> {
+    let existing = match std::path::Path::new(path).exists() {
+        true => Some(crate::cli::read(path)?),
+        false => None,
+    };
+    let kept = kept_after_generated(existing.as_deref()).ok_or_else(|| {
+        format!("cannot update {path}: no line '{GENERATED_END}' ends its generated part")
+    })?;
+    crate::cli::write(path, experiments_markdown(h) + kept)
+}
+
+/// What writing EXPERIMENTS.md over `existing` keeps after the
+/// generated part: the text after its [`GENERATED_END`] line, or nothing
+/// for a new file. `None` when `existing` has no such line, since writing
+/// would then erase what it holds.
+pub fn kept_after_generated(existing: Option<&str>) -> Option<&str> {
+    let Some(existing) = existing else { return Some("") };
+    let mut end = 0;
+    for line in existing.split_inclusive('\n') {
+        end += line.len();
+        if line.trim_end() == GENERATED_END {
+            return Some(&existing[end..]);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -476,5 +516,38 @@ mod tests {
             out
         };
         assert!(md.contains('%'));
+    }
+
+    /// An existing file keeps what follows its end line and loses only
+    /// the generated part before it; a new file gets the generated part.
+    #[test]
+    fn a_rewrite_keeps_only_what_follows_the_generated_part() {
+        assert_eq!(kept_after_generated(None), Some(""));
+        let existing = format!("# Old\nold rows\n{GENERATED_END}\n\n---\n\n# Kept\n");
+        assert_eq!(kept_after_generated(Some(&existing)), Some("\n---\n\n# Kept\n"));
+        let last = format!("# Old\r\n{GENERATED_END}");
+        assert_eq!(kept_after_generated(Some(&last)), Some(""));
+        // The end line must be a whole line; a file without one is refused.
+        for refused in ["# Old\n# Kept\n".to_string(), format!("see {GENERATED_END}\n# Kept\n")] {
+            assert_eq!(kept_after_generated(Some(&refused)), None, "{refused}");
+        }
+    }
+
+    /// The committed EXPERIMENTS.md ends its generated part with exactly
+    /// one end line, so the documented command keeps the sections after it.
+    #[test]
+    fn the_committed_experiments_mark_their_generated_part() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let text = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
+        let ends: Vec<usize> = text
+            .lines()
+            .enumerate()
+            .filter_map(|(i, line)| (line == GENERATED_END).then_some(i))
+            .collect();
+        assert_eq!(ends.len(), 1, "{ends:?}");
+        let before: Vec<&str> = text.lines().take(ends[0]).collect();
+        assert!(before.contains(&"# Fault injection (beyond the paper)"));
+        let after: Vec<&str> = text.lines().skip(ends[0]).collect();
+        assert!(after.contains(&"# Cluster traffic (beyond the paper)"));
     }
 }

@@ -29,9 +29,6 @@ pub struct FrontEndConfig {
     /// Full pipeline flush penalty for mispredictions and BTB misses
     /// resolved at execute, in cycles.
     pub exec_resteer_penalty: Cycle,
-    /// Maximum bytes in one predicted fetch block (sequential run length
-    /// before the BPU re-predicts even without a taken branch).
-    pub max_fetch_block_bytes: u64,
 }
 
 /// Abstract back-end parameters.
@@ -117,7 +114,6 @@ impl UarchConfig {
                 bpu_blocks_per_cycle: 2,
                 decode_resteer_penalty: 8,
                 exec_resteer_penalty: 16,
-                max_fetch_block_bytes: 64,
             },
             backend: BackEndConfig {
                 retire_width: 6,
@@ -167,7 +163,6 @@ impl UarchConfig {
                 bpu_blocks_per_cycle: 2,
                 decode_resteer_penalty: 8,
                 exec_resteer_penalty: 16,
-                max_fetch_block_bytes: 64,
             },
             backend: BackEndConfig {
                 retire_width: 6,

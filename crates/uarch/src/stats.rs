@@ -1,4 +1,4 @@
-//! Counters and derived metrics (MPKI, coverage, speedup).
+//! Counters and derived metrics (MPKI, hit rate).
 
 use std::fmt;
 
@@ -19,35 +19,6 @@ pub fn mpki(events: u64, instructions: u64) -> f64 {
         0.0
     } else {
         events as f64 * 1000.0 / instructions as f64
-    }
-}
-
-/// Fraction `part / whole`, 0 when `whole` is 0.
-pub fn ratio(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64
-    }
-}
-
-/// Speedup of `cycles` relative to `baseline_cycles` (both for equal work).
-///
-/// Returns 1.0 when either input is zero to keep aggregate reporting sane.
-pub fn speedup(baseline_cycles: u64, cycles: u64) -> f64 {
-    if cycles == 0 || baseline_cycles == 0 {
-        1.0
-    } else {
-        baseline_cycles as f64 / cycles as f64
-    }
-}
-
-/// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
     }
 }
 
@@ -75,9 +46,13 @@ impl AccessStats {
         hit
     }
 
-    /// Hit rate in `[0, 1]`.
+    /// Hit rate in `[0, 1]`; 0 before any lookup.
     pub fn hit_rate(&self) -> f64 {
-        ratio(self.hits, self.lookups)
+        if self.lookups == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.lookups as f64
+        }
     }
 
     /// Merges another set of counters into this one.
@@ -111,26 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn ratio_zero_denominator() {
-        assert_eq!(ratio(5, 0), 0.0);
-    }
-
-    #[test]
-    fn speedup_basic() {
-        assert!((speedup(200, 100) - 2.0).abs() < 1e-12);
-        assert_eq!(speedup(0, 10), 1.0);
-        assert_eq!(speedup(10, 0), 1.0);
-    }
-
-    #[test]
-    fn mean_basic() {
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
     fn access_stats_record_and_merge() {
         let mut s = AccessStats::default();
+        assert_eq!(s.hit_rate(), 0.0, "no lookups, no hits");
         assert!(s.record(true));
         assert!(!s.record(false));
         assert_eq!(s.lookups, 2);

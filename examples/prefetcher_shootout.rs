@@ -33,8 +33,7 @@ fn main() {
     for fe in &configs {
         let results = harness.run_config(fe);
         let n = results.len() as f64;
-        let speedup =
-            baseline.iter().zip(&results).map(|(b, r)| b.cpi() / r.cpi()).sum::<f64>() / n;
+        let speedup = harness.speedups(&baseline, &results).mean;
         let mean = |f: &dyn Fn(&ignite_engine::InvocationResult) -> f64| {
             results.iter().map(f).sum::<f64>() / n
         };

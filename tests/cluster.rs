@@ -476,6 +476,19 @@ fn derived_values_that_disagree_with_their_counts_are_rejected() {
     }
 }
 
+/// A report integer past 2^53 reads back into its type exactly: a copy
+/// of the committed golden whose horizon is edited to
+/// 18446744073709551000, a value an `f64` cannot hold, reads back as that
+/// value and writes back byte for byte.
+#[test]
+fn a_report_integer_past_2_pow_53_reads_back_exactly() {
+    let golden = std::fs::read_to_string(golden_path()).expect("read tests/golden/cluster.json");
+    let edited = edit_first(&golden, "horizon_cycles", |_| "18446744073709551000".into());
+    let report = ClusterReport::from_json(&edited).expect("the edited golden reads back");
+    assert_eq!(report.config.arrival.horizon_cycles, 18_446_744_073_709_551_000);
+    assert_eq!(report.to_json(), edited);
+}
+
 /// Tampered reports fail validation (the schema gate the CI smoke job
 /// relies on).
 #[test]

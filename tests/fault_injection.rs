@@ -17,15 +17,8 @@ fn harness() -> Harness {
     h
 }
 
-fn mean(v: &[f64]) -> f64 {
-    v.iter().sum::<f64>() / v.len() as f64
-}
-
 fn mean_speedup(h: &Harness, fe: &FrontEndConfig) -> f64 {
-    let baseline = h.run_config(&FrontEndConfig::nl());
-    let results = h.run_config(fe);
-    let per: Vec<f64> = baseline.iter().zip(&results).map(|(b, r)| b.cpi() / r.cpi()).collect();
-    mean(&per)
+    h.speedups(&h.run_config(&FrontEndConfig::nl()), &h.run_config(fe)).mean
 }
 
 #[test]

@@ -339,10 +339,10 @@ fn flatten(
     for (key, v) in pairs {
         let path = format!("{path}{key}");
         match v {
-            Value::Number(x) => {
+            Value::Number(_) => {
                 let name = format!("ignite_{report}_{}", path.replace("[]", "").replace('.', "_"));
                 out.help.insert(name.clone(), format!("{path} in the {report} report"));
-                out.insert(name, labels.to_vec(), *x);
+                out.insert(name, labels.to_vec(), v.as_f64().expect("a number"));
             }
             Value::Object(section) => flatten(section, report, &format!("{path}."), labels, out),
             Value::Array(_) if path == "controller.decisions" => {}
