@@ -7,7 +7,9 @@
 //!   order*: querying time `t` generates every window up to the first
 //!   one starting after `t` and caches it, so the schedule is a pure
 //!   function of the seed no matter which times are probed first, or
-//!   how often.
+//!   how often. A stream can forget the windows that ended by a floor
+//!   its later queries never go below, so a streaming run holds only
+//!   the windows still ahead of its clock.
 //! * **Pure-hash draws** ([`hash_draw`], [`hash_chance_ppm`]) — for
 //!   per-invocation decisions (dispatch drops, backoff jitter) that
 //!   must not depend on *how many* other draws happened before them.
@@ -70,13 +72,19 @@ fn exp_gap(rng: &mut SplitMix64, mean_cycles: u64) -> u64 {
 ///
 /// Generation is strictly sequential and cached, so the realized
 /// schedule is a pure function of `(seed, mtbf, duration)` — query
-/// order, repetition, and non-monotonic probes cannot change it.
+/// order, repetition, and non-monotonic probes cannot change it. Every
+/// query must be at or after the floor of the last
+/// [`WindowStream::forget_ended`].
 #[derive(Debug, Clone)]
 pub struct WindowStream {
     rng: SplitMix64,
     mtbf_cycles: u64,
     duration_cycles: u64,
+    /// Sorted by start (and so by end): starts strictly increase until
+    /// they saturate at `u64::MAX`.
     windows: Vec<(u64, u64)>,
+    /// The cycle of the last `forget_ended`, checked in debug builds.
+    floor: u64,
 }
 
 impl WindowStream {
@@ -88,6 +96,7 @@ impl WindowStream {
             mtbf_cycles,
             duration_cycles: duration_cycles.max(1),
             windows: Vec::new(),
+            floor: 0,
         }
     }
 
@@ -119,6 +128,7 @@ impl WindowStream {
         if self.mtbf_cycles == 0 {
             return None;
         }
+        debug_assert!(t >= self.floor, "query at {t} below the floor {}", self.floor);
         self.ensure_to(t);
         // Last window with start <= t (windows are sorted, disjoint).
         let idx = self.windows.partition_point(|&(start, _)| start <= t);
@@ -137,8 +147,21 @@ impl WindowStream {
         if self.mtbf_cycles == 0 || lo > hi {
             return None;
         }
+        debug_assert!(lo >= self.floor, "query at {lo} below the floor {}", self.floor);
         self.ensure_to(hi);
-        self.windows.iter().map(|&(start, _)| start).find(|&start| start >= lo && start <= hi)
+        let idx = self.windows.partition_point(|&(start, _)| start < lo);
+        self.windows.get(idx).map(|&(start, _)| start).filter(|&start| start <= hi)
+    }
+
+    /// Forgets every window that ends at or before `t`, except the
+    /// newest, from which the stream extends. No such window contains a
+    /// time after `t` or starts after it, so every query at or after `t`
+    /// answers as it would have; a query below `t` must not follow.
+    pub fn forget_ended(&mut self, t: u64) {
+        debug_assert!(t >= self.floor, "floor moved back from {} to {t}", self.floor);
+        self.floor = t;
+        let ended = self.windows.partition_point(|&(_, end)| end <= t);
+        self.windows.drain(..ended.min(self.windows.len().saturating_sub(1)));
     }
 }
 
@@ -260,6 +283,14 @@ impl ChaosState {
         cores.filter_map(|core| self.core_restart_after(core, now)).min()
     }
 
+    /// Forgets, in every stream, each window that ends at or before `t`
+    /// ([`WindowStream::forget_ended`]); every later query must be at or
+    /// after `t`.
+    pub fn forget_ended(&mut self, t: u64) {
+        let streams = self.crash.iter_mut().chain(&mut self.straggle).chain(&mut self.store);
+        streams.for_each(|s| s.forget_ended(t));
+    }
+
     /// Whether dispatch attempt `attempt` of `invocation` is dropped
     /// before reaching a core (a pure-hash draw: independent of
     /// dispatch order and of every other stream).
@@ -336,6 +367,68 @@ mod tests {
         assert_eq!(s.first_start_in(start, start), Some(start));
         assert_eq!(s.first_start_in(start + 1, start + 1), None);
         assert!(s.first_start_in(10, 5).is_none(), "empty range");
+    }
+
+    /// A cycle at or after `from`: the start (`kind` 0) or the end (1)
+    /// of the first window of `s` that has not ended by `from`, or
+    /// `from + offset`.
+    fn edge(s: &mut WindowStream, from: u64, kind: u8, offset: u64) -> u64 {
+        s.ensure_to(from);
+        let ahead = s.windows.iter().find(|&&(_, end)| end > from);
+        let (start, end) = *ahead.expect("a window starts after `from`");
+        match kind {
+            0 => start.max(from),
+            1 => end,
+            _ => from + offset,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Under floors that rise to random cycles and to window edges, a
+        /// stream that forgets what ended by each floor answers queries
+        /// at or after it, at random cycles and at window edges, exactly
+        /// as a stream that forgets nothing and as a linear scan of that
+        /// stream's windows.
+        #[test]
+        fn a_forgetful_stream_answers_as_the_whole_stream_and_a_linear_scan(
+            seed in proptest::prelude::any::<u64>(),
+            mtbf in 1u64..4_000,
+            duration in 1u64..2_000,
+            steps in proptest::collection::vec((0u8..3, 0u64..5_000, 0u8..3, 0u64..5_000, 0u64..5_000), 1..48),
+        ) {
+            let (mut forgetful, mut whole) = (stream(seed, mtbf, duration), stream(seed, mtbf, duration));
+            let mut floor = 0;
+            for (rise_to, rise, query_at, offset, span) in steps {
+                floor = edge(&mut whole, floor, rise_to, rise);
+                forgetful.forget_ended(floor);
+                let lo = edge(&mut whole, floor, query_at, offset);
+                let hi = lo + span;
+                whole.ensure_to(hi);
+                let at = whole.windows.iter().copied().find(|&(s, e)| s <= lo && lo < e);
+                let first = whole.windows.iter().map(|w| w.0).find(|&s| s >= lo && s <= hi);
+                proptest::prop_assert_eq!(forgetful.window_at(lo), at, "at {}", lo);
+                proptest::prop_assert_eq!(whole.window_at(lo), at, "at {}", lo);
+                proptest::prop_assert_eq!(forgetful.first_start_in(lo, hi), first, "in {}..={}", lo, hi);
+                proptest::prop_assert_eq!(whole.first_start_in(lo, hi), first, "in {}..={}", lo, hi);
+            }
+        }
+    }
+
+    /// A stream queried and forgotten along a rising clock holds at most
+    /// two windows, the one holding the clock and the next, however many
+    /// it has passed through.
+    #[test]
+    fn a_forgetful_stream_holds_a_constant_number_of_windows() {
+        let (mut forgetful, mut whole) = (stream(5, 1_000, 100), stream(5, 1_000, 100));
+        let mut t = 0;
+        while whole.windows.len() < 100_000 {
+            t += 500;
+            assert_eq!(forgetful.contains(t), whole.contains(t), "at {t}");
+            forgetful.forget_ended(t);
+            assert!(forgetful.windows.len() <= 2, "{} windows at {t}", forgetful.windows.len());
+        }
     }
 
     #[test]

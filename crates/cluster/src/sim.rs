@@ -1486,7 +1486,9 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
     /// global core order (a core freed at `now` can serve an arrival at
     /// `now`), then retries whose backoff expired re-enter their node's
     /// queue in (ready, id) order — ahead of same-cycle arrivals, since
-    /// they have waited longer end to end.
+    /// they have waited longer end to end. The chaos schedule forgets
+    /// the windows that ended by `now`: the clock never goes back, and
+    /// every chaos query is at or after it.
     fn release(&mut self) {
         let now = self.now;
         for c in &mut self.cores {
@@ -1495,6 +1497,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             }
         }
         let Some(rt) = self.chaos.as_mut() else { return };
+        rt.state.forget_ended(now);
         while rt.ready.first_key_value().is_some_and(|(&(t, _), _)| t <= now) {
             let (_, job) = rt.ready.pop_first().expect("non-empty retry queue");
             self.nodes[job.node].enqueue(job);
@@ -1723,7 +1726,7 @@ mod tests {
         let trace = {
             let mut a = sim.config().arrival;
             a.functions = 20;
-            a.generate()
+            ignite_workloads::Trace::from_source(&mut a.source())
         };
         let mut source = ignite_workloads::arrival::TraceSource::new(&trace);
         let out = sim.run_source_policy_obs(&mut source, &mut NullSink, &mut StaticPolicy);

@@ -29,7 +29,6 @@
 //!   --jobs N           sweep worker threads, at most 256 (default 1;
 //!                      the sweep output is byte-identical at any job
 //!                      count)
-//!   --threads N        alias for --jobs
 //!   --sweep B1,B2,...  run a store-capacity sweep, print a table (points
 //!                      at or above the unbounded run's peak footprint
 //!                      reuse its outcome instead of simulating)
@@ -38,12 +37,10 @@
 //!                      the stationary Poisson process:
 //!                        azure:PATH[,cpm=N]  Azure-style CSV import
 //!                        mmpp[:mults=A/B,dwells=X/Y]  Markov-modulated
-//!                        diurnal[:period=P,amp=A]     triangle wave
-//!                        burst[:every=E,width=W,mult=M]  burst trains
-//!                      Synthetic kinds stream lazily (O(1) arrival
-//!                      state) and use --rate/--zipf/--seed/--horizon as
-//!                      the base process; --rate times the largest
-//!                      multiplier must stay at most 1e6. The report
+//!                      mmpp streams lazily (O(1) arrival state) and
+//!                      uses --rate/--zipf/--seed/--horizon as the base
+//!                      process; --rate times the largest multiplier
+//!                      must stay at most 1e6. The report
 //!                      gains a validated 'workload' fingerprint section.
 //!   --stats            print workload statistics (invocation count,
 //!                      per-function shares, inter-arrival CV², horizon)
@@ -112,7 +109,7 @@ use ignite_obs::{
 use ignite_scope::{
     record_scope_metrics, record_slo_metrics, ScopeAnalyzer, ScopeReport, SloConfig,
 };
-use ignite_traffic::{materialize, FingerprintAccum, TrafficSpec};
+use ignite_traffic::{FingerprintAccum, TrafficSpec};
 use ignite_workloads::arrival::{ArrivalSource, Trace, TraceSource};
 use ignite_workloads::suite::Suite;
 
@@ -124,7 +121,7 @@ const TRACE_BUFFER_EVENTS: usize = 1 << 18;
 const USAGE: &str = "usage: cluster [--cores N] [--nodes N] [--scheduler P] [--keepalive P] \
      [--fe NAME] [--scale F] [--seed S] [--rate R] \
      [--zipf S] [--horizon CYCLES] [--capacity BYTES] [--policy P] \
-     [--jobs N] [--threads N] \
+     [--jobs N] \
      [--sweep B1,B2,...] [--trace FILE] [--traffic SPEC] [--stats] \
      [--emit-trace FILE] [--out FILE] \
      [--validate FILE] [--trace-out FILE] [--metrics-out FILE] \
@@ -132,7 +129,7 @@ const USAGE: &str = "usage: cluster [--cores N] [--nodes N] [--scheduler P] [--k
      [--controller SPEC] [--chaos SPEC] [--chaos-seed S] [--retry SPEC]";
 
 fn main() -> ExitCode {
-    match parse(std::env::args().skip(1).collect()).and_then(run) {
+    match cli::args(usage).and_then(parse).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(exit) => exit.report(USAGE),
     }
@@ -149,7 +146,7 @@ fn fail(message: impl std::fmt::Display) -> Exit {
 #[derive(Default)]
 struct Args {
     cfg: ClusterConfig,
-    threads: usize,
+    jobs: usize,
     sweep: Option<Vec<usize>>,
     trace: Option<String>,
     stats: bool,
@@ -168,7 +165,7 @@ struct Args {
 fn parse(argv: Vec<String>) -> Result<Args, Exit> {
     // Single-threaded by default: the sweep output is byte-identical at
     // any job count, so parallelism is strictly opt-in speed.
-    let mut args = Args { threads: 1, chaos_seed: 1, ..Args::default() };
+    let mut args = Args { jobs: 1, chaos_seed: 1, ..Args::default() };
     let mut it = Cursor::new(argv, usage);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -192,13 +189,13 @@ fn parse(argv: Vec<String>) -> Result<Args, Exit> {
                 args.cfg.store.policy = EvictionPolicy::parse(&name)
                     .ok_or_else(|| usage(format!("unknown policy '{name}'")))?;
             }
-            "--jobs" | "--threads" => {
+            "--jobs" => {
                 // Each worker is an OS thread simulating a whole cluster.
-                args.threads = it.parse(&arg)?;
-                if args.threads > MAX_JOBS {
-                    let jobs = args.threads;
+                let jobs = it.parse(&arg)?;
+                if jobs > MAX_JOBS {
                     return Err(usage(format!("{arg} must be at most {MAX_JOBS}, got {jobs}")));
                 }
+                args.jobs = jobs;
             }
             "--sweep" => {
                 let list = it.value(&arg)?;
@@ -309,7 +306,7 @@ fn run(mut args: Args) -> Result<(), Exit> {
         // With --traffic the source is materialized into the same
         // ignite-trace-v1 format, so shaped workloads can be archived
         // and replayed through --trace like any other trace.
-        let trace = materialize(&mut *workload()?);
+        let trace = Trace::from_source(&mut *workload()?);
         cli::write(path, trace.to_text()).map_err(fail)?;
         println!("wrote {} arrivals to {path}", trace.arrivals.len());
     } else if let Some(capacities) = &args.sweep {
@@ -430,7 +427,7 @@ fn stats(cfg: &ClusterConfig, source: &mut dyn ArrivalSource) {
 /// tearing down the rest, and fails the run once the rest are written.
 fn sweep(args: &Args, capacities: &[usize]) -> Result<(), Exit> {
     let cfg = &args.cfg;
-    let results = sweep_capacities(cfg, capacities, args.threads);
+    let results = sweep_capacities(cfg, capacities, args.jobs);
     let mut metrics = args.metrics_out.as_ref().map(|_| MetricsRegistry::new());
     println!(
         "{:>12} {:>9} {:>10} {:>14} {:>14} {:>12}",
@@ -669,14 +666,15 @@ mod tests {
     fn the_parse_step_reads_flags_and_refuses_bad_values() {
         let args = checked(&["--cores", "2", "--nodes", "3", "--jobs", "4", "--sweep", "1, 2"])
             .unwrap_or_else(|e| panic!("{e:?}"));
-        assert_eq!((args.cfg.cores, args.cfg.topology.nodes, args.threads), (2, 3, 4));
+        assert_eq!((args.cfg.cores, args.cfg.topology.nodes, args.jobs), (2, 3, 4));
         assert_eq!(args.sweep, Some(vec![1, 2]));
         assert_eq!(args.cfg.arrival.functions, 20);
         for (argv, message) in [
             (&["--cores"][..], "cluster: --cores needs a value"),
             (&["--cores", "x"], "cluster: bad value 'x' for --cores"),
             (&["--sweep", "1,x"], "cluster: bad value 'x' for --sweep"),
-            (&["--threads", "257"], "cluster: --threads must be at most 256, got 257"),
+            (&["--jobs", "257"], "cluster: --jobs must be at most 256, got 257"),
+            (&["--threads", "2"], "cluster: unknown argument '--threads'"),
             (&["--fe", "x"], "cluster: unknown front-end 'x'"),
             (&["--slo", "min"], "cluster: --slo expects k=v pairs, got 'min'"),
             (&["--slo", "burn=0"], "cluster: --slo burn must be positive, got 0"),
@@ -687,7 +685,8 @@ mod tests {
     }
 
     /// The flag conflicts are failures (exit 1), in the order they are
-    /// checked; a sweep that only prints `--stats` refuses nothing.
+    /// checked, as is a traffic spec of a kind other than `azure` and
+    /// `mmpp`; a sweep that only prints `--stats` refuses nothing.
     #[test]
     fn conflicting_flags_are_refused_before_anything_runs() {
         let mmpp = "mmpp:mults=1/6,dwells=300000/60000";
@@ -699,6 +698,8 @@ mod tests {
             (&["--sweep", "1", "--trace-out", "t"], "--trace-out traces a single run"),
             (&["--sweep", "1", "--slo", "default"], "--scope-out/--slo analyze a single run"),
             (&["--cores", "0", "--traffic", "x"], "invalid configuration: cores"),
+            (&["--traffic", "diurnal"], "--traffic: unknown traffic kind 'diurnal' (expected"),
+            (&["--traffic", "burst:every=400000"], "--traffic: unknown traffic kind 'burst'"),
         ] {
             match checked(argv) {
                 Err(Exit::Failure(m)) => {
@@ -759,7 +760,6 @@ mod tests {
             "--capacity",
             "--policy",
             "--jobs",
-            "--threads",
             "--sweep",
             "--trace",
             "--traffic",
@@ -794,17 +794,9 @@ mod tests {
         for (flag, names) in keys {
             specs.extend(names.split(' ').map(|k| (flag, format!("{k}={{}}"))));
         }
-        for template in [
-            "mmpp:mults={}/6",
-            "mmpp:mults=1/{}",
-            "mmpp:dwells={}/60000",
-            "diurnal:period={}",
-            "diurnal:amp={}",
-            "burst:every={}",
-            "burst:width={}",
-            "burst:mult={}",
-            "azure:x.csv,cpm={}",
-        ] {
+        for template in
+            ["mmpp:mults={}/6", "mmpp:mults=1/{}", "mmpp:dwells={}/60000", "azure:x.csv,cpm={}"]
+        {
             specs.push(("--traffic", template.into()));
         }
         specs.extend(

@@ -53,7 +53,7 @@ const FIGURES: [Experiment; 18] = [
 ];
 
 fn main() -> ExitCode {
-    match parse(std::env::args().skip(1).collect()).and_then(|args| args.map(run).transpose()) {
+    match cli::args(usage).and_then(parse).and_then(|args| args.map(run).transpose()) {
         Ok(Some(())) => ExitCode::SUCCESS,
         Ok(None) => {
             eprintln!("{}", usage_text());

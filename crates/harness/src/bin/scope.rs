@@ -40,7 +40,7 @@ use ignite_scope::{diff, load_samples, same_kind, ScopeReport};
 const USAGE: &str = "usage: scope validate FILE\n       scope diff OLD NEW [--threshold PCT] [--advisory] [--allow-cross-workload]";
 
 fn main() -> ExitCode {
-    match parse(std::env::args().skip(1).collect()).and_then(run) {
+    match cli::args(usage).and_then(parse).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(exit) => exit.report(USAGE),
     }

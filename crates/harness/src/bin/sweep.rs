@@ -205,7 +205,7 @@ const SWEEPS: [Sweep; 7] = [
 ];
 
 fn main() -> ExitCode {
-    match parse(std::env::args().skip(1).collect()).and_then(run) {
+    match cli::args(usage).and_then(parse).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(exit) => {
             let names: Vec<&str> = SWEEPS.iter().map(|&(name, _)| name).collect();

@@ -1,10 +1,11 @@
-//! What the four binaries share: how they stop short ([`Exit`]), a
-//! cursor over their arguments, reading and writing a named file, and
-//! the panic-isolated loop over named jobs. Their parsers and modes
-//! return `Result<_, Exit>`, and only `main` turns an [`Exit`] into
-//! output and an exit code, so a unit test can call a parser with any
-//! input.
+//! What the four binaries share: how they stop short ([`Exit`]), their
+//! arguments ([`args`]) and a cursor over them, reading and writing a
+//! named file, and the panic-isolated loop over named jobs. Their
+//! parsers and modes return `Result<_, Exit>`, and only `main` turns an
+//! [`Exit`] into output and an exit code, so a unit test can call a
+//! parser with any input.
 
+use std::ffi::OsString;
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
@@ -39,6 +40,24 @@ impl Exit {
         }
         ExitCode::from(code)
     }
+}
+
+/// The arguments after the program name. One that is not UTF-8 is the
+/// usage error "`argument {position} is not valid UTF-8: {arg:?}`",
+/// built by the binary's own `usage`, counting from 1.
+pub fn args(usage: fn(String) -> Exit) -> Result<Vec<String>, Exit> {
+    utf8(std::env::args_os().skip(1), usage)
+}
+
+fn utf8(
+    args: impl Iterator<Item = OsString>,
+    usage: fn(String) -> Exit,
+) -> Result<Vec<String>, Exit> {
+    let position = |(i, arg): (usize, OsString)| {
+        arg.into_string()
+            .map_err(|arg| usage(format!("argument {} is not valid UTF-8: {arg:?}", i + 1)))
+    };
+    args.enumerate().map(position).collect()
 }
 
 /// The arguments after the program name, taken one at a time. A flag's
@@ -165,6 +184,21 @@ mod tests {
         it.next();
         assert_eq!(it.value("--n"), Err(Exit::Usage("t: --n needs a value".into())));
         assert_eq!(it.next(), None);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_non_utf8_argument_is_a_usage_error_naming_its_position() {
+        use std::os::unix::ffi::OsStringExt;
+        let argv = |bytes: &[&[u8]]| {
+            let args: Vec<OsString> =
+                bytes.iter().map(|b| OsString::from_vec(b.to_vec())).collect();
+            args.into_iter()
+        };
+        assert_eq!(utf8(argv(&[b"--n", b"7"]), usage), Ok(vec!["--n".into(), "7".into()]));
+        assert_eq!(utf8(argv(&[]), usage), Ok(vec![]));
+        let refused = Exit::Usage(r#"t: argument 2 is not valid UTF-8: "a\xFF""#.into());
+        assert_eq!(utf8(argv(&[b"--n", b"a\xff", b"\xfe"]), usage), Err(refused));
     }
 
     #[test]

@@ -404,7 +404,7 @@ mod tests {
         assert_eq!(identity(&other.to_json()).as_deref(), Some(id.as_str()));
         // A different traffic spec, arrival count, or seed changes it.
         for changed in [
-            cluster_report(Some("diurnal:"), 42, 50),
+            cluster_report(Some("mmpp:mults=1/8,dwells=400000/80000"), 42, 50),
             cluster_report(mmpp, 42, 51),
             cluster_report(mmpp, 43, 50),
         ] {

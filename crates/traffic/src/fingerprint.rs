@@ -151,10 +151,10 @@ fn zipf_fit(sorted_desc: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ignite_workloads::ArrivalConfig;
+    use ignite_workloads::{ArrivalConfig, Trace};
 
     fn fingerprint_of(cfg: &ArrivalConfig) -> WorkloadFingerprint {
-        let trace = cfg.generate();
+        let trace = Trace::from_source(&mut cfg.source());
         let mut accum = FingerprintAccum::new(trace.functions);
         for &a in &trace.arrivals {
             accum.observe(a);

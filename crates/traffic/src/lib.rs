@@ -13,13 +13,11 @@
 //!   percentiles), with line-numbered typed errors and a deterministic
 //!   mapping from trace functions onto the generated suite by duration
 //!   percentile → code-image size class.
-//! * [`synth`] — synthetic generators beyond Poisson: MMPP
-//!   (Markov-modulated Poisson), diurnal rate modulation (triangle wave,
-//!   so no platform-dependent transcendentals), and burst trains, all via
-//!   Lewis–Shedler thinning on forked [`SplitMix64`](ignite_uarch::rng::SplitMix64)
-//!   streams.
+//! * [`synth`] — bursty synthetic traffic: an MMPP (Markov-modulated
+//!   Poisson process) source, by Lewis–Shedler thinning on forked
+//!   [`SplitMix64`](ignite_uarch::rng::SplitMix64) streams.
 //! * [`spec`] — the `--traffic` CLI spec language (`azure:PATH`,
-//!   `mmpp:mults=1/6,dwells=300000/60000`, `diurnal:…`, `burst:…`).
+//!   `mmpp:mults=1/6,dwells=300000/60000`).
 //! * [`fingerprint`] — a versioned workload fingerprint (arrival count,
 //!   rate, burstiness CV², skew estimate, top-K shares) embedded in
 //!   cluster reports so experiments are self-describing and `scope diff`
@@ -35,5 +33,5 @@ pub mod synth;
 
 pub use azure::{AzureParseError, AzureSource, AzureTrace};
 pub use fingerprint::{FingerprintAccum, WorkloadFingerprint, WORKLOAD_SCHEMA};
-pub use spec::{materialize, SpecError, TrafficSpec};
-pub use synth::{BurstWave, DiurnalWave, MmppChain, ModulatedSource, RateModulator};
+pub use spec::{SpecError, TrafficSpec};
+pub use synth::MmppSource;

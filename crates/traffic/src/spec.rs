@@ -6,19 +6,17 @@
 //!   (see [`crate::azure`]); `cpm` is simulated cycles per trace minute.
 //! * `mmpp:mults=1/6,dwells=300000/60000` — Markov-modulated Poisson;
 //!   `/`-separated per-state rate multipliers and mean dwell cycles.
-//! * `diurnal:period=1000000,amp=0.5` — triangle-wave rate modulation.
-//! * `burst:every=400000,width=40000,mult=6` — periodic burst trains.
 //!
-//! Synthetic kinds take their base rate, Zipf skew, seed, and horizon
-//! from the surrounding arrival configuration (`--rate`, `--zipf`,
-//! `--seed`, `--horizon`); omitted keys fall back to the defaults shown
-//! above. The raw spec string is echoed verbatim into the cluster
-//! report's config section, so goldens pin specs byte-for-byte.
+//! `mmpp` takes its base rate, Zipf skew, seed, and horizon from the
+//! surrounding arrival configuration (`--rate`, `--zipf`, `--seed`,
+//! `--horizon`); omitted keys fall back to the defaults shown above.
+//! The raw spec string is echoed verbatim into the cluster report's
+//! config section, so goldens pin specs byte-for-byte.
 
 use crate::azure::{AzureParseError, AzureSource, AzureTrace};
-use crate::synth::{BurstWave, DiurnalWave, MmppChain, ModulatedSource, RateModulator};
+use crate::synth::MmppSource;
 use ignite_workloads::suite::Suite;
-use ignite_workloads::{ArrivalConfig, ArrivalSource, Trace};
+use ignite_workloads::{ArrivalConfig, ArrivalSource};
 
 /// A parsed, validated `--traffic` spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,22 +34,6 @@ pub enum TrafficSpec {
         mults: Vec<f64>,
         /// Per-state mean dwell times in cycles.
         dwells: Vec<f64>,
-    },
-    /// Diurnal triangle-wave modulation.
-    Diurnal {
-        /// Wave period in cycles.
-        period: f64,
-        /// Amplitude in `[0, 1]`.
-        amp: f64,
-    },
-    /// Periodic burst train.
-    Burst {
-        /// Burst period in cycles.
-        every: f64,
-        /// Burst width in cycles (`0 < width <= every`).
-        width: f64,
-        /// Rate multiplier inside a burst (`>= 1`).
-        mult: f64,
     },
 }
 
@@ -97,7 +79,7 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::Empty => write!(f, "empty traffic spec"),
             SpecError::UnknownKind { kind } => {
-                write!(f, "unknown traffic kind '{kind}' (expected azure, mmpp, diurnal, burst)")
+                write!(f, "unknown traffic kind '{kind}' (expected azure, mmpp)")
             }
             SpecError::MissingPath => write!(f, "azure spec needs a path: azure:PATH"),
             SpecError::UnknownKey { kind, key } => {
@@ -169,43 +151,23 @@ impl TrafficSpec {
         match kind {
             "azure" => parse_azure(rest),
             "mmpp" => parse_mmpp(rest),
-            "diurnal" => parse_diurnal(rest),
-            "burst" => parse_burst(rest),
             _ => Err(SpecError::UnknownKind { kind: kind.to_string() }),
         }
     }
 
-    /// Short stable name of the spec kind, used in fingerprint labels.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TrafficSpec::Azure { .. } => "azure",
-            TrafficSpec::Mmpp { .. } => "mmpp",
-            TrafficSpec::Diurnal { .. } => "diurnal",
-            TrafficSpec::Burst { .. } => "burst",
-        }
-    }
-
-    /// The largest factor a synthetic kind multiplies the base arrival
-    /// rate by, its thinning envelope; `None` for `azure`, whose rate
-    /// comes from the trace.
+    /// The largest factor `mmpp` multiplies the base arrival rate by,
+    /// its thinning envelope; `None` for `azure`, whose rate comes from
+    /// the trace.
     pub fn peak_multiplier(&self) -> Option<f64> {
         match self {
             TrafficSpec::Azure { .. } => None,
-            TrafficSpec::Mmpp { mults, dwells } => {
-                Some(MmppChain::new(mults.clone(), dwells.clone(), 0).max_multiplier())
-            }
-            TrafficSpec::Diurnal { period, amp } => {
-                Some(DiurnalWave::new(*period, *amp).max_multiplier())
-            }
-            TrafficSpec::Burst { every, width, mult } => {
-                Some(BurstWave::new(*every, *width, *mult).max_multiplier())
-            }
+            TrafficSpec::Mmpp { mults, .. } => Some(MmppSource::peak_multiplier(mults)),
         }
     }
 
-    /// Builds the streaming source for this spec. Synthetic kinds draw
-    /// base rate/skew/seed/horizon from `arrival`; `azure` reads its CSV
-    /// now and maps onto `suite`.
+    /// Builds the streaming source for this spec. `mmpp` draws base
+    /// rate/skew/seed/horizon from `arrival`; `azure` reads its CSV now
+    /// and maps onto `suite`.
     pub fn build(
         &self,
         arrival: &ArrivalConfig,
@@ -223,29 +185,11 @@ impl TrafficSpec {
                 }
                 Ok(Box::new(AzureSource::new(trace, suite, cycles_per_minute)))
             }
-            TrafficSpec::Mmpp { mults, dwells } => Ok(Box::new(ModulatedSource::new(
-                arrival,
-                MmppChain::new(mults.clone(), dwells.clone(), arrival.seed),
-            ))),
-            TrafficSpec::Diurnal { period, amp } => {
-                Ok(Box::new(ModulatedSource::new(arrival, DiurnalWave::new(*period, *amp))))
-            }
-            TrafficSpec::Burst { every, width, mult } => {
-                Ok(Box::new(ModulatedSource::new(arrival, BurstWave::new(*every, *width, *mult))))
+            TrafficSpec::Mmpp { mults, dwells } => {
+                Ok(Box::new(MmppSource::new(arrival, mults.clone(), dwells.clone())))
             }
         }
     }
-}
-
-/// Drains a source into a materialized [`Trace`] — the bridge back to
-/// `ignite-trace-v1` for replay and editing. Every source round-trips
-/// exactly: `materialize` → `to_text` → `parse` reproduces the arrivals.
-pub fn materialize<S: ArrivalSource + ?Sized>(source: &mut S) -> Trace {
-    let mut arrivals = Vec::new();
-    while let Some(a) = source.next_arrival() {
-        arrivals.push(a);
-    }
-    Trace { functions: source.functions(), arrivals }
 }
 
 fn split_kvs<'a>(rest: &'a str, kind: &'static str) -> Result<Vec<(&'a str, &'a str)>, SpecError> {
@@ -324,51 +268,10 @@ fn parse_mmpp(rest: &str) -> Result<TrafficSpec, SpecError> {
     Ok(TrafficSpec::Mmpp { mults, dwells })
 }
 
-fn parse_bounded_f64(
-    v: &str,
-    key: &'static str,
-    ok: impl Fn(f64) -> bool,
-) -> Result<f64, SpecError> {
-    v.parse::<f64>()
-        .ok()
-        .filter(|x| x.is_finite() && ok(*x))
-        .ok_or_else(|| SpecError::BadValue { key, value: v.to_string() })
-}
-
-fn parse_diurnal(rest: &str) -> Result<TrafficSpec, SpecError> {
-    let mut period = 1_000_000.0;
-    let mut amp = 0.5;
-    for (k, v) in split_kvs(rest, "diurnal")? {
-        match k {
-            "period" => period = parse_bounded_f64(v, "period", |x| x > 0.0)?,
-            "amp" => amp = parse_bounded_f64(v, "amp", |x| (0.0..=1.0).contains(&x))?,
-            _ => return Err(SpecError::UnknownKey { kind: "diurnal", key: k.to_string() }),
-        }
-    }
-    Ok(TrafficSpec::Diurnal { period, amp })
-}
-
-fn parse_burst(rest: &str) -> Result<TrafficSpec, SpecError> {
-    let mut every = 400_000.0;
-    let mut width = 40_000.0;
-    let mut mult = 6.0;
-    for (k, v) in split_kvs(rest, "burst")? {
-        match k {
-            "every" => every = parse_bounded_f64(v, "every", |x| x > 0.0)?,
-            "width" => width = parse_bounded_f64(v, "width", |x| x > 0.0)?,
-            "mult" => mult = parse_bounded_f64(v, "mult", |x| x >= 1.0)?,
-            _ => return Err(SpecError::UnknownKey { kind: "burst", key: k.to_string() }),
-        }
-    }
-    if width > every {
-        return Err(SpecError::BadValue { key: "width", value: format!("{width}") });
-    }
-    Ok(TrafficSpec::Burst { every, width, mult })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ignite_workloads::Trace;
 
     #[test]
     fn parses_all_kinds_with_defaults() {
@@ -388,22 +291,12 @@ mod tests {
             TrafficSpec::parse("mmpp:mults=1/4/9,dwells=100/200/300").unwrap(),
             TrafficSpec::Mmpp { mults: vec![1.0, 4.0, 9.0], dwells: vec![100.0, 200.0, 300.0] }
         );
-        assert_eq!(
-            TrafficSpec::parse("diurnal:period=2000000,amp=0.8").unwrap(),
-            TrafficSpec::Diurnal { period: 2_000_000.0, amp: 0.8 }
-        );
-        assert_eq!(
-            TrafficSpec::parse("burst:every=500000,width=50000,mult=8").unwrap(),
-            TrafficSpec::Burst { every: 500_000.0, width: 50_000.0, mult: 8.0 }
-        );
     }
 
     #[test]
     fn peak_multiplier_is_the_thinning_envelope() {
         let peak = |spec: &str| TrafficSpec::parse(spec).unwrap().peak_multiplier();
         assert_eq!(peak("mmpp:mults=1/9/0,dwells=100/200/300"), Some(9.0));
-        assert_eq!(peak("diurnal:period=2000000,amp=0.8"), Some(1.8));
-        assert_eq!(peak("burst:every=500000,width=50000,mult=8"), Some(8.0));
         assert_eq!(peak("azure:trace.csv"), None);
     }
 
@@ -433,18 +326,12 @@ mod tests {
             TrafficSpec::parse("mmpp:dwells=0/1"),
             Err(E::BadValue { key: "dwells", value: "0/1".to_string() })
         );
-        assert_eq!(
-            TrafficSpec::parse("diurnal:amp=1.5"),
-            Err(E::BadValue { key: "amp", value: "1.5".to_string() })
-        );
-        assert_eq!(
-            TrafficSpec::parse("burst:every=100,width=200"),
-            Err(E::BadValue { key: "width", value: "200".to_string() })
-        );
-        assert_eq!(
-            TrafficSpec::parse("burst:mult=0.5"),
-            Err(E::BadValue { key: "mult", value: "0.5".to_string() })
-        );
+        for (spec, kind) in [("diurnal", "diurnal"), ("burst:every=400000", "burst")] {
+            let err = TrafficSpec::parse(spec).unwrap_err();
+            assert_eq!(err, E::UnknownKind { kind: kind.to_string() });
+            let message = format!("unknown traffic kind '{kind}' (expected azure, mmpp)");
+            assert_eq!(err.to_string(), message);
+        }
         for spec in ["", "nope:1", "azure:", "mmpp:mults=x"] {
             if let Err(e) = TrafficSpec::parse(spec) {
                 let _ = e.to_string();
@@ -456,10 +343,10 @@ mod tests {
     fn built_sources_are_deterministic() {
         let arrival = ArrivalConfig { horizon_cycles: 2_000_000, ..ArrivalConfig::default() };
         let suite = Suite::paper_suite_scaled(0.02);
-        for spec in ["mmpp", "diurnal:period=500000,amp=0.9", "burst:every=300000"] {
+        for spec in ["mmpp", "mmpp:mults=1/8,dwells=400000/80000"] {
             let parsed = TrafficSpec::parse(spec).unwrap();
-            let a = materialize(&mut *parsed.build(&arrival, &suite).unwrap());
-            let b = materialize(&mut *parsed.build(&arrival, &suite).unwrap());
+            let a = Trace::from_source(&mut *parsed.build(&arrival, &suite).unwrap());
+            let b = Trace::from_source(&mut *parsed.build(&arrival, &suite).unwrap());
             assert_eq!(a, b, "spec {spec} not deterministic");
             assert!(!a.arrivals.is_empty(), "spec {spec} produced no arrivals");
         }
@@ -470,7 +357,7 @@ mod tests {
         let arrival = ArrivalConfig { horizon_cycles: 1_000_000, ..ArrivalConfig::default() };
         let suite = Suite::paper_suite_scaled(0.02);
         let spec = TrafficSpec::parse("mmpp").unwrap();
-        let trace = materialize(&mut *spec.build(&arrival, &suite).unwrap());
+        let trace = Trace::from_source(&mut *spec.build(&arrival, &suite).unwrap());
         let text = trace.to_text();
         assert_eq!(Trace::parse(&text).unwrap(), trace);
     }

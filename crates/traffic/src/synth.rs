@@ -1,26 +1,16 @@
-//! Synthetic non-stationary arrival processes.
+//! The synthetic arrival process: a Markov-modulated Poisson process
+//! (MMPP), realized by Lewis–Shedler thinning.
 //!
-//! All generators share one construction: a time-varying rate
-//! `λ(t) = base_rate · m(t)` realized by Lewis–Shedler thinning. A
-//! homogeneous Poisson candidate stream runs at the peak rate
-//! `base_rate · max(m)`, and each candidate at time `t` is accepted with
-//! probability `m(t) / max(m)`. The modulation function `m(t)` is
-//! supplied by a [`RateModulator`]:
-//!
-//! * [`MmppChain`] — a Markov-modulated Poisson process: states carry
-//!   rate multipliers, dwell times are exponential draws on a dedicated
-//!   forked [`SplitMix64`] stream, and state transitions cycle
-//!   deterministically so the chain is reproducible from the seed alone.
-//! * [`DiurnalWave`] — smooth day/night modulation via a triangle wave.
-//!   A triangle (pure arithmetic) rather than a sinusoid keeps the
-//!   stream bit-identical across platforms: no `sin` from a platform
-//!   libm in the hot path.
-//! * [`BurstWave`] — periodic burst trains: rate multiplied by `mult`
-//!   for the first `width` cycles of every `every`-cycle period.
+//! The rate is `λ(t) = base_rate · m(t)`, where `m(t)` is the rate
+//! multiplier of the chain's state at `t`. A homogeneous Poisson
+//! candidate stream runs at the envelope rate `base_rate · max(m)`, and
+//! each candidate at time `t` is accepted with probability
+//! `m(t) / max(m)`. States dwell for exponential times and advance
+//! cyclically, so the chain is reproducible from the seed alone.
 //!
 //! Determinism: candidate times, acceptance draws, and function draws
-//! all come from one forked stream (label `"TRAF"`), the MMPP dwell
-//! stream from another (label `"MMPP"`), so the arrival stream is a pure
+//! all come from one forked stream (label `"TRAF"`), the chain's dwell
+//! draws from another (label `"MMPP"`), so the arrival stream is a pure
 //! function of (seed, spec, horizon).
 
 use ignite_uarch::rng::SplitMix64;
@@ -32,250 +22,117 @@ const TRAFFIC_STREAM: u64 = 0x54_52_41_46; // "TRAF"
 /// Fork label for the MMPP state-dwell stream.
 const MMPP_STREAM: u64 = 0x4D_4D_50_50; // "MMPP"
 
-/// A time-varying rate multiplier `m(t) ≥ 0`, queried at non-decreasing
-/// times by the thinning loop.
-pub trait RateModulator {
-    /// The supremum of `m(t)`; the thinning envelope rate. Must be
-    /// positive and finite.
-    fn max_multiplier(&self) -> f64;
-
-    /// The multiplier at time `t` (cycles). Called with non-decreasing
-    /// `t`; implementations may advance internal state.
-    fn multiplier_at(&mut self, t: f64) -> f64;
-
-    /// Short stable name for reports and labels.
-    fn name(&self) -> &'static str;
-}
-
-/// Markov-modulated Poisson chain: state `i` multiplies the base rate by
-/// `mults[i]` and dwells for an exponential time with mean `dwells[i]`
-/// cycles; states advance cyclically (`i → i+1 mod K`).
-#[derive(Debug, Clone)]
-pub struct MmppChain {
-    mults: Vec<f64>,
-    dwell_means: Vec<f64>,
-    state: usize,
-    next_transition: f64,
-    rng: SplitMix64,
-}
-
-impl MmppChain {
-    /// Builds the chain in state 0 with its dwell stream forked from
-    /// `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lists are empty, differ in length, contain
-    /// non-finite or negative multipliers, non-positive dwell means, or
-    /// if every multiplier is zero.
-    pub fn new(mults: Vec<f64>, dwell_means: Vec<f64>, seed: u64) -> Self {
-        assert!(!mults.is_empty(), "MMPP needs at least one state");
-        assert_eq!(mults.len(), dwell_means.len(), "MMPP mults/dwells length mismatch");
-        for &m in &mults {
-            assert!(m.is_finite() && m >= 0.0, "bad MMPP multiplier {m}");
-        }
-        for &d in &dwell_means {
-            assert!(d.is_finite() && d > 0.0, "bad MMPP dwell {d}");
-        }
-        assert!(mults.iter().any(|&m| m > 0.0), "MMPP needs a state with positive rate");
-        let mut rng = SplitMix64::new(seed).fork(MMPP_STREAM);
-        let next_transition = exponential(&mut rng, dwell_means[0]);
-        MmppChain { mults, dwell_means, state: 0, next_transition, rng }
-    }
-}
-
 /// Exponential draw with the given mean; `next_f64` is in `[0, 1)` so
 /// the log argument stays in `(0, 1]`.
 fn exponential(rng: &mut SplitMix64, mean: f64) -> f64 {
     -mean * (1.0 - rng.next_f64()).ln()
 }
 
-impl RateModulator for MmppChain {
-    fn max_multiplier(&self) -> f64 {
-        self.mults.iter().copied().fold(0.0, f64::max)
-    }
-
-    fn multiplier_at(&mut self, t: f64) -> f64 {
-        while t >= self.next_transition {
-            self.state = (self.state + 1) % self.mults.len();
-            self.next_transition += exponential(&mut self.rng, self.dwell_means[self.state]);
-        }
-        self.mults[self.state]
-    }
-
-    fn name(&self) -> &'static str {
-        "mmpp"
-    }
-}
-
-/// Diurnal triangle-wave modulation: `m(t)` ramps linearly from
-/// `1 - amp` up to `1 + amp` over the first half of each period and back
-/// down over the second, starting mid-ramp at `m(0) = 1`.
+/// A Markov-modulated Poisson [`ArrivalSource`]: state `i` multiplies
+/// the base rate by `mults[i]` and dwells for an exponential time with
+/// mean `dwells[i]` cycles; states advance cyclically (`i → i+1 mod K`)
+/// from state 0. Each accepted arrival draws its function from the Zipf
+/// table. O(1) state regardless of stream length.
 #[derive(Debug, Clone)]
-pub struct DiurnalWave {
-    period: f64,
-    amp: f64,
-}
-
-impl DiurnalWave {
-    /// Builds the wave.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `period` is positive and finite and `amp` is in
-    /// `[0, 1]` (so the rate never goes negative).
-    pub fn new(period: f64, amp: f64) -> Self {
-        assert!(period.is_finite() && period > 0.0, "bad diurnal period {period}");
-        assert!((0.0..=1.0).contains(&amp), "diurnal amp {amp} outside [0, 1]");
-        DiurnalWave { period, amp }
-    }
-}
-
-impl RateModulator for DiurnalWave {
-    fn max_multiplier(&self) -> f64 {
-        1.0 + self.amp
-    }
-
-    fn multiplier_at(&mut self, t: f64) -> f64 {
-        let phase = (t / self.period).fract();
-        // Triangle in [-1, 1] starting mid-ramp: 0 at phase 0, peak at
-        // 0.25, trough at 0.75.
-        let tri = if phase < 0.25 {
-            4.0 * phase
-        } else if phase < 0.75 {
-            2.0 - 4.0 * phase
-        } else {
-            4.0 * phase - 4.0
-        };
-        1.0 + self.amp * tri
-    }
-
-    fn name(&self) -> &'static str {
-        "diurnal"
-    }
-}
-
-/// Periodic burst train: `m(t) = mult` during the first `width` cycles
-/// of each `every`-cycle period, 1 otherwise.
-#[derive(Debug, Clone)]
-pub struct BurstWave {
-    every: f64,
-    width: f64,
-    mult: f64,
-}
-
-impl BurstWave {
-    /// Builds the train.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < width <= every`, both finite, and `mult` is
-    /// finite and ≥ 1.
-    pub fn new(every: f64, width: f64, mult: f64) -> Self {
-        assert!(every.is_finite() && every > 0.0, "bad burst period {every}");
-        assert!(width.is_finite() && width > 0.0 && width <= every, "bad burst width {width}");
-        assert!(mult.is_finite() && mult >= 1.0, "bad burst multiplier {mult}");
-        BurstWave { every, width, mult }
-    }
-}
-
-impl RateModulator for BurstWave {
-    fn max_multiplier(&self) -> f64 {
-        self.mult
-    }
-
-    fn multiplier_at(&mut self, t: f64) -> f64 {
-        if t % self.every < self.width {
-            self.mult
-        } else {
-            1.0
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "burst"
-    }
-}
-
-/// A modulated Poisson [`ArrivalSource`]: thinning over a candidate
-/// stream at the envelope rate, Zipf function draw per accepted arrival.
-/// O(1) state regardless of stream length.
-#[derive(Debug, Clone)]
-pub struct ModulatedSource<M: RateModulator> {
+pub struct MmppSource {
     functions: usize,
     cumulative: Vec<f64>,
     envelope_gap: f64,
     max_mult: f64,
     horizon: f64,
-    modulator: M,
+    mults: Vec<f64>,
+    dwells: Vec<f64>,
+    state: usize,
+    next_transition: f64,
+    /// The `"TRAF"` stream: candidate gaps, acceptance and function draws.
     rng: SplitMix64,
+    /// The `"MMPP"` stream: dwell draws.
+    chain_rng: SplitMix64,
     t: f64,
     done: bool,
 }
 
-impl<M: RateModulator> ModulatedSource<M> {
+impl MmppSource {
     /// Builds the source: base rate, Zipf skew, horizon, and seed come
-    /// from `cfg`; the shape comes from `modulator`.
+    /// from `cfg`; the chain's per-state multipliers and mean dwell
+    /// cycles from `mults` and `dwells`.
     ///
     /// # Panics
     ///
-    /// Panics on the [`ArrivalConfig::zipf_cumulative`] conditions, on a
-    /// non-positive/non-finite base rate, or on a non-positive/non-finite
-    /// envelope multiplier.
-    pub fn new(cfg: &ArrivalConfig, modulator: M) -> Self {
-        assert!(
-            cfg.rate_per_mcycle > 0.0 && cfg.rate_per_mcycle.is_finite(),
-            "bad rate {}",
-            cfg.rate_per_mcycle
-        );
-        let max_mult = modulator.max_multiplier();
-        assert!(max_mult > 0.0 && max_mult.is_finite(), "bad envelope multiplier {max_mult}");
-        ModulatedSource {
+    /// Panics if the lists are empty or differ in length, on a negative
+    /// or non-finite multiplier, a non-positive or non-finite dwell, if
+    /// every multiplier is zero, on a non-positive or non-finite base
+    /// rate, or on the [`ArrivalConfig::zipf_cumulative`] conditions.
+    pub fn new(cfg: &ArrivalConfig, mults: Vec<f64>, dwells: Vec<f64>) -> Self {
+        assert!(!mults.is_empty(), "MMPP needs at least one state");
+        assert_eq!(mults.len(), dwells.len(), "MMPP mults/dwells length mismatch");
+        assert!(mults.iter().all(|m| m.is_finite() && *m >= 0.0), "bad MMPP mults {mults:?}");
+        assert!(dwells.iter().all(|d| d.is_finite() && *d > 0.0), "bad MMPP dwells {dwells:?}");
+        let max_mult = Self::peak_multiplier(&mults);
+        assert!(max_mult > 0.0, "MMPP needs a state with positive rate");
+        let rate = cfg.rate_per_mcycle;
+        assert!(rate > 0.0 && rate.is_finite(), "bad rate {rate}");
+        let mut chain_rng = SplitMix64::new(cfg.seed).fork(MMPP_STREAM);
+        let next_transition = exponential(&mut chain_rng, dwells[0]);
+        MmppSource {
             functions: cfg.functions,
             cumulative: cfg.zipf_cumulative(),
-            envelope_gap: 1.0e6 / (cfg.rate_per_mcycle * max_mult),
+            envelope_gap: 1.0e6 / (rate * max_mult),
             max_mult,
             horizon: cfg.horizon_cycles as f64,
-            modulator,
+            mults,
+            dwells,
+            state: 0,
+            next_transition,
             rng: SplitMix64::new(cfg.seed).fork(TRAFFIC_STREAM),
+            chain_rng,
             t: 0.0,
             done: false,
         }
     }
+
+    /// The largest of `mults`: the factor the thinning envelope
+    /// multiplies the base rate by.
+    pub fn peak_multiplier(mults: &[f64]) -> f64 {
+        mults.iter().copied().fold(0.0, f64::max)
+    }
 }
 
-impl<M: RateModulator> ArrivalSource for ModulatedSource<M> {
+impl ArrivalSource for MmppSource {
     fn functions(&self) -> usize {
         self.functions
     }
 
+    /// Per candidate: the gap at the envelope rate, then the acceptance
+    /// draw, then the dwell draws of every transition the candidate time
+    /// crosses, then, for an accepted candidate only, the function draw.
     fn next_arrival(&mut self) -> Option<Arrival> {
-        if self.done {
-            return None;
-        }
-        loop {
+        while !self.done {
             self.t += exponential(&mut self.rng, self.envelope_gap);
             if self.t >= self.horizon {
                 self.done = true;
-                return None;
+                break;
+            }
+            let accept = self.rng.next_f64();
+            while self.t >= self.next_transition {
+                self.state = (self.state + 1) % self.mults.len();
+                self.next_transition += exponential(&mut self.chain_rng, self.dwells[self.state]);
             }
             // Thin: accept the candidate with probability m(t)/max(m).
-            let accept = self.rng.next_f64();
-            let m = self.modulator.multiplier_at(self.t);
-            if accept * self.max_mult < m {
+            if accept * self.max_mult < self.mults[self.state] {
                 let v = self.rng.next_f64();
-                return Some(Arrival {
-                    cycle: self.t as u64,
-                    function: pick_function(&self.cumulative, v),
-                });
+                let function = pick_function(&self.cumulative, v);
+                return Some(Arrival { cycle: self.t as u64, function });
             }
         }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ignite_workloads::Trace;
 
     fn base_cfg() -> ArrivalConfig {
         ArrivalConfig {
@@ -285,38 +142,66 @@ mod tests {
         }
     }
 
-    fn drain<S: ArrivalSource>(mut source: S) -> Vec<Arrival> {
-        let mut out = Vec::new();
-        while let Some(a) = source.next_arrival() {
-            out.push(a);
-        }
-        out
+    fn default_mmpp(cfg: &ArrivalConfig) -> Vec<Arrival> {
+        let mut source = MmppSource::new(cfg, vec![1.0, 6.0], vec![300_000.0, 60_000.0]);
+        Trace::from_source(&mut source).arrivals
     }
 
-    fn default_mmpp(cfg: &ArrivalConfig) -> ModulatedSource<MmppChain> {
-        ModulatedSource::new(
-            cfg,
-            MmppChain::new(vec![1.0, 6.0], vec![300_000.0, 60_000.0], cfg.seed),
-        )
+    /// Absolute anchor for the MMPP stream, beside the Poisson one
+    /// (`ignite_workloads::arrival`'s `default_trace_prefix_is_pinned`):
+    /// the arrival count and first 16 `(cycle, function)` pairs of
+    /// `mmpp:mults=1/6,dwells=300000/60000` over the default arrival
+    /// configuration, recorded from the generic thinning source this one
+    /// replaced (`cluster --emit-trace` at seeds 42 and 7919).
+    #[test]
+    fn mmpp_prefix_is_pinned() {
+        type Pin = (u64, usize, [u64; 16], [u32; 16]);
+        let pins: [Pin; 2] = [
+            (
+                42,
+                389,
+                [
+                    1641, 50917, 66079, 66509, 73092, 75210, 99057, 125733, 130332, 144121, 148100,
+                    172791, 207730, 208027, 210666, 271168,
+                ],
+                [0, 4, 0, 1, 6, 1, 2, 2, 7, 16, 1, 17, 0, 2, 1, 0],
+            ),
+            (
+                7919,
+                472,
+                [
+                    4399, 16579, 41489, 62098, 71723, 75284, 75816, 78067, 78071, 81494, 96967,
+                    106802, 109532, 114111, 115588, 115603,
+                ],
+                [0, 2, 0, 0, 5, 8, 0, 2, 10, 4, 1, 1, 3, 7, 0, 1],
+            ),
+        ];
+        for (seed, count, cycles, functions) in pins {
+            let arrivals = default_mmpp(&ArrivalConfig { seed, ..ArrivalConfig::default() });
+            assert_eq!(arrivals.len(), count, "seed {seed}");
+            let head: Vec<(u64, u32)> = arrivals.iter().map(|a| (a.cycle, a.function)).collect();
+            let pinned: Vec<(u64, u32)> = cycles.into_iter().zip(functions).collect();
+            assert_eq!(head[..16], pinned, "seed {seed}");
+        }
     }
 
     #[test]
     fn mmpp_same_seed_identical_stream() {
         let cfg = base_cfg();
-        assert_eq!(drain(default_mmpp(&cfg)), drain(default_mmpp(&cfg)));
+        assert_eq!(default_mmpp(&cfg), default_mmpp(&cfg));
     }
 
     #[test]
     fn mmpp_different_seed_differs() {
-        let a = drain(default_mmpp(&base_cfg()));
-        let b = drain(default_mmpp(&ArrivalConfig { seed: 43, ..base_cfg() }));
+        let a = default_mmpp(&base_cfg());
+        let b = default_mmpp(&ArrivalConfig { seed: 43, ..base_cfg() });
         assert_ne!(a, b);
     }
 
     #[test]
     fn arrivals_are_ordered_and_in_range() {
         let cfg = base_cfg();
-        let arrivals = drain(default_mmpp(&cfg));
+        let arrivals = default_mmpp(&cfg);
         assert!(!arrivals.is_empty());
         for pair in arrivals.windows(2) {
             assert!(pair[0].cycle <= pair[1].cycle);
@@ -330,7 +215,7 @@ mod tests {
         // A 2-state chain alternating 1x/6x must raise the inter-arrival
         // CV² well above the Poisson value of 1.
         let cfg = ArrivalConfig { horizon_cycles: 60_000_000, ..base_cfg() };
-        let arrivals = drain(default_mmpp(&cfg));
+        let arrivals = default_mmpp(&cfg);
         let gaps: Vec<f64> =
             arrivals.windows(2).map(|p| (p[1].cycle - p[0].cycle) as f64).collect();
         let n = gaps.len() as f64;
@@ -341,47 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_wave_shape() {
-        let mut wave = DiurnalWave::new(1_000_000.0, 0.5);
-        assert_eq!(wave.multiplier_at(0.0), 1.0);
-        assert_eq!(wave.multiplier_at(250_000.0), 1.5);
-        assert_eq!(wave.multiplier_at(750_000.0), 0.5);
-        assert_eq!(wave.multiplier_at(1_250_000.0), 1.5);
-        assert_eq!(wave.max_multiplier(), 1.5);
-    }
-
-    #[test]
-    fn burst_wave_shape() {
-        let mut wave = BurstWave::new(500_000.0, 50_000.0, 8.0);
-        assert_eq!(wave.multiplier_at(0.0), 8.0);
-        assert_eq!(wave.multiplier_at(49_999.0), 8.0);
-        assert_eq!(wave.multiplier_at(50_000.0), 1.0);
-        assert_eq!(wave.multiplier_at(499_999.0), 1.0);
-        assert_eq!(wave.multiplier_at(500_001.0), 8.0);
-    }
-
-    #[test]
-    fn burst_raises_arrival_count() {
-        let cfg = base_cfg();
-        let plain = drain(ModulatedSource::new(&cfg, BurstWave::new(400_000.0, 40_000.0, 1.0)));
-        let bursty = drain(ModulatedSource::new(&cfg, BurstWave::new(400_000.0, 40_000.0, 8.0)));
-        assert!(
-            bursty.len() > plain.len() + plain.len() / 2,
-            "{} vs {}",
-            bursty.len(),
-            plain.len()
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "MMPP mults/dwells length mismatch")]
     fn mmpp_rejects_length_mismatch() {
-        MmppChain::new(vec![1.0, 2.0], vec![100.0], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn diurnal_rejects_overdeep_amp() {
-        DiurnalWave::new(1000.0, 1.5);
+        MmppSource::new(&base_cfg(), vec![1.0, 2.0], vec![100.0]);
     }
 }

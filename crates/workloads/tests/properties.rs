@@ -179,11 +179,11 @@ proptest! {
     /// non-degenerate rate).
     #[test]
     fn arrivals_are_seed_deterministic(cfg in arb_arrivals(), other_seed in any::<u64>()) {
-        let a = cfg.generate();
-        let b = cfg.generate();
+        let a = Trace::from_source(&mut cfg.source());
+        let b = Trace::from_source(&mut cfg.source());
         prop_assert_eq!(&a.arrivals, &b.arrivals);
         if other_seed != cfg.seed {
-            let c = ArrivalConfig { seed: other_seed, ..cfg }.generate();
+            let c = Trace::from_source(&mut ArrivalConfig { seed: other_seed, ..cfg }.source());
             prop_assert_ne!(&a.arrivals, &c.arrivals);
         }
     }
@@ -193,7 +193,7 @@ proptest! {
     /// trace length.
     #[test]
     fn arrivals_are_well_formed(cfg in arb_arrivals()) {
-        let trace = cfg.generate();
+        let trace = Trace::from_source(&mut cfg.source());
         for pair in trace.arrivals.windows(2) {
             prop_assert!(pair[0].cycle <= pair[1].cycle, "arrival order");
         }
@@ -212,7 +212,7 @@ proptest! {
     /// broken generator, not bad luck.
     #[test]
     fn arrival_rate_is_honored(cfg in arb_arrivals()) {
-        let trace = cfg.generate();
+        let trace = Trace::from_source(&mut cfg.source());
         let expected = cfg.rate_per_mcycle * cfg.horizon_cycles as f64 / 1e6;
         let got = trace.arrivals.len() as f64;
         prop_assert!(
@@ -224,7 +224,7 @@ proptest! {
     /// The trace text format round-trips exactly for any generated trace.
     #[test]
     fn trace_text_round_trips(cfg in arb_arrivals()) {
-        let trace = cfg.generate();
+        let trace = Trace::from_source(&mut cfg.source());
         let parsed = Trace::parse(&trace.to_text());
         prop_assert!(parsed.is_ok(), "emitted trace must parse: {:?}", parsed.err());
         let parsed = parsed.unwrap();
@@ -236,7 +236,7 @@ proptest! {
     /// naming the first converted line — never silently accepted.
     #[test]
     fn crlf_corruption_is_rejected(cfg in arb_arrivals(), corrupt_all in any::<bool>()) {
-        let trace = cfg.generate();
+        let trace = Trace::from_source(&mut cfg.source());
         let text = trace.to_text();
         let corrupted = if corrupt_all {
             // The whole file converted (e.g. a checkout with autocrlf).
@@ -261,7 +261,7 @@ proptest! {
     /// and line-numbered.
     #[test]
     fn trailing_whitespace_is_rejected(cfg in arb_arrivals()) {
-        let trace = cfg.generate();
+        let trace = Trace::from_source(&mut cfg.source());
         prop_assume!(!trace.arrivals.is_empty());
         let mut lines: Vec<String> = trace.to_text().lines().map(String::from).collect();
         let victim = 1 + (cfg.seed as usize % trace.arrivals.len());

@@ -98,6 +98,40 @@ fn fig11_bim_policy_shape() {
     assert!(s("BIM wNT") < s("BIM wT"), "weakly not-taken is the wrong policy");
 }
 
+/// Runs `bin` with `args` and then one argument that is not UTF-8, and
+/// returns its stderr once it has exited 2.
+#[cfg(unix)]
+fn refusal_of_a_non_utf8_argument(bin: &str, args: &[&str]) -> String {
+    use std::os::unix::ffi::OsStrExt;
+    let out = std::process::Command::new(bin)
+        .args(args)
+        .arg(std::ffi::OsStr::from_bytes(b"\xff"))
+        .output()
+        .expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "{bin}");
+    stderr
+}
+
+/// An argument that is not UTF-8 is a usage error naming its position,
+/// not a panic in the argument reader.
+#[cfg(unix)]
+#[test]
+fn figures_binary_refuses_a_non_utf8_argument() {
+    let stderr = refusal_of_a_non_utf8_argument(env!("CARGO_BIN_EXE_figures"), &["--quick"]);
+    let refusal = "error: argument 2 is not valid UTF-8: \"\\xFF\"\n\nusage: figures ";
+    assert!(stderr.starts_with(refusal), "{stderr}");
+}
+
+#[cfg(unix)]
+#[test]
+fn sweep_binary_refuses_a_non_utf8_argument() {
+    let stderr = refusal_of_a_non_utf8_argument(env!("CARGO_BIN_EXE_sweep"), &[]);
+    let refusal = "error: argument 1 is not valid UTF-8: \"\\xFF\"\n\nusage: sweep ";
+    assert!(stderr.starts_with(refusal), "{stderr}");
+}
+
 /// Inputs the `sweep` and `figures` binaries once panicked or aborted
 /// on: a scale of zero, NaN or infinity panicked building the suite, a
 /// scale of 1e9 aborted allocating it, an unwritable `--out` panicked

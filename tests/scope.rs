@@ -220,6 +220,24 @@ fn alerts_fire_into_their_own_track_and_chrome_export() {
     assert!(summary.events_by_name.get("attribution").copied().unwrap_or(0) > 0);
 }
 
+/// An argument that is not UTF-8 is a usage error naming its position
+/// (exit 2, then the usage text), not a panic in the argument reader.
+#[cfg(unix)]
+#[test]
+fn scope_binary_refuses_a_non_utf8_argument() {
+    use std::os::unix::ffi::OsStrExt;
+    let args = [std::ffi::OsStr::new("validate"), std::ffi::OsStr::from_bytes(b"\xff")];
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_scope"))
+        .args(args)
+        .output()
+        .expect("spawn scope binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let refusal = "scope: argument 2 is not valid UTF-8: \"\\xFF\"\nusage: scope validate FILE";
+    assert!(stderr.starts_with(refusal), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// `scope diff` of a run against itself must be clean for every schema
 /// it understands — the acceptance gate CI relies on. The v2 report is
 /// the chaos golden configuration's.

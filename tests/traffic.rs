@@ -19,9 +19,7 @@ use std::path::PathBuf;
 
 use ignite_cluster::{ClusterConfig, ClusterOutcome, ClusterReport, ClusterSim, StaticPolicy};
 use ignite_obs::NullSink;
-use ignite_traffic::{
-    materialize, AzureSource, AzureTrace, DiurnalWave, MmppChain, ModulatedSource, TrafficSpec,
-};
+use ignite_traffic::{AzureSource, AzureTrace, MmppSource, TrafficSpec};
 use ignite_workloads::arrival::{ArrivalSource, Trace, TraceSource};
 use ignite_workloads::Suite;
 use proptest::prelude::*;
@@ -175,7 +173,7 @@ fn streaming_matches_materialized_replay() {
     for spec in [AZURE_SPEC, MMPP_SPEC] {
         let cfg = golden_cfg(spec);
         let streamed = run(&cfg, &mut *golden_source(&cfg, spec));
-        let trace = materialize(&mut *golden_source(&cfg, spec));
+        let trace = Trace::from_source(&mut *golden_source(&cfg, spec));
         let replayed = run(&cfg, &mut TraceSource::new(&trace));
         let a = ClusterReport::new(cfg.clone(), streamed).to_json();
         let b = ClusterReport::new(cfg, replayed).to_json();
@@ -188,7 +186,7 @@ fn streaming_matches_materialized_replay() {
 #[test]
 fn azure_import_round_trips_through_trace_v1() {
     let cfg = golden_cfg(AZURE_SPEC);
-    let trace = materialize(&mut *golden_source(&cfg, AZURE_SPEC));
+    let trace = Trace::from_source(&mut *golden_source(&cfg, AZURE_SPEC));
     assert_eq!(trace.arrivals.len() as u64, fixture_trace().total_invocations());
     let text = trace.to_text();
     let parsed = Trace::parse(&text).expect("materialized azure trace must parse");
@@ -275,11 +273,8 @@ proptest::proptest! {
             ..Default::default()
         };
         let dwells = vec![dwell; mults.len()];
-        let mut a_src =
-            ModulatedSource::new(&cfg, MmppChain::new(mults.clone(), dwells.clone(), cfg.seed));
-        let mut b_src = ModulatedSource::new(&cfg, MmppChain::new(mults, dwells, cfg.seed));
-        let a = drain(&mut a_src);
-        let b = drain(&mut b_src);
+        let a = drain(&mut MmppSource::new(&cfg, mults.clone(), dwells.clone()));
+        let b = drain(&mut MmppSource::new(&cfg, mults, dwells));
         prop_assert_eq!(&a, &b);
         for w in a.windows(2) {
             prop_assert!(w[0].0 <= w[1].0, "arrivals must be time-ordered");
@@ -287,23 +282,6 @@ proptest::proptest! {
         for &(_, f) in &a {
             prop_assert!((f as usize) < cfg.functions);
         }
-    }
-
-    /// Same for diurnal modulation, over random period/amplitude.
-    #[test]
-    fn diurnal_streams_are_deterministic(
-        seed in 0u64..1_000_000,
-        period in 50_000.0f64..2_000_000.0,
-        amp in 0.0f64..1.0,
-    ) {
-        let cfg = ignite_workloads::ArrivalConfig {
-            seed,
-            horizon_cycles: 400_000,
-            ..Default::default()
-        };
-        let a = drain(&mut ModulatedSource::new(&cfg, DiurnalWave::new(period, amp)));
-        let b = drain(&mut ModulatedSource::new(&cfg, DiurnalWave::new(period, amp)));
-        prop_assert_eq!(a, b);
     }
 
     /// Random well-formed CSV traces round-trip: parse, emit through the
@@ -326,7 +304,7 @@ proptest::proptest! {
         let total = trace.total_invocations();
         let suite = Suite::paper_suite_scaled(0.02);
         let mut source = AzureSource::new(trace, &suite, cpm);
-        let materialized = materialize(&mut source);
+        let materialized = Trace::from_source(&mut source);
         prop_assert_eq!(materialized.arrivals.len() as u64, total);
         let parsed = Trace::parse(&materialized.to_text()).expect("round-trip parse");
         prop_assert_eq!(parsed.arrivals, materialized.arrivals);
