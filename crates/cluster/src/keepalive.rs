@@ -178,16 +178,11 @@ impl KeepAliveRt {
     }
 
     /// An invocation of `function` completed on `node` at `completion`:
-    /// open (or refresh) the pin on its region.
-    pub fn on_complete(&mut self, node: usize, function: usize, container: u64, completion: u64) {
-        self.on_complete_with(node, function, container, completion, None);
-    }
-
-    /// [`KeepAliveRt::on_complete`] with an optional window override —
-    /// the policy-controller seam. `Some(w)` pins for exactly `w`
-    /// cycles regardless of what this policy would grant; `None` is
-    /// the plain policy window. Under [`KeepAliveKind::None`] the
-    /// override is ignored (there is no pinning machinery to retune).
+    /// open (or refresh) the pin on its region. `override_window` is the
+    /// policy-controller seam: `Some(w)` pins for exactly `w` cycles
+    /// regardless of what this policy would grant; `None` is the plain
+    /// policy window. Under [`KeepAliveKind::None`] the override is
+    /// ignored (there is no pinning machinery to retune).
     pub fn on_complete_with(
         &mut self,
         node: usize,
@@ -294,7 +289,7 @@ mod tests {
     fn none_is_inert() {
         let mut rt = KeepAliveRt::new(KeepAliveKind::None, 2, 3);
         assert!(!rt.enabled());
-        rt.on_complete(0, 1, 10, 1_000);
+        rt.on_complete_with(0, 1, 10, 1_000, None);
         assert!(!rt.is_protected(0, 10, 1_001));
         rt.on_fetch(0, 10, 2_000);
         rt.finish(100_000);
@@ -304,12 +299,12 @@ mod tests {
     #[test]
     fn fixed_window_protects_then_expires() {
         let mut rt = KeepAliveRt::new(KeepAliveKind::Fixed { window_cycles: 100 }, 1, 1);
-        rt.on_complete(0, 0, 7, 1_000);
+        rt.on_complete_with(0, 0, 7, 1_000, None);
         assert!(rt.is_protected(0, 7, 1_050));
         assert!(!rt.is_protected(0, 7, 1_100), "window end is exclusive");
         // The pin is per-node: node-local state never leaks.
         let mut rt2 = KeepAliveRt::new(KeepAliveKind::Fixed { window_cycles: 100 }, 2, 1);
-        rt2.on_complete(0, 0, 7, 1_000);
+        rt2.on_complete_with(0, 0, 7, 1_000, None);
         assert!(!rt2.is_protected(1, 7, 1_050));
     }
 
@@ -317,15 +312,15 @@ mod tests {
     fn wasted_cycles_follow_the_dslab_accounting() {
         let mut rt = KeepAliveRt::new(KeepAliveKind::Fixed { window_cycles: 100 }, 1, 2);
         // Reused inside the window: nothing wasted.
-        rt.on_complete(0, 0, 7, 1_000);
+        rt.on_complete_with(0, 0, 7, 1_000, None);
         rt.on_fetch(0, 7, 1_040);
         assert_eq!(rt.wasted_total(), 0);
         // Reused after expiry: the whole window was held for nothing.
-        rt.on_complete(0, 0, 7, 2_000);
+        rt.on_complete_with(0, 0, 7, 2_000, None);
         rt.on_fetch(0, 7, 5_000);
         assert_eq!(rt.wasted_total(), 100);
         // Never reused: charged up to the makespan, capped at the window.
-        rt.on_complete(0, 1, 9, 6_000);
+        rt.on_complete_with(0, 1, 9, 6_000, None);
         rt.finish(6_030);
         assert_eq!(rt.wasted_total(), 130);
         assert_eq!(rt.wasted_for_function(1), 30);
@@ -339,7 +334,7 @@ mod tests {
         assert_eq!(rt.window_for(0), Some(77));
         let mut t = 0u64;
         for _ in 0..8 {
-            rt.on_complete(0, 0, 5, t);
+            rt.on_complete_with(0, 0, 5, t, None);
             t += 3_000; // gap of 3000 cycles, bucket [2048, 4096)
             rt.on_fetch(0, 5, t);
             t += 10;
@@ -349,7 +344,7 @@ mod tests {
         // Tiny gaps clamp up to the minimum window.
         let mut small = KeepAliveRt::new(KeepAliveKind::Hybrid { default_window_cycles: 77 }, 1, 1);
         for i in 0..8u64 {
-            small.on_complete(0, 0, 5, i * 100);
+            small.on_complete_with(0, 0, 5, i * 100, None);
             small.on_fetch(0, 5, i * 100 + 2);
         }
         assert_eq!(small.window_for(0), Some(HYBRID_MIN_WINDOW));
@@ -466,10 +461,10 @@ mod tests {
     #[test]
     fn refreshing_an_unconsumed_slot_charges_the_old_episode() {
         let mut rt = KeepAliveRt::new(KeepAliveKind::Fixed { window_cycles: 100 }, 1, 1);
-        rt.on_complete(0, 0, 7, 1_000);
+        rt.on_complete_with(0, 0, 7, 1_000, None);
         // A second completion without an intervening fetch (store was
         // bypassed): the first window ran 50 useful-less cycles.
-        rt.on_complete(0, 0, 7, 1_050);
+        rt.on_complete_with(0, 0, 7, 1_050, None);
         assert_eq!(rt.wasted_total(), 50);
         assert!(rt.is_protected(0, 7, 1_149));
     }

@@ -11,9 +11,9 @@
 //! * an open-loop Poisson arrival process with Zipf popularity skew over
 //!   the 20-function suite ([`ignite_workloads::arrival`]), replayable via
 //!   a text trace format;
-//! * a deterministic N-node topology ([`sim::Topology`]): pluggable
-//!   placement schedulers ([`sched`] — fifo, least-loaded, random:N
-//!   power-of-N-choices, metadata-affinity) route arrivals onto nodes,
+//! * a deterministic N-node topology ([`sim::Topology`]): placement
+//!   schedulers ([`sched`] — fifo, least-loaded, metadata-affinity), each
+//!   a pure function of the node loads, route arrivals onto nodes,
 //!   and each node dispatches onto its own simulated cores, each a
 //!   persistent [`ignite_engine::machine::Machine`] that is *never
 //!   flushed* between invocations — other functions' code evicts
@@ -21,9 +21,10 @@
 //!   distance drives the back-end data-cold model
 //!   ([`ignite_engine::sim::InvocationCtx`]);
 //! * a bounded, per-node Ignite metadata store
-//!   ([`ignite_core::MetadataStore`]) with LRU / size-aware / pin-hot
-//!   eviction, charging record/replay DRAM bandwidth on the critical
-//!   path, plus pluggable keep-alive pre-warm policies ([`keepalive`] —
+//!   ([`ignite_core::MetadataStore`]) that evicts the least recently used
+//!   region keep-alive has not pinned, charging record/replay DRAM
+//!   bandwidth (8 bytes per cycle) on the critical path, plus pluggable
+//!   keep-alive pre-warm policies ([`keepalive`] —
 //!   none, fixed-window, hybrid per-function idle-gap histogram) with
 //!   dslab-faas-style cold/lukewarm/warm start and wasted-cycle
 //!   accounting;
@@ -65,7 +66,7 @@ pub use policy::{
 };
 pub use prom::{metrics_for, record_metrics};
 pub use report::{ClusterReport, ObsSummary, CLUSTER_SCHEMA, CLUSTER_SCHEMA_V2};
-pub use sched::{NodeLoad, Scheduler, SchedulerKind};
+pub use sched::{NodeLoad, SchedulerKind};
 pub use sim::{
     sweep_capacities, ClusterConfig, ClusterOutcome, ClusterSim, ConfigError, CoreUsage,
     FunctionSummary, NodeUsage, Topology, LATENCY_BUCKETS, MAX_JOBS,

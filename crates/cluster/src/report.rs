@@ -16,7 +16,7 @@
 //! counts, the schema tags — is recomputed, never read back.
 
 use ignite_chaos::{ChaosPlan, ChaosStats};
-use ignite_core::{EvictionPolicy, ReplayStats, StoreStats};
+use ignite_core::{ReplayStats, StoreStats};
 use ignite_obs::{CtrlRule, MetricsRegistry};
 
 use crate::json::{self, Field::*, Scalar, Table, Value, Walker};
@@ -91,7 +91,6 @@ macro_rules! spec_scalar {
 spec_scalar! {
     SchedulerKind: SchedulerKind::spec, |s| SchedulerKind::parse(s).ok();
     KeepAliveKind: KeepAliveKind::spec, |s| KeepAliveKind::parse(s).ok();
-    EvictionPolicy: |p: &Self| p.name(), EvictionPolicy::parse;
     CtrlRule: |r: &Self| r.key(), |s| Self::ALL.into_iter().find(|r| r.key() == s);
 }
 
@@ -204,7 +203,7 @@ impl ClusterReport {
         let chaos = self.outcome.chaos.is_some();
         w.table([("schema", Tag(self.schema()))]);
         let cfg = &mut self.config;
-        let (topology, arrival, store) = (&mut cfg.topology, &mut cfg.arrival, &mut cfg.store);
+        let (topology, arrival) = (&mut cfg.topology, &mut cfg.arrival);
         w.fields(
             "config",
             [
@@ -221,11 +220,7 @@ impl ClusterReport {
                 ("horizon_cycles", Stored(&mut arrival.horizon_cycles)),
                 ("traffic", cfg.traffic.as_mut().map_or(Absent, |s| Stored(s))),
                 ("controller", cfg.controller.as_mut().map_or(Absent, |s| Stored(s))),
-                ("store_capacity_bytes", Stored(&mut store.capacity_bytes)),
-                ("store_policy", Stored(&mut store.policy)),
-                ("store_pinned_hot", Stored(&mut store.pinned_hot)),
-                ("distance_saturation", Stored(&mut cfg.distance_saturation)),
-                ("dram_bytes_per_cycle", Stored(&mut cfg.dram_bytes_per_cycle)),
+                ("store_capacity_bytes", Stored(&mut cfg.store.capacity_bytes)),
             ],
         );
         let out = &mut self.outcome;
@@ -679,7 +674,7 @@ mod tests {
     fn non_finite_config_floats_serialize_as_zero() {
         let mut r = report();
         r.config.arrival.zipf_s = f64::NAN;
-        r.config.dram_bytes_per_cycle = f64::INFINITY;
+        r.config.arrival.rate_per_mcycle = f64::INFINITY;
         let text = r.to_json();
         // Regression: these used to serialize as `null`, which the
         // report's own validator rejects (every numeric field must be a
@@ -688,7 +683,7 @@ mod tests {
         assert!(!text.contains("NaN"));
         ClusterReport::validate(&text).expect("report with pinned zeros must validate");
         assert!(text.contains("\"zipf_s\": 0,"));
-        assert!(text.contains("\"dram_bytes_per_cycle\": 0\n"));
+        assert!(text.contains("\"rate_per_mcycle\": 0,"));
     }
 
     #[test]
@@ -736,10 +731,7 @@ mod tests {
                 without_lines(&good, &["bim_initialized"]),
                 "report.replay: missing 'bim_initialized'",
             ),
-            (
-                without_lines(&good, &["store_pinned_hot", "\"cpi\""]),
-                "report.config: missing 'store_pinned_hot'",
-            ),
+            (without_lines(&good, &["\"zipf_s\"", "\"cpi\""]), "report.config: missing 'zipf_s'"),
             (
                 good.replacen("\"config\": {", "\"config\": {\n    \"bogus\": 1,", 1),
                 "report.config: unexpected key 'bogus'",

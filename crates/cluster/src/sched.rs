@@ -1,31 +1,19 @@
-//! Pluggable node-placement schedulers for the multi-node cluster.
+//! Node-placement policies for the multi-node cluster.
 //!
 //! A cluster run routes every arrival (and nothing else — retries stay
 //! on the node that first accepted the job, so the per-node conservation
 //! law `submitted == completed + dropped` is exact) through one
-//! [`Scheduler`]. Placement sees a [`NodeLoad`] snapshot per node and
+//! [`SchedulerKind`]. Placement sees a [`NodeLoad`] snapshot per node and
 //! picks an index; every comparison ends in the node index, so placement
-//! is a total order and a fixed `(seed, config)` reproduces the routing
-//! bit-exactly in any process.
+//! is a pure function of the loads, and a fixed `(seed, config)`
+//! reproduces the routing bit-exactly in any process.
 //!
-//! The only stochastic policy — [`SchedulerKind::Random`], the classic
-//! power-of-N-choices sampler — draws from its own stream forked off the
-//! arrival seed under a fixed label, so adding or re-seeding it never
-//! perturbs the arrival process (the same independence contract the
-//! chaos layer keeps with `--chaos-seed`).
-//!
-//! With a single node every policy short-circuits to node 0 without
-//! consuming randomness, which is what keeps `--nodes 1` runs
+//! A single-node run never asks for a placement: routing sends every
+//! arrival to node 0 directly, which is what keeps `--nodes 1` runs
 //! byte-identical to the committed single-node goldens regardless of the
 //! scheduler named on the command line.
 
-use ignite_uarch::rng::SplitMix64;
-
 use crate::sim::ConfigError;
-
-/// Label for the scheduler's RNG stream (forked from the arrival seed;
-/// fixed so adding streams elsewhere never reshuffles placement).
-const LABEL_SCHED: u64 = 0x53_43_48_45_44; // "SCHED"
 
 /// Which placement policy routes arrivals onto nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,13 +25,6 @@ pub enum SchedulerKind {
     /// The node with the fewest outstanding jobs (busy cores + queued),
     /// ties to fewer queued, then lowest index.
     LeastLoaded,
-    /// Power-of-N-choices: sample `choices` nodes (with replacement) on
-    /// the scheduler RNG stream and keep the least loaded of the sample.
-    Random {
-        /// How many nodes to sample per placement (`random:N`; `random`
-        /// alone means the classic power-of-two-choices `N = 2`).
-        choices: u32,
-    },
     /// Metadata-affinity: steer to the node whose store already holds
     /// the function's Ignite stream (least-loaded among holders),
     /// trading queue delay for replay hits; falls back to least-loaded
@@ -54,34 +35,45 @@ pub enum SchedulerKind {
 impl SchedulerKind {
     /// Stable spec string, as written into reports (inverse of
     /// [`SchedulerKind::parse`]).
-    pub fn spec(&self) -> String {
+    pub fn spec(&self) -> &'static str {
         match self {
-            SchedulerKind::Fifo => "fifo".to_string(),
-            SchedulerKind::LeastLoaded => "least-loaded".to_string(),
-            SchedulerKind::Random { choices } => format!("random:{choices}"),
-            SchedulerKind::Affinity => "affinity".to_string(),
+            SchedulerKind::Fifo => "fifo",
+            SchedulerKind::LeastLoaded => "least-loaded",
+            SchedulerKind::Affinity => "affinity",
         }
     }
 
-    /// Parses a scheduler spec: `fifo`, `least-loaded`, `random`,
-    /// `random:N`, or `affinity`. Typos come back as a typed
-    /// [`ConfigError::UnknownScheduler`], never a panic.
+    /// Parses a scheduler spec: `fifo`, `least-loaded` or `affinity`.
+    /// Typos come back as a typed [`ConfigError::UnknownScheduler`],
+    /// never a panic.
     pub fn parse(spec: &str) -> Result<Self, ConfigError> {
-        let unknown = || ConfigError::UnknownScheduler { spec: spec.to_string() };
         match spec {
             "fifo" => Ok(SchedulerKind::Fifo),
             "least-loaded" => Ok(SchedulerKind::LeastLoaded),
             "affinity" => Ok(SchedulerKind::Affinity),
-            "random" => Ok(SchedulerKind::Random { choices: 2 }),
-            _ => match spec.strip_prefix("random:") {
-                Some(n) => match n.parse::<u32>() {
-                    Ok(0) => Err(ConfigError::ZeroSchedulerChoices),
-                    Ok(choices) => Ok(SchedulerKind::Random { choices }),
-                    Err(_) => Err(unknown()),
-                },
-                None => Err(unknown()),
-            },
+            _ => Err(ConfigError::UnknownScheduler { spec: spec.to_string() }),
         }
+    }
+
+    /// Picks the node for one job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads` is empty.
+    pub fn pick(self, loads: &[NodeLoad]) -> usize {
+        let least_loaded = |holders_only: bool| {
+            (0..loads.len())
+                .filter(|&i| !holders_only || loads[i].holds_metadata)
+                .min_by_key(|&i| (loads[i].outstanding(), loads[i].queued, i))
+        };
+        let node = match self {
+            SchedulerKind::Fifo => (0..loads.len())
+                .find(|&i| loads[i].free_cores > 0)
+                .or_else(|| (0..loads.len()).min_by_key(|&i| (loads[i].queued, i))),
+            SchedulerKind::LeastLoaded => least_loaded(false),
+            SchedulerKind::Affinity => least_loaded(true).or_else(|| least_loaded(false)),
+        };
+        node.expect("cannot place a job on zero nodes")
     }
 }
 
@@ -106,74 +98,6 @@ impl NodeLoad {
     }
 }
 
-/// The load key every deterministic policy minimizes (ties are broken
-/// by node index at the call site, keeping the order total).
-fn load_key(l: &NodeLoad) -> (usize, usize) {
-    (l.outstanding(), l.queued)
-}
-
-/// Index of the load-key minimum among `candidates`, ties to the lowest
-/// node index.
-fn least_loaded_of(loads: &[NodeLoad], candidates: impl Iterator<Item = usize>) -> Option<usize> {
-    candidates.min_by_key(|&i| (load_key(&loads[i]), i))
-}
-
-/// A scheduler ready to place jobs: the policy plus (for
-/// [`SchedulerKind::Random`]) its private RNG stream.
-#[derive(Debug, Clone)]
-pub struct Scheduler {
-    kind: SchedulerKind,
-    rng: SplitMix64,
-}
-
-impl Scheduler {
-    /// Builds the scheduler. `seed` is the arrival seed; the random
-    /// policy forks its own stream from it under a fixed label.
-    pub fn new(kind: SchedulerKind, seed: u64) -> Self {
-        Scheduler { kind, rng: SplitMix64::new(seed).fork(LABEL_SCHED) }
-    }
-
-    /// The policy this scheduler runs.
-    pub fn kind(&self) -> SchedulerKind {
-        self.kind
-    }
-
-    /// Picks the node for one job. With a single node this returns 0
-    /// without consuming randomness (the `--nodes 1` byte-identity
-    /// contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is empty.
-    pub fn pick(&mut self, loads: &[NodeLoad]) -> usize {
-        assert!(!loads.is_empty(), "cannot place a job on zero nodes");
-        if loads.len() == 1 {
-            return 0;
-        }
-        match self.kind {
-            SchedulerKind::Fifo => (0..loads.len())
-                .find(|&i| loads[i].free_cores > 0)
-                .or_else(|| (0..loads.len()).min_by_key(|&i| (loads[i].queued, i)))
-                .expect("non-empty loads"),
-            SchedulerKind::LeastLoaded => {
-                least_loaded_of(loads, 0..loads.len()).expect("non-empty loads")
-            }
-            SchedulerKind::Random { choices } => {
-                let sample: Vec<usize> = (0..choices)
-                    .map(|_| self.rng.next_below(loads.len() as u64) as usize)
-                    .collect();
-                least_loaded_of(loads, sample.into_iter()).expect("at least one choice")
-            }
-            SchedulerKind::Affinity => {
-                let holders = (0..loads.len()).filter(|&i| loads[i].holds_metadata);
-                least_loaded_of(loads, holders)
-                    .or_else(|| least_loaded_of(loads, 0..loads.len()))
-                    .expect("non-empty loads")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,42 +108,27 @@ mod tests {
 
     #[test]
     fn specs_round_trip() {
-        for kind in [
-            SchedulerKind::Fifo,
-            SchedulerKind::LeastLoaded,
-            SchedulerKind::Random { choices: 2 },
-            SchedulerKind::Random { choices: 5 },
-            SchedulerKind::Affinity,
-        ] {
-            assert_eq!(SchedulerKind::parse(&kind.spec()), Ok(kind));
+        for kind in [SchedulerKind::Fifo, SchedulerKind::LeastLoaded, SchedulerKind::Affinity] {
+            assert_eq!(SchedulerKind::parse(kind.spec()), Ok(kind));
         }
-        assert_eq!(SchedulerKind::parse("random"), Ok(SchedulerKind::Random { choices: 2 }));
-        for bad in ["", "fifo ", "least_loaded", "random:0", "random:x", "affinty"] {
+        for bad in ["", "fifo ", "least_loaded", "random", "random:2", "affinty"] {
             assert!(SchedulerKind::parse(bad).is_err(), "{bad:?} must be rejected");
         }
     }
 
+    /// Routing never asks for a placement on one node, and every policy
+    /// would pick node 0 there anyway.
     #[test]
     fn single_node_short_circuits_every_policy() {
         let loads = [load(3, 9, 0, false)];
-        for kind in [
-            SchedulerKind::Fifo,
-            SchedulerKind::LeastLoaded,
-            SchedulerKind::Random { choices: 2 },
-            SchedulerKind::Affinity,
-        ] {
-            let mut a = Scheduler::new(kind, 42);
-            let before = a.rng.clone();
-            assert_eq!(a.pick(&loads), 0);
-            // The RNG stream was not consumed: `--nodes 1` runs stay
-            // byte-identical no matter which scheduler was named.
-            assert_eq!(a.rng.next_u64(), before.clone().next_u64());
+        for kind in [SchedulerKind::Fifo, SchedulerKind::LeastLoaded, SchedulerKind::Affinity] {
+            assert_eq!(kind.pick(&loads), 0);
         }
     }
 
     #[test]
     fn fifo_first_fits_then_falls_back_to_shortest_queue() {
-        let mut s = Scheduler::new(SchedulerKind::Fifo, 1);
+        let s = SchedulerKind::Fifo;
         assert_eq!(s.pick(&[load(2, 3, 0, false), load(1, 0, 1, false)]), 1);
         // Nothing free: shortest queue, ties to the lowest index.
         assert_eq!(s.pick(&[load(2, 3, 0, false), load(2, 1, 0, false)]), 1);
@@ -228,7 +137,7 @@ mod tests {
 
     #[test]
     fn least_loaded_minimizes_outstanding_work() {
-        let mut s = Scheduler::new(SchedulerKind::LeastLoaded, 1);
+        let s = SchedulerKind::LeastLoaded;
         assert_eq!(s.pick(&[load(2, 2, 0, false), load(1, 0, 1, false), load(2, 1, 0, false)]), 1);
         // Equal outstanding: fewer queued wins, then the lower index.
         assert_eq!(s.pick(&[load(0, 2, 2, false), load(1, 1, 1, false)]), 1);
@@ -237,28 +146,12 @@ mod tests {
 
     #[test]
     fn affinity_steers_to_the_holder_even_when_busier() {
-        let mut s = Scheduler::new(SchedulerKind::Affinity, 1);
+        let s = SchedulerKind::Affinity;
         // Node 1 holds the region and is busier; affinity still takes it.
         assert_eq!(s.pick(&[load(0, 0, 2, false), load(2, 3, 0, true)]), 1);
         // Several holders: least loaded among them.
         assert_eq!(s.pick(&[load(2, 2, 0, true), load(1, 0, 1, true), load(0, 0, 2, false)]), 1);
         // No holder: plain least-loaded fallback.
         assert_eq!(s.pick(&[load(2, 2, 0, false), load(0, 0, 2, false)]), 1);
-    }
-
-    #[test]
-    fn random_is_deterministic_under_a_fixed_seed() {
-        let loads = [load(1, 0, 1, false), load(0, 0, 2, false), load(2, 2, 0, false)];
-        let picks = |seed: u64| -> Vec<usize> {
-            let mut s = Scheduler::new(SchedulerKind::Random { choices: 2 }, seed);
-            (0..32).map(|_| s.pick(&loads)).collect()
-        };
-        assert_eq!(picks(42), picks(42), "same seed, same placements");
-        assert_ne!(picks(42), picks(43), "distinct seeds should explore distinct placements");
-        // Power-of-two-choices never picks the strictly worst node when
-        // its sample contains a better one; over 32 draws the overloaded
-        // node 2 must lose at least once to each lighter node.
-        let p = picks(42);
-        assert!(p.contains(&0) || p.contains(&1));
     }
 }

@@ -43,7 +43,7 @@ use crate::fanout::{self, PanicFailure};
 use crate::keepalive::{KeepAliveKind, KeepAliveRt};
 use crate::policy::{ClusterGauges, ControllerStats, PolicyHook, PolicySample, StaticPolicy};
 use crate::report::ClusterReport;
-use crate::sched::{NodeLoad, Scheduler, SchedulerKind};
+use crate::sched::{NodeLoad, SchedulerKind};
 
 /// Inclusive upper bounds of the cluster latency histogram, in cycles
 /// (doubling grid; latencies above the last bound land in the implicit
@@ -110,6 +110,22 @@ pub const MAX_CORES: usize = 1024;
 /// the OS refuses a thread, so the binary refuses larger values before
 /// anything runs.
 pub const MAX_JOBS: usize = 256;
+
+/// Interleaving distance (invocations by *other* functions on the same
+/// core since a function last ran there) at which the function's data
+/// working set counts as fully cold: distance `d` runs with a data-cold
+/// fraction of `min(d / 8, 1)`, and a first run on a core is fully cold.
+const DISTANCE_SATURATION: f64 = 8.0;
+
+/// Metadata transfer bandwidth between a node's store and a core's
+/// replay engine, in bytes per cycle: a fetch or a writeback of `b`
+/// bytes adds `ceil(b / 8)` cycles to the invocation's service time.
+const DRAM_BYTES_PER_CYCLE: f64 = 8.0;
+
+/// Cycles to move `bytes` of metadata at [`DRAM_BYTES_PER_CYCLE`].
+fn transfer_cycles(bytes: usize) -> u64 {
+    (bytes as f64 / DRAM_BYTES_PER_CYCLE).ceil() as u64
+}
 
 /// A configuration the simulator refuses to run, with enough structure
 /// for callers to match on. [`std::fmt::Display`] names the offending
@@ -187,8 +203,6 @@ pub enum ConfigError {
         /// The rejected spec string.
         spec: String,
     },
-    /// `random:N` scheduler with zero choices.
-    ZeroSchedulerChoices,
     /// A fixed/hybrid keep-alive with a zero window.
     ZeroKeepAliveWindow,
 }
@@ -238,20 +252,13 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "chaos.{stream}_mtbf_cycles is set but its duration is 0")
             }
             ConfigError::UnknownScheduler { spec } => {
-                write!(
-                    f,
-                    "unknown scheduler spec {spec:?} (want fifo, least-loaded, random[:N], \
-                     or affinity)"
-                )
+                write!(f, "unknown scheduler spec {spec:?} (want fifo, least-loaded, or affinity)")
             }
             ConfigError::UnknownKeepAlive { spec } => {
                 write!(
                     f,
                     "unknown keepalive spec {spec:?} (want none, fixed:CYCLES, or hybrid[:CYCLES])"
                 )
-            }
-            ConfigError::ZeroSchedulerChoices => {
-                write!(f, "scheduler random choices must be at least 1")
             }
             ConfigError::ZeroKeepAliveWindow => {
                 write!(f, "keepalive window_cycles must be at least 1")
@@ -275,14 +282,8 @@ pub struct ClusterConfig {
     pub scale: f64,
     /// Arrival process parameters (ignored when replaying a trace).
     pub arrival: ArrivalConfig,
-    /// Node-wide metadata store sizing and policy.
+    /// Node-wide metadata store sizing.
     pub store: StoreConfig,
-    /// Interleaving distance (invocations by *other* functions on the same
-    /// core) at which a function's data working set counts as fully cold.
-    pub distance_saturation: f64,
-    /// Metadata transfer bandwidth between the node store and a core's
-    /// replay engine; fetch/writeback cycles are charged to service time.
-    pub dram_bytes_per_cycle: f64,
     /// Failure injection schedule. `None` (the default) disables the
     /// chaos layer entirely: the simulation takes the exact pre-chaos
     /// code paths and produces byte-identical reports (the
@@ -315,8 +316,6 @@ impl Default for ClusterConfig {
             scale: 0.02,
             arrival: ArrivalConfig::default(),
             store: StoreConfig::default(),
-            distance_saturation: 8.0,
-            dram_bytes_per_cycle: 8.0,
             chaos: None,
             retry: RetryPolicy::default(),
             traffic: None,
@@ -343,9 +342,6 @@ impl ClusterConfig {
         if nodes.checked_mul(self.cores).is_none_or(|total| total > MAX_CORES) {
             return Err(ConfigError::TooManyCores { nodes, cores: self.cores });
         }
-        if let SchedulerKind::Random { choices: 0 } = self.topology.scheduler {
-            return Err(ConfigError::ZeroSchedulerChoices);
-        }
         match self.topology.keepalive {
             KeepAliveKind::Fixed { window_cycles: 0 }
             | KeepAliveKind::Hybrid { default_window_cycles: 0 } => {
@@ -360,14 +356,9 @@ impl ClusterConfig {
             Err(ScaleError::AboveFull(value)) => return Err(ConfigError::ScaleAboveFull { value }),
             Ok(()) => {}
         }
-        for (field, value) in [
-            ("rate_per_mcycle", self.arrival.rate_per_mcycle),
-            ("distance_saturation", self.distance_saturation),
-            ("dram_bytes_per_cycle", self.dram_bytes_per_cycle),
-        ] {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(ConfigError::NonPositive { field, value });
-            }
+        let rate = self.arrival.rate_per_mcycle;
+        if !rate.is_finite() || rate <= 0.0 {
+            return Err(ConfigError::NonPositive { field: "rate_per_mcycle", value: rate });
         }
         self.check_peak_rate("rate_per_mcycle", 1.0)?;
         if !self.arrival.zipf_s.is_finite() || self.arrival.zipf_s < 0.0 {
@@ -839,11 +830,6 @@ impl ClusterSim {
         }
         run.finish()
     }
-
-    /// Cycles to move `bytes` of metadata at the configured bandwidth.
-    fn transfer_cycles(&self, bytes: usize) -> u64 {
-        (bytes as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64
-    }
 }
 
 /// One run's state. [`ClusterSim::run_source_policy_obs`] calls its
@@ -861,7 +847,6 @@ struct Run<'a, S, P> {
     fns: Vec<FunctionState>,
     chaos: Option<ChaosRt>,
     keepalive: KeepAliveRt,
-    sched: Scheduler,
     /// One-arrival look-ahead: the head of the stream, needed to pick
     /// the next event time and refilled on consumption — the only
     /// arrival state held, whatever the stream length.
@@ -928,7 +913,6 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
                 stats: ChaosStats::default(),
             }),
             keepalive: KeepAliveRt::new(cfg.topology.keepalive, nodes, functions),
-            sched: Scheduler::new(cfg.topology.scheduler, cfg.arrival.seed),
             pending: source.next_arrival(),
             fingerprint: FingerprintAccum::new(source.functions()),
             submitted: 0,
@@ -1061,11 +1045,11 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
         // Interleaving distance → data coldness. Distance d counts the
         // invocations of *other* functions on this core since this
         // function last ran here; d = 0 (back-to-back) is fully warm, and
-        // coldness saturates at `distance_saturation`.
+        // coldness saturates at `DISTANCE_SATURATION`.
         let core = &mut self.cores[ci];
         let cold = match core.last_seq.get(&fi) {
             None => 1.0,
-            Some(&s) => ((core.seq - s - 1) as f64 / sim.cfg.distance_saturation).min(1.0),
+            Some(&s) => ((core.seq - s - 1) as f64 / DISTANCE_SATURATION).min(1.0),
         };
         core.last_seq.insert(fi, core.seq);
         core.seq += 1;
@@ -1114,7 +1098,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
         };
         at.store_hit = true;
         self.fns[fi].summary.metadata_hits += 1;
-        at.fetch_cycles = sim.transfer_cycles(md.byte_len());
+        at.fetch_cycles = transfer_cycles(md.byte_len());
         let bytes = md.byte_len() as u64;
         emit(self.sink, now, store_track, EventKind::StoreHit { container, bytes });
         // Chaos corruption draws on the fetched copy (seeded per
@@ -1236,7 +1220,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
             Some(md) => Writeback::Commit(md),
         };
         let wb_cycles = match &at.writeback {
-            Writeback::Commit(md) => sim.transfer_cycles(md.byte_len()),
+            Writeback::Commit(md) => transfer_cycles(md.byte_len()),
             _ => 0,
         };
         at.service = at.fetch_cycles + at.exec_cycles + wb_cycles;
@@ -1545,7 +1529,7 @@ impl<'a, S: EventSink, P: PolicyHook> Run<'a, S, P> {
                 }
             })
             .collect();
-        let node = self.sched.pick(&loads);
+        let node = self.sim.cfg.topology.scheduler.pick(&loads);
         let kind = EventKind::Routed { function: a.function, node: node as u32 };
         emit(self.sink, a.cycle, Track::Cluster, kind);
         node
@@ -1866,8 +1850,9 @@ mod tests {
         let msg = |cfg: &ClusterConfig| cfg.validate().unwrap_err().to_string();
         let bad = ClusterConfig { cores: 0, ..ClusterConfig::default() };
         assert!(msg(&bad).contains("cores"));
-        let bad = ClusterConfig { dram_bytes_per_cycle: f64::NAN, ..ClusterConfig::default() };
-        assert!(msg(&bad).contains("dram_bytes_per_cycle"));
+        let mut bad = ClusterConfig::default();
+        bad.arrival.rate_per_mcycle = f64::NAN;
+        assert!(msg(&bad).contains("rate_per_mcycle"));
         let bad = ClusterConfig {
             retry: RetryPolicy { max_attempts: 0, ..RetryPolicy::default() },
             ..ClusterConfig::default()
@@ -1914,21 +1899,38 @@ mod tests {
         );
     }
 
+    /// One core serves f0 twice, far apart. The first run misses and
+    /// writes back the region the second fetches, `f` bytes (its store
+    /// hit); the second writes back the rest of the store's written
+    /// bytes. At 8 bytes per cycle each transfer costs its bytes / 8,
+    /// rounded up, and the DRAM component is the sum.
     #[test]
-    fn sub_unit_dram_bandwidth_is_simulated_as_configured() {
-        // Regression: transfers divided by `max(1.0)` of the bandwidth,
-        // so a validated 0.5 B/cycle silently ran as 1.0 B/cycle.
-        let latency_sum = |dram_bytes_per_cycle: f64| {
-            let cfg = ClusterConfig { dram_bytes_per_cycle, ..quick_cfg() };
-            ClusterSim::new(cfg).run().latency_sum
-        };
-        assert!(latency_sum(0.5) > latency_sum(1.0), "halving bandwidth must cost latency");
+    fn store_hit_dram_cycles_are_hand_derived() {
+        let arrivals = [0, 10_000_000].map(|cycle| Arrival { cycle, function: 0 }).to_vec();
+        let trace = ignite_workloads::Trace { functions: 1, arrivals };
+        let mut buf = ignite_obs::TraceBuffer::new(1 << 16);
+        let mut source = ignite_workloads::arrival::TraceSource::new(&trace);
+        let sim = ClusterSim::new(ClusterConfig { cores: 1, ..quick_cfg() });
+        let out = sim.run_source_policy_obs(&mut source, &mut buf, &mut StaticPolicy);
+        let (mut fetched, mut dram) = (Vec::new(), Vec::new());
+        for e in buf.iter() {
+            match e.kind {
+                EventKind::StoreHit { bytes, .. } => fetched.push(bytes),
+                EventKind::Attribution { cycles, .. } => dram.push(cycles.dram_cycles),
+                _ => {}
+            }
+        }
+        let [f] = fetched[..] else { panic!("one store hit, got {fetched:?}") };
+        assert_eq!(out.store.insertions, 2, "both runs write back");
+        let written_back = out.store.bytes_written - f;
+        assert!(f > 0 && written_back > 0);
+        assert_eq!(dram, [f.div_ceil(8), f.div_ceil(8) + written_back.div_ceil(8)]);
     }
 
     #[test]
-    #[should_panic(expected = "dram_bytes_per_cycle")]
+    #[should_panic(expected = "cores must be at least 1")]
     fn new_panics_with_the_config_error() {
-        ClusterSim::new(ClusterConfig { dram_bytes_per_cycle: 0.0, ..quick_cfg() });
+        ClusterSim::new(ClusterConfig { cores: 0, ..quick_cfg() });
     }
 
     #[test]
@@ -1938,14 +1940,6 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(bad.validate().unwrap_err(), ConfigError::ZeroNodes);
-        let bad = ClusterConfig {
-            topology: Topology {
-                scheduler: SchedulerKind::Random { choices: 0 },
-                ..Topology::default()
-            },
-            ..ClusterConfig::default()
-        };
-        assert_eq!(bad.validate().unwrap_err(), ConfigError::ZeroSchedulerChoices);
         let bad = ClusterConfig {
             topology: Topology {
                 keepalive: KeepAliveKind::Fixed { window_cycles: 0 },

@@ -71,7 +71,7 @@ use ignite_uarch::Cycle;
 pub use codec::{CodecConfig, CodecError};
 pub use fault::FaultPlan;
 pub use replay::{ReplayConfig, ReplayStats, ReplayStep};
-pub use store::{EvictionPolicy, MetadataStore, StoreConfig, StoreStats};
+pub use store::{MetadataStore, StoreConfig, StoreStats};
 
 use record::Recorder;
 use replay::Replayer;

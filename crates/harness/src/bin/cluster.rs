@@ -8,8 +8,7 @@
 //!   --cores N          simulated cores per node (default 4)
 //!   --nodes N          cluster nodes, each with its own cores, store
 //!                      and failure domain (default 1)
-//!   --scheduler P      placement policy: fifo, least-loaded, random[:N]
-//!                      (power-of-N-choices, default N=2), affinity
+//!   --scheduler P      placement policy: fifo, least-loaded, affinity
 //!                      (route to the node holding the function's Ignite
 //!                      metadata) (default fifo)
 //!   --keepalive P      pre-warm retention: none, fixed:CYCLES, or
@@ -24,8 +23,9 @@
 //!                      cycle) (default 60)
 //!   --zipf S           Zipf popularity exponent (default 1.0)
 //!   --horizon CYCLES   arrival horizon (default 4000000)
-//!   --capacity BYTES   metadata store capacity (default 262144)
-//!   --policy P         eviction: lru, size-aware, pin-hot (default lru)
+//!   --capacity BYTES   metadata store capacity, evicting the least
+//!                      recently used region keep-alive has not pinned
+//!                      (default 262144)
 //!   --jobs N           sweep worker threads, at most 256 (default 1;
 //!                      the sweep output is byte-identical at any job
 //!                      count)
@@ -100,7 +100,6 @@ use ignite_cluster::{
     ClusterSim, KeepAliveKind, ObsSummary, SchedulerKind, StaticPolicy, MAX_JOBS,
 };
 use ignite_control::{Controller, ControllerSpec};
-use ignite_core::EvictionPolicy;
 use ignite_engine::config::FrontEndConfig;
 use ignite_harness::cli::{self, Cursor, Exit};
 use ignite_obs::{
@@ -120,7 +119,7 @@ const TRACE_BUFFER_EVENTS: usize = 1 << 18;
 
 const USAGE: &str = "usage: cluster [--cores N] [--nodes N] [--scheduler P] [--keepalive P] \
      [--fe NAME] [--scale F] [--seed S] [--rate R] \
-     [--zipf S] [--horizon CYCLES] [--capacity BYTES] [--policy P] \
+     [--zipf S] [--horizon CYCLES] [--capacity BYTES] \
      [--jobs N] \
      [--sweep B1,B2,...] [--trace FILE] [--traffic SPEC] [--stats] \
      [--emit-trace FILE] [--out FILE] \
@@ -184,11 +183,6 @@ fn parse(argv: Vec<String>) -> Result<Args, Exit> {
             "--zipf" => args.cfg.arrival.zipf_s = it.parse(&arg)?,
             "--horizon" => args.cfg.arrival.horizon_cycles = it.parse(&arg)?,
             "--capacity" => args.cfg.store.capacity_bytes = it.parse(&arg)?,
-            "--policy" => {
-                let name = it.value(&arg)?;
-                args.cfg.store.policy = EvictionPolicy::parse(&name)
-                    .ok_or_else(|| usage(format!("unknown policy '{name}'")))?;
-            }
             "--jobs" => {
                 // Each worker is an OS thread simulating a whole cluster.
                 let jobs = it.parse(&arg)?;
@@ -287,34 +281,32 @@ fn front_end(name: &str) -> Option<FrontEndConfig> {
 fn run(mut args: Args) -> Result<(), Exit> {
     if let Some(path) = &args.validate {
         cli::load(path, ClusterReport::validate).map_err(fail)?;
-        println!("{path}: valid cluster report");
-        return Ok(());
+        return cli::print("cluster", format_args!("{path}: valid cluster report\n"));
     }
     if let Some(path) = &args.validate_trace {
         let summary = cli::load(path, validate_trace).map_err(fail)?;
         let (events, dropped) = (summary.total_events(), summary.dropped_events);
-        println!("{path}: valid trace, {events} events ({dropped} dropped)");
-        return Ok(());
+        let line = format!("{path}: valid trace, {events} events ({dropped} dropped)\n");
+        return cli::print("cluster", line);
     }
     let (traffic, mut controller) = check(&mut args)?;
     let trace = args.trace.as_deref().map(|path| cli::load(path, Trace::parse));
     let trace = trace.transpose().map_err(fail)?;
     let workload = || source(&args.cfg, &traffic, &trace);
     if args.stats {
-        stats(&args.cfg, &mut *workload()?);
+        stats(&args.cfg, &mut *workload()?)
     } else if let Some(path) = &args.emit_trace {
         // With --traffic the source is materialized into the same
         // ignite-trace-v1 format, so shaped workloads can be archived
         // and replayed through --trace like any other trace.
         let trace = Trace::from_source(&mut *workload()?);
         cli::write(path, trace.to_text()).map_err(fail)?;
-        println!("wrote {} arrivals to {path}", trace.arrivals.len());
+        cli::print("cluster", format_args!("wrote {} arrivals to {path}\n", trace.arrivals.len()))
     } else if let Some(capacities) = &args.sweep {
-        sweep(&args, capacities)?;
+        sweep(&args, capacities)
     } else {
-        simulate(&args, &mut *workload()?, controller.as_mut())?;
+        simulate(&args, &mut *workload()?, controller.as_mut())
     }
-    Ok(())
 }
 
 /// The configured workload as a stream: the traffic spec, a replayed
@@ -398,15 +390,15 @@ fn check(args: &mut Args) -> Result<(Option<TrafficSpec>, Option<Controller>), E
 
 /// `--stats`: the workload's fingerprint and each function's share of
 /// it, without simulating.
-fn stats(cfg: &ClusterConfig, source: &mut dyn ArrivalSource) {
+fn stats(cfg: &ClusterConfig, source: &mut dyn ArrivalSource) -> Result<(), Exit> {
     let mut accum = FingerprintAccum::new(source.functions());
     while let Some(a) = source.next_arrival() {
         accum.observe(a);
     }
     let fp = accum.finish();
-    println!(
+    let mut text = format!(
         "{} invocations | horizon {} cycles | rate {:.2}/Mcycle | \
-         interarrival cv2 {:.3} | zipf s_hat {:.3}",
+         interarrival cv2 {:.3} | zipf s_hat {:.3}\n",
         fp.arrivals, fp.horizon_cycles, fp.rate_per_mcycle, fp.interarrival_cv2, fp.zipf_s_hat
     );
     let suite = Suite::paper_suite_scaled(cfg.scale);
@@ -415,11 +407,12 @@ fn stats(cfg: &ClusterConfig, source: &mut dyn ArrivalSource) {
     shares.sort_by_key(|&(i, c)| (std::cmp::Reverse(c), i));
     for (i, count) in shares {
         let abbr = suite.functions().get(i).map_or("?", |f| f.profile.abbr.as_str());
-        println!(
-            "{abbr:>8}  {count:>8}  {:.4}",
+        text += &format!(
+            "{abbr:>8}  {count:>8}  {:.4}\n",
             if fp.arrivals == 0 { 0.0 } else { count as f64 / fp.arrivals as f64 }
         );
     }
+    cli::print("cluster", text)
 }
 
 /// `--sweep`: one table row per store capacity. Independent sweep points
@@ -429,23 +422,29 @@ fn sweep(args: &Args, capacities: &[usize]) -> Result<(), Exit> {
     let cfg = &args.cfg;
     let results = sweep_capacities(cfg, capacities, args.jobs);
     let mut metrics = args.metrics_out.as_ref().map(|_| MetricsRegistry::new());
-    println!(
-        "{:>12} {:>9} {:>10} {:>14} {:>14} {:>12}",
-        "capacity", "hit_rate", "evictions", "mean_lat_cyc", "p95_lat_cyc", "peak_bytes"
-    );
+    cli::print(
+        "cluster",
+        format_args!(
+            "{:>12} {:>9} {:>10} {:>14} {:>14} {:>12}\n",
+            "capacity", "hit_rate", "evictions", "mean_lat_cyc", "p95_lat_cyc", "peak_bytes"
+        ),
+    )?;
     let mut failures = 0;
     for (cap, r) in capacities.iter().zip(results) {
         match r {
             Ok(out) => {
-                println!(
-                    "{:>12} {:>9.3} {:>10} {:>14.0} {:>14} {:>12}",
-                    cap,
-                    out.store.hit_rate(),
-                    out.store.evictions,
-                    out.mean_latency,
-                    out.p95_latency,
-                    out.peak_footprint_bytes
-                );
+                cli::print(
+                    "cluster",
+                    format_args!(
+                        "{:>12} {:>9.3} {:>10} {:>14.0} {:>14} {:>12}\n",
+                        cap,
+                        out.store.hit_rate(),
+                        out.store.evictions,
+                        out.mean_latency,
+                        out.p95_latency,
+                        out.peak_footprint_bytes
+                    ),
+                )?;
                 if let Some(reg) = &mut metrics {
                     let mut point = cfg.clone();
                     point.store.capacity_bytes = *cap;
@@ -631,13 +630,13 @@ fn simulate(
         );
     }
     match &args.out {
-        None => print!("{text}"),
+        None => cli::print("cluster", text),
         Some(path) => {
             cli::write(path, &text).map_err(fail)?;
             eprintln!("wrote {path}");
+            Ok(())
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -675,6 +674,12 @@ mod tests {
             (&["--sweep", "1,x"], "cluster: bad value 'x' for --sweep"),
             (&["--jobs", "257"], "cluster: --jobs must be at most 256, got 257"),
             (&["--threads", "2"], "cluster: unknown argument '--threads'"),
+            (&["--policy", "lru"], "cluster: unknown argument '--policy'"),
+            (
+                &["--scheduler", "random:3"],
+                "cluster: --scheduler: unknown scheduler spec \"random:3\" \
+                 (want fifo, least-loaded, or affinity)",
+            ),
             (&["--fe", "x"], "cluster: unknown front-end 'x'"),
             (&["--slo", "min"], "cluster: --slo expects k=v pairs, got 'min'"),
             (&["--slo", "burn=0"], "cluster: --slo burn must be positive, got 0"),
@@ -758,7 +763,6 @@ mod tests {
             "--zipf",
             "--horizon",
             "--capacity",
-            "--policy",
             "--jobs",
             "--sweep",
             "--trace",
@@ -800,10 +804,8 @@ mod tests {
             specs.push(("--traffic", template.into()));
         }
         specs.extend(
-            [("--scheduler", "random:{}"), ("--keepalive", "fixed:{}")].map(|(f, t)| (f, t.into())),
-        );
-        specs.extend(
-            [("--keepalive", "hybrid:{}"), ("--sweep", "2048,{}")].map(|(f, t)| (f, t.into())),
+            [("--keepalive", "fixed:{}"), ("--keepalive", "hybrid:{}"), ("--sweep", "2048,{}")]
+                .map(|(f, t)| (f, t.into())),
         );
         for (flag, template) in &specs {
             for v in HOSTILE {

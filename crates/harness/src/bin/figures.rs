@@ -156,13 +156,16 @@ fn run(args: Args) -> Result<(), Exit> {
         jobs,
         |id, elapsed, outcome| match outcome {
             Ok(fig) => {
-                let text = fig.render();
-                println!("{text}");
-                eprintln!("[{id} done in {elapsed:.1?}]");
+                let text = fig.render() + "\n";
                 rendered.push_str(&text);
-                rendered.push('\n');
+                cli::print("figures", text)?;
+                eprintln!("[{id} done in {elapsed:.1?}]");
+                Ok(())
             }
-            Err(msg) => eprintln!("[{id} FAILED after {elapsed:.1?}: {msg}]"),
+            Err(msg) => {
+                eprintln!("[{id} FAILED after {elapsed:.1?}: {msg}]");
+                Ok(())
+            }
         },
         |failed| format!("{failed} of {} figure(s) failed:", args.ids.len()),
     );

@@ -101,8 +101,7 @@ fn run(command: Command) -> Result<(), Exit> {
     match command {
         Command::Validate(path) => {
             cli::load(&path, ScopeReport::validate).map_err(fail)?;
-            println!("{path}: valid {}", ignite_scope::SCOPE_SCHEMA);
-            Ok(())
+            cli::print("scope", format_args!("{path}: valid {}\n", ignite_scope::SCOPE_SCHEMA))
         }
         Command::Diff(args) => compare(args),
     }
@@ -134,7 +133,7 @@ fn compare(args: Diff) -> Result<(), Exit> {
         )));
     }
     let report = diff(&old.samples, &new.samples, args.threshold);
-    print!("{}", report.to_text());
+    cli::print("scope", report.to_text())?;
     if report.regressions() > 0 && !args.advisory {
         // The report printed says what regressed.
         return Err(Exit::Failure(String::new()));

@@ -255,6 +255,7 @@ fn run((scale, sweeps): (f64, Vec<Sweep>)) -> Result<(), Exit> {
             if let Err(msg) = result {
                 eprintln!("[sweep {name} FAILED: {msg}]");
             }
+            Ok(())
         },
         |failed| format!("{failed} sweep(s) failed:"),
     )

@@ -1,12 +1,13 @@
 //! What the four binaries share: how they stop short ([`Exit`]), their
-//! arguments ([`args`]) and a cursor over them, reading and writing a
-//! named file, and the panic-isolated loop over named jobs. Their
-//! parsers and modes return `Result<_, Exit>`, and only `main` turns an
-//! [`Exit`] into output and an exit code, so a unit test can call a
-//! parser with any input.
+//! arguments ([`args`]) and a cursor over them, writing stdout, reading
+//! and writing a named file, and the panic-isolated loop over named jobs.
+//! Their parsers and modes return `Result<_, Exit>`, and only `main`
+//! turns an [`Exit`] into output and an exit code, so a unit test can
+//! call a parser with any input.
 
 use std::ffi::OsString;
 use std::fmt::Display;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -111,6 +112,16 @@ impl Iterator for Cursor {
     }
 }
 
+/// Writes `text` to stdout and flushes it, or fails with "`{bin}: cannot
+/// write stdout: {e}`" (exit 1) where `print!` would panic, as on a pipe
+/// whose reader has gone.
+pub fn print(bin: &str, text: impl Display) -> Result<(), Exit> {
+    let mut out = std::io::stdout().lock();
+    write!(out, "{text}")
+        .and_then(|()| out.flush())
+        .map_err(|e| Exit::Failure(format!("{bin}: cannot write stdout: {e}")))
+}
+
 /// The text of the file at `path`, or "`cannot read {path}: {e}`".
 pub fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
@@ -133,22 +144,23 @@ pub fn write(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
 
 /// Runs each named job in order, each under `catch_unwind`, so one that
 /// panics does not cost the rest of a long run, and hands `done` each
-/// name with its run time and its result or panic message. When any
-/// panicked, the failure lists each such name and message under
+/// name with its run time and its result or panic message. The first
+/// error `done` returns stops the run and is its failure; otherwise, when
+/// any job panicked, the failure lists each such name and message under
 /// `failed(count)`.
 pub fn run_isolated<'a, T, F: FnOnce() -> T>(
     jobs: impl IntoIterator<Item = (&'a str, F)>,
-    mut done: impl FnMut(&str, Duration, Result<T, &str>),
+    mut done: impl FnMut(&str, Duration, Result<T, &str>) -> Result<(), Exit>,
     failed: impl FnOnce(usize) -> String,
 ) -> Result<(), Exit> {
     let mut failures = Vec::new();
     for (name, job) in jobs {
         let start = Instant::now();
         match catch_unwind(AssertUnwindSafe(job)) {
-            Ok(value) => done(name, start.elapsed(), Ok(value)),
+            Ok(value) => done(name, start.elapsed(), Ok(value))?,
             Err(payload) => {
                 let message = panic_message(payload);
-                done(name, start.elapsed(), Err(&message));
+                done(name, start.elapsed(), Err(&message))?;
                 failures.push(format!("\n  {name}: {message}"));
             }
         }
@@ -212,7 +224,8 @@ mod tests {
     }
 
     /// A panicking job does not stop the next one, reaches `done` with its
-    /// message, and is listed in the failure, in order.
+    /// message, and is listed in the failure, in order; an error from
+    /// `done` stops the run there and is its failure.
     #[test]
     fn a_panicking_job_is_isolated_and_listed() {
         type Job = (&'static str, fn() -> u32);
@@ -220,12 +233,26 @@ mod tests {
         let jobs: [Job; 3] = [("a", || 1), ("b", || panic!("boom")), ("c", || panic!("bang"))];
         let result = run_isolated(
             jobs,
-            |name, _, r| seen.push(format!("{name} {r:?}")),
+            |name, _, r| {
+                seen.push(format!("{name} {r:?}"));
+                Ok(())
+            },
             |n| format!("{n} failed:"),
         );
         assert_eq!(seen, ["a Ok(1)", "b Err(\"boom\")", "c Err(\"bang\")"]);
         assert_eq!(result, Err(Exit::Failure("\n2 failed:\n  b: boom\n  c: bang".into())));
         let none: [(&str, fn()); 1] = [("a", || ())];
-        assert_eq!(run_isolated(none, |_, _, _| {}, |_| unreachable!()), Ok(()));
+        assert_eq!(run_isolated(none, |_, _, _| Ok(()), |_| unreachable!()), Ok(()));
+        let mut ran = 0;
+        let stop = Exit::Failure("stop".into());
+        let result = run_isolated(
+            jobs,
+            |_, _, _| {
+                ran += 1;
+                Err(stop.clone())
+            },
+            |_| unreachable!(),
+        );
+        assert_eq!((ran, result), (1, Err(stop)));
     }
 }

@@ -268,9 +268,11 @@ fn cli_rejects_bad_topology_specs_with_nonzero_exit() {
     let (code, err) = run(&["--keepalive", "fixed:0"]);
     assert_eq!(code, Some(2), "zero window must be a usage error: {err}");
     assert!(err.contains("window_cycles"), "stderr: {err}");
-    let (code, err) = run(&["--scheduler", "random:0"]);
-    assert_eq!(code, Some(2), "zero choices must be a usage error: {err}");
-    assert!(err.contains("choices"), "stderr: {err}");
+    for spec in ["random", "random:3"] {
+        let (code, err) = run(&["--scheduler", spec]);
+        assert_eq!(code, Some(2), "{spec} must be a usage error: {err}");
+        assert!(err.contains("(want fifo, least-loaded, or affinity)"), "stderr: {err}");
+    }
     let (code, err) = run(&["--nodes", "0"]);
     assert_eq!(code, Some(1), "zero nodes must fail validation: {err}");
     assert!(err.contains("topology.nodes"), "stderr: {err}");
@@ -292,7 +294,7 @@ fn cli_multinode_report_round_trips_through_validate() {
             "--cores",
             "2",
             "--scheduler",
-            "random:3",
+            "least-loaded",
             "--keepalive",
             "hybrid:40000",
             "--horizon",
@@ -313,7 +315,7 @@ fn cli_multinode_report_round_trips_through_validate() {
         String::from_utf8_lossy(&check.stderr)
     );
     let text = std::fs::read_to_string(&report).expect("report written");
-    assert!(text.contains("\"scheduler\": \"random:3\""));
+    assert!(text.contains("\"scheduler\": \"least-loaded\""));
     assert!(text.contains("\"keepalive\": \"hybrid:40000\""));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -491,7 +491,7 @@ fn each_exposition_is_its_reports_flattened() {
 }
 
 /// The naming rule on the committed reports: each cluster golden
-/// flattens to 534–700 samples and the scope golden to 245, no two with
+/// flattens to 531–697 samples and the scope golden to 245, no two with
 /// the same name and labels, and none at or above 2^53, past which this
 /// file's `f64` samples no longer hold every integer.
 #[test]
@@ -501,7 +501,7 @@ fn committed_reports_flatten_to_distinct_exact_samples() {
         let mut samples = Samples::default();
         flatten_file(&repo_path(&format!("tests/golden/{file}.json")), report, &[], &mut samples);
         let n = samples.values.len();
-        let want = if report == "scope" { 245..=245 } else { 534..=700 };
+        let want = if report == "scope" { 245..=245 } else { 531..=697 };
         assert!(want.contains(&n), "{file}: {n} samples");
         let big = samples.values.iter().find(|(_, &v)| v.abs() >= 2f64.powi(53));
         assert!(big.is_none(), "{file}: {big:?} is past 2^53");
