@@ -85,14 +85,7 @@ impl ChaosPlan {
             straggle_factor_milli: 2_000,
             store_unavail_mtbf_cycles: 200_000,
             store_unavail_duration_cycles: 30_000,
-            store_fault: FaultPlan {
-                seed: 0,
-                bit_flip_ppm: 200,
-                stale_ppm: 0,
-                truncate_ppm: 0,
-                duplicate_ppm: 0,
-                loss_ppm: 20_000,
-            },
+            store_fault: FaultPlan { seed: 0, bit_flip_ppm: 200, stale_ppm: 0, loss_ppm: 20_000 },
             dispatch_drop_ppm: 20_000,
         }
     }

@@ -1809,7 +1809,6 @@ mod tests {
         // trigger watchdog, so stalled replays abandon instead of pending.
         ig.replay.throttle_threshold = 0;
         ig.replay.watchdog_stall_steps = 4;
-        ig.replay.prefetch_instructions = false;
         let out = ClusterSim::new(cfg).run();
         let total = out.total_result();
         assert!(total.replay.watchdog_abandons > 0, "config must force abandons");

@@ -17,7 +17,8 @@
 //! 7-bit branch-PC / 21-bit target; §5.3: 21-bit branch-PC / 7-bit target).
 //! Both are constructible here; the default (9-bit source, 21-bit target) is
 //! the empirical compression optimum for this repository's workloads — see
-//! the `codec_widths` ablation bench.
+//! the `sweep codec` ablation, which re-encodes a recorded region at seven
+//! width pairs. Ignite itself always encodes with the default.
 
 use std::fmt;
 

@@ -2,26 +2,22 @@
 //!
 //! Ignite's metadata lives in plain main memory between invocations (§4.3),
 //! with no hardware protection: by the time it is replayed it may have been
-//! partially overwritten, truncated by an interrupted writeback, or gone
-//! stale because the function's code changed underneath it. The paper's
-//! correctness argument (§4.2) is that all of these degrade into ordinary
-//! front-end misses — never incorrect execution, never pathological
-//! slowdown. This module makes that claim testable: a [`FaultPlan`] mutates
-//! the serialized region image deterministically between the write of one
-//! invocation and the read of the next, so experiments (`sweep faults`) can
-//! measure the degradation curve instead of assuming it.
+//! partially overwritten, lost, or gone stale because the function's code
+//! changed underneath it. The paper's correctness argument (§4.2) is that
+//! all of these degrade into ordinary front-end misses — never incorrect
+//! execution, never pathological slowdown. This module makes that claim
+//! testable: a [`FaultPlan`] mutates the serialized region image
+//! deterministically between the write of one invocation and the read of
+//! the next, so experiments (`sweep faults`) can measure the degradation
+//! curve instead of assuming it.
 //!
-//! Five fault classes are modelled, each with an independent rate:
+//! Three fault classes are modelled, each with an independent rate:
 //!
 //! * **bit flips** — each payload/header bit flips independently;
-//! * **truncation** — the region image is cut at a random byte (partial
-//!   write, as in interrupted snapshot restoration);
 //! * **staleness** — a fraction of recorded branches are re-targeted to a
 //!   nearby wrong address, simulating code drift between invocations; the
 //!   region is re-encoded with a *valid* checksum, so these faults flow all
 //!   the way to the BTB and must be corrected by the resteer path;
-//! * **duplication** — a span of the image is copied over another location
-//!   (torn/replayed write);
 //! * **whole-region loss** — the region vanishes (container migration,
 //!   page reclaimed), leaving the invocation to run cold.
 //!
@@ -49,10 +45,6 @@ pub struct FaultPlan {
     pub bit_flip_ppm: u32,
     /// Per-entry probability of re-targeting a recorded branch.
     pub stale_ppm: u32,
-    /// Per-invocation probability of truncating the image at a random byte.
-    pub truncate_ppm: u32,
-    /// Per-invocation probability of duplicating a span over another.
-    pub duplicate_ppm: u32,
     /// Per-invocation probability of losing the whole region.
     pub loss_ppm: u32,
 }
@@ -60,14 +52,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The inert plan: no faults ever fire.
     pub const fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            bit_flip_ppm: 0,
-            stale_ppm: 0,
-            truncate_ppm: 0,
-            duplicate_ppm: 0,
-            loss_ppm: 0,
-        }
+        FaultPlan { seed: 0, bit_flip_ppm: 0, stale_ppm: 0, loss_ppm: 0 }
     }
 
     /// Converts a `[0, 1]` rate to parts per million, saturating.
@@ -88,11 +73,7 @@ impl FaultPlan {
 
     /// Whether any fault class has a nonzero rate.
     pub fn is_active(&self) -> bool {
-        self.bit_flip_ppm > 0
-            || self.stale_ppm > 0
-            || self.truncate_ppm > 0
-            || self.duplicate_ppm > 0
-            || self.loss_ppm > 0
+        self.bit_flip_ppm > 0 || self.stale_ppm > 0 || self.loss_ppm > 0
     }
 
     /// Applies the plan to a stored region as it is read for `invocation`
@@ -126,21 +107,10 @@ impl FaultPlan {
         // the wrong targets reach the BTB to be fixed by resteers.
         let md = if self.stale_ppm > 0 { self.retarget(md, &mut rng) } else { md.clone() };
 
-        if self.bit_flip_ppm == 0 && self.truncate_ppm == 0 && self.duplicate_ppm == 0 {
+        if self.bit_flip_ppm == 0 {
             return Ok(Some(md));
         }
         let mut image = md.to_bytes();
-        if chance_ppm(&mut rng, self.duplicate_ppm) && image.len() >= 2 {
-            let len = rng.range_inclusive(1, (image.len() as u64 / 2).max(1)).min(64) as usize;
-            let src = rng.next_below((image.len() - len + 1) as u64) as usize;
-            let dst = rng.next_below((image.len() - len + 1) as u64) as usize;
-            let span = image[src..src + len].to_vec();
-            image[dst..dst + len].copy_from_slice(&span);
-        }
-        if chance_ppm(&mut rng, self.truncate_ppm) && !image.is_empty() {
-            let keep = rng.next_below(image.len() as u64) as usize;
-            image.truncate(keep);
-        }
         flip_bits(&mut image, self.bit_flip_ppm, &mut rng);
         Metadata::from_bytes(&image).map(Some)
     }
@@ -293,20 +263,6 @@ mod tests {
             orig.iter().zip(&mutated).all(|(a, b)| a.branch_pc == b.branch_pc),
             "staleness must not move branch PCs"
         );
-    }
-
-    #[test]
-    fn truncation_yields_structural_or_checksum_error() {
-        let md = sample(80);
-        let plan = FaultPlan { truncate_ppm: PPM_SCALE, seed: 9, ..FaultPlan::none() };
-        for inv in 0..10 {
-            if let Ok(Some(out)) = plan.apply(&md, 1, inv) {
-                assert!(
-                    out == md || out.validate().is_err(),
-                    "truncated region validated cleanly at inv {inv}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -76,14 +76,13 @@ pub use store::{MetadataStore, StoreConfig, StoreStats};
 use record::Recorder;
 use replay::Replayer;
 
-/// Top-level Ignite configuration (§5.3 defaults).
+/// Top-level Ignite configuration (§5.3 defaults). Metadata is encoded
+/// with [`CodecConfig::default`]'s delta widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IgniteConfig {
-    /// Metadata delta compression widths.
-    pub codec: CodecConfig,
     /// Per-container metadata region size (record budget); paper: 120 KiB.
     pub metadata_budget_bytes: usize,
-    /// Replay pacing, throttling and restoration policy.
+    /// Replay throttling, restoration policy and safety checks.
     pub replay: ReplayConfig,
     /// Fault injection applied to stored regions between invocations
     /// (inert by default; used by the robustness experiments).
@@ -93,7 +92,6 @@ pub struct IgniteConfig {
 impl Default for IgniteConfig {
     fn default() -> Self {
         IgniteConfig {
-            codec: CodecConfig::default(),
             metadata_budget_bytes: 120 * 1024,
             replay: ReplayConfig::default(),
             faults: FaultPlan::none(),
@@ -175,7 +173,7 @@ impl Ignite {
         let (cfg, scratch, lines) = (&self.cfg, &mut self.scratch, &mut self.lines);
         self.recorder = plan.record.then(|| {
             let bits = std::mem::take(&mut scratch.bits);
-            Recorder::with_buffer(cfg.codec, cfg.metadata_budget_bytes, bits)
+            Recorder::with_buffer(CodecConfig::default(), cfg.metadata_budget_bytes, bits)
         });
         self.replayer = plan.replay_metadata.as_deref().map(|md| {
             let entries = std::mem::take(&mut scratch.entries);
@@ -291,8 +289,8 @@ impl Ignite {
             let (recorded, bits) = recorder.finish_reusing();
             self.scratch.bits = bits;
             if replayed {
-                let scratch = &mut self.scratch;
-                self.os.function_finished_merge(container, recorded, self.cfg.codec, scratch);
+                let codec = CodecConfig::default();
+                self.os.function_finished_merge(container, recorded, codec, &mut self.scratch);
             } else {
                 self.os.function_finished(container, Some(recorded));
             }
@@ -422,7 +420,6 @@ mod tests {
             replay: ReplayConfig {
                 throttle_threshold: 0,
                 watchdog_stall_steps: 8,
-                prefetch_instructions: false,
                 ..ReplayConfig::default()
             },
             ..IgniteConfig::default()

@@ -29,22 +29,20 @@ use ignite_uarch::Cycle;
 
 use crate::codec::Metadata;
 
-/// Replay pacing and policy.
+/// Records restored per cycle.
+pub const ENTRIES_PER_CYCLE: u64 = 2;
+/// Longest chained code run prefetched per record, in bytes (guards
+/// against metadata corruption producing runaway prefetch).
+pub const MAX_CHAIN_BYTES: u64 = 4_096;
+
+/// Replay throttling and policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayConfig {
-    /// Records restored per cycle.
-    pub entries_per_cycle: u32,
     /// Pause replay while more than this many restored BTB entries are
     /// still untouched (§5.3: 1 K).
     pub throttle_threshold: u64,
     /// Bimodal initialization policy for restored conditionals.
     pub bim_policy: BimInitPolicy,
-    /// Longest chained code run prefetched per record, in bytes (guards
-    /// against metadata corruption producing runaway prefetch).
-    pub max_chain_bytes: u64,
-    /// Whether to issue L2 instruction prefetches (disabled in the
-    /// BTB/BIM-only ablations).
-    pub prefetch_instructions: bool,
     /// Verify the region checksum before trusting it; a failing region is
     /// dropped wholesale (counted in [`ReplayStats::decode_errors`]).
     pub validate_metadata: bool,
@@ -58,11 +56,8 @@ pub struct ReplayConfig {
 impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
-            entries_per_cycle: 2,
             throttle_threshold: 1_000,
             bim_policy: BimInitPolicy::WeaklyTaken,
-            max_chain_bytes: 4_096,
-            prefetch_instructions: true,
             validate_metadata: true,
             watchdog_stall_steps: 20_000,
         }
@@ -340,7 +335,7 @@ impl Replayer {
             out.throttled = true;
             return progress;
         }
-        for _ in 0..self.cfg.entries_per_cycle {
+        for _ in 0..ENTRIES_PER_CYCLE {
             let Some(&entry) = self.entries.get(self.cursor) else {
                 break;
             };
@@ -369,21 +364,19 @@ impl Replayer {
                 self.stats.itlb_warmed += 1;
             }
             // 5. Queue the code run ending at this branch for L2 prefetch.
-            if self.cfg.prefetch_instructions {
-                let run_start = match self.prev_target {
-                    Some(t)
-                        if t <= entry.branch_pc
-                            && t.delta_to(entry.branch_pc) as u64 <= self.cfg.max_chain_bytes =>
-                    {
-                        t
-                    }
-                    _ => entry.branch_pc,
-                };
-                let run_bytes = run_start.delta_to(entry.branch_pc).unsigned_abs() + 4;
-                for line in lines_spanned(run_start, run_bytes) {
-                    if !hierarchy.probe_l2(line) {
-                        self.pending_lines.push_back(line);
-                    }
+            let run_start = match self.prev_target {
+                Some(t)
+                    if t <= entry.branch_pc
+                        && t.delta_to(entry.branch_pc) as u64 <= MAX_CHAIN_BYTES =>
+                {
+                    t
+                }
+                _ => entry.branch_pc,
+            };
+            let run_bytes = run_start.delta_to(entry.branch_pc).unsigned_abs() + 4;
+            for line in lines_spanned(run_start, run_bytes) {
+                if !hierarchy.probe_l2(line) {
+                    self.pending_lines.push_back(line);
                 }
             }
             self.prev_target = Some(entry.target);
@@ -462,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn pacing_limits_entries_per_cycle() {
+    fn pacing_limits_records_per_cycle() {
         let mut m = machine();
         let entries: Vec<_> = (0..10u64)
             .map(|i| {
@@ -476,7 +469,7 @@ mod tests {
         let md = metadata(&entries);
         let mut replay = Replayer::new(&md, ReplayConfig::default());
         let step = replay.step(0, &mut m.btb, &mut m.cbp, &mut m.itlb, &mut m.hierarchy);
-        assert_eq!(step.entries_restored, 2);
+        assert_eq!(step.entries_restored, ENTRIES_PER_CYCLE);
         assert!(!replay.is_done());
     }
 
@@ -526,19 +519,6 @@ mod tests {
         run_to_completion(&mut replay, &mut m);
         assert_eq!(replay.stats().bim_initialized, 0);
         assert!(!m.cbp.bimodal().predict(Addr::new(0x1020)), "default counter untouched");
-    }
-
-    #[test]
-    fn instruction_prefetch_can_be_disabled() {
-        let mut m = machine();
-        let entries =
-            [BtbEntry::new(Addr::new(0x1020), Addr::new(0x1100), BranchKind::Conditional)];
-        let md = metadata(&entries);
-        let cfg = ReplayConfig { prefetch_instructions: false, ..ReplayConfig::default() };
-        let mut replay = Replayer::new(&md, cfg);
-        run_to_completion(&mut replay, &mut m);
-        assert!(!m.hierarchy.probe_l2(Addr::new(0x1020)));
-        assert!(m.btb.probe(Addr::new(0x1020)).is_some());
     }
 
     #[test]
@@ -637,7 +617,6 @@ mod tests {
         let cfg = ReplayConfig {
             throttle_threshold: 0,
             watchdog_stall_steps: 8,
-            prefetch_instructions: false,
             ..ReplayConfig::default()
         };
         let mut replay = Replayer::new(&md, cfg);

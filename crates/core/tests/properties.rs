@@ -309,11 +309,13 @@ proptest! {
     /// entries (possible: an even number of flips on the same bit is a
     /// no-op) or yields a typed `CodecError` somewhere in the pipeline
     /// (structural parse, checksum validation, or mid-stream decode) —
-    /// never a panic, never silently different entries.
+    /// never a panic, never silently different entries. About half the
+    /// images are also cut short after the flips, as by a partial write.
     #[test]
     fn mutated_image_roundtrips_or_yields_codec_error(
         entries in arb_chain(),
         flips in prop::collection::vec((any::<usize>(), 0u32..8), 1..16),
+        cut in any::<usize>(),
     ) {
         let mut enc = Encoder::new(CodecConfig::default());
         for e in &entries {
@@ -324,6 +326,8 @@ proptest! {
             let i = pos % bytes.len();
             bytes[i] ^= 1 << bit;
         }
+        // A length at or past the end leaves the image whole.
+        bytes.truncate(cut % (2 * bytes.len()));
         // Err at any stage is the detected-corruption arm; full success
         // must mean the mutation was a no-op and the stream round-trips.
         if let Ok(md) = Metadata::from_bytes(&bytes) {

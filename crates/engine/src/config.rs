@@ -2,9 +2,6 @@
 //! state policies (§3.2, §5.3).
 
 use ignite_core::IgniteConfig;
-use ignite_prefetch::boomerang::BoomerangConfig;
-use ignite_prefetch::confluence::ConfluenceConfig;
-use ignite_prefetch::jukebox::JukeboxConfig;
 use ignite_uarch::bimodal::BimInitPolicy;
 
 /// Which microarchitectural state survives between two invocations of the
@@ -15,43 +12,26 @@ use ignite_uarch::bimodal::BimInitPolicy;
 /// back-to-back run preserves everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatePolicy {
-    /// Preserve L1-I/L2/LLC contents.
+    /// Preserve the L1-I/L2/LLC and ITLB contents and the back-end data
+    /// working set (no cold data misses).
     pub warm_caches: bool,
-    /// Preserve ITLB contents.
-    pub warm_itlb: bool,
     /// Preserve the BTB.
     pub warm_btb: bool,
     /// Preserve the bimodal tables (otherwise they are randomized).
     pub warm_bim: bool,
     /// Preserve the TAGE tables (otherwise they are cleared).
     pub warm_tage: bool,
-    /// Preserve the back-end data working set (no cold data misses).
-    pub warm_data: bool,
 }
 
 impl StatePolicy {
     /// The lukewarm interleaving protocol: flush everything, randomize BIM.
     pub const fn lukewarm() -> Self {
-        StatePolicy {
-            warm_caches: false,
-            warm_itlb: false,
-            warm_btb: false,
-            warm_bim: false,
-            warm_tage: false,
-            warm_data: false,
-        }
+        StatePolicy { warm_caches: false, warm_btb: false, warm_bim: false, warm_tage: false }
     }
 
     /// Back-to-back invocations: everything stays warm.
     pub const fn back_to_back() -> Self {
-        StatePolicy {
-            warm_caches: true,
-            warm_itlb: true,
-            warm_btb: true,
-            warm_bim: true,
-            warm_tage: true,
-            warm_data: true,
-        }
+        StatePolicy { warm_caches: true, warm_btb: true, warm_bim: true, warm_tage: true }
     }
 
     /// Lukewarm but with a preserved BTB (Fig. 4, second bar).
@@ -79,11 +59,11 @@ pub struct FrontEndSelect {
     /// Decoupled front-end (FDP): FTQ run-ahead with L1-I prefetching.
     pub fdp: bool,
     /// Boomerang BTB prefilling (implies FDP).
-    pub boomerang: Option<BoomerangConfig>,
+    pub boomerang: bool,
     /// Jukebox L2 record/replay.
-    pub jukebox: Option<JukeboxConfig>,
+    pub jukebox: bool,
     /// Confluence temporal streaming.
-    pub confluence: Option<ConfluenceConfig>,
+    pub confluence: bool,
     /// Ignite record/replay restoration.
     pub ignite: Option<IgniteConfig>,
     /// Ideal front-end: perfect L1-I, perfect BTB, pre-trained CBP.
@@ -107,9 +87,9 @@ impl FrontEndConfig {
             name: name.to_string(),
             select: FrontEndSelect {
                 fdp: false,
-                boomerang: None,
-                jukebox: None,
-                confluence: None,
+                boomerang: false,
+                jukebox: false,
+                confluence: false,
                 ignite: None,
                 ideal: false,
             },
@@ -133,14 +113,14 @@ impl FrontEndConfig {
     pub fn boomerang() -> Self {
         let mut c = FrontEndConfig::base("Boomerang");
         c.select.fdp = true;
-        c.select.boomerang = Some(BoomerangConfig::default());
+        c.select.boomerang = true;
         c
     }
 
     /// Jukebox on the NL baseline.
     pub fn jukebox() -> Self {
         let mut c = FrontEndConfig::base("Jukebox");
-        c.select.jukebox = Some(JukeboxConfig::default());
+        c.select.jukebox = true;
         c
     }
 
@@ -148,15 +128,15 @@ impl FrontEndConfig {
     pub fn boomerang_jukebox() -> Self {
         let mut c = FrontEndConfig::base("Boomerang + JB");
         c.select.fdp = true;
-        c.select.boomerang = Some(BoomerangConfig::default());
-        c.select.jukebox = Some(JukeboxConfig::default());
+        c.select.boomerang = true;
+        c.select.jukebox = true;
         c
     }
 
     /// Confluence temporal streaming on the NL baseline.
     pub fn confluence() -> Self {
         let mut c = FrontEndConfig::base("Confluence");
-        c.select.confluence = Some(ConfluenceConfig::default());
+        c.select.confluence = true;
         c
     }
 
@@ -182,7 +162,7 @@ impl FrontEndConfig {
     pub fn ignite_boomerang() -> Self {
         let mut c = FrontEndConfig::base("Ignite + Boomerang");
         c.select.fdp = true;
-        c.select.boomerang = Some(BoomerangConfig::default());
+        c.select.boomerang = true;
         c.select.ignite = Some(IgniteConfig::default());
         c
     }
@@ -190,7 +170,7 @@ impl FrontEndConfig {
     /// Confluence combined with Ignite (§6.5).
     pub fn confluence_ignite() -> Self {
         let mut c = FrontEndConfig::base("Confluence + Ignite");
-        c.select.confluence = Some(ConfluenceConfig::default());
+        c.select.confluence = true;
         c.select.ignite = Some(IgniteConfig::default());
         c
     }
@@ -262,18 +242,18 @@ mod tests {
     #[test]
     fn back_to_back_keeps_everything() {
         let p = StatePolicy::back_to_back();
-        assert!(p.warm_caches && p.warm_btb && p.warm_bim && p.warm_tage && p.warm_data);
+        assert!(p.warm_caches && p.warm_btb && p.warm_bim && p.warm_tage);
     }
 
     #[test]
     fn named_configs_have_expected_mechanisms() {
         assert!(!FrontEndConfig::nl().select.fdp);
-        assert!(FrontEndConfig::boomerang().select.boomerang.is_some());
+        assert!(FrontEndConfig::boomerang().select.boomerang);
         assert!(FrontEndConfig::boomerang().select.fdp);
-        assert!(FrontEndConfig::jukebox().select.jukebox.is_some());
+        assert!(FrontEndConfig::jukebox().select.jukebox);
         assert!(!FrontEndConfig::jukebox().select.fdp, "Jukebox rides the NL baseline");
         let bjb = FrontEndConfig::boomerang_jukebox();
-        assert!(bjb.select.boomerang.is_some() && bjb.select.jukebox.is_some());
+        assert!(bjb.select.boomerang && bjb.select.jukebox);
         assert!(FrontEndConfig::ignite().select.ignite.is_some());
         assert!(FrontEndConfig::ignite().select.fdp, "Ignite is implemented on FDP");
         assert!(FrontEndConfig::ideal().select.ideal);

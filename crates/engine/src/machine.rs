@@ -141,9 +141,9 @@ impl Machine {
             cbp: Cbp::new(&uarch.cbp),
             ras: Ras::new(&uarch.ras),
             nl: NextLine::new(NL_DEGREE),
-            boomerang: fe.select.boomerang.map(Boomerang::new),
-            jukebox: fe.select.jukebox.map(Jukebox::new),
-            confluence: fe.select.confluence.map(Confluence::new),
+            boomerang: fe.select.boomerang.then(Boomerang::default),
+            jukebox: fe.select.jukebox.then(Jukebox::default),
+            confluence: fe.select.confluence.then(Confluence::default),
             ignite: fe.select.ignite.map(Ignite::new),
             now: 0,
             flush_rng: SplitMix64::new(FLUSH_SEED),
@@ -167,9 +167,9 @@ impl Machine {
         self.cbp.reset();
         self.ras = Ras::new(&self.uarch.ras);
         self.nl = NextLine::new(NL_DEGREE);
-        self.boomerang = self.fe.select.boomerang.map(Boomerang::new);
-        self.jukebox = self.fe.select.jukebox.map(Jukebox::new);
-        self.confluence = self.fe.select.confluence.map(Confluence::new);
+        self.boomerang = self.fe.select.boomerang.then(Boomerang::default);
+        self.jukebox = self.fe.select.jukebox.then(Jukebox::default);
+        self.confluence = self.fe.select.confluence.then(Confluence::default);
         self.ignite = self.fe.select.ignite.map(Ignite::new);
         self.now = 0;
         self.flush_rng = SplitMix64::new(FLUSH_SEED);
@@ -183,8 +183,6 @@ impl Machine {
         let p = self.fe.policy;
         if !p.warm_caches {
             self.hierarchy.flush_all();
-        }
-        if !p.warm_itlb {
             self.itlb.flush();
         }
         if !p.warm_btb {

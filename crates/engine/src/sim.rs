@@ -21,6 +21,7 @@
 //!   data-stall model (DESIGN.md §5).
 
 use ignite_obs::{Event, EventKind, EventSink, NullSink, Phase, Track};
+use ignite_prefetch::boomerang::PREDECODE_LATENCY;
 use ignite_uarch::addr::{lines_spanned, LINE_BYTES};
 use ignite_uarch::btb::{BranchKind, BtbEntry};
 use ignite_uarch::cache::FillKind;
@@ -93,7 +94,7 @@ impl Default for InvocationCtx {
 /// `invocation` seeds the trace walker; consecutive invocations of the same
 /// function share most control flow (the commonality Ignite exploits).
 pub fn run_invocation(m: &mut Machine, f: &PreparedFunction, invocation: u64) -> InvocationResult {
-    let data_cold_fraction = if m.fe.policy.warm_data { 0.0 } else { 1.0 };
+    let data_cold_fraction = if m.fe.policy.warm_caches { 0.0 } else { 1.0 };
     run_invocation_ctx(m, f, invocation, InvocationCtx { data_cold_fraction, bypass_ignite: false })
 }
 
@@ -599,7 +600,7 @@ fn evaluate(m: &mut Machine, f: &PreparedFunction, block: &BlockExec, lookahead:
                     // identification with the same line-fetch+predecode
                     // latency.
                     if let Some(r) = m.hierarchy.prefetch_l1i(br.pc, m.now, FillKind::Prefetch) {
-                        if r.ready_at + 6 <= needed_at {
+                        if r.ready_at + PREDECODE_LATENCY <= needed_at {
                             identified = Some(BtbEntry::new(br.pc, br.target, BranchKind::Return));
                         }
                     } else {

@@ -17,6 +17,7 @@
 //! sweeps: codec budget throttle btb-size divergence host faults | all
 //! ```
 
+use std::fmt::Display;
 use std::process::ExitCode;
 
 use ignite_core::codec::CodecConfig;
@@ -29,12 +30,17 @@ use ignite_uarch::btb::BtbConfig;
 use ignite_uarch::UarchConfig;
 use ignite_workloads::check_scale;
 
-fn header(title: &str) {
-    println!("\n## {title}\n");
+/// Writes one line of a sweep's table to stdout ([`cli::print`]).
+fn line(text: impl Display) -> Result<(), Exit> {
+    cli::print("sweep", format_args!("{text}\n"))
 }
 
-fn sweep_codec(h: &Harness) {
-    header("Codec delta widths (bits source/target; §4.1 vs §5.3 disagree)");
+fn header(title: &str) -> Result<(), Exit> {
+    line(format_args!("\n## {title}\n"))
+}
+
+fn sweep_codec(h: &Harness) -> Result<(), Exit> {
+    header("Codec delta widths (bits source/target; §4.1 vs §5.3 disagree)")?;
     // Record real metadata by running one function, then re-encode the
     // decoded stream under each width pair. The recorded region is read
     // back through the OS model, exactly as replay would see it.
@@ -50,7 +56,10 @@ fn sweep_codec(h: &Harness) {
         .expect("recording stored a metadata region")
         .clone();
     let entries: Vec<_> = reference.decode().collect();
-    println!("{:>6} {:>6} {:>12} {:>12} {:>10}", "src", "tgt", "bytes", "bits/entry", "fallback%");
+    line(format_args!(
+        "{:>6} {:>6} {:>12} {:>12} {:>10}",
+        "src", "tgt", "bytes", "bits/entry", "fallback%"
+    ))?;
     for (src, tgt) in [(7, 21), (9, 21), (13, 13), (21, 7), (16, 16), (5, 27), (12, 24)] {
         let mut enc = ignite_core::codec::Encoder::new(CodecConfig {
             src_delta_bits: src,
@@ -59,46 +68,51 @@ fn sweep_codec(h: &Harness) {
         for e in &entries {
             enc.push(e);
         }
-        println!(
+        line(format_args!(
             "{:>6} {:>6} {:>12} {:>12.1} {:>9.1}%",
             src,
             tgt,
             enc.byte_len(),
             enc.byte_len() as f64 * 8.0 / entries.len().max(1) as f64,
             enc.full_entries() as f64 / entries.len().max(1) as f64 * 100.0,
-        );
+        ))?;
     }
+    Ok(())
 }
 
-fn sweep_budget(h: &Harness) {
-    header("Metadata budget (paper default: 120 KiB)");
+fn sweep_budget(h: &Harness) -> Result<(), Exit> {
+    header("Metadata budget (paper default: 120 KiB)")?;
     let baseline = h.run_config(&FrontEndConfig::nl());
-    println!("{:>12} {:>10}", "budget", "speedup");
+    line(format_args!("{:>12} {:>10}", "budget", "speedup"))?;
     for kib in [4usize, 8, 16, 32, 64, 120] {
         let mut fe = FrontEndConfig::ignite();
         let ignite = fe.select.ignite.as_mut().expect("ignite");
         ignite.metadata_budget_bytes = kib * 1024;
         fe.name = format!("Ignite {kib}KiB");
-        println!("{:>9}KiB {:>10.3}", kib, h.speedups(&baseline, &h.run_config(&fe)).mean);
+        let speedup = h.speedups(&baseline, &h.run_config(&fe)).mean;
+        line(format_args!("{kib:>9}KiB {speedup:>10.3}"))?;
     }
+    Ok(())
 }
 
-fn sweep_throttle(h: &Harness) {
-    header("Replay throttle threshold (paper default: 1K restored-untouched)");
+fn sweep_throttle(h: &Harness) -> Result<(), Exit> {
+    header("Replay throttle threshold (paper default: 1K restored-untouched)")?;
     let baseline = h.run_config(&FrontEndConfig::nl());
-    println!("{:>12} {:>10}", "threshold", "speedup");
+    line(format_args!("{:>12} {:>10}", "threshold", "speedup"))?;
     for threshold in [64u64, 256, 1_000, 4_000, u64::MAX] {
         let mut fe = FrontEndConfig::ignite();
         fe.select.ignite.as_mut().expect("ignite").replay.throttle_threshold = threshold;
         fe.name = format!("Ignite thr={threshold}");
         let label = if threshold == u64::MAX { "off".to_string() } else { threshold.to_string() };
-        println!("{label:>12} {:>10.3}", h.speedups(&baseline, &h.run_config(&fe)).mean);
+        let speedup = h.speedups(&baseline, &h.run_config(&fe)).mean;
+        line(format_args!("{label:>12} {speedup:>10.3}"))?;
     }
+    Ok(())
 }
 
-fn sweep_btb_size(h: &Harness) {
-    header("BTB size (5K = Ice Lake, 12K = Sapphire Rapids; §5.3)");
-    println!("{:>10} {:>12} {:>12} {:>12}", "entries", "NL", "B+JB", "Ignite");
+fn sweep_btb_size(h: &Harness) -> Result<(), Exit> {
+    header("BTB size (5K = Ice Lake, 12K = Sapphire Rapids; §5.3)")?;
+    line(format_args!("{:>10} {:>12} {:>12} {:>12}", "entries", "NL", "B+JB", "Ignite"))?;
     for entries in [5 * 1024 + 128, 12 * 1024] {
         // 5 K is not divisible by 6 ways; round to the nearest valid size.
         let mut uarch = UarchConfig::ice_lake_like();
@@ -114,17 +128,18 @@ fn sweep_btb_size(h: &Harness) {
                 h.functions().iter().map(|f| run_function(&uarch, &fe, f, h.opts)).collect();
             results.push(h.speedups(&baseline, &runs).mean);
         }
-        println!(
+        line(format_args!(
             "{:>10} {:>12.3} {:>12.3} {:>12.3}",
             uarch.btb.entries, 1.0, results[0], results[1]
-        );
+        ))?;
     }
+    Ok(())
 }
 
-fn sweep_divergence(h: &Harness) {
-    header("Cross-invocation divergence (§4.2; default site-deviation = 3%)");
+fn sweep_divergence(h: &Harness) -> Result<(), Exit> {
+    header("Cross-invocation divergence (§4.2; default site-deviation = 3%)")?;
     let opts = h.opts;
-    println!("{:>10} {:>10} {:>12} {:>12}", "noise", "speedup", "BTB MPKI", "init MPKI");
+    line(format_args!("{:>10} {:>10} {:>12} {:>12}", "noise", "speedup", "BTB MPKI", "init MPKI"))?;
     for noise in [0.0, 0.01, 0.03, 0.10, 0.25] {
         let mut baseline = Vec::new();
         let mut results = Vec::new();
@@ -137,25 +152,26 @@ fn sweep_divergence(h: &Harness) {
         let mean = |metric: fn(&ignite_engine::InvocationResult) -> f64| {
             results.iter().map(metric).sum::<f64>() / results.len() as f64
         };
-        println!(
+        line(format_args!(
             "{:>10.2} {:>10.3} {:>12.2} {:>12.2}",
             noise,
             h.speedups(&baseline, &results).mean,
             mean(|r| r.btb_mpki()),
             mean(|r| r.initial_mpki())
-        );
+        ))?;
     }
+    Ok(())
 }
 
-fn sweep_faults(h: &Harness) {
-    header("Metadata fault injection (hardened decode; DESIGN.md fault model)");
+fn sweep_faults(h: &Harness) -> Result<(), Exit> {
+    header("Metadata fault injection (hardened decode; DESIGN.md fault model)")?;
     let baseline = h.run_config(&FrontEndConfig::nl());
     let fdp = h.speedups(&baseline, &h.run_config(&FrontEndConfig::fdp())).mean;
-    println!("record-only floor (FDP): {fdp:.3}");
-    println!(
+    line(format_args!("record-only floor (FDP): {fdp:.3}"))?;
+    line(format_args!(
         "{:>10} {:>8} {:>10} {:>12} {:>10} {:>8} {:>10}",
         "fault", "rate", "speedup", "decode errs", "dropped", "stale", "watchdog"
-    );
+    ))?;
     type Mk = fn(f64, u64) -> FaultPlan;
     for (kind, mk) in [("bit-flip", FaultPlan::bit_flips as Mk), ("stale", FaultPlan::stale as Mk)]
     {
@@ -168,7 +184,7 @@ fn sweep_faults(h: &Harness) {
                 acc.merge(&r.replay);
                 acc
             });
-            println!(
+            line(format_args!(
                 "{:>10} {:>8} {:>10.3} {:>12} {:>10} {:>8} {:>10}",
                 kind,
                 rate,
@@ -177,21 +193,24 @@ fn sweep_faults(h: &Harness) {
                 replay.entries_dropped,
                 replay.stale_restored,
                 replay.watchdog_abandons,
-            );
+            ))?;
         }
     }
+    Ok(())
 }
 
-fn sweep_host(h: &Harness) {
-    header("Ignite host prefetcher: FDP vs Boomerang (§5.3)");
+fn sweep_host(h: &Harness) -> Result<(), Exit> {
+    header("Ignite host prefetcher: FDP vs Boomerang (§5.3)")?;
     let baseline = h.run_config(&FrontEndConfig::nl());
     for fe in [FrontEndConfig::ignite(), FrontEndConfig::ignite_boomerang()] {
-        println!("{:<20} {:>10.3}", fe.name, h.speedups(&baseline, &h.run_config(&fe)).mean);
+        let speedup = h.speedups(&baseline, &h.run_config(&fe)).mean;
+        line(format_args!("{:<20} {speedup:>10.3}", fe.name))?;
     }
+    Ok(())
 }
 
-/// An ablation by name.
-type Sweep = (&'static str, fn(&Harness));
+/// An ablation by name; it fails only when stdout does.
+type Sweep = (&'static str, fn(&Harness) -> Result<(), Exit>);
 
 /// Every sweep, in the order `all` runs them.
 const SWEEPS: [Sweep; 7] = [
@@ -246,16 +265,17 @@ fn parse(argv: Vec<String>) -> Result<(f64, Vec<Sweep>), Exit> {
 }
 
 /// Runs each sweep, isolated: one panicking ablation must not cost the
-/// rest.
+/// rest. A closed stdout stops the run.
 fn run((scale, sweeps): (f64, Vec<Sweep>)) -> Result<(), Exit> {
     let h = &Harness::new(scale, RunOptions::quick());
     cli::run_isolated(
         sweeps.into_iter().map(|(name, sweep)| (name, move || sweep(h))),
-        |name, _, result| {
-            if let Err(msg) = result {
+        |name, _, result| match result {
+            Ok(printed) => printed,
+            Err(msg) => {
                 eprintln!("[sweep {name} FAILED: {msg}]");
+                Ok(())
             }
-            Ok(())
         },
         |failed| format!("{failed} sweep(s) failed:"),
     )

@@ -21,32 +21,16 @@ use ignite_uarch::Cycle;
 
 use crate::branch_index::BranchIndex;
 
-/// Confluence parameters (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfluenceConfig {
-    /// Index capacity (miss-trigger → history position).
-    pub index_entries: usize,
-    /// History buffer capacity in block addresses.
-    pub history_entries: usize,
-    /// Metadata lookup latency in cycles.
-    pub lookup_latency: Cycle,
-    /// Maximum blocks streamed per trigger.
-    pub stream_window: usize,
-    /// Blocks issued per cycle while streaming.
-    pub stream_rate: usize,
-}
-
-impl Default for ConfluenceConfig {
-    fn default() -> Self {
-        ConfluenceConfig {
-            index_entries: 8 * 1024,
-            history_entries: 32 * 1024,
-            lookup_latency: 50,
-            stream_window: 24,
-            stream_rate: 2,
-        }
-    }
-}
+/// Index capacity, miss triggers to history positions (§5.3: 8 K).
+pub const INDEX_ENTRIES: usize = 8 * 1024;
+/// History buffer capacity in block addresses (§5.3: 32 K).
+pub const HISTORY_ENTRIES: usize = 32 * 1024;
+/// Metadata lookup latency in cycles (§5.3: 50).
+pub const LOOKUP_LATENCY: Cycle = 50;
+/// Maximum blocks streamed per trigger.
+pub const STREAM_WINDOW: usize = 24;
+/// Blocks issued per cycle while streaming.
+pub const STREAM_RATE: usize = 2;
 
 #[derive(Debug, Clone)]
 struct Stream {
@@ -77,17 +61,16 @@ pub struct ConfluenceStep {
 /// # Example
 ///
 /// ```
-/// use ignite_prefetch::confluence::{Confluence, ConfluenceConfig};
+/// use ignite_prefetch::confluence::Confluence;
 /// use ignite_uarch::addr::Addr;
 ///
-/// let mut c = Confluence::new(ConfluenceConfig::default());
+/// let mut c = Confluence::default();
 /// c.observe_access(Addr::new(0x1000), true);
 /// c.observe_access(Addr::new(0x2000), false);
 /// assert_eq!(c.history_len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Confluence {
-    cfg: ConfluenceConfig,
     history: Vec<u64>,
     index: HashMap<u64, usize>,
     stream: Option<Stream>,
@@ -97,19 +80,6 @@ pub struct Confluence {
 }
 
 impl Confluence {
-    /// Creates a prefetcher with empty metadata.
-    pub fn new(cfg: ConfluenceConfig) -> Self {
-        Confluence {
-            cfg,
-            history: Vec::new(),
-            index: HashMap::new(),
-            stream: None,
-            last_recorded: None,
-            streams_started: 0,
-            streams_killed: 0,
-        }
-    }
-
     /// Recorded history length (blocks).
     pub fn history_len(&self) -> usize {
         self.history.len()
@@ -138,24 +108,16 @@ impl Confluence {
         let line = addr.line_number();
         // Consecutive-duplicate suppression keeps the history compact.
         if self.last_recorded != Some(line) {
-            if self.history.len() >= self.cfg.history_entries {
-                // Wrap: drop the oldest half to keep positions meaningful.
-                let keep = self.cfg.history_entries / 2;
-                self.history.drain(..self.history.len() - keep);
-                self.index.retain(|_, pos| {
-                    if *pos >= keep {
-                        *pos -= keep;
-                        false // positions shifted; conservatively drop
-                    } else {
-                        false
-                    }
-                });
+            if self.history.len() >= HISTORY_ENTRIES {
+                // Wrap: drop the oldest half. Every indexed position has
+                // shifted, so the index starts over.
+                self.history.drain(..self.history.len() - HISTORY_ENTRIES / 2);
                 self.index.clear();
             }
             self.history.push(line);
             self.last_recorded = Some(line);
         }
-        if was_miss && self.index.len() < self.cfg.index_entries {
+        if was_miss && self.index.len() < INDEX_ENTRIES {
             self.index.entry(line).or_insert(self.history.len().saturating_sub(1));
         }
     }
@@ -168,8 +130,8 @@ impl Confluence {
         if let Some(&pos) = self.index.get(&addr.line_number()) {
             self.stream = Some(Stream {
                 pos: pos + 1,
-                remaining: self.cfg.stream_window,
-                start_at: now + self.cfg.lookup_latency,
+                remaining: STREAM_WINDOW,
+                start_at: now + LOOKUP_LATENCY,
             });
             self.streams_started += 1;
         }
@@ -183,7 +145,7 @@ impl Confluence {
         }
     }
 
-    /// Issues up to `stream_rate` block prefetches from the active stream,
+    /// Issues up to [`STREAM_RATE`] block prefetches from the active stream,
     /// predecoding their branches into the BTB.
     pub fn step(
         &mut self,
@@ -199,7 +161,7 @@ impl Confluence {
         if now < stream.start_at {
             return out;
         }
-        for _ in 0..self.cfg.stream_rate {
+        for _ in 0..STREAM_RATE {
             if stream.remaining == 0 || stream.pos >= self.history.len() {
                 self.stream = None;
                 return out;
@@ -245,13 +207,9 @@ mod tests {
         (Hierarchy::new(&cfg.hierarchy), Btb::new(&BtbConfig { entries: 256, ways: 4 }), index)
     }
 
-    fn small() -> Confluence {
-        Confluence::new(ConfluenceConfig { lookup_latency: 10, ..ConfluenceConfig::default() })
-    }
-
     #[test]
     fn history_dedups_consecutive_blocks() {
-        let mut c = small();
+        let mut c = Confluence::default();
         c.observe_access(Addr::new(0x1000), false);
         c.observe_access(Addr::new(0x1020), false); // same line
         c.observe_access(Addr::new(0x1040), false);
@@ -261,7 +219,7 @@ mod tests {
     #[test]
     fn miss_trigger_starts_stream_after_lookup_latency() {
         let (mut h, mut btb, bidx) = setup();
-        let mut c = small();
+        let mut c = Confluence::default();
         // Record a stream: miss at 0x1000, then blocks 0x2000, 0x3000.
         c.observe_access(Addr::new(0x1000), true);
         c.observe_access(Addr::new(0x2000), false);
@@ -269,12 +227,12 @@ mod tests {
         c.end_invocation();
 
         c.on_miss(Addr::new(0x1000), 100);
-        assert_eq!(c.stream_start(), Some(110));
+        assert_eq!(c.stream_start(), Some(100 + LOOKUP_LATENCY));
         // Before the lookup completes nothing is issued.
-        let early = c.step(105, &mut h, &bidx, &mut btb);
+        let early = c.step(100 + LOOKUP_LATENCY - 1, &mut h, &bidx, &mut btb);
         assert_eq!(early.lines_issued, 0);
         // After: the recorded successors are prefetched.
-        let later = c.step(110, &mut h, &bidx, &mut btb);
+        let later = c.step(100 + LOOKUP_LATENCY, &mut h, &bidx, &mut btb);
         assert!(later.lines_issued > 0);
         assert!(h.probe_l1i(Addr::new(0x2000)));
     }
@@ -282,18 +240,18 @@ mod tests {
     #[test]
     fn streamed_blocks_fill_btb() {
         let (mut h, mut btb, bidx) = setup();
-        let mut c = small();
+        let mut c = Confluence::default();
         c.observe_access(Addr::new(0x1000), true);
         c.observe_access(Addr::new(0x2000), false);
         c.on_miss(Addr::new(0x1000), 0);
-        c.step(10, &mut h, &bidx, &mut btb);
+        c.step(LOOKUP_LATENCY, &mut h, &bidx, &mut btb);
         assert!(btb.probe(Addr::new(0x2010)).is_some(), "branch in streamed block predecoded");
     }
 
     #[test]
     fn resteer_kills_stream() {
         let (mut h, mut btb, bidx) = setup();
-        let mut c = small();
+        let mut c = Confluence::default();
         c.observe_access(Addr::new(0x1000), true);
         c.observe_access(Addr::new(0x2000), false);
         c.on_miss(Addr::new(0x1000), 0);
@@ -307,7 +265,7 @@ mod tests {
 
     #[test]
     fn unindexed_miss_does_not_stream() {
-        let mut c = small();
+        let mut c = Confluence::default();
         c.on_miss(Addr::new(0x7777_0000), 0);
         assert!(c.stream_start().is_none());
     }
@@ -315,24 +273,25 @@ mod tests {
     #[test]
     fn stream_window_bounds_issue() {
         let (mut h, mut btb, bidx) = setup();
-        let mut c = Confluence::new(ConfluenceConfig {
-            lookup_latency: 0,
-            stream_window: 3,
-            stream_rate: 8,
-            ..ConfluenceConfig::default()
-        });
+        let mut c = Confluence::default();
         c.observe_access(Addr::new(0x1000), true);
-        for i in 1..10u64 {
+        for i in 1..=STREAM_WINDOW as u64 + 10 {
             c.observe_access(Addr::new(0x1000 + i * 0x1000), false);
         }
         c.on_miss(Addr::new(0x1000), 0);
-        let out = c.step(1, &mut h, &bidx, &mut btb);
-        assert_eq!(out.lines_issued, 3, "window caps the stream");
+        // Steps 1,000 cycles apart: every fill lands before the next
+        // issue, so no prefetch is refused for want of an MSHR.
+        let mut issued = 0;
+        for step in 0..2 * STREAM_WINDOW as u64 {
+            issued += c.step(LOOKUP_LATENCY + step * 1_000, &mut h, &bidx, &mut btb).lines_issued;
+        }
+        assert_eq!(issued, STREAM_WINDOW as u64, "the window caps the stream");
+        assert!(c.stream_start().is_none(), "the stream ends at its window");
     }
 
     #[test]
     fn metadata_survives_end_invocation() {
-        let mut c = small();
+        let mut c = Confluence::default();
         c.observe_access(Addr::new(0x1000), true);
         c.observe_access(Addr::new(0x2000), false);
         c.end_invocation();

@@ -15,41 +15,22 @@ use ignite_uarch::cache::FillKind;
 use ignite_uarch::hierarchy::{Hierarchy, Level};
 use ignite_uarch::Cycle;
 
-/// Jukebox parameters (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JukeboxConfig {
-    /// Region granularity in bytes.
-    pub region_bytes: u64,
-    /// Circular recent-region buffer entries (record-side dedup).
-    pub crrb_entries: usize,
-    /// Metadata budget per direction in bytes.
-    pub metadata_bytes: u64,
-    /// Bytes per metadata entry (a compressed region pointer).
-    pub entry_bytes: u64,
-    /// Cache lines prefetched per cycle during replay.
-    pub replay_lines_per_cycle: u64,
-}
+/// Region granularity in bytes (§5.3: 1 KiB).
+pub const REGION_BYTES: u64 = 1024;
+/// Circular recent-region buffer entries (record-side dedup).
+pub const CRRB_ENTRIES: usize = 16;
+/// Metadata budget per direction in bytes (§5.3: 16 KiB).
+pub const METADATA_BYTES: u64 = 16 * 1024;
+/// Bytes per metadata entry (a compressed region pointer).
+pub const ENTRY_BYTES: u64 = 4;
+/// Cache lines prefetched per cycle during replay.
+pub const REPLAY_LINES_PER_CYCLE: u64 = 2;
 
-impl Default for JukeboxConfig {
-    fn default() -> Self {
-        JukeboxConfig {
-            region_bytes: 1024,
-            crrb_entries: 16,
-            metadata_bytes: 16 * 1024,
-            entry_bytes: 4,
-            replay_lines_per_cycle: 2,
-        }
-    }
-}
-
-/// Per-invocation replay progress.
-#[derive(Debug, Clone, Default)]
-struct Replay {
-    /// Remaining line addresses to prefetch, oldest first.
-    queue: VecDeque<Addr>,
-    /// Metadata bytes streamed from memory.
-    bytes_streamed: u64,
-}
+/// Cache lines per region.
+const REGION_LINES: u64 = REGION_BYTES / LINE_BYTES;
+/// Metadata bytes streamed per replayed line: its share of a region
+/// entry, rounded up.
+const LINE_METADATA_BYTES: u64 = ENTRY_BYTES.div_ceil(REGION_LINES);
 
 /// Traffic generated by one replay step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,13 +50,13 @@ pub struct JukeboxStep {
 /// # Example
 ///
 /// ```
-/// use ignite_prefetch::jukebox::{Jukebox, JukeboxConfig};
+/// use ignite_prefetch::jukebox::Jukebox;
 /// use ignite_uarch::addr::Addr;
 /// use ignite_uarch::config::UarchConfig;
 /// use ignite_uarch::hierarchy::Hierarchy;
 ///
 /// let mut h = Hierarchy::new(&UarchConfig::ice_lake_like().hierarchy);
-/// let mut jb = Jukebox::new(JukeboxConfig::default());
+/// let mut jb = Jukebox::default();
 ///
 /// // First invocation: record an off-chip miss.
 /// jb.begin_invocation(7);
@@ -87,38 +68,20 @@ pub struct JukeboxStep {
 /// while jb.step(0, &mut h).instruction_bytes > 0 {}
 /// assert!(h.probe_l2(Addr::new(0x4000)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Jukebox {
-    cfg: JukeboxConfig,
     /// Recorded region lists per container (the in-memory metadata).
     metadata: HashMap<u64, Vec<u64>>,
     /// Record-side state for the active invocation.
     crrb: VecDeque<u64>,
     recording: Vec<u64>,
     record_bytes: u64,
-    replay: Replay,
+    /// Line addresses replay has still to prefetch, oldest first.
+    replay: VecDeque<Addr>,
     active: Option<u64>,
 }
 
 impl Jukebox {
-    /// Creates a Jukebox with no recorded metadata.
-    pub fn new(cfg: JukeboxConfig) -> Self {
-        Jukebox {
-            cfg,
-            metadata: HashMap::new(),
-            crrb: VecDeque::new(),
-            recording: Vec::new(),
-            record_bytes: 0,
-            replay: Replay::default(),
-            active: None,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &JukeboxConfig {
-        &self.cfg
-    }
-
     /// Record metadata bytes written so far in the active invocation.
     pub fn record_bytes(&self) -> u64 {
         self.record_bytes
@@ -126,7 +89,7 @@ impl Jukebox {
 
     /// Whether replay still has work queued.
     pub fn replay_pending(&self) -> bool {
-        !self.replay.queue.is_empty()
+        !self.replay.is_empty()
     }
 
     /// Starts an invocation of `container`: arms recording and, if metadata
@@ -136,14 +99,12 @@ impl Jukebox {
         self.crrb.clear();
         self.recording.clear();
         self.record_bytes = 0;
-        self.replay.queue.clear();
-        self.replay.bytes_streamed = 0;
+        self.replay.clear();
         if let Some(regions) = self.metadata.get(&container) {
             for &region in regions {
-                let base = Addr::new(region * self.cfg.region_bytes);
-                let lines = self.cfg.region_bytes / LINE_BYTES;
-                for i in 0..lines {
-                    self.replay.queue.push_back(base + i * LINE_BYTES);
+                let base = Addr::new(region * REGION_BYTES);
+                for i in 0..REGION_LINES {
+                    self.replay.push_back(base + i * LINE_BYTES);
                 }
             }
         }
@@ -155,44 +116,38 @@ impl Jukebox {
         if self.active.is_none() || served_by != Level::Memory {
             return;
         }
-        let region = addr.as_u64() / self.cfg.region_bytes;
+        let region = addr.as_u64() / REGION_BYTES;
         if self.crrb.contains(&region) {
             return;
         }
-        if self.crrb.len() >= self.cfg.crrb_entries {
+        if self.crrb.len() >= CRRB_ENTRIES {
             self.crrb.pop_front();
         }
         self.crrb.push_back(region);
         // Metadata budget: stop recording when full (paper: 16 KiB).
-        if self.record_bytes + self.cfg.entry_bytes <= self.cfg.metadata_bytes
-            && !self.recording.contains(&region)
-        {
+        if self.record_bytes + ENTRY_BYTES <= METADATA_BYTES && !self.recording.contains(&region) {
             self.recording.push(region);
-            self.record_bytes += self.cfg.entry_bytes;
+            self.record_bytes += ENTRY_BYTES;
         }
     }
 
-    /// Replay-side hook: issue up to the configured rate of line prefetches
+    /// Replay-side hook: issue up to [`REPLAY_LINES_PER_CYCLE`] line prefetches
     /// into the L2, respecting L2 MSHR backpressure (bulk prefetch cannot
     /// outrun DRAM bandwidth).
     pub fn step(&mut self, now: Cycle, hierarchy: &mut Hierarchy) -> JukeboxStep {
         let mut out = JukeboxStep::default();
-        for _ in 0..self.cfg.replay_lines_per_cycle {
-            let Some(&line) = self.replay.queue.front() else {
+        for _ in 0..REPLAY_LINES_PER_CYCLE {
+            let Some(&line) = self.replay.front() else {
                 break;
             };
             if !hierarchy.probe_l2(line) && hierarchy.l2_prefetch_capacity(now) == 0 {
                 break; // retry next cycle
             }
-            self.replay.queue.pop_front();
+            self.replay.pop_front();
             if let Some(r) = hierarchy.prefetch_l2(line, now, FillKind::Prefetch) {
                 out.instruction_bytes += r.bytes_from_memory;
             }
-            // Each line consumed amortizes its share of a region entry.
-            let lines_per_region = self.cfg.region_bytes / LINE_BYTES;
-            let md = self.cfg.entry_bytes.div_ceil(lines_per_region).max(1);
-            self.replay.bytes_streamed += md;
-            out.metadata_bytes += md;
+            out.metadata_bytes += LINE_METADATA_BYTES;
         }
         out
     }
@@ -218,7 +173,7 @@ impl Jukebox {
             self.metadata.insert(container, fresh.clone());
             return;
         }
-        let budget_entries = (self.cfg.metadata_bytes / self.cfg.entry_bytes) as usize;
+        let budget_entries = (METADATA_BYTES / ENTRY_BYTES) as usize;
         let old = self.metadata.entry(container).or_default();
         for &region in fresh {
             if old.len() >= budget_entries {
@@ -246,7 +201,7 @@ mod tests {
     }
 
     fn jukebox() -> Jukebox {
-        Jukebox::new(JukeboxConfig::default())
+        Jukebox::default()
     }
 
     #[test]
@@ -284,7 +239,7 @@ mod tests {
             cycle += 1;
         }
         // Every line of the 1 KiB region is L2-resident.
-        for i in 0..16u64 {
+        for i in 0..REGION_LINES {
             assert!(h.probe_l2(Addr::new(0x4000 + i * 64)), "line {i} missing");
         }
     }
@@ -298,24 +253,22 @@ mod tests {
         jb.end_invocation(5);
         jb.begin_invocation(5);
         let step = jb.step(0, &mut h);
-        assert_eq!(step.instruction_bytes, 2 * 64, "two lines per cycle");
+        assert_eq!(step.instruction_bytes, REPLAY_LINES_PER_CYCLE * LINE_BYTES);
         assert!(jb.replay_pending());
     }
 
     #[test]
     fn metadata_budget_caps_recording() {
-        let mut jb = Jukebox::new(JukeboxConfig {
-            metadata_bytes: 8,
-            entry_bytes: 4,
-            ..JukeboxConfig::default()
-        });
+        let budget = METADATA_BYTES / ENTRY_BYTES;
+        let mut jb = jukebox();
         jb.begin_invocation(1);
-        for i in 0..10u64 {
+        for i in 0..budget + 10 {
             // Distinct regions, far apart so the CRRB never dedups them.
             jb.observe_fill(Addr::new(i * 0x10_000), Level::Memory);
         }
         jb.end_invocation(1);
-        assert_eq!(jb.recorded_regions(1), 2, "budget limits to two entries");
+        assert_eq!(jb.recorded_regions(1) as u64, budget, "the budget caps the entries");
+        assert_eq!(jb.record_bytes(), METADATA_BYTES);
     }
 
     #[test]

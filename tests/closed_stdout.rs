@@ -44,3 +44,8 @@ fn scope_exits_1_on_a_closed_stdout() {
 fn figures_exits_1_on_a_closed_stdout() {
     refuses_closed_stdout(env!("CARGO_BIN_EXE_figures"), &["--scale", "0.02", "table1"]);
 }
+
+#[test]
+fn sweep_exits_1_on_a_closed_stdout() {
+    refuses_closed_stdout(env!("CARGO_BIN_EXE_sweep"), &["--scale", "0.02", "codec"]);
+}

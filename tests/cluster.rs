@@ -36,10 +36,29 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cluster.json")
 }
 
-fn golden_report() -> String {
-    let cfg = golden_cfg();
+/// The multi-node golden's configuration (`tests/multinode.rs`): the
+/// golden configuration spread over 3 nodes of 2 cores each, affinity
+/// routing, hybrid keep-alive.
+fn multinode_golden_cfg() -> ClusterConfig {
+    ClusterConfig {
+        cores: 2,
+        topology: Topology {
+            nodes: 3,
+            scheduler: SchedulerKind::Affinity,
+            keepalive: KeepAliveKind::Hybrid { default_window_cycles: 50_000 },
+        },
+        ..golden_cfg()
+    }
+}
+
+/// A fresh report of `cfg`.
+fn report_of(cfg: ClusterConfig) -> String {
     let outcome = ClusterSim::new(cfg.clone()).run();
     ClusterReport::new(cfg, outcome).to_json()
+}
+
+fn golden_report() -> String {
+    report_of(golden_cfg())
 }
 
 #[test]
@@ -408,14 +427,16 @@ fn replayed_trace_reproduces_direct_run() {
     assert_eq!(a, b, "trace replay must reproduce the direct run");
 }
 
-/// Copies of the committed golden whose rows disagree with its totals
-/// fail validation, with the key named: the totals' invocations raised
-/// by one, core 0's invocations raised by one, and the totals' p50
-/// raised above its p95.
+/// Copies of a fresh report of the golden configuration whose rows
+/// disagree with its totals fail validation, with the key named: the
+/// totals' invocations raised by one, core 0's invocations raised by
+/// one, and the totals' p50 raised above its p95. The report is fresh,
+/// not the committed file, so a re-bless that changes the report's keys
+/// does not depend on the order the test binaries run in.
 #[test]
 fn validation_rejects_rows_that_disagree_with_the_totals() {
-    let golden = std::fs::read_to_string(golden_path()).expect("read tests/golden/cluster.json");
-    ClusterReport::validate(&golden).expect("the committed golden validates");
+    let golden = golden_report();
+    ClusterReport::validate(&golden).expect("the golden configuration's report validates");
     let out = ClusterReport::from_json(&golden).expect("the golden reads back").outcome;
     let (n, p50, p95, core0) =
         (out.invocations, out.p50_latency, out.p95_latency, out.cores[0].invocations);
@@ -449,55 +470,44 @@ fn edit_first(text: &str, key: &str, to: impl Fn(&str) -> String) -> String {
     format!("{}{}{}", &text[..at], to(&text[at..end]), &text[end..])
 }
 
-/// Copies of the committed goldens that edit one value the report
-/// derives from others fail validation, naming the value's path: each
-/// still keeps every invariant among the values it stores, so only
-/// writing the report back from what was read catches it.
+/// Copies of fresh reports of the cluster and multi-node golden
+/// configurations that edit one value the report derives from others
+/// fail validation, naming the value's path: each still keeps every
+/// invariant among the values it stores, so only writing the report back
+/// from what was read catches it.
 #[test]
 fn derived_values_that_disagree_with_their_counts_are_rejected() {
-    let read = |file: &str| {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file);
-        std::fs::read_to_string(path).expect("a committed golden")
-    };
+    let (cluster, multinode) = (golden_report(), report_of(multinode_golden_cfg()));
+    for report in [&cluster, &multinode] {
+        ClusterReport::validate(report).expect("the golden configuration's report validates");
+    }
     // Each edit sets a value, or with `None` raises a count by one.
     let edits = [
-        ("cluster.json", "hit_rate", "report.store.hit_rate", Some("0.5")),
-        (
-            "cluster.json",
-            "metadata_hit_rate",
-            "report.functions[0].metadata_hit_rate",
-            Some("0.123"),
-        ),
-        ("cluster.json", "mean_utilization", "report.totals.mean_utilization", Some("0.9")),
-        ("cluster.json", "entries_restored", "report.replay.entries_restored", None),
-        (
-            "multinode.json",
-            "wasted_keepalive_cycles",
-            "report.totals.wasted_keepalive_cycles",
-            None,
-        ),
-        ("multinode.json", "hit_rate", "report.nodes[0].store.hit_rate", Some("0.01")),
-        ("multinode.json", "slowdown", "report.functions[0].slowdown", Some("7.5")),
+        (&cluster, "hit_rate", "report.store.hit_rate", Some("0.5")),
+        (&cluster, "metadata_hit_rate", "report.functions[0].metadata_hit_rate", Some("0.123")),
+        (&cluster, "mean_utilization", "report.totals.mean_utilization", Some("0.9")),
+        (&cluster, "entries_restored", "report.replay.entries_restored", None),
+        (&multinode, "wasted_keepalive_cycles", "report.totals.wasted_keepalive_cycles", None),
+        (&multinode, "hit_rate", "report.nodes[0].store.hit_rate", Some("0.01")),
+        (&multinode, "slowdown", "report.functions[0].slowdown", Some("7.5")),
     ];
-    for (file, key, path, value) in edits {
-        let golden = read(file);
-        ClusterReport::validate(&golden).expect("the committed golden validates");
-        let bad = edit_first(&golden, key, |n| {
+    for (report, key, path, value) in edits {
+        let bad = edit_first(report, key, |n| {
             value.map_or_else(|| (n.parse::<u64>().expect("a count") + 1).to_string(), String::from)
         });
-        assert_ne!(bad, golden, "{file}: {path} already has the edited value");
+        assert_ne!(&bad, report, "{path} already has the edited value");
         let err = ClusterReport::validate(&bad).expect_err(path);
-        assert!(err.starts_with(&format!("{path}: expected ")), "{file}: {err}");
+        assert!(err.starts_with(&format!("{path}: expected ")), "{err}");
     }
 }
 
 /// A report integer past 2^53 reads back into its type exactly: a copy
-/// of the committed golden whose horizon is edited to
-/// 18446744073709551000, a value an `f64` cannot hold, reads back as that
-/// value and writes back byte for byte.
+/// of a fresh report of the golden configuration whose horizon is edited
+/// to 18446744073709551000, a value an `f64` cannot hold, reads back as
+/// that value and writes back byte for byte.
 #[test]
 fn a_report_integer_past_2_pow_53_reads_back_exactly() {
-    let golden = std::fs::read_to_string(golden_path()).expect("read tests/golden/cluster.json");
+    let golden = golden_report();
     let edited = edit_first(&golden, "horizon_cycles", |_| "18446744073709551000".into());
     let report = ClusterReport::from_json(&edited).expect("the edited golden reads back");
     assert_eq!(report.config.arrival.horizon_cycles, 18_446_744_073_709_551_000);

@@ -4,7 +4,7 @@
 use ignite_engine::config::{FrontEndConfig, StatePolicy};
 use ignite_engine::machine::{Machine, PreparedFunction};
 use ignite_engine::protocol::{run_function, RunOptions};
-use ignite_engine::sim::run_invocation;
+use ignite_engine::sim::{run_invocation, run_invocation_ctx, InvocationCtx};
 use ignite_uarch::UarchConfig;
 use ignite_workloads::gen::{generate, GenParams};
 
@@ -87,15 +87,19 @@ fn flush_is_complete() {
 }
 
 #[test]
-fn data_stall_model_responds_to_warm_data() {
-    let luke = run_policy(StatePolicy::lukewarm());
-    let mut warm_data = StatePolicy::lukewarm();
-    warm_data.warm_data = true;
-    let warm = run_policy(warm_data);
+fn data_stall_model_responds_to_the_data_cold_fraction() {
+    // Two fresh machines run the same invocation; only the share of the
+    // data working set that starts cold differs.
+    let uarch = UarchConfig::ice_lake_like();
+    let f = function();
+    let backend_bound = |data_cold_fraction| {
+        let mut m = Machine::new(&uarch, &FrontEndConfig::nl());
+        let ctx = InvocationCtx { data_cold_fraction, ..InvocationCtx::default() };
+        run_invocation_ctx(&mut m, &f, 0, ctx).topdown.backend_bound
+    };
+    let (cold, warm) = (backend_bound(1.0), backend_bound(0.0));
     assert!(
-        luke.topdown.backend_bound > warm.topdown.backend_bound * 1.5,
-        "cold data misses must show up as backend-bound cycles: {} vs {}",
-        luke.topdown.backend_bound,
-        warm.topdown.backend_bound
+        cold > warm * 1.5,
+        "cold data misses must show up as backend-bound cycles: {cold} vs {warm}"
     );
 }
